@@ -135,8 +135,8 @@ def build_parser() -> _Parser:
         ("--hidden", int, 128, "spatial/temporal embedding width"),
         ("--fc-dims", _int_list, (384, 256, 128, 64, 32),
          "hidden widths of the estimation head"),
-        ("--history", int, 5, "mean-speed history length fed to the GRU"),
-        ("--pad-value", float, -1.0, "sentinel for missing history entries"),
+        ("--history", int, 5, "mean-speed history length fed to the GRU,"
+                              " front-padded with -1.0 before the first window"),
         ("--output-type", str, "Speed", "output format: Ratio, Diff or Speed"),
         ("--stride", int, 1, "window subsampling stride for training"),
         ("--batches-per-epoch", int, 0, "cap on batches per epoch (0 = all)"),

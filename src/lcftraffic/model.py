@@ -174,7 +174,17 @@ class LcfModel:
         return [(n, self.params[n].data) for n in self._names]
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Replace every parameter; the names and shapes must match."""
+        extra = sorted(set(arrays) - set(self._names))
+        if extra:
+            raise ValueError(f"unexpected array {extra[0]!r} for {self.config.name}")
         for n in self._names:
+            expected = self.params[n].data.shape
+            if n not in arrays:
+                raise ValueError(f"array {n!r} is missing; expected shape {expected}")
+            if arrays[n].shape != expected:
+                raise ValueError(f"array {n!r} has shape {arrays[n].shape}, "
+                                 f"expected {expected}")
             self.params[n].data = arrays[n].astype(np.float64).copy()
 
     # forward pieces -------------------------------------------------------
@@ -182,8 +192,8 @@ class LcfModel:
     def spatial_embed(self, feats: Tensor, adj_mask: np.ndarray) -> Tensor:
         cfg = self.config
         if not cfg.use_gat:
-            return nn.relu(nn.add(nn.matmul(feats, self.params["dnn.W"]),
-                                  self.params["dnn.b"]))
+            return nn.dense(feats, self.params["dnn.W"], self.params["dnn.b"],
+                            relu=True)
         neg = nn.constant(np.where(adj_mask, 0.0, -1e30))
         heads = []
         for k in range(cfg.heads):
@@ -224,27 +234,34 @@ class LcfModel:
         for t in range(cfg.history_len):
             x_t = nn.constant(hist_norm[:, t:t + 1])
             cat = nn.concat([h, x_t], axis=1)
-            z = nn.sigmoid(nn.add(nn.matmul(cat, self.params["gru.Wz"]),
-                                  self.params["gru.bz"]))
-            r = nn.sigmoid(nn.add(nn.matmul(cat, self.params["gru.Wr"]),
-                                  self.params["gru.br"]))
+            z = nn.sigmoid(nn.dense(cat, self.params["gru.Wz"],
+                                    self.params["gru.bz"]))
+            r = nn.sigmoid(nn.dense(cat, self.params["gru.Wr"],
+                                    self.params["gru.br"]))
             cat_r = nn.concat([nn.mul(r, h), x_t], axis=1)
-            h_cand = nn.tanh(nn.add(nn.matmul(cat_r, self.params["gru.Wc"]),
-                                    self.params["gru.bc"]))
+            h_cand = nn.tanh(nn.dense(cat_r, self.params["gru.Wc"],
+                                      self.params["gru.bc"]))
             keep = nn.add(one, nn.scale(z, -1.0))
             h = nn.add(nn.mul(keep, h), nn.mul(z, h_cand))
         return h
 
     def fuse(self, spatial: Tensor, temporal: Tensor, batch: int) -> Tensor:
-        n = spatial.data.shape[0]
-        x = nn.concat([nn.tile_rows(spatial, batch),
-                       nn.repeat_rows(temporal, n)], axis=1)
-        n_layers = len(self.config.fc_hidden) + 1
-        for i in range(n_layers):
-            x = nn.add(nn.matmul(x, self.params[f"fc.{i}.W"]),
-                       self.params[f"fc.{i}.b"])
-            if i < n_layers - 1:
-                x = nn.relu(x)
+        """Head over every (window, link) pair, window-major: the first
+        layer sees [spatial[link], temporal[window]] without building it."""
+        cfg = self.config
+        width = cfg.fc_input_dim - cfg.hidden_dim
+        if spatial.data.ndim != 2 or spatial.data.shape[1] != cfg.hidden_dim \
+                or temporal.data.shape != (batch, width):
+            raise ValueError(
+                f"fuse: spatial {spatial.data.shape} and temporal "
+                f"{temporal.data.shape} do not fit the head, which expects "
+                f"(n_links, {cfg.hidden_dim}) and ({batch}, {width})")
+        n_layers = len(cfg.fc_hidden) + 1
+        x = nn.pair_dense(spatial, temporal, self.params["fc.0.W"],
+                          self.params["fc.0.b"], relu=n_layers > 1)
+        for i in range(1, n_layers):
+            x = nn.dense(x, self.params[f"fc.{i}.W"], self.params[f"fc.{i}.b"],
+                         relu=i < n_layers - 1)
         return x
 
     def forward(self, feats_norm: np.ndarray, adj_mask: np.ndarray,

@@ -2,8 +2,10 @@
 
 Only the handful of operations the estimator needs are implemented:
 matmul, broadcasting add/mul, concat, relu, leaky_relu, sigmoid, tanh,
-row-wise softmax, transpose, row repeat/tile, and an MSE loss. Each op
-records a backward closure; ``backward`` walks the tape in reverse
+row-wise softmax, transpose, an MSE loss, and two fused dense layers:
+``dense`` (x @ W + b, optional relu) and ``pair_dense`` (the same layer
+applied to every (row of a, row of b) concatenation without building it).
+Each op records a backward closure; ``backward`` walks the tape in reverse
 topological order. Everything is deliberately single-threaded and
 deterministic.
 """
@@ -152,19 +154,73 @@ def softmax_rowwise(a: Tensor) -> Tensor:
     return Tensor(y, parents=(a,), vjps=(vjp,))
 
 
-def repeat_rows(a: Tensor, k: int) -> Tensor:
-    """Each row repeated k times in place: [r0, r0, .., r1, r1, ..]."""
-    n = a.data.shape[0]
-    return Tensor(np.repeat(a.data, k, axis=0), parents=(a,),
-                  vjps=(lambda g: g.reshape(n, k, *a.data.shape[1:]).sum(axis=1),))
+def _once(transform):
+    """Memoize an output-gradient transform that several vjps of one node
+    share; ``backward`` hands each of them the same array."""
+    last = [None, None]
+
+    def cached(g):
+        if last[0] is not g:
+            last[0], last[1] = g, transform(g)
+        return last[1]
+
+    return cached
 
 
-def tile_rows(a: Tensor, k: int) -> Tensor:
-    """The whole row block repeated k times: [r0..rn, r0..rn, ..]."""
-    n = a.data.shape[0]
-    reps = (k,) + (1,) * (a.data.ndim - 1)
-    return Tensor(np.tile(a.data, reps), parents=(a,),
-                  vjps=(lambda g: g.reshape(k, n, *a.data.shape[1:]).sum(axis=0),))
+def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """x @ w + b, then relu when asked, as one tape node."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0] \
+            or b.data.shape != (1, w.data.shape[1]):
+        raise ValueError(f"dense: shapes {x.data.shape}, {w.data.shape} and "
+                         f"{b.data.shape} do not align")
+    out = x.data @ w.data
+    out += b.data
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    masked = _once(lambda g: np.where(out > 0.0, g, 0.0) if relu else g)
+    return Tensor(out, parents=(x, w, b),
+                  vjps=(lambda g: masked(g) @ w.data.T,
+                        lambda g: x.data.T @ masked(g),
+                        lambda g: masked(g).sum(axis=0, keepdims=True)))
+
+
+def pair_dense(inner: Tensor, outer: Tensor, w: Tensor, b: Tensor,
+               relu: bool = False) -> Tensor:
+    """``dense`` over every concatenated pair of rows, outer-major: row
+    o * n_inner + i is [inner[i], outer[o]] @ w + b (then relu when asked).
+
+    The pairs are never built: inner @ w[:h] and outer @ w[h:] are computed
+    once per row and broadcast-added, and the backward sums the gradient
+    over each side before its matmul.
+    """
+    if inner.data.ndim != 2 or outer.data.ndim != 2 or w.data.ndim != 2 \
+            or inner.data.shape[1] + outer.data.shape[1] != w.data.shape[0] \
+            or b.data.shape != (1, w.data.shape[1]):
+        raise ValueError(f"pair_dense: shapes {inner.data.shape}, "
+                         f"{outer.data.shape}, {w.data.shape} and "
+                         f"{b.data.shape} do not align")
+    n, h = inner.data.shape
+    m, k = outer.data.shape[0], w.data.shape[1]
+    part_in = inner.data @ w.data[:h]
+    part_in += b.data
+    part_out = outer.data @ w.data[h:]
+    out = np.add(part_out[:, None, :], part_in[None, :, :])
+    if relu:
+        np.maximum(out, 0.0, out=out)
+
+    def side_sums(g):
+        g = g.reshape(m, n, k)
+        if relu:
+            g = np.where(out > 0.0, g, 0.0)
+        return g.sum(axis=0), g.sum(axis=1)
+
+    sums = _once(side_sums)
+    return Tensor(out.reshape(m * n, k), parents=(inner, outer, w, b),
+                  vjps=(lambda g: sums(g)[0] @ w.data[:h].T,
+                        lambda g: sums(g)[1] @ w.data[h:].T,
+                        lambda g: np.vstack([inner.data.T @ sums(g)[0],
+                                             outer.data.T @ sums(g)[1]]),
+                        lambda g: sums(g)[0].sum(axis=0, keepdims=True)))
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -201,9 +257,11 @@ def backward(root: Tensor) -> None:
             if not parent.requires_grad:
                 continue
             g = vjp(node.grad)
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad += g
+            # a vjp may hand back an array another tensor also holds (add
+            # returns g itself to both parents), so a stored gradient is
+            # never written in place: the first is kept as is, later ones
+            # are summed into a new array
+            parent.grad = g if parent.grad is None else parent.grad + g
 
 
 def zero_grads(params) -> None:

@@ -110,6 +110,34 @@ def test_validation_exit_codes(tmp_path):
                + TRAIN_SMALL) == 1
 
 
+def test_removed_pad_value_option_is_rejected(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert run(["train", "--out", out, "--pad-value", "-1"]) == 1
+    assert "--pad-value" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("pad-value = -1\n")
+    assert run(["train", "--out", out, "--config", cfg]) == 1
+    assert "pad_value" in capsys.readouterr().err
+
+
+def test_tampered_checkpoint_fails_evaluate(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    build_pipeline(out, seed=4)
+    assert run(["train", "--out", out, "--model", "dnn", "--seed", "4"]
+               + TRAIN_SMALL) == 0
+    ckpt = tmp_path / "run/models/dnn.ckpt"
+    text = ckpt.read_text()
+    # a 1-D bias broadcasts like the (1, 8) row it replaces, so only the
+    # shape check can catch it
+    assert "array fc.0.b 1,8\n" in text
+    ckpt.write_text(text.replace("array fc.0.b 1,8\n", "array fc.0.b 8\n"))
+    capsys.readouterr()
+    assert run(["evaluate", "--out", out, "--models", "MFD,DNN", "--seed", "4"]
+               + TRAIN_SMALL) == 1
+    err = capsys.readouterr().err
+    assert "fc.0.b" in err and "(8,)" in err and "(1, 8)" in err
+
+
 def test_help_lists_reference_defaults(capsys):
     parser = build_parser()
     with pytest.raises(SystemExit):

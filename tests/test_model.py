@@ -219,10 +219,34 @@ def test_fuse_matches_independent_matrix_chain():
     assert np.max(np.abs(out - np.vstack(rows))) < 1e-12
 
 
+def test_fuse_without_gru_matches_independent_matrix_chain():
+    # the no-GRU head's temporal input is the width-1 normalized mean speed
+    rng = np.random.default_rng(4)
+    model = LcfModel(tiny_config(hidden_dim=2, fc_hidden=(3,), seed=4,
+                                 use_gru=False))
+    spatial = rng.normal(size=(3, 2))
+    vmean = rng.uniform(0, 1, size=(2, 1))
+    out = model.fuse(nn.constant(spatial), nn.constant(vmean), batch=2).data
+    w0 = model.params["fc.0.W"].data
+    b0 = model.params["fc.0.b"].data
+    w1 = model.params["fc.1.W"].data
+    b1 = model.params["fc.1.b"].data
+    assert w0.shape == (3, 3)
+    rows = []
+    for b in range(2):
+        for i in range(3):
+            x = np.concatenate([spatial[i], vmean[b]])
+            hidden = np.maximum(x @ w0 + b0, 0.0)
+            rows.append(hidden @ w1 + b1)
+    assert np.max(np.abs(out - np.vstack(rows))) < 1e-12
+
+
 def test_fuse_rejects_width_mismatch():
     model = LcfModel(tiny_config())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(2, 5\).*\(1, 2\)"):
         model.fuse(nn.constant(np.zeros((2, 5))), nn.constant(np.zeros((1, 2))), 1)
+    with pytest.raises(ValueError, match=r"\(2, 2\).*\(1, 3\)"):
+        model.fuse(nn.constant(np.zeros((2, 2))), nn.constant(np.zeros((1, 3))), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +390,26 @@ def test_checkpoint_round_trip_and_predictions(tmp_path):
     assert np.array_equal(a, b)
     vff = np.array([lk.vff_kmh for lk in sub.links])
     assert np.all(a >= 0.0) and np.all(a <= vff[None, :] + 1e-12)
+
+
+def test_load_model_checks_array_names_and_shapes(tmp_path):
+    model = LcfModel(tiny_config(), Normalization(
+        feat=MinMaxStats(lo=np.zeros(10), hi=np.ones(10)), vmean_lo=0.0,
+        vmean_hi=1.0, target_lo=0.0, target_hi=1.0))
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    text = path.read_text()
+    cases = [("array fc.0.W 4,4\n", "array fc.0.W 2,8\n",
+              r"'fc.0.W'.*\(2, 8\).*\(4, 4\)"),
+             ("array fc.0.b 1,4\n", "array fc.0.b 4\n",
+              r"'fc.0.b'.*\(4,\).*\(1, 4\)"),
+             ("array fc.1.b 1,1\n", "array fc.9.b 1,1\n", r"'fc.9.b'"),
+             ("array fc.1.b 1,1\n0.0\n", "", r"'fc.1.b' is missing")]
+    for old, new, pattern in cases:
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ValueError, match=pattern):
+            load_model(path)
 
 
 def test_partition_only_changes_sub_region_column():

@@ -42,7 +42,7 @@ def rand_param(rng, shape):
 @pytest.mark.parametrize("op_name", [
     "matmul", "add", "add_broadcast", "mul", "mul_broadcast", "concat",
     "relu", "leaky_relu", "sigmoid", "tanh", "softmax", "transpose",
-    "repeat", "tile",
+    "dense", "dense_relu", "repeat", "tile",
 ])
 def test_primitive_gradients_match_finite_differences(op_name):
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))
@@ -54,7 +54,13 @@ def test_primitive_gradients_match_finite_differences(op_name):
     t53 = nn.constant(rng.normal(size=(5, 3)))
     t58 = nn.constant(rng.normal(size=(5, 8)))
     t45 = nn.constant(rng.normal(size=(4, 5)))
-    t15 = nn.constant(rng.normal(size=(15, 4)))
+    w43 = rand_param(rng, (4, 3))
+    w53 = rand_param(rng, (5, 3))
+    w63 = rand_param(rng, (6, 3))
+    b13 = rand_param(rng, (1, 3))
+    outer2 = rand_param(rng, (3, 2))
+    outer1 = rand_param(rng, (3, 1))
+    t153 = nn.constant(rng.normal(size=(15, 3)))
 
     builders = {
         "matmul": (lambda: nn.mse_loss(nn.matmul(a, c), t53), [a, c]),
@@ -69,8 +75,18 @@ def test_primitive_gradients_match_finite_differences(op_name):
         "tanh": (lambda: nn.mse_loss(nn.tanh(a), target), [a]),
         "softmax": (lambda: nn.mse_loss(nn.softmax_rowwise(a), target), [a]),
         "transpose": (lambda: nn.mse_loss(nn.transpose(a), t45), [a]),
-        "repeat": (lambda: nn.mse_loss(nn.repeat_rows(a, 3), t15), [a]),
-        "tile": (lambda: nn.mse_loss(nn.tile_rows(a, 3), t15), [a]),
+        "dense": (lambda: nn.mse_loss(nn.dense(a, w43, b13), t53),
+                  [a, w43, b13]),
+        "dense_relu": (lambda: nn.mse_loss(nn.dense(a, w43, b13, relu=True),
+                                           t53), [a, w43, b13]),
+        # pair_dense repeats each outer row over the inner rows and tiles
+        # the inner rows over the outer ones; relu on, then off with a
+        # width-1 outer input as in the head without the recurrent branch
+        "repeat": (lambda: nn.mse_loss(nn.pair_dense(a, outer2, w63, b13,
+                                                     relu=True), t153),
+                   [a, outer2, w63, b13]),
+        "tile": (lambda: nn.mse_loss(nn.pair_dense(a, outer1, w53, b13), t153),
+                 [a, outer1, w53, b13]),
     }
     make_loss, params = builders[op_name]
     check_op(make_loss, params)
@@ -122,6 +138,28 @@ def test_reused_tensor_accumulates_gradient():
     y = nn.add(nn.mul(x, x), x)  # x^2 + x, d/dx = 2x + 1
     backward(y)
     assert np.allclose(x.grad, 2 * 1.5 + 1)
+
+
+def test_gradient_shared_by_two_parents_is_not_overwritten():
+    # add hands one array to both parents; a's second contribution must
+    # not leak into b's gradient
+    a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    b = Tensor(np.array([[3.0, 4.0]]), requires_grad=True)
+    backward(nn.mse_loss(nn.add(nn.add(a, b), a), nn.constant(np.zeros((1, 2)))))
+    g = 2.0 * (2.0 * a.data + b.data) / 2.0
+    assert np.array_equal(b.grad, g)
+    assert np.array_equal(a.grad, 2.0 * g)
+
+
+def test_dense_rejects_misaligned_shapes():
+    x = nn.constant(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
+        nn.dense(x, nn.constant(np.zeros((4, 5))), nn.constant(np.zeros((1, 5))))
+    with pytest.raises(ValueError, match=r"\(5,\)"):
+        nn.dense(x, nn.constant(np.zeros((3, 5))), nn.constant(np.zeros(5)))
+    with pytest.raises(ValueError, match=r"\(2, 3\).*\(1, 1\).*\(5, 2\)"):
+        nn.pair_dense(x, nn.constant(np.zeros((1, 1))),
+                      nn.constant(np.zeros((5, 2))), nn.constant(np.zeros((1, 2))))
 
 
 # ---------------------------------------------------------------------------
