@@ -6,6 +6,10 @@ track congestion classes, not just geography. The script prints the region
 of every street as a small ASCII map.
 """
 
+import os
+
+import numpy as np
+
 from lcftraffic import (PartitionParams, SimConfig, Scenario,
                         generate_grid_network, partition_network,
                         random_base_od, save_partition, simulate)
@@ -33,12 +37,12 @@ for r in range(cols):
     print("   " + " ".join(row))
 
 print("\nmean peak speed per region (km/h):")
-import numpy as np
 labels = np.array([part[lk.id] for lk in net.links])
 peak = record.speeds[18:23].mean(axis=0)
 for k in range(params.k):
     print(f"  region {k}: {peak[labels == k].mean():6.2f}  "
           f"({(labels == k).sum()} links)")
 
+os.makedirs("demo_out", exist_ok=True)
 save_partition(part, "demo_out/partition.txt")
 print("\npartition written to demo_out/partition.txt")

@@ -97,37 +97,34 @@ def shortest_path(net: RoadNetwork, speeds_kmh: np.ndarray, origin: int,
     """
     if np.any(speeds_kmh <= 0):
         raise ValueError("speeds must be positive")
-    tau = np.array([lk.length_m for lk in net.links]) / (
-        np.asarray(speeds_kmh, dtype=float) * 1000.0 / 3600.0)
-    n = net.n_links
+    idx = net.index
+    tau = (idx.length_m / (np.asarray(speeds_kmh, dtype=float) * 1000.0 / 3600.0)).tolist()
     src = net.link_index(origin)
     dst = net.link_index(destination)
-    dist = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=int)
+    dist = [math.inf] * net.n_links
+    pred = [-1] * net.n_links
     dist[src] = tau[src]
     heap = [(dist[src], src)]
-    down_of = [np.array([net.link_index(d) for d in net.downstream[lk.id]], dtype=int)
-               for lk in net.links]
-    ids = net.link_ids()
+    # link indices follow link ids, so the smaller index is the smaller id;
+    # an unset predecessor (-1) never wins a tie
     while heap:
         d, z = heapq.heappop(heap)
         if d > dist[z]:
             continue
         if z == dst:
             break
-        for nxt in down_of[z]:
+        for nxt in idx.down_of[z]:
             cand = d + tau[nxt]
-            if cand < dist[nxt] or (cand == dist[nxt] and pred[nxt] >= 0
-                                    and ids[z] < ids[pred[nxt]]):
+            if cand < dist[nxt] or (cand == dist[nxt] and z < pred[nxt]):
                 dist[nxt] = cand
                 pred[nxt] = z
                 heapq.heappush(heap, (cand, nxt))
-    if not np.isfinite(dist[dst]):
+    if math.isinf(dist[dst]):
         return None
     path = [dst]
     while path[-1] != src:
-        path.append(int(pred[path[-1]]))
-    return [ids[z] for z in reversed(path)]
+        path.append(pred[path[-1]])
+    return [net.links[z].id for z in reversed(path)]
 
 
 def path_travel_time(net: RoadNetwork, path: list[int],
@@ -140,16 +137,17 @@ def path_travel_time(net: RoadNetwork, path: list[int],
     if not path:
         raise ValueError("path must be non-empty")
     n_windows = speeds_by_window.shape[0]
+    links = [net.link_index(link_id) for link_id in path]
+    lengths = net.index.length_m[links].tolist()
     clock = depart_window * window_s
     overran = False
-    for link_id in path:
+    for z, length_m in zip(links, lengths):
         w = int(clock // window_s)
         if w >= n_windows:
             w = n_windows - 1
             overran = True
-        lk = net.link(link_id)
-        v_ms = speeds_by_window[w, net.link_index(link_id)] * 1000.0 / 3600.0
-        clock += lk.length_m / v_ms
+        v_ms = speeds_by_window[w, z] * 1000.0 / 3600.0
+        clock += length_m / v_ms
     return clock - depart_window * window_s, overran
 
 

@@ -24,6 +24,7 @@ Each link is summarised by 10 attributes, in this fixed column order:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -62,9 +63,6 @@ class SignalPlan:
     offset_s: float
     green_a_s: float
 
-    def group_a_green(self, t_s: float) -> bool:
-        return (t_s - self.offset_s) % self.cycle_s < self.green_a_s
-
 
 @dataclass(frozen=True)
 class Link:
@@ -101,6 +99,74 @@ class Link:
     @property
     def vff_ms(self) -> float:
         return self.vff_kmh * 1000.0 / 3600.0
+
+
+def occurrence_passes(keys) -> tuple[np.ndarray, ...]:
+    """Rows of ``keys`` grouped by occurrence rank.
+
+    Group r lists, in row order, the rows that hold the (r+1)-th occurrence
+    of their key, so the keys within a group are unique. A fancy-index
+    ``+=`` per group then adds to each key in row order, as ``np.add.at``
+    does, with the same float result.
+    """
+    keys = np.asarray(keys)
+    if keys.size == 0:
+        return ()
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    counts = np.diff(np.r_[first, keys.size])
+    rank = np.empty(keys.size, dtype=int)
+    rank[order] = np.arange(keys.size) - np.repeat(first, counts)
+    return tuple(np.flatnonzero(rank == r) for r in range(int(counts.max())))
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class NetworkIndex:
+    """Array form of a network's links and connectivity, by link index.
+
+    Pairs are the connectivity pairs in their sorted order, so ``pair_up``
+    is non-decreasing and the pairs leaving one link form a contiguous
+    segment, ordered by downstream link. The arrays are shared by every
+    user of the network and are read-only.
+    """
+
+    pair_up: np.ndarray       # (P,) upstream link of each pair
+    pair_dn: np.ndarray       # (P,) downstream link of each pair
+    seg_start: np.ndarray     # (S,) first pair of each link with outgoing pairs
+    seg_link: np.ndarray      # (S,) that link
+    seg_of_pair: np.ndarray   # (P,) segment of each pair
+    up_passes: tuple[np.ndarray, ...]  # occurrence_passes(pair_up)
+    down_of: tuple[tuple[int, ...], ...]  # per link, its downstream links
+    length_m: np.ndarray      # (Z,)
+    vff_kmh: np.ndarray       # (Z,)
+
+    @classmethod
+    def of(cls, net: "RoadNetwork") -> "NetworkIndex":
+        pair_up = _frozen([net.link_index(a) for a, _ in net.connectivity], int)
+        pair_dn = _frozen([net.link_index(b) for _, b in net.connectivity], int)
+        seg_start = _frozen(
+            np.flatnonzero(np.r_[True, pair_up[1:] != pair_up[:-1]])
+            if len(pair_up) else [], int)
+        counts = np.diff(np.r_[seg_start, len(pair_up)])
+        down_of: list[list[int]] = [[] for _ in net.links]
+        for u, v in zip(pair_up.tolist(), pair_dn.tolist()):
+            down_of[u].append(v)
+        return cls(
+            pair_up=pair_up, pair_dn=pair_dn, seg_start=seg_start,
+            seg_link=_frozen(pair_up[seg_start], int),
+            seg_of_pair=_frozen(np.repeat(np.arange(len(seg_start)), counts), int),
+            up_passes=occurrence_passes(pair_up),
+            down_of=tuple(tuple(d) for d in down_of),
+            length_m=_frozen([lk.length_m for lk in net.links], float),
+            vff_kmh=_frozen([lk.vff_kmh for lk in net.links], float),
+        )
 
 
 class RoadNetwork:
@@ -165,6 +231,11 @@ class RoadNetwork:
         self.downstream = {k: tuple(v) for k, v in down.items()}
         self.upstream = {k: tuple(v) for k, v in up.items()}
 
+    @cached_property
+    def index(self) -> NetworkIndex:
+        """Array index of links and connectivity, built on first use."""
+        return NetworkIndex.of(self)
+
     @property
     def n_links(self) -> int:
         return len(self.links)
@@ -185,7 +256,7 @@ class RoadNetwork:
         return ((x0 + x1) / 2.0, (y0 + y1) / 2.0)
 
     def lengths_km(self) -> np.ndarray:
-        return np.array([lk.length_m for lk in self.links]) / 1000.0
+        return self.index.length_m / 1000.0
 
     def with_bus_lanes(self, link_ids) -> "RoadNetwork":
         """Copy of the network with lanes_dbl = 1 on the given links."""
@@ -216,15 +287,12 @@ class LinkGraph:
         if not np.all(np.diag(self.adjacency)):
             raise NetworkError("every node needs a self-loop")
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[i])
-
 
 def build_link_graph(net: RoadNetwork) -> LinkGraph:
     n = net.n_links
+    idx = net.index
     adj = np.zeros((n, n), dtype=bool)
-    for a, b in net.connectivity:
-        adj[net.link_index(a), net.link_index(b)] = True
+    adj[idx.pair_up, idx.pair_dn] = True
     np.fill_diagonal(adj, True)
     return LinkGraph(net.link_ids(), adj)
 
@@ -383,30 +451,38 @@ def extract_features(net: RoadNetwork, partition=None) -> np.ndarray:
     ``partition`` maps link id -> sub-region label; with None the
     sub-region column is 0 everywhere (the no-partition model variants).
     """
-    rows = []
-    for lk in net.links:
-        ups = [net.link(u) for u in net.upstream[lk.id]]
-        downs = [net.link(d) for d in net.downstream[lk.id]]
-        if partition is None:
-            sub = 0
-        else:
+    idx = net.index
+    n = net.n_links
+
+    def count(at: np.ndarray, flags=None) -> np.ndarray:
+        return np.bincount(at, weights=flags, minlength=n)
+
+    up, dn = idx.pair_up, idx.pair_dn
+    bound_in = np.array([lk.is_boundary_in for lk in net.links], dtype=float)
+    bound_out = np.array([lk.is_boundary_out for lk in net.links], dtype=float)
+    lanes_dbl = np.array([lk.lanes_dbl for lk in net.links], dtype=float)
+    has_dbl = (lanes_dbl > 0).astype(float)
+    if partition is None:
+        sub = np.zeros(n)
+    else:
+        sub = np.empty(n)
+        for i, lk in enumerate(net.links):
             try:
-                sub = partition[lk.id]
+                sub[i] = partition[lk.id]
             except KeyError:
                 raise NetworkError(f"no partition label for link {lk.id}") from None
-        rows.append([
-            lk.length_m,
-            lk.lanes_total,
-            lk.lanes_dbl,
-            len(ups),
-            len(downs),
-            sum(1 for u in ups if u.is_boundary_in),
-            sum(1 for d in downs if d.is_boundary_out),
-            sum(1 for u in ups if u.lanes_dbl > 0),
-            sum(1 for d in downs if d.lanes_dbl > 0),
-            sub,
-        ])
-    return np.array(rows, dtype=float)
+    return np.column_stack([
+        idx.length_m,
+        [lk.lanes_total for lk in net.links],
+        lanes_dbl,
+        count(dn),                  # n_up: pairs entering the link
+        count(up),                  # n_down: pairs leaving the link
+        count(dn, bound_in[up]),
+        count(up, bound_out[dn]),
+        count(dn, has_dbl[up]),
+        count(up, has_dbl[dn]),
+        sub,
+    ])
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .network import RoadNetwork
-from .simulate import SimConfig, SimRecord, load_record, save_record, simulate
+from .simulate import (SimConfig, SimRecord, SimulationError, load_record,
+                       save_record, simulate)
 
 log = logging.getLogger(__name__)
 
@@ -175,7 +176,7 @@ def build_dataset(net: RoadNetwork, base_od: ODMatrix, n: int, master_seed: int,
     for sc in scenarios:
         try:
             records[sc.id] = simulate(net, sc, cfg)
-        except Exception as exc:  # noqa: BLE001 - scenario isolation
+        except SimulationError as exc:
             log.error("scenario %d failed and is excluded: %s", sc.id, exc)
             failed.append(sc.id)
     kept = [sc for sc in scenarios if sc.id not in failed]

@@ -16,7 +16,9 @@ stop line). Each time step:
 
 Turn ratios are all-or-nothing per destination along current-travel-time
 shortest paths, recomputed at a fixed interval and exponentially smoothed,
-so drivers reroute as congestion builds.
+so drivers reroute as congestion builds. Each refresh is one
+all-destinations solve over the network's cached index (``RoadNetwork.index``),
+not one shortest-path search per destination.
 
 Per aggregation window the mean speed of link z is
 
@@ -28,14 +30,13 @@ network production / accumulation give the network mean speed.
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Link, RoadNetwork
+from .network import Link, RoadNetwork, occurrence_passes
 
 log = logging.getLogger(__name__)
 
@@ -59,6 +60,13 @@ class SimConfig:
     turn_smoothing: float = 0.5
 
     def __post_init__(self):
+        for name in ("step_s", "saturation_flow", "vehicle_length", "turn_update_s"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
+        if not 0.0 <= self.turn_smoothing <= 1.0:
+            raise ValueError(
+                f"turn_smoothing must be in [0, 1], got {self.turn_smoothing!r}")
         if self.window_s % self.step_s != 0:
             raise ValueError("window_s must be an integer multiple of step_s")
         if self.total_s < self.warmup_s + self.peak_s:
@@ -119,8 +127,7 @@ class TurnRatios:
     def validate(self, n_links: int, tol: float = 1e-9) -> None:
         if np.any(self.ratios < -tol):
             raise SimulationError("negative turn ratio")
-        sums = np.zeros((n_links, self.ratios.shape[1]))
-        np.add.at(sums, self.up_idx, self.ratios)
+        sums = scatter_sum(self.up_idx, self.ratios, n_links)
         has_out = np.zeros(n_links, dtype=bool)
         has_out[self.up_idx] = True
         bad = np.abs(sums[has_out] - 1.0) > tol
@@ -128,96 +135,117 @@ class TurnRatios:
             raise SimulationError("turn ratio vectors must sum to 1")
 
 
+def scatter_sum(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """``np.add.at(np.zeros((n,) + values.shape[1:]), index, values)`` by
+    ``np.bincount``: each row is summed from zero in index order, as
+    ``np.add.at`` sums it, so the result is the same to the bit."""
+    if values.ndim == 1:
+        return np.bincount(index, weights=values, minlength=n)
+    d = values.shape[1]
+    flat = (index[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=n * d).reshape(n, d)
+
+
+def scatter_add(out: np.ndarray, index, values: np.ndarray,
+                passes: tuple[np.ndarray, ...]) -> None:
+    """``np.add.at(out, index, values)`` as one fancy-index ``+=`` per group
+    of ``passes``, which must be ``occurrence_passes`` of the index keys.
+
+    Each key receives its values in index order, as with ``np.add.at``, so
+    every sum is the same to the bit. ``index`` is an array, or a tuple of
+    arrays for several axes.
+    """
+    index = index if isinstance(index, tuple) else (index,)
+    for rows in passes:
+        out[tuple(i[rows] for i in index)] += values[rows]
+
+
 def _link_travel_times(net: RoadNetwork, speeds_kmh: np.ndarray) -> np.ndarray:
-    lengths = np.array([lk.length_m for lk in net.links])
     speeds_ms = np.maximum(speeds_kmh, 1e-9) * 1000.0 / 3600.0
-    return lengths / speeds_ms
+    return net.index.length_m / speeds_ms
 
 
-def shortest_time_to_dest(net: RoadNetwork, tau: np.ndarray, dest_index: int,
-                          ) -> np.ndarray:
-    """Travel time from entering each link to finishing on the destination,
-    following downstream connectivity (Dijkstra on the reversed link graph)."""
-    n = net.n_links
-    dist = np.full(n, np.inf)
-    dist[dest_index] = tau[dest_index]
-    heap = [(dist[dest_index], dest_index)]
-    up_of = [
-        np.array([net.link_index(u) for u in net.upstream[lk.id]], dtype=int)
-        for lk in net.links
-    ]
-    while heap:
-        d, z = heapq.heappop(heap)
-        if d > dist[z]:
-            continue
-        for u in up_of[z]:
-            cand = d + tau[u]
-            if cand < dist[u]:
-                dist[u] = cand
-                heapq.heappush(heap, (cand, u))
-    return dist
+def shortest_time_to_dest(net: RoadNetwork, tau: np.ndarray,
+                          dest_indices: np.ndarray) -> np.ndarray:
+    """(links, destinations) travel times from entering each link to
+    finishing on each destination link, following downstream connectivity;
+    inf where a destination cannot be reached.
+
+    One label-correcting loop serves all destinations: a link's time is its
+    own tau plus the least time among its downstream links, iterated to the
+    fixed point. Each path's time is summed from the destination backwards,
+    and rounding is monotone, so the result equals a per-destination
+    Dijkstra on the reversed link graph to the bit.
+    """
+    idx = net.index
+    dest_indices = np.asarray(dest_indices, dtype=int)
+    dist = np.full((net.n_links, len(dest_indices)), np.inf)
+    dist[dest_indices, np.arange(len(dest_indices))] = tau[dest_indices]
+    if len(idx.pair_up) == 0:
+        return dist
+    tau_seg = tau[idx.seg_link][:, None]
+    while True:
+        cand = np.minimum.reduceat(dist[idx.pair_dn], idx.seg_start, axis=0) + tau_seg
+        current = dist[idx.seg_link]
+        better = cand < current
+        if not better.any():
+            return dist
+        dist[idx.seg_link] = np.where(better, cand, current)
 
 
 def update_turn_ratios(net: RoadNetwork, speeds_kmh: np.ndarray,
                        prev: TurnRatios, cfg: SimConfig) -> TurnRatios:
     """All-or-nothing split toward the fastest downstream continuation per
     destination, blended with the previous ratios by cfg.turn_smoothing."""
-    target = _target_ratios(net, speeds_kmh, prev.up_idx, prev.dn_idx, prev.dest_ids)
+    idx = net.index
+    target = _target_ratios(net, speeds_kmh, prev.dest_ids)
     s = cfg.turn_smoothing
     mixed = (1.0 - s) * prev.ratios + s * target
-    sums = np.zeros((net.n_links, mixed.shape[1]))
-    np.add.at(sums, prev.up_idx, mixed)
-    denom = sums[prev.up_idx]
+    denom = scatter_sum(idx.pair_up, mixed, net.n_links)[idx.pair_up]
     mixed = np.where(denom > 0, mixed / np.maximum(denom, 1e-300), mixed)
-    out = TurnRatios(prev.up_idx, prev.dn_idx, prev.dest_ids, mixed)
+    out = TurnRatios(idx.pair_up, idx.pair_dn, prev.dest_ids, mixed)
     out.validate(net.n_links)
     return out
 
 
-def _target_ratios(net: RoadNetwork, speeds_kmh: np.ndarray, up_idx: np.ndarray,
-                   dn_idx: np.ndarray, dest_ids: tuple[int, ...]) -> np.ndarray:
-    tau = _link_travel_times(net, speeds_kmh)
-    n_pairs = len(up_idx)
-    target = np.zeros((n_pairs, len(dest_ids)))
-    pair_lookup: dict[tuple[int, int], int] = {
-        (int(u), int(v)): p for p, (u, v) in enumerate(zip(up_idx, dn_idx))
-    }
-    out_pairs: dict[int, list[int]] = {}
-    for p, u in enumerate(up_idx):
-        out_pairs.setdefault(int(u), []).append(p)
-    link_ids = net.link_ids()
-    for col, dest_id in enumerate(dest_ids):
-        dest_index = net.link_index(dest_id)
-        dist = shortest_time_to_dest(net, tau, dest_index)
-        for u, pairs in out_pairs.items():
-            if link_ids[u] == dest_id:
-                # trips ending here never leave; split is irrelevant but
-                # kept uniform so the vector stays a distribution
-                target[pairs, col] = 1.0 / len(pairs)
-                continue
-            best_p, best_key = None, None
-            for p in pairs:
-                v = int(dn_idx[p])
-                key = (dist[v], link_ids[v])
-                if math.isinf(dist[v]):
-                    continue
-                if best_key is None or key < best_key:
-                    best_key, best_p = key, p
-            if best_p is None:
-                log.warning("destination link %s unreachable from link %s; "
-                            "falling back to a uniform split", dest_id, link_ids[u])
-                target[pairs, col] = 1.0 / len(pairs)
-            else:
-                target[best_p, col] = 1.0
+def _target_ratios(net: RoadNetwork, speeds_kmh: np.ndarray,
+                   dest_ids: tuple[int, ...]) -> np.ndarray:
+    """(pairs, destinations) all-or-nothing split: from each link, every
+    vehicle takes the pair whose downstream link is fastest to the
+    destination, the lowest link id on ties. The split is uniform on the
+    destination link itself, where trips end and it is irrelevant, and
+    toward a destination that cannot be reached."""
+    idx = net.index
+    n_pairs = len(idx.pair_up)
+    if n_pairs == 0:
+        return np.zeros((0, len(dest_ids)))
+    dest_index = np.array([net.link_index(d) for d in dest_ids], dtype=int)
+    dist = shortest_time_to_dest(net, _link_travel_times(net, speeds_kmh), dest_index)
+    via = dist[idx.pair_dn]
+    seg_best = np.minimum.reduceat(via, idx.seg_start, axis=0)
+    # pairs of a segment are ordered by downstream link id, so the first
+    # pair at the segment minimum is the lowest-id one
+    rows = np.where(via == seg_best[idx.seg_of_pair], np.arange(n_pairs)[:, None], n_pairs)
+    best_pair = np.minimum.reduceat(rows, idx.seg_start, axis=0)
+    at_dest = idx.seg_link[:, None] == dest_index[None, :]
+    unreachable = np.isinf(seg_best) & ~at_dest
+    for col, seg in zip(*np.nonzero(unreachable.T)):
+        log.warning("destination link %s unreachable from link %s; "
+                    "falling back to a uniform split", dest_ids[col],
+                    net.links[idx.seg_link[seg]].id)
+    uniform = at_dest | unreachable
+    seg_size = np.diff(np.r_[idx.seg_start, n_pairs])
+    target = np.where(uniform[idx.seg_of_pair],
+                      (1.0 / seg_size)[idx.seg_of_pair][:, None], 0.0)
+    seg, col = np.nonzero(~uniform)
+    target[best_pair[seg, col], col] = 1.0
     return target
 
 
 def initial_turn_ratios(net: RoadNetwork, dest_ids: tuple[int, ...]) -> TurnRatios:
-    up_idx = np.array([net.link_index(a) for a, _ in net.connectivity], dtype=int)
-    dn_idx = np.array([net.link_index(b) for _, b in net.connectivity], dtype=int)
-    vff = np.array([lk.vff_kmh for lk in net.links])
-    ratios = _target_ratios(net, vff, up_idx, dn_idx, dest_ids)
-    out = TurnRatios(up_idx, dn_idx, dest_ids, ratios)
+    idx = net.index
+    ratios = _target_ratios(net, idx.vff_kmh, dest_ids)
+    out = TurnRatios(idx.pair_up, idx.pair_dn, dest_ids, ratios)
     out.validate(net.n_links)
     return out
 
@@ -233,17 +261,16 @@ class SimState:
                  od_pairs: list[tuple[int, int]], dest_ids: tuple[int, ...]):
         self.net = net
         self.cfg = cfg
+        idx = net.index
         z = net.n_links
         self.dest_ids = dest_ids
-        self.dest_col = {d: i for i, d in enumerate(dest_ids)}
         d = len(dest_ids)
 
         self.cap = np.array([storage_capacity(lk, cfg) for lk in net.links])
         self.sat = np.array([cfg.saturation_flow * lk.car_lanes * cfg.step_s
                              for lk in net.links])
-        self.len_m = np.array([lk.length_m for lk in net.links])
-        self.vff_ms = np.array([lk.vff_ms for lk in net.links])
-        self.vff_kmh = np.array([lk.vff_kmh for lk in net.links])
+        self.len_m = idx.length_m
+        self.vff_ms = idx.vff_kmh * 1000.0 / 3600.0
         free_steps = np.ceil(self.len_m / self.vff_ms / cfg.step_s).astype(int)
         self.max_delay = int(free_steps.max())
         self.ring = self.max_delay + 1
@@ -251,19 +278,25 @@ class SimState:
         self.m = np.zeros((z, d))
         self.w = np.zeros((z, d))
         self.pend = np.zeros((self.ring, z, d))
+        # trips end at (destination link, its column)
+        self.dest_index = np.array([net.link_index(dd) for dd in dest_ids], dtype=int)
+        self.dest_cols = np.arange(d)
 
         # demand bookkeeping: one backlog slot per OD pair
+        dest_col = {dd: i for i, dd in enumerate(dest_ids)}
         self.od_origin = np.array([net.link_index(o) for o, _ in od_pairs], dtype=int)
-        self.od_dest_col = np.array([self.dest_col[dd] for _, dd in od_pairs], dtype=int)
+        self.od_dest_col = np.array([dest_col[dd] for _, dd in od_pairs], dtype=int)
+        self.od_passes = occurrence_passes(self.od_origin * d + self.od_dest_col)
         self.backlog = np.zeros(len(od_pairs))
         self.injected_total = 0.0
         self.completed_total = 0.0
         self.step_no = 0
 
         # signal gating per connectivity pair
-        up_links = [net.link(a) for a, _ in net.connectivity]
-        self.pair_up = np.array([net.link_index(a) for a, _ in net.connectivity], dtype=int)
-        self.pair_dn = np.array([net.link_index(b) for _, b in net.connectivity], dtype=int)
+        self.pair_up, self.pair_dn = idx.pair_up, idx.pair_dn
+        self.up_passes = idx.up_passes
+        self.out_rows = np.concatenate([np.arange(z), self.pair_up])
+        up_links = [net.links[u] for u in self.pair_up]
         has_sig, cyc, off, green_a, group_a = [], [], [], [], []
         for lk in up_links:
             plan = net.signals.get(lk.to_junction)
@@ -321,15 +354,12 @@ class SimState:
             raise SimulationError("moving queue went negative")
         np.clip(self.m, 0.0, None, out=self.m)
         completed = np.zeros(z)
-        for dest_id, col in self.dest_col.items():
-            zi = self.net.link_index(dest_id)
-            done = mature[zi, col]
-            if done > 0:
-                completed[zi] += done
-                mature[zi, col] = 0.0
+        done = mature[self.dest_index, self.dest_cols]
+        ends = done > 0
+        completed[self.dest_index[ends]] = done[ends]
+        mature[self.dest_index[ends], self.dest_cols[ends]] = 0.0
         self.w += mature
         self.completed_total += completed.sum()
-        u_step = completed.copy()
 
         delays = self._delays()
 
@@ -338,14 +368,12 @@ class SimState:
         q_des = self.w[self.pair_up] * ratios.ratios
         q_des[~green] = 0.0
 
-        out_des = np.zeros(z)
-        np.add.at(out_des, self.pair_up, q_des.sum(axis=1))
+        out_des = scatter_sum(self.pair_up, q_des.sum(axis=1), z)
         factor_up = np.where(out_des > 0, np.minimum(1.0, self.sat / np.maximum(out_des, 1e-300)), 1.0)
         q1 = q_des * factor_up[self.pair_up][:, None]
 
         occ = self.occupancy()
-        inflow_des = np.zeros(z)
-        np.add.at(inflow_des, self.pair_dn, q1.sum(axis=1))
+        inflow_des = scatter_sum(self.pair_dn, q1.sum(axis=1), z)
         space = np.maximum(self.cap - occ, 0.0)
         blocked = occ >= cfg.congestion_threshold * self.cap
         gate = np.where(blocked, 0.0,
@@ -355,28 +383,28 @@ class SimState:
         q = q1 * gate[self.pair_dn][:, None]
 
         # 3. apply transfers
-        np.add.at(self.w, self.pair_up, -q)
+        scatter_add(self.w, self.pair_up, -q, self.up_passes)
         if self.w.min() < -1e-9:
             raise SimulationError("waiting queue went negative")
         np.clip(self.w, 0.0, None, out=self.w)
-        inflow_zd = np.zeros_like(self.m)
-        np.add.at(inflow_zd, self.pair_dn, q)
+        inflow_zd = scatter_sum(self.pair_dn, q, z)
         self.m += inflow_zd
         slots = (k + delays) % self.ring
-        np.add.at(self.pend, (slots, np.arange(z)), inflow_zd)
-        np.add.at(u_step, self.pair_up, q.sum(axis=1))
+        self.pend[slots, np.arange(z)] += inflow_zd
+        # outflow: trips ended on the link, then its transfers out in pair order
+        u_step = scatter_sum(self.out_rows, np.concatenate([completed, q.sum(axis=1)]), z)
 
         # 4. demand injection, capped by the space left at each origin
         if demand_step is not None and len(demand_step):
             self.backlog += demand_step
             room = np.maximum(self.cap - self.occupancy(), 0.0)
-            want = np.zeros(z)
-            np.add.at(want, self.od_origin, self.backlog)
+            want = scatter_sum(self.od_origin, self.backlog, z)
             frac = np.where(want > 0, np.minimum(1.0, room / np.maximum(want, 1e-300)), 0.0)
             inject = self.backlog * frac[self.od_origin]
-            np.add.at(self.m, (self.od_origin, self.od_dest_col), inject)
-            np.add.at(self.pend, (slots[self.od_origin], self.od_origin, self.od_dest_col),
-                      inject)
+            scatter_add(self.m, (self.od_origin, self.od_dest_col), inject,
+                        self.od_passes)
+            scatter_add(self.pend, (slots[self.od_origin], self.od_origin,
+                                    self.od_dest_col), inject, self.od_passes)
             self.backlog -= inject
             self.injected_total += float(inject.sum())
 
@@ -425,7 +453,7 @@ def link_speed(outflows: np.ndarray, accumulations: np.ndarray, link: Link,
 def _window_stats(net: RoadNetwork, cfg: SimConfig, sum_u: np.ndarray,
                   sum_x: np.ndarray) -> tuple[np.ndarray, float, float, float]:
     len_km = net.lengths_km()
-    vff = np.array([lk.vff_kmh for lk in net.links])
+    vff = net.index.vff_kmh
     steps = cfg.steps_per_window
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = (sum_u * len_km / sum_x) * (3600.0 / cfg.step_s)
@@ -474,7 +502,7 @@ def simulate(net: RoadNetwork, scenario, cfg: SimConfig | None = None) -> SimRec
     sum_u = np.zeros(z)
     sum_x = np.zeros(z)
     window_completed = 0.0
-    last_speeds = np.array([lk.vff_kmh for lk in sim_net.links])
+    last_speeds = sim_net.index.vff_kmh
     turn_every = max(1, int(round(cfg.turn_update_s / cfg.step_s)))
     ramp_s = max(cfg.warmup_s * od.ramp_fraction, cfg.step_s)
 

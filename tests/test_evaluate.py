@@ -8,6 +8,7 @@ from lcftraffic.evaluate import (Trip, export_report, generate_trips, histogram,
                                  metrics, path_travel_time, shortest_path,
                                  travel_time_experiment)
 from lcftraffic.network import Link, RoadNetwork, generate_grid_network
+from netgen import random_network
 
 
 def test_metrics_hand_case():
@@ -115,20 +116,9 @@ def test_shortest_path_triangle():
 def test_shortest_path_matches_brute_force_on_random_graphs():
     rng = np.random.default_rng(7)
     for trial in range(100):
-        n_junc = int(rng.integers(4, 8))
-        junctions = {i: (float(rng.uniform(0, 10)), float(rng.uniform(0, 10)))
-                     for i in range(n_junc)}
-        links = []
-        lid = 0
-        for a in range(n_junc):
-            for b in range(n_junc):
-                if a != b and rng.random() < 0.35:
-                    links.append(Link(lid, a, b, float(rng.uniform(50, 400)),
-                                      2, 0, 25.0))
-                    lid += 1
-        if len(links) < 2:
+        net = random_network(rng)
+        if net is None:
             continue
-        net = RoadNetwork(junctions, links)
         speeds = rng.uniform(5.0, 25.0, size=net.n_links)
         tau = np.array([lk.length_m for lk in net.links]) / (speeds / 3.6)
         ids = net.link_ids()

@@ -174,6 +174,20 @@ def test_failed_scenario_excluded_and_logged(monkeypatch, caplog):
     assert "scenario 3 failed" in caplog.text
 
 
+def test_programming_error_in_simulate_propagates(monkeypatch):
+    import lcftraffic.scenarios as scenarios_mod
+
+    def broken(net, sc, cfg):
+        raise IndexError("bug, not a failed scenario")
+
+    monkeypatch.setattr(scenarios_mod, "simulate", broken)
+    net = generate_grid_network(3, 3, 100.0, 2)
+    base = random_base_od(net, 3, 200.0, seed=1)
+    with pytest.raises(IndexError):
+        scenarios_mod.build_dataset(net, base, n=10, master_seed=1,
+                                    cfg=quick_cfg())
+
+
 def test_manifest_carries_window_metadata(tmp_path):
     _, ds = build_toy_dataset(10, seed=21)
     save_dataset(ds, tmp_path / "ds")

@@ -1,12 +1,18 @@
+import hashlib
+import heapq
+
 import numpy as np
 import pytest
 
-from lcftraffic.network import Link, RoadNetwork, SignalPlan, generate_grid_network
+from lcftraffic.network import (Link, RoadNetwork, SignalPlan,
+                                generate_grid_network, occurrence_passes)
 from lcftraffic.scenarios import ODMatrix, Scenario
 from lcftraffic.simulate import (SimConfig, SimState, initial_turn_ratios,
-                                 link_speed, network_mfd, simulate,
+                                 link_speed, network_mfd, scatter_add,
+                                 scatter_sum, shortest_time_to_dest, simulate,
                                  storage_capacity, transfer_flow,
                                  update_turn_ratios, save_record, load_record)
+from netgen import random_network
 
 
 def chain_network(n_links=3, length=200.0, vff=36.0, lanes=2, red_at=None):
@@ -37,6 +43,24 @@ def test_sim_config_invariants():
         SimConfig(warmup_s=900.0, peak_s=6300.0, total_s=7000.0)
     with pytest.raises(ValueError):
         SimConfig(congestion_threshold=0.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("step_s", 0.0), ("step_s", -5.0), ("turn_smoothing", -0.1),
+    ("turn_smoothing", 1.5), ("saturation_flow", 0.0),
+    ("vehicle_length", -7.0), ("turn_update_s", 0.0),
+    ("step_s", float("nan")),
+])
+def test_sim_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError) as err:
+        SimConfig(**{field: value})
+    assert field in str(err.value)
+    assert repr(value) in str(err.value)
+
+
+def test_sim_config_accepts_smoothing_bounds():
+    assert SimConfig(turn_smoothing=0.0).turn_smoothing == 0.0
+    assert SimConfig(turn_smoothing=1.0).turn_smoothing == 1.0
 
 
 def test_storage_capacity_formula():
@@ -284,6 +308,103 @@ def test_ratio_vectors_sum_to_one_after_updates():
 
 
 # ---------------------------------------------------------------------------
+# routing core and scatters on random non-grid networks
+# ---------------------------------------------------------------------------
+
+def reference_time_to_dest(net, tau, dest):
+    """Per-destination Dijkstra on the reversed link graph."""
+    dist = np.full(net.n_links, np.inf)
+    dist[dest] = tau[dest]
+    heap = [(dist[dest], dest)]
+    ids = net.link_ids()
+    while heap:
+        d, z = heapq.heappop(heap)
+        if d > dist[z]:
+            continue
+        for up_id in net.upstream[ids[z]]:
+            u = net.link_index(up_id)
+            cand = d + tau[u]
+            if cand < dist[u]:
+                dist[u] = cand
+                heapq.heappush(heap, (cand, u))
+    return dist
+
+
+def random_networks(seed, count):
+    rng = np.random.default_rng(seed)
+    while count:
+        net = random_network(rng)
+        if net is not None:
+            count -= 1
+            yield rng, net
+
+
+def test_all_destination_times_match_per_destination_dijkstra():
+    for rng, net in random_networks(11, 60):
+        tau = np.array([lk.length_m for lk in net.links]) / rng.uniform(1.0, 10.0, net.n_links)
+        dests = rng.permutation(net.n_links)
+        got = shortest_time_to_dest(net, tau, dests)
+        want = np.column_stack([reference_time_to_dest(net, tau, d) for d in dests])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_turn_ratios_sum_to_one_on_random_networks():
+    cfg = short_cfg(turn_smoothing=0.5)
+    unreachable = 0
+    for rng, net in random_networks(12, 60):
+        dests = net.link_ids()  # every link, reachable or not
+        ratios = initial_turn_ratios(net, dests)
+        vff_tau = np.array([lk.length_m / lk.vff_ms for lk in net.links])
+        for col, dest_id in enumerate(dests):
+            dist = reference_time_to_dest(net, vff_tau, net.link_index(dest_id))
+            for lk in net.links:
+                pairs = [p for p, u in enumerate(ratios.up_idx) if u == net.link_index(lk.id)]
+                if not pairs:
+                    continue
+                split = ratios.ratios[pairs, col]
+                via = [dist[ratios.dn_idx[p]] for p in pairs]
+                if lk.id == dest_id or np.isinf(min(via)):
+                    unreachable += lk.id != dest_id
+                    assert np.all(split == 1.0 / len(pairs))
+                else:
+                    # all-or-nothing toward the first (lowest-id) fastest pair
+                    assert split[int(np.argmin(via))] == 1.0
+                    assert split.sum() == 1.0
+        for _ in range(3):
+            speeds = rng.uniform(1.0, 25.0, size=net.n_links)
+            ratios = update_turn_ratios(net, speeds, ratios, cfg)
+            for u in set(ratios.up_idx.tolist()):
+                sums = ratios.ratios[ratios.up_idx == u].sum(axis=0)
+                assert np.abs(sums - 1.0).max() < 1e-12
+    assert unreachable > 0
+
+
+def test_scatters_equal_add_at_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        n, k, d = int(rng.integers(1, 12)), int(rng.integers(0, 60)), int(rng.integers(1, 5))
+        index = rng.integers(0, n, size=k)
+        passes = occurrence_passes(index)
+        for values in (rng.standard_normal(k) * 10.0 ** rng.integers(-8, 8, k),
+                       rng.standard_normal((k, d)) * 1e3):
+            out = rng.standard_normal((n,) + values.shape[1:])
+            want = out.copy()
+            np.add.at(want, index, values)
+            scatter_add(out, index, values, passes)
+            assert out.tobytes() == want.tobytes()
+            want = np.zeros_like(out)
+            np.add.at(want, index, values)
+            assert scatter_sum(index, values, n).tobytes() == want.tobytes()
+        cols = rng.integers(0, d, size=k)
+        grid = rng.standard_normal((n, d))
+        want = grid.copy()
+        values = rng.standard_normal(k)
+        np.add.at(want, (index, cols), values)
+        scatter_add(grid, (index, cols), values, occurrence_passes(index * d + cols))
+        assert grid.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # link speed aggregation
 # ---------------------------------------------------------------------------
 
@@ -442,3 +563,26 @@ def test_record_round_trip(tmp_path):
         (tmp_path / "rec2/links.csv").read_bytes()
     assert (tmp_path / "rec/network.csv").read_bytes() == \
         (tmp_path / "rec2/network.csv").read_bytes()
+
+
+def test_golden_record_is_bit_identical(tmp_path):
+    """A congested 2-h run with bus lanes and a repeated OD pair; the digest
+    covers the saved record, completed trips and the balance error, and was
+    taken before the all-destinations rerouting solve and the np.add.at-free
+    step, which must leave every bit as it was."""
+    net = generate_grid_network(5, 5, 100.0, 3, vff_kmh=25.0,
+                                length_jitter=0.3, jitter_seed=11)
+    ids = net.link_ids()
+    od = ODMatrix(pairs=((ids[0], ids[40]), (ids[7], ids[62]), (ids[21], ids[3]),
+                         (ids[55], ids[18]), (ids[33], ids[70]), (ids[0], ids[40])),
+                  rates=(500.0, 400.0, 450.0, 400.0, 350.0, 150.0))
+    sc = Scenario(id=0, od=od, scale=0.5, bus_links=(ids[12], ids[44]), seed=0)
+    rec = simulate(net, sc, SimConfig(warmup_s=900.0, peak_s=5400.0, total_s=7200.0))
+    save_record(rec, tmp_path)
+    digest = hashlib.sha256()
+    for name in ("links.csv", "network.csv"):
+        digest.update((tmp_path / name).read_bytes())
+    digest.update(rec.completed.tobytes())
+    digest.update(repr(rec.balance_error).encode())
+    assert digest.hexdigest() == \
+        "36d745e215f43efe835ec4a2861437739c06b238c9c112a1d50cb5089720fd60"
