@@ -28,6 +28,9 @@ log = logging.getLogger(__name__)
 OUTPUT_TYPES = ("Ratio", "Diff", "Speed")
 PAD_VALUE = -1.0
 FC_HIDDEN = (384, 256, 128, 64, 32)
+# (window, link) rows the head takes per call in predict_windows; a block
+# never splits a window, so it holds one window when a window alone is larger
+PREDICT_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -107,9 +110,10 @@ def encode_targets(speeds: np.ndarray, v_mean: float, output_type: str) -> np.nd
     raise ValueError(f"unknown output type {output_type!r}")
 
 
-def decode_output(raw: np.ndarray, v_mean: float, output_type: str,
+def decode_output(raw: np.ndarray, v_mean: float | np.ndarray, output_type: str,
                   vff_kmh: np.ndarray) -> np.ndarray:
-    """Map de-normalized raw outputs to km/h, clamped to [0, v_ff]."""
+    """Map de-normalized raw outputs to km/h, clamped to [0, v_ff];
+    ``v_mean`` is a float or an array that broadcasts against ``raw``."""
     if output_type == "Ratio":
         speeds = raw * v_mean
     elif output_type == "Diff":
@@ -189,20 +193,27 @@ class LcfModel:
 
     # forward pieces -------------------------------------------------------
 
+    def _attention(self, feats: Tensor, adj_mask: np.ndarray,
+                   head: int) -> tuple[Tensor, Tensor]:
+        """One GAT head: the projected features (feats @ W) and the
+        attention coefficients, a row-wise softmax over each link's
+        neighbourhood in the link graph."""
+        wh = nn.matmul(feats, self.params[f"gat.h{head}.W"])
+        s_src = nn.matmul(wh, self.params[f"gat.h{head}.a_src"])
+        s_dst = nn.matmul(wh, self.params[f"gat.h{head}.a_dst"])
+        scores = nn.leaky_relu(nn.add(s_src, nn.transpose(s_dst)),
+                               self.config.leaky_slope)
+        neg = nn.constant(np.where(adj_mask, 0.0, -1e30))
+        return wh, nn.softmax_rowwise(nn.add(scores, neg))
+
     def spatial_embed(self, feats: Tensor, adj_mask: np.ndarray) -> Tensor:
         cfg = self.config
         if not cfg.use_gat:
             return nn.dense(feats, self.params["dnn.W"], self.params["dnn.b"],
                             relu=True)
-        neg = nn.constant(np.where(adj_mask, 0.0, -1e30))
         heads = []
         for k in range(cfg.heads):
-            wh = nn.matmul(feats, self.params[f"gat.h{k}.W"])
-            s_src = nn.matmul(wh, self.params[f"gat.h{k}.a_src"])
-            s_dst = nn.matmul(wh, self.params[f"gat.h{k}.a_dst"])
-            scores = nn.leaky_relu(nn.add(s_src, nn.transpose(s_dst)),
-                                   cfg.leaky_slope)
-            att = nn.softmax_rowwise(nn.add(scores, neg))
+            wh, att = self._attention(feats, adj_mask, k)
             heads.append(nn.relu(nn.matmul(att, wh)))
         out = heads[0]
         for extra in heads[1:]:
@@ -211,16 +222,10 @@ class LcfModel:
 
     def attention_matrix(self, feats_norm: np.ndarray, adj_mask: np.ndarray,
                          head: int = 0) -> np.ndarray:
-        """Attention coefficients of one head (diagnostics and tests)."""
-        feats = nn.constant(feats_norm)
-        wh = nn.matmul(feats, self.params[f"gat.h{head}.W"])
-        s_src = nn.matmul(wh, self.params[f"gat.h{head}.a_src"])
-        s_dst = nn.matmul(wh, self.params[f"gat.h{head}.a_dst"])
-        scores = nn.leaky_relu(nn.add(s_src, nn.transpose(s_dst)),
-                               self.config.leaky_slope)
-        att = nn.softmax_rowwise(nn.add(scores, nn.constant(
-            np.where(adj_mask, 0.0, -1e30))))
-        return att.data
+        """Attention coefficients of one head, as spatial_embed computes
+        them (diagnostics and tests)."""
+        with nn.no_grad():
+            return self._attention(nn.constant(feats_norm), adj_mask, head)[1].data
 
     def temporal_embed(self, hist_norm: np.ndarray) -> Tensor:
         """GRU over (B, history_len) normalized mean-speed sequences."""
@@ -264,23 +269,46 @@ class LcfModel:
                          relu=i < n_layers - 1)
         return x
 
-    def forward(self, feats_norm: np.ndarray, adj_mask: np.ndarray,
-                hist_norm: np.ndarray, vmean_norm: np.ndarray) -> Tensor:
-        """Raw normalized outputs, shape (batch * n_links, 1), window-major."""
+    def _embed(self, feats_norm: np.ndarray, adj_mask: np.ndarray,
+               hist_norm: np.ndarray, vmean_norm: np.ndarray
+               ) -> tuple[Tensor, Tensor]:
+        """The head's inputs: spatial (n_links, hidden) and temporal rows,
+        one per window (the GRU state, or the normalized mean speed)."""
         spatial = self.spatial_embed(nn.constant(feats_norm), adj_mask)
-        batch = hist_norm.shape[0]
         if self.config.use_gru:
             temporal = self.temporal_embed(hist_norm)
         else:
             temporal = nn.constant(np.asarray(vmean_norm, dtype=float).reshape(-1, 1))
-        return self.fuse(spatial, temporal, batch)
+        return spatial, temporal
+
+    def forward(self, feats_norm: np.ndarray, adj_mask: np.ndarray,
+                hist_norm: np.ndarray, vmean_norm: np.ndarray) -> Tensor:
+        """Raw normalized outputs, shape (batch * n_links, 1), window-major."""
+        spatial, temporal = self._embed(feats_norm, adj_mask, hist_norm,
+                                        vmean_norm)
+        return self.fuse(spatial, temporal, hist_norm.shape[0])
 
     # prediction -----------------------------------------------------------
 
     def predict_windows(self, net: RoadNetwork, partition,
                         vmean_kmh: np.ndarray, windows=None) -> np.ndarray:
-        """Decoded per-link speeds (km/h) for the given windows of a
-        mean-speed series."""
+        """Decoded per-link speeds (km/h), shape (len(windows), n_links), for
+        the given windows of a mean-speed series (all of them by default).
+
+        Runs off the tape (``nn.no_grad``). The spatial embedding and the
+        GRU run once over all windows; the head then runs over balanced
+        blocks of whole windows, each at most ``PREDICT_BLOCK_ROWS``
+        (window, link) rows unless one window alone has more links, and
+        each block is decoded into the output before the next one starts.
+        Peak memory is therefore bounded by one block's head activations,
+        a layer's input and output at once (8,192 x (384 + 256) x 8 B, about
+        42 MB, at the default widths), not by windows x links. Blocks of two
+        or more windows give the same bits as one head call over all
+        windows; a one-window block can differ in the last bits, since a
+        one-row matrix product takes another BLAS path. Balancing leaves no
+        lone-window block (unless the call has one window) while a block
+        fits three or more windows, i.e. up to 2,730 links.
+        """
         if self.norm is None:
             raise ValueError("model has no normalization statistics; train first")
         cfg = self.config
@@ -293,14 +321,20 @@ class LcfModel:
         adj = build_link_graph(net).adjacency
         vn = self.norm.norm_vmean(vmean_kmh)
         hist = np.stack([pad_history(vn, t, cfg.history_len) for t in windows])
-        raw = self.forward(feats_norm, adj, hist, vn[windows]).data
-        raw = raw.reshape(len(windows), net.n_links)
         vff = np.array([lk.vff_kmh for lk in net.links])
-        out = np.zeros_like(raw)
-        for i, t in enumerate(windows):
-            denorm = self.norm.denorm_target(raw[i])
-            out[i] = decode_output(denorm, float(vmean_kmh[t]),
-                                   cfg.output_type, vff)
+        v_now = vmean_kmh[windows, None]
+        n_links = net.n_links
+        per_block = max(1, PREDICT_BLOCK_ROWS // n_links)
+        n_blocks = -(-len(windows) // per_block)
+        out = np.empty((len(windows), n_links))
+        with nn.no_grad():
+            spatial, temporal = self._embed(feats_norm, adj, hist, vn[windows])
+            for block in np.array_split(np.arange(len(windows)), n_blocks):
+                b = slice(block[0], block[-1] + 1)
+                raw = self.fuse(spatial, nn.constant(temporal.data[b]),
+                                len(block)).data.reshape(len(block), n_links)
+                out[b] = decode_output(self.norm.denorm_target(raw), v_now[b],
+                                       cfg.output_type, vff)
         return out
 
     def predict(self, net: RoadNetwork, partition, vmean_history_kmh,
@@ -436,8 +470,9 @@ def train(net: RoadNetwork, dataset, partition, model_cfg: ModelConfig,
             nn.backward(loss)
             opt.step()
             epoch_loss += loss.item()
-        val_loss = float(np.mean([_batch_loss(model, b).item()
-                                  for b in val_batches]))
+        with nn.no_grad():
+            val_loss = float(np.mean([_batch_loss(model, b).item()
+                                      for b in val_batches]))
         history.append({"epoch": epoch, "lr": opt.lr,
                         "train_loss": epoch_loss / max(len(order), 1),
                         "val_loss": val_loss})

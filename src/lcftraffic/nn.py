@@ -8,11 +8,38 @@ applied to every (row of a, row of b) concatenation without building it).
 Each op records a backward closure; ``backward`` walks the tape in reverse
 topological order. Everything is deliberately single-threaded and
 deterministic.
+
+Inference mode: inside ``with no_grad():`` every op returns a Tensor with
+no parents, no backward closures and ``requires_grad=False``, so nothing is
+kept for a backward pass and each intermediate array is freed as soon as
+the next op has used it. The mode is per thread, and the previous mode
+comes back on exit, also when the block raises.
 """
 
 from __future__ import annotations
 
+import contextlib
+import threading
+
 import numpy as np
+
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run the enclosed ops off the tape (see the module docstring)."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
 
 
 class Tensor:
@@ -21,6 +48,10 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, parents=(), vjps=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
+        if not _grad_mode.enabled:
+            # an op's output under no_grad: drop the closures (and the
+            # arrays they hold) instead of linking them into a tape
+            parents, vjps = (), ()
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents
         self._vjps = vjps

@@ -60,17 +60,25 @@ class SimConfig:
     turn_smoothing: float = 0.5
 
     def __post_init__(self):
-        for name in ("step_s", "saturation_flow", "vehicle_length", "turn_update_s"):
+        # "not x > 0" rather than "x <= 0", so that NaN is rejected too
+        for name in ("step_s", "window_s", "saturation_flow", "vehicle_length",
+                     "turn_update_s", "v_min_kmh"):
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be > 0, got {value!r}")
+        for name in ("warmup_s", "peak_s"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
         if not 0.0 <= self.turn_smoothing <= 1.0:
             raise ValueError(
                 f"turn_smoothing must be in [0, 1], got {self.turn_smoothing!r}")
         if self.window_s % self.step_s != 0:
             raise ValueError("window_s must be an integer multiple of step_s")
-        if self.total_s < self.warmup_s + self.peak_s:
-            raise ValueError("total_s must cover warmup + peak")
+        if not self.total_s >= self.warmup_s + self.peak_s:
+            raise ValueError(f"total_s must cover warmup_s + peak_s "
+                             f"({self.warmup_s + self.peak_s!r}), "
+                             f"got {self.total_s!r}")
         if not 0 < self.congestion_threshold <= 1:
             raise ValueError("congestion_threshold must be in (0, 1]")
 
@@ -583,37 +591,84 @@ def save_record(record: SimRecord, out_dir) -> None:
                      f"{_f(record.total_accumulation[w])}\n")
 
 
+def _read_columns(path: str, n_fields: int) -> list[list[str]]:
+    """The rows below a record CSV's header, split into ``n_fields`` string
+    columns; a row with another field count names the file and line."""
+    with open(path) as fh:
+        fh.readline()
+        lines = fh.read().splitlines()
+    for i, line in enumerate(lines):
+        if line.count(",") != n_fields - 1:
+            raise ValueError(f"{path} line {i + 2}: expected {n_fields} fields, "
+                             f"got {line.count(',') + 1}")
+    cells = ",".join(lines).split(",") if lines else []
+    return [cells[k::n_fields] for k in range(n_fields)]
+
+
+def _parse_column(path: str, column: list[str], kind) -> np.ndarray:
+    # numpy parses decimal strings to the nearest double, as float() does,
+    # so every repr written by save_record reads back bit for bit
+    try:
+        return np.array(column, dtype=np.int64 if kind is int else np.float64)
+    except ValueError:
+        for i, v in enumerate(column):
+            try:
+                kind(v)
+            except ValueError:
+                raise ValueError(f"{path} line {i + 2}: cannot read {v!r} "
+                                 f"as {kind.__name__}") from None
+        raise
+
+
+def _first_mismatch(path: str, what: str, found: np.ndarray,
+                    expected: np.ndarray) -> None:
+    bad = np.flatnonzero(found != expected)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{path} line {i + 2}: {what} {found[i]}, "
+                         f"expected {expected[i]}")
+
+
 def load_record(out_dir, window_s: float = 180.0, step_s: float = 5.0) -> SimRecord:
+    """Read a record saved by ``save_record``. The layout is checked:
+    links.csv is window-major, every window lists the link ids of window 0
+    in the same order, and both files cover the same windows; a breach is a
+    ValueError naming the file and line."""
     import os
-    link_rows: dict[int, dict[int, tuple[float, float, float]]] = {}
-    link_ids: list[int] = []
-    with open(os.path.join(out_dir, "links.csv")) as fh:
-        next(fh)
-        for line in fh:
-            w_s, lid_s, sp, ac, of = line.rstrip("\n").split(",")
-            w, lid = int(w_s), int(lid_s)
-            link_rows.setdefault(w, {})[lid] = (float(sp), float(ac), float(of))
-            if w == 0:
-                link_ids.append(lid)
-    net_rows = []
-    with open(os.path.join(out_dir, "network.csv")) as fh:
-        next(fh)
-        for line in fh:
-            _, ms, prod, ta = line.rstrip("\n").split(",")
-            net_rows.append((float(ms), float(prod), float(ta)))
-    n_w, n_z = len(net_rows), len(link_ids)
-    speeds = np.zeros((n_w, n_z))
-    acc = np.zeros((n_w, n_z))
-    outflow = np.zeros((n_w, n_z))
-    for w in range(n_w):
-        for zi, lid in enumerate(link_ids):
-            sp, ac_, of = link_rows[w][lid]
-            speeds[w, zi] = sp
-            acc[w, zi] = ac_
-            outflow[w, zi] = of
-    arr = np.array(net_rows)
+    links_path = os.path.join(out_dir, "links.csv")
+    net_path = os.path.join(out_dir, "network.csv")
+    w_col, id_col, *link_cols = _read_columns(links_path, 5)
+    net_w_col, *net_cols = _read_columns(net_path, 4)
+    net_windows = _parse_column(net_path, net_w_col, int)
+    n_w = len(net_windows)
+    _first_mismatch(net_path, "window", net_windows, np.arange(n_w))
+
+    windows = _parse_column(links_path, w_col, int)
+    ids = _parse_column(links_path, id_col, int)
+    n_z = len(windows) if (windows == 0).all() else int(np.argmin(windows == 0))
+    if n_z == 0 and len(windows):
+        raise ValueError(f"{links_path} line 2: window {windows[0]}, expected 0")
+    link_ids = tuple(int(v) for v in ids[:n_z])
+    if len(set(link_ids)) != n_z:
+        dup = next(i for i, v in enumerate(link_ids) if v in link_ids[:i])
+        raise ValueError(f"{links_path} line {dup + 2}: link id {link_ids[dup]} "
+                         "repeats within window 0")
+    rows = min(len(windows), n_w * n_z)
+    _first_mismatch(links_path, "window", windows[:rows],
+                    np.repeat(np.arange(n_w), n_z)[:rows])
+    _first_mismatch(links_path, "link id", ids[:rows],
+                    np.tile(ids[:n_z], n_w)[:rows])
+    if len(windows) != n_w * n_z:
+        raise ValueError(
+            f"{links_path} line {rows + 2}: {len(windows)} rows, but the "
+            f"{n_w} windows of network.csv need {n_w * n_z} for {n_z} links")
+    speeds, acc, outflow = (_parse_column(links_path, c, float).reshape(n_w, n_z)
+                            for c in link_cols)
+    mean_speed, production, total_acc = (_parse_column(net_path, c, float)
+                                         for c in net_cols)
     return SimRecord(
-        link_ids=tuple(link_ids), window_s=window_s, step_s=step_s,
+        link_ids=link_ids, window_s=window_s, step_s=step_s,
         speeds=speeds, accumulation=acc, outflow=outflow,
-        mean_speed=arr[:, 0], production=arr[:, 1], total_accumulation=arr[:, 2],
+        mean_speed=mean_speed, production=production,
+        total_accumulation=total_acc,
     )

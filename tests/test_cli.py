@@ -118,6 +118,14 @@ def test_gen_dataset_rejects_zero_step(tmp_path, capsys):
     assert "step" in capsys.readouterr().err
 
 
+def test_gen_dataset_rejects_zero_window(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert run(["gen-network", "--out", out, "--grid", "3x3"]) == 0
+    assert run(["gen-dataset", "--out", out, "--scenarios", "10",
+                "--window", "0"]) == 1
+    assert "window_s must be > 0, got 0.0" in capsys.readouterr().err
+
+
 def test_removed_pad_value_option_is_rejected(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert run(["train", "--out", out, "--pad-value", "-1"]) == 1

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lcftraffic import model as model_module
 from lcftraffic import nn
 from lcftraffic.model import (LcfModel, ModelConfig, Normalization, TrainConfig,
                               config_from_name, decode_output, encode_targets,
                               load_model, pad_history, save_model, train)
 from lcftraffic.network import (MinMaxStats, build_link_graph,
-                                extract_features, generate_grid_network)
+                                extract_features, fit_minmax,
+                                generate_grid_network)
 from lcftraffic.partition import PartitionParams, partition_network
 from lcftraffic.scenarios import build_dataset, random_base_od
 from lcftraffic.simulate import SimConfig
@@ -431,3 +434,78 @@ def test_predict_uses_padded_history_at_t0():
     assert out.shape == (net.n_links,)
     vn = model.norm.norm_vmean(rec.mean_speed)
     assert pad_history(vn, 0, 5).tolist()[:4] == [-1.0, -1.0, -1.0, -1.0]
+
+
+# ---------------------------------------------------------------------------
+# prediction off the tape, over window blocks
+# ---------------------------------------------------------------------------
+
+def untrained_predictor(net, **kw):
+    feats = extract_features(net, None)
+    return LcfModel(ModelConfig(use_partition=False, **kw), Normalization(
+        feat=fit_minmax(feats), vmean_lo=2.0, vmean_hi=25.0, target_lo=0.0,
+        target_hi=25.0))
+
+
+@pytest.mark.parametrize("use_gru", [True, False])
+def test_predict_blocks_equal_one_head_call_to_the_bit(monkeypatch, use_gru):
+    net = generate_grid_network(3, 3, 100.0, 2)
+    n = net.n_links
+    vmean = np.random.default_rng(8).uniform(2.0, 25.0, size=20)
+    model = untrained_predictor(net, use_gru=use_gru)
+    # reference: the taped forward over all windows, decoded window by window
+    vn = model.norm.norm_vmean(vmean)
+    hist = np.stack([pad_history(vn, t, 5) for t in range(20)])
+    raw = model.forward(model.norm.feat.apply(extract_features(net, None)),
+                        build_link_graph(net).adjacency, hist, vn).data
+    vff = np.array([lk.vff_kmh for lk in net.links])
+    ref = np.stack([decode_output(model.norm.denorm_target(r), vmean[t],
+                                  "Speed", vff)
+                    for t, r in enumerate(raw.reshape(20, n))])
+
+    calls = []
+    fuse = LcfModel.fuse
+
+    def counting_fuse(self, spatial, temporal, batch):
+        calls.append(batch)
+        return fuse(self, spatial, temporal, batch)
+
+    monkeypatch.setattr(LcfModel, "fuse", counting_fuse)
+    # 20 windows at 7, 3 and 2 windows a block: 7+7+6, 3x6+2, 2x10
+    for per_block, sizes in ((7, [7, 7, 6]), (3, [3] * 6 + [2]), (2, [2] * 10),
+                             (20, [20])):
+        monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS",
+                            per_block * n + n - 1)
+        calls.clear()
+        out = model.predict_windows(net, None, vmean)
+        assert calls == sizes
+        assert out.tobytes() == ref.tobytes()
+
+
+def test_predict_peak_memory_is_bounded_by_one_block():
+    net = generate_grid_network(10, 10, 100.0, 3)
+    assert net.n_links == 360
+    vmean = np.random.default_rng(9).uniform(2.0, 25.0, size=120)
+    model = untrained_predictor(net)
+    tracemalloc.start()
+    try:
+        out = model.predict_windows(net, None, vmean)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (120, 360)
+    # one head call over all 43,200 rows peaked at about 320 MB
+    assert peak < 64e6
+
+
+def test_attention_matrix_is_the_attention_spatial_embed_uses():
+    rng = np.random.default_rng(14)
+    model = LcfModel(tiny_config(hidden_dim=3, heads=2, seed=5))
+    adj = rng.random((6, 6)) < 0.4
+    np.fill_diagonal(adj, True)
+    feats = rng.normal(size=(6, 10))
+    heads = [np.maximum(model.attention_matrix(feats, adj, head=k)
+                        @ (feats @ model.params[f"gat.h{k}.W"].data), 0.0)
+             for k in range(2)]
+    out = model.spatial_embed(nn.constant(feats), adj).data
+    assert np.array_equal(out, (heads[0] + heads[1]) * 0.5)

@@ -163,6 +163,41 @@ def test_dense_rejects_misaligned_shapes():
 
 
 # ---------------------------------------------------------------------------
+# inference mode
+# ---------------------------------------------------------------------------
+
+def test_no_grad_ops_leave_no_tape():
+    rng = np.random.default_rng(4)
+    x, w, b = (rand_param(rng, s) for s in ((3, 2), (2, 4), (1, 4)))
+    taped = nn.relu(nn.dense(x, w, b))
+    with nn.no_grad():
+        out = nn.relu(nn.dense(x, w, b))
+        loss = nn.mse_loss(out, nn.constant(np.zeros((3, 4))))
+        leaf = Tensor(np.ones(2), requires_grad=True)
+    for t in (out, loss):
+        assert t._parents == () and t._vjps == ()
+        assert not t.requires_grad
+    assert np.array_equal(out.data, taped.data)
+    assert leaf.requires_grad
+    # the tape records again after the block
+    after = nn.dense(x, w, b)
+    assert after.requires_grad and len(after._parents) == 3
+
+
+def test_no_grad_restores_the_mode_after_an_exception():
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    with pytest.raises(ValueError):
+        with nn.no_grad():
+            nn.matmul(x, nn.constant(np.ones((3, 3))))
+    assert nn.matmul(x, x).requires_grad
+    with nn.no_grad():
+        with nn.no_grad():
+            pass
+        assert not nn.matmul(x, x).requires_grad
+    assert nn.matmul(x, x).requires_grad
+
+
+# ---------------------------------------------------------------------------
 # optimizer and scheduler
 # ---------------------------------------------------------------------------
 

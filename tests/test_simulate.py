@@ -7,10 +7,10 @@ import pytest
 from lcftraffic.network import (Link, RoadNetwork, SignalPlan,
                                 generate_grid_network, occurrence_passes)
 from lcftraffic.scenarios import ODMatrix, Scenario
-from lcftraffic.simulate import (SimConfig, SimState, initial_turn_ratios,
-                                 link_speed, network_mfd, scatter_add,
-                                 scatter_sum, shortest_time_to_dest, simulate,
-                                 storage_capacity, transfer_flow,
+from lcftraffic.simulate import (SimConfig, SimRecord, SimState,
+                                 initial_turn_ratios, link_speed, network_mfd,
+                                 scatter_add, scatter_sum, shortest_time_to_dest,
+                                 simulate, storage_capacity, transfer_flow,
                                  update_turn_ratios, save_record, load_record)
 from netgen import random_network
 
@@ -49,7 +49,9 @@ def test_sim_config_invariants():
     ("step_s", 0.0), ("step_s", -5.0), ("turn_smoothing", -0.1),
     ("turn_smoothing", 1.5), ("saturation_flow", 0.0),
     ("vehicle_length", -7.0), ("turn_update_s", 0.0),
-    ("step_s", float("nan")),
+    ("step_s", float("nan")), ("window_s", 0.0), ("window_s", -180.0),
+    ("v_min_kmh", 0.0), ("v_min_kmh", -1.0), ("warmup_s", -1.0),
+    ("peak_s", -60.0), ("total_s", float("nan")),
 ])
 def test_sim_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError) as err:
@@ -563,6 +565,74 @@ def test_record_round_trip(tmp_path):
         (tmp_path / "rec2/links.csv").read_bytes()
     assert (tmp_path / "rec/network.csv").read_bytes() == \
         (tmp_path / "rec2/network.csv").read_bytes()
+
+
+def test_record_round_trip_is_bit_exact(tmp_path):
+    rng = np.random.default_rng(6)
+    bits = rng.integers(0, 2**63, size=(4, 3 * 5 + 3), dtype=np.uint64)
+    values = bits.view(np.float64)
+    values[~np.isfinite(values)] = 0.0
+    values[0, :3] = [5e-324, 1e-14, 0.1]
+    rec = SimRecord(link_ids=(7, 3, 11, 40, 2), window_s=60.0, step_s=5.0,
+                    speeds=values[:, 0:5], accumulation=values[:, 5:10],
+                    outflow=values[:, 10:15], mean_speed=values[:, 15],
+                    production=values[:, 16], total_accumulation=values[:, 17])
+    save_record(rec, tmp_path)
+    back = load_record(tmp_path, window_s=60.0)
+    assert back.link_ids == rec.link_ids
+    for name in ("speeds", "accumulation", "outflow", "mean_speed",
+                 "production", "total_accumulation"):
+        assert getattr(back, name).tobytes() == \
+            np.ascontiguousarray(getattr(rec, name)).tobytes()
+
+
+def _set_field(row: str, k: int, value: str) -> str:
+    fields = row.split(",")
+    fields[k] = value
+    return ",".join(fields)
+
+
+# a saved 3x3 record: 24 links x 20 windows, so links.csv holds rows 2-481
+# and network.csv rows 2-21; each case edits the rows below the headers
+@pytest.mark.parametrize("case", [
+    "truncated", "partial line", "foreign link id", "rows swapped",
+    "window out of order", "extra network window", "missing network window",
+    "bad number"])
+def test_load_record_names_file_and_line_of_a_broken_layout(tmp_path, case):
+    net = generate_grid_network(3, 3, 100.0, 2)
+    ids = net.link_ids()
+    save_record(simulate(net, make_scenario(net, [(ids[0], ids[10])], [500.0]),
+                         short_cfg(total_s=400.0)), tmp_path)
+    head_l, *links = (tmp_path / "links.csv").read_text().splitlines()
+    head_n, *windows = (tmp_path / "network.csv").read_text().splitlines()
+    assert (len(links), len(windows)) == (480, 20)
+    if case == "truncated":
+        links, expected = links[:-2], "links.csv line 480: 478 rows.*need 480"
+    elif case == "partial line":
+        links[-1] = links[-1][:5]
+        expected = "links.csv line 481: expected 5 fields, got 2"
+    elif case == "foreign link id":
+        links[3 * 24 + 6] = _set_field(links[3 * 24 + 6], 1, "999")
+        expected = f"links.csv line 80: link id 999, expected {ids[6]}"
+    elif case == "rows swapped":
+        links[24], links[25] = links[25], links[24]
+        expected = f"links.csv line 26: link id {ids[1]}, expected {ids[0]}"
+    elif case == "window out of order":
+        links[30] = _set_field(links[30], 0, "2")
+        expected = "links.csv line 32: window 2, expected 1"
+    elif case == "extra network window":
+        windows.append(_set_field(windows[-1], 0, "20"))
+        expected = "links.csv line 482: 480 rows.*21 windows.*need 504"
+    elif case == "missing network window":
+        del windows[2]
+        expected = "network.csv line 4: window 3, expected 2"
+    else:
+        links[5] = _set_field(links[5], 3, "1.5x")
+        expected = "links.csv line 7: cannot read '1.5x' as float"
+    (tmp_path / "links.csv").write_text("\n".join([head_l] + links) + "\n")
+    (tmp_path / "network.csv").write_text("\n".join([head_n] + windows) + "\n")
+    with pytest.raises(ValueError, match=expected):
+        load_record(tmp_path)
 
 
 def test_golden_record_is_bit_identical(tmp_path):
