@@ -39,7 +39,7 @@ print(f"trained {model.config.name} ({model.parameter_count()} parameters) "
       f"in {time.time() - t0:.0f}s; "
       f"best val loss {min(h['val_loss'] for h in history):.4f}")
 
-lr_model = fit_lr_estimator(net, dataset, part)
+lr_model = fit_lr_estimator(net, dataset)
 reports, _ = evaluate_speed_split(
     net, dataset, part, ["MFD", "MFD-P", "LR", "GAT-GRU-P"],
     {"GAT-GRU-P": model}, lr_model)

@@ -12,11 +12,11 @@ toolkit.
 from .network import (FEATURE_NAMES, Link, LinkGraph, MinMaxStats, NetworkError,
                       RoadNetwork, SignalPlan, build_link_graph,
                       extract_features, fit_minmax, generate_grid_network,
-                      load_network, minmax_normalize, save_network)
+                      load_network, save_network)
 from .simulate import (SimConfig, SimRecord, SimulationError, SimState,
-                       TurnRatios, initial_turn_ratios, link_speed, load_record,
+                       TurnRatios, initial_turn_ratios, load_record,
                        network_mfd, save_record, simulate, storage_capacity,
-                       transfer_flow, update_turn_ratios)
+                       update_turn_ratios)
 from .scenarios import (DEMAND_LEVELS, Dataset, ODMatrix, Scenario,
                         build_dataset, bus_lane_candidates, load_dataset,
                         load_od, perturb_od, random_base_od,
@@ -28,8 +28,7 @@ from .partition import (PartitionAssignment, PartitionParams,
 from .model import (LcfModel, ModelConfig, Normalization, TrainConfig,
                     config_from_name, decode_output, encode_targets,
                     load_model, pad_history, save_model, train)
-from .baselines import (LinearModel, dnn_variants, fit_lr, mfd_baseline,
-                        mfd_p_baseline, predict_lr, region_mean_speeds)
+from .baselines import LinearModel, fit_lr, region_mean_speeds
 from .evaluate import (MetricReport, Trip, export_report, generate_trips,
                        metrics, path_travel_time, shortest_path,
                        travel_time_experiment)

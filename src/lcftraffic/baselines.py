@@ -1,11 +1,10 @@
-"""Reference estimators the learned model is compared against.
+"""Building blocks of the reference estimators the learned model is
+compared against: per-region mean speeds (MFD-P) and least squares (LR).
 
-MFD assigns every link the network mean speed; MFD-P assigns each link its
-sub-region's mean speed; a least-squares linear model maps the link
-attributes plus the mean-speed history to a speed. The DNN / DNN-GRU / GAT
-ablations are configurations of the estimator in :mod:`lcftraffic.model`.
-An evaluation slot exists for external gradient-boosted models: anything
-with the same predict surface can be plugged into the harness.
+The predictors themselves, MFD (every link at the network mean speed),
+MFD-P and LR, are assembled in :mod:`lcftraffic.harness`; the DNN / DNN-GRU
+/ GAT ablations are configurations of the estimator in
+:mod:`lcftraffic.model` (``config_from_name``).
 """
 
 from __future__ import annotations
@@ -13,15 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .model import ModelConfig, config_from_name
-
-
-def mfd_baseline(v_mean: float, n_links: int) -> np.ndarray:
-    """Every link estimated at the network mean speed."""
-    if v_mean < 0:
-        raise ValueError("mean speed must be >= 0")
-    return np.full(n_links, float(v_mean))
 
 
 def region_mean_speeds(speeds: np.ndarray, accumulation: np.ndarray,
@@ -45,13 +35,6 @@ def region_mean_speeds(speeds: np.ndarray, accumulation: np.ndarray,
             m = float(speeds[mask].mean())
         out[mask] = m
     return out
-
-
-def mfd_p_baseline(record, partition, window: int,
-                   weighting: str = "accumulation") -> np.ndarray:
-    labels = np.array([partition[lid] for lid in record.link_ids])
-    return region_mean_speeds(record.speeds[window], record.accumulation[window],
-                              labels, partition.params.k, weighting)
 
 
 @dataclass
@@ -80,13 +63,3 @@ def fit_lr(features: np.ndarray, targets: np.ndarray,
     if not np.all(np.isfinite(coef)):
         raise ValueError("non-finite regression coefficients")
     return LinearModel(weights=coef[:-1], bias=float(coef[-1]))
-
-
-def predict_lr(model: LinearModel, features: np.ndarray) -> np.ndarray:
-    return model.predict(features)
-
-
-def dnn_variants(name: str, **overrides) -> ModelConfig:
-    """Ablation configurations by name: dnn, dnn-gru, gat, gat-gru and
-    their '-p' partition-augmented variants."""
-    return config_from_name(name, **overrides)

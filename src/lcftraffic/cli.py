@@ -187,13 +187,13 @@ def build_parser() -> _Parser:
         ("--network", str, "", "network file (default <out>/network.txt)"),
         ("--partition-file", str, "",
          "output file (default <out>/partition.txt)"),
-    ] + part_opts + sim_opts[:2])
+    ] + part_opts)
     sub("train", "train an estimator variant", [
         ("--dataset-dir", str, "", "dataset directory (default <out>/dataset)"),
         ("--network", str, "", "network file (default <out>/network.txt)"),
         ("--partition-file", str, "",
          "partition file (default <out>/partition.txt)"),
-    ] + train_opts + sim_opts[:2])
+    ] + train_opts)
     sub("evaluate", "per-link speed metrics for the model suite", [
         ("--dataset-dir", str, "", "dataset directory (default <out>/dataset)"),
         ("--network", str, "", "network file (default <out>/network.txt)"),
@@ -203,7 +203,7 @@ def build_parser() -> _Parser:
          "comma-separated model list"),
         ("--split", str, "test", "dataset split to evaluate"),
         ("--scenario-class", str, "", "label for the report rows"),
-    ] + train_opts + sim_opts[:2])
+    ] + train_opts)
     sub("travel-time", "random-trip travel-time experiment", [
         ("--dataset-dir", str, "", "dataset directory (default <out>/dataset)"),
         ("--network", str, "", "network file (default <out>/network.txt)"),
@@ -214,7 +214,7 @@ def build_parser() -> _Parser:
         ("--split", str, "test", "dataset split to evaluate"),
         ("--trips", int, 1000, "number of random trips"),
         ("--scenario-class", str, "", "label for the report rows"),
-    ] + train_opts + sim_opts[:2])
+    ] + train_opts)
     sub("report", "merge emitted metric tables", [])
     return parser
 
@@ -243,54 +243,56 @@ def _require(path: str, what: str) -> str:
     return path
 
 
-def _window_cfg(o) -> SimConfig:
-    return SimConfig(step_s=o.step, window_s=o.window)
+def _load_net(o):
+    return load_network(_require(_default(o.network, o.out, "network.txt"),
+                                 "network file"))
 
 
-def _train_cfg(o) -> TrainConfig:
-    return TrainConfig(lr=o.lr, lr_step=o.lr_step, lr_gamma=o.lr_gamma,
-                       weight_decay=o.weight_decay, epochs=o.epochs,
-                       seed=o.seed, window_stride=o.stride,
-                       batches_per_epoch=o.batches_per_epoch or None)
-
-
-def _model_overrides(o) -> dict:
-    return dict(heads=o.heads, hidden_dim=o.hidden, fc_hidden=o.fc_dims,
-                history_len=o.history, output_type=o.output_type)
+def _load_ds(o):
+    return load_dataset(_require(_default(o.dataset_dir, o.out, "dataset"),
+                                 "dataset directory"))
 
 
 def _load_stack(o):
-    net = load_network(_require(_default(o.network, o.out, "network.txt"),
-                                "network file"))
-    ds_dir = _require(_default(o.dataset_dir, o.out, "dataset"),
-                      "dataset directory")
-    dataset = load_dataset(ds_dir, cfg=_window_cfg(o))  # manifest wins
+    net, dataset = _load_net(o), _load_ds(o)
     part = load_partition(_require(
         _default(o.partition_file, o.out, "partition.txt"), "partition file"))
     return net, dataset, part
 
 
+def _checkpoint_path(o, name: str) -> str:
+    return os.path.join(o.out, "models", f"{name}.ckpt")
+
+
+def _train_and_save(o, net, dataset, part, name: str):
+    """Train variant ``name`` (lower case) with the command's options and
+    write its checkpoint and loss history under <out>/models/."""
+    cfg = config_from_name(name, heads=o.heads, hidden_dim=o.hidden,
+                           fc_hidden=o.fc_dims, history_len=o.history,
+                           output_type=o.output_type)
+    model, history = train(net, dataset, part, cfg, TrainConfig(
+        lr=o.lr, lr_step=o.lr_step, lr_gamma=o.lr_gamma,
+        weight_decay=o.weight_decay, epochs=o.epochs, seed=o.seed,
+        window_stride=o.stride, batches_per_epoch=o.batches_per_epoch or None))
+    os.makedirs(os.path.join(o.out, "models"), exist_ok=True)
+    save_model(model, _checkpoint_path(o, name))
+    _write_history(history, os.path.join(o.out, "models", f"{name}_history.csv"))
+    return model, history
+
+
 def _obtain_models(o, net, dataset, part, names) -> dict:
     """Load cached checkpoints, training (and caching) any missing variant."""
     models = {}
-    os.makedirs(os.path.join(o.out, "models"), exist_ok=True)
-    for name in names:
-        key = name.upper()
+    for key in names:
         if key not in harness.NN_MODEL_NAMES:
             continue
-        path = os.path.join(o.out, "models", f"{key.lower()}.ckpt")
+        path = _checkpoint_path(o, key.lower())
         if os.path.exists(path):
             models[key] = load_model(path)
             log_line("loaded checkpoint", model=key.lower(), path=path)
         else:
             log_line("training missing variant", model=key.lower())
-            model, history = harness.train_variant(
-                net, dataset, part, key.lower(), _train_cfg(o),
-                **_model_overrides(o))
-            save_model(model, path)
-            _write_history(history, os.path.join(
-                o.out, "models", f"{key.lower()}_history.csv"))
-            models[key] = model
+            models[key], _ = _train_and_save(o, net, dataset, part, key.lower())
     return models
 
 
@@ -325,8 +327,7 @@ def cmd_gen_network(o) -> int:
 
 
 def cmd_gen_dataset(o) -> int:
-    net = load_network(_require(_default(o.network, o.out, "network.txt"),
-                                "network file"))
+    net = _load_net(o)
     cfg = _sim_config(o)
     if o.demand not in DEMAND_LEVELS:
         raise ValidationError(f"--demand must be one of {sorted(DEMAND_LEVELS)}")
@@ -350,8 +351,7 @@ def cmd_gen_dataset(o) -> int:
 
 def cmd_simulate(o) -> int:
     from .scenarios import Scenario
-    net = load_network(_require(_default(o.network, o.out, "network.txt"),
-                                "network file"))
+    net = _load_net(o)
     if not o.od:
         raise ValidationError("simulate needs --od")
     od = load_od(_require(o.od, "OD file"))
@@ -365,11 +365,7 @@ def cmd_simulate(o) -> int:
 
 
 def cmd_partition(o) -> int:
-    net = load_network(_require(_default(o.network, o.out, "network.txt"),
-                                "network file"))
-    ds_dir = _require(_default(o.dataset_dir, o.out, "dataset"),
-                      "dataset directory")
-    dataset = load_dataset(ds_dir, cfg=_window_cfg(o))
+    net, dataset = _load_net(o), _load_ds(o)
     first_train = dataset.splits["train"][0]
     record = dataset.records[first_train]
     params = PartitionParams(k=o.clusters, alpha=o.alpha, beta=o.beta,
@@ -386,13 +382,8 @@ def cmd_partition(o) -> int:
 def cmd_train(o) -> int:
     net, dataset, part = _load_stack(o)
     name = o.model.lower()
-    cfg = config_from_name(name, **_model_overrides(o))
-    model, history = train(net, dataset, part, cfg, _train_cfg(o))
-    os.makedirs(os.path.join(o.out, "models"), exist_ok=True)
-    path = os.path.join(o.out, "models", f"{name}.ckpt")
-    save_model(model, path)
-    _write_history(history, os.path.join(o.out, "models", f"{name}_history.csv"))
-    log_line("model written", model=name, path=path,
+    _, history = _train_and_save(o, net, dataset, part, name)
+    log_line("model written", model=name, path=_checkpoint_path(o, name),
              best_val=min(h["val_loss"] for h in history),
              epochs=len(history))
     return 0
@@ -402,40 +393,35 @@ def _parse_models(o) -> list[str]:
     names = [m.strip().upper() for m in o.models.split(",") if m.strip()]
     for name in names:
         if name not in ("TRUTH",) + harness.STANDARD_MODELS \
-                and name not in harness.NN_MODEL_NAMES and name != "LR-P":
+                and name not in harness.NN_MODEL_NAMES:
             raise ValidationError(f"unknown model {name!r}")
     return names
 
 
-def cmd_evaluate(o) -> int:
+def _evaluate(o, section: str, evaluate_split, **kwargs):
+    """Score the --models list on --split with ``evaluate_split`` (a
+    harness protocol) and write the report under <out>/reports/<section>."""
     net, dataset, part = _load_stack(o)
     names = _parse_models(o)
     models = _obtain_models(o, net, dataset, part, names)
-    lr_model = harness.fit_lr_estimator(net, dataset, part) \
-        if any(n in ("LR", "LR-P") for n in names) else None
-    reports, samples = harness.evaluate_speed_split(
+    lr_model = harness.fit_lr_estimator(net, dataset) if "LR" in names else None
+    reports, samples = evaluate_split(
         net, dataset, part, names, models, lr_model, split=o.split,
-        scenario_class=o.scenario_class)
-    out_dir = os.path.join(o.out, "reports", "speed")
-    export_report(reports, out_dir, samples)
-    for rep in reports:
+        scenario_class=o.scenario_class, **kwargs)
+    export_report(reports, os.path.join(o.out, "reports", section), samples)
+    return reports
+
+
+def cmd_evaluate(o) -> int:
+    for rep in _evaluate(o, "speed", harness.evaluate_speed_split):
         log_line("speed metrics", model=rep.model, split=o.split,
                  mae=round(rep.mae, 4), rmse=round(rep.rmse, 4))
     return 0
 
 
 def cmd_travel_time(o) -> int:
-    net, dataset, part = _load_stack(o)
-    names = _parse_models(o)
-    models = _obtain_models(o, net, dataset, part, names)
-    lr_model = harness.fit_lr_estimator(net, dataset, part) \
-        if any(n in ("LR", "LR-P") for n in names) else None
-    reports, samples = harness.evaluate_travel_time_split(
-        net, dataset, part, names, models, lr_model, n_trips=o.trips,
-        seed=o.seed, split=o.split, scenario_class=o.scenario_class)
-    out_dir = os.path.join(o.out, "reports", "travel_time")
-    export_report(reports, out_dir, samples)
-    for rep in reports:
+    for rep in _evaluate(o, "travel_time", harness.evaluate_travel_time_split,
+                         n_trips=o.trips, seed=o.seed):
         log_line("trip-time metrics", model=rep.model, split=o.split,
                  mae_s=round(rep.mae, 2), rmse_s=round(rep.rmse, 2))
     return 0

@@ -17,8 +17,9 @@ import numpy as np
 from .baselines import LinearModel, fit_lr, region_mean_speeds
 from .evaluate import (MetricReport, generate_trips, metrics,
                        travel_time_experiment)
-from .model import LcfModel, TrainConfig, config_from_name, pad_history, train
-from .network import MinMaxStats, RoadNetwork, extract_features, fit_minmax
+from .model import (LcfModel, Normalization, fit_normalization, pad_history,
+                    split_features)
+from .network import RoadNetwork, extract_features
 from .scenarios import Dataset
 
 log = logging.getLogger(__name__)
@@ -27,82 +28,51 @@ STANDARD_MODELS = ("MFD", "MFD-P", "LR", "DNN", "DNN-GRU", "GAT", "GAT-GRU",
                    "GAT-GRU-P")
 NN_MODEL_NAMES = ("DNN", "DNN-GRU", "GAT", "GAT-GRU", "DNN-P", "DNN-GRU-P",
                   "GAT-P", "GAT-GRU-P")
+# mean-speed windows the linear model sees, as the estimators by default
+LR_HISTORY_LEN = 5
 
 
-def scenario_net(net: RoadNetwork, sc) -> RoadNetwork:
-    return net.with_bus_lanes(sc.bus_links) if sc.bus_links else net
+def _lr_rows(norm: Normalization, feats: np.ndarray,
+             vmean_kmh: np.ndarray) -> np.ndarray:
+    """(windows, links, 10 + LR_HISTORY_LEN) inputs of the linear model:
+    each link's normalized attributes, then the window's padded normalized
+    mean-speed history."""
+    feats_norm = norm.feat.apply(feats)
+    vn = norm.norm_vmean(vmean_kmh)
+    hist = np.stack([pad_history(vn, t, LR_HISTORY_LEN) for t in range(len(vn))])
+    shape = (len(hist), len(feats_norm))
+    return np.concatenate([
+        np.broadcast_to(feats_norm, shape + feats_norm.shape[1:]),
+        np.broadcast_to(hist[:, None, :], shape + hist.shape[1:])], axis=2)
 
 
 @dataclass
 class LrSpeedEstimator:
-    """Least-squares speeds from the 10 link attributes plus the padded
-    mean-speed history; mirrors the learned estimators' predict surface."""
+    """Least-squares speeds from the 10 link attributes (no sub-region)
+    plus the padded mean-speed history; mirrors the learned estimators'
+    predict surface."""
 
     model: LinearModel
-    feat_stats: MinMaxStats
-    vmean_lo: float
-    vmean_hi: float
-    use_partition: bool = False
-    history_len: int = 5
+    norm: Normalization
 
-    def _norm_vmean(self, v):
-        span = self.vmean_hi - self.vmean_lo
-        v = np.asarray(v, dtype=float)
-        if span <= 0:
-            return np.zeros_like(v)
-        return (v - self.vmean_lo) / span
-
-    def predict_windows(self, net, partition, vmean_kmh, windows=None):
-        vmean_kmh = np.asarray(vmean_kmh, dtype=float)
-        if windows is None:
-            windows = range(len(vmean_kmh))
-        feats = self.feat_stats.apply(extract_features(
-            net, partition if self.use_partition else None))
-        vn = self._norm_vmean(vmean_kmh)
-        vff = np.array([lk.vff_kmh for lk in net.links])
-        out = []
-        for t in windows:
-            hist = pad_history(vn, t, self.history_len)
-            x = np.hstack([feats, np.tile(hist, (len(feats), 1))])
-            out.append(np.clip(self.model.predict(x), 0.0, vff))
-        return np.array(out)
+    def predict_windows(self, net, partition, vmean_kmh):
+        """(windows, links) speeds for every window of the mean-speed
+        series; ``partition`` is not used."""
+        rows = _lr_rows(self.norm, extract_features(net), vmean_kmh)
+        return np.clip(self.model.predict(rows), 0.0, net.index.vff_kmh)
 
 
-def fit_lr_estimator(net: RoadNetwork, dataset: Dataset, partition,
-                     use_partition: bool = False,
-                     history_len: int = 5) -> LrSpeedEstimator:
-    feat_rows, vmeans = [], []
-    for sc in dataset.split_scenarios("train"):
-        feat_rows.append(extract_features(
-            scenario_net(net, sc), partition if use_partition else None))
-        vmeans.append(dataset.records[sc.id].mean_speed)
-    feat_stats = fit_minmax(np.vstack(feat_rows))
-    all_v = np.concatenate(vmeans)
-    vlo, vhi = float(all_v.min()), float(all_v.max())
-    span = vhi - vlo
-
+def fit_lr_estimator(net: RoadNetwork, dataset: Dataset) -> LrSpeedEstimator:
+    """Least squares over every (window, link) of the training split."""
+    feats = split_features(net, dataset, "train")
+    norm = fit_normalization(dataset, feats, "Speed")
     xs, ys = [], []
-    for sc in dataset.split_scenarios("train"):
+    for sc, sc_feats in zip(dataset.split_scenarios("train"), feats):
         rec = dataset.records[sc.id]
-        feats = feat_stats.apply(extract_features(
-            scenario_net(net, sc), partition if use_partition else None))
-        vn = (rec.mean_speed - vlo) / span if span > 0 else \
-            np.zeros_like(rec.mean_speed)
-        for t in range(rec.n_windows):
-            hist = pad_history(vn, t, history_len)
-            xs.append(np.hstack([feats, np.tile(hist, (len(feats), 1))]))
-            ys.append(rec.speeds[t])
-    model = fit_lr(np.vstack(xs), np.concatenate(ys))
-    return LrSpeedEstimator(model=model, feat_stats=feat_stats, vmean_lo=vlo,
-                            vmean_hi=vhi, use_partition=use_partition,
-                            history_len=history_len)
-
-
-def train_variant(net: RoadNetwork, dataset: Dataset, partition, name: str,
-                  train_cfg: TrainConfig, **model_overrides,
-                  ) -> tuple[LcfModel, list[dict[str, float]]]:
-    cfg = config_from_name(name, **model_overrides)
-    return train(net, dataset, partition, cfg, train_cfg)
+        rows = _lr_rows(norm, sc_feats, rec.mean_speed)
+        xs.append(rows.reshape(-1, rows.shape[2]))
+        ys.append(rec.speeds.ravel())
+    return LrSpeedEstimator(fit_lr(np.vstack(xs), np.concatenate(ys)), norm)
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +80,10 @@ def train_variant(net: RoadNetwork, dataset: Dataset, partition, name: str,
 # ---------------------------------------------------------------------------
 
 def make_predictor(name: str, partition, nn_models: dict[str, LcfModel],
-                   lr_model: LrSpeedEstimator | None = None,
-                   mfd_p_weighting: str = "accumulation"):
-    """Predictor callable (net_sc, record) -> (windows, links) speeds."""
+                   lr_model: LrSpeedEstimator | None = None):
+    """Predictor callable (net_sc, record) -> (windows, links) speeds. MFD
+    gives every link the window's network mean speed; MFD-P gives each link
+    its sub-region's accumulation-weighted mean speed."""
     key = name.upper()
     if key == "TRUTH":
         return lambda net_sc, rec: rec.speeds.copy()
@@ -127,10 +98,10 @@ def make_predictor(name: str, partition, nn_models: dict[str, LcfModel],
             labels = np.array([partition[lid] for lid in rec.link_ids])
             return np.array([
                 region_mean_speeds(rec.speeds[t], rec.accumulation[t], labels,
-                                   partition.params.k, mfd_p_weighting)
+                                   partition.params.k)
                 for t in range(rec.n_windows)])
         return mfd_p
-    if key in ("LR", "LR-P"):
+    if key == "LR":
         if lr_model is None:
             raise ValueError("no linear model fitted")
         return lambda net_sc, rec: lr_model.predict_windows(
@@ -159,7 +130,7 @@ def evaluate_speed_split(net: RoadNetwork, dataset: Dataset, partition,
         preds, truths = [], []
         for sc in dataset.split_scenarios(split):
             rec = dataset.records[sc.id]
-            preds.append(fn(scenario_net(net, sc), rec).ravel())
+            preds.append(fn(net.with_bus_lanes(sc.bus_links), rec).ravel())
             truths.append(rec.speeds.ravel())
         pred = np.concatenate(preds)
         truth = np.concatenate(truths)
@@ -187,8 +158,8 @@ def evaluate_travel_time_split(net: RoadNetwork, dataset: Dataset, partition,
         rec = dataset.records[sc.id]
         lo = warmup_windows if warmup_windows is not None \
             else max(1, rec.n_windows // 10)
-        trip_sets[sc.id] = generate_trips(scenario_net(net, sc), per_scenario,
-                                          seed=seed + sc.id,
+        trip_sets[sc.id] = generate_trips(net.with_bus_lanes(sc.bus_links),
+                                          per_scenario, seed=seed + sc.id,
                                           horizon=(lo, rec.n_windows - 1))
     reports, samples = [], {}
     for name in model_names:
@@ -197,7 +168,7 @@ def evaluate_travel_time_split(net: RoadNetwork, dataset: Dataset, partition,
         excluded = 0
         for sc in scenarios:
             rec = dataset.records[sc.id]
-            sub = scenario_net(net, sc)
+            sub = net.with_bus_lanes(sc.bus_links)
             pred = np.maximum(fn(sub, rec), v_floor_kmh)
             result = travel_time_experiment(sub, pred, rec.speeds,
                                             trip_sets[sc.id], rec.window_s,

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import nn
 from .network import (MinMaxStats, N_FEATURES, RoadNetwork, build_link_graph,
-                      extract_features, fit_minmax)
+                      extract_features, fit_minmax, minmax_scale,
+                      minmax_unscale)
 from .nn import Tensor
 
 log = logging.getLogger(__name__)
@@ -64,13 +65,10 @@ def config_from_name(name: str, **overrides) -> ModelConfig:
     use_partition = tokens[-1] == "p"
     if use_partition:
         tokens = tokens[:-1]
-    if not tokens or tokens[0] not in ("gat", "dnn"):
+    if not tokens or tokens[0] not in ("gat", "dnn") \
+            or tokens[1:] not in ([], ["gru"]):
         raise ValueError(f"unknown model name {name!r}")
-    use_gat = tokens[0] == "gat"
-    use_gru = len(tokens) > 1 and tokens[1] == "gru"
-    if len(tokens) > 2 or (len(tokens) == 2 and tokens[1] != "gru"):
-        raise ValueError(f"unknown model name {name!r}")
-    return ModelConfig(use_gat=use_gat, use_gru=use_gru,
+    return ModelConfig(use_gat=tokens[0] == "gat", use_gru=tokens[1:] == ["gru"],
                        use_partition=use_partition, **overrides)
 
 
@@ -83,19 +81,13 @@ class Normalization:
     target_hi: float
 
     def norm_vmean(self, v: np.ndarray) -> np.ndarray:
-        span = self.vmean_hi - self.vmean_lo
-        if span <= 0:
-            return np.zeros_like(np.asarray(v, dtype=float))
-        return (np.asarray(v, dtype=float) - self.vmean_lo) / span
+        return minmax_scale(v, self.vmean_lo, self.vmean_hi)
 
     def norm_target(self, y: np.ndarray) -> np.ndarray:
-        span = self.target_hi - self.target_lo
-        if span <= 0:
-            return np.zeros_like(y)
-        return (y - self.target_lo) / span
+        return minmax_scale(y, self.target_lo, self.target_hi)
 
     def denorm_target(self, y: np.ndarray) -> np.ndarray:
-        return y * (self.target_hi - self.target_lo) + self.target_lo
+        return minmax_unscale(y, self.target_lo, self.target_hi)
 
 
 def encode_targets(speeds: np.ndarray, v_mean: float, output_type: str) -> np.ndarray:
@@ -321,7 +313,7 @@ class LcfModel:
         adj = build_link_graph(net).adjacency
         vn = self.norm.norm_vmean(vmean_kmh)
         hist = np.stack([pad_history(vn, t, cfg.history_len) for t in windows])
-        vff = np.array([lk.vff_kmh for lk in net.links])
+        vff = net.index.vff_kmh
         v_now = vmean_kmh[windows, None]
         n_links = net.n_links
         per_block = max(1, PREDICT_BLOCK_ROWS // n_links)
@@ -373,21 +365,24 @@ class SampleBatch:
     targets: np.ndarray     # (B * n_links, 1) normalized
 
 
-def _scenario_inputs(net, sc, partition, use_partition):
-    sub_net = net.with_bus_lanes(sc.bus_links) if sc.bus_links else net
-    feats = extract_features(sub_net, partition if use_partition else None)
-    return sub_net, feats
+def split_features(net: RoadNetwork, dataset, split: str,
+                   partition=None) -> list[np.ndarray]:
+    """Attribute matrix of each scenario of a split, in split order, each on
+    its own bus-lane layout; ``partition`` fills the sub-region column."""
+    return [extract_features(net.with_bus_lanes(sc.bus_links), partition)
+            for sc in dataset.split_scenarios(split)]
 
 
-def build_batches(net: RoadNetwork, dataset, partition, split: str,
+def build_batches(net: RoadNetwork, dataset, split: str, feats: list[np.ndarray],
                   model_cfg: ModelConfig, norm: Normalization,
                   stride: int = 1) -> list[SampleBatch]:
+    """One batch per scenario of the split; ``feats`` are the scenarios'
+    ``split_features``."""
     batches = []
     adj = build_link_graph(net).adjacency
-    for sc in dataset.split_scenarios(split):
+    for sc, sc_feats in zip(dataset.split_scenarios(split), feats):
         record = dataset.records[sc.id]
-        _, feats = _scenario_inputs(net, sc, partition, model_cfg.use_partition)
-        feats_norm = norm.feat.apply(feats)
+        feats_norm = norm.feat.apply(sc_feats)
         vn = norm.norm_vmean(record.mean_speed)
         windows = list(range(0, record.n_windows, stride))
         hist = np.stack([pad_history(vn, t, model_cfg.history_len)
@@ -403,25 +398,23 @@ def build_batches(net: RoadNetwork, dataset, partition, split: str,
     return batches
 
 
-def fit_normalization(net: RoadNetwork, dataset, partition,
-                      model_cfg: ModelConfig) -> Normalization:
-    """Min-max statistics frozen on the training split."""
-    feat_rows = []
+def fit_normalization(dataset, feats: list[np.ndarray],
+                      output_type: str) -> Normalization:
+    """Min-max statistics frozen on the training split; ``feats`` are its
+    ``split_features``."""
     vmeans = []
     targets = []
     for sc in dataset.split_scenarios("train"):
         record = dataset.records[sc.id]
-        _, feats = _scenario_inputs(net, sc, partition, model_cfg.use_partition)
-        feat_rows.append(feats)
         vmeans.append(record.mean_speed)
         for t in range(record.n_windows):
             targets.append(encode_targets(record.speeds[t],
                                           float(record.mean_speed[t]),
-                                          model_cfg.output_type))
+                                          output_type))
     all_v = np.concatenate(vmeans)
     all_t = np.concatenate(targets)
     return Normalization(
-        feat=fit_minmax(np.vstack(feat_rows)),
+        feat=fit_minmax(np.vstack(feats)),
         vmean_lo=float(all_v.min()), vmean_hi=float(all_v.max()),
         target_lo=float(all_t.min()), target_hi=float(all_t.max()),
     )
@@ -439,12 +432,15 @@ def train(net: RoadNetwork, dataset, partition, model_cfg: ModelConfig,
     """Minimize MSE on normalized targets with AdamW + staircase LR decay;
     returns the best-validation checkpoint and the loss history."""
     tc = train_cfg or TrainConfig()
-    norm = fit_normalization(net, dataset, partition, model_cfg)
+    part = partition if model_cfg.use_partition else None
+    train_feats = split_features(net, dataset, "train", part)
+    norm = fit_normalization(dataset, train_feats, model_cfg.output_type)
     model = LcfModel(replace(model_cfg, seed=tc.seed), norm)
-    train_batches = build_batches(net, dataset, partition, "train", model_cfg,
+    train_batches = build_batches(net, dataset, "train", train_feats, model_cfg,
                                   norm, stride=tc.window_stride)
-    val_batches = build_batches(net, dataset, partition, "val", model_cfg,
-                                norm, stride=tc.window_stride)
+    val_batches = build_batches(net, dataset, "val",
+                                split_features(net, dataset, "val", part),
+                                model_cfg, norm, stride=tc.window_stride)
     if not train_batches or not val_batches:
         raise ValueError("dataset must provide non-empty train and val splits")
 

@@ -201,13 +201,9 @@ class RoadNetwork:
         self._by_id = {lk.id: lk for lk in self.links}
         self._index = {lk.id: i for i, lk in enumerate(self.links)}
 
-        into: dict[int, list[int]] = {j: [] for j in junctions}
         out_of: dict[int, list[int]] = {j: [] for j in junctions}
         for lk in self.links:
-            into[lk.to_junction].append(lk.id)
             out_of[lk.from_junction].append(lk.id)
-        self.junction_incoming = {j: tuple(v) for j, v in into.items()}
-        self.junction_outgoing = {j: tuple(v) for j, v in out_of.items()}
 
         pairs = []
         for lk in self.links:
@@ -221,8 +217,6 @@ class RoadNetwork:
                 pairs.append((lk.id, down_id))
         self.connectivity: tuple[tuple[int, int], ...] = tuple(sorted(pairs))
 
-        self.downstream: dict[int, tuple[int, ...]] = {lk.id: () for lk in self.links}
-        self.upstream: dict[int, tuple[int, ...]] = {lk.id: () for lk in self.links}
         down: dict[int, list[int]] = {lk.id: [] for lk in self.links}
         up: dict[int, list[int]] = {lk.id: [] for lk in self.links}
         for a, b in self.connectivity:
@@ -255,12 +249,12 @@ class RoadNetwork:
         x1, y1 = self.junctions[lk.to_junction]
         return ((x0 + x1) / 2.0, (y0 + y1) / 2.0)
 
-    def lengths_km(self) -> np.ndarray:
-        return self.index.length_m / 1000.0
-
     def with_bus_lanes(self, link_ids) -> "RoadNetwork":
-        """Copy of the network with lanes_dbl = 1 on the given links."""
+        """Copy of the network with lanes_dbl = 1 on the given links; the
+        network itself when there are none."""
         chosen = set(link_ids)
+        if not chosen:
+            return self
         new_links = []
         for lk in self.links:
             if lk.id in chosen:
@@ -485,6 +479,20 @@ def extract_features(net: RoadNetwork, partition=None) -> np.ndarray:
     ])
 
 
+def minmax_scale(x, lo, hi) -> np.ndarray:
+    """(x - lo) / (hi - lo), with ``lo`` and ``hi`` broadcast against ``x``;
+    0 wherever hi <= lo (a constant column)."""
+    x = np.asarray(x, dtype=float)
+    span = np.asarray(hi - lo, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(span > 0, (x - lo) / span, 0.0)
+
+
+def minmax_unscale(y, lo, hi) -> np.ndarray:
+    """Inverse of ``minmax_scale`` where hi > lo."""
+    return y * (hi - lo) + lo
+
+
 @dataclass(frozen=True)
 class MinMaxStats:
     """Column-wise min/max frozen on the training split."""
@@ -493,25 +501,13 @@ class MinMaxStats:
     hi: np.ndarray
 
     def apply(self, matrix: np.ndarray) -> np.ndarray:
-        span = self.hi - self.lo
-        out = np.zeros_like(matrix, dtype=float)
-        ok = span > 0
-        out[:, ok] = (matrix[:, ok] - self.lo[ok]) / span[ok]
-        return out
+        return minmax_scale(matrix, self.lo, self.hi)
 
     def invert(self, matrix: np.ndarray) -> np.ndarray:
-        return matrix * (self.hi - self.lo) + self.lo
+        return minmax_unscale(matrix, self.lo, self.hi)
 
 
 def fit_minmax(matrix: np.ndarray) -> MinMaxStats:
     if matrix.ndim != 2 or matrix.shape[0] < 1:
         raise ValueError("need a 2-d matrix with at least one row")
     return MinMaxStats(lo=matrix.min(axis=0), hi=matrix.max(axis=0))
-
-
-def minmax_normalize(matrix: np.ndarray, stats: MinMaxStats | None = None,
-                     ) -> tuple[np.ndarray, MinMaxStats]:
-    """Scale every column to [0, 1]; constant columns map to 0."""
-    if stats is None:
-        stats = fit_minmax(matrix)
-    return stats.apply(matrix), stats

@@ -255,12 +255,17 @@ def save_dataset(ds: Dataset, out_dir) -> None:
         save_record(ds.records[sc.id], os.path.join(out_dir, f"scenario_{sc.id:03d}"))
 
 
-def load_dataset(out_dir, cfg: SimConfig | None = None) -> Dataset:
-    with open(os.path.join(out_dir, "manifest.json")) as fh:
+def load_dataset(out_dir) -> Dataset:
+    """Read a dataset saved by ``save_dataset``; the records take the
+    manifest's ``window_s`` and ``step_s``, which it must hold."""
+    path = os.path.join(out_dir, "manifest.json")
+    with open(path) as fh:
         manifest = json.load(fh)
-    fallback = cfg or SimConfig()
-    window_s = float(manifest.get("window_s", fallback.window_s))
-    step_s = float(manifest.get("step_s", fallback.step_s))
+    for key in ("window_s", "step_s"):
+        if key not in manifest:
+            raise ValueError(f"{path}: manifest has no {key!r}")
+    window_s = float(manifest["window_s"])
+    step_s = float(manifest["step_s"])
     scenarios = []
     records = {}
     for sd in manifest["scenarios"]:

@@ -97,25 +97,6 @@ def storage_capacity(link: Link, cfg: SimConfig) -> float:
     return float(max(cap, 1))
 
 
-def transfer_flow(waiting: float, ratio: float, lanes: int, down_occupancy: float,
-                  down_capacity: float, green: bool, cfg: SimConfig) -> float:
-    """Vehicles moved over one junction approach in one step.
-
-    Zero on red; zero when the receiving link is congested; otherwise the
-    minimum of the routed share of the waiting queue, the saturation flow
-    of the approach, and the space left downstream.
-    """
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError("ratio must be within [0, 1]")
-    if not green:
-        return 0.0
-    if down_occupancy >= cfg.congestion_threshold * down_capacity:
-        return 0.0
-    saturation = cfg.saturation_flow * lanes * cfg.step_s
-    space = max(down_capacity - down_occupancy, 0.0)
-    return max(0.0, min(ratio * waiting, saturation, space))
-
-
 class TurnRatios:
     """Split probabilities per (connectivity pair, destination).
 
@@ -447,21 +428,13 @@ class SimRecord:
         return self.speeds.shape[0]
 
 
-def link_speed(outflows: np.ndarray, accumulations: np.ndarray, link: Link,
-               cfg: SimConfig) -> float:
-    """Window mean speed from per-step outflow and accumulation."""
-    su = float(np.sum(outflows))
-    sx = float(np.sum(accumulations))
-    if sx <= 0.0:
-        return link.vff_kmh
-    raw_kmh = (su * (link.length_m / 1000.0) / sx) * (3600.0 / cfg.step_s)
-    return max(cfg.v_min_kmh, min(link.vff_kmh, raw_kmh))
-
-
-def _window_stats(net: RoadNetwork, cfg: SimConfig, sum_u: np.ndarray,
-                  sum_x: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-    len_km = net.lengths_km()
-    vff = net.index.vff_kmh
+def _window_stats(len_km: np.ndarray, vff: np.ndarray, cfg: SimConfig,
+                  sum_u: np.ndarray, sum_x: np.ndarray,
+                  ) -> tuple[np.ndarray, float, float, float]:
+    """Link speeds, network mean speed, production and accumulation of one
+    window from its per-link outflow and accumulation sums over the steps
+    (the formula in the module docstring); links of ``len_km`` km with
+    free-flow speeds ``vff`` km/h."""
     steps = cfg.steps_per_window
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = (sum_u * len_km / sum_x) * (3600.0 / cfg.step_s)
@@ -482,7 +455,7 @@ def _window_stats(net: RoadNetwork, cfg: SimConfig, sum_u: np.ndarray,
 def simulate(net: RoadNetwork, scenario, cfg: SimConfig | None = None) -> SimRecord:
     """Run a scenario (OD demand + bus-lane configuration) to a SimRecord."""
     cfg = cfg or SimConfig()
-    sim_net = net.with_bus_lanes(scenario.bus_links) if scenario.bus_links else net
+    sim_net = net.with_bus_lanes(scenario.bus_links)
     od = scenario.od
     od_pairs = list(od.pairs)
     rates = np.asarray(od.rates, dtype=float) * scenario.scale
@@ -510,7 +483,8 @@ def simulate(net: RoadNetwork, scenario, cfg: SimConfig | None = None) -> SimRec
     sum_u = np.zeros(z)
     sum_x = np.zeros(z)
     window_completed = 0.0
-    last_speeds = sim_net.index.vff_kmh
+    len_km, vff = sim_net.index.length_m / 1000.0, sim_net.index.vff_kmh
+    last_speeds = vff
     turn_every = max(1, int(round(cfg.turn_update_s / cfg.step_s)))
     ramp_s = max(cfg.warmup_s * od.ramp_fraction, cfg.step_s)
 
@@ -534,7 +508,7 @@ def simulate(net: RoadNetwork, scenario, cfg: SimConfig | None = None) -> SimRec
             wi = k // spw
             if wi >= n_windows:
                 break
-            sp, ms, prod, ta = _window_stats(sim_net, cfg, sum_u, sum_x)
+            sp, ms, prod, ta = _window_stats(len_km, vff, cfg, sum_u, sum_x)
             speeds[wi] = sp
             acc[wi] = sum_x / spw
             outflow[wi] = sum_u

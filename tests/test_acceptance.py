@@ -22,7 +22,7 @@ from lcftraffic.network import (Link, RoadNetwork, build_link_graph,
                                 extract_features, generate_grid_network)
 from lcftraffic.partition import PartitionParams, kmeans, partition_network
 from lcftraffic.scenarios import ODMatrix, Scenario, build_dataset, random_base_od
-from lcftraffic.simulate import SimConfig, link_speed, simulate
+from lcftraffic.simulate import SimConfig, _window_stats, simulate
 
 
 def announce(number: int, text: str) -> None:
@@ -105,8 +105,11 @@ def test_02_free_flow_every_window():
 
 def test_03_window_speed_hand_example():
     cfg = SimConfig()  # 5 s steps
-    lk = Link(0, 0, 1, 500.0, 2, 0, 25.0)
-    v = link_speed(np.ones(36), np.full(36, 10.0), lk, cfg)
+    # one 500 m, 25 km/h link; 36 steps of 1 veh outflow, 10 veh present
+    speeds, *_ = _window_stats(np.array([0.5]), np.array([25.0]), cfg,
+                               np.array([np.ones(36).sum()]),
+                               np.array([np.full(36, 10.0).sum()]))
+    v = speeds[0]
     # raw value: 36 veh * 0.5 km / 360 veh-steps * 720 steps/h = 36 km/h
     assert v == 25.0
     announce(3, "36 veh * 0.5 km / 360 -> raw 36 km/h, clamped to 25 km/h")
@@ -318,16 +321,16 @@ def test_09_travel_time_experiment(toy_corpus):
 def test_10_pipeline_determinism(tmp_path):
     sim = ["--step", "5", "--window", "60", "--warmup", "120", "--peak",
            "240", "--total", "600"]
-    train_args = ["--window", "60", "--epochs", "2", "--hidden", "8",
-                  "--fc-dims", "16,8", "--stride", "2"]
+    train_args = ["--epochs", "2", "--hidden", "8", "--fc-dims", "16,8",
+                  "--stride", "2"]
     for out in (str(tmp_path / "a"), str(tmp_path / "b")):
         assert cli_main(["gen-network", "--out", out, "--grid", "3x3",
                          "--lanes", "2", "--seed", "3"]) == 0
         assert cli_main(["gen-dataset", "--out", out, "--scenarios", "10",
                          "--od-pairs", "4", "--od-rate", "400", "--seed", "3"]
                         + sim) == 0
-        assert cli_main(["partition", "--out", out, "--window", "60",
-                         "--t-max", "5", "--seed", "3"]) == 0
+        assert cli_main(["partition", "--out", out, "--t-max", "5",
+                         "--seed", "3"]) == 0
         assert cli_main(["train", "--out", out, "--model", "gat-gru-p",
                          "--seed", "3"] + train_args) == 0
         assert cli_main(["evaluate", "--out", out, "--seed", "3",

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lcftraffic.baselines import (fit_lr, mfd_baseline, mfd_p_baseline,
-                                  predict_lr, region_mean_speeds)
+from lcftraffic.baselines import fit_lr, region_mean_speeds
+from lcftraffic.harness import make_predictor
 from lcftraffic.partition import PartitionAssignment, PartitionParams
 
 
@@ -11,7 +11,7 @@ def make_partition(labels: dict, k: int) -> PartitionAssignment:
                                params=PartitionParams(k=k))
 
 
-def fake_record(speeds, accumulation=None):
+def fake_record(speeds, accumulation=None, mean_speed=None):
     from lcftraffic.simulate import SimRecord
     speeds = np.asarray(speeds, dtype=float)
     if accumulation is None:
@@ -20,44 +20,54 @@ def fake_record(speeds, accumulation=None):
     return SimRecord(link_ids=tuple(range(z)), window_s=180.0, step_s=5.0,
                      speeds=speeds, accumulation=accumulation,
                      outflow=np.ones_like(speeds),
-                     mean_speed=speeds.mean(axis=1), production=np.ones(w),
-                     total_accumulation=np.ones(w))
+                     mean_speed=speeds.mean(axis=1) if mean_speed is None
+                     else np.asarray(mean_speed, dtype=float),
+                     production=np.ones(w), total_accumulation=np.ones(w))
+
+
+def mfd(rec):
+    return make_predictor("MFD", None, {})(None, rec)
+
+
+def mfd_p(rec, part):
+    return make_predictor("MFD-P", part, {})(None, rec)
 
 
 def test_mfd_baseline_definition():
-    assert mfd_baseline(20.0, 3).tolist() == [20.0, 20.0, 20.0]
-    with pytest.raises(ValueError):
-        mfd_baseline(-1.0, 2)
+    rec = fake_record([[10.0, 20.0, 30.0]])
+    assert mfd(rec).tolist() == [[20.0, 20.0, 20.0]]
 
 
 def test_mfd_baseline_error_mean_identity():
     rng = np.random.default_rng(0)
     truth = rng.uniform(5, 25, size=200)
     v_mean = 14.2
-    err = mfd_baseline(v_mean, 200) - truth
+    err = mfd(fake_record([truth], mean_speed=[v_mean]))[0] - truth
     assert err.mean() == pytest.approx(v_mean - truth.mean(), abs=1e-12)
 
 
 def test_mfd_p_single_region_equals_mfd():
     rec = fake_record([[10.0, 20.0, 30.0]])
     part = make_partition({0: 0, 1: 0, 2: 0}, k=1)
-    out = mfd_p_baseline(rec, part, window=0, weighting="arithmetic")
+    out = mfd_p(rec, part)[0]
     assert np.allclose(out, 20.0)
 
 
 def test_mfd_p_two_regions():
     rec = fake_record([[10.0, 10.0, 30.0, 30.0]])
     part = make_partition({0: 0, 1: 0, 2: 1, 3: 1}, k=2)
-    out = mfd_p_baseline(rec, part, window=0)
+    out = mfd_p(rec, part)[0]
     assert out.tolist() == [10.0, 10.0, 30.0, 30.0]
 
 
 def test_mfd_p_accumulation_weighting():
     rec = fake_record([[10.0, 30.0]], accumulation=np.array([[3.0, 1.0]]))
     part = make_partition({0: 0, 1: 0}, k=1)
-    weighted = mfd_p_baseline(rec, part, window=0)
+    weighted = mfd_p(rec, part)[0]
     assert weighted[0] == pytest.approx((10.0 * 3 + 30.0) / 4)
-    arith = mfd_p_baseline(rec, part, window=0, weighting="arithmetic")
+    arith = region_mean_speeds(rec.speeds[0], rec.accumulation[0],
+                               np.zeros(2, dtype=int), 1,
+                               weighting="arithmetic")
     assert arith[0] == pytest.approx(20.0)
 
 
@@ -98,7 +108,7 @@ def test_fit_lr_zero_residual_on_linear_target():
     w = np.array([1.5, -2.0, 0.3, 4.0])
     y = x @ w + 7.0
     model = fit_lr(x, y)
-    assert np.max(np.abs(predict_lr(model, x) - y)) < 1e-6
+    assert np.max(np.abs(model.predict(x) - y)) < 1e-6
 
 
 def test_fit_lr_matches_hand_solved_system():

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -9,8 +10,8 @@ from lcftraffic.simulate import load_record
 
 SIM_SMALL = ["--step", "5", "--window", "60", "--warmup", "120",
              "--peak", "240", "--total", "600"]
-TRAIN_SMALL = ["--window", "60", "--epochs", "1", "--hidden", "4",
-               "--fc-dims", "8", "--stride", "3"]
+TRAIN_SMALL = ["--epochs", "1", "--hidden", "4", "--fc-dims", "8",
+               "--stride", "3"]
 
 
 def run(args):
@@ -23,8 +24,8 @@ def build_pipeline(out, seed=5, scenarios=10):
     assert run(["gen-dataset", "--out", out, "--scenarios", scenarios,
                 "--od-pairs", "4", "--od-rate", "400", "--seed", seed]
                + SIM_SMALL) == 0
-    assert run(["partition", "--out", out, "--window", "60", "--t-max", "5",
-                "--clusters", "3", "--seed", seed]) == 0
+    assert run(["partition", "--out", out, "--t-max", "5", "--clusters", "3",
+                "--seed", seed]) == 0
 
 
 def test_zero_demand_end_to_end(tmp_path):
@@ -108,6 +109,39 @@ def test_validation_exit_codes(tmp_path):
     build_pipeline(out, seed=1)
     assert run(["evaluate", "--out", out, "--models", "XGBOOST"]
                + TRAIN_SMALL) == 1
+
+
+def test_lr_p_is_rejected(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    build_pipeline(out, seed=1)
+    capsys.readouterr()
+    for cmd in ("evaluate", "travel-time"):
+        assert run([cmd, "--out", out, "--models", "MFD,LR-P"]
+                   + TRAIN_SMALL) == 1
+        assert "unknown model 'LR-P'" in capsys.readouterr().err
+
+
+def test_window_and_step_options_are_gone(tmp_path, capsys):
+    # the dataset manifest fixes both; these commands took the flags and
+    # ignored them, and could still fail on a value they never used
+    out = str(tmp_path / "run")
+    for cmd in ("partition", "train", "evaluate", "travel-time"):
+        for flag in ("--window", "--step"):
+            assert run([cmd, "--out", out, flag, "60"]) == 1
+            assert f"unrecognized arguments: {flag} 60" in capsys.readouterr().err
+
+
+def test_manifest_without_window_fails(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    build_pipeline(out, seed=1)
+    manifest = tmp_path / "run/dataset/manifest.json"
+    data = json.loads(manifest.read_text())
+    del data["window_s"]
+    manifest.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["train", "--out", out] + TRAIN_SMALL) == 1
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "'window_s'" in err
 
 
 def test_gen_dataset_rejects_zero_step(tmp_path, capsys):

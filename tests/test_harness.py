@@ -1,0 +1,77 @@
+import numpy as np
+import pytest
+
+from lcftraffic.baselines import fit_lr
+from lcftraffic.harness import fit_lr_estimator
+from lcftraffic.model import pad_history
+from lcftraffic.network import extract_features, generate_grid_network
+from lcftraffic.scenarios import build_dataset, random_base_od
+from lcftraffic.simulate import SimConfig
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    net = generate_grid_network(3, 3, 100.0, 2)
+    base = random_base_od(net, n_pairs=4, rate_veh_h=400.0, seed=8)
+    cfg = SimConfig(step_s=5.0, window_s=60.0, warmup_s=120.0, peak_s=240.0,
+                    total_s=600.0)
+    return net, build_dataset(net, base, n=10, master_seed=8, cfg=cfg)
+
+
+def hand_minmax(x, lo, hi):
+    span = hi - lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(span > 0, (x - lo) / span, 0.0)
+
+
+def hand_lr(net, dataset):
+    """The linear baseline written out: min-max link attributes and mean
+    speeds over the training split, a 5-window padded history per window,
+    least squares over every (window, link) row."""
+    train = dataset.split_scenarios("train")
+    feats = [extract_features(net.with_bus_lanes(sc.bus_links)) for sc in train]
+    f_lo, f_hi = np.vstack(feats).min(axis=0), np.vstack(feats).max(axis=0)
+    all_v = np.concatenate([dataset.records[sc.id].mean_speed for sc in train])
+    v_lo, v_hi = all_v.min(), all_v.max()
+
+    def rows(f, vmean, t):
+        hist = pad_history(hand_minmax(vmean, v_lo, v_hi), t, 5)
+        return np.hstack([hand_minmax(f, f_lo, f_hi), np.tile(hist, (len(f), 1))])
+
+    xs, ys = [], []
+    for sc, f in zip(train, feats):
+        rec = dataset.records[sc.id]
+        for t in range(rec.n_windows):
+            xs.append(rows(f, rec.mean_speed, t))
+            ys.append(rec.speeds[t])
+    model = fit_lr(np.vstack(xs), np.concatenate(ys))
+
+    def predict(sub_net, vmean):
+        f = extract_features(sub_net)
+        vff = np.array([lk.vff_kmh for lk in sub_net.links])
+        return np.array([np.clip(model.predict(rows(f, vmean, t)), 0.0, vff)
+                         for t in range(len(vmean))])
+    return predict
+
+
+def test_lr_estimator_matches_hand_reference_to_the_bit(corpus):
+    net, dataset = corpus
+    est = fit_lr_estimator(net, dataset)
+    reference = hand_lr(net, dataset)
+    for sc in dataset.split_scenarios("test"):
+        sub = net.with_bus_lanes(sc.bus_links)
+        vmean = dataset.records[sc.id].mean_speed
+        got = est.predict_windows(sub, None, vmean)
+        assert got.shape == (len(vmean), net.n_links)
+        assert got.tobytes() == reference(sub, vmean).tobytes()
+
+
+def test_lr_estimator_clips_to_zero_and_free_flow(corpus):
+    net, dataset = corpus
+    est = fit_lr_estimator(net, dataset)
+    # mean speeds far outside the training range push the linear output
+    # past both ends
+    vmean = np.array([-1e4] * 6 + [1e4] * 6)
+    out = est.predict_windows(net, None, vmean)
+    assert out.min() == 0.0 and out.max() == 25.0
+    assert np.all((out >= 0.0) & (out <= 25.0))

@@ -4,7 +4,7 @@ import pytest
 from lcftraffic.network import (Link, NetworkError, RoadNetwork, build_link_graph,
                                 extract_features, fit_minmax,
                                 generate_grid_network, load_network,
-                                minmax_normalize, save_network)
+                                save_network)
 
 
 def two_link_chain():
@@ -177,27 +177,28 @@ def test_feature_extraction_is_stable(tmp_path):
 
 def test_minmax_endpoints():
     m = np.array([[2.0], [4.0], [6.0]])
-    out, _ = minmax_normalize(m)
+    out = fit_minmax(m).apply(m)
     assert out.ravel().tolist() == [0.0, 0.5, 1.0]
 
 
 def test_minmax_constant_column_maps_to_zero():
     m = np.array([[5.0], [5.0]])
-    out, _ = minmax_normalize(m)
+    out = fit_minmax(m).apply(m)
     assert out.ravel().tolist() == [0.0, 0.0]
 
 
 def test_minmax_round_trip_inversion():
     rng = np.random.default_rng(7)
     m = rng.uniform(-5, 9, size=(20, 10))
-    out, stats = minmax_normalize(m)
+    stats = fit_minmax(m)
+    out = stats.apply(m)
     assert np.max(np.abs(stats.invert(out) - m)) < 1e-12
 
 
 def test_minmax_training_columns_hit_exact_bounds():
     rng = np.random.default_rng(3)
     m = rng.normal(size=(50, 6))
-    out, _ = minmax_normalize(m)
+    out = fit_minmax(m).apply(m)
     assert np.allclose(out.min(axis=0), 0.0)
     assert np.allclose(out.max(axis=0), 1.0)
     assert out.min() >= 0.0 and out.max() <= 1.0
@@ -215,6 +216,7 @@ def test_with_bus_lanes_respects_lane_invariant():
     first = net.links[0].id
     mod = net.with_bus_lanes([first])
     assert mod.link(first).lanes_dbl == 1
+    assert net.with_bus_lanes(()) is net
     one_lane = RoadNetwork({0: (0, 0), 1: (1, 0)}, [Link(0, 0, 1, 50.0, 1, 0, 25.0)])
     with pytest.raises(NetworkError):
         one_lane.with_bus_lanes([0])

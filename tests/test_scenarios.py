@@ -125,7 +125,7 @@ def test_dataset_manifest_reproducible(tmp_path):
 def test_dataset_round_trip(tmp_path):
     _, ds = build_toy_dataset(10, seed=4)
     save_dataset(ds, tmp_path / "ds")
-    loaded = load_dataset(tmp_path / "ds", cfg=quick_cfg())
+    loaded = load_dataset(tmp_path / "ds")
     assert loaded.splits == ds.splits
     assert loaded.master_seed == ds.master_seed
     assert len(loaded.scenarios) == len(ds.scenarios)
@@ -194,5 +194,5 @@ def test_manifest_carries_window_metadata(tmp_path):
     manifest = json.loads((tmp_path / "ds/manifest.json").read_text())
     assert manifest["window_s"] == 60.0
     assert manifest["step_s"] == 5.0
-    loaded = load_dataset(tmp_path / "ds")  # no config needed
+    loaded = load_dataset(tmp_path / "ds")
     assert loaded.records[0].window_s == 60.0

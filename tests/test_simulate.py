@@ -8,9 +8,10 @@ from lcftraffic.network import (Link, RoadNetwork, SignalPlan,
                                 generate_grid_network, occurrence_passes)
 from lcftraffic.scenarios import ODMatrix, Scenario
 from lcftraffic.simulate import (SimConfig, SimRecord, SimState,
-                                 initial_turn_ratios, link_speed, network_mfd,
+                                 SimulationError, TurnRatios, _window_stats,
+                                 initial_turn_ratios, network_mfd,
                                  scatter_add, scatter_sum, shortest_time_to_dest,
-                                 simulate, storage_capacity, transfer_flow,
+                                 simulate, storage_capacity,
                                  update_turn_ratios, save_record, load_record)
 from netgen import random_network
 
@@ -87,43 +88,61 @@ def test_storage_capacity_linear_in_lanes():
 # transfer flow
 # ---------------------------------------------------------------------------
 
+def one_pair_transfer(waiting, down_occupancy, ratio=1.0, length=350.0,
+                      lanes=2, green=True, **cfg_kw):
+    """Vehicles SimState.step moves over the one pair of a two-link chain
+    (link 0 into link 1, the destination) in one step: ``waiting`` queued
+    on link 0, ``down_occupancy`` vehicles on link 1, whose storage is
+    length * lanes / 7 m (100 at the defaults)."""
+    net = chain_network(2, length=length, lanes=lanes,
+                        red_at=None if green else 1)
+    state = SimState(net, SimConfig(**cfg_kw), [(0, 1)], (1,))
+    state.w[0, 0] = waiting
+    state.m[1, 0] = down_occupancy
+    idx = net.index
+    ratios = TurnRatios(idx.pair_up, idx.pair_dn, (1,), np.array([[ratio]]))
+    out = state.step(None, ratios)
+    assert state.w[0, 0] == waiting - out["outflow"][0]
+    return float(out["outflow"][0])
+
+
 def test_transfer_flow_red_is_zero():
-    cfg = SimConfig()
-    assert transfer_flow(50.0, 1.0, 3, 0.0, 100.0, False, cfg) == 0.0
+    assert one_pair_transfer(50.0, 0.0, lanes=3, green=False) == 0.0
 
 
 def test_transfer_flow_min_rule():
-    cfg = SimConfig(saturation_flow=0.2)
-    # saturation term 0.2 * 2 lanes * 5 s = 2; downstream space 5
-    assert transfer_flow(10.0, 1.0, 2, 5.0, 10.0, True, cfg) == 2.0
+    # saturation term 0.2 * 2 lanes * 5 s = 2; downstream space 5 of 10
+    assert one_pair_transfer(10.0, 5.0, length=35.0,
+                             saturation_flow=0.2) == 2.0
 
 
 def test_transfer_flow_congested_downstream_blocks():
-    cfg = SimConfig(congestion_threshold=0.95)
-    assert transfer_flow(10.0, 1.0, 3, 96.0, 100.0, True, cfg) == 0.0
+    assert one_pair_transfer(10.0, 96.0, lanes=2,
+                             congestion_threshold=0.95) == 0.0
 
 
 def test_transfer_flow_never_exceeds_waiting():
-    cfg = SimConfig()
-    assert transfer_flow(1.5, 1.0, 5, 0.0, 1000.0, True, cfg) == 1.5
+    # storage 1400 m * 5 lanes / 7 m = 1000
+    assert one_pair_transfer(1.5, 0.0, length=1400.0, lanes=5) == 1.5
 
 
 def test_transfer_flow_rejects_bad_ratio():
-    cfg = SimConfig()
-    with pytest.raises(ValueError):
-        transfer_flow(1.0, 1.5, 2, 0.0, 10.0, True, cfg)
+    net = chain_network(2)
+    idx = net.index
+    with pytest.raises(SimulationError):
+        TurnRatios(idx.pair_up, idx.pair_dn, (1,),
+                   np.array([[1.5]])).validate(net.n_links)
 
 
 def test_transfer_flow_monotone_in_space_and_queue():
-    cfg = SimConfig()
     prev = -1.0
     for space in np.linspace(0, 60, 13):
-        q = transfer_flow(30.0, 1.0, 2, 100.0 - space, 100.0, True, cfg)
+        q = one_pair_transfer(30.0, 100.0 - space)
         assert q >= prev - 1e-12
         prev = q
     prev = -1.0
     for waiting in np.linspace(0, 40, 17):
-        q = transfer_flow(waiting, 0.7, 2, 10.0, 100.0, True, cfg)
+        q = one_pair_transfer(waiting, 10.0, ratio=0.7)
         assert q >= prev - 1e-12
         prev = q
 
@@ -410,25 +429,31 @@ def test_scatters_equal_add_at_bit_for_bit():
 # link speed aggregation
 # ---------------------------------------------------------------------------
 
+def window_link_speed(outflows, accumulations, cfg):
+    """_window_stats speed of one 500 m, 25 km/h link from its per-step
+    outflows and accumulations over a window."""
+    speeds, *_ = _window_stats(np.array([0.5]), np.array([25.0]), cfg,
+                               np.array([np.sum(outflows)]),
+                               np.array([np.sum(accumulations)]))
+    return float(speeds[0])
+
+
 def test_link_speed_clamps_to_free_flow():
     cfg = SimConfig()
-    lk = Link(0, 0, 1, 500.0, 2, 0, 25.0)
     outflows = np.ones(36)
     acc = np.full(36, 10.0)
     # raw = 36 * 0.5 km / 360 * 720 = 36 km/h -> clamped to 25
-    assert link_speed(outflows, acc, lk, cfg) == 25.0
+    assert window_link_speed(outflows, acc, cfg) == 25.0
 
 
 def test_link_speed_empty_link_is_free_flow():
     cfg = SimConfig()
-    lk = Link(0, 0, 1, 500.0, 2, 0, 25.0)
-    assert link_speed(np.zeros(36), np.zeros(36), lk, cfg) == 25.0
+    assert window_link_speed(np.zeros(36), np.zeros(36), cfg) == 25.0
 
 
 def test_link_speed_gridlock_is_v_min():
     cfg = SimConfig()
-    lk = Link(0, 0, 1, 500.0, 2, 0, 25.0)
-    assert link_speed(np.zeros(36), np.full(36, 50.0), lk, cfg) == cfg.v_min_kmh
+    assert window_link_speed(np.zeros(36), np.full(36, 50.0), cfg) == cfg.v_min_kmh
 
 
 # ---------------------------------------------------------------------------
@@ -505,15 +530,14 @@ def test_free_flow_regime_every_window_exact():
 
 
 def test_network_mfd_single_link_identity():
-    # with one link the network mean speed is that link's (unclamped) speed
-    from lcftraffic.simulate import _window_stats
-    junctions = {0: (0.0, 0.0), 1: (500.0, 0.0)}
-    net = RoadNetwork(junctions, [Link(0, 0, 1, 500.0, 3, 0, 25.0)])
+    # with one link (500 m, 25 km/h) the network mean speed is that link's
+    # (unclamped) speed
     cfg = short_cfg(window_s=100.0, total_s=400.0, warmup_s=100.0, peak_s=200.0)
     steps = cfg.steps_per_window
     sum_x = np.array([8.0 * steps])
     sum_u = np.array([12.0 * sum_x[0] / (720.0 * 0.5)])  # raw speed 12 km/h
-    speeds, mean_speed, _, _ = _window_stats(net, cfg, sum_u, sum_x)
+    speeds, mean_speed, _, _ = _window_stats(np.array([0.5]), np.array([25.0]),
+                                             cfg, sum_u, sum_x)
     assert speeds[0] == pytest.approx(12.0)
     assert mean_speed == pytest.approx(12.0)
 
@@ -531,17 +555,15 @@ def test_network_mfd_shape_and_zero_demand_convention():
 
 
 def test_mean_speed_is_accumulation_weighted():
-    # two links, equal accumulation, speeds 10 and 30 -> mean in between
-    from lcftraffic.simulate import _window_stats
-    junctions = {0: (0, 0), 1: (1000, 0), 2: (1000, 10), 3: (0, 10)}
-    links = [Link(0, 0, 1, 1000.0, 2, 0, 50.0), Link(1, 2, 3, 1000.0, 2, 0, 50.0)]
-    net = RoadNetwork(junctions, links)
+    # two 1 km, 50 km/h links, equal accumulation, speeds 10 and 30 -> mean
+    # in between
     cfg = short_cfg(window_s=100.0, total_s=400.0, warmup_s=100.0, peak_s=200.0)
     steps = cfg.steps_per_window
     # per-step outflow u makes raw speed u*L/x * 720; choose u for 10 and 30
     sum_x = np.array([10.0 * steps, 10.0 * steps])
     sum_u = np.array([10.0 * sum_x[0] / (720.0 * 1.0), 30.0 * sum_x[1] / (720.0 * 1.0)])
-    speeds, mean_speed, production, total_acc = _window_stats(net, cfg, sum_u, sum_x)
+    speeds, mean_speed, production, total_acc = _window_stats(
+        np.array([1.0, 1.0]), np.array([50.0, 50.0]), cfg, sum_u, sum_x)
     assert speeds[0] == pytest.approx(10.0)
     assert speeds[1] == pytest.approx(30.0)
     assert 10.0 < mean_speed < 30.0
