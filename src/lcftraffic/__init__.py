@@ -21,7 +21,7 @@ from .scenarios import (DEMAND_LEVELS, Dataset, ODMatrix, Scenario,
                         build_dataset, bus_lane_candidates, load_dataset,
                         load_od, perturb_od, random_base_od,
                         sample_bus_lane_config, save_dataset, save_od,
-                        scale_demand, split_sizes)
+                        split_sizes)
 from .partition import (PartitionAssignment, PartitionParams,
                         build_cluster_points, kmeans, load_partition,
                         partition_network, peak_window_speed, save_partition)

@@ -117,6 +117,12 @@ def make_predictor(name: str, partition, nn_models: dict[str, LcfModel],
 # metric protocols
 # ---------------------------------------------------------------------------
 
+def _scenario_networks(net: RoadNetwork, scenarios) -> dict[int, RoadNetwork]:
+    """Each scenario's bus-lane network, built once per evaluation and shared
+    by every model, so its cached index is built once too."""
+    return {sc.id: net.with_bus_lanes(sc.bus_links) for sc in scenarios}
+
+
 def evaluate_speed_split(net: RoadNetwork, dataset: Dataset, partition,
                          model_names, nn_models, lr_model=None,
                          split: str = "test", scenario_class: str = "",
@@ -124,13 +130,15 @@ def evaluate_speed_split(net: RoadNetwork, dataset: Dataset, partition,
     """Pooled speed-error metrics per model over every (scenario, window,
     link) sample of the split."""
     label = scenario_class or f"{split}-{dataset.demand_level}"
+    scenarios = dataset.split_scenarios(split)
+    nets = _scenario_networks(net, scenarios)
     reports, samples = [], {}
     for name in model_names:
         fn = make_predictor(name, partition, nn_models, lr_model)
         preds, truths = [], []
-        for sc in dataset.split_scenarios(split):
+        for sc in scenarios:
             rec = dataset.records[sc.id]
-            preds.append(fn(net.with_bus_lanes(sc.bus_links), rec).ravel())
+            preds.append(fn(nets[sc.id], rec).ravel())
             truths.append(rec.speeds.ravel())
         pred = np.concatenate(preds)
         truth = np.concatenate(truths)
@@ -153,13 +161,14 @@ def evaluate_travel_time_split(net: RoadNetwork, dataset: Dataset, partition,
     if not scenarios:
         raise ValueError(f"split {split!r} is empty")
     per_scenario = max(1, n_trips // len(scenarios))
+    nets = _scenario_networks(net, scenarios)
     trip_sets = {}
     for sc in scenarios:
         rec = dataset.records[sc.id]
         lo = warmup_windows if warmup_windows is not None \
             else max(1, rec.n_windows // 10)
-        trip_sets[sc.id] = generate_trips(net.with_bus_lanes(sc.bus_links),
-                                          per_scenario, seed=seed + sc.id,
+        trip_sets[sc.id] = generate_trips(nets[sc.id], per_scenario,
+                                          seed=seed + sc.id,
                                           horizon=(lo, rec.n_windows - 1))
     reports, samples = [], {}
     for name in model_names:
@@ -168,7 +177,7 @@ def evaluate_travel_time_split(net: RoadNetwork, dataset: Dataset, partition,
         excluded = 0
         for sc in scenarios:
             rec = dataset.records[sc.id]
-            sub = net.with_bus_lanes(sc.bus_links)
+            sub = nets[sc.id]
             pred = np.maximum(fn(sub, rec), v_floor_kmh)
             result = travel_time_experiment(sub, pred, rec.speeds,
                                             trip_sets[sc.id], rec.window_s,

@@ -9,6 +9,12 @@ speed V: "Ratio" (estimate = raw * V), "Diff" (raw + V) and "Speed"
 plain dense projection and/or drop the recurrent branch, which yields the
 DNN / DNN-GRU / GAT baseline family; a partition assignment fills the
 sub-region feature column for the "-P" variants.
+
+Precision: the model runs in ``ModelConfig.dtype``, float32 by default. The
+attention heads' parameters and arithmetic stay float64, so their softmax
+rows sum to 1 within float64 rounding, and ``spatial_embed`` casts its output
+to the model dtype. Normalization statistics, decoding and everything
+downstream of a prediction stay float64.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ FC_HIDDEN = (384, 256, 128, 64, 32)
 # (window, link) rows the head takes per call in predict_windows; a block
 # never splits a window, so it holds one window when a window alone is larger
 PREDICT_BLOCK_ROWS = 8192
+DTYPES = ("float32", "float64")
 
 
 @dataclass(frozen=True)
@@ -46,6 +53,12 @@ class ModelConfig:
     leaky_slope: float = 0.2
     output_type: str = "Speed"
     seed: int = 0
+    dtype: str = "float32"
+
+    def __post_init__(self):
+        if self.dtype not in DTYPES:
+            raise ValueError(f"dtype must be one of {', '.join(DTYPES)}, "
+                             f"got {self.dtype!r}")
 
     @property
     def fc_input_dim(self) -> int:
@@ -131,23 +144,26 @@ class LcfModel:
     def __init__(self, config: ModelConfig, norm: Normalization | None = None):
         self.config = config
         self.norm = norm
+        self.dtype = np.dtype(config.dtype)
         rng = np.random.default_rng(config.seed)
         h = config.hidden_dim
         self._names: list[str] = []
         self.params: dict[str, Tensor] = {}
 
-        def make(name: str, shape, zero=False):
-            t = Tensor(np.zeros(shape), requires_grad=True) if zero \
-                else nn.glorot(rng, shape)
+        def make(name: str, shape, zero=False, dtype=self.dtype):
+            # drawn in float64, so both dtypes start from the same draws
+            data = np.zeros(shape) if zero else nn.glorot(rng, shape).data
+            t = Tensor(data.astype(dtype), requires_grad=True)
             self.params[name] = t
             self._names.append(name)
             return t
 
         if config.use_gat:
+            # the attention heads stay float64 (module docstring)
             for k in range(config.heads):
-                make(f"gat.h{k}.W", (N_FEATURES, h))
-                make(f"gat.h{k}.a_src", (h, 1))
-                make(f"gat.h{k}.a_dst", (h, 1))
+                make(f"gat.h{k}.W", (N_FEATURES, h), dtype=np.float64)
+                make(f"gat.h{k}.a_src", (h, 1), dtype=np.float64)
+                make(f"gat.h{k}.a_dst", (h, 1), dtype=np.float64)
         else:
             make("dnn.W", (N_FEATURES, h))
             make("dnn.b", (1, h), zero=True)
@@ -170,7 +186,8 @@ class LcfModel:
         return [(n, self.params[n].data) for n in self._names]
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Replace every parameter; the names and shapes must match."""
+        """Replace every parameter, cast to its dtype; the names and shapes
+        must match."""
         extra = sorted(set(arrays) - set(self._names))
         if extra:
             raise ValueError(f"unexpected array {extra[0]!r} for {self.config.name}")
@@ -181,7 +198,7 @@ class LcfModel:
             if arrays[n].shape != expected:
                 raise ValueError(f"array {n!r} has shape {arrays[n].shape}, "
                                  f"expected {expected}")
-            self.params[n].data = arrays[n].astype(np.float64).copy()
+            self.params[n].data = arrays[n].astype(self.params[n].data.dtype)
 
     # forward pieces -------------------------------------------------------
 
@@ -210,7 +227,7 @@ class LcfModel:
         out = heads[0]
         for extra in heads[1:]:
             out = nn.add(out, extra)
-        return nn.scale(out, 1.0 / cfg.heads)
+        return nn.astype(nn.scale(out, 1.0 / cfg.heads), self.dtype)
 
     def attention_matrix(self, feats_norm: np.ndarray, adj_mask: np.ndarray,
                          head: int = 0) -> np.ndarray:
@@ -220,14 +237,16 @@ class LcfModel:
             return self._attention(nn.constant(feats_norm), adj_mask, head)[1].data
 
     def temporal_embed(self, hist_norm: np.ndarray) -> Tensor:
-        """GRU over (B, history_len) normalized mean-speed sequences."""
+        """GRU over (B, history_len) normalized mean-speed sequences, run in
+        the model dtype."""
         cfg = self.config
         if hist_norm.shape[1] != cfg.history_len:
             raise ValueError(
                 f"history length {hist_norm.shape[1]} != {cfg.history_len}")
+        hist_norm = np.asarray(hist_norm, dtype=self.dtype)
         b = hist_norm.shape[0]
-        h = nn.constant(np.zeros((b, cfg.hidden_dim)))
-        one = nn.constant(np.float64(1.0))
+        h = nn.constant(np.zeros((b, cfg.hidden_dim), self.dtype))
+        one = nn.constant(self.dtype.type(1.0))
         for t in range(cfg.history_len):
             x_t = nn.constant(hist_norm[:, t:t + 1])
             cat = nn.concat([h, x_t], axis=1)
@@ -265,12 +284,15 @@ class LcfModel:
                hist_norm: np.ndarray, vmean_norm: np.ndarray
                ) -> tuple[Tensor, Tensor]:
         """The head's inputs: spatial (n_links, hidden) and temporal rows,
-        one per window (the GRU state, or the normalized mean speed)."""
-        spatial = self.spatial_embed(nn.constant(feats_norm), adj_mask)
+        one per window (the GRU state, or the normalized mean speed). The
+        inputs are cast to the model dtype, a no-op for a ``SampleBatch``."""
+        spatial = self.spatial_embed(
+            nn.constant(np.asarray(feats_norm, dtype=self.dtype)), adj_mask)
         if self.config.use_gru:
             temporal = self.temporal_embed(hist_norm)
         else:
-            temporal = nn.constant(np.asarray(vmean_norm, dtype=float).reshape(-1, 1))
+            temporal = nn.constant(
+                np.asarray(vmean_norm, dtype=self.dtype).reshape(-1, 1))
         return spatial, temporal
 
     def forward(self, feats_norm: np.ndarray, adj_mask: np.ndarray,
@@ -293,11 +315,12 @@ class LcfModel:
         (window, link) rows unless one window alone has more links, and
         each block is decoded into the output before the next one starts.
         Peak memory is therefore bounded by one block's head activations,
-        a layer's input and output at once (8,192 x (384 + 256) x 8 B, about
-        42 MB, at the default widths), not by windows x links. Blocks of two
-        or more windows give the same bits as one head call over all
-        windows; a one-window block can differ in the last bits, since a
-        one-row matrix product takes another BLAS path. Balancing leaves no
+        a layer's input and output at once (8,192 x (384 + 256) x 4 B in
+        float32, about 21 MB, at the default widths), not by windows x
+        links. Blocks of two or more windows give the same bits as one head
+        call over all windows; a one-window block can differ in the last
+        bits, since a one-row matrix product takes another BLAS path. The
+        head's output is decoded in float64. Balancing leaves no
         lone-window block (unless the call has one window) while a block
         fits three or more windows, i.e. up to 2,730 links.
         """
@@ -325,6 +348,7 @@ class LcfModel:
                 b = slice(block[0], block[-1] + 1)
                 raw = self.fuse(spatial, nn.constant(temporal.data[b]),
                                 len(block)).data.reshape(len(block), n_links)
+                raw = raw.astype(np.float64)
                 out[b] = decode_output(self.norm.denorm_target(raw), v_now[b],
                                        cfg.output_type, vff)
         return out
@@ -356,7 +380,8 @@ class TrainConfig:
 
 @dataclass
 class SampleBatch:
-    """All training windows of one scenario share features and adjacency."""
+    """All training windows of one scenario share features and adjacency;
+    the arrays are in the model dtype."""
 
     feats_norm: np.ndarray
     adj: np.ndarray
@@ -376,8 +401,9 @@ def split_features(net: RoadNetwork, dataset, split: str,
 def build_batches(net: RoadNetwork, dataset, split: str, feats: list[np.ndarray],
                   model_cfg: ModelConfig, norm: Normalization,
                   stride: int = 1) -> list[SampleBatch]:
-    """One batch per scenario of the split; ``feats`` are the scenarios'
-    ``split_features``."""
+    """One batch per scenario of the split, cast to the model dtype;
+    ``feats`` are the scenarios' ``split_features``."""
+    dtype = np.dtype(model_cfg.dtype)
     batches = []
     adj = build_link_graph(net).adjacency
     for sc, sc_feats in zip(dataset.split_scenarios(split), feats):
@@ -393,8 +419,9 @@ def build_batches(net: RoadNetwork, dataset, split: str, feats: list[np.ndarray]
                                model_cfg.output_type)
             target_rows.append(norm.norm_target(y))
         targets = np.concatenate(target_rows).reshape(-1, 1)
-        batches.append(SampleBatch(feats_norm, adj, hist,
-                                   vn[windows], targets))
+        batches.append(SampleBatch(feats_norm.astype(dtype), adj,
+                                   hist.astype(dtype), vn[windows].astype(dtype),
+                                   targets.astype(dtype)))
     return batches
 
 
@@ -497,6 +524,7 @@ def save_model(model: LcfModel, path) -> None:
         "leaky_slope": repr(cfg.leaky_slope),
         "output_type": cfg.output_type,
         "seed": str(cfg.seed),
+        "dtype": cfg.dtype,
         "feat_lo": ",".join(repr(float(v)) for v in norm.feat.lo),
         "feat_hi": ",".join(repr(float(v)) for v in norm.feat.hi),
         "vmean_lo": repr(norm.vmean_lo),
@@ -520,6 +548,8 @@ def load_model(path) -> LcfModel:
         leaky_slope=float(header["leaky_slope"]),
         output_type=header["output_type"],
         seed=int(header["seed"]),
+        # checkpoints written before the dtype entry hold float64 models
+        dtype=header.get("dtype", "float64"),
     )
     norm = Normalization(
         feat=MinMaxStats(

@@ -1,4 +1,5 @@
-"""Minimal reverse-mode differentiation core on float64 numpy arrays.
+"""Minimal reverse-mode differentiation core on float32 or float64 numpy
+arrays.
 
 Only the handful of operations the estimator needs are implemented:
 matmul, broadcasting add/mul, concat, relu, leaky_relu, sigmoid, tanh,
@@ -8,6 +9,14 @@ applied to every (row of a, row of b) concatenation without building it).
 Each op records a backward closure; ``backward`` walks the tape in reverse
 topological order. Everything is deliberately single-threaded and
 deterministic.
+
+Precision: every op, ``backward`` and ``AdamW`` keep their inputs' dtype, so
+one code path runs in float32 or in float64. A Tensor keeps float32 and
+float64 data as given and casts anything else (Python numbers, integer
+arrays) to float64; ``astype`` is the one op that changes precision, and its
+backward casts the gradient back. Constants made from a Python scalar take
+the dtype of the array they meet (``scale``), since a float64 numpy scalar
+would upcast a float32 array.
 
 Inference mode: inside ``with no_grad():`` every op returns a Tensor with
 no parents, no backward closures and ``requires_grad=False``, so nothing is
@@ -42,11 +51,17 @@ def no_grad():
         _grad_mode.enabled = previous
 
 
+_FLOAT_TYPES = (np.float32, np.float64)
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), vjps=()):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        if data.dtype.type not in _FLOAT_TYPES:
+            data = data.astype(np.float64)
+        self.data = data
         self.grad: np.ndarray | None = None
         if not _grad_mode.enabled:
             # an op's output under no_grad: drop the closures (and the
@@ -119,7 +134,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, k: float) -> Tensor:
-    return mul(a, constant(np.float64(k)))
+    return mul(a, constant(a.data.dtype.type(k)))
+
+
+def astype(a: Tensor, dtype) -> Tensor:
+    """``a`` in ``dtype``; the gradient is cast back to ``a``'s dtype. Returns
+    ``a`` itself when it already has that dtype."""
+    source = a.data.dtype
+    if source == dtype:
+        return a
+    return Tensor(a.data.astype(dtype), parents=(a,),
+                  vjps=(lambda g: g.astype(source),))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -160,7 +185,7 @@ def relu(a: Tensor) -> Tensor:
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     mask = a.data > 0
     return Tensor(np.where(mask, a.data, slope * a.data), parents=(a,),
-                  vjps=(lambda g: g * np.where(mask, 1.0, slope),))
+                  vjps=(lambda g: np.where(mask, g, slope * g),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -377,9 +402,18 @@ def grad_check(closure, params, eps: float = 1e-6) -> float:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint serialization: text header + flat float arrays, exact
-# round-trip via repr/float
+# checkpoint serialization: text header + flat float arrays, each value in
+# the shortest repr that reads back to the same bits in its own dtype
 # ---------------------------------------------------------------------------
+
+def _shortest_reprs(arr: np.ndarray):
+    """float64 values as ``repr(float)``; float32 values as ``str`` of the
+    float32 scalar, the shortest digits that round to that float32."""
+    flat = arr.reshape(-1)
+    if flat.dtype == np.float32:
+        return map(str, flat)
+    return map(repr, flat.astype(np.float64, copy=False).tolist())
+
 
 def save_arrays(path, header: dict[str, str], arrays: list[tuple[str, np.ndarray]]) -> None:
     with open(path, "w") as fh:
@@ -389,7 +423,7 @@ def save_arrays(path, header: dict[str, str], arrays: list[tuple[str, np.ndarray
         for name, arr in arrays:
             shape = ",".join(str(s) for s in arr.shape)
             fh.write(f"array {name} {shape}\n")
-            fh.write(" ".join(repr(float(v)) for v in arr.reshape(-1)) + "\n")
+            fh.write(" ".join(_shortest_reprs(arr)) + "\n")
 
 
 def load_arrays(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
@@ -408,7 +442,9 @@ def load_arrays(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
             name, shape_s = rest.rsplit(" ", 1)
             shape = tuple(int(s) for s in shape_s.split(",") if s)
             values = next(lines)
-            arr = np.array([float(v) for v in values.split()], dtype=np.float64)
+            # float64 reads both reprs exactly: a float32 value's digits
+            # land on its own bits again when cast back to float32
+            arr = np.array(values.split(), dtype=np.float64)
             arrays[name] = arr.reshape(shape)
         else:
             raise ValueError(f"unknown checkpoint record {kind!r}")

@@ -58,12 +58,6 @@ def perturb_od(base: ODMatrix, factors) -> ODMatrix:
     return replace(base, rates=tuple(float(r) for r in rescaled))
 
 
-def scale_demand(od: ODMatrix, factor: float) -> ODMatrix:
-    if factor <= 0:
-        raise ValueError("scale factor must be > 0")
-    return replace(od, rates=tuple(float(r) * factor for r in od.rates))
-
-
 def sample_bus_lane_config(net: RoadNetwork, candidates, count: int,
                            seed) -> tuple[int, ...]:
     """Deterministic sample of `count` candidate links to receive one

@@ -148,7 +148,8 @@ def test_04_gradient_fidelity():
         worst_primitive = max(worst_primitive, err)
 
     # end-to-end estimator on a 4-node toy
-    model = LcfModel(ModelConfig(heads=2, hidden_dim=3, fc_hidden=(6,), seed=4))
+    model = LcfModel(ModelConfig(heads=2, hidden_dim=3, fc_hidden=(6,), seed=4,
+                                 dtype="float64"))
     n = 4
     adj = rng.random((n, n)) < 0.5
     np.fill_diagonal(adj, True)

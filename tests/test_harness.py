@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from lcftraffic.baselines import fit_lr
-from lcftraffic.harness import fit_lr_estimator
-from lcftraffic.model import pad_history
-from lcftraffic.network import extract_features, generate_grid_network
+from lcftraffic.harness import (evaluate_speed_split,
+                                evaluate_travel_time_split, fit_lr_estimator)
+from lcftraffic.model import (LcfModel, ModelConfig, fit_normalization,
+                              pad_history, split_features)
+from lcftraffic.network import (RoadNetwork, extract_features,
+                                generate_grid_network)
 from lcftraffic.scenarios import build_dataset, random_base_od
 from lcftraffic.simulate import SimConfig
 
@@ -75,3 +78,40 @@ def test_lr_estimator_clips_to_zero_and_free_flow(corpus):
     out = est.predict_windows(net, None, vmean)
     assert out.min() == 0.0 and out.max() == 25.0
     assert np.all((out >= 0.0) & (out <= 25.0))
+
+
+def test_evaluations_build_each_scenario_network_once(corpus, monkeypatch):
+    net, dataset = corpus
+    test_scenarios = dataset.split_scenarios("test")
+    with_lanes = sum(1 for sc in test_scenarios if sc.bus_links)
+    assert with_lanes > 0
+    lr = fit_lr_estimator(net, dataset)
+    dnn = LcfModel(ModelConfig(use_gat=False, use_partition=False,
+                               hidden_dim=4, fc_hidden=(4,)),
+                   fit_normalization(dataset, split_features(net, dataset,
+                                                             "train"), "Speed"))
+    models = ["MFD", "LR", "DNN"]
+    runs = {
+        "speed": lambda names: evaluate_speed_split(
+            net, dataset, None, names, {"DNN": dnn}, lr),
+        "travel_time": lambda names: evaluate_travel_time_split(
+            net, dataset, None, names, {"DNN": dnn}, lr, n_trips=40, seed=3),
+    }
+    built = []
+    init = RoadNetwork.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    for name, run in runs.items():
+        # one model per call, as every model built its own networks before
+        alone = [run([m]) for m in models]
+        monkeypatch.setattr(RoadNetwork, "__init__", counting_init)
+        built.clear()
+        reports, samples = run(models)
+        monkeypatch.setattr(RoadNetwork, "__init__", init)
+        assert len(built) == with_lanes, name
+        for m, (rep, smp) in zip(models, alone):
+            assert repr(reports[models.index(m)]) == repr(rep[0]), (name, m)
+            assert samples[m].tobytes() == smp[m].tobytes(), (name, m)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def gat_oracle(feats, adj, w, a_src, a_dst, slope=0.2):
 # ---------------------------------------------------------------------------
 
 def test_gat_two_node_hand_values():
-    model = LcfModel(tiny_config())
+    model = LcfModel(tiny_config(dtype="float64"))
     w = np.zeros((10, 2))
     w[0] = [1.0, 2.0]
     w[1] = [3.0, 4.0]
@@ -84,7 +85,7 @@ def test_gat_single_node_self_loop():
 def test_gat_matches_oracle_on_random_graphs():
     rng = np.random.default_rng(12)
     for trial in range(5):
-        model = LcfModel(tiny_config(hidden_dim=3, seed=trial))
+        model = LcfModel(tiny_config(hidden_dim=3, seed=trial, dtype="float64"))
         n = 6
         adj = rng.random((n, n)) < 0.4
         np.fill_diagonal(adj, True)
@@ -123,7 +124,7 @@ def test_gru_zero_weights_fixed_point():
 
 
 def test_gru_hand_recurrence_one_dim():
-    model = LcfModel(tiny_config(hidden_dim=1))
+    model = LcfModel(tiny_config(hidden_dim=1, dtype="float64"))
     model.params["gru.Wz"].data = np.array([[0.5], [1.0]])
     model.params["gru.bz"].data = np.array([[0.1]])
     model.params["gru.Wr"].data = np.array([[-0.3], [0.8]])
@@ -147,7 +148,7 @@ def test_gru_hand_recurrence_one_dim():
 
 def test_gru_saturated_update_gate_tracks_candidate():
     rng = np.random.default_rng(4)
-    model = LcfModel(tiny_config(hidden_dim=3, seed=4))
+    model = LcfModel(tiny_config(hidden_dim=3, seed=4, dtype="float64"))
     model.params["gru.bz"].data[:] = 50.0  # update gate pinned at 1
     hist = rng.uniform(0, 1, size=(2, 5))
     out = model.temporal_embed(hist).data
@@ -324,7 +325,8 @@ def test_forward_is_permutation_equivariant():
 
 def test_end_to_end_gradcheck_small():
     rng = np.random.default_rng(5)
-    model = LcfModel(tiny_config(hidden_dim=2, fc_hidden=(3,), seed=7))
+    model = LcfModel(tiny_config(hidden_dim=2, fc_hidden=(3,), seed=7,
+                                 dtype="float64"))
     n = 4
     adj = rng.random((n, n)) < 0.5
     np.fill_diagonal(adj, True)
@@ -454,10 +456,12 @@ def test_predict_blocks_equal_one_head_call_to_the_bit(monkeypatch, use_gru):
     vmean = np.random.default_rng(8).uniform(2.0, 25.0, size=20)
     model = untrained_predictor(net, use_gru=use_gru)
     # reference: the taped forward over all windows, decoded window by window
+    # in float64, as predict_windows decodes
     vn = model.norm.norm_vmean(vmean)
     hist = np.stack([pad_history(vn, t, 5) for t in range(20)])
     raw = model.forward(model.norm.feat.apply(extract_features(net, None)),
-                        build_link_graph(net).adjacency, hist, vn).data
+                        build_link_graph(net).adjacency, hist,
+                        vn).data.astype(np.float64)
     vff = np.array([lk.vff_kmh for lk in net.links])
     ref = np.stack([decode_output(model.norm.denorm_target(r), vmean[t],
                                   "Speed", vff)
@@ -500,7 +504,8 @@ def test_predict_peak_memory_is_bounded_by_one_block():
 
 def test_attention_matrix_is_the_attention_spatial_embed_uses():
     rng = np.random.default_rng(14)
-    model = LcfModel(tiny_config(hidden_dim=3, heads=2, seed=5))
+    model = LcfModel(tiny_config(hidden_dim=3, heads=2, seed=5,
+                                 dtype="float64"))
     adj = rng.random((6, 6)) < 0.4
     np.fill_diagonal(adj, True)
     feats = rng.normal(size=(6, 10))
@@ -509,3 +514,108 @@ def test_attention_matrix_is_the_attention_spatial_embed_uses():
              for k in range(2)]
     out = model.spatial_embed(nn.constant(feats), adj).data
     assert np.array_equal(out, (heads[0] + heads[1]) * 0.5)
+
+
+# ---------------------------------------------------------------------------
+# precision: float32 model, float64 attention
+# ---------------------------------------------------------------------------
+
+def toy_normalization():
+    return Normalization(feat=MinMaxStats(lo=np.zeros(10), hi=np.ones(10)),
+                         vmean_lo=0.0, vmean_hi=1.0, target_lo=0.0,
+                         target_hi=1.0)
+
+
+def test_float32_model_keeps_attention_in_float64():
+    model = LcfModel(tiny_config(heads=2))
+    assert model.config.dtype == "float32"
+    for name, p in model.params.items():
+        expected = np.float64 if name.startswith("gat.") else np.float32
+        assert p.data.dtype == expected, name
+    rng = np.random.default_rng(6)
+    adj = rng.random((5, 5)) < 0.5
+    np.fill_diagonal(adj, True)
+    feats = rng.uniform(0, 1, size=(5, 10))
+    assert model.attention_matrix(feats, adj).dtype == np.float64
+    assert model.spatial_embed(nn.constant(feats), adj).data.dtype == np.float32
+    out = model.forward(feats, adj, rng.uniform(0, 1, size=(3, 5)),
+                        rng.uniform(0, 1, size=3))
+    assert out.data.dtype == np.float32
+    with pytest.raises(ValueError, match="float16"):
+        ModelConfig(dtype="float16")
+
+
+def test_float32_gradients_agree_with_float64_on_the_criterion_4_toy():
+    # the float64 model loads the float32 parameters exactly, so both
+    # differentiate at the same point; over 30 draws of this toy the worst
+    # gap was 7.6e-7 of the largest gradient entry
+    for seed in range(4, 9):
+        rng = np.random.default_rng(seed)
+        cfg = ModelConfig(heads=2, hidden_dim=3, fc_hidden=(6,), seed=seed)
+        m32 = LcfModel(cfg)
+        m64 = LcfModel(replace(cfg, dtype="float64"))
+        m64.load_state({n: p.data for n, p in m32.params.items()})
+        n = 4
+        adj = rng.random((n, n)) < 0.5
+        np.fill_diagonal(adj, True)
+        feats = rng.uniform(0, 1, size=(n, 10))
+        hist = rng.uniform(0, 1, size=(2, 5))
+        vmean = rng.uniform(0.2, 0.8, size=2)
+        target = rng.uniform(0, 1, size=(2 * n, 1))
+        for m in (m32, m64):
+            nn.zero_grads(m.parameters())
+            nn.backward(nn.mse_loss(m.forward(feats, adj, hist, vmean),
+                                    nn.constant(target.astype(m.dtype))))
+        for name, p in m32.params.items():
+            assert p.grad.dtype == p.data.dtype, name
+        gap = max(np.abs(m32.params[k].grad - m64.params[k].grad).max()
+                  for k in m32.params)
+        largest = max(np.abs(p.grad).max() for p in m64.params.values())
+        assert gap < 1e-5 * largest, seed
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_checkpoint_round_trip_is_bit_equal(tmp_path, dtype):
+    model = LcfModel(tiny_config(heads=2, hidden_dim=3, dtype=dtype),
+                     toy_normalization())
+    for p in model.parameters():    # random bits past the init's range
+        p.data = np.random.default_rng(p.data.size).normal(
+            size=p.data.shape).astype(p.data.dtype) * 1e3
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.config == model.config
+    for name, p in model.params.items():
+        assert loaded.params[name].data.dtype == p.data.dtype, name
+        assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
+
+
+def test_checkpoint_without_dtype_loads_as_float64(tmp_path):
+    model = LcfModel(tiny_config(dtype="float64"), toy_normalization())
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    text = path.read_text()
+    assert "meta dtype float64\n" in text
+    path.write_text(text.replace("meta dtype float64\n", ""))
+    loaded = load_model(path)
+    assert loaded.config.dtype == "float64"
+    for name, p in model.params.items():
+        assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
+
+
+def test_training_batches_and_parameters_stay_in_the_model_dtype():
+    net, ds, part = toy_training_setup(seed=23)
+    mc = ModelConfig(hidden_dim=6, fc_hidden=(8,))
+    model, history = train(net, ds, part, mc,
+                           TrainConfig(epochs=1, seed=0, window_stride=3))
+    assert np.isfinite(history[0]["train_loss"])
+    for name, p in model.params.items():
+        expected = np.float64 if name.startswith("gat.") else np.float32
+        assert p.data.dtype == expected, name
+    feats = model_module.split_features(net, ds, "val", part)
+    for batch in model_module.build_batches(net, ds, "val", feats, mc,
+                                            model.norm):
+        for field in ("feats_norm", "hist", "vmean_norm", "targets"):
+            assert getattr(batch, field).dtype == np.float32, field
+    rec = ds.records[ds.splits["test"][0]]
+    assert model.predict_windows(net, part, rec.mean_speed).dtype == np.float64

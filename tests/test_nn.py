@@ -163,6 +163,74 @@ def test_dense_rejects_misaligned_shapes():
 
 
 # ---------------------------------------------------------------------------
+# precision
+# ---------------------------------------------------------------------------
+
+def test_tensor_keeps_float32_and_float64_and_casts_the_rest():
+    assert Tensor(np.zeros(2, np.float32)).data.dtype == np.float32
+    assert Tensor(np.float32(1.5)).data.dtype == np.float32
+    assert Tensor(np.zeros(2)).data.dtype == np.float64
+    for other in (1.5, 2, [1, 2], np.arange(3), np.zeros(2, np.float16)):
+        assert Tensor(other).data.dtype == np.float64
+
+
+def test_float32_ops_backward_and_adamw_stay_float32():
+    # a float64 constant or vjp anywhere would upcast silently (NEP 50)
+    rng = np.random.default_rng(32)
+
+    def f32(*shape):
+        return Tensor(rng.normal(size=shape).astype(np.float32),
+                      requires_grad=True)
+
+    a, b, row, c = f32(5, 4), f32(5, 4), f32(1, 4), f32(4, 3)
+    w43, w63, b13, outer2 = f32(4, 3), f32(6, 3), f32(1, 3), f32(3, 2)
+    params = [a, b, row, c, w43, w63, b13, outer2]
+    outputs = {
+        "matmul": lambda: nn.matmul(a, c),
+        "add": lambda: nn.add(a, row),
+        "mul": lambda: nn.mul(a, b),
+        "scale": lambda: nn.scale(a, 0.5),
+        "concat": lambda: nn.concat([a, b], axis=1),
+        "relu": lambda: nn.relu(a),
+        "leaky_relu": lambda: nn.leaky_relu(a, 0.2),
+        "sigmoid": lambda: nn.sigmoid(a),
+        "tanh": lambda: nn.tanh(a),
+        "softmax": lambda: nn.softmax_rowwise(a),
+        "transpose": lambda: nn.transpose(a),
+        "dense": lambda: nn.dense(a, w43, b13, relu=True),
+        "pair_dense": lambda: nn.pair_dense(a, outer2, w63, b13, relu=True),
+        "astype": lambda: nn.astype(nn.astype(a, np.float64), np.float32),
+    }
+    for name, build in outputs.items():
+        nn.zero_grads(params)
+        out = build()
+        loss = nn.mse_loss(out, nn.constant(np.ones(out.shape, np.float32)))
+        assert out.data.dtype == loss.data.dtype == np.float32, name
+        backward(loss)
+        reached = [p for p in params if p.grad is not None]
+        assert reached, name
+        assert all(p.grad.dtype == np.float32 for p in reached), name
+    opt = AdamW(params, lr=0.01)
+    for p in params:
+        p.grad = np.ones_like(p.data)
+    opt.step()
+    assert all(p.data.dtype == np.float32 for p in params)
+    assert all(m.dtype == np.float32 for m in opt._m + opt._v)
+
+
+def test_astype_casts_the_gradient_back():
+    x = Tensor(np.array([[0.1, -0.3]]), requires_grad=True)
+    same = nn.astype(x, np.float64)
+    assert same is x
+    y = nn.astype(x, np.float32)
+    assert y.data.dtype == np.float32
+    assert np.array_equal(y.data, x.data.astype(np.float32))
+    backward(nn.mse_loss(y, nn.constant(np.zeros((1, 2), np.float32))))
+    assert x.grad.dtype == np.float64
+    assert np.array_equal(x.grad, y.data.astype(np.float64))
+
+
+# ---------------------------------------------------------------------------
 # inference mode
 # ---------------------------------------------------------------------------
 
@@ -283,3 +351,22 @@ def test_save_load_arrays_bit_exact(tmp_path):
     path2 = tmp_path / "ckpt2.txt"
     nn.save_arrays(path2, h2, [(n, a2[n]) for n, _ in arrays])
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_float32_arrays_round_trip_bit_exact_in_fewer_bytes(tmp_path):
+    rng = np.random.default_rng(10)
+    bits = rng.integers(0, 2 ** 32, size=20000, dtype=np.uint64).astype(np.uint32)
+    patterns = bits.view(np.float32)
+    patterns = patterns[np.isfinite(patterns)]
+    weights = rng.normal(size=(40, 30)).astype(np.float32)
+    arrays = [("bits", patterns), ("w", weights)]
+    path32, path64 = tmp_path / "f32.txt", tmp_path / "f64.txt"
+    nn.save_arrays(path32, {}, arrays)
+    nn.save_arrays(path64, {}, [(n, a.astype(np.float64)) for n, a in arrays])
+    for path in (path32, path64):
+        _, loaded = nn.load_arrays(path)
+        for name, arr in arrays:
+            back = loaded[name].astype(np.float32)
+            assert back.shape == arr.shape
+            assert back.tobytes() == arr.tobytes(), (path.name, name)
+    assert path32.stat().st_size < 0.7 * path64.stat().st_size

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from lcftraffic.network import generate_grid_network
-from lcftraffic.scenarios import (Dataset, ODMatrix, build_dataset,
+from lcftraffic.scenarios import (Dataset, ODMatrix, Scenario, build_dataset,
                                   bus_lane_candidates, load_dataset, load_od,
                                   perturb_od, random_base_od,
                                   sample_bus_lane_config, save_dataset, save_od,
-                                  scale_demand, split_sizes)
-from lcftraffic.simulate import SimConfig
+                                  split_sizes)
+from lcftraffic.simulate import SimConfig, simulate
 
 
 def od2(rates=(10.0, 10.0)):
@@ -46,18 +46,26 @@ def test_perturb_rejects_out_of_range_factor():
         perturb_od(od2(), [1.0, 1.3])
 
 
-def test_scale_demand():
-    assert scale_demand(od2(), 1.0).rates == (10.0, 10.0)
-    assert scale_demand(ODMatrix(((0, 1), (1, 2)), (10.0, 20.0)), 1.3).rates == \
-        (13.0, 26.0)
-    with pytest.raises(ValueError):
-        scale_demand(od2(), 0.0)
-
-
-def test_scale_inverse_composition():
-    base = od2((11.3, 47.9))
-    twice = scale_demand(scale_demand(base, 2.0), 0.5)
-    assert np.max(np.abs(np.array(twice.rates) - np.array(base.rates))) < 1e-12
+def test_scenario_scale_equals_premultiplied_rates():
+    # demand scaling has one path, Scenario.scale inside the engine
+    net = generate_grid_network(3, 3, 100.0, 2)
+    cfg = SimConfig(step_s=5.0, window_s=60.0, warmup_s=120.0, peak_s=240.0,
+                    total_s=600.0)
+    base = random_base_od(net, 4, 400.0, seed=5)
+    outflows = []
+    for s in (0.7, 1.3):
+        scaled = simulate(net, Scenario(id=0, od=base, scale=s, bus_links=(),
+                                        seed=2), cfg)
+        pre = ODMatrix(base.pairs, tuple(r * s for r in base.rates))
+        ref = simulate(net, Scenario(id=0, od=pre, scale=1.0, bus_links=(),
+                                     seed=2), cfg)
+        for field in ("speeds", "accumulation", "outflow", "mean_speed",
+                      "production", "total_accumulation", "completed"):
+            assert getattr(scaled, field).tobytes() == \
+                getattr(ref, field).tobytes(), (s, field)
+        assert scaled.balance_error == ref.balance_error
+        outflows.append(scaled.outflow.sum())
+    assert outflows[1] > outflows[0]
 
 
 def test_bus_lane_config_sampling():
