@@ -9,12 +9,12 @@ partition. Baselines and a travel-time evaluation harness round out the
 toolkit.
 """
 
-from .network import (FEATURE_NAMES, Link, LinkGraph, MinMaxStats, NetworkError,
+from .network import (FEATURE_NAMES, Link, MinMaxStats, NetworkError,
                       RoadNetwork, SignalPlan, build_link_graph,
                       extract_features, fit_minmax, generate_grid_network,
                       load_network, save_network)
 from .simulate import (SimConfig, SimRecord, SimulationError, SimState,
-                       TurnRatios, initial_turn_ratios, load_record,
+                       check_turn_ratios, initial_turn_ratios, load_record,
                        network_mfd, save_record, simulate, storage_capacity,
                        update_turn_ratios)
 from .scenarios import (DEMAND_LEVELS, Dataset, ODMatrix, Scenario,

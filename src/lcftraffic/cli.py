@@ -2,9 +2,10 @@
 train, evaluate, travel-time, report.
 
 Options resolve in three layers: built-in defaults, then a flat
-``key = value`` config file (--config), then explicit flags. Every command
-writes only below --out, exits 0 on success, 1 on validation problems and
-2 on runtime failures, and is reproducible given the same seed.
+``key = value`` config file (--config), whose entries are read as the flags
+they name, then explicit flags. Every command writes only below --out,
+exits 0 on success, 1 on validation problems and 2 on runtime failures, and
+is reproducible given the same seed.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .network import (NetworkError, generate_grid_network, load_network,
                       save_network)
 from .partition import (PartitionParams, load_partition, partition_network,
                         save_partition)
-from .scenarios import (DEMAND_LEVELS, build_dataset, load_dataset, load_od,
-                        random_base_od, save_dataset, save_od)
+from .scenarios import (DEMAND_LEVELS, Scenario, build_dataset, load_dataset,
+                        load_od, random_base_od, save_dataset, save_od)
 from .simulate import SimConfig, SimulationError, save_record, simulate
 from .evaluate import export_report
 
@@ -51,21 +52,6 @@ def _int_list(v: str) -> tuple[int, ...]:
     return tuple(int(x) for x in str(v).split(",") if x)
 
 
-# option registry per command: dest -> (flag, type, default, help)
-OPTIONS: dict[str, dict[str, tuple[str, object, object, str]]] = {}
-
-
-def _register(cmd: str, sub: argparse.ArgumentParser, specs) -> None:
-    table = OPTIONS.setdefault(cmd, {})
-    sub.add_argument("--config", default=None,
-                     help="flat key = value option file; flags override it")
-    for flag, typ, default, help_text in specs:
-        dest = flag.lstrip("-").replace("-", "_")
-        table[dest] = (flag, typ, default, help_text)
-        sub.add_argument(flag, dest=dest, default=argparse.SUPPRESS, type=str,
-                         help=f"{help_text} (default: {default})")
-
-
 def _load_config_file(path: str) -> dict[str, str]:
     if not os.path.exists(path):
         raise ValidationError(f"config file not found: {path}")
@@ -82,26 +68,18 @@ def _load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _resolve(cmd: str, args: argparse.Namespace) -> argparse.Namespace:
-    table = OPTIONS[cmd]
-    file_values = _load_config_file(args.config) if args.config else {}
-    for key in file_values:
-        if key not in table:
-            raise ValidationError(f"unknown config key {key!r} for {cmd}")
-    merged = {}
-    for dest, (_flag, typ, default, _help) in table.items():
-        if hasattr(args, dest):                      # explicit flag
-            raw = getattr(args, dest)
-        elif dest in file_values:                    # config file
-            raw = file_values[dest]
-        else:
-            merged[dest] = default
-            continue
-        try:
-            merged[dest] = typ(raw)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"bad value for --{dest.replace('_', '-')}: {exc}")
-    return argparse.Namespace(**merged)
+def _parse(parser: argparse.ArgumentParser, argv: list[str]):
+    """Parse ``argv``; a --config file's entries go in as ``--key=value``
+    flags right after the command, so explicit flags, parsed later, win."""
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    entries = _load_config_file(args.config)
+    for key in entries:
+        if key in ("command", "config") or key not in vars(args):
+            raise ValidationError(f"unknown config key {key!r} for {args.command}")
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in entries.items()]
+    return parser.parse_args(argv[:1] + flags + argv[1:])
 
 
 def build_parser() -> _Parser:
@@ -139,7 +117,6 @@ def build_parser() -> _Parser:
                               " front-padded with -1.0 before the first window"),
         ("--output-type", str, "Speed", "output format: Ratio, Diff or Speed"),
         ("--stride", int, 1, "window subsampling stride for training"),
-        ("--batches-per-epoch", int, 0, "cap on batches per epoch (0 = all)"),
     ]
     part_opts = [
         ("--clusters", int, 4, "number of sub-regions (K)"),
@@ -150,10 +127,15 @@ def build_parser() -> _Parser:
     ]
 
     def sub(name, help_text, specs):
-        s = subs.add_parser(name, help=help_text)
-        _register(name, s, [("--out", str, "out", "output directory"),
-                            ("--seed", int, 0, "master seed")] + specs)
-        return s
+        s = subs.add_parser(
+            name, help=help_text,
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        s.add_argument("--config", help="flat key = value option file; "
+                                        "flags override it")
+        for flag, typ, default, help_opt in [
+                ("--out", str, "out", "output directory"),
+                ("--seed", int, 0, "master seed")] + specs:
+            s.add_argument(flag, type=typ, default=default, help=help_opt)
 
     sub("gen-network", "generate a grid road network", [
         ("--grid", str, "5x5", "grid size ROWSxCOLS"),
@@ -166,55 +148,43 @@ def build_parser() -> _Parser:
         ("--length-jitter", float, 0.0, "street length variation fraction"),
         ("--jitter-seed", int, 0, "seed for the length variation"),
     ])
+    network = ("--network", str, "", "network file (default <out>/network.txt)")
+    dataset = ("--dataset-dir", str, "",
+               "dataset directory (default <out>/dataset)")
+    inputs = [dataset, network, ("--partition-file", str, "",
+                                 "partition file (default <out>/partition.txt)")]
+    scoring = inputs + [
+        ("--models", str, ",".join(harness.STANDARD_MODELS),
+         "comma-separated model list"),
+        ("--split", str, "test", "dataset split to evaluate"),
+        ("--scenario-class", str, "", "label for the report rows"),
+    ]
     sub("gen-dataset", "simulate a randomized scenario corpus", [
-        ("--network", str, "", "network file (default <out>/network.txt)"),
+        network,
         ("--od", str, "", "base OD file; generated when omitted"),
         ("--od-pairs", int, 10, "synthesized OD pair count"),
         ("--od-rate", float, 300.0, "synthesized per-pair demand veh/h"),
         ("--scenarios", int, 20, "number of scenarios"),
         ("--demand", str, "medium", "demand level: low, medium or high"),
         ("--bus-lanes", int, 0, "bus-lane links per scenario (0 = auto)"),
-        ("--dataset-dir", str, "", "dataset directory (default <out>/dataset)"),
+        dataset,
     ] + sim_opts)
     sub("simulate", "run one scenario to a record", [
-        ("--network", str, "", "network file (default <out>/network.txt)"),
+        network,
         ("--od", str, "", "OD file (required)"),
         ("--scale", float, 1.0, "demand scale factor"),
         ("--record-dir", str, "", "record directory (default <out>/record)"),
     ] + sim_opts)
     sub("partition", "cluster links into sub-regions", [
-        ("--dataset-dir", str, "", "dataset directory (default <out>/dataset)"),
-        ("--network", str, "", "network file (default <out>/network.txt)"),
+        dataset, network,
         ("--partition-file", str, "",
          "output file (default <out>/partition.txt)"),
     ] + part_opts)
-    sub("train", "train an estimator variant", [
-        ("--dataset-dir", str, "", "dataset directory (default <out>/dataset)"),
-        ("--network", str, "", "network file (default <out>/network.txt)"),
-        ("--partition-file", str, "",
-         "partition file (default <out>/partition.txt)"),
-    ] + train_opts)
-    sub("evaluate", "per-link speed metrics for the model suite", [
-        ("--dataset-dir", str, "", "dataset directory (default <out>/dataset)"),
-        ("--network", str, "", "network file (default <out>/network.txt)"),
-        ("--partition-file", str, "",
-         "partition file (default <out>/partition.txt)"),
-        ("--models", str, ",".join(harness.STANDARD_MODELS),
-         "comma-separated model list"),
-        ("--split", str, "test", "dataset split to evaluate"),
-        ("--scenario-class", str, "", "label for the report rows"),
-    ] + train_opts)
-    sub("travel-time", "random-trip travel-time experiment", [
-        ("--dataset-dir", str, "", "dataset directory (default <out>/dataset)"),
-        ("--network", str, "", "network file (default <out>/network.txt)"),
-        ("--partition-file", str, "",
-         "partition file (default <out>/partition.txt)"),
-        ("--models", str, ",".join(harness.STANDARD_MODELS),
-         "comma-separated model list"),
-        ("--split", str, "test", "dataset split to evaluate"),
-        ("--trips", int, 1000, "number of random trips"),
-        ("--scenario-class", str, "", "label for the report rows"),
-    ] + train_opts)
+    sub("train", "train an estimator variant", inputs + train_opts)
+    sub("evaluate", "per-link speed metrics for the model suite",
+        scoring + train_opts)
+    sub("travel-time", "random-trip travel-time experiment",
+        scoring + [("--trips", int, 1000, "number of random trips")] + train_opts)
     sub("report", "merge emitted metric tables", [])
     return parser
 
@@ -273,7 +243,7 @@ def _train_and_save(o, net, dataset, part, name: str):
     model, history = train(net, dataset, part, cfg, TrainConfig(
         lr=o.lr, lr_step=o.lr_step, lr_gamma=o.lr_gamma,
         weight_decay=o.weight_decay, epochs=o.epochs, seed=o.seed,
-        window_stride=o.stride, batches_per_epoch=o.batches_per_epoch or None))
+        window_stride=o.stride))
     os.makedirs(os.path.join(o.out, "models"), exist_ok=True)
     save_model(model, _checkpoint_path(o, name))
     _write_history(history, os.path.join(o.out, "models", f"{name}_history.csv"))
@@ -350,7 +320,6 @@ def cmd_gen_dataset(o) -> int:
 
 
 def cmd_simulate(o) -> int:
-    from .scenarios import Scenario
     net = _load_net(o)
     if not o.od:
         raise ValidationError("simulate needs --od")
@@ -465,9 +434,8 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        opts = _resolve(args.command, args)
-        return COMMANDS[args.command](opts)
+        args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
+        return COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import RoadNetwork
+from .network import RoadNetwork, link_travel_times
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def shortest_path(net: RoadNetwork, speeds_kmh: np.ndarray, origin: int,
     if np.any(speeds_kmh <= 0):
         raise ValueError("speeds must be positive")
     idx = net.index
-    tau = (idx.length_m / (np.asarray(speeds_kmh, dtype=float) * 1000.0 / 3600.0)).tolist()
+    tau = link_travel_times(net, speeds_kmh).tolist()
     src = net.link_index(origin)
     dst = net.link_index(destination)
     dist = [math.inf] * net.n_links

@@ -30,6 +30,8 @@ NN_MODEL_NAMES = ("DNN", "DNN-GRU", "GAT", "GAT-GRU", "DNN-P", "DNN-GRU-P",
                   "GAT-P", "GAT-GRU-P")
 # mean-speed windows the linear model sees, as the estimators by default
 LR_HISTORY_LEN = 5
+# floor (km/h) on estimated speeds before trips are routed and timed on them
+TRIP_SPEED_FLOOR_KMH = 1.0
 
 
 def _lr_rows(norm: Normalization, feats: np.ndarray,
@@ -38,8 +40,7 @@ def _lr_rows(norm: Normalization, feats: np.ndarray,
     each link's normalized attributes, then the window's padded normalized
     mean-speed history."""
     feats_norm = norm.feat.apply(feats)
-    vn = norm.norm_vmean(vmean_kmh)
-    hist = np.stack([pad_history(vn, t, LR_HISTORY_LEN) for t in range(len(vn))])
+    hist = pad_history(norm.norm_vmean(vmean_kmh), LR_HISTORY_LEN)
     shape = (len(hist), len(feats_norm))
     return np.concatenate([
         np.broadcast_to(feats_norm, shape + feats_norm.shape[1:]),
@@ -152,7 +153,6 @@ def evaluate_travel_time_split(net: RoadNetwork, dataset: Dataset, partition,
                                n_trips: int = 1000, seed: int = 0,
                                split: str = "test", scenario_class: str = "",
                                warmup_windows: int | None = None,
-                               v_floor_kmh: float = 1.0,
                                ) -> tuple[list[MetricReport], dict[str, np.ndarray]]:
     """Trip-time metrics per model: n_trips spread over the split's
     scenarios, each routed on the model's estimated field at departure."""
@@ -178,7 +178,7 @@ def evaluate_travel_time_split(net: RoadNetwork, dataset: Dataset, partition,
         for sc in scenarios:
             rec = dataset.records[sc.id]
             sub = nets[sc.id]
-            pred = np.maximum(fn(sub, rec), v_floor_kmh)
+            pred = np.maximum(fn(sub, rec), TRIP_SPEED_FLOOR_KMH)
             result = travel_time_experiment(sub, pred, rec.speeds,
                                             trip_sets[sc.id], rec.window_s,
                                             model=name, scenario_class=label)

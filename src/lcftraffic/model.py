@@ -59,11 +59,15 @@ class ModelConfig:
         if self.dtype not in DTYPES:
             raise ValueError(f"dtype must be one of {', '.join(DTYPES)}, "
                              f"got {self.dtype!r}")
+        # the history ends with the current window, which the no-GRU head reads
+        if not self.history_len >= 1:
+            raise ValueError(f"history_len must be >= 1, got {self.history_len!r}")
 
     @property
     def fc_input_dim(self) -> int:
         # the recurrent branch contributes a full embedding; without it the
-        # current normalized mean speed enters as a single extra input
+        # current normalized mean speed (the history's last entry) enters as
+        # a single extra input
         return self.hidden_dim * 2 if self.use_gru else self.hidden_dim + 1
 
     @property
@@ -103,9 +107,12 @@ class Normalization:
         return minmax_unscale(y, self.target_lo, self.target_hi)
 
 
-def encode_targets(speeds: np.ndarray, v_mean: float, output_type: str) -> np.ndarray:
+def encode_targets(speeds: np.ndarray, v_mean: float | np.ndarray,
+                   output_type: str) -> np.ndarray:
+    """Training targets from km/h speeds; ``v_mean`` is a float or an array
+    that broadcasts against ``speeds``, e.g. one mean speed per window row."""
     if output_type == "Ratio":
-        if v_mean <= 0:
+        if np.any(np.asarray(v_mean) <= 0):
             raise ValueError("network mean speed must be > 0 for Ratio targets")
         return speeds / v_mean
     if output_type == "Diff":
@@ -130,12 +137,11 @@ def decode_output(raw: np.ndarray, v_mean: float | np.ndarray, output_type: str,
     return np.clip(speeds, 0.0, vff_kmh)
 
 
-def pad_history(vmean_norm: np.ndarray, t: int, history_len: int) -> np.ndarray:
-    """History [t - history_len + 1 .. t], front-padded with the sentinel."""
-    lo = max(t - history_len + 1, 0)
-    window = vmean_norm[lo:t + 1]
-    pad = history_len - len(window)
-    return np.concatenate([np.full(pad, PAD_VALUE), window])
+def pad_history(vmean_norm: np.ndarray, history_len: int) -> np.ndarray:
+    """(windows, history_len) read-only matrix whose row t is the history
+    [t - history_len + 1 .. t], front-padded with the sentinel."""
+    padded = np.concatenate([np.full(history_len - 1, PAD_VALUE), vmean_norm])
+    return np.lib.stride_tricks.sliding_window_view(padded, history_len)
 
 
 class LcfModel:
@@ -147,15 +153,13 @@ class LcfModel:
         self.dtype = np.dtype(config.dtype)
         rng = np.random.default_rng(config.seed)
         h = config.hidden_dim
-        self._names: list[str] = []
-        self.params: dict[str, Tensor] = {}
+        self.params: dict[str, Tensor] = {}  # in creation order
 
         def make(name: str, shape, zero=False, dtype=self.dtype):
             # drawn in float64, so both dtypes start from the same draws
             data = np.zeros(shape) if zero else nn.glorot(rng, shape).data
             t = Tensor(data.astype(dtype), requires_grad=True)
             self.params[name] = t
-            self._names.append(name)
             return t
 
         if config.use_gat:
@@ -177,28 +181,28 @@ class LcfModel:
             make(f"fc.{i}.b", (1, dims[i + 1]), zero=True)
 
     def parameters(self) -> list[Tensor]:
-        return [self.params[n] for n in self._names]
+        return list(self.params.values())
 
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
 
     def state_arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [(n, self.params[n].data) for n in self._names]
+        return [(n, p.data) for n, p in self.params.items()]
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         """Replace every parameter, cast to its dtype; the names and shapes
         must match."""
-        extra = sorted(set(arrays) - set(self._names))
+        extra = sorted(set(arrays) - set(self.params))
         if extra:
             raise ValueError(f"unexpected array {extra[0]!r} for {self.config.name}")
-        for n in self._names:
-            expected = self.params[n].data.shape
+        for n, p in self.params.items():
+            expected = p.data.shape
             if n not in arrays:
                 raise ValueError(f"array {n!r} is missing; expected shape {expected}")
             if arrays[n].shape != expected:
                 raise ValueError(f"array {n!r} has shape {arrays[n].shape}, "
                                  f"expected {expected}")
-            self.params[n].data = arrays[n].astype(self.params[n].data.dtype)
+            p.data = arrays[n].astype(p.data.dtype)
 
     # forward pieces -------------------------------------------------------
 
@@ -281,25 +285,25 @@ class LcfModel:
         return x
 
     def _embed(self, feats_norm: np.ndarray, adj_mask: np.ndarray,
-               hist_norm: np.ndarray, vmean_norm: np.ndarray
-               ) -> tuple[Tensor, Tensor]:
+               hist_norm: np.ndarray) -> tuple[Tensor, Tensor]:
         """The head's inputs: spatial (n_links, hidden) and temporal rows,
-        one per window (the GRU state, or the normalized mean speed). The
-        inputs are cast to the model dtype, a no-op for a ``SampleBatch``."""
+        one per window (the GRU state, or the history's last column, the
+        window's normalized mean speed). The inputs are cast to the model
+        dtype, a no-op for a ``SampleBatch``."""
         spatial = self.spatial_embed(
             nn.constant(np.asarray(feats_norm, dtype=self.dtype)), adj_mask)
         if self.config.use_gru:
             temporal = self.temporal_embed(hist_norm)
         else:
             temporal = nn.constant(
-                np.asarray(vmean_norm, dtype=self.dtype).reshape(-1, 1))
+                np.asarray(hist_norm[:, -1:], dtype=self.dtype))
         return spatial, temporal
 
     def forward(self, feats_norm: np.ndarray, adj_mask: np.ndarray,
-                hist_norm: np.ndarray, vmean_norm: np.ndarray) -> Tensor:
-        """Raw normalized outputs, shape (batch * n_links, 1), window-major."""
-        spatial, temporal = self._embed(feats_norm, adj_mask, hist_norm,
-                                        vmean_norm)
+                hist_norm: np.ndarray) -> Tensor:
+        """Raw normalized outputs, shape (batch * n_links, 1), window-major;
+        ``hist_norm`` holds one ``pad_history`` row per window."""
+        spatial, temporal = self._embed(feats_norm, adj_mask, hist_norm)
         return self.fuse(spatial, temporal, hist_norm.shape[0])
 
     # prediction -----------------------------------------------------------
@@ -333,9 +337,8 @@ class LcfModel:
         windows = list(windows)
         feats = extract_features(net, partition if cfg.use_partition else None)
         feats_norm = self.norm.feat.apply(feats)
-        adj = build_link_graph(net).adjacency
-        vn = self.norm.norm_vmean(vmean_kmh)
-        hist = np.stack([pad_history(vn, t, cfg.history_len) for t in windows])
+        adj = build_link_graph(net)
+        hist = pad_history(self.norm.norm_vmean(vmean_kmh), cfg.history_len)[windows]
         vff = net.index.vff_kmh
         v_now = vmean_kmh[windows, None]
         n_links = net.n_links
@@ -343,7 +346,7 @@ class LcfModel:
         n_blocks = -(-len(windows) // per_block)
         out = np.empty((len(windows), n_links))
         with nn.no_grad():
-            spatial, temporal = self._embed(feats_norm, adj, hist, vn[windows])
+            spatial, temporal = self._embed(feats_norm, adj, hist)
             for block in np.array_split(np.arange(len(windows)), n_blocks):
                 b = slice(block[0], block[-1] + 1)
                 raw = self.fuse(spatial, nn.constant(temporal.data[b]),
@@ -375,7 +378,6 @@ class TrainConfig:
     epochs: int = 400
     seed: int = 0
     window_stride: int = 1
-    batches_per_epoch: int | None = None
 
 
 @dataclass
@@ -386,7 +388,6 @@ class SampleBatch:
     feats_norm: np.ndarray
     adj: np.ndarray
     hist: np.ndarray        # (B, history_len)
-    vmean_norm: np.ndarray  # (B,)
     targets: np.ndarray     # (B * n_links, 1) normalized
 
 
@@ -405,22 +406,17 @@ def build_batches(net: RoadNetwork, dataset, split: str, feats: list[np.ndarray]
     ``feats`` are the scenarios' ``split_features``."""
     dtype = np.dtype(model_cfg.dtype)
     batches = []
-    adj = build_link_graph(net).adjacency
+    adj = build_link_graph(net)
     for sc, sc_feats in zip(dataset.split_scenarios(split), feats):
         record = dataset.records[sc.id]
-        feats_norm = norm.feat.apply(sc_feats)
-        vn = norm.norm_vmean(record.mean_speed)
-        windows = list(range(0, record.n_windows, stride))
-        hist = np.stack([pad_history(vn, t, model_cfg.history_len)
-                         for t in windows])
-        target_rows = []
-        for t in windows:
-            y = encode_targets(record.speeds[t], float(record.mean_speed[t]),
-                               model_cfg.output_type)
-            target_rows.append(norm.norm_target(y))
-        targets = np.concatenate(target_rows).reshape(-1, 1)
-        batches.append(SampleBatch(feats_norm.astype(dtype), adj,
-                                   hist.astype(dtype), vn[windows].astype(dtype),
+        windows = np.arange(0, record.n_windows, stride)
+        hist = pad_history(norm.norm_vmean(record.mean_speed),
+                           model_cfg.history_len)[windows]
+        targets = norm.norm_target(encode_targets(
+            record.speeds[windows], record.mean_speed[windows, None],
+            model_cfg.output_type)).reshape(-1, 1)
+        batches.append(SampleBatch(norm.feat.apply(sc_feats).astype(dtype),
+                                   adj, hist.astype(dtype),
                                    targets.astype(dtype)))
     return batches
 
@@ -429,17 +425,11 @@ def fit_normalization(dataset, feats: list[np.ndarray],
                       output_type: str) -> Normalization:
     """Min-max statistics frozen on the training split; ``feats`` are its
     ``split_features``."""
-    vmeans = []
-    targets = []
-    for sc in dataset.split_scenarios("train"):
-        record = dataset.records[sc.id]
-        vmeans.append(record.mean_speed)
-        for t in range(record.n_windows):
-            targets.append(encode_targets(record.speeds[t],
-                                          float(record.mean_speed[t]),
-                                          output_type))
-    all_v = np.concatenate(vmeans)
-    all_t = np.concatenate(targets)
+    records = [dataset.records[sc.id] for sc in dataset.split_scenarios("train")]
+    all_v = np.concatenate([r.mean_speed for r in records])
+    all_t = np.concatenate([
+        encode_targets(r.speeds, r.mean_speed[:, None], output_type).ravel()
+        for r in records])
     return Normalization(
         feat=fit_minmax(np.vstack(feats)),
         vmean_lo=float(all_v.min()), vmean_hi=float(all_v.max()),
@@ -448,8 +438,7 @@ def fit_normalization(dataset, feats: list[np.ndarray],
 
 
 def _batch_loss(model: LcfModel, batch: SampleBatch) -> Tensor:
-    pred = model.forward(batch.feats_norm, batch.adj, batch.hist,
-                         batch.vmean_norm)
+    pred = model.forward(batch.feats_norm, batch.adj, batch.hist)
     return nn.mse_loss(pred, nn.constant(batch.targets))
 
 
@@ -481,8 +470,6 @@ def train(net: RoadNetwork, dataset, partition, model_cfg: ModelConfig,
     for epoch in range(tc.epochs):
         opt.lr = nn.steplr(tc.lr, tc.lr_step, tc.lr_gamma, epoch)
         order = rng.permutation(len(train_batches))
-        if tc.batches_per_epoch is not None:
-            order = order[:tc.batches_per_epoch]
         epoch_loss = 0.0
         for bi in order:
             nn.zero_grads(params)
@@ -497,7 +484,7 @@ def train(net: RoadNetwork, dataset, partition, model_cfg: ModelConfig,
             val_loss = float(np.mean([_batch_loss(model, b).item()
                                       for b in val_batches]))
         history.append({"epoch": epoch, "lr": opt.lr,
-                        "train_loss": epoch_loss / max(len(order), 1),
+                        "train_loss": epoch_loss / len(order),
                         "val_loss": val_loss})
         if val_loss < best_val:
             best_val = val_loss
@@ -537,28 +524,34 @@ def save_model(model: LcfModel, path) -> None:
 
 def load_model(path) -> LcfModel:
     header, arrays = nn.load_arrays(path)
-    cfg = ModelConfig(
-        use_gat=bool(int(header["use_gat"])),
-        use_gru=bool(int(header["use_gru"])),
-        use_partition=bool(int(header["use_partition"])),
-        heads=int(header["heads"]),
-        hidden_dim=int(header["hidden_dim"]),
-        fc_hidden=tuple(int(d) for d in header["fc_hidden"].split(",")),
-        history_len=int(header["history_len"]),
-        leaky_slope=float(header["leaky_slope"]),
-        output_type=header["output_type"],
-        seed=int(header["seed"]),
-        # checkpoints written before the dtype entry hold float64 models
-        dtype=header.get("dtype", "float64"),
-    )
-    norm = Normalization(
-        feat=MinMaxStats(
-            lo=np.array([float(v) for v in header["feat_lo"].split(",")]),
-            hi=np.array([float(v) for v in header["feat_hi"].split(",")]),
-        ),
-        vmean_lo=float(header["vmean_lo"]), vmean_hi=float(header["vmean_hi"]),
-        target_lo=float(header["target_lo"]), target_hi=float(header["target_hi"]),
-    )
+    try:
+        cfg = ModelConfig(
+            use_gat=bool(int(header["use_gat"])),
+            use_gru=bool(int(header["use_gru"])),
+            use_partition=bool(int(header["use_partition"])),
+            heads=int(header["heads"]),
+            hidden_dim=int(header["hidden_dim"]),
+            fc_hidden=tuple(int(d) for d in header["fc_hidden"].split(",")),
+            history_len=int(header["history_len"]),
+            leaky_slope=float(header["leaky_slope"]),
+            output_type=header["output_type"],
+            seed=int(header["seed"]),
+            # checkpoints written before the dtype entry hold float64 models
+            dtype=header.get("dtype", "float64"),
+        )
+        norm = Normalization(
+            feat=MinMaxStats(
+                lo=np.array([float(v) for v in header["feat_lo"].split(",")]),
+                hi=np.array([float(v) for v in header["feat_hi"].split(",")]),
+            ),
+            vmean_lo=float(header["vmean_lo"]), vmean_hi=float(header["vmean_hi"]),
+            target_lo=float(header["target_lo"]),
+            target_hi=float(header["target_hi"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: no meta {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     model = LcfModel(cfg, norm)
     model.load_state(arrays)
     return model

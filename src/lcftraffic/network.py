@@ -96,10 +96,6 @@ class Link:
     def car_lanes(self) -> int:
         return self.lanes_total - self.lanes_dbl
 
-    @property
-    def vff_ms(self) -> float:
-        return self.vff_kmh * 1000.0 / 3600.0
-
 
 def occurrence_passes(keys) -> tuple[np.ndarray, ...]:
     """Rows of ``keys`` grouped by occurrence rank.
@@ -217,14 +213,6 @@ class RoadNetwork:
                 pairs.append((lk.id, down_id))
         self.connectivity: tuple[tuple[int, int], ...] = tuple(sorted(pairs))
 
-        down: dict[int, list[int]] = {lk.id: [] for lk in self.links}
-        up: dict[int, list[int]] = {lk.id: [] for lk in self.links}
-        for a, b in self.connectivity:
-            down[a].append(b)
-            up[b].append(a)
-        self.downstream = {k: tuple(v) for k, v in down.items()}
-        self.upstream = {k: tuple(v) for k, v in up.items()}
-
     @cached_property
     def index(self) -> NetworkIndex:
         """Array index of links and connectivity, built on first use."""
@@ -267,28 +255,19 @@ class RoadNetwork:
         return RoadNetwork(self.junctions, new_links, list(self.signals.values()))
 
 
-@dataclass(frozen=True)
-class LinkGraph:
-    """Links-as-nodes adjacency, with a mandatory self-loop on every node."""
-
-    node_ids: tuple[int, ...]
-    adjacency: np.ndarray  # (N, N) bool, adjacency[i, j] == edge i -> j
-
-    def __post_init__(self):
-        n = len(self.node_ids)
-        if self.adjacency.shape != (n, n):
-            raise NetworkError("adjacency shape does not match node count")
-        if not np.all(np.diag(self.adjacency)):
-            raise NetworkError("every node needs a self-loop")
-
-
-def build_link_graph(net: RoadNetwork) -> LinkGraph:
-    n = net.n_links
+def build_link_graph(net: RoadNetwork) -> np.ndarray:
+    """(N, N) bool links-as-nodes mask by link index: [i, j] is set when
+    link j is directly downstream of link i, and on the diagonal."""
     idx = net.index
-    adj = np.zeros((n, n), dtype=bool)
+    adj = np.eye(net.n_links, dtype=bool)
     adj[idx.pair_up, idx.pair_dn] = True
-    np.fill_diagonal(adj, True)
-    return LinkGraph(net.link_ids(), adj)
+    return adj
+
+
+def link_travel_times(net: RoadNetwork, speeds_kmh) -> np.ndarray:
+    """Seconds to cross each link at ``speeds_kmh`` km/h, by link index."""
+    return net.index.length_m / (np.asarray(speeds_kmh, dtype=float)
+                                 * 1000.0 / 3600.0)
 
 
 def generate_grid_network(rows: int, cols: int, link_length: float, lanes: int,
@@ -426,12 +405,15 @@ def load_network(path) -> RoadNetwork:
     if all(explicit for _, explicit in raw_links):
         return net
     # infer boundary flags from topology for files that omit them
-    inferred = [
-        replace(lk,
-                is_boundary_in=(len(net.upstream[lk.id]) == 0) if not explicit else lk.is_boundary_in,
-                is_boundary_out=(len(net.downstream[lk.id]) == 0) if not explicit else lk.is_boundary_out)
-        for lk, explicit in raw_links
-    ]
+    idx = net.index
+    n_up = np.bincount(idx.pair_dn, minlength=net.n_links)
+    n_down = np.bincount(idx.pair_up, minlength=net.n_links)
+    inferred = []
+    for lk, explicit in raw_links:
+        i = net.link_index(lk.id)
+        inferred.append(lk if explicit else replace(
+            lk, is_boundary_in=bool(n_up[i] == 0),
+            is_boundary_out=bool(n_down[i] == 0)))
     return RoadNetwork(junctions, inferred, signals)
 
 

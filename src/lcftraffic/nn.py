@@ -427,25 +427,32 @@ def save_arrays(path, header: dict[str, str], arrays: list[tuple[str, np.ndarray
 
 
 def load_arrays(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """Read a checkpoint written by ``save_arrays``; a malformed record is a
+    ValueError naming the file and line."""
     header: dict[str, str] = {}
     arrays: dict[str, np.ndarray] = {}
     with open(path) as fh:
-        lines = iter(fh.read().splitlines())
-    for line in lines:
+        lines = enumerate(fh.read().splitlines(), start=1)
+    for lineno, line in lines:
         if not line or line.startswith("#"):
             continue
-        kind, rest = line.split(" ", 1)
-        if kind == "meta":
-            key, value = rest.split(" ", 1)
-            header[key] = value
-        elif kind == "array":
-            name, shape_s = rest.rsplit(" ", 1)
-            shape = tuple(int(s) for s in shape_s.split(",") if s)
-            values = next(lines)
-            # float64 reads both reprs exactly: a float32 value's digits
-            # land on its own bits again when cast back to float32
-            arr = np.array(values.split(), dtype=np.float64)
-            arrays[name] = arr.reshape(shape)
-        else:
-            raise ValueError(f"unknown checkpoint record {kind!r}")
+        try:
+            kind, rest = line.split(" ", 1)
+            if kind == "meta":
+                key, value = rest.split(" ", 1)
+                header[key] = value
+            elif kind == "array":
+                name, shape_s = rest.rsplit(" ", 1)
+                shape = tuple(int(s) for s in shape_s.split(",") if s)
+                lineno, values = next(lines, (lineno, None))
+                if values is None:
+                    raise ValueError(f"array {name!r} has no values line")
+                # float64 reads both reprs exactly: a float32 value's digits
+                # land on its own bits again when cast back to float32
+                arrays[name] = np.array(values.split(),
+                                        dtype=np.float64).reshape(shape)
+            else:
+                raise ValueError(f"unknown checkpoint record {kind!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return header, arrays

@@ -8,7 +8,7 @@ K = 4, alpha = 1, beta = 1.5, window half-width 2 around window index 40.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -160,10 +160,8 @@ def save_partition(assignment: PartitionAssignment, path) -> None:
     p = assignment.params
     with open(path, "w") as fh:
         fh.write("# network partition\n")
-        for key, val in (("k", p.k), ("alpha", p.alpha), ("beta", p.beta),
-                         ("t_window", p.t_window), ("t_max", p.t_max),
-                         ("seed", p.seed), ("max_iter", p.max_iter)):
-            fh.write(f"PARAM {key} {val!r}\n")
+        for f in fields(p):
+            fh.write(f"PARAM {f.name} {getattr(p, f.name)!r}\n")
         for c in assignment.centroids:
             fh.write("CENTROID " + " ".join(repr(float(v)) for v in c) + "\n")
         for link_id in sorted(assignment.labels):
@@ -175,22 +173,29 @@ def load_partition(path) -> PartitionAssignment:
     labels: dict[int, int] = {}
     centroids: list[list[float]] = []
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if parts[0] == "PARAM":
-                params[parts[1]] = float(parts[2])
-            elif parts[0] == "CENTROID":
-                centroids.append([float(v) for v in parts[1:]])
-            elif parts[0] == "REGION":
-                labels[int(parts[1])] = int(parts[2])
-            else:
-                raise ValueError(f"unknown partition record {parts[0]!r}")
-    p = PartitionParams(k=int(params["k"]), alpha=params["alpha"],
-                        beta=params["beta"], t_window=int(params["t_window"]),
-                        t_max=int(params["t_max"]), seed=int(params["seed"]),
-                        max_iter=int(params["max_iter"]))
+            kind, *args = line.split()
+            try:
+                if kind == "PARAM":
+                    key, value = args
+                    params[key] = float(value)
+                elif kind == "CENTROID":
+                    centroids.append([float(v) for v in args])
+                elif kind == "REGION":
+                    link_id, label = args
+                    labels[int(link_id)] = int(label)
+                else:
+                    raise ValueError(f"unknown partition record {kind!r}")
+            except ValueError as exc:  # a wrong field count too
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    try:
+        # each parameter takes the type of its default
+        p = PartitionParams(**{f.name: type(f.default)(params[f.name])
+                               for f in fields(PartitionParams)})
+    except KeyError as exc:
+        raise ValueError(f"{path}: no PARAM {exc.args[0]!r}") from None
     return PartitionAssignment(labels=labels, centroids=np.array(centroids),
                                params=p)

@@ -103,6 +103,11 @@ class Scenario:
     seed: int
     factors: tuple[float, ...] = ()
 
+    def __post_init__(self):
+        # "not > 0" rather than "<= 0", so that NaN is rejected too
+        if not self.scale > 0:
+            raise ValueError(f"scale must be > 0, got {self.scale!r}")
+
 
 @dataclass
 class Dataset:
@@ -200,18 +205,22 @@ def load_od(path) -> ODMatrix:
     pairs, rates = [], []
     ramp = 1.0
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if parts[0] == "RAMP":
-                ramp = float(parts[1])
-            elif parts[0] == "OD":
-                pairs.append((int(parts[1]), int(parts[2])))
-                rates.append(float(parts[3]))
-            else:
-                raise ValueError(f"unknown OD record {parts[0]!r}")
+            kind, *args = line.split()
+            try:
+                if kind == "RAMP":
+                    (ramp,) = map(float, args)
+                elif kind == "OD":
+                    origin, dest, rate = args
+                    pairs.append((int(origin), int(dest)))
+                    rates.append(float(rate))
+                else:
+                    raise ValueError(f"unknown OD record {kind!r}")
+            except ValueError as exc:  # a wrong field count too
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return ODMatrix(pairs=tuple(pairs), rates=tuple(rates), ramp_fraction=ramp)
 
 

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Link, RoadNetwork, occurrence_passes
+from .network import (Link, RoadNetwork, link_travel_times,
+                      occurrence_passes)
 
 log = logging.getLogger(__name__)
 
@@ -97,33 +98,6 @@ def storage_capacity(link: Link, cfg: SimConfig) -> float:
     return float(max(cap, 1))
 
 
-class TurnRatios:
-    """Split probabilities per (connectivity pair, destination).
-
-    ``ratios[p, d]`` is the probability that a vehicle bound for
-    destination d and waiting on the upstream link of pair p takes that
-    pair. For every (upstream link, destination) with outgoing pairs the
-    probabilities sum to 1.
-    """
-
-    def __init__(self, up_idx: np.ndarray, dn_idx: np.ndarray,
-                 dest_ids: tuple[int, ...], ratios: np.ndarray):
-        self.up_idx = up_idx
-        self.dn_idx = dn_idx
-        self.dest_ids = dest_ids
-        self.ratios = ratios
-
-    def validate(self, n_links: int, tol: float = 1e-9) -> None:
-        if np.any(self.ratios < -tol):
-            raise SimulationError("negative turn ratio")
-        sums = scatter_sum(self.up_idx, self.ratios, n_links)
-        has_out = np.zeros(n_links, dtype=bool)
-        has_out[self.up_idx] = True
-        bad = np.abs(sums[has_out] - 1.0) > tol
-        if np.any(bad):
-            raise SimulationError("turn ratio vectors must sum to 1")
-
-
 def scatter_sum(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """``np.add.at(np.zeros((n,) + values.shape[1:]), index, values)`` by
     ``np.bincount``: each row is summed from zero in index order, as
@@ -147,11 +121,6 @@ def scatter_add(out: np.ndarray, index, values: np.ndarray,
     index = index if isinstance(index, tuple) else (index,)
     for rows in passes:
         out[tuple(i[rows] for i in index)] += values[rows]
-
-
-def _link_travel_times(net: RoadNetwork, speeds_kmh: np.ndarray) -> np.ndarray:
-    speeds_ms = np.maximum(speeds_kmh, 1e-9) * 1000.0 / 3600.0
-    return net.index.length_m / speeds_ms
 
 
 def shortest_time_to_dest(net: RoadNetwork, tau: np.ndarray,
@@ -182,19 +151,34 @@ def shortest_time_to_dest(net: RoadNetwork, tau: np.ndarray,
         dist[idx.seg_link] = np.where(better, cand, current)
 
 
+def check_turn_ratios(net: RoadNetwork, ratios: np.ndarray,
+                      tol: float = 1e-9) -> None:
+    """Turn ratios are a (pairs, destinations) array: ``ratios[p, d]`` is
+    the probability that a vehicle bound for destination column d and
+    waiting on the upstream link of connectivity pair p takes that pair.
+    None may be negative, and for every (upstream link, destination) with
+    outgoing pairs they sum to 1, both within ``tol``."""
+    if np.any(ratios < -tol):
+        raise SimulationError("negative turn ratio")
+    up = net.index.pair_up
+    sums = scatter_sum(up, ratios, net.n_links)[up]
+    if np.any(np.abs(sums - 1.0) > tol):
+        raise SimulationError("turn ratio vectors must sum to 1")
+
+
 def update_turn_ratios(net: RoadNetwork, speeds_kmh: np.ndarray,
-                       prev: TurnRatios, cfg: SimConfig) -> TurnRatios:
+                       prev: np.ndarray, dest_ids: tuple[int, ...],
+                       cfg: SimConfig) -> np.ndarray:
     """All-or-nothing split toward the fastest downstream continuation per
     destination, blended with the previous ratios by cfg.turn_smoothing."""
     idx = net.index
-    target = _target_ratios(net, speeds_kmh, prev.dest_ids)
+    target = _target_ratios(net, speeds_kmh, dest_ids)
     s = cfg.turn_smoothing
-    mixed = (1.0 - s) * prev.ratios + s * target
+    mixed = (1.0 - s) * prev + s * target
     denom = scatter_sum(idx.pair_up, mixed, net.n_links)[idx.pair_up]
     mixed = np.where(denom > 0, mixed / np.maximum(denom, 1e-300), mixed)
-    out = TurnRatios(idx.pair_up, idx.pair_dn, prev.dest_ids, mixed)
-    out.validate(net.n_links)
-    return out
+    check_turn_ratios(net, mixed)
+    return mixed
 
 
 def _target_ratios(net: RoadNetwork, speeds_kmh: np.ndarray,
@@ -209,7 +193,8 @@ def _target_ratios(net: RoadNetwork, speeds_kmh: np.ndarray,
     if n_pairs == 0:
         return np.zeros((0, len(dest_ids)))
     dest_index = np.array([net.link_index(d) for d in dest_ids], dtype=int)
-    dist = shortest_time_to_dest(net, _link_travel_times(net, speeds_kmh), dest_index)
+    dist = shortest_time_to_dest(net, link_travel_times(net, speeds_kmh),
+                                 dest_index)
     via = dist[idx.pair_dn]
     seg_best = np.minimum.reduceat(via, idx.seg_start, axis=0)
     # pairs of a segment are ordered by downstream link id, so the first
@@ -231,12 +216,10 @@ def _target_ratios(net: RoadNetwork, speeds_kmh: np.ndarray,
     return target
 
 
-def initial_turn_ratios(net: RoadNetwork, dest_ids: tuple[int, ...]) -> TurnRatios:
-    idx = net.index
-    ratios = _target_ratios(net, idx.vff_kmh, dest_ids)
-    out = TurnRatios(idx.pair_up, idx.pair_dn, dest_ids, ratios)
-    out.validate(net.n_links)
-    return out
+def initial_turn_ratios(net: RoadNetwork, dest_ids: tuple[int, ...]) -> np.ndarray:
+    ratios = _target_ratios(net, net.index.vff_kmh, dest_ids)
+    check_turn_ratios(net, ratios)
+    return ratios
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +304,7 @@ class SimState:
         steps = np.ceil((1.0 - frac) * self.len_m / self.vff_ms / self.cfg.step_s)
         return np.clip(steps.astype(int), 1, self.max_delay)
 
-    def step(self, demand_step: np.ndarray, ratios: TurnRatios) -> dict[str, np.ndarray]:
+    def step(self, demand_step: np.ndarray, ratios: np.ndarray) -> dict[str, np.ndarray]:
         """Advance one time step; returns per-link outflow, start-of-step
         accumulation and completed-trip counts.
 
@@ -354,7 +337,7 @@ class SimState:
 
         # 2. transfer flows across junctions
         green = self.greens(t_s)
-        q_des = self.w[self.pair_up] * ratios.ratios
+        q_des = self.w[self.pair_up] * ratios
         q_des[~green] = 0.0
 
         out_des = scatter_sum(self.pair_up, q_des.sum(axis=1), z)
@@ -491,7 +474,8 @@ def simulate(net: RoadNetwork, scenario, cfg: SimConfig | None = None) -> SimRec
     for k in range(n_steps):
         t_s = k * cfg.step_s
         if k > 0 and k % turn_every == 0:
-            ratios = update_turn_ratios(sim_net, last_speeds, ratios, cfg)
+            ratios = update_turn_ratios(sim_net, last_speeds, ratios, dest_ids,
+                                        cfg)
         if t_s < cfg.warmup_s:
             factor = min(t_s / ramp_s, 1.0)
         elif t_s < cfg.warmup_s + cfg.peak_s:
@@ -603,8 +587,9 @@ def _first_mismatch(path: str, what: str, found: np.ndarray,
                          f"expected {expected[i]}")
 
 
-def load_record(out_dir, window_s: float = 180.0, step_s: float = 5.0) -> SimRecord:
-    """Read a record saved by ``save_record``. The layout is checked:
+def load_record(out_dir, *, window_s: float, step_s: float) -> SimRecord:
+    """Read a record saved by ``save_record``; the files do not hold the
+    window and step lengths, so the caller passes them. The layout is checked:
     links.csv is window-major, every window lists the link ids of window 0
     in the same order, and both files cover the same windows; a breach is a
     ValueError naming the file and line."""

@@ -155,11 +155,10 @@ def test_04_gradient_fidelity():
     np.fill_diagonal(adj, True)
     feats = rng.uniform(0, 1, size=(n, 10))
     hist = rng.uniform(0, 1, size=(2, 5))
-    vmean = rng.uniform(0.2, 0.8, size=2)
     target = nn.constant(rng.uniform(0, 1, size=(2 * n, 1)))
 
     def closure():
-        return nn.mse_loss(model.forward(feats, adj, hist, vmean), target)
+        return nn.mse_loss(model.forward(feats, adj, hist), target)
 
     err_model = nn.grad_check(closure, model.parameters(), eps=1e-6)
     elapsed = time.perf_counter() - t0
@@ -175,7 +174,7 @@ def test_04_gradient_fidelity():
 
 def test_05_attention_rows_sum_to_one():
     net = generate_grid_network(3, 3, 100.0, 2)
-    adj = build_link_graph(net).adjacency
+    adj = build_link_graph(net)
     feats = extract_features(net, None)
     feats = feats / np.maximum(feats.max(axis=0), 1.0)
     worst = 0.0
@@ -196,6 +195,9 @@ def brute_force_cost(net, tau, origin, dest):
     best = None
     src, dst = net.link_index(origin), net.link_index(dest)
     ids = net.link_ids()
+    downstream = {lid: [] for lid in ids}
+    for a, b in net.connectivity:
+        downstream[a].append(b)
     stack = [(src, frozenset([src]), tau[src])]
     while stack:
         node, seen, cost = stack.pop()
@@ -203,7 +205,7 @@ def brute_force_cost(net, tau, origin, dest):
             if best is None or cost < best:
                 best = cost
             continue
-        for d in net.downstream[ids[node]]:
+        for d in downstream[ids[node]]:
             di = net.link_index(d)
             if di not in seen:
                 stack.append((di, seen | {di}, cost + tau[di]))

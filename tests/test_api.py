@@ -46,3 +46,40 @@ def test_benchmark_boundaries_exist():
     with tracer.traced(tracer.Tracer()):
         assert harness.fit_lr_estimator is not original
     assert harness.fit_lr_estimator is original
+
+
+def test_cli_defaults_equal_the_config_defaults():
+    """The CLI restates these config fields' defaults; both must agree, in
+    value and type, on every command that takes the flag."""
+    from lcftraffic.cli import build_parser
+    from lcftraffic.model import ModelConfig, TrainConfig
+    from lcftraffic.partition import PartitionParams
+    from lcftraffic.simulate import SimConfig
+    sim = {"step": "step_s", "window": "window_s", "warmup": "warmup_s",
+           "peak": "peak_s", "total": "total_s",
+           "saturation_flow": "saturation_flow",
+           "vehicle_length": "vehicle_length",
+           "congestion_threshold": "congestion_threshold",
+           "v_min": "v_min_kmh", "turn_update": "turn_update_s",
+           "turn_smoothing": "turn_smoothing"}
+    train = {"lr": "lr", "lr_step": "lr_step", "lr_gamma": "lr_gamma",
+             "weight_decay": "weight_decay", "epochs": "epochs",
+             "stride": "window_stride"}
+    model = {"heads": "heads", "hidden": "hidden_dim", "fc_dims": "fc_hidden",
+             "history": "history_len", "output_type": "output_type"}
+    part = {"clusters": "k", "alpha": "alpha", "beta": "beta",
+            "t_window": "t_window", "t_max": "t_max"}
+    checks = [(("gen-dataset", "simulate"), SimConfig(), sim),
+              (("train", "evaluate", "travel-time"), TrainConfig(), train),
+              (("train", "evaluate", "travel-time"), ModelConfig(), model),
+              (("partition",), PartitionParams(), part)]
+    parser = build_parser()
+    flags = set()
+    for commands, config, fields in checks:
+        for command in commands:
+            defaults = vars(parser.parse_args([command]))
+            for dest, field in fields.items():
+                cli, lib = defaults[dest], getattr(config, field)
+                assert (cli, type(cli)) == (lib, type(lib)), (command, dest)
+                flags.add(dest)
+    assert len(flags) == 27

@@ -35,7 +35,7 @@ def test_zero_demand_end_to_end(tmp_path):
     od_path = tmp_path / "od.txt"
     od_path.write_text("OD 0 9 0.0\n")
     assert run(["simulate", "--out", out, "--od", od_path] + SIM_SMALL) == 0
-    rec = load_record(os.path.join(out, "record"), window_s=60.0)
+    rec = load_record(os.path.join(out, "record"), window_s=60.0, step_s=5.0)
     assert np.all(rec.speeds == 25.0)
     assert np.all(rec.production == 0.0)
 
@@ -161,13 +161,58 @@ def test_gen_dataset_rejects_zero_window(tmp_path, capsys):
 
 
 def test_removed_pad_value_option_is_rejected(tmp_path, capsys):
+    # and the removed --batches-per-epoch, on the command line and in a
+    # config file alike
     out = str(tmp_path / "run")
-    assert run(["train", "--out", out, "--pad-value", "-1"]) == 1
-    assert "--pad-value" in capsys.readouterr().err
+    for flag, value in (("--pad-value", "-1"), ("--batches-per-epoch", "2")):
+        assert run(["train", "--out", out, flag, value]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{flag[2:]} = {value}\n")
+        assert run(["train", "--out", out, "--config", cfg]) == 1
+        key = flag[2:].replace("-", "_")
+        assert f"error: unknown config key {key!r} for train" in \
+            capsys.readouterr().err
+
+
+def test_config_values_are_typed_and_checked_like_flags(tmp_path, capsys):
+    out = str(tmp_path / "run")
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("pad-value = -1\n")
-    assert run(["train", "--out", out, "--config", cfg]) == 1
-    assert "pad_value" in capsys.readouterr().err
+    cfg.write_text("grid = 3x3\nsignals = no\nlink-length = 50\n")
+    assert run(["gen-network", "--out", out, "--config", cfg]) == 0
+    from lcftraffic.network import load_network
+    net = load_network(os.path.join(out, "network.txt"))
+    assert len(net.junctions) == 9 and not net.signals
+    assert {lk.length_m for lk in net.links} == {50.0}
+    cfg.write_text("lanes = two\n")
+    capsys.readouterr()
+    assert run(["gen-network", "--out", out, "--config", cfg]) == 1
+    assert "--lanes: invalid int value: 'two'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan"])
+def test_simulate_rejects_a_demand_scale_of_zero_or_below(tmp_path, capsys,
+                                                          scale):
+    out = str(tmp_path / "run")
+    assert run(["gen-network", "--out", out, "--grid", "3x3"]) == 0
+    od_path = tmp_path / "od.txt"
+    od_path.write_text("OD 0 9 100.0\n")
+    capsys.readouterr()
+    assert run(["simulate", "--out", out, "--od", od_path, "--scale", scale]
+               + SIM_SMALL) == 1
+    assert f"error: scale must be > 0, got {float(scale)!r}" in \
+        capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "record"))
+
+
+def test_malformed_od_file_fails_simulate(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert run(["gen-network", "--out", out, "--grid", "3x3"]) == 0
+    od_path = tmp_path / "od.txt"
+    od_path.write_text("OD 0 9 100.0\nOD 1 2\n")
+    capsys.readouterr()
+    assert run(["simulate", "--out", out, "--od", od_path] + SIM_SMALL) == 1
+    assert f"error: {od_path}:2: " in capsys.readouterr().err
 
 
 def test_tampered_checkpoint_fails_evaluate(tmp_path, capsys):
@@ -186,6 +231,28 @@ def test_tampered_checkpoint_fails_evaluate(tmp_path, capsys):
                + TRAIN_SMALL) == 1
     err = capsys.readouterr().err
     assert "fc.0.b" in err and "(8,)" in err and "(1, 8)" in err
+
+
+@pytest.mark.parametrize("case", ["missing meta", "cut-off values"])
+def test_malformed_checkpoint_fails_evaluate(tmp_path, capsys, case):
+    out = str(tmp_path / "run")
+    build_pipeline(out, seed=4)
+    assert run(["train", "--out", out, "--model", "dnn", "--seed", "4"]
+               + TRAIN_SMALL) == 0
+    ckpt = tmp_path / "run/models/dnn.ckpt"
+    lines = ckpt.read_text().splitlines()
+    if case == "missing meta":
+        lines.remove("meta heads 2")
+        expected = f"error: {ckpt}: no meta 'heads'"
+    else:
+        assert lines[-2].startswith("array ")
+        lines = lines[:-1]
+        expected = f"error: {ckpt}:{len(lines)}: array"
+    ckpt.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["evaluate", "--out", out, "--models", "MFD,DNN", "--seed", "4"]
+               + TRAIN_SMALL) == 1
+    assert expected in capsys.readouterr().err
 
 
 def test_help_lists_reference_defaults(capsys):

@@ -91,6 +91,9 @@ def brute_force_cost(net, tau, origin, dest):
     best = None
     src, dst = net.link_index(origin), net.link_index(dest)
     ids = net.link_ids()
+    downstream = {lid: [] for lid in ids}
+    for a, b in net.connectivity:
+        downstream[a].append(b)
     stack = [(src, frozenset([src]), tau[src])]
     while stack:
         node, seen, cost = stack.pop()
@@ -98,7 +101,7 @@ def brute_force_cost(net, tau, origin, dest):
             if best is None or cost < best:
                 best = cost
             continue
-        for d in net.downstream[ids[node]]:
+        for d in downstream[ids[node]]:
             di = net.link_index(d)
             if di not in seen:
                 stack.append((di, seen | {di}, cost + tau[di]))

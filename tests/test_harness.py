@@ -38,7 +38,7 @@ def hand_lr(net, dataset):
     v_lo, v_hi = all_v.min(), all_v.max()
 
     def rows(f, vmean, t):
-        hist = pad_history(hand_minmax(vmean, v_lo, v_hi), t, 5)
+        hist = pad_history(hand_minmax(vmean, v_lo, v_hi), 5)[t]
         return np.hstack([hand_minmax(f, f_lo, f_hi), np.tile(hist, (len(f), 1))])
 
     xs, ys = [], []

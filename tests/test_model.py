@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -99,7 +100,7 @@ def test_gat_matches_oracle_on_random_graphs():
 
 def test_attention_rows_sum_to_one_for_random_parameters():
     net = generate_grid_network(3, 3, 100.0, 2)
-    adj = build_link_graph(net).adjacency
+    adj = build_link_graph(net)
     feats = extract_features(net, None)
     feats = feats / np.maximum(feats.max(axis=0), 1.0)
     for seed in range(50):
@@ -173,8 +174,8 @@ def test_gru_rejects_wrong_history_length():
 
 def test_pad_history_sentinel():
     vn = np.array([0.25, 0.5, 0.75])
-    assert pad_history(vn, 0, 5).tolist() == [-1, -1, -1, -1, 0.25]
-    assert pad_history(vn, 2, 5).tolist() == [-1, -1, 0.25, 0.5, 0.75]
+    assert pad_history(vn, 5)[0].tolist() == [-1, -1, -1, -1, 0.25]
+    assert pad_history(vn, 5)[2].tolist() == [-1, -1, 0.25, 0.5, 0.75]
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +282,14 @@ def test_encode_decode_inverse_on_truth(output_type):
     assert np.max(np.abs(back - truth)) < 1e-12
 
 
+@pytest.mark.parametrize("history_len", [0, -1])
+def test_config_rejects_an_empty_history(history_len):
+    # the head without a GRU reads the current mean speed from the history
+    with pytest.raises(ValueError,
+                       match=f"history_len must be >= 1, got {history_len}"):
+        ModelConfig(history_len=history_len)
+
+
 def test_config_names():
     assert config_from_name("gat-gru-p").name == "gat-gru-p"
     assert config_from_name("dnn").name == "dnn"
@@ -315,11 +324,10 @@ def test_forward_is_permutation_equivariant():
     np.fill_diagonal(adj, True)
     feats = rng.normal(size=(n, 10))
     hist = rng.uniform(0, 1, size=(2, 5))
-    vmean = rng.uniform(0, 1, size=2)
-    out = model.forward(feats, adj, hist, vmean).data.reshape(2, n)
+    out = model.forward(feats, adj, hist).data.reshape(2, n)
     perm = rng.permutation(n)
-    out_p = model.forward(feats[perm], adj[np.ix_(perm, perm)], hist,
-                          vmean).data.reshape(2, n)
+    out_p = model.forward(feats[perm], adj[np.ix_(perm, perm)],
+                          hist).data.reshape(2, n)
     assert np.max(np.abs(out_p - out[:, perm])) < 1e-12
 
 
@@ -332,11 +340,10 @@ def test_end_to_end_gradcheck_small():
     np.fill_diagonal(adj, True)
     feats = rng.uniform(0, 1, size=(n, 10))
     hist = rng.uniform(0, 1, size=(2, 5))
-    vmean = rng.uniform(0.2, 0.8, size=2)
     target = nn.constant(rng.uniform(0, 1, size=(2 * n, 1)))
 
     def closure():
-        return nn.mse_loss(model.forward(feats, adj, hist, vmean), target)
+        return nn.mse_loss(model.forward(feats, adj, hist), target)
 
     err = nn.grad_check(closure, model.parameters(), eps=1e-6)
     assert err < 1e-4
@@ -356,6 +363,33 @@ def toy_training_setup(seed=77):
     part = partition_network(net, ds.records[train_id],
                              PartitionParams(k=3, t_max=5, t_window=2))
     return net, ds, part
+
+
+@pytest.mark.parametrize("output_type", ["Ratio", "Diff"])
+def test_batches_and_normalization_equal_a_per_window_loop(output_type):
+    net, ds, part = toy_training_setup(seed=29)
+    mc = ModelConfig(history_len=4, output_type=output_type, dtype="float64")
+    feats = model_module.split_features(net, ds, "train", part)
+    norm = model_module.fit_normalization(ds, feats, output_type)
+    coded = [encode_targets(ds.records[sc.id].speeds[t],
+                            float(ds.records[sc.id].mean_speed[t]), output_type)
+             for sc in ds.split_scenarios("train")
+             for t in range(ds.records[sc.id].n_windows)]
+    assert (norm.target_lo, norm.target_hi) == \
+        (min(c.min() for c in coded), max(c.max() for c in coded))
+    batches = model_module.build_batches(net, ds, "train", feats, mc, norm,
+                                         stride=3)
+    for sc, batch in zip(ds.split_scenarios("train"), batches):
+        rec = ds.records[sc.id]
+        vn = norm.norm_vmean(rec.mean_speed)
+        windows = range(0, rec.n_windows, 3)
+        hist = [[-1.0] * max(3 - t, 0) + list(vn[max(t - 3, 0):t + 1])
+                for t in windows]
+        targets = np.concatenate([norm.norm_target(encode_targets(
+            rec.speeds[t], float(rec.mean_speed[t]), output_type))
+            for t in windows])
+        assert batch.hist.tolist() == hist
+        assert batch.targets.ravel().tobytes() == targets.tobytes()
 
 
 def test_training_reduces_loss_and_is_deterministic(tmp_path):
@@ -417,6 +451,39 @@ def test_load_model_checks_array_names_and_shapes(tmp_path):
             load_model(path)
 
 
+@pytest.mark.parametrize("case", ["missing meta", "bare meta",
+                                  "cut-off values", "short values",
+                                  "bad number"])
+def test_load_model_names_file_and_line_or_key(tmp_path, case):
+    model = LcfModel(tiny_config(), Normalization(
+        feat=MinMaxStats(lo=np.zeros(10), hi=np.ones(10)), vmean_lo=0.0,
+        vmean_hi=1.0, target_lo=0.0, target_hi=1.0))
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    lines = path.read_text().splitlines()
+    head = lines.index("array fc.0.W 4,4")
+    if case == "missing meta":
+        lines.remove("meta heads 1")
+        expected = f"{path}: no meta 'heads'"
+    elif case == "bare meta":
+        i = lines.index("meta heads 1")
+        lines[i] = "meta heads"
+        expected = f"{path}:{i + 1}: not enough values to unpack"
+    elif case == "cut-off values":
+        assert lines[-2] == "array fc.1.b 1,1"
+        lines = lines[:-1]
+        expected = f"{path}:{len(lines)}: array 'fc.1.b' has no values line"
+    elif case == "short values":
+        lines[head + 1] = " ".join(lines[head + 1].split()[:-1])
+        expected = f"{path}:{head + 2}: cannot reshape array of size 15"
+    else:
+        lines[head + 1] = lines[head + 1].replace(" ", " 1.5x ", 1)
+        expected = f"{path}:{head + 2}: could not convert string to float: '1.5x'"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        load_model(path)
+
+
 def test_partition_only_changes_sub_region_column():
     net, ds, part = toy_training_setup(seed=13)
     feats_p = extract_features(net, part)
@@ -435,7 +502,7 @@ def test_predict_uses_padded_history_at_t0():
     out = model.predict(net, part, rec.mean_speed, t=0)
     assert out.shape == (net.n_links,)
     vn = model.norm.norm_vmean(rec.mean_speed)
-    assert pad_history(vn, 0, 5).tolist()[:4] == [-1.0, -1.0, -1.0, -1.0]
+    assert pad_history(vn, 5)[0].tolist()[:4] == [-1.0, -1.0, -1.0, -1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +525,9 @@ def test_predict_blocks_equal_one_head_call_to_the_bit(monkeypatch, use_gru):
     # reference: the taped forward over all windows, decoded window by window
     # in float64, as predict_windows decodes
     vn = model.norm.norm_vmean(vmean)
-    hist = np.stack([pad_history(vn, t, 5) for t in range(20)])
+    hist = pad_history(vn, 5)
     raw = model.forward(model.norm.feat.apply(extract_features(net, None)),
-                        build_link_graph(net).adjacency, hist,
-                        vn).data.astype(np.float64)
+                        build_link_graph(net), hist).data.astype(np.float64)
     vff = np.array([lk.vff_kmh for lk in net.links])
     ref = np.stack([decode_output(model.norm.denorm_target(r), vmean[t],
                                   "Speed", vff)
@@ -538,8 +604,7 @@ def test_float32_model_keeps_attention_in_float64():
     feats = rng.uniform(0, 1, size=(5, 10))
     assert model.attention_matrix(feats, adj).dtype == np.float64
     assert model.spatial_embed(nn.constant(feats), adj).data.dtype == np.float32
-    out = model.forward(feats, adj, rng.uniform(0, 1, size=(3, 5)),
-                        rng.uniform(0, 1, size=3))
+    out = model.forward(feats, adj, rng.uniform(0, 1, size=(3, 5)))
     assert out.data.dtype == np.float32
     with pytest.raises(ValueError, match="float16"):
         ModelConfig(dtype="float16")
@@ -560,11 +625,10 @@ def test_float32_gradients_agree_with_float64_on_the_criterion_4_toy():
         np.fill_diagonal(adj, True)
         feats = rng.uniform(0, 1, size=(n, 10))
         hist = rng.uniform(0, 1, size=(2, 5))
-        vmean = rng.uniform(0.2, 0.8, size=2)
         target = rng.uniform(0, 1, size=(2 * n, 1))
         for m in (m32, m64):
             nn.zero_grads(m.parameters())
-            nn.backward(nn.mse_loss(m.forward(feats, adj, hist, vmean),
+            nn.backward(nn.mse_loss(m.forward(feats, adj, hist),
                                     nn.constant(target.astype(m.dtype))))
         for name, p in m32.params.items():
             assert p.grad.dtype == p.data.dtype, name
@@ -615,7 +679,7 @@ def test_training_batches_and_parameters_stay_in_the_model_dtype():
     feats = model_module.split_features(net, ds, "val", part)
     for batch in model_module.build_batches(net, ds, "val", feats, mc,
                                             model.norm):
-        for field in ("feats_norm", "hist", "vmean_norm", "targets"):
+        for field in ("feats_norm", "hist", "targets"):
             assert getattr(batch, field).dtype == np.float32, field
     rec = ds.records[ds.splits["test"][0]]
     assert model.predict_windows(net, part, rec.mean_speed).dtype == np.float64

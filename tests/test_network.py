@@ -5,6 +5,7 @@ from lcftraffic.network import (Link, NetworkError, RoadNetwork, build_link_grap
                                 extract_features, fit_minmax,
                                 generate_grid_network, load_network,
                                 save_network)
+from netgen import random_network
 
 
 def two_link_chain():
@@ -58,6 +59,38 @@ def test_grid_round_trip_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_random_networks_without_flags_reload_with_inferred_flags(tmp_path):
+    # a LINK line without flags gets boundary-in = no upstream links and
+    # boundary-out = no downstream links; a line with flags keeps its own
+    rng = np.random.default_rng(31)
+    path, again = tmp_path / "net.txt", tmp_path / "again.txt"
+    checked = 0
+    while checked < 40:
+        net = random_network(rng)
+        if net is None:
+            continue
+        checked += 1
+        save_network(net, path)
+        lines = path.read_text().splitlines()
+        links = [ln for ln in lines if ln.startswith("LINK")]
+        rng.shuffle(links)  # file order is not link-id order
+        explicit = {int(ln.split()[1]) for ln in links[::3]}
+        links = [ln[:-4] + " 1 1" if int(ln.split()[1]) in explicit
+                 else ln[:-4] for ln in links]
+        path.write_text("\n".join(
+            [ln for ln in lines if not ln.startswith("LINK")] + links) + "\n")
+        loaded = load_network(path)
+        has_up = {b for _, b in net.connectivity}
+        has_down = {a for a, _ in net.connectivity}
+        for lk in loaded.links:
+            assert lk.is_boundary_in == (lk.id in explicit or lk.id not in has_up)
+            assert lk.is_boundary_out == (lk.id in explicit
+                                          or lk.id not in has_down)
+        save_network(loaded, path)
+        save_network(load_network(path), again)
+        assert path.read_bytes() == again.read_bytes()
+
+
 def test_grid_2x2_all_links_boundary():
     net = generate_grid_network(2, 2, 100.0, 2)
     assert net.n_links == 8
@@ -79,21 +112,21 @@ def test_grid_rejects_single_row():
 def test_link_graph_single_link():
     junctions = {0: (0.0, 0.0), 1: (1.0, 0.0)}
     net = RoadNetwork(junctions, [Link(0, 0, 1, 50.0, 1, 0, 25.0)])
-    g = build_link_graph(net)
-    assert g.adjacency.shape == (1, 1)
-    assert g.adjacency[0, 0]
+    adj = build_link_graph(net)
+    assert adj.shape == (1, 1)
+    assert adj[0, 0]
 
 
 def test_link_graph_chain():
     net = two_link_chain()
-    g = build_link_graph(net)
+    adj = build_link_graph(net)
     expected = np.array([[True, True], [False, True]])
-    assert np.array_equal(g.adjacency, expected)
+    assert np.array_equal(adj, expected)
 
 
 def test_link_graph_matches_junction_scan_oracle():
     net = generate_grid_network(5, 5, 100.0, 3)
-    g = build_link_graph(net)
+    adj = build_link_graph(net)
     # oracle: pairwise scan over links sharing exactly one junction
     # head-to-tail (a reverse twin shares both, so it is no movement)
     n = net.n_links
@@ -105,7 +138,7 @@ def test_link_graph_matches_junction_scan_oracle():
                 and b.from_junction == a.to_junction)
             if i == j or shared_one:
                 expect[i, j] = True
-    assert np.array_equal(g.adjacency, expect)
+    assert np.array_equal(adj, expect)
 
 
 def test_connectivity_pairs_share_exactly_one_junction():
@@ -119,7 +152,7 @@ def test_connectivity_pairs_share_exactly_one_junction():
 
 def test_double_edge_reversal_is_identity():
     net = generate_grid_network(4, 4, 100.0, 2)
-    adj = build_link_graph(net).adjacency
+    adj = build_link_graph(net)
     assert np.array_equal(adj.T.T, adj)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -209,3 +210,36 @@ def test_partition_file_round_trip(tmp_path):
     assert loaded.labels == part.labels
     assert loaded.params == part.params
     assert np.array_equal(loaded.centroids, part.centroids)
+
+
+@pytest.mark.parametrize("case", ["region without label", "missing param",
+                                  "bad param value", "bad centroid",
+                                  "unknown record"])
+def test_load_partition_names_file_and_line_or_key(tmp_path, case):
+    net = generate_grid_network(3, 3, 100.0, 2)
+    rec = fake_record(np.random.default_rng(6).uniform(5, 25, size=(60, net.n_links)))
+    path = tmp_path / "part.txt"
+    save_partition(partition_network(net, rec, PartitionParams(k=3, t_max=20)),
+                   path)
+    lines = path.read_text().splitlines()
+    region = next(i for i, ln in enumerate(lines) if ln.startswith("REGION 5 "))
+    centroid = next(i for i, ln in enumerate(lines) if ln.startswith("CENTROID"))
+    if case == "region without label":
+        lines[region] = "REGION 5"
+        expected = f"{path}:{region + 1}: not enough values to unpack"
+    elif case == "missing param":
+        lines.remove("PARAM k 3")
+        expected = f"{path}: no PARAM 'k'"
+    elif case == "bad param value":
+        i = lines.index("PARAM alpha 1.0")
+        lines[i] = "PARAM alpha one"
+        expected = f"{path}:{i + 1}: could not convert string to float: 'one'"
+    elif case == "bad centroid":
+        lines[centroid] += " y"
+        expected = f"{path}:{centroid + 1}: could not convert string to float: 'y'"
+    else:
+        lines.append("BOUNDARY 5")
+        expected = f"{path}:{len(lines)}: unknown partition record 'BOUNDARY'"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        load_partition(path)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,28 @@ def test_od_file_round_trip(tmp_path):
     save_od(od, tmp_path / "od.txt")
     loaded = load_od(tmp_path / "od.txt")
     assert loaded == od
+
+
+@pytest.mark.parametrize("line,message", [
+    ("OD 1 2", "not enough values to unpack"),
+    ("OD 1 2 fast", "could not convert string to float: 'fast'"),
+    ("OD 1 2 3.0 4", "too many values to unpack"),
+    ("RAMP", "not enough values to unpack"),
+    ("DEMAND 1 2 3.0", "unknown OD record 'DEMAND'"),
+])
+def test_load_od_names_file_and_line_of_a_bad_record(tmp_path, line, message):
+    path = tmp_path / "od.txt"
+    path.write_text(f"# od matrix\nRAMP 1.0\nOD 3 17 120.5\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:4: {message}")):
+        load_od(path)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+def test_scenario_rejects_a_scale_of_zero_or_below(scale):
+    od = ODMatrix(pairs=((3, 17),), rates=(120.5,))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"scale must be > 0, got {scale!r}")):
+        Scenario(id=0, od=od, scale=scale, bus_links=(), seed=0)
 
 
 def test_failed_scenario_excluded_and_logged(monkeypatch, caplog):

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from lcftraffic.network import (Link, RoadNetwork, SignalPlan,
-                                generate_grid_network, occurrence_passes)
+                                generate_grid_network, link_travel_times,
+                                occurrence_passes)
 from lcftraffic.scenarios import ODMatrix, Scenario
 from lcftraffic.simulate import (SimConfig, SimRecord, SimState,
-                                 SimulationError, TurnRatios, _window_stats,
-                                 initial_turn_ratios, network_mfd,
+                                 SimulationError, _window_stats,
+                                 check_turn_ratios, initial_turn_ratios,
+                                 network_mfd,
                                  scatter_add, scatter_sum, shortest_time_to_dest,
                                  simulate, storage_capacity,
                                  update_turn_ratios, save_record, load_record)
@@ -99,9 +101,7 @@ def one_pair_transfer(waiting, down_occupancy, ratio=1.0, length=350.0,
     state = SimState(net, SimConfig(**cfg_kw), [(0, 1)], (1,))
     state.w[0, 0] = waiting
     state.m[1, 0] = down_occupancy
-    idx = net.index
-    ratios = TurnRatios(idx.pair_up, idx.pair_dn, (1,), np.array([[ratio]]))
-    out = state.step(None, ratios)
+    out = state.step(None, np.array([[ratio]]))
     assert state.w[0, 0] == waiting - out["outflow"][0]
     return float(out["outflow"][0])
 
@@ -128,10 +128,8 @@ def test_transfer_flow_never_exceeds_waiting():
 
 def test_transfer_flow_rejects_bad_ratio():
     net = chain_network(2)
-    idx = net.index
     with pytest.raises(SimulationError):
-        TurnRatios(idx.pair_up, idx.pair_dn, (1,),
-                   np.array([[1.5]])).validate(net.n_links)
+        check_turn_ratios(net, np.array([[1.5]]))
 
 
 def test_transfer_flow_monotone_in_space_and_queue():
@@ -248,8 +246,9 @@ def fork_network(fast_len=100.0, slow_len=300.0):
     return RoadNetwork(junctions, links)
 
 
-def pair_index(ratios, up, dn):
-    for p, (u, d) in enumerate(zip(ratios.up_idx, ratios.dn_idx)):
+def pair_index(net, up, dn):
+    idx = net.index
+    for p, (u, d) in enumerate(zip(idx.pair_up, idx.pair_dn)):
         if (u, d) == (up, dn):
             return p
     raise KeyError((up, dn))
@@ -258,44 +257,44 @@ def pair_index(ratios, up, dn):
 def test_all_or_nothing_prefers_faster_route():
     net = fork_network()
     ratios = initial_turn_ratios(net, (5,))
-    fast = pair_index(ratios, 0, 1)
-    slow = pair_index(ratios, 0, 3)
-    assert ratios.ratios[fast, 0] == 1.0
-    assert ratios.ratios[slow, 0] == 0.0
+    fast = pair_index(net, 0, 1)
+    slow = pair_index(net, 0, 3)
+    assert ratios[fast, 0] == 1.0
+    assert ratios[slow, 0] == 0.0
 
 
 def test_smoothing_blend():
     net = fork_network()
     cfg = short_cfg(turn_smoothing=0.5)
     prev = initial_turn_ratios(net, (5,))
-    fast = pair_index(prev, 0, 1)
-    slow = pair_index(prev, 0, 3)
-    prev.ratios[fast, 0] = 0.5
-    prev.ratios[slow, 0] = 0.5
+    fast = pair_index(net, 0, 1)
+    slow = pair_index(net, 0, 3)
+    prev[fast, 0] = 0.5
+    prev[slow, 0] = 0.5
     speeds = np.full(net.n_links, 36.0)
-    new = update_turn_ratios(net, speeds, prev, cfg)
-    assert new.ratios[fast, 0] == pytest.approx(0.75, abs=1e-12)
-    assert new.ratios[slow, 0] == pytest.approx(0.25, abs=1e-12)
+    new = update_turn_ratios(net, speeds, prev, (5,), cfg)
+    assert new[fast, 0] == pytest.approx(0.75, abs=1e-12)
+    assert new[slow, 0] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_smoothing_one_is_pure_target():
     net = fork_network()
     cfg = short_cfg(turn_smoothing=1.0)
     prev = initial_turn_ratios(net, (5,))
-    fast = pair_index(prev, 0, 1)
-    slow = pair_index(prev, 0, 3)
-    prev.ratios[fast, 0] = 0.2
-    prev.ratios[slow, 0] = 0.8
-    new = update_turn_ratios(net, np.full(net.n_links, 36.0), prev, cfg)
-    assert new.ratios[fast, 0] == 1.0
-    assert new.ratios[slow, 0] == 0.0
+    fast = pair_index(net, 0, 1)
+    slow = pair_index(net, 0, 3)
+    prev[fast, 0] = 0.2
+    prev[slow, 0] = 0.8
+    new = update_turn_ratios(net, np.full(net.n_links, 36.0), prev, (5,), cfg)
+    assert new[fast, 0] == 1.0
+    assert new[slow, 0] == 0.0
 
 
 def test_equal_cost_tie_breaks_to_lowest_link_id():
     net = fork_network(fast_len=200.0, slow_len=200.0)
     ratios = initial_turn_ratios(net, (5,))
-    assert ratios.ratios[pair_index(ratios, 0, 1), 0] == 1.0
-    assert ratios.ratios[pair_index(ratios, 0, 3), 0] == 0.0
+    assert ratios[pair_index(net, 0, 1), 0] == 1.0
+    assert ratios[pair_index(net, 0, 3), 0] == 0.0
 
 
 def test_unreachable_destination_falls_back_to_uniform(caplog):
@@ -310,8 +309,8 @@ def test_unreachable_destination_falls_back_to_uniform(caplog):
     net = RoadNetwork(junctions, links)
     with caplog.at_level("WARNING"):
         ratios = initial_turn_ratios(net, (3,))
-    assert ratios.ratios[pair_index(ratios, 0, 1), 0] == 0.5
-    assert ratios.ratios[pair_index(ratios, 0, 2), 0] == 0.5
+    assert ratios[pair_index(net, 0, 1), 0] == 0.5
+    assert ratios[pair_index(net, 0, 2), 0] == 0.5
     assert "unreachable" in caplog.text
 
 
@@ -324,8 +323,8 @@ def test_ratio_vectors_sum_to_one_after_updates():
     cfg = short_cfg()
     for _ in range(5):
         speeds = rng.uniform(2.0, 25.0, size=net.n_links)
-        ratios = update_turn_ratios(net, speeds, ratios, cfg)
-        ratios.validate(net.n_links)  # sums to 1 within 1e-9
+        ratios = update_turn_ratios(net, speeds, ratios, dests, cfg)
+        check_turn_ratios(net, ratios)  # sums to 1 within 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +337,14 @@ def reference_time_to_dest(net, tau, dest):
     dist[dest] = tau[dest]
     heap = [(dist[dest], dest)]
     ids = net.link_ids()
+    upstream = {b: [] for b in ids}
+    for a, b in net.connectivity:
+        upstream[b].append(a)
     while heap:
         d, z = heapq.heappop(heap)
         if d > dist[z]:
             continue
-        for up_id in net.upstream[ids[z]]:
+        for up_id in upstream[ids[z]]:
             u = net.link_index(up_id)
             cand = d + tau[u]
             if cand < dist[u]:
@@ -375,15 +377,16 @@ def test_turn_ratios_sum_to_one_on_random_networks():
     for rng, net in random_networks(12, 60):
         dests = net.link_ids()  # every link, reachable or not
         ratios = initial_turn_ratios(net, dests)
-        vff_tau = np.array([lk.length_m / lk.vff_ms for lk in net.links])
+        idx = net.index
+        vff_tau = link_travel_times(net, idx.vff_kmh)
         for col, dest_id in enumerate(dests):
             dist = reference_time_to_dest(net, vff_tau, net.link_index(dest_id))
             for lk in net.links:
-                pairs = [p for p, u in enumerate(ratios.up_idx) if u == net.link_index(lk.id)]
+                pairs = [p for p, u in enumerate(idx.pair_up) if u == net.link_index(lk.id)]
                 if not pairs:
                     continue
-                split = ratios.ratios[pairs, col]
-                via = [dist[ratios.dn_idx[p]] for p in pairs]
+                split = ratios[pairs, col]
+                via = [dist[idx.pair_dn[p]] for p in pairs]
                 if lk.id == dest_id or np.isinf(min(via)):
                     unreachable += lk.id != dest_id
                     assert np.all(split == 1.0 / len(pairs))
@@ -393,9 +396,9 @@ def test_turn_ratios_sum_to_one_on_random_networks():
                     assert split.sum() == 1.0
         for _ in range(3):
             speeds = rng.uniform(1.0, 25.0, size=net.n_links)
-            ratios = update_turn_ratios(net, speeds, ratios, cfg)
-            for u in set(ratios.up_idx.tolist()):
-                sums = ratios.ratios[ratios.up_idx == u].sum(axis=0)
+            ratios = update_turn_ratios(net, speeds, ratios, dests, cfg)
+            for u in set(idx.pair_up.tolist()):
+                sums = ratios[idx.pair_up == u].sum(axis=0)
                 assert np.abs(sums - 1.0).max() < 1e-12
     assert unreachable > 0
 
@@ -600,7 +603,7 @@ def test_record_round_trip_is_bit_exact(tmp_path):
                     outflow=values[:, 10:15], mean_speed=values[:, 15],
                     production=values[:, 16], total_accumulation=values[:, 17])
     save_record(rec, tmp_path)
-    back = load_record(tmp_path, window_s=60.0)
+    back = load_record(tmp_path, window_s=60.0, step_s=5.0)
     assert back.link_ids == rec.link_ids
     for name in ("speeds", "accumulation", "outflow", "mean_speed",
                  "production", "total_accumulation"):
@@ -654,7 +657,7 @@ def test_load_record_names_file_and_line_of_a_broken_layout(tmp_path, case):
     (tmp_path / "links.csv").write_text("\n".join([head_l] + links) + "\n")
     (tmp_path / "network.csv").write_text("\n".join([head_n] + windows) + "\n")
     with pytest.raises(ValueError, match=expected):
-        load_record(tmp_path)
+        load_record(tmp_path, window_s=20.0, step_s=5.0)
 
 
 def test_golden_record_is_bit_identical(tmp_path):
