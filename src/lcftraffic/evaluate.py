@@ -98,7 +98,7 @@ def shortest_path(net: RoadNetwork, speeds_kmh: np.ndarray, origin: int,
     if np.any(speeds_kmh <= 0):
         raise ValueError("speeds must be positive")
     idx = net.index
-    tau = link_travel_times(net, speeds_kmh).tolist()
+    tau = link_travel_times(idx.length_m, speeds_kmh).tolist()
     src = net.link_index(origin)
     dst = net.link_index(destination)
     dist = [math.inf] * net.n_links
@@ -146,8 +146,7 @@ def path_travel_time(net: RoadNetwork, path: list[int],
         if w >= n_windows:
             w = n_windows - 1
             overran = True
-        v_ms = speeds_by_window[w, z] * 1000.0 / 3600.0
-        clock += length_m / v_ms
+        clock += link_travel_times(length_m, speeds_by_window[w, z])
     return clock - depart_window * window_s, overran
 
 
@@ -156,6 +155,7 @@ class TravelTimeResult:
     report: MetricReport
     n_no_path: int
     errors: np.ndarray
+    n_overrun: int  # timed trips whose walk ran past the horizon in either field
 
 
 def travel_time_experiment(net: RoadNetwork, estimated: np.ndarray,
@@ -165,15 +165,16 @@ def travel_time_experiment(net: RoadNetwork, estimated: np.ndarray,
     """Route every trip on the estimated field at departure, then time the
     chosen path under both fields; metrics are in seconds over the trips."""
     est_times, true_times = [], []
-    no_path = 0
+    no_path = overrun = 0
     for trip in trips:
         path = shortest_path(net, estimated[trip.departure], trip.origin,
                              trip.destination)
         if path is None:
             no_path += 1
             continue
-        t_est, _ = path_travel_time(net, path, estimated, trip.departure, window_s)
-        t_true, _ = path_travel_time(net, path, recorded, trip.departure, window_s)
+        t_est, est_over = path_travel_time(net, path, estimated, trip.departure, window_s)
+        t_true, true_over = path_travel_time(net, path, recorded, trip.departure, window_s)
+        overrun += est_over or true_over
         est_times.append(t_est)
         true_times.append(t_true)
     if not est_times:
@@ -181,7 +182,8 @@ def travel_time_experiment(net: RoadNetwork, estimated: np.ndarray,
     report = metrics(np.array(est_times), np.array(true_times), model=model,
                      scenario_class=scenario_class, unit="s")
     return TravelTimeResult(report=report, n_no_path=no_path,
-                            errors=np.array(est_times) - np.array(true_times))
+                            errors=np.array(est_times) - np.array(true_times),
+                            n_overrun=overrun)
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,7 @@ def evaluate_travel_time_split(net: RoadNetwork, dataset: Dataset, partition,
     for name in model_names:
         fn = make_predictor(name, partition, nn_models, lr_model)
         errs = []
-        excluded = 0
+        excluded = overran = 0
         for sc in scenarios:
             rec = dataset.records[sc.id]
             sub = nets[sc.id]
@@ -184,8 +184,10 @@ def evaluate_travel_time_split(net: RoadNetwork, dataset: Dataset, partition,
                                             model=name, scenario_class=label)
             errs.append(result.errors)
             excluded += result.n_no_path
-        if excluded:
-            log.info("travel-time %s: %d no-path trips excluded", name, excluded)
+            overran += result.n_overrun
+        if excluded or overran:
+            log.info("travel-time %s: %d no-path trips excluded, %d trips "
+                     "overran the horizon", name, excluded, overran)
         err = np.concatenate(errs)
         reports.append(metrics(err, np.zeros_like(err), model=name,
                                scenario_class=label, unit="s"))

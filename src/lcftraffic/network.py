@@ -264,10 +264,11 @@ def build_link_graph(net: RoadNetwork) -> np.ndarray:
     return adj
 
 
-def link_travel_times(net: RoadNetwork, speeds_kmh) -> np.ndarray:
-    """Seconds to cross each link at ``speeds_kmh`` km/h, by link index."""
-    return net.index.length_m / (np.asarray(speeds_kmh, dtype=float)
-                                 * 1000.0 / 3600.0)
+def link_travel_times(length_m, speeds_kmh):
+    """Seconds to cross links of ``length_m`` metres at ``speeds_kmh`` km/h:
+    arrays, such as ``net.index.length_m`` by link index, or one link's
+    numbers, so that a walk link by link runs the same formula."""
+    return length_m / (speeds_kmh * 1000.0 / 3600.0)
 
 
 def generate_grid_network(rows: int, cols: int, link_length: float, lanes: int,

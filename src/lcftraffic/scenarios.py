@@ -171,13 +171,17 @@ def build_dataset(net: RoadNetwork, base_od: ODMatrix, n: int, master_seed: int,
     scenarios = make_scenarios(net, base_od, n, master_seed, scale=scale,
                                bus_lane_count=bus_lane_count)
     records: dict[int, SimRecord] = {}
-    failed: list[int] = []
+    failed: dict[int, SimulationError] = {}
     for sc in scenarios:
         try:
             records[sc.id] = simulate(net, sc, cfg)
         except SimulationError as exc:
             log.error("scenario %d failed and is excluded: %s", sc.id, exc)
-            failed.append(sc.id)
+            failed[sc.id] = exc
+    if not records:
+        first = next(iter(failed))
+        raise SimulationError(f"all {n} scenarios failed; scenario {first}: "
+                              f"{failed[first]}")
     kept = [sc for sc in scenarios if sc.id not in failed]
     splits = assign_splits(n, master_seed)
     if failed:

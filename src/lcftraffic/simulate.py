@@ -26,6 +26,14 @@ Per aggregation window the mean speed of link z is
 
 with outflow counting both transfers out and trips ended on the link, and
 network production / accumulation give the network mean speed.
+
+Records are reproducible to the bit because each sum has one fixed order,
+which any rewrite of the step must keep: row sums over destinations
+(``np.add.reduce(x, 1)``), ``scatter_sum``'s bincounts (each bin from zero
+in index order: pairs in pair order, a link's ended trips before its
+transfers out), ``scatter_add``'s passes (each key in index order: pair
+order, OD-pair order), and every formula left to right as written, e.g. a
+step's demand ``(rates / 3600 * step_s) * factor``.
 """
 
 from __future__ import annotations
@@ -109,18 +117,19 @@ def scatter_sum(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat, weights=values.ravel(), minlength=n * d).reshape(n, d)
 
 
-def scatter_add(out: np.ndarray, index, values: np.ndarray,
-                passes: tuple[np.ndarray, ...]) -> None:
-    """``np.add.at(out, index, values)`` as one fancy-index ``+=`` per group
-    of ``passes``, which must be ``occurrence_passes`` of the index keys.
+def scatter_groups(index: tuple[np.ndarray, ...], passes) -> tuple:
+    """``scatter_add``'s groups: per pass, its rows and the index arrays at
+    them. ``passes`` must be ``occurrence_passes`` of the index keys."""
+    return tuple((rows, tuple(i[rows] for i in index)) for rows in passes)
 
-    Each key receives its values in index order, as with ``np.add.at``, so
-    every sum is the same to the bit. ``index`` is an array, or a tuple of
-    arrays for several axes.
+
+def scatter_add(out: np.ndarray, groups, values: np.ndarray) -> None:
+    """``np.add.at(out, index, values)`` as one fancy-index ``+=`` per group
+    of ``scatter_groups(index, passes)``: each key receives its values in
+    index order, as with ``np.add.at``, so every sum is the same to the bit.
     """
-    index = index if isinstance(index, tuple) else (index,)
-    for rows in passes:
-        out[tuple(i[rows] for i in index)] += values[rows]
+    for rows, keys in groups:
+        out[keys] += values[rows]
 
 
 def shortest_time_to_dest(net: RoadNetwork, tau: np.ndarray,
@@ -193,7 +202,7 @@ def _target_ratios(net: RoadNetwork, speeds_kmh: np.ndarray,
     if n_pairs == 0:
         return np.zeros((0, len(dest_ids)))
     dest_index = np.array([net.link_index(d) for d in dest_ids], dtype=int)
-    dist = shortest_time_to_dest(net, link_travel_times(net, speeds_kmh),
+    dist = shortest_time_to_dest(net, link_travel_times(idx.length_m, speeds_kmh),
                                  dest_index)
     via = dist[idx.pair_dn]
     seg_best = np.minimum.reduceat(via, idx.seg_start, axis=0)
@@ -227,7 +236,9 @@ def initial_turn_ratios(net: RoadNetwork, dest_ids: tuple[int, ...]) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 class SimState:
-    """Mutable per-run state: queues, pending transfers, demand backlog."""
+    """Mutable per-run state: queues, pending transfers, demand backlog.
+    What ``step`` reads of the network is built here once; ``m`` and ``w``
+    are read afresh each step, so they may be written between steps."""
 
     def __init__(self, net: RoadNetwork, cfg: SimConfig,
                  od_pairs: list[tuple[int, int]], dest_ids: tuple[int, ...]):
@@ -241,6 +252,8 @@ class SimState:
         self.cap = np.array([storage_capacity(lk, cfg) for lk in net.links])
         self.sat = np.array([cfg.saturation_flow * lk.car_lanes * cfg.step_s
                              for lk in net.links])
+        self.block_at = cfg.congestion_threshold * self.cap
+        self.cap_tol = self.cap + 1e-9
         self.len_m = idx.length_m
         self.vff_ms = idx.vff_kmh * 1000.0 / 3600.0
         free_steps = np.ceil(self.len_m / self.vff_ms / cfg.step_s).astype(int)
@@ -250,6 +263,7 @@ class SimState:
         self.m = np.zeros((z, d))
         self.w = np.zeros((z, d))
         self.pend = np.zeros((self.ring, z, d))
+        self.links = np.arange(z)
         # trips end at (destination link, its column)
         self.dest_index = np.array([net.link_index(dd) for dd in dest_ids], dtype=int)
         self.dest_cols = np.arange(d)
@@ -257,17 +271,22 @@ class SimState:
         # demand bookkeeping: one backlog slot per OD pair
         dest_col = {dd: i for i, dd in enumerate(dest_ids)}
         self.od_origin = np.array([net.link_index(o) for o, _ in od_pairs], dtype=int)
-        self.od_dest_col = np.array([dest_col[dd] for _, dd in od_pairs], dtype=int)
-        self.od_passes = occurrence_passes(self.od_origin * d + self.od_dest_col)
+        od_dest_col = np.array([dest_col[dd] for _, dd in od_pairs], dtype=int)
+        self.od_groups = scatter_groups(
+            (self.od_origin, od_dest_col),
+            occurrence_passes(self.od_origin * d + od_dest_col))
         self.backlog = np.zeros(len(od_pairs))
         self.injected_total = 0.0
         self.completed_total = 0.0
         self.step_no = 0
 
-        # signal gating per connectivity pair
+        # transfers per connectivity pair: scatter keys and signal gating
         self.pair_up, self.pair_dn = idx.pair_up, idx.pair_dn
-        self.up_passes = idx.up_passes
-        self.out_rows = np.concatenate([np.arange(z), self.pair_up])
+        self.up_col, self.dn_col = self.pair_up[:, None], self.pair_dn[:, None]
+        self.up_groups = scatter_groups((self.pair_up,), idx.up_passes)
+        # scatter_sum's (link, destination) bincount index of pair_dn
+        self.dn_flat = (self.dn_col * d + self.dest_cols).ravel()
+        self.out_rows = np.concatenate([self.links, self.pair_up])
         up_links = [net.links[u] for u in self.pair_up]
         has_sig, cyc, off, green_a, group_a = [], [], [], [], []
         for lk in up_links:
@@ -285,24 +304,16 @@ class SimState:
         self.sig_green_a = np.array(green_a)
         self.sig_group_a = np.array(group_a, dtype=bool)
 
-    def occupancy(self) -> np.ndarray:
-        return self.m.sum(axis=1) + self.w.sum(axis=1)
-
     def in_network(self) -> float:
         return float(self.m.sum() + self.w.sum())
 
-    def greens(self, t_s: float) -> np.ndarray:
-        a_green = ((t_s - self.sig_offset) % self.sig_cycle) < self.sig_green_a
-        green = np.where(self.sig_group_a, a_green, ~a_green)
-        return np.where(self.sig_active, green, True)
-
-    def _delays(self) -> np.ndarray:
+    def _delays(self, w_sum: np.ndarray) -> np.ndarray:
         """Steps a vehicle entering now spends moving: the free-flow time of
         the stretch upstream of the queue end, the queue end located by the
-        waiting occupancy fraction."""
-        frac = np.clip(self.w.sum(axis=1) / self.cap, 0.0, 1.0)
+        waiting occupancy fraction (``w_sum`` is the waiting queue per link)."""
+        frac = np.minimum(np.maximum(w_sum / self.cap, 0.0), 1.0)
         steps = np.ceil((1.0 - frac) * self.len_m / self.vff_ms / self.cfg.step_s)
-        return np.clip(steps.astype(int), 1, self.max_delay)
+        return np.minimum(np.maximum(steps, 1.0), self.max_delay).astype(int)
 
     def step(self, demand_step: np.ndarray, ratios: np.ndarray) -> dict[str, np.ndarray]:
         """Advance one time step; returns per-link outflow, start-of-step
@@ -311,76 +322,78 @@ class SimState:
         Accumulation is sampled at the step start so that the queue state
         that produced this step's outflow is the one recorded with it.
         """
-        cfg = self.cfg
-        z = self.net.n_links
+        z, d = self.m.shape
         k = self.step_no
-        t_s = k * cfg.step_s
-        acc_start = self.occupancy()
+        m, w, pend = self.m, self.w, self.pend
+        acc_start = np.add.reduce(m, 1) + np.add.reduce(w, 1)
 
         # 1. moving -> waiting maturation; destination arrivals leave
         slot = k % self.ring
-        mature = self.pend[slot].copy()
-        self.pend[slot] = 0.0
-        self.m -= mature
-        if self.m.min() < -1e-9:
+        mature = pend[slot].copy()
+        pend[slot] = 0.0
+        m -= mature
+        if m.min() < -1e-9:
             raise SimulationError("moving queue went negative")
-        np.clip(self.m, 0.0, None, out=self.m)
+        np.maximum(m, 0.0, out=m)
         completed = np.zeros(z)
-        done = mature[self.dest_index, self.dest_cols]
-        ends = done > 0
-        completed[self.dest_index[ends]] = done[ends]
-        mature[self.dest_index[ends], self.dest_cols[ends]] = 0.0
-        self.w += mature
+        ends = (self.dest_index, self.dest_cols)
+        completed[self.dest_index] = mature[ends]
+        mature[ends] = 0.0
+        w += mature
         self.completed_total += completed.sum()
 
-        delays = self._delays()
+        w_sum = np.add.reduce(w, 1)
+        delays = self._delays(w_sum)
 
-        # 2. transfer flows across junctions
-        green = self.greens(t_s)
-        q_des = self.w[self.pair_up] * ratios
-        q_des[~green] = 0.0
+        # 2. transfer flows across junctions. Where a gate's denominator is
+        # 0, every flow it scales is 0 too, so its value there is moot.
+        red = ((((k * self.cfg.step_s - self.sig_offset) % self.sig_cycle)
+                < self.sig_green_a) != self.sig_group_a) & self.sig_active
+        q_des = w[self.pair_up] * ratios
+        q_des[red] = 0.0
 
-        out_des = scatter_sum(self.pair_up, q_des.sum(axis=1), z)
-        factor_up = np.where(out_des > 0, np.minimum(1.0, self.sat / np.maximum(out_des, 1e-300)), 1.0)
-        q1 = q_des * factor_up[self.pair_up][:, None]
+        out_des = scatter_sum(self.pair_up, np.add.reduce(q_des, 1), z)
+        factor_up = np.minimum(1.0, self.sat / np.maximum(out_des, 1e-300))
+        q1 = q_des * factor_up[self.up_col]
 
-        occ = self.occupancy()
-        inflow_des = scatter_sum(self.pair_dn, q1.sum(axis=1), z)
-        space = np.maximum(self.cap - occ, 0.0)
-        blocked = occ >= cfg.congestion_threshold * self.cap
-        gate = np.where(blocked, 0.0,
-                        np.where(inflow_des > 0,
-                                 np.minimum(1.0, space / np.maximum(inflow_des, 1e-300)),
-                                 1.0))
-        q = q1 * gate[self.pair_dn][:, None]
+        # occ >= block_at (<= cap) zeroes the gate, so the free space
+        # cap - occ is > 0 wherever the gate is kept
+        occ = np.add.reduce(m, 1) + w_sum
+        inflow_des = scatter_sum(self.pair_dn, np.add.reduce(q1, 1), z)
+        gate = np.minimum(1.0, (self.cap - occ) / np.maximum(inflow_des, 1e-300))
+        gate[occ >= self.block_at] = 0.0
+        q = q1 * gate[self.dn_col]
 
         # 3. apply transfers
-        scatter_add(self.w, self.pair_up, -q, self.up_passes)
-        if self.w.min() < -1e-9:
+        scatter_add(w, self.up_groups, -q)
+        if w.min() < -1e-9:
             raise SimulationError("waiting queue went negative")
-        np.clip(self.w, 0.0, None, out=self.w)
-        inflow_zd = scatter_sum(self.pair_dn, q, z)
-        self.m += inflow_zd
+        np.maximum(w, 0.0, out=w)
+        # scatter_sum(self.pair_dn, q, z), its flat index built once
+        inflow_zd = np.bincount(self.dn_flat, q.ravel(), z * d).reshape(z, d)
+        m += inflow_zd
         slots = (k + delays) % self.ring
-        self.pend[slots, np.arange(z)] += inflow_zd
+        pend[slots, self.links] += inflow_zd
         # outflow: trips ended on the link, then its transfers out in pair order
-        u_step = scatter_sum(self.out_rows, np.concatenate([completed, q.sum(axis=1)]), z)
+        u_step = scatter_sum(self.out_rows,
+                             np.concatenate([completed, np.add.reduce(q, 1)]), z)
 
         # 4. demand injection, capped by the space left at each origin
         if demand_step is not None and len(demand_step):
-            self.backlog += demand_step
-            room = np.maximum(self.cap - self.occupancy(), 0.0)
-            want = scatter_sum(self.od_origin, self.backlog, z)
-            frac = np.where(want > 0, np.minimum(1.0, room / np.maximum(want, 1e-300)), 0.0)
-            inject = self.backlog * frac[self.od_origin]
-            scatter_add(self.m, (self.od_origin, self.od_dest_col), inject,
-                        self.od_passes)
-            scatter_add(self.pend, (slots[self.od_origin], self.od_origin,
-                                    self.od_dest_col), inject, self.od_passes)
-            self.backlog -= inject
+            backlog = self.backlog
+            backlog += demand_step
+            room = np.maximum(
+                self.cap - (np.add.reduce(m, 1) + np.add.reduce(w, 1)), 0.0)
+            want = scatter_sum(self.od_origin, backlog, z)
+            frac = np.minimum(1.0, room / np.maximum(want, 1e-300))
+            inject = backlog * frac[self.od_origin]
+            scatter_add(m, self.od_groups, inject)
+            scatter_add(pend, [(rows, (slots[o], o, c))
+                               for rows, (o, c) in self.od_groups], inject)
+            backlog -= inject
             self.injected_total += float(inject.sum())
 
-        if np.any(self.occupancy() > self.cap + 1e-9):
+        if (np.add.reduce(m, 1) + np.add.reduce(w, 1) > self.cap_tol).any():
             raise SimulationError("storage capacity exceeded")
         self.step_no += 1
         return {"outflow": u_step, "accumulation": acc_start, "completed": completed}
@@ -443,9 +456,12 @@ def simulate(net: RoadNetwork, scenario, cfg: SimConfig | None = None) -> SimRec
     od_pairs = list(od.pairs)
     rates = np.asarray(od.rates, dtype=float) * scenario.scale
     dest_ids = tuple(sorted({d for _, d in od_pairs}))
+    known = set(sim_net.link_ids())
     for o, d in od_pairs:
-        if o == d:
-            raise SimulationError(f"OD pair with origin == destination ({o})")
+        bad = [f"link {i} is not in the network" for i in (o, d) if i not in known]
+        if bad or o == d:
+            raise ValueError(f"OD pair ({o}, {d}): "
+                             + (bad + ["origin == destination"])[0])
 
     state = SimState(sim_net, cfg, od_pairs, dest_ids)
     ratios = initial_turn_ratios(sim_net, dest_ids)
@@ -470,6 +486,7 @@ def simulate(net: RoadNetwork, scenario, cfg: SimConfig | None = None) -> SimRec
     last_speeds = vff
     turn_every = max(1, int(round(cfg.turn_update_s / cfg.step_s)))
     ramp_s = max(cfg.warmup_s * od.ramp_fraction, cfg.step_s)
+    base = rates / 3600.0 * cfg.step_s   # a step's demand is base * factor
 
     for k in range(n_steps):
         t_s = k * cfg.step_s
@@ -482,8 +499,7 @@ def simulate(net: RoadNetwork, scenario, cfg: SimConfig | None = None) -> SimRec
             factor = 1.0
         else:
             factor = 0.0
-        demand_step = rates / 3600.0 * cfg.step_s * factor
-        out = state.step(demand_step, ratios)
+        out = state.step(base * factor, ratios)
 
         sum_u += out["outflow"]
         sum_x += out["accumulation"]

@@ -269,3 +269,24 @@ def test_help_lists_reference_defaults(capsys):
     for needle in ("(default: 4)", "(default: 1.0)", "(default: 1.5)",
                    "(default: 2)", "(default: 40)"):
         assert needle in text
+
+
+@pytest.mark.parametrize("command", ["simulate", "gen-dataset"])
+@pytest.mark.parametrize("pair,expected", [
+    ("0 999", "OD pair (0, 999): link 999 is not in the network"),
+    ("999 0", "OD pair (999, 0): link 999 is not in the network"),
+    ("3 3", "OD pair (3, 3): origin == destination")])
+def test_od_pair_outside_the_network_or_looping_fails(tmp_path, capsys,
+                                                      command, pair, expected):
+    out = str(tmp_path / "run")
+    assert run(["gen-network", "--out", out, "--grid", "3x3"]) == 0
+    od_path = tmp_path / "od.txt"
+    od_path.write_text(f"OD 0 9 100.0\nOD {pair} 100.0\n")
+    capsys.readouterr()
+    args = [command, "--out", out, "--od", od_path] + SIM_SMALL
+    if command == "gen-dataset":
+        args += ["--scenarios", "10"]
+    assert run(args) == 1
+    assert f"error: {expected}" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "record"))
+    assert not os.path.exists(os.path.join(out, "dataset"))

@@ -191,6 +191,26 @@ def test_path_time_flags_horizon_overrun():
     assert flag
 
 
+def test_path_time_equals_a_link_by_link_walk_to_the_bit():
+    # the scalar crossing-time formula, one link at a time
+    def walk(net, path, speeds, depart, window_s):
+        clock = depart * window_s
+        for link_id in path:
+            z = net.link_index(link_id)
+            w = min(int(clock // window_s), speeds.shape[0] - 1)
+            clock += net.links[z].length_m / (float(speeds[w, z]) * 1000.0 / 3600.0)
+        return clock - depart * window_s
+
+    net = generate_grid_network(5, 5, 100.0, 2, length_jitter=0.3, jitter_seed=3)
+    rng = np.random.default_rng(8)
+    speeds = rng.uniform(1.0, 25.0, size=(12, net.n_links))
+    for trip in generate_trips(net, 60, seed=4, horizon=(0, 11)):
+        path = shortest_path(net, speeds[trip.departure], trip.origin,
+                             trip.destination)
+        t, _ = path_travel_time(net, path, speeds, trip.departure, 60.0)
+        assert t == walk(net, path, speeds, trip.departure, 60.0)
+
+
 # ---------------------------------------------------------------------------
 # travel-time experiment
 # ---------------------------------------------------------------------------
@@ -251,3 +271,20 @@ def test_histogram_counts_conserved():
     errs = rng.normal(size=531)
     bins = histogram(errs, n_bins=17)
     assert sum(c for _, _, c in bins) == 531
+
+
+def test_trips_that_overrun_the_horizon_are_counted():
+    net = generate_grid_network(4, 4, 100.0, 2)
+    ids = net.link_ids()
+    fast = np.full((6, net.n_links), 20.0)
+    slow = np.full((6, net.n_links), 5.0)
+    # 100 m links take 72 s at 5 km/h, so a trip of more than one link that
+    # departs in the last 60-s window walks past it on the slow field
+    last, early = Trip(ids[0], ids[20], departure=5), Trip(ids[0], ids[20], 1)
+    assert len(shortest_path(net, fast[5], last.origin, last.destination)) > 1
+    for estimated, recorded in ((slow, fast), (fast, slow)):
+        result = travel_time_experiment(net, estimated, recorded, [last, early],
+                                        window_s=60.0)
+        assert (result.n_no_path, result.n_overrun) == (0, 1)
+    result = travel_time_experiment(net, fast, fast, [last, early], window_s=60.0)
+    assert result.n_overrun == 0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -115,3 +117,14 @@ def test_evaluations_build_each_scenario_network_once(corpus, monkeypatch):
         for m, (rep, smp) in zip(models, alone):
             assert repr(reports[models.index(m)]) == repr(rep[0]), (name, m)
             assert samples[m].tobytes() == smp[m].tobytes(), (name, m)
+
+
+def test_travel_time_split_logs_horizon_overruns(corpus, caplog):
+    net, dataset = corpus
+    # every trip departs in the last 60-s window, so most walks run past it
+    with caplog.at_level("INFO", logger="lcftraffic.harness"):
+        evaluate_travel_time_split(net, dataset, None, ["MFD"], {}, n_trips=20,
+                                   seed=1, warmup_windows=9)
+    found = re.search(r"travel-time MFD: 0 no-path trips excluded, (\d+) trips "
+                      r"overran the horizon", caplog.text)
+    assert found and int(found.group(1)) > 0

@@ -227,3 +227,19 @@ def test_manifest_carries_window_metadata(tmp_path):
     assert manifest["step_s"] == 5.0
     loaded = load_dataset(tmp_path / "ds")
     assert loaded.records[0].window_s == 60.0
+
+
+def test_dataset_where_every_scenario_failed_is_an_error(monkeypatch):
+    import lcftraffic.scenarios as scenarios_mod
+    from lcftraffic.simulate import SimulationError
+
+    def failing(net, sc, cfg):
+        raise SimulationError(f"injected failure {sc.id}")
+
+    monkeypatch.setattr(scenarios_mod, "simulate", failing)
+    net = generate_grid_network(3, 3, 100.0, 2)
+    base = random_base_od(net, 3, 200.0, seed=1)
+    with pytest.raises(SimulationError,
+                       match="all 10 scenarios failed; scenario 0: injected failure 0"):
+        scenarios_mod.build_dataset(net, base, n=10, master_seed=1,
+                                    cfg=quick_cfg())

@@ -12,7 +12,8 @@ from lcftraffic.simulate import (SimConfig, SimRecord, SimState,
                                  SimulationError, _window_stats,
                                  check_turn_ratios, initial_turn_ratios,
                                  network_mfd,
-                                 scatter_add, scatter_sum, shortest_time_to_dest,
+                                 scatter_add, scatter_groups, scatter_sum,
+                                 shortest_time_to_dest,
                                  simulate, storage_capacity,
                                  update_turn_ratios, save_record, load_record)
 from netgen import random_network
@@ -192,6 +193,24 @@ def test_step_conservation_accounting():
         state.step(demand, ratios)
         balance = state.injected_total - (state.in_network() + state.completed_total)
         assert abs(balance) < 1e-9
+
+
+def test_step_reads_queues_written_between_steps():
+    net = generate_grid_network(3, 3, 100.0, 2, vff_kmh=25.0)
+    ids = net.link_ids()
+    od = [(ids[0], ids[10]), (ids[5], ids[2])]
+    state = SimState(net, short_cfg(), od, (ids[2], ids[10]))
+    ratios = initial_turn_ratios(net, state.dest_ids)
+    rng = np.random.default_rng(3)
+    demand = np.array([0.4, 0.3])
+    for k in range(40):
+        if k % 3 == 0:
+            state.w[...] = rng.uniform(0.0, 2.0, state.w.shape)
+        if k % 4 == 1:
+            state.m += rng.uniform(0.0, 0.5, state.m.shape)
+        start = state.m.sum(axis=1) + state.w.sum(axis=1)
+        out = state.step(demand, ratios)
+        assert out["accumulation"].tobytes() == start.tobytes(), f"step {k}"
 
 
 def test_three_link_chain_hand_ledger():
@@ -378,7 +397,7 @@ def test_turn_ratios_sum_to_one_on_random_networks():
         dests = net.link_ids()  # every link, reachable or not
         ratios = initial_turn_ratios(net, dests)
         idx = net.index
-        vff_tau = link_travel_times(net, idx.vff_kmh)
+        vff_tau = link_travel_times(idx.length_m, idx.vff_kmh)
         for col, dest_id in enumerate(dests):
             dist = reference_time_to_dest(net, vff_tau, net.link_index(dest_id))
             for lk in net.links:
@@ -414,7 +433,7 @@ def test_scatters_equal_add_at_bit_for_bit():
             out = rng.standard_normal((n,) + values.shape[1:])
             want = out.copy()
             np.add.at(want, index, values)
-            scatter_add(out, index, values, passes)
+            scatter_add(out, scatter_groups((index,), passes), values)
             assert out.tobytes() == want.tobytes()
             want = np.zeros_like(out)
             np.add.at(want, index, values)
@@ -424,7 +443,8 @@ def test_scatters_equal_add_at_bit_for_bit():
         want = grid.copy()
         values = rng.standard_normal(k)
         np.add.at(want, (index, cols), values)
-        scatter_add(grid, (index, cols), values, occurrence_passes(index * d + cols))
+        scatter_add(grid, scatter_groups((index, cols), occurrence_passes(index * d + cols)),
+                    values)
         assert grid.tobytes() == want.tobytes()
 
 
@@ -573,6 +593,27 @@ def test_mean_speed_is_accumulation_weighted():
     assert mean_speed == pytest.approx(20.0)  # equal accumulation weights
 
 
+def test_conservation_and_speed_bounds_per_window_on_random_networks():
+    cfg = short_cfg(window_s=60.0, warmup_s=200.0, peak_s=600.0, total_s=1200.0)
+    spw = cfg.steps_per_window
+    for rng, net in random_networks(21, 20):
+        ids = net.link_ids()
+        od = [tuple(ids[i] for i in rng.choice(len(ids), 2, replace=False))
+              for _ in range(3)]
+        rates = rng.uniform(200.0, 2000.0, size=3)
+        rec = simulate(net, make_scenario(net, od, rates), cfg)
+        assert np.all(rec.speeds >= cfg.v_min_kmh)
+        assert np.all(rec.speeds <= net.index.vff_kmh)
+        dests = tuple(sorted({d for _, d in od}))
+        state = SimState(net, cfg, od, dests)
+        ratios = initial_turn_ratios(net, dests)
+        for k in range(cfg.n_windows * spw):
+            state.step(rates / 3600.0 * cfg.step_s, ratios)
+            if (k + 1) % spw == 0:
+                held = state.in_network() + state.completed_total
+                assert abs(state.injected_total - held) <= 1e-6, f"window {k // spw}"
+
+
 def test_record_round_trip(tmp_path):
     net = generate_grid_network(3, 3, 100.0, 2)
     ids = net.link_ids()
@@ -681,3 +722,28 @@ def test_golden_record_is_bit_identical(tmp_path):
     digest.update(repr(rec.balance_error).encode())
     assert digest.hexdigest() == \
         "36d745e215f43efe835ec4a2861437739c06b238c9c112a1d50cb5089720fd60"
+
+
+def test_golden_record_on_a_random_network_is_bit_identical(tmp_path, caplog):
+    """A congested 1-h run on a 15-link ``netgen`` network with out-degrees
+    0 to 4, two dead ends (links 1 and 2) and destinations that some links
+    cannot reach, so the uniform fallback split is used; the digest covers
+    what ``test_golden_record_is_bit_identical`` covers."""
+    net = random_network(np.random.default_rng(10))
+    assert net.n_links == 15
+    out_degree = np.bincount(net.index.pair_up, minlength=net.n_links)
+    assert sorted(set(out_degree.tolist())) == [0, 1, 2, 3, 4]
+    od = ODMatrix(pairs=((8, 13), (7, 3), (7, 9), (3, 14)), rates=(900.0,) * 4)
+    sc = Scenario(id=0, od=od, scale=1.0, bus_links=(), seed=0)
+    rec = simulate(net, sc, SimConfig(warmup_s=600.0, peak_s=2400.0,
+                                      total_s=3600.0))
+    assert "falling back to a uniform split" in caplog.text
+    assert (rec.speeds == 1.0).mean() > 0.2
+    save_record(rec, tmp_path)
+    digest = hashlib.sha256()
+    for name in ("links.csv", "network.csv"):
+        digest.update((tmp_path / name).read_bytes())
+    digest.update(rec.completed.tobytes())
+    digest.update(repr(rec.balance_error).encode())
+    assert digest.hexdigest() == \
+        "13ede425e277feba85eeba5e6a895c6a2a095b5b69f430db79e77d7f32acab47"
