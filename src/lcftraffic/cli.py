@@ -11,6 +11,7 @@ is reproducible given the same seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -234,13 +235,16 @@ def _checkpoint_path(o, name: str) -> str:
     return os.path.join(o.out, "models", f"{name}.ckpt")
 
 
+def _model_config(o, name: str):
+    return config_from_name(name, heads=o.heads, hidden_dim=o.hidden,
+                            fc_hidden=o.fc_dims, history_len=o.history,
+                            output_type=o.output_type)
+
+
 def _train_and_save(o, net, dataset, part, name: str):
     """Train variant ``name`` (lower case) with the command's options and
     write its checkpoint and loss history under <out>/models/."""
-    cfg = config_from_name(name, heads=o.heads, hidden_dim=o.hidden,
-                           fc_hidden=o.fc_dims, history_len=o.history,
-                           output_type=o.output_type)
-    model, history = train(net, dataset, part, cfg, TrainConfig(
+    model, history = train(net, dataset, part, _model_config(o, name), TrainConfig(
         lr=o.lr, lr_step=o.lr_step, lr_gamma=o.lr_gamma,
         weight_decay=o.weight_decay, epochs=o.epochs, seed=o.seed,
         window_stride=o.stride))
@@ -251,7 +255,8 @@ def _train_and_save(o, net, dataset, part, name: str):
 
 
 def _obtain_models(o, net, dataset, part, names) -> dict:
-    """Load cached checkpoints, training (and caching) any missing variant."""
+    """Load cached checkpoints, training (and caching) any missing variant;
+    a checkpoint whose model differs from the command's options is an error."""
     models = {}
     for key in names:
         if key not in harness.NN_MODEL_NAMES:
@@ -259,6 +264,15 @@ def _obtain_models(o, net, dataset, part, names) -> dict:
         path = _checkpoint_path(o, key.lower())
         if os.path.exists(path):
             models[key] = load_model(path)
+            got = models[key].config
+            # the seed is the training run's, and no option sets the dtype
+            want = dataclasses.replace(_model_config(o, key.lower()),
+                                       seed=got.seed, dtype=got.dtype)
+            for field, value in dataclasses.asdict(got).items():
+                if value != getattr(want, field):
+                    raise ValidationError(
+                        f"{path} holds {field} = {value!r}, but the options "
+                        f"give {getattr(want, field)!r}")
             log_line("loaded checkpoint", model=key.lower(), path=path)
         else:
             log_line("training missing variant", model=key.lower())
@@ -371,6 +385,9 @@ def _evaluate(o, section: str, evaluate_split, **kwargs):
     """Score the --models list on --split with ``evaluate_split`` (a
     harness protocol) and write the report under <out>/reports/<section>."""
     net, dataset, part = _load_stack(o)
+    if o.split not in dataset.splits:
+        raise ValidationError(f"--split must be one of "
+                              f"{', '.join(dataset.splits)}, got {o.split!r}")
     names = _parse_models(o)
     models = _obtain_models(o, net, dataset, part, names)
     lr_model = harness.fit_lr_estimator(net, dataset) if "LR" in names else None
@@ -389,6 +406,8 @@ def cmd_evaluate(o) -> int:
 
 
 def cmd_travel_time(o) -> int:
+    if o.trips < 1:
+        raise ValidationError(f"--trips must be >= 1, got {o.trips}")
     for rep in _evaluate(o, "travel_time", harness.evaluate_travel_time_split,
                          n_trips=o.trips, seed=o.seed):
         log_line("trip-time metrics", model=rep.model, split=o.split,

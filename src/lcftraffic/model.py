@@ -60,8 +60,11 @@ class ModelConfig:
             raise ValueError(f"dtype must be one of {', '.join(DTYPES)}, "
                              f"got {self.dtype!r}")
         # the history ends with the current window, which the no-GRU head reads
-        if not self.history_len >= 1:
-            raise ValueError(f"history_len must be >= 1, got {self.history_len!r}")
+        for name in ("heads", "hidden_dim", "history_len"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if not all(width >= 1 for width in self.fc_hidden):
+            raise ValueError(f"fc_hidden widths must be >= 1, got {self.fc_hidden!r}")
 
     @property
     def fc_input_dim(self) -> int:
@@ -378,6 +381,14 @@ class TrainConfig:
     epochs: int = 400
     seed: int = 0
     window_stride: int = 1
+
+    def __post_init__(self):
+        # "not x > 0" rather than "x <= 0", so that NaN is rejected too
+        for name in ("lr", "lr_step", "lr_gamma", "epochs", "window_stride"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay!r}")
 
 
 @dataclass

@@ -34,6 +34,13 @@ in index order: pairs in pair order, a link's ended trips before its
 transfers out), ``scatter_add``'s passes (each key in index order: pair
 order, OD-pair order), and every formula left to right as written, e.g. a
 step's demand ``(rates / 3600 * step_s) * factor``.
+
+A drained step, whose demand, backlog, waiting queues and pending
+maturations are all exactly zero and whose moving queues are >= 0, returns
+zero outflow and completed trips and the start-of-step accumulation, checks
+storage and leaves every queue as it is. The full step gives the same bits:
+every flow it would add is an exact 0.0, and x + 0.0, x - 0.0, max(x, 0.0)
+are x for x >= 0 (-0.0 may turn 0.0, which no recorded sum tells apart).
 """
 
 from __future__ import annotations
@@ -326,6 +333,14 @@ class SimState:
         k = self.step_no
         m, w, pend = self.m, self.w, self.pend
         acc_start = np.add.reduce(m, 1) + np.add.reduce(w, 1)
+        if not ((demand_step is not None and np.any(demand_step))
+                or self.backlog.any() or w.any() or pend.any()) and m.min() >= 0:
+            # drained: a full step would move nothing (module docstring)
+            if (acc_start > self.cap_tol).any():
+                raise SimulationError("storage capacity exceeded")
+            self.step_no += 1
+            return {"outflow": np.zeros(z), "accumulation": acc_start,
+                    "completed": np.zeros(z)}
 
         # 1. moving -> waiting maturation; destination arrivals leave
         slot = k % self.ring

@@ -111,6 +111,55 @@ def test_validation_exit_codes(tmp_path):
                + TRAIN_SMALL) == 1
 
 
+@pytest.fixture(scope="module")
+def small_pipeline(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("pipeline") / "run")
+    build_pipeline(out, seed=6)
+    return out
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["train", "--epochs", "0"], "error: epochs must be > 0, got 0"),
+    (["train", "--stride", "0"], "error: window_stride must be > 0, got 0"),
+    (["train", "--hidden", "0"], "error: hidden_dim must be >= 1, got 0"),
+    (["train", "--lr", "-1"], "error: lr must be > 0, got -1.0"),
+    (["travel-time", "--trips", "0"], "error: --trips must be >= 1, got 0"),
+    (["travel-time", "--trips", "-5"], "error: --trips must be >= 1, got -5"),
+    (["evaluate", "--split", "nope"],
+     "error: --split must be one of test, train, val, got 'nope'"),
+])
+def test_bad_estimator_options_exit_1_naming_the_value(small_pipeline, capsys,
+                                                      argv, expected):
+    # a check made after loading the models would first train the missing
+    # DNN checkpoint into models/; a short run unless argv overrides it
+    models = [] if argv[0] == "train" else ["--models", "MFD,DNN"]
+    capsys.readouterr()
+    assert run(argv[:1] + ["--out", small_pipeline] + models + TRAIN_SMALL
+               + argv[1:]) == 1
+    assert expected in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(small_pipeline, "models"))
+    assert not os.path.exists(os.path.join(small_pipeline, "reports"))
+
+
+def test_cached_checkpoint_of_other_options_fails_evaluate(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    build_pipeline(out, seed=4)
+    small = ["--epochs", "1", "--stride", "3"]
+    assert run(["train", "--out", out, "--model", "dnn", "--hidden", "16",
+                "--fc-dims", "8", "--seed", "4"] + small) == 0
+    capsys.readouterr()
+    assert run(["evaluate", "--out", out, "--models", "MFD,DNN",
+                "--hidden", "64", "--heads", "4"] + small) == 1
+    ckpt = os.path.join(out, "models", "dnn.ckpt")
+    assert f"error: {ckpt} holds heads = 2, but the options give 4" in \
+        capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "reports"))
+    # the checkpoint's seed is the training run's, not evaluate's --seed
+    assert run(["evaluate", "--out", out, "--models", "MFD,DNN", "--heads",
+                "2", "--hidden", "16", "--fc-dims", "8", "--seed", "7"]
+               + small) == 0
+
+
 def test_lr_p_is_rejected(tmp_path, capsys):
     out = str(tmp_path / "run")
     build_pipeline(out, seed=1)

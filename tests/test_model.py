@@ -290,6 +290,30 @@ def test_config_rejects_an_empty_history(history_len):
         ModelConfig(history_len=history_len)
 
 
+@pytest.mark.parametrize("field,value,expected", [
+    ("heads", 0, "heads must be >= 1, got 0"),
+    ("hidden_dim", 0, "hidden_dim must be >= 1, got 0"),
+    ("fc_hidden", (8, 0), r"fc_hidden widths must be >= 1, got \(8, 0\)"),
+])
+def test_config_rejects_empty_layers(field, value, expected):
+    with pytest.raises(ValueError, match=expected):
+        ModelConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value,expected", [
+    ("epochs", 0, "epochs must be > 0, got 0"),
+    ("window_stride", 0, "window_stride must be > 0, got 0"),
+    ("lr", -1.0, r"lr must be > 0, got -1\.0"),
+    ("lr", math.nan, "lr must be > 0, got nan"),
+    ("lr_step", 0, "lr_step must be > 0, got 0"),
+    ("lr_gamma", 0.0, r"lr_gamma must be > 0, got 0\.0"),
+    ("weight_decay", -0.1, r"weight_decay must be >= 0, got -0\.1"),
+])
+def test_train_config_rejects_out_of_range_values(field, value, expected):
+    with pytest.raises(ValueError, match=expected):
+        TrainConfig(**{field: value})
+
+
 def test_config_names():
     assert config_from_name("gat-gru-p").name == "gat-gru-p"
     assert config_from_name("dnn").name == "dnn"

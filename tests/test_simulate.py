@@ -7,7 +7,7 @@ import pytest
 from lcftraffic.network import (Link, RoadNetwork, SignalPlan,
                                 generate_grid_network, link_travel_times,
                                 occurrence_passes)
-from lcftraffic.scenarios import ODMatrix, Scenario
+from lcftraffic.scenarios import ODMatrix, Scenario, random_base_od
 from lcftraffic.simulate import (SimConfig, SimRecord, SimState,
                                  SimulationError, _window_stats,
                                  check_turn_ratios, initial_turn_ratios,
@@ -211,6 +211,66 @@ def test_step_reads_queues_written_between_steps():
         start = state.m.sum(axis=1) + state.w.sum(axis=1)
         out = state.step(demand, ratios)
         assert out["accumulation"].tobytes() == start.tobytes(), f"step {k}"
+
+
+def drained_chain_state():
+    """A three-link chain (link 0 -> 1 -> 2, the destination, no signals)
+    with no waiting, pending or backlogged vehicle, and moving-queue residues
+    of the kind a drained run leaves behind."""
+    net = chain_network()
+    state = SimState(net, short_cfg(), [(0, 2)], (2,))
+    state.m[:, 0] = [3e-17, 0.0, 1e-300]
+    return state, initial_turn_ratios(net, (2,))
+
+
+def queue_bytes(state):
+    return [a.tobytes() for a in (state.m, state.w, state.pend, state.backlog)]
+
+
+def test_drained_step_moves_nothing_and_reports_start_accumulation():
+    state, ratios = drained_chain_state()
+    before = queue_bytes(state)
+    start = state.m.sum(axis=1) + state.w.sum(axis=1)
+    for k in range(3):
+        out = state.step(np.zeros(1), ratios)
+        assert not out["outflow"].any() and not out["completed"].any()
+        assert out["accumulation"].tobytes() == start.tobytes()
+        assert queue_bytes(state) == before
+        assert state.step_no == k + 1
+    assert state.injected_total == 0.0 and state.completed_total == 0.0
+
+
+@pytest.mark.parametrize("where", ["w", "pend", "backlog", "demand"])
+def test_one_vehicle_anywhere_moves_on_the_next_step(where):
+    state, ratios = drained_chain_state()
+    demand = np.zeros(1)
+    if where == "w":
+        state.w[0, 0] = 1.0
+    elif where == "pend":
+        state.m[0, 0] += 1.0
+        state.pend[0, 0, 0] = 1.0     # matures at step 0, then transfers
+    elif where == "backlog":
+        state.backlog[0] = 1.0
+    else:
+        demand[0] = 1.0
+    m0 = state.m[0, 0]
+    out = state.step(demand, ratios)
+    if where in ("w", "pend"):
+        assert out["outflow"][0] == 1.0
+        assert state.w[0, 0] == 0.0 and state.m[1, 0] == 1.0
+        assert state.m[0, 0] == m0 - (where == "pend")
+    else:
+        assert state.injected_total == 1.0 and state.backlog[0] == 0.0
+        assert state.m[0, 0] == m0 + 1.0
+
+
+@pytest.mark.parametrize("m,expected", [(-1.0, "moving queue went negative"),
+                                        (1e6, "storage capacity exceeded")])
+def test_drained_step_keeps_the_queue_checks(m, expected):
+    state, ratios = drained_chain_state()
+    state.m[1, 0] = m
+    with pytest.raises(SimulationError, match=expected):
+        state.step(np.zeros(1), ratios)
 
 
 def test_three_link_chain_hand_ledger():
@@ -701,6 +761,17 @@ def test_load_record_names_file_and_line_of_a_broken_layout(tmp_path, case):
         load_record(tmp_path, window_s=20.0, step_s=5.0)
 
 
+def record_digest(rec, out_dir) -> str:
+    """SHA-256 of a record's saved files, completed trips and balance error."""
+    save_record(rec, out_dir)
+    digest = hashlib.sha256()
+    for name in ("links.csv", "network.csv"):
+        digest.update((out_dir / name).read_bytes())
+    digest.update(rec.completed.tobytes())
+    digest.update(repr(rec.balance_error).encode())
+    return digest.hexdigest()
+
+
 def test_golden_record_is_bit_identical(tmp_path):
     """A congested 2-h run with bus lanes and a repeated OD pair; the digest
     covers the saved record, completed trips and the balance error, and was
@@ -714,13 +785,7 @@ def test_golden_record_is_bit_identical(tmp_path):
                   rates=(500.0, 400.0, 450.0, 400.0, 350.0, 150.0))
     sc = Scenario(id=0, od=od, scale=0.5, bus_links=(ids[12], ids[44]), seed=0)
     rec = simulate(net, sc, SimConfig(warmup_s=900.0, peak_s=5400.0, total_s=7200.0))
-    save_record(rec, tmp_path)
-    digest = hashlib.sha256()
-    for name in ("links.csv", "network.csv"):
-        digest.update((tmp_path / name).read_bytes())
-    digest.update(rec.completed.tobytes())
-    digest.update(repr(rec.balance_error).encode())
-    assert digest.hexdigest() == \
+    assert record_digest(rec, tmp_path) == \
         "36d745e215f43efe835ec4a2861437739c06b238c9c112a1d50cb5089720fd60"
 
 
@@ -739,11 +804,32 @@ def test_golden_record_on_a_random_network_is_bit_identical(tmp_path, caplog):
                                       total_s=3600.0))
     assert "falling back to a uniform split" in caplog.text
     assert (rec.speeds == 1.0).mean() > 0.2
-    save_record(rec, tmp_path)
-    digest = hashlib.sha256()
-    for name in ("links.csv", "network.csv"):
-        digest.update((tmp_path / name).read_bytes())
-    digest.update(rec.completed.tobytes())
-    digest.update(repr(rec.balance_error).encode())
-    assert digest.hexdigest() == \
+    assert record_digest(rec, tmp_path) == \
         "13ede425e277feba85eeba5e6a895c6a2a095b5b69f430db79e77d7f32acab47"
+
+
+def test_golden_reference_schedule_with_a_drained_tail(tmp_path, monkeypatch):
+    """Acceptance criterion 1's run (5x5 grid, 10 OD pairs at 250 veh/h, the
+    reference 6-h schedule): after the queues drain, more than a quarter of
+    its steps start with no waiting, pending or backlogged vehicle and no
+    demand. The digest was taken before ``SimState.step`` skipped such
+    steps."""
+    net = generate_grid_network(5, 5, 100.0, 3, vff_kmh=25.0,
+                                length_jitter=0.3, jitter_seed=11)
+    sc = Scenario(id=0, od=random_base_od(net, 10, 250.0, seed=1), scale=1.0,
+                  bus_links=(), seed=1)
+    drained = []
+    step = SimState.step
+
+    def counted(state, demand_step, ratios):
+        drained.append(not (np.any(demand_step) or state.backlog.any()
+                            or state.w.any() or state.pend.any())
+                       and state.m.min() >= 0)
+        return step(state, demand_step, ratios)
+
+    monkeypatch.setattr(SimState, "step", counted)
+    rec = simulate(net, sc, SimConfig())
+    assert len(drained) == 4320
+    assert sum(drained) >= 4320 // 4
+    assert record_digest(rec, tmp_path) == \
+        "1bd9e642be3fe24926cc1f53d75d56aaf4b0ac3c8689b15769576aec08f253d8"
