@@ -17,8 +17,7 @@ import sys
 
 from . import harness
 from .model import TrainConfig, config_from_name, load_model, save_model, train
-from .network import (NetworkError, generate_grid_network, load_network,
-                      save_network)
+from .network import generate_grid_network, load_network, save_network
 from .partition import (PartitionParams, load_partition, partition_network,
                         save_partition)
 from .scenarios import (DEMAND_LEVELS, Scenario, build_dataset, load_dataset,
@@ -455,10 +454,8 @@ def main(argv=None) -> int:
     try:
         args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
         return COMMANDS[args.command](args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (NetworkError, FileNotFoundError, ValueError) as exc:
+    # ValidationError and NetworkError are ValueErrors
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SimulationError, RuntimeError, OSError) as exc:

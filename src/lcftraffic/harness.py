@@ -155,19 +155,26 @@ def evaluate_travel_time_split(net: RoadNetwork, dataset: Dataset, partition,
                                warmup_windows: int | None = None,
                                ) -> tuple[list[MetricReport], dict[str, np.ndarray]]:
     """Trip-time metrics per model: n_trips spread over the split's
-    scenarios, each routed on the model's estimated field at departure."""
+    scenarios, the first ``n_trips % S`` of its S scenarios taking one more
+    than the rest; a scenario given none is skipped. Each trip is routed
+    on the model's estimated field at departure."""
     label = scenario_class or f"{split}-{dataset.demand_level}"
     scenarios = dataset.split_scenarios(split)
     if not scenarios:
         raise ValueError(f"split {split!r} is empty")
-    per_scenario = max(1, n_trips // len(scenarios))
+    if n_trips < 1:
+        raise ValueError(f"n_trips must be >= 1, got {n_trips}")
+    n_sc = len(scenarios)
+    counts = {sc.id: n_trips // n_sc + (i < n_trips % n_sc)
+              for i, sc in enumerate(scenarios)}
+    scenarios = [sc for sc in scenarios if counts[sc.id]]
     nets = _scenario_networks(net, scenarios)
     trip_sets = {}
     for sc in scenarios:
         rec = dataset.records[sc.id]
         lo = warmup_windows if warmup_windows is not None \
             else max(1, rec.n_windows // 10)
-        trip_sets[sc.id] = generate_trips(nets[sc.id], per_scenario,
+        trip_sets[sc.id] = generate_trips(nets[sc.id], counts[sc.id],
                                           seed=seed + sc.id,
                                           horizon=(lo, rec.n_windows - 1))
     reports, samples = [], {}

@@ -160,7 +160,7 @@ class LcfModel:
 
         def make(name: str, shape, zero=False, dtype=self.dtype):
             # drawn in float64, so both dtypes start from the same draws
-            data = np.zeros(shape) if zero else nn.glorot(rng, shape).data
+            data = np.zeros(shape) if zero else nn.glorot(rng, shape)
             t = Tensor(data.astype(dtype), requires_grad=True)
             self.params[name] = t
             return t
@@ -358,14 +358,6 @@ class LcfModel:
                 out[b] = decode_output(self.norm.denorm_target(raw), v_now[b],
                                        cfg.output_type, vff)
         return out
-
-    def predict(self, net: RoadNetwork, partition, vmean_history_kmh,
-                t: int) -> np.ndarray:
-        """Speeds at window t given the mean-speed series up to t."""
-        series = np.asarray(vmean_history_kmh, dtype=float)
-        if t >= len(series):
-            raise ValueError("t is beyond the given mean-speed history")
-        return self.predict_windows(net, partition, series, windows=[t])[0]
 
 
 # ---------------------------------------------------------------------------

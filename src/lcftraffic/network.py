@@ -97,26 +97,6 @@ class Link:
         return self.lanes_total - self.lanes_dbl
 
 
-def occurrence_passes(keys) -> tuple[np.ndarray, ...]:
-    """Rows of ``keys`` grouped by occurrence rank.
-
-    Group r lists, in row order, the rows that hold the (r+1)-th occurrence
-    of their key, so the keys within a group are unique. A fancy-index
-    ``+=`` per group then adds to each key in row order, as ``np.add.at``
-    does, with the same float result.
-    """
-    keys = np.asarray(keys)
-    if keys.size == 0:
-        return ()
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    first = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-    counts = np.diff(np.r_[first, keys.size])
-    rank = np.empty(keys.size, dtype=int)
-    rank[order] = np.arange(keys.size) - np.repeat(first, counts)
-    return tuple(np.flatnonzero(rank == r) for r in range(int(counts.max())))
-
-
 def _frozen(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -137,8 +117,8 @@ class NetworkIndex:
     pair_dn: np.ndarray       # (P,) downstream link of each pair
     seg_start: np.ndarray     # (S,) first pair of each link with outgoing pairs
     seg_link: np.ndarray      # (S,) that link
+    seg_size: np.ndarray      # (S,) its number of pairs
     seg_of_pair: np.ndarray   # (P,) segment of each pair
-    up_passes: tuple[np.ndarray, ...]  # occurrence_passes(pair_up)
     down_of: tuple[tuple[int, ...], ...]  # per link, its downstream links
     length_m: np.ndarray      # (Z,)
     vff_kmh: np.ndarray       # (Z,)
@@ -150,15 +130,15 @@ class NetworkIndex:
         seg_start = _frozen(
             np.flatnonzero(np.r_[True, pair_up[1:] != pair_up[:-1]])
             if len(pair_up) else [], int)
-        counts = np.diff(np.r_[seg_start, len(pair_up)])
+        seg_size = _frozen(np.diff(np.r_[seg_start, len(pair_up)]), int)
         down_of: list[list[int]] = [[] for _ in net.links]
         for u, v in zip(pair_up.tolist(), pair_dn.tolist()):
             down_of[u].append(v)
         return cls(
             pair_up=pair_up, pair_dn=pair_dn, seg_start=seg_start,
             seg_link=_frozen(pair_up[seg_start], int),
-            seg_of_pair=_frozen(np.repeat(np.arange(len(seg_start)), counts), int),
-            up_passes=occurrence_passes(pair_up),
+            seg_size=seg_size,
+            seg_of_pair=_frozen(np.repeat(np.arange(len(seg_start)), seg_size), int),
             down_of=tuple(tuple(d) for d in down_of),
             length_m=_frozen([lk.length_m for lk in net.links], float),
             vff_kmh=_frozen([lk.vff_kmh for lk in net.links], float),

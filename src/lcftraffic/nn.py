@@ -86,19 +86,11 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
-def glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
-    """Uniform +-sqrt(6 / (fan_in + fan_out)) init."""
-    if len(shape) == 1:
-        fan_in, fan_out = shape[0], shape[0]
-    else:
-        fan_in, fan_out = shape[0], shape[1]
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
-
-def _shape_check(a: Tensor, b: Tensor, op: str, exact: bool) -> None:
-    if exact and a.data.shape != b.data.shape:
-        raise ValueError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
+def glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """Uniform +-sqrt(6 / (fan_in + fan_out)) init of a (fan_in, fan_out)
+    weight."""
+    bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+    return rng.uniform(-bound, bound, size=shape)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -280,7 +272,9 @@ def pair_dense(inner: Tensor, outer: Tensor, w: Tensor, b: Tensor,
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    _shape_check(pred, target, "mse_loss", exact=True)
+    if pred.data.shape != target.data.shape:
+        raise ValueError(f"mse_loss: shapes {pred.data.shape} and "
+                         f"{target.data.shape} differ")
     diff = pred.data - target.data
     n = pred.data.size
     return Tensor(np.mean(diff * diff), parents=(pred, target),

@@ -36,9 +36,6 @@ class PartitionAssignment:
     def __getitem__(self, link_id: int) -> int:
         return self.labels[link_id]
 
-    def __contains__(self, link_id: int) -> bool:
-        return link_id in self.labels
-
     def region_sizes(self) -> list[int]:
         sizes = [0] * self.params.k
         for lab in self.labels.values():

@@ -31,9 +31,11 @@ Records are reproducible to the bit because each sum has one fixed order,
 which any rewrite of the step must keep: row sums over destinations
 (``np.add.reduce(x, 1)``), ``scatter_sum``'s bincounts (each bin from zero
 in index order: pairs in pair order, a link's ended trips before its
-transfers out), ``scatter_add``'s passes (each key in index order: pair
-order, OD-pair order), and every formula left to right as written, e.g. a
-step's demand ``(rates / 3600 * step_s) * factor``.
+transfers out), the waiting queues' per-rank passes over the pair segments
+(pass r subtracts the r-th pair of every link, so each link's transfers
+out go in pair order), ``np.add.at`` for injections (OD-pair order), and
+every formula left to right as written, e.g. a step's demand
+``(rates / 3600 * step_s) * factor``.
 
 A drained step, whose demand, backlog, waiting queues and pending
 maturations are all exactly zero and whose moving queues are >= 0, returns
@@ -51,8 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (Link, RoadNetwork, link_travel_times,
-                      occurrence_passes)
+from .network import Link, RoadNetwork, link_travel_times
 
 log = logging.getLogger(__name__)
 
@@ -122,21 +123,6 @@ def scatter_sum(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     d = values.shape[1]
     flat = (index[:, None] * d + np.arange(d)).ravel()
     return np.bincount(flat, weights=values.ravel(), minlength=n * d).reshape(n, d)
-
-
-def scatter_groups(index: tuple[np.ndarray, ...], passes) -> tuple:
-    """``scatter_add``'s groups: per pass, its rows and the index arrays at
-    them. ``passes`` must be ``occurrence_passes`` of the index keys."""
-    return tuple((rows, tuple(i[rows] for i in index)) for rows in passes)
-
-
-def scatter_add(out: np.ndarray, groups, values: np.ndarray) -> None:
-    """``np.add.at(out, index, values)`` as one fancy-index ``+=`` per group
-    of ``scatter_groups(index, passes)``: each key receives its values in
-    index order, as with ``np.add.at``, so every sum is the same to the bit.
-    """
-    for rows, keys in groups:
-        out[keys] += values[rows]
 
 
 def shortest_time_to_dest(net: RoadNetwork, tau: np.ndarray,
@@ -224,9 +210,8 @@ def _target_ratios(net: RoadNetwork, speeds_kmh: np.ndarray,
                     "falling back to a uniform split", dest_ids[col],
                     net.links[idx.seg_link[seg]].id)
     uniform = at_dest | unreachable
-    seg_size = np.diff(np.r_[idx.seg_start, n_pairs])
     target = np.where(uniform[idx.seg_of_pair],
-                      (1.0 / seg_size)[idx.seg_of_pair][:, None], 0.0)
+                      (1.0 / idx.seg_size)[idx.seg_of_pair][:, None], 0.0)
     seg, col = np.nonzero(~uniform)
     target[best_pair[seg, col], col] = 1.0
     return target
@@ -278,10 +263,7 @@ class SimState:
         # demand bookkeeping: one backlog slot per OD pair
         dest_col = {dd: i for i, dd in enumerate(dest_ids)}
         self.od_origin = np.array([net.link_index(o) for o, _ in od_pairs], dtype=int)
-        od_dest_col = np.array([dest_col[dd] for _, dd in od_pairs], dtype=int)
-        self.od_groups = scatter_groups(
-            (self.od_origin, od_dest_col),
-            occurrence_passes(self.od_origin * d + od_dest_col))
+        self.od_col = np.array([dest_col[dd] for _, dd in od_pairs], dtype=int)
         self.backlog = np.zeros(len(od_pairs))
         self.injected_total = 0.0
         self.completed_total = 0.0
@@ -290,7 +272,12 @@ class SimState:
         # transfers per connectivity pair: scatter keys and signal gating
         self.pair_up, self.pair_dn = idx.pair_up, idx.pair_dn
         self.up_col, self.dn_col = self.pair_up[:, None], self.pair_dn[:, None]
-        self.up_groups = scatter_groups((self.pair_up,), idx.up_passes)
+        # pass r: the r-th pair of every segment, so each link's pairs are
+        # applied in pair order with the links of one pass unique
+        self.up_passes = tuple(
+            (rows, self.pair_up[rows]) for rows in
+            (idx.seg_start[idx.seg_size > r] + r
+             for r in range(idx.seg_size.max(initial=0))))
         # scatter_sum's (link, destination) bincount index of pair_dn
         self.dn_flat = (self.dn_col * d + self.dest_cols).ravel()
         self.out_rows = np.concatenate([self.links, self.pair_up])
@@ -380,7 +367,8 @@ class SimState:
         q = q1 * gate[self.dn_col]
 
         # 3. apply transfers
-        scatter_add(w, self.up_groups, -q)
+        for rows, links in self.up_passes:
+            w[links] -= q[rows]
         if w.min() < -1e-9:
             raise SimulationError("waiting queue went negative")
         np.maximum(w, 0.0, out=w)
@@ -402,9 +390,9 @@ class SimState:
             want = scatter_sum(self.od_origin, backlog, z)
             frac = np.minimum(1.0, room / np.maximum(want, 1e-300))
             inject = backlog * frac[self.od_origin]
-            scatter_add(m, self.od_groups, inject)
-            scatter_add(pend, [(rows, (slots[o], o, c))
-                               for rows, (o, c) in self.od_groups], inject)
+            np.add.at(m, (self.od_origin, self.od_col), inject)
+            np.add.at(pend, (slots[self.od_origin], self.od_origin, self.od_col),
+                      inject)
             backlog -= inject
             self.injected_total += float(inject.sum())
 

@@ -86,6 +86,16 @@ def test_rerun_does_not_mutate_inputs(tmp_path):
     assert (tmp_path / "run/network.txt").read_bytes() == network
 
 
+def test_travel_time_routes_exactly_the_trips_asked_for(tmp_path):
+    out = str(tmp_path / "run")
+    build_pipeline(out, seed=3)   # 10 scenarios: 2 in the test split
+    table = tmp_path / "run/reports/travel_time/report_table.csv"
+    for trips in (1, 3):
+        assert run(["travel-time", "--out", out, "--models", "MFD",
+                    "--trips", trips, "--seed", "3"]) == 0
+        assert f"\nMFD,test-medium,Count,{float(trips)}\n" in table.read_text()
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     out = str(tmp_path / "run")
     cfg = tmp_path / "cfg.txt"

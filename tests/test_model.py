@@ -331,7 +331,7 @@ def test_variant_interface_and_parameter_counts():
     dnn = LcfModel(config_from_name("dnn", **kw))
     assert dnn_gru.parameter_count() < full.parameter_count()
     # identical predict surface across variants
-    assert hasattr(dnn, "predict") and hasattr(full, "predict")
+    assert hasattr(dnn, "predict_windows") and hasattr(full, "predict_windows")
     assert not any(n.startswith("gru") for n in dnn.params)
     assert not any(n.startswith("gat") for n in dnn.params)
 
@@ -523,7 +523,7 @@ def test_predict_uses_padded_history_at_t0():
     tc = TrainConfig(epochs=1, seed=0, window_stride=3)
     model, _ = train(net, ds, part, mc, tc)
     rec = ds.records[ds.splits["test"][0]]
-    out = model.predict(net, part, rec.mean_speed, t=0)
+    out = model.predict_windows(net, part, rec.mean_speed)[0]
     assert out.shape == (net.n_links,)
     vn = model.norm.norm_vmean(rec.mean_speed)
     assert pad_history(vn, 5)[0].tolist()[:4] == [-1.0, -1.0, -1.0, -1.0]

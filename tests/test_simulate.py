@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from lcftraffic.network import (Link, RoadNetwork, SignalPlan,
-                                generate_grid_network, link_travel_times,
-                                occurrence_passes)
+                                generate_grid_network, link_travel_times)
 from lcftraffic.scenarios import ODMatrix, Scenario, random_base_od
 from lcftraffic.simulate import (SimConfig, SimRecord, SimState,
                                  SimulationError, _window_stats,
                                  check_turn_ratios, initial_turn_ratios,
                                  network_mfd,
-                                 scatter_add, scatter_groups, scatter_sum,
+                                 scatter_sum,
                                  shortest_time_to_dest,
                                  simulate, storage_capacity,
                                  update_turn_ratios, save_record, load_record)
@@ -487,25 +486,43 @@ def test_scatters_equal_add_at_bit_for_bit():
     for _ in range(50):
         n, k, d = int(rng.integers(1, 12)), int(rng.integers(0, 60)), int(rng.integers(1, 5))
         index = rng.integers(0, n, size=k)
-        passes = occurrence_passes(index)
         for values in (rng.standard_normal(k) * 10.0 ** rng.integers(-8, 8, k),
                        rng.standard_normal((k, d)) * 1e3):
-            out = rng.standard_normal((n,) + values.shape[1:])
-            want = out.copy()
-            np.add.at(want, index, values)
-            scatter_add(out, scatter_groups((index,), passes), values)
-            assert out.tobytes() == want.tobytes()
-            want = np.zeros_like(out)
+            want = np.zeros((n,) + values.shape[1:])
             np.add.at(want, index, values)
             assert scatter_sum(index, values, n).tobytes() == want.tobytes()
-        cols = rng.integers(0, d, size=k)
-        grid = rng.standard_normal((n, d))
-        want = grid.copy()
-        values = rng.standard_normal(k)
-        np.add.at(want, (index, cols), values)
-        scatter_add(grid, scatter_groups((index, cols), occurrence_passes(index * d + cols)),
-                    values)
-        assert grid.tobytes() == want.tobytes()
+
+
+def test_up_passes_apply_each_links_pairs_in_pair_order():
+    rng = np.random.default_rng(29)
+    checked = most_passes = 0
+    while checked < 40:
+        net = random_network(rng)
+        if net is None:
+            continue
+        checked += 1
+        ids = net.link_ids()
+        state = SimState(net, SimConfig(), [(ids[0], ids[1])], (ids[1],))
+        up = net.index.pair_up
+        most_passes = max(most_passes, len(state.up_passes))
+        covered = np.concatenate([r for r, _ in state.up_passes] + [np.zeros(0, int)])
+        assert np.array_equal(np.sort(covered), np.arange(len(up)))
+        for pass_rows, links in state.up_passes:
+            assert np.array_equal(links, up[pass_rows])
+            assert len(set(links.tolist())) == len(links)
+        # each link's rows, read pass by pass, come in pair order
+        for u in set(up.tolist()):
+            mine = [int(i) for rows, links in state.up_passes for i in rows[links == u]]
+            assert mine == np.flatnonzero(up == u).tolist()
+        d = 3
+        q = rng.standard_normal((len(up), d)) * 10.0 ** rng.integers(-6, 6, (len(up), 1))
+        w = rng.standard_normal((net.n_links, d))
+        want = w.copy()
+        np.add.at(want, up, -q)
+        for pass_rows, links in state.up_passes:
+            w[links] -= q[pass_rows]
+        assert w.tobytes() == want.tobytes()
+    assert most_passes >= 3
 
 
 # ---------------------------------------------------------------------------
