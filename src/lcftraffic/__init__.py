@@ -15,8 +15,8 @@ from .network import (FEATURE_NAMES, Link, MinMaxStats, NetworkError,
                       load_network, save_network)
 from .simulate import (SimConfig, SimRecord, SimulationError, SimState,
                        check_turn_ratios, initial_turn_ratios, load_record,
-                       network_mfd, save_record, simulate, storage_capacity,
-                       update_turn_ratios)
+                       network_mfd, network_stats, save_record, simulate,
+                       storage_capacity, update_turn_ratios)
 from .scenarios import (DEMAND_LEVELS, Dataset, ODMatrix, Scenario,
                         build_dataset, bus_lane_candidates, load_dataset,
                         load_od, perturb_od, random_base_od,

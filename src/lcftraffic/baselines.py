@@ -14,26 +14,37 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# vehicles: a link or a region holding less than this counts as empty
+EMPTY_VEH = 1e-6
+
+
 def region_mean_speeds(speeds: np.ndarray, accumulation: np.ndarray,
                        labels: np.ndarray, k: int,
                        weighting: str = "accumulation") -> np.ndarray:
-    """Per-link estimate from each region's mean speed at one window.
+    """Per-link estimate from each region's mean speed, for one window
+    (Z,) or every window (W, Z) at once; the one rule that averages link
+    speeds (the network mean speed is this rule with one region).
 
-    "accumulation" weights links by vehicles present (empty regions fall
-    back to the arithmetic mean); "arithmetic" is the plain average, which
-    carries the refinement guarantee against a global-mean predictor.
+    "accumulation" weights links by the vehicles present, and a region
+    holding less than ``EMPTY_VEH`` vehicles takes the arithmetic mean;
+    "arithmetic" is the plain average, which carries the refinement
+    guarantee against a global-mean predictor. Each mean is clipped into
+    the range of its region's link speeds, which rounding can leave.
     """
-    out = np.zeros_like(speeds)
     weights = np.maximum(np.asarray(accumulation, dtype=float), 0.0)
+    out = np.zeros_like(speeds)
     for r in range(k):
         mask = labels == r
         if not np.any(mask):
             continue
-        if weighting == "accumulation" and weights[mask].sum() > 1e-9:
-            m = float(np.average(speeds[mask], weights=weights[mask]))
-        else:
-            m = float(speeds[mask].mean())
-        out[mask] = m
+        # contiguous rows, so each window sums as it would alone
+        s, a = (np.compress(mask, x, axis=-1) for x in (speeds, weights))
+        m = s.mean(axis=-1)
+        if weighting == "accumulation":
+            held = a.sum(axis=-1)
+            m = np.where(held >= EMPTY_VEH,
+                         (s * a).sum(axis=-1) / np.maximum(held, EMPTY_VEH), m)
+        out[..., mask] = np.clip(m, s.min(axis=-1), s.max(axis=-1))[..., None]
     return out
 
 

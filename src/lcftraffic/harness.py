@@ -94,14 +94,9 @@ def make_predictor(name: str, partition, nn_models: dict[str, LcfModel],
     if key == "MFD-P":
         if partition is None:
             raise ValueError("MFD-P needs a partition")
-
-        def mfd_p(net_sc, rec):
-            labels = np.array([partition[lid] for lid in rec.link_ids])
-            return np.array([
-                region_mean_speeds(rec.speeds[t], rec.accumulation[t], labels,
-                                   partition.params.k)
-                for t in range(rec.n_windows)])
-        return mfd_p
+        return lambda net_sc, rec: region_mean_speeds(
+            rec.speeds, rec.accumulation,
+            np.array([partition[lid] for lid in rec.link_ids]), partition.params.k)
     if key == "LR":
         if lr_model is None:
             raise ValueError("no linear model fitted")

@@ -35,8 +35,9 @@ class ODMatrix:
     def __post_init__(self):
         if len(self.pairs) != len(self.rates):
             raise ValueError("pairs and rates must align")
-        if any(r < 0 for r in self.rates):
-            raise ValueError("OD rates must be >= 0")
+        for r in self.rates:
+            if not 0 <= r < np.inf:  # NaN fails it too
+                raise ValueError(f"OD rates must be finite and >= 0, got {r!r}")
 
     def total(self) -> float:
         return float(sum(self.rates))
@@ -80,8 +81,11 @@ def bus_lane_candidates(net: RoadNetwork) -> list[int]:
 def random_base_od(net: RoadNetwork, n_pairs: int, rate_veh_h: float,
                    seed) -> ODMatrix:
     """Synthetic base demand: n distinct OD pairs over the network's links."""
-    rng = np.random.default_rng(seed)
     ids = list(net.link_ids())
+    if n_pairs > len(ids) * (len(ids) - 1):
+        raise ValueError(f"{n_pairs} OD pairs asked for, but the network's {len(ids)} "
+                         f"links give only {len(ids) * (len(ids) - 1)} distinct pairs")
+    rng = np.random.default_rng(seed)
     pairs = []
     seen = set()
     while len(pairs) < n_pairs:
@@ -193,7 +197,7 @@ def build_dataset(net: RoadNetwork, base_od: ODMatrix, n: int, master_seed: int,
 # ---------------------------------------------------------------------------
 # on-disk layout
 #   <dir>/manifest.json
-#   <dir>/scenario_<id>/links.csv, network.csv
+#   <dir>/scenario_<id>/links.csv, network.csv (derived, not read back)
 # OD matrices serialize as "OD origin dest veh_per_h" lines.
 # ---------------------------------------------------------------------------
 

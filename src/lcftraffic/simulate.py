@@ -20,12 +20,17 @@ so drivers reroute as congestion builds. Each refresh is one
 all-destinations solve over the network's cached index (``RoadNetwork.index``),
 not one shortest-path search per destination.
 
-Per aggregation window the mean speed of link z is
+Per aggregation window, summing over its steps, link z's speed (km/h) is
 
-    v_z = min(v_ff, sum(outflow) * L_z / sum(accumulation))   clamped >= v_min
+    v_z = min(v_ff, sum(outflow) * L_z / sum(accumulation) / step_h) >= v_min
 
-with outflow counting both transfers out and trips ended on the link, and
-network production / accumulation give the network mean speed.
+with outflow counting both transfers out and trips ended on the link; a
+link whose mean accumulation x_z is below ``EMPTY_VEH`` vehicles (a drained
+queue's float residue) runs at v_ff, in the record and to rerouting drivers.
+``network_stats`` derives the network columns from the link columns:
+production sum(x_z v_z) veh*km/h, accumulation sum(x_z) veh, and the mean
+speed by MFD-P with one region (``baselines.region_mean_speeds``: weighted
+by x_z, arithmetic under EMPTY_VEH in all, clipped into the speeds' range).
 
 Records are reproducible to the bit because each sum has one fixed order,
 which any rewrite of the step must keep: row sums over destinations
@@ -49,10 +54,12 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .baselines import EMPTY_VEH, region_mean_speeds
 from .network import Link, RoadNetwork, link_travel_times
 
 log = logging.getLogger(__name__)
@@ -323,7 +330,7 @@ class SimState:
         if not ((demand_step is not None and np.any(demand_step))
                 or self.backlog.any() or w.any() or pend.any()) and m.min() >= 0:
             # drained: a full step would move nothing (module docstring)
-            if (acc_start > self.cap_tol).any():
+            if not (acc_start <= self.cap_tol).all():
                 raise SimulationError("storage capacity exceeded")
             self.step_no += 1
             return {"outflow": np.zeros(z), "accumulation": acc_start,
@@ -334,7 +341,7 @@ class SimState:
         mature = pend[slot].copy()
         pend[slot] = 0.0
         m -= mature
-        if m.min() < -1e-9:
+        if not m.min() >= -1e-9:
             raise SimulationError("moving queue went negative")
         np.maximum(m, 0.0, out=m)
         completed = np.zeros(z)
@@ -369,7 +376,7 @@ class SimState:
         # 3. apply transfers
         for rows, links in self.up_passes:
             w[links] -= q[rows]
-        if w.min() < -1e-9:
+        if not w.min() >= -1e-9:
             raise SimulationError("waiting queue went negative")
         np.maximum(w, 0.0, out=w)
         # scatter_sum(self.pair_dn, q, z), its flat index built once
@@ -396,7 +403,7 @@ class SimState:
             backlog -= inject
             self.injected_total += float(inject.sum())
 
-        if (np.add.reduce(m, 1) + np.add.reduce(w, 1) > self.cap_tol).any():
+        if not (np.add.reduce(m, 1) + np.add.reduce(w, 1) <= self.cap_tol).all():
             raise SimulationError("storage capacity exceeded")
         self.step_no += 1
         return {"outflow": u_step, "accumulation": acc_start, "completed": completed}
@@ -428,27 +435,25 @@ class SimRecord:
 
 
 def _window_stats(len_km: np.ndarray, vff: np.ndarray, cfg: SimConfig,
-                  sum_u: np.ndarray, sum_x: np.ndarray,
-                  ) -> tuple[np.ndarray, float, float, float]:
-    """Link speeds, network mean speed, production and accumulation of one
-    window from its per-link outflow and accumulation sums over the steps
-    (the formula in the module docstring); links of ``len_km`` km with
-    free-flow speeds ``vff`` km/h."""
-    steps = cfg.steps_per_window
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = (sum_u * len_km / sum_x) * (3600.0 / cfg.step_s)
-    speeds = np.where(sum_x > 0,
-                      np.clip(raw, cfg.v_min_kmh, vff),
-                      vff)
-    window_h = cfg.window_s / 3600.0
-    production = float((sum_u * len_km).sum() / window_h)
-    total_acc = float(sum_x.sum() / steps)
-    if total_acc > 0:
-        # space-mean speed, floored like the link speeds
-        mean_speed = max(production / total_acc, cfg.v_min_kmh)
-    else:
-        mean_speed = float(vff.mean())
-    return speeds, mean_speed, production, total_acc
+                  sum_u: np.ndarray, sum_x: np.ndarray) -> np.ndarray:
+    """Link speeds of one window from its per-link outflow and accumulation
+    sums over the steps (the formula in the module docstring); links of
+    ``len_km`` km with free-flow speeds ``vff`` km/h."""
+    raw = (sum_u * len_km / np.maximum(sum_x, 1e-300)) * (3600.0 / cfg.step_s)
+    return np.where(sum_x / cfg.steps_per_window < EMPTY_VEH, vff,
+                    np.clip(raw, cfg.v_min_kmh, vff))
+
+
+def network_stats(speeds: np.ndarray, accumulation: np.ndarray,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Network mean speed (km/h), production (veh*km/h) and total
+    accumulation (veh) per window of (W, Z) link columns, as the module
+    docstring defines them."""
+    one_region = np.zeros(speeds.shape[-1], dtype=int)
+    # a copy, so that the record does not keep the (W, Z) estimate alive
+    mean_speed = region_mean_speeds(speeds, accumulation, one_region, 1)[..., 0].copy()
+    return (mean_speed, np.add.reduce(accumulation * speeds, -1),
+            np.add.reduce(accumulation, -1))
 
 
 def simulate(net: RoadNetwork, scenario, cfg: SimConfig | None = None) -> SimRecord:
@@ -477,9 +482,6 @@ def simulate(net: RoadNetwork, scenario, cfg: SimConfig | None = None) -> SimRec
     speeds = np.zeros((n_windows, z))
     acc = np.zeros((n_windows, z))
     outflow = np.zeros((n_windows, z))
-    mean_speed = np.zeros(n_windows)
-    production = np.zeros(n_windows)
-    total_acc = np.zeros(n_windows)
     completed = np.zeros(n_windows)
 
     sum_u = np.zeros(z)
@@ -511,23 +513,19 @@ def simulate(net: RoadNetwork, scenario, cfg: SimConfig | None = None) -> SimRec
             wi = k // spw
             if wi >= n_windows:
                 break
-            sp, ms, prod, ta = _window_stats(len_km, vff, cfg, sum_u, sum_x)
-            speeds[wi] = sp
+            last_speeds = speeds[wi] = _window_stats(len_km, vff, cfg, sum_u, sum_x)
             acc[wi] = sum_x / spw
             outflow[wi] = sum_u
-            mean_speed[wi] = ms
-            production[wi] = prod
-            total_acc[wi] = ta
             completed[wi] = window_completed
-            last_speeds = sp
             sum_u[:] = 0.0
             sum_x[:] = 0.0
             window_completed = 0.0
 
     balance = state.injected_total - (state.in_network() + state.completed_total)
-    if abs(balance) > 1e-6:
+    if not abs(balance) <= 1e-6:
         raise SimulationError(f"vehicle balance violated by {balance:.3e} veh")
 
+    mean_speed, production, total_acc = network_stats(speeds, acc)
     return SimRecord(
         link_ids=sim_net.link_ids(), window_s=cfg.window_s, step_s=cfg.step_s,
         speeds=speeds, accumulation=acc, outflow=outflow,
@@ -544,7 +542,8 @@ def network_mfd(record: SimRecord) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# persistence: links.csv + network.csv, window-major then link id
+# persistence: links.csv, window-major then link id, and network.csv, its
+# network columns, which are written for readers but never read back
 # ---------------------------------------------------------------------------
 
 def _f(x: float) -> str:
@@ -552,7 +551,6 @@ def _f(x: float) -> str:
 
 
 def save_record(record: SimRecord, out_dir) -> None:
-    import os
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "links.csv"), "w") as fh:
         fh.write("window,link_id,speed_kmh,accumulation,outflow\n")
@@ -607,43 +605,34 @@ def _first_mismatch(path: str, what: str, found: np.ndarray,
 
 
 def load_record(out_dir, *, window_s: float, step_s: float) -> SimRecord:
-    """Read a record saved by ``save_record``; the files do not hold the
-    window and step lengths, so the caller passes them. The layout is checked:
-    links.csv is window-major, every window lists the link ids of window 0
-    in the same order, and both files cover the same windows; a breach is a
+    """Read a record saved by ``save_record`` from links.csv alone, taking
+    the network columns from ``network_stats`` and the window and step
+    lengths, which the file does not hold, from the caller. A layout that is
+    not window-major, each window listing window 0's link ids in order, is a
     ValueError naming the file and line."""
-    import os
-    links_path = os.path.join(out_dir, "links.csv")
-    net_path = os.path.join(out_dir, "network.csv")
-    w_col, id_col, *link_cols = _read_columns(links_path, 5)
-    net_w_col, *net_cols = _read_columns(net_path, 4)
-    net_windows = _parse_column(net_path, net_w_col, int)
-    n_w = len(net_windows)
-    _first_mismatch(net_path, "window", net_windows, np.arange(n_w))
-
-    windows = _parse_column(links_path, w_col, int)
-    ids = _parse_column(links_path, id_col, int)
-    n_z = len(windows) if (windows == 0).all() else int(np.argmin(windows == 0))
-    if n_z == 0 and len(windows):
-        raise ValueError(f"{links_path} line 2: window {windows[0]}, expected 0")
+    path = os.path.join(out_dir, "links.csv")
+    w_col, id_col, *link_cols = _read_columns(path, 5)
+    windows = _parse_column(path, w_col, int)
+    ids = _parse_column(path, id_col, int)
+    rows = len(windows)
+    n_z = rows if (windows == 0).all() else int(np.argmin(windows == 0))
+    if n_z == 0:
+        raise ValueError(f"{path} line 2: expected window 0, found "
+                         f"{windows[0] if rows else 'no row'}")
     link_ids = tuple(int(v) for v in ids[:n_z])
     if len(set(link_ids)) != n_z:
         dup = next(i for i, v in enumerate(link_ids) if v in link_ids[:i])
-        raise ValueError(f"{links_path} line {dup + 2}: link id {link_ids[dup]} "
+        raise ValueError(f"{path} line {dup + 2}: link id {link_ids[dup]} "
                          "repeats within window 0")
-    rows = min(len(windows), n_w * n_z)
-    _first_mismatch(links_path, "window", windows[:rows],
-                    np.repeat(np.arange(n_w), n_z)[:rows])
-    _first_mismatch(links_path, "link id", ids[:rows],
-                    np.tile(ids[:n_z], n_w)[:rows])
-    if len(windows) != n_w * n_z:
-        raise ValueError(
-            f"{links_path} line {rows + 2}: {len(windows)} rows, but the "
-            f"{n_w} windows of network.csv need {n_w * n_z} for {n_z} links")
-    speeds, acc, outflow = (_parse_column(links_path, c, float).reshape(n_w, n_z)
+    n_w = -(-rows // n_z)
+    _first_mismatch(path, "window", windows, np.repeat(np.arange(n_w), n_z)[:rows])
+    _first_mismatch(path, "link id", ids, np.tile(ids[:n_z], n_w)[:rows])
+    if rows != n_w * n_z:
+        raise ValueError(f"{path} line {rows + 2}: {rows} rows, but {n_w} "
+                         f"windows of {n_z} links need {n_w * n_z}")
+    speeds, acc, outflow = (_parse_column(path, c, float).reshape(n_w, n_z)
                             for c in link_cols)
-    mean_speed, production, total_acc = (_parse_column(net_path, c, float)
-                                         for c in net_cols)
+    mean_speed, production, total_acc = network_stats(speeds, acc)
     return SimRecord(
         link_ids=link_ids, window_s=window_s, step_s=step_s,
         speeds=speeds, accumulation=acc, outflow=outflow,

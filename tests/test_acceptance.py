@@ -106,9 +106,9 @@ def test_02_free_flow_every_window():
 def test_03_window_speed_hand_example():
     cfg = SimConfig()  # 5 s steps
     # one 500 m, 25 km/h link; 36 steps of 1 veh outflow, 10 veh present
-    speeds, *_ = _window_stats(np.array([0.5]), np.array([25.0]), cfg,
-                               np.array([np.ones(36).sum()]),
-                               np.array([np.full(36, 10.0).sum()]))
+    speeds = _window_stats(np.array([0.5]), np.array([25.0]), cfg,
+                           np.array([np.ones(36).sum()]),
+                           np.array([np.full(36, 10.0).sum()]))
     v = speeds[0]
     # raw value: 36 veh * 0.5 km / 360 veh-steps * 720 steps/h = 36 km/h
     assert v == 25.0

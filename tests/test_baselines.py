@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lcftraffic.baselines import fit_lr, region_mean_speeds
+from lcftraffic.baselines import EMPTY_VEH, fit_lr, region_mean_speeds
 from lcftraffic.harness import make_predictor
 from lcftraffic.partition import PartitionAssignment, PartitionParams
 
@@ -78,6 +78,50 @@ def test_region_means_bounded_with_degenerate_weights():
     acc = np.array([-1e-14, 1e-16, 0.0, 0.0])
     out = region_mean_speeds(speeds, acc, np.zeros(4, dtype=int), 1)
     assert speeds.min() <= out[0] <= speeds.max()
+
+
+def test_region_means_are_clipped_into_the_regions_speed_range():
+    # 25 * 0.1 + 25 * 0.7 over 0.8 rounds to 25.000000000000004
+    speeds, acc = np.array([25.0, 25.0]), np.array([0.1, 0.7])
+    assert (speeds * acc).sum() / acc.sum() > 25.0
+    out = region_mean_speeds(speeds, acc, np.zeros(2, dtype=int), 1)
+    assert out.tolist() == [25.0, 25.0]
+
+
+def test_region_holding_less_than_empty_veh_takes_the_arithmetic_mean():
+    speeds = np.array([10.0, 20.0, 5.0, 25.0])
+    labels = np.array([0, 0, 1, 1])
+    acc = np.array([0.9 * EMPTY_VEH, 0.0, 3.0, 1.0])
+    out = region_mean_speeds(speeds, acc, labels, 2)
+    assert out.tolist() == [15.0, 15.0, 10.0, 10.0]
+
+
+def test_region_means_of_all_windows_equal_one_window_at_a_time():
+    rng = np.random.default_rng(5)
+    speeds = rng.uniform(1.0, 25.0, size=(30, 40))
+    acc = rng.uniform(0.0, 5.0, size=(30, 40)) * (rng.random((30, 40)) < 0.5)
+    acc[3] = 0.0
+    labels = rng.integers(0, 5, size=40)
+    labels[labels == 4] = 3                      # region 4 holds no link
+    for weighting in ("accumulation", "arithmetic"):
+        every = region_mean_speeds(speeds, acc, labels, 5, weighting)
+        one = np.array([region_mean_speeds(speeds[t], acc[t], labels, 5, weighting)
+                        for t in range(30)])
+        assert every.tobytes() == one.tobytes()
+
+
+def test_mfd_is_mfd_p_with_one_region_bit_for_bit():
+    from lcftraffic.network import generate_grid_network
+    from lcftraffic.scenarios import Scenario, random_base_od
+    from lcftraffic.simulate import SimConfig, simulate
+    net = generate_grid_network(3, 3, 100.0, 2, vff_kmh=25.0)
+    sc = Scenario(id=0, od=random_base_od(net, 6, 900.0, seed=2), scale=1.0,
+                  bus_links=(), seed=0)
+    rec = simulate(net, sc, SimConfig(warmup_s=300.0, peak_s=1200.0,
+                                      total_s=2400.0, window_s=60.0))
+    assert (rec.accumulation < EMPTY_VEH).any() and (rec.speeds < 25.0).any()
+    part = make_partition({lid: 0 for lid in rec.link_ids}, k=1)
+    assert mfd(rec).tobytes() == mfd_p(rec, part).tobytes()
 
 
 def test_region_arithmetic_means_never_worse_than_global_mean():

@@ -264,6 +264,17 @@ def test_simulate_rejects_a_demand_scale_of_zero_or_below(tmp_path, capsys,
     assert not os.path.exists(os.path.join(out, "record"))
 
 
+def test_gen_dataset_rejects_a_nan_od_rate(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert run(["gen-network", "--out", out, "--grid", "3x3"]) == 0
+    capsys.readouterr()
+    assert run(["gen-dataset", "--out", out, "--scenarios", "10",
+                "--od-rate", "nan"] + SIM_SMALL) == 1
+    assert "error: OD rates must be finite and >= 0, got nan" in \
+        capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "dataset"))
+
+
 def test_malformed_od_file_fails_simulate(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert run(["gen-network", "--out", out, "--grid", "3x3"]) == 0

@@ -184,6 +184,22 @@ def test_scenario_rejects_a_scale_of_zero_or_below(scale):
         Scenario(id=0, od=od, scale=scale, bus_links=(), seed=0)
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0])
+def test_od_matrix_rejects_a_rate_not_finite_and_non_negative(rate):
+    with pytest.raises(ValueError, match=re.escape(
+            f"OD rates must be finite and >= 0, got {rate!r}")):
+        ODMatrix(pairs=((3, 17), (5, 2)), rates=(120.5, rate))
+
+
+def test_random_base_od_rejects_more_pairs_than_the_network_has():
+    net = generate_grid_network(2, 2, 100.0, 2)
+    assert net.n_links == 8
+    assert len(set(random_base_od(net, 56, 100.0, seed=0).pairs)) == 56
+    with pytest.raises(ValueError, match="57 OD pairs asked for, but the "
+                       "network's 8 links give only 56 distinct pairs"):
+        random_base_od(net, 57, 100.0, seed=0)
+
+
 def test_failed_scenario_excluded_and_logged(monkeypatch, caplog):
     import lcftraffic.scenarios as scenarios_mod
     from lcftraffic.simulate import SimulationError, simulate as real_simulate

@@ -4,13 +4,14 @@ import heapq
 import numpy as np
 import pytest
 
+from lcftraffic.baselines import EMPTY_VEH
 from lcftraffic.network import (Link, RoadNetwork, SignalPlan,
                                 generate_grid_network, link_travel_times)
 from lcftraffic.scenarios import ODMatrix, Scenario, random_base_od
 from lcftraffic.simulate import (SimConfig, SimRecord, SimState,
                                  SimulationError, _window_stats,
                                  check_turn_ratios, initial_turn_ratios,
-                                 network_mfd,
+                                 network_mfd, network_stats,
                                  scatter_sum,
                                  shortest_time_to_dest,
                                  simulate, storage_capacity,
@@ -270,6 +271,27 @@ def test_drained_step_keeps_the_queue_checks(m, expected):
     state.m[1, 0] = m
     with pytest.raises(SimulationError, match=expected):
         state.step(np.zeros(1), ratios)
+
+
+@pytest.mark.parametrize("where,expected", [
+    ("m", "moving queue went negative"), ("w", "waiting queue went negative"),
+    ("demand", "storage capacity exceeded")])
+def test_queue_checks_fail_on_nan(where, expected):
+    state, ratios = drained_chain_state()
+    demand = np.zeros(1)
+    if where == "demand":
+        demand[0] = np.nan
+    else:
+        getattr(state, where)[1, 0] = np.nan
+    with pytest.raises(SimulationError, match=expected):
+        state.step(demand, ratios)
+
+
+def test_conservation_check_fails_on_nan(monkeypatch):
+    net = chain_network()
+    monkeypatch.setattr(SimState, "in_network", lambda state: float("nan"))
+    with pytest.raises(SimulationError, match="balance violated by nan veh"):
+        simulate(net, make_scenario(net, [(0, 2)], [100.0]), short_cfg())
 
 
 def test_three_link_chain_hand_ledger():
@@ -532,9 +554,9 @@ def test_up_passes_apply_each_links_pairs_in_pair_order():
 def window_link_speed(outflows, accumulations, cfg):
     """_window_stats speed of one 500 m, 25 km/h link from its per-step
     outflows and accumulations over a window."""
-    speeds, *_ = _window_stats(np.array([0.5]), np.array([25.0]), cfg,
-                               np.array([np.sum(outflows)]),
-                               np.array([np.sum(accumulations)]))
+    speeds = _window_stats(np.array([0.5]), np.array([25.0]), cfg,
+                           np.array([np.sum(outflows)]),
+                           np.array([np.sum(accumulations)]))
     return float(speeds[0])
 
 
@@ -554,6 +576,14 @@ def test_link_speed_empty_link_is_free_flow():
 def test_link_speed_gridlock_is_v_min():
     cfg = SimConfig()
     assert window_link_speed(np.zeros(36), np.full(36, 50.0), cfg) == cfg.v_min_kmh
+
+
+@pytest.mark.parametrize("held,expected", [
+    (1e-14, 25.0), (0.999 * EMPTY_VEH, 25.0), (1.001 * EMPTY_VEH, 1.0)])
+def test_link_speed_of_a_float_residue_is_free_flow(held, expected):
+    # a drained queue's residue moves nothing; below EMPTY_VEH it is empty
+    cfg = SimConfig()
+    assert window_link_speed(np.zeros(36), np.full(36, held), cfg) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -631,15 +661,17 @@ def test_free_flow_regime_every_window_exact():
 
 def test_network_mfd_single_link_identity():
     # with one link (500 m, 25 km/h) the network mean speed is that link's
-    # (unclamped) speed
+    # speed, and production is its speed times its accumulation
     cfg = short_cfg(window_s=100.0, total_s=400.0, warmup_s=100.0, peak_s=200.0)
     steps = cfg.steps_per_window
     sum_x = np.array([8.0 * steps])
     sum_u = np.array([12.0 * sum_x[0] / (720.0 * 0.5)])  # raw speed 12 km/h
-    speeds, mean_speed, _, _ = _window_stats(np.array([0.5]), np.array([25.0]),
-                                             cfg, sum_u, sum_x)
+    speeds = _window_stats(np.array([0.5]), np.array([25.0]), cfg, sum_u, sum_x)
+    mean_speed, production, total_acc = network_stats(speeds[None], sum_x[None] / steps)
     assert speeds[0] == pytest.approx(12.0)
-    assert mean_speed == pytest.approx(12.0)
+    assert mean_speed.tolist() == [speeds[0]]
+    assert production.tolist() == [8.0 * speeds[0]]
+    assert total_acc.tolist() == [8.0]
 
 
 def test_network_mfd_shape_and_zero_demand_convention():
@@ -655,19 +687,48 @@ def test_network_mfd_shape_and_zero_demand_convention():
 
 
 def test_mean_speed_is_accumulation_weighted():
-    # two 1 km, 50 km/h links, equal accumulation, speeds 10 and 30 -> mean
-    # in between
+    # two 1 km, 50 km/h links at 10 and 30 km/h: equal accumulations give
+    # the midpoint, 3:1 gives 15, and a network holding less than EMPTY_VEH
+    # the arithmetic mean
     cfg = short_cfg(window_s=100.0, total_s=400.0, warmup_s=100.0, peak_s=200.0)
     steps = cfg.steps_per_window
     # per-step outflow u makes raw speed u*L/x * 720; choose u for 10 and 30
     sum_x = np.array([10.0 * steps, 10.0 * steps])
     sum_u = np.array([10.0 * sum_x[0] / (720.0 * 1.0), 30.0 * sum_x[1] / (720.0 * 1.0)])
-    speeds, mean_speed, production, total_acc = _window_stats(
-        np.array([1.0, 1.0]), np.array([50.0, 50.0]), cfg, sum_u, sum_x)
-    assert speeds[0] == pytest.approx(10.0)
-    assert speeds[1] == pytest.approx(30.0)
-    assert 10.0 < mean_speed < 30.0
-    assert mean_speed == pytest.approx(20.0)  # equal accumulation weights
+    speeds = _window_stats(np.array([1.0, 1.0]), np.array([50.0, 50.0]), cfg,
+                           sum_u, sum_x)
+    assert speeds == pytest.approx([10.0, 30.0])
+    acc = np.array([[10.0, 10.0], [3.0, 1.0], [3e-7, 1e-7]])
+    mean_speed, production, total_acc = network_stats(np.tile(speeds, (3, 1)), acc)
+    assert mean_speed == pytest.approx([20.0, 15.0, 20.0])
+    assert production == pytest.approx(acc @ speeds)
+    assert total_acc.tolist() == [20.0, 4.0, 4e-7]
+
+
+def test_recorded_speeds_are_the_sums_rule_but_residues_run_free():
+    """Without a turn-ratio refresh no speed feeds back into the queues, so
+    the recorded speeds are the rule without ``EMPTY_VEH`` (v_ff only where
+    the window held nothing) recomputed from the record's outflow and
+    accumulation, except link-windows holding 0 < x < EMPTY_VEH: that rule
+    labels them jammed, and they run at v_ff."""
+    net = generate_grid_network(5, 5, 100.0, 3, vff_kmh=25.0,
+                                length_jitter=0.3, jitter_seed=11)
+    cfg = SimConfig(warmup_s=900.0, peak_s=5400.0, total_s=7200.0,
+                    turn_update_s=7200.0)
+    sc = Scenario(id=0, od=random_base_od(net, 10, 150.0, seed=42), scale=1.0,
+                  bus_links=(), seed=0)
+    rec = simulate(net, sc, cfg)
+    vff = np.broadcast_to(net.index.vff_kmh, rec.speeds.shape)
+    sum_x = rec.accumulation * cfg.steps_per_window
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = rec.outflow * (net.index.length_m / 1000.0) / sum_x * (3600.0 / cfg.step_s)
+    sums_rule = np.where(sum_x > 0, np.clip(raw, cfg.v_min_kmh, vff), vff)
+    residue = (rec.accumulation > 0) & (rec.accumulation < EMPTY_VEH)
+    assert residue.sum() > 50
+    assert np.all(sums_rule[residue] == cfg.v_min_kmh)
+    assert np.array_equal(rec.speeds[residue], vff[residue])
+    np.testing.assert_allclose(rec.speeds[~residue], sums_rule[~residue],
+                               rtol=1e-12, atol=0.0)
 
 
 def test_conservation_and_speed_bounds_per_window_on_random_networks():
@@ -679,8 +740,16 @@ def test_conservation_and_speed_bounds_per_window_on_random_networks():
               for _ in range(3)]
         rates = rng.uniform(200.0, 2000.0, size=3)
         rec = simulate(net, make_scenario(net, od, rates), cfg)
+        vff = net.index.vff_kmh
         assert np.all(rec.speeds >= cfg.v_min_kmh)
-        assert np.all(rec.speeds <= net.index.vff_kmh)
+        assert np.all(rec.speeds <= vff)
+        assert np.all(rec.mean_speed >= cfg.v_min_kmh)
+        assert np.all(rec.mean_speed <= vff.max())
+        empty = rec.accumulation < EMPTY_VEH
+        assert np.array_equal(rec.speeds[empty],
+                              np.broadcast_to(vff, rec.speeds.shape)[empty])
+        assert np.array_equal(rec.production,
+                              np.add.reduce(rec.accumulation * rec.speeds, 1))
         dests = tuple(sorted({d for _, d in od}))
         state = SimState(net, cfg, od, dests)
         ratios = initial_turn_ratios(net, dests)
@@ -721,12 +790,31 @@ def test_record_round_trip_is_bit_exact(tmp_path):
                     outflow=values[:, 10:15], mean_speed=values[:, 15],
                     production=values[:, 16], total_accumulation=values[:, 17])
     save_record(rec, tmp_path)
-    back = load_record(tmp_path, window_s=60.0, step_s=5.0)
+    with np.errstate(all="ignore"):
+        back = load_record(tmp_path, window_s=60.0, step_s=5.0)
     assert back.link_ids == rec.link_ids
-    for name in ("speeds", "accumulation", "outflow", "mean_speed",
-                 "production", "total_accumulation"):
+    for name in ("speeds", "accumulation", "outflow"):
         assert getattr(back, name).tobytes() == \
             np.ascontiguousarray(getattr(rec, name)).tobytes()
+    # the network columns are derived from the link columns, not read
+    with np.errstate(all="ignore"):
+        derived = network_stats(np.ascontiguousarray(rec.speeds),
+                                np.ascontiguousarray(rec.accumulation))
+    for name, column in zip(("mean_speed", "production", "total_accumulation"),
+                            derived):
+        assert getattr(back, name).tobytes() == column.tobytes()
+
+
+def test_load_record_reads_links_csv_alone(tmp_path):
+    net = generate_grid_network(3, 3, 100.0, 2)
+    ids = net.link_ids()
+    rec = simulate(net, make_scenario(net, [(ids[0], ids[10])], [500.0]),
+                   short_cfg(total_s=400.0))
+    save_record(rec, tmp_path)
+    (tmp_path / "network.csv").unlink()
+    back = load_record(tmp_path, window_s=20.0, step_s=5.0)
+    for name in ("speeds", "mean_speed", "production", "total_accumulation"):
+        assert getattr(back, name).tobytes() == getattr(rec, name).tobytes()
 
 
 def _set_field(row: str, k: int, value: str) -> str:
@@ -735,21 +823,20 @@ def _set_field(row: str, k: int, value: str) -> str:
     return ",".join(fields)
 
 
-# a saved 3x3 record: 24 links x 20 windows, so links.csv holds rows 2-481
-# and network.csv rows 2-21; each case edits the rows below the headers
+# a saved 3x3 record: 24 links x 20 windows, so links.csv holds rows 2-481;
+# each case edits the rows below the header
 @pytest.mark.parametrize("case", [
     "truncated", "partial line", "foreign link id", "rows swapped",
-    "window out of order", "extra network window", "missing network window",
-    "bad number"])
+    "window out of order", "bad number", "no rows"])
 def test_load_record_names_file_and_line_of_a_broken_layout(tmp_path, case):
     net = generate_grid_network(3, 3, 100.0, 2)
     ids = net.link_ids()
     save_record(simulate(net, make_scenario(net, [(ids[0], ids[10])], [500.0]),
                          short_cfg(total_s=400.0)), tmp_path)
     head_l, *links = (tmp_path / "links.csv").read_text().splitlines()
-    head_n, *windows = (tmp_path / "network.csv").read_text().splitlines()
-    assert (len(links), len(windows)) == (480, 20)
+    assert len(links) == 480
     if case == "truncated":
+        # a ragged last window
         links, expected = links[:-2], "links.csv line 480: 478 rows.*need 480"
     elif case == "partial line":
         links[-1] = links[-1][:5]
@@ -763,17 +850,12 @@ def test_load_record_names_file_and_line_of_a_broken_layout(tmp_path, case):
     elif case == "window out of order":
         links[30] = _set_field(links[30], 0, "2")
         expected = "links.csv line 32: window 2, expected 1"
-    elif case == "extra network window":
-        windows.append(_set_field(windows[-1], 0, "20"))
-        expected = "links.csv line 482: 480 rows.*21 windows.*need 504"
-    elif case == "missing network window":
-        del windows[2]
-        expected = "network.csv line 4: window 3, expected 2"
+    elif case == "no rows":
+        links, expected = [], "links.csv line 2: expected window 0, found no row"
     else:
         links[5] = _set_field(links[5], 3, "1.5x")
         expected = "links.csv line 7: cannot read '1.5x' as float"
     (tmp_path / "links.csv").write_text("\n".join([head_l] + links) + "\n")
-    (tmp_path / "network.csv").write_text("\n".join([head_n] + windows) + "\n")
     with pytest.raises(ValueError, match=expected):
         load_record(tmp_path, window_s=20.0, step_s=5.0)
 
@@ -791,9 +873,10 @@ def record_digest(rec, out_dir) -> str:
 
 def test_golden_record_is_bit_identical(tmp_path):
     """A congested 2-h run with bus lanes and a repeated OD pair; the digest
-    covers the saved record, completed trips and the balance error, and was
-    taken before the all-destinations rerouting solve and the np.add.at-free
-    step, which must leave every bit as it was."""
+    covers the saved record, completed trips and the balance error. It was
+    last retaken when empty links began to run at v_ff and the network
+    columns became ``network_stats`` of the link columns; a rewrite of the
+    engine must leave every bit as it is."""
     net = generate_grid_network(5, 5, 100.0, 3, vff_kmh=25.0,
                                 length_jitter=0.3, jitter_seed=11)
     ids = net.link_ids()
@@ -803,7 +886,7 @@ def test_golden_record_is_bit_identical(tmp_path):
     sc = Scenario(id=0, od=od, scale=0.5, bus_links=(ids[12], ids[44]), seed=0)
     rec = simulate(net, sc, SimConfig(warmup_s=900.0, peak_s=5400.0, total_s=7200.0))
     assert record_digest(rec, tmp_path) == \
-        "36d745e215f43efe835ec4a2861437739c06b238c9c112a1d50cb5089720fd60"
+        "bb095faad45c7a1793c099dc8191d08bf0e8261142657556a88e48268dc24b28"
 
 
 def test_golden_record_on_a_random_network_is_bit_identical(tmp_path, caplog):
@@ -822,15 +905,15 @@ def test_golden_record_on_a_random_network_is_bit_identical(tmp_path, caplog):
     assert "falling back to a uniform split" in caplog.text
     assert (rec.speeds == 1.0).mean() > 0.2
     assert record_digest(rec, tmp_path) == \
-        "13ede425e277feba85eeba5e6a895c6a2a095b5b69f430db79e77d7f32acab47"
+        "a7033f4b6172ea59418df9f2c74c96220e58d79d90df9781b8774a9aa870a153"
 
 
 def test_golden_reference_schedule_with_a_drained_tail(tmp_path, monkeypatch):
     """Acceptance criterion 1's run (5x5 grid, 10 OD pairs at 250 veh/h, the
     reference 6-h schedule): after the queues drain, more than a quarter of
     its steps start with no waiting, pending or backlogged vehicle and no
-    demand. The digest was taken before ``SimState.step`` skipped such
-    steps."""
+    demand, steps that ``SimState.step`` skips with the bits a full step
+    gives. The digest was retaken with the grid one's."""
     net = generate_grid_network(5, 5, 100.0, 3, vff_kmh=25.0,
                                 length_jitter=0.3, jitter_seed=11)
     sc = Scenario(id=0, od=random_base_od(net, 10, 250.0, seed=1), scale=1.0,
@@ -849,4 +932,4 @@ def test_golden_reference_schedule_with_a_drained_tail(tmp_path, monkeypatch):
     assert len(drained) == 4320
     assert sum(drained) >= 4320 // 4
     assert record_digest(rec, tmp_path) == \
-        "1bd9e642be3fe24926cc1f53d75d56aaf4b0ac3c8689b15769576aec08f253d8"
+        "86e4241a64787a5be5c716d9432ea54b57ca71214eb0aca842263fe514009594"
