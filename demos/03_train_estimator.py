@@ -31,8 +31,8 @@ part = partition_network(net, dataset.records[dataset.splits["train"][0]],
                          PartitionParams(seed=5, t_max=15))
 
 model_cfg = ModelConfig(hidden_dim=32, fc_hidden=(64, 32, 16),
-                        output_type="Speed")
-train_cfg = TrainConfig(epochs=60, seed=5)
+                        output_type="Speed", seed=5)
+train_cfg = TrainConfig(epochs=60)
 t0 = time.time()
 model, history = train(net, dataset, part, model_cfg, train_cfg)
 print(f"trained {model.config.name} ({model.parameter_count()} parameters) "

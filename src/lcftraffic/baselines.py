@@ -16,20 +16,21 @@ import numpy as np
 
 # vehicles: a link or a region holding less than this counts as empty
 EMPTY_VEH = 1e-6
+LR_RIDGE = 1e-8    # fit_lr's ridge term, for conditioning
 
 
 def region_mean_speeds(speeds: np.ndarray, accumulation: np.ndarray,
-                       labels: np.ndarray, k: int,
-                       weighting: str = "accumulation") -> np.ndarray:
+                       labels: np.ndarray, k: int) -> np.ndarray:
     """Per-link estimate from each region's mean speed, for one window
     (Z,) or every window (W, Z) at once; the one rule that averages link
     speeds (the network mean speed is this rule with one region).
 
-    "accumulation" weights links by the vehicles present, and a region
-    holding less than ``EMPTY_VEH`` vehicles takes the arithmetic mean;
-    "arithmetic" is the plain average, which carries the refinement
-    guarantee against a global-mean predictor. Each mean is clipped into
-    the range of its region's link speeds, which rounding can leave.
+    Links are weighted by the vehicles present, and a region holding less
+    than ``EMPTY_VEH`` vehicles takes the arithmetic mean. Unit
+    accumulations (``np.ones_like``) give the plain average to the bit,
+    which carries the refinement guarantee against a global-mean
+    predictor. Each mean is clipped into the range of its region's link
+    speeds, which rounding can leave.
     """
     weights = np.maximum(np.asarray(accumulation, dtype=float), 0.0)
     out = np.zeros_like(speeds)
@@ -39,11 +40,10 @@ def region_mean_speeds(speeds: np.ndarray, accumulation: np.ndarray,
             continue
         # contiguous rows, so each window sums as it would alone
         s, a = (np.compress(mask, x, axis=-1) for x in (speeds, weights))
-        m = s.mean(axis=-1)
-        if weighting == "accumulation":
-            held = a.sum(axis=-1)
-            m = np.where(held >= EMPTY_VEH,
-                         (s * a).sum(axis=-1) / np.maximum(held, EMPTY_VEH), m)
+        held = a.sum(axis=-1)
+        m = np.where(held >= EMPTY_VEH,
+                     (s * a).sum(axis=-1) / np.maximum(held, EMPTY_VEH),
+                     s.mean(axis=-1))
         out[..., mask] = np.clip(m, s.min(axis=-1), s.max(axis=-1))[..., None]
     return out
 
@@ -57,16 +57,15 @@ class LinearModel:
         return features @ self.weights + self.bias
 
 
-def fit_lr(features: np.ndarray, targets: np.ndarray,
-           ridge: float = 1e-8) -> LinearModel:
-    """Ordinary least squares via normal equations, with a small ridge term
-    for conditioning. The bias column is appended internally."""
+def fit_lr(features: np.ndarray, targets: np.ndarray) -> LinearModel:
+    """Ordinary least squares via normal equations, with the ``LR_RIDGE``
+    term for conditioning. The bias column is appended internally."""
     x = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
     if x.shape[0] < x.shape[1]:
         raise ValueError("need at least as many samples as features")
     xb = np.column_stack([x, np.ones(len(x))])
-    gram = xb.T @ xb + ridge * np.eye(xb.shape[1])
+    gram = xb.T @ xb + LR_RIDGE * np.eye(xb.shape[1])
     try:
         coef = np.linalg.solve(gram, xb.T @ y)
     except np.linalg.LinAlgError as exc:

@@ -16,7 +16,8 @@ import os
 import sys
 
 from . import harness
-from .model import TrainConfig, config_from_name, load_model, save_model, train
+from .model import (ModelConfig, TrainConfig, config_from_name, load_model,
+                    save_model, train)
 from .network import generate_grid_network, load_network, save_network
 from .partition import (PartitionParams, load_partition, partition_network,
                         save_partition)
@@ -87,43 +88,48 @@ def build_parser() -> _Parser:
                      description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
+    # (flag, default, help); the default's type parses the value
     sim_opts = [
-        ("--step", float, 5.0, "simulation step seconds"),
-        ("--window", float, 180.0, "aggregation window seconds"),
-        ("--warmup", float, 900.0, "warm-up seconds"),
-        ("--peak", float, 6300.0, "constant peak-demand seconds"),
-        ("--total", float, 21600.0, "total simulated seconds"),
-        ("--saturation-flow", float, 0.5, "saturation flow veh/s/lane"),
-        ("--vehicle-length", float, 7.0, "storage spacing m/veh"),
-        ("--congestion-threshold", float, 0.95,
+        ("--step", SimConfig.step_s, "simulation step seconds"),
+        ("--window", SimConfig.window_s, "aggregation window seconds"),
+        ("--warmup", SimConfig.warmup_s, "warm-up seconds"),
+        ("--peak", SimConfig.peak_s, "constant peak-demand seconds"),
+        ("--total", SimConfig.total_s, "total simulated seconds"),
+        ("--saturation-flow", SimConfig.saturation_flow,
+         "saturation flow veh/s/lane"),
+        ("--vehicle-length", SimConfig.vehicle_length, "storage spacing m/veh"),
+        ("--congestion-threshold", SimConfig.congestion_threshold,
          "occupancy fraction that blocks inflow"),
-        ("--v-min", float, 1.0, "speed floor km/h"),
-        ("--turn-update", float, 180.0, "turn-ratio refresh seconds"),
-        ("--turn-smoothing", float, 0.5, "turn-ratio smoothing weight"),
+        ("--v-min", SimConfig.v_min_kmh, "speed floor km/h"),
+        ("--turn-update", SimConfig.turn_update_s, "turn-ratio refresh seconds"),
+        ("--turn-smoothing", SimConfig.turn_smoothing, "turn-ratio smoothing weight"),
     ]
     train_opts = [
-        ("--model", str, "gat-gru-p", "estimator variant (dnn, dnn-gru, gat,"
-                                      " gat-gru, plus -p suffix)"),
-        ("--lr", float, 0.002, "initial learning rate"),
-        ("--lr-step", int, 80, "learning-rate decay step size"),
-        ("--lr-gamma", float, 0.85, "learning-rate decay factor"),
-        ("--weight-decay", float, 0.01, "decoupled weight decay"),
-        ("--epochs", int, 400, "training epochs"),
-        ("--heads", int, 2, "attention heads"),
-        ("--hidden", int, 128, "spatial/temporal embedding width"),
-        ("--fc-dims", _int_list, (384, 256, 128, 64, 32),
-         "hidden widths of the estimation head"),
-        ("--history", int, 5, "mean-speed history length fed to the GRU,"
-                              " front-padded with -1.0 before the first window"),
-        ("--output-type", str, "Speed", "output format: Ratio, Diff or Speed"),
-        ("--stride", int, 1, "window subsampling stride for training"),
+        ("--model", "gat-gru-p", "estimator variant (dnn, dnn-gru, gat,"
+                                 " gat-gru, plus -p suffix)"),
+        ("--lr", TrainConfig.lr, "initial learning rate"),
+        ("--lr-step", TrainConfig.lr_step, "learning-rate decay step size"),
+        ("--lr-gamma", TrainConfig.lr_gamma, "learning-rate decay factor"),
+        ("--weight-decay", TrainConfig.weight_decay, "decoupled weight decay"),
+        ("--epochs", TrainConfig.epochs, "training epochs"),
+        ("--heads", ModelConfig.heads, "attention heads"),
+        ("--hidden", ModelConfig.hidden_dim, "spatial/temporal embedding width"),
+        ("--fc-dims", ModelConfig.fc_hidden, "hidden widths of the estimation head"),
+        ("--history", ModelConfig.history_len,
+         "mean-speed history length fed to the GRU, front-padded with -1.0"
+         " before the first window"),
+        ("--output-type", ModelConfig.output_type,
+         "output format: Ratio, Diff or Speed"),
+        ("--stride", TrainConfig.window_stride,
+         "window subsampling stride for training"),
     ]
     part_opts = [
-        ("--clusters", int, 4, "number of sub-regions (K)"),
-        ("--alpha", float, 1.0, "location weight in the clustering space"),
-        ("--beta", float, 1.5, "peak-speed weight in the clustering space"),
-        ("--t-window", int, 2, "half-width (windows) of the peak interval"),
-        ("--t-max", int, 40, "window index of maximum production"),
+        ("--clusters", PartitionParams.k, "number of sub-regions (K)"),
+        ("--alpha", PartitionParams.alpha, "location weight in the clustering space"),
+        ("--beta", PartitionParams.beta, "peak-speed weight in the clustering space"),
+        ("--t-window", PartitionParams.t_window,
+         "half-width (windows) of the peak interval"),
+        ("--t-max", PartitionParams.t_max, "window index of maximum production"),
     ]
 
     def sub(name, help_text, specs):
@@ -132,59 +138,58 @@ def build_parser() -> _Parser:
             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         s.add_argument("--config", help="flat key = value option file; "
                                         "flags override it")
-        for flag, typ, default, help_opt in [
-                ("--out", str, "out", "output directory"),
-                ("--seed", int, 0, "master seed")] + specs:
+        for flag, default, help_opt in [("--out", "out", "output directory"),
+                                        ("--seed", 0, "master seed")] + specs:
+            typ = {bool: _bool, tuple: _int_list}.get(type(default),
+                                                      type(default))
             s.add_argument(flag, type=typ, default=default, help=help_opt)
 
     sub("gen-network", "generate a grid road network", [
-        ("--grid", str, "5x5", "grid size ROWSxCOLS"),
-        ("--link-length", float, 100.0, "link length meters"),
-        ("--lanes", int, 3, "lanes per link"),
-        ("--vff", float, 25.0, "free-flow speed km/h"),
-        ("--signals", _bool, True, "signalize every junction"),
-        ("--cycle", float, 90.0, "signal cycle seconds"),
-        ("--green-split", float, 0.5, "green share of the first phase"),
-        ("--length-jitter", float, 0.0, "street length variation fraction"),
-        ("--jitter-seed", int, 0, "seed for the length variation"),
+        ("--grid", "5x5", "grid size ROWSxCOLS"),
+        ("--link-length", 100.0, "link length meters"),
+        ("--lanes", 3, "lanes per link"),
+        ("--vff", 25.0, "free-flow speed km/h"),
+        ("--signals", True, "signalize every junction"),
+        ("--cycle", 90.0, "signal cycle seconds"),
+        ("--green-split", 0.5, "green share of the first phase"),
+        ("--length-jitter", 0.0, "street length variation fraction"),
+        ("--jitter-seed", 0, "seed for the length variation"),
     ])
-    network = ("--network", str, "", "network file (default <out>/network.txt)")
-    dataset = ("--dataset-dir", str, "",
-               "dataset directory (default <out>/dataset)")
-    inputs = [dataset, network, ("--partition-file", str, "",
+    network = ("--network", "", "network file (default <out>/network.txt)")
+    dataset = ("--dataset-dir", "", "dataset directory (default <out>/dataset)")
+    inputs = [dataset, network, ("--partition-file", "",
                                  "partition file (default <out>/partition.txt)")]
     scoring = inputs + [
-        ("--models", str, ",".join(harness.STANDARD_MODELS),
+        ("--models", ",".join(harness.STANDARD_MODELS),
          "comma-separated model list"),
-        ("--split", str, "test", "dataset split to evaluate"),
-        ("--scenario-class", str, "", "label for the report rows"),
+        ("--split", "test", "dataset split to evaluate"),
+        ("--scenario-class", "", "label for the report rows"),
     ]
     sub("gen-dataset", "simulate a randomized scenario corpus", [
         network,
-        ("--od", str, "", "base OD file; generated when omitted"),
-        ("--od-pairs", int, 10, "synthesized OD pair count"),
-        ("--od-rate", float, 300.0, "synthesized per-pair demand veh/h"),
-        ("--scenarios", int, 20, "number of scenarios"),
-        ("--demand", str, "medium", "demand level: low, medium or high"),
-        ("--bus-lanes", int, 0, "bus-lane links per scenario (0 = auto)"),
+        ("--od", "", "base OD file; generated when omitted"),
+        ("--od-pairs", 10, "synthesized OD pair count"),
+        ("--od-rate", 300.0, "synthesized per-pair demand veh/h"),
+        ("--scenarios", 20, "number of scenarios"),
+        ("--demand", "medium", "demand level: low, medium or high"),
+        ("--bus-lanes", 0, "bus-lane links per scenario (0 = auto)"),
         dataset,
     ] + sim_opts)
     sub("simulate", "run one scenario to a record", [
         network,
-        ("--od", str, "", "OD file (required)"),
-        ("--scale", float, 1.0, "demand scale factor"),
-        ("--record-dir", str, "", "record directory (default <out>/record)"),
+        ("--od", "", "OD file (required)"),
+        ("--scale", 1.0, "demand scale factor"),
+        ("--record-dir", "", "record directory (default <out>/record)"),
     ] + sim_opts)
     sub("partition", "cluster links into sub-regions", [
         dataset, network,
-        ("--partition-file", str, "",
-         "output file (default <out>/partition.txt)"),
+        ("--partition-file", "", "output file (default <out>/partition.txt)"),
     ] + part_opts)
     sub("train", "train an estimator variant", inputs + train_opts)
     sub("evaluate", "per-link speed metrics for the model suite",
         scoring + train_opts)
     sub("travel-time", "random-trip travel-time experiment",
-        scoring + [("--trips", int, 1000, "number of random trips")] + train_opts)
+        scoring + [("--trips", 1000, "number of random trips")] + train_opts)
     sub("report", "merge emitted metric tables", [])
     return parser
 
@@ -237,7 +242,7 @@ def _checkpoint_path(o, name: str) -> str:
 def _model_config(o, name: str):
     return config_from_name(name, heads=o.heads, hidden_dim=o.hidden,
                             fc_hidden=o.fc_dims, history_len=o.history,
-                            output_type=o.output_type)
+                            output_type=o.output_type, seed=o.seed)
 
 
 def _train_and_save(o, net, dataset, part, name: str):
@@ -245,8 +250,7 @@ def _train_and_save(o, net, dataset, part, name: str):
     write its checkpoint and loss history under <out>/models/."""
     model, history = train(net, dataset, part, _model_config(o, name), TrainConfig(
         lr=o.lr, lr_step=o.lr_step, lr_gamma=o.lr_gamma,
-        weight_decay=o.weight_decay, epochs=o.epochs, seed=o.seed,
-        window_stride=o.stride))
+        weight_decay=o.weight_decay, epochs=o.epochs, window_stride=o.stride))
     os.makedirs(os.path.join(o.out, "models"), exist_ok=True)
     save_model(model, _checkpoint_path(o, name))
     _write_history(history, os.path.join(o.out, "models", f"{name}_history.csv"))

@@ -19,8 +19,10 @@ downstream of a prediction stay float64.
 
 from __future__ import annotations
 
+import json
 import logging
-from dataclasses import dataclass, replace
+import zipfile
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -32,9 +34,8 @@ from .nn import Tensor
 
 log = logging.getLogger(__name__)
 
-OUTPUT_TYPES = ("Ratio", "Diff", "Speed")
 PAD_VALUE = -1.0
-FC_HIDDEN = (384, 256, 128, 64, 32)
+LEAKY_SLOPE = 0.2    # negative slope of the attention scores' leaky ReLU
 # (window, link) rows the head takes per call in predict_windows; a block
 # never splits a window, so it holds one window when a window alone is larger
 PREDICT_BLOCK_ROWS = 8192
@@ -48,9 +49,8 @@ class ModelConfig:
     use_partition: bool = True
     heads: int = 2
     hidden_dim: int = 128
-    fc_hidden: tuple[int, ...] = FC_HIDDEN
+    fc_hidden: tuple[int, ...] = (384, 256, 128, 64, 32)
     history_len: int = 5
-    leaky_slope: float = 0.2
     output_type: str = "Speed"
     seed: int = 0
     dtype: str = "float32"
@@ -189,9 +189,6 @@ class LcfModel:
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
 
-    def state_arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [(n, p.data) for n, p in self.params.items()]
-
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         """Replace every parameter, cast to its dtype; the names and shapes
         must match."""
@@ -217,8 +214,7 @@ class LcfModel:
         wh = nn.matmul(feats, self.params[f"gat.h{head}.W"])
         s_src = nn.matmul(wh, self.params[f"gat.h{head}.a_src"])
         s_dst = nn.matmul(wh, self.params[f"gat.h{head}.a_dst"])
-        scores = nn.leaky_relu(nn.add(s_src, nn.transpose(s_dst)),
-                               self.config.leaky_slope)
+        scores = nn.leaky_relu(nn.add(s_src, nn.transpose(s_dst)), LEAKY_SLOPE)
         neg = nn.constant(np.where(adj_mask, 0.0, -1e30))
         return wh, nn.softmax_rowwise(nn.add(scores, neg))
 
@@ -371,7 +367,6 @@ class TrainConfig:
     lr_gamma: float = 0.85
     weight_decay: float = 0.01
     epochs: int = 400
-    seed: int = 0
     window_stride: int = 1
 
     def __post_init__(self):
@@ -449,12 +444,13 @@ def train(net: RoadNetwork, dataset, partition, model_cfg: ModelConfig,
           train_cfg: TrainConfig | None = None,
           ) -> tuple[LcfModel, list[dict[str, float]]]:
     """Minimize MSE on normalized targets with AdamW + staircase LR decay;
-    returns the best-validation checkpoint and the loss history."""
+    returns the best-validation checkpoint and the loss history.
+    ``model_cfg.seed`` seeds both the initialization and the batch order."""
     tc = train_cfg or TrainConfig()
     part = partition if model_cfg.use_partition else None
     train_feats = split_features(net, dataset, "train", part)
     norm = fit_normalization(dataset, train_feats, model_cfg.output_type)
-    model = LcfModel(replace(model_cfg, seed=tc.seed), norm)
+    model = LcfModel(model_cfg, norm)
     train_batches = build_batches(net, dataset, "train", train_feats, model_cfg,
                                   norm, stride=tc.window_stride)
     val_batches = build_batches(net, dataset, "val",
@@ -465,7 +461,7 @@ def train(net: RoadNetwork, dataset, partition, model_cfg: ModelConfig,
 
     params = model.parameters()
     opt = nn.AdamW(params, lr=tc.lr, weight_decay=tc.weight_decay)
-    rng = np.random.default_rng(tc.seed)
+    rng = np.random.default_rng(model_cfg.seed)
     history: list[dict[str, float]] = []
     best_val = np.inf
     best_state = {n: t.data.copy() for n, t in model.params.items()}
@@ -498,63 +494,50 @@ def train(net: RoadNetwork, dataset, partition, model_cfg: ModelConfig,
 
 
 # ---------------------------------------------------------------------------
-# checkpoints
+# checkpoints: an .npz archive of the parameters, each in its own dtype, and
+# a "meta" entry, the JSON of the ModelConfig and the normalization statistics
 # ---------------------------------------------------------------------------
 
+NORM_KEYS = ("vmean_lo", "vmean_hi", "target_lo", "target_hi")
+
+
 def save_model(model: LcfModel, path) -> None:
-    cfg, norm = model.config, model.norm
-    header = {
-        "use_gat": str(int(cfg.use_gat)),
-        "use_gru": str(int(cfg.use_gru)),
-        "use_partition": str(int(cfg.use_partition)),
-        "heads": str(cfg.heads),
-        "hidden_dim": str(cfg.hidden_dim),
-        "fc_hidden": ",".join(str(d) for d in cfg.fc_hidden),
-        "history_len": str(cfg.history_len),
-        "leaky_slope": repr(cfg.leaky_slope),
-        "output_type": cfg.output_type,
-        "seed": str(cfg.seed),
-        "dtype": cfg.dtype,
-        "feat_lo": ",".join(repr(float(v)) for v in norm.feat.lo),
-        "feat_hi": ",".join(repr(float(v)) for v in norm.feat.hi),
-        "vmean_lo": repr(norm.vmean_lo),
-        "vmean_hi": repr(norm.vmean_hi),
-        "target_lo": repr(norm.target_lo),
-        "target_hi": repr(norm.target_hi),
-    }
-    nn.save_arrays(path, header, model.state_arrays())
+    norm = model.norm
+    meta = {"config": asdict(model.config), "norm": {
+        "feat_lo": norm.feat.lo.tolist(), "feat_hi": norm.feat.hi.tolist(),
+        **{key: getattr(norm, key) for key in NORM_KEYS}}}
+    with open(path, "wb") as fh:    # numpy appends ".npz" to a path
+        np.savez(fh, meta=np.array(json.dumps(meta)),
+                 **{n: p.data for n, p in model.params.items()})
 
 
 def load_model(path) -> LcfModel:
-    header, arrays = nn.load_arrays(path)
-    try:
-        cfg = ModelConfig(
-            use_gat=bool(int(header["use_gat"])),
-            use_gru=bool(int(header["use_gru"])),
-            use_partition=bool(int(header["use_partition"])),
-            heads=int(header["heads"]),
-            hidden_dim=int(header["hidden_dim"]),
-            fc_hidden=tuple(int(d) for d in header["fc_hidden"].split(",")),
-            history_len=int(header["history_len"]),
-            leaky_slope=float(header["leaky_slope"]),
-            output_type=header["output_type"],
-            seed=int(header["seed"]),
-            # checkpoints written before the dtype entry hold float64 models
-            dtype=header.get("dtype", "float64"),
-        )
-        norm = Normalization(
-            feat=MinMaxStats(
-                lo=np.array([float(v) for v in header["feat_lo"].split(",")]),
-                hi=np.array([float(v) for v in header["feat_hi"].split(",")]),
-            ),
-            vmean_lo=float(header["vmean_lo"]), vmean_hi=float(header["vmean_hi"]),
-            target_lo=float(header["target_lo"]),
-            target_hi=float(header["target_hi"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: no meta {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    model = LcfModel(cfg, norm)
-    model.load_state(arrays)
+    """Read a ``save_model`` archive; anything else, a text checkpoint of
+    earlier versions included, is a ValueError naming the file."""
+    with open(path, "rb") as fh:
+        if fh.read(4) != b"PK\x03\x04":    # how every zip archive starts
+            raise ValueError(f"{path}: not a checkpoint archive (text checkpoints"
+                             f" of earlier versions are not read); retrain the model")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as archive:
+                arrays = dict(archive)
+            if "meta" not in arrays:
+                raise ValueError("no 'meta' entry")
+            meta = json.loads(arrays.pop("meta").item())
+            config, norm = meta["config"], meta["norm"]
+            unknown = sorted(set(config) - {f.name for f in fields(ModelConfig)})
+            if unknown:
+                raise ValueError(f"unknown meta {unknown[0]!r}")
+            config = {f.name: config[f.name] for f in fields(ModelConfig)}
+            config["fc_hidden"] = tuple(config["fc_hidden"])
+            model = LcfModel(ModelConfig(**config), Normalization(
+                feat=MinMaxStats(lo=np.array(norm["feat_lo"], dtype=float),
+                                 hi=np.array(norm["feat_hi"], dtype=float)),
+                **{key: float(norm[key]) for key in NORM_KEYS}))
+            model.load_state(arrays)
+        except KeyError as exc:
+            raise ValueError(f"{path}: no meta {exc.args[0]!r}") from None
+        except (ValueError, TypeError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return model

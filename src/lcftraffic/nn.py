@@ -393,60 +393,3 @@ def grad_check(closure, params, eps: float = 1e-6) -> float:
             denom = max(abs(fd) + abs(gflat[i]), 1.0)
             worst = max(worst, abs(fd - gflat[i]) / denom)
     return worst
-
-
-# ---------------------------------------------------------------------------
-# checkpoint serialization: text header + flat float arrays, each value in
-# the shortest repr that reads back to the same bits in its own dtype
-# ---------------------------------------------------------------------------
-
-def _shortest_reprs(arr: np.ndarray):
-    """float64 values as ``repr(float)``; float32 values as ``str`` of the
-    float32 scalar, the shortest digits that round to that float32."""
-    flat = arr.reshape(-1)
-    if flat.dtype == np.float32:
-        return map(str, flat)
-    return map(repr, flat.astype(np.float64, copy=False).tolist())
-
-
-def save_arrays(path, header: dict[str, str], arrays: list[tuple[str, np.ndarray]]) -> None:
-    with open(path, "w") as fh:
-        fh.write("# checkpoint\n")
-        for key in sorted(header):
-            fh.write(f"meta {key} {header[key]}\n")
-        for name, arr in arrays:
-            shape = ",".join(str(s) for s in arr.shape)
-            fh.write(f"array {name} {shape}\n")
-            fh.write(" ".join(_shortest_reprs(arr)) + "\n")
-
-
-def load_arrays(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
-    """Read a checkpoint written by ``save_arrays``; a malformed record is a
-    ValueError naming the file and line."""
-    header: dict[str, str] = {}
-    arrays: dict[str, np.ndarray] = {}
-    with open(path) as fh:
-        lines = enumerate(fh.read().splitlines(), start=1)
-    for lineno, line in lines:
-        if not line or line.startswith("#"):
-            continue
-        try:
-            kind, rest = line.split(" ", 1)
-            if kind == "meta":
-                key, value = rest.split(" ", 1)
-                header[key] = value
-            elif kind == "array":
-                name, shape_s = rest.rsplit(" ", 1)
-                shape = tuple(int(s) for s in shape_s.split(",") if s)
-                lineno, values = next(lines, (lineno, None))
-                if values is None:
-                    raise ValueError(f"array {name!r} has no values line")
-                # float64 reads both reprs exactly: a float32 value's digits
-                # land on its own bits again when cast back to float32
-                arrays[name] = np.array(values.split(),
-                                        dtype=np.float64).reshape(shape)
-            else:
-                raise ValueError(f"unknown checkpoint record {kind!r}")
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return header, arrays

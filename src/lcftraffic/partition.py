@@ -15,6 +15,9 @@ import numpy as np
 from .network import RoadNetwork, fit_minmax
 from .simulate import SimRecord
 
+KMEANS_MAX_ITER = 300    # Lloyd iterations per k-means++ start
+KMEANS_N_INIT = 10       # k-means++ starts per kmeans call
+
 
 @dataclass(frozen=True)
 class PartitionParams:
@@ -24,7 +27,6 @@ class PartitionParams:
     t_window: int = 2
     t_max: int = 40
     seed: int = 0
-    max_iter: int = 300
 
 
 @dataclass(frozen=True)
@@ -88,11 +90,11 @@ def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
-def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
-           max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+def _lloyd(points: np.ndarray, k: int,
+           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     centroids = _kmeanspp_init(points, k, rng)
     labels = np.full(len(points), -1, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
         # re-seed any emptied cluster from the farthest point whose donor
@@ -115,21 +117,19 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
     return labels, centroids
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 300,
-           n_init: int = 10) -> tuple[np.ndarray, np.ndarray]:
+def kmeans(points: np.ndarray, k: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd iterations from k-means++ starts, deterministic per seed.
 
     Points tied between centroids go to the lowest centroid index (argmin
-    tie-break). The best of ``n_init`` restarts by within-cluster sum of
-    squares is returned; restart seeds are spawned from ``seed``.
+    tie-break). The best of ``KMEANS_N_INIT`` restarts by within-cluster
+    sum of squares is returned; restart seeds are spawned from ``seed``.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or len(points) < k:
         raise ValueError("need at least k points")
     best = None
-    for child in np.random.SeedSequence(seed).spawn(max(n_init, 1)):
-        labels, centroids = _lloyd(points, k, np.random.default_rng(child),
-                                   max_iter)
+    for child in np.random.SeedSequence(seed).spawn(KMEANS_N_INIT):
+        labels, centroids = _lloyd(points, k, np.random.default_rng(child))
         obj = _wcss(points, labels, centroids)
         if best is None or obj < best[0]:
             best = (obj, labels, centroids)
@@ -141,8 +141,7 @@ def partition_network(net: RoadNetwork, record: SimRecord,
     params = params or PartitionParams()
     points = build_cluster_points(net, record, params.alpha, params.beta,
                                   params.t_window, params.t_max)
-    labels, centroids = kmeans(points, params.k, seed=params.seed,
-                               max_iter=params.max_iter)
+    labels, centroids = kmeans(points, params.k, seed=params.seed)
     return PartitionAssignment(
         labels={lk.id: int(lab) for lk, lab in zip(net.links, labels)},
         centroids=centroids, params=params,
@@ -168,6 +167,7 @@ def save_partition(assignment: PartitionAssignment, path) -> None:
 def load_partition(path) -> PartitionAssignment:
     params: dict[str, float] = {}
     labels: dict[int, int] = {}
+    label_lines: list[tuple[int, int]] = []     # (line, label)
     centroids: list[list[float]] = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -184,6 +184,7 @@ def load_partition(path) -> PartitionAssignment:
                 elif kind == "REGION":
                     link_id, label = args
                     labels[int(link_id)] = int(label)
+                    label_lines.append((lineno, int(label)))
                 else:
                     raise ValueError(f"unknown partition record {kind!r}")
             except ValueError as exc:  # a wrong field count too
@@ -194,5 +195,9 @@ def load_partition(path) -> PartitionAssignment:
                                for f in fields(PartitionParams)})
     except KeyError as exc:
         raise ValueError(f"{path}: no PARAM {exc.args[0]!r}") from None
+    for lineno, label in label_lines:
+        if not 0 <= label < p.k:
+            raise ValueError(f"{path}:{lineno}: region label {label} is "
+                             f"outside 0..{p.k - 1}")
     return PartitionAssignment(labels=labels, centroids=np.array(centroids),
                                params=p)

@@ -26,6 +26,11 @@ SPLIT_NAMES = ("train", "val", "test")
 DEMAND_LEVELS = {"low": 0.7, "medium": 1.0, "high": 1.3}
 
 
+def _check_rate(rate: float) -> None:
+    if not 0 <= rate < np.inf:  # NaN fails it too
+        raise ValueError(f"OD rates must be finite and >= 0, got {rate!r}")
+
+
 @dataclass(frozen=True)
 class ODMatrix:
     pairs: tuple[tuple[int, int], ...]   # (origin link id, destination link id)
@@ -36,8 +41,7 @@ class ODMatrix:
         if len(self.pairs) != len(self.rates):
             raise ValueError("pairs and rates must align")
         for r in self.rates:
-            if not 0 <= r < np.inf:  # NaN fails it too
-                raise ValueError(f"OD rates must be finite and >= 0, got {r!r}")
+            _check_rate(r)
 
     def total(self) -> float:
         return float(sum(self.rates))
@@ -225,6 +229,7 @@ def load_od(path) -> ODMatrix:
                     origin, dest, rate = args
                     pairs.append((int(origin), int(dest)))
                     rates.append(float(rate))
+                    _check_rate(rates[-1])
                 else:
                     raise ValueError(f"unknown OD record {kind!r}")
             except ValueError as exc:  # a wrong field count too

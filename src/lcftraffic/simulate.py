@@ -64,6 +64,8 @@ from .network import Link, RoadNetwork, link_travel_times
 
 log = logging.getLogger(__name__)
 
+TURN_RATIO_TOL = 1e-9    # check_turn_ratios: below 0 and off a sum of 1
+
 
 class SimulationError(RuntimeError):
     pass
@@ -160,18 +162,17 @@ def shortest_time_to_dest(net: RoadNetwork, tau: np.ndarray,
         dist[idx.seg_link] = np.where(better, cand, current)
 
 
-def check_turn_ratios(net: RoadNetwork, ratios: np.ndarray,
-                      tol: float = 1e-9) -> None:
+def check_turn_ratios(net: RoadNetwork, ratios: np.ndarray) -> None:
     """Turn ratios are a (pairs, destinations) array: ``ratios[p, d]`` is
     the probability that a vehicle bound for destination column d and
     waiting on the upstream link of connectivity pair p takes that pair.
     None may be negative, and for every (upstream link, destination) with
-    outgoing pairs they sum to 1, both within ``tol``."""
-    if np.any(ratios < -tol):
+    outgoing pairs they sum to 1, both within ``TURN_RATIO_TOL``."""
+    if np.any(ratios < -TURN_RATIO_TOL):
         raise SimulationError("negative turn ratio")
     up = net.index.pair_up
     sums = scatter_sum(up, ratios, net.n_links)[up]
-    if np.any(np.abs(sums - 1.0) > tol):
+    if np.any(np.abs(sums - 1.0) > TURN_RATIO_TOL):
         raise SimulationError("turn ratio vectors must sum to 1")
 
 

@@ -46,9 +46,9 @@ def toy_corpus():
     part = partition_network(net, dataset.records[dataset.splits["train"][0]],
                              PartitionParams(seed=TOY_SEED, t_max=20))
     t0 = time.perf_counter()
-    model, _history = train(net, dataset, part, ModelConfig(output_type="Speed"),
-                            TrainConfig(epochs=80, seed=TOY_SEED,
-                                        window_stride=1))
+    model, _history = train(net, dataset, part,
+                            ModelConfig(output_type="Speed", seed=TOY_SEED),
+                            TrainConfig(epochs=80, window_stride=1))
     reports, _ = evaluate_speed_split(net, dataset, part,
                                       ["MFD", "GAT-GRU-P"],
                                       {"GAT-GRU-P": model})
@@ -289,8 +289,9 @@ def test_08_partition_refinement(toy_corpus):
         sse_global = 0.0
         for t in range(rec.n_windows):
             speeds = rec.speeds[t]
-            regional = region_mean_speeds(speeds, rec.accumulation[t], labels,
-                                          part.params.k, weighting="arithmetic")
+            # unit accumulations: the regions' arithmetic means
+            regional = region_mean_speeds(speeds, np.ones_like(speeds), labels,
+                                          part.params.k)
             sse_region += float(((speeds - regional) ** 2).sum())
             sse_global += float(((speeds - speeds.mean()) ** 2).sum())
         assert sse_region <= sse_global * (1 + 1e-12) + 1e-9, sid

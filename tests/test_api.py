@@ -49,8 +49,8 @@ def test_benchmark_boundaries_exist():
 
 
 def test_cli_defaults_equal_the_config_defaults():
-    """The CLI restates these config fields' defaults; both must agree, in
-    value and type, on every command that takes the flag."""
+    """The CLI reads these flags' defaults from the config classes; both
+    agree, in value and type, on every command that takes the flag."""
     from lcftraffic.cli import build_parser
     from lcftraffic.model import ModelConfig, TrainConfig
     from lcftraffic.partition import PartitionParams
@@ -83,3 +83,26 @@ def test_cli_defaults_equal_the_config_defaults():
                 assert (cli, type(cli)) == (lib, type(lib)), (command, dest)
                 flags.add(dest)
     assert len(flags) == 27
+
+
+def test_every_np_load_refuses_pickles():
+    """A checkpoint or any other file read with ``np.load`` must not be able
+    to run code on load: every call in src/ passes ``allow_pickle=False``."""
+    src = os.path.join(ROOT, "src", "lcftraffic")
+    calls = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(src, name)
+        for node in ast.walk(ast.parse(open(path).read())):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "load" \
+                    and isinstance(node.func.value, ast.Name) \
+                    and node.func.value.id == "np":
+                kwargs = {kw.arg: kw.value for kw in node.keywords}
+                flag = kwargs.get("allow_pickle")
+                calls.append((name, node.lineno))
+                assert isinstance(flag, ast.Constant) and flag.value is False, \
+                    f"{name}:{node.lineno}: np.load without allow_pickle=False"
+    assert calls

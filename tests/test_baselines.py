@@ -65,9 +65,9 @@ def test_mfd_p_accumulation_weighting():
     part = make_partition({0: 0, 1: 0}, k=1)
     weighted = mfd_p(rec, part)[0]
     assert weighted[0] == pytest.approx((10.0 * 3 + 30.0) / 4)
-    arith = region_mean_speeds(rec.speeds[0], rec.accumulation[0],
-                               np.zeros(2, dtype=int), 1,
-                               weighting="arithmetic")
+    # unit accumulations give the arithmetic mean
+    arith = region_mean_speeds(rec.speeds[0], np.ones(2),
+                               np.zeros(2, dtype=int), 1)
     assert arith[0] == pytest.approx(20.0)
 
 
@@ -103,9 +103,9 @@ def test_region_means_of_all_windows_equal_one_window_at_a_time():
     acc[3] = 0.0
     labels = rng.integers(0, 5, size=40)
     labels[labels == 4] = 3                      # region 4 holds no link
-    for weighting in ("accumulation", "arithmetic"):
-        every = region_mean_speeds(speeds, acc, labels, 5, weighting)
-        one = np.array([region_mean_speeds(speeds[t], acc[t], labels, 5, weighting)
+    for weights in (acc, np.ones_like(acc)):
+        every = region_mean_speeds(speeds, weights, labels, 5)
+        one = np.array([region_mean_speeds(speeds[t], weights[t], labels, 5)
                         for t in range(30)])
         assert every.tobytes() == one.tobytes()
 
@@ -131,8 +131,8 @@ def test_region_arithmetic_means_never_worse_than_global_mean():
         speeds = rng.uniform(1, 25, size=60)
         labels = rng.integers(0, 4, size=60)
         acc = rng.uniform(0, 10, size=60)
-        regional = region_mean_speeds(speeds, acc, labels, 4,
-                                      weighting="arithmetic")
+        # unit accumulations: the regions' arithmetic means
+        regional = region_mean_speeds(speeds, np.ones_like(acc), labels, 4)
         sse_regional = float(((speeds - regional) ** 2).sum())
         sse_global = float(((speeds - speeds.mean()) ** 2).sum())
         assert sse_regional <= sse_global * (1 + 1e-12) + 1e-12

@@ -1,11 +1,14 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from lcftraffic.cli import build_parser, main
 from lcftraffic.simulate import load_record
+
+from ckptfaults import FAULTS, plant, read_checkpoint, write_checkpoint
 
 
 SIM_SMALL = ["--step", "5", "--window", "60", "--warmup", "120",
@@ -275,6 +278,18 @@ def test_gen_dataset_rejects_a_nan_od_rate(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "dataset"))
 
 
+def test_bad_od_rate_in_a_file_names_the_file_and_line(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert run(["gen-network", "--out", out, "--grid", "3x3"]) == 0
+    od_path = tmp_path / "od.txt"
+    od_path.write_text("OD 0 9 nan\n")
+    capsys.readouterr()
+    assert run(["simulate", "--out", out, "--od", od_path] + SIM_SMALL) == 1
+    assert f"error: {od_path}:1: OD rates must be finite and >= 0, got nan" \
+        in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "record"))
+
+
 def test_malformed_od_file_fails_simulate(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert run(["gen-network", "--out", out, "--grid", "3x3"]) == 0
@@ -285,44 +300,54 @@ def test_malformed_od_file_fails_simulate(tmp_path, capsys):
     assert f"error: {od_path}:2: " in capsys.readouterr().err
 
 
-def test_tampered_checkpoint_fails_evaluate(tmp_path, capsys):
-    out = str(tmp_path / "run")
-    build_pipeline(out, seed=4)
+@pytest.fixture(scope="module")
+def trained_dnn(tmp_path_factory):
+    """A pipeline with a trained DNN checkpoint, and a pristine copy of that
+    checkpoint for each test to restore before planting its fault."""
+    out = tmp_path_factory.mktemp("trained") / "run"
+    build_pipeline(str(out), seed=4)
     assert run(["train", "--out", out, "--model", "dnn", "--seed", "4"]
                + TRAIN_SMALL) == 0
-    ckpt = tmp_path / "run/models/dnn.ckpt"
-    text = ckpt.read_text()
+    pristine = out.parent / "dnn.ckpt"
+    shutil.copyfile(out / "models/dnn.ckpt", pristine)
+    return out, pristine
+
+
+def evaluate_dnn(out, capsys) -> tuple[int, str]:
+    capsys.readouterr()
+    code = run(["evaluate", "--out", out, "--models", "MFD,DNN", "--seed", "4"]
+               + TRAIN_SMALL)
+    return code, capsys.readouterr().err
+
+
+def test_tampered_checkpoint_fails_evaluate(trained_dnn, capsys):
+    out, pristine = trained_dnn
+    ckpt = out / "models/dnn.ckpt"
+    shutil.copyfile(pristine, ckpt)
+    meta, arrays = read_checkpoint(ckpt)
     # a 1-D bias broadcasts like the (1, 8) row it replaces, so only the
     # shape check can catch it
-    assert "array fc.0.b 1,8\n" in text
-    ckpt.write_text(text.replace("array fc.0.b 1,8\n", "array fc.0.b 8\n"))
-    capsys.readouterr()
-    assert run(["evaluate", "--out", out, "--models", "MFD,DNN", "--seed", "4"]
-               + TRAIN_SMALL) == 1
-    err = capsys.readouterr().err
-    assert "fc.0.b" in err and "(8,)" in err and "(1, 8)" in err
+    assert arrays["fc.0.b"].shape == (1, 8)
+    arrays["fc.0.b"] = arrays["fc.0.b"].ravel()
+    write_checkpoint(ckpt, json.dumps(meta), arrays)
+    code, err = evaluate_dnn(out, capsys)
+    assert code == 1
+    assert str(ckpt) in err and "fc.0.b" in err and "(8,)" in err \
+        and "(1, 8)" in err
+    assert not (out / "reports").exists()
 
 
-@pytest.mark.parametrize("case", ["missing meta", "cut-off values"])
-def test_malformed_checkpoint_fails_evaluate(tmp_path, capsys, case):
-    out = str(tmp_path / "run")
-    build_pipeline(out, seed=4)
-    assert run(["train", "--out", out, "--model", "dnn", "--seed", "4"]
-               + TRAIN_SMALL) == 0
-    ckpt = tmp_path / "run/models/dnn.ckpt"
-    lines = ckpt.read_text().splitlines()
-    if case == "missing meta":
-        lines.remove("meta heads 2")
-        expected = f"error: {ckpt}: no meta 'heads'"
-    else:
-        assert lines[-2].startswith("array ")
-        lines = lines[:-1]
-        expected = f"error: {ckpt}:{len(lines)}: array"
-    ckpt.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert run(["evaluate", "--out", out, "--models", "MFD,DNN", "--seed", "4"]
-               + TRAIN_SMALL) == 1
-    assert expected in capsys.readouterr().err
+@pytest.mark.parametrize("case", FAULTS)
+def test_malformed_checkpoint_fails_evaluate(trained_dnn, capsys, case):
+    out, pristine = trained_dnn
+    ckpt = out / "models/dnn.ckpt"
+    shutil.copyfile(pristine, ckpt)
+    expected = plant(ckpt, case)
+    code, err = evaluate_dnn(out, capsys)
+    assert code == 1
+    assert f"error: {ckpt}: {expected}" in err
+    assert "Traceback" not in err
+    assert not (out / "reports").exists()
 
 
 def test_help_lists_reference_defaults(capsys):

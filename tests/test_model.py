@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tracemalloc
@@ -17,6 +18,8 @@ from lcftraffic.network import (MinMaxStats, build_link_graph,
 from lcftraffic.partition import PartitionParams, partition_network
 from lcftraffic.scenarios import build_dataset, random_base_od
 from lcftraffic.simulate import SimConfig
+
+from ckptfaults import FAULTS, plant, read_checkpoint, write_checkpoint
 
 
 def tiny_config(**kw):
@@ -419,9 +422,10 @@ def test_batches_and_normalization_equal_a_per_window_loop(output_type):
 def test_training_reduces_loss_and_is_deterministic(tmp_path):
     net, ds, part = toy_training_setup()
     mc = ModelConfig(hidden_dim=8, fc_hidden=(16, 8), heads=2,
-                     output_type="Speed")
-    tc = TrainConfig(epochs=5, seed=1, window_stride=2)
+                     output_type="Speed", seed=1)
+    tc = TrainConfig(epochs=5, window_stride=2)
     model, history = train(net, ds, part, mc, tc)
+    assert model.config == mc
     assert history[-1]["train_loss"] < history[0]["train_loss"]
 
     model2, history2 = train(net, ds, part, mc, tc)
@@ -438,8 +442,8 @@ def test_training_reduces_loss_and_is_deterministic(tmp_path):
 
 def test_checkpoint_round_trip_and_predictions(tmp_path):
     net, ds, part = toy_training_setup(seed=31)
-    mc = ModelConfig(hidden_dim=6, fc_hidden=(8,), output_type="Ratio")
-    tc = TrainConfig(epochs=2, seed=3, window_stride=2)
+    mc = ModelConfig(hidden_dim=6, fc_hidden=(8,), output_type="Ratio", seed=3)
+    tc = TrainConfig(epochs=2, window_stride=2)
     model, _ = train(net, ds, part, mc, tc)
     path = tmp_path / "model.ckpt"
     save_model(model, path)
@@ -456,55 +460,32 @@ def test_checkpoint_round_trip_and_predictions(tmp_path):
 
 
 def test_load_model_checks_array_names_and_shapes(tmp_path):
-    model = LcfModel(tiny_config(), Normalization(
-        feat=MinMaxStats(lo=np.zeros(10), hi=np.ones(10)), vmean_lo=0.0,
-        vmean_hi=1.0, target_lo=0.0, target_hi=1.0))
+    model = LcfModel(tiny_config(), toy_normalization())
     path = tmp_path / "model.ckpt"
     save_model(model, path)
-    text = path.read_text()
-    cases = [("array fc.0.W 4,4\n", "array fc.0.W 2,8\n",
-              r"'fc.0.W'.*\(2, 8\).*\(4, 4\)"),
-             ("array fc.0.b 1,4\n", "array fc.0.b 4\n",
-              r"'fc.0.b'.*\(4,\).*\(1, 4\)"),
-             ("array fc.1.b 1,1\n", "array fc.9.b 1,1\n", r"'fc.9.b'"),
-             ("array fc.1.b 1,1\n0.0\n", "", r"'fc.1.b' is missing")]
-    for old, new, pattern in cases:
-        assert old in text
-        path.write_text(text.replace(old, new))
+    meta, arrays = read_checkpoint(path)
+    assert arrays["fc.0.W"].shape == (4, 4) and arrays["fc.0.b"].shape == (1, 4)
+    cases = [("fc.0.W", np.zeros((2, 8)), r"'fc.0.W'.*\(2, 8\).*\(4, 4\)"),
+             ("fc.0.b", np.zeros(4), r"'fc.0.b'.*\(4,\).*\(1, 4\)"),
+             ("fc.9.b", np.zeros((1, 1)), r"unexpected array 'fc.9.b'"),
+             ("fc.1.b", None, r"'fc.1.b' is missing")]
+    for name, value, pattern in cases:
+        changed = {n: a for n, a in arrays.items() if n != name}
+        if value is not None:
+            changed[name] = value
+        write_checkpoint(path, json.dumps(meta), changed)
         with pytest.raises(ValueError, match=pattern):
             load_model(path)
 
 
-@pytest.mark.parametrize("case", ["missing meta", "bare meta",
-                                  "cut-off values", "short values",
-                                  "bad number"])
+@pytest.mark.parametrize("case", FAULTS)
 def test_load_model_names_file_and_line_or_key(tmp_path, case):
-    model = LcfModel(tiny_config(), Normalization(
-        feat=MinMaxStats(lo=np.zeros(10), hi=np.ones(10)), vmean_lo=0.0,
-        vmean_hi=1.0, target_lo=0.0, target_hi=1.0))
+    """Every fault is a ValueError that names the file and, where there is
+    one, the meta key or array."""
     path = tmp_path / "model.ckpt"
-    save_model(model, path)
-    lines = path.read_text().splitlines()
-    head = lines.index("array fc.0.W 4,4")
-    if case == "missing meta":
-        lines.remove("meta heads 1")
-        expected = f"{path}: no meta 'heads'"
-    elif case == "bare meta":
-        i = lines.index("meta heads 1")
-        lines[i] = "meta heads"
-        expected = f"{path}:{i + 1}: not enough values to unpack"
-    elif case == "cut-off values":
-        assert lines[-2] == "array fc.1.b 1,1"
-        lines = lines[:-1]
-        expected = f"{path}:{len(lines)}: array 'fc.1.b' has no values line"
-    elif case == "short values":
-        lines[head + 1] = " ".join(lines[head + 1].split()[:-1])
-        expected = f"{path}:{head + 2}: cannot reshape array of size 15"
-    else:
-        lines[head + 1] = lines[head + 1].replace(" ", " 1.5x ", 1)
-        expected = f"{path}:{head + 2}: could not convert string to float: '1.5x'"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=re.escape(expected)):
+    save_model(LcfModel(tiny_config(), toy_normalization()), path)
+    expected = plant(path, case)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {expected}")):
         load_model(path)
 
 
@@ -520,7 +501,7 @@ def test_partition_only_changes_sub_region_column():
 def test_predict_uses_padded_history_at_t0():
     net, ds, part = toy_training_setup(seed=19)
     mc = ModelConfig(hidden_dim=6, fc_hidden=(8,))
-    tc = TrainConfig(epochs=1, seed=0, window_stride=3)
+    tc = TrainConfig(epochs=1, window_stride=3)
     model, _ = train(net, ds, part, mc, tc)
     rec = ds.records[ds.splits["test"][0]]
     out = model.predict_windows(net, part, rec.mean_speed)[0]
@@ -678,24 +659,11 @@ def test_checkpoint_round_trip_is_bit_equal(tmp_path, dtype):
         assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
 
 
-def test_checkpoint_without_dtype_loads_as_float64(tmp_path):
-    model = LcfModel(tiny_config(dtype="float64"), toy_normalization())
-    path = tmp_path / "model.ckpt"
-    save_model(model, path)
-    text = path.read_text()
-    assert "meta dtype float64\n" in text
-    path.write_text(text.replace("meta dtype float64\n", ""))
-    loaded = load_model(path)
-    assert loaded.config.dtype == "float64"
-    for name, p in model.params.items():
-        assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
-
-
 def test_training_batches_and_parameters_stay_in_the_model_dtype():
     net, ds, part = toy_training_setup(seed=23)
     mc = ModelConfig(hidden_dim=6, fc_hidden=(8,))
     model, history = train(net, ds, part, mc,
-                           TrainConfig(epochs=1, seed=0, window_stride=3))
+                           TrainConfig(epochs=1, window_stride=3))
     assert np.isfinite(history[0]["train_loss"])
     for name, p in model.params.items():
         expected = np.float64 if name.startswith("gat.") else np.float32

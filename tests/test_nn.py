@@ -330,43 +330,3 @@ def test_grad_check_constant_closure():
         return nn.mse_loss(nn.constant([0.0]), nn.constant([0.0]))
 
     assert grad_check(closure, [p], eps=1e-6) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# checkpoint round-trip
-# ---------------------------------------------------------------------------
-
-def test_save_load_arrays_bit_exact(tmp_path):
-    rng = np.random.default_rng(9)
-    arrays = [("w", rng.normal(size=(7, 3))), ("b", rng.normal(size=(3,)))]
-    header = {"kind": "test", "dim": "3"}
-    path = tmp_path / "ckpt.txt"
-    nn.save_arrays(path, header, arrays)
-    h2, a2 = nn.load_arrays(path)
-    assert h2 == header
-    for name, arr in arrays:
-        assert a2[name].shape == arr.shape
-        assert np.array_equal(a2[name], arr)
-
-    path2 = tmp_path / "ckpt2.txt"
-    nn.save_arrays(path2, h2, [(n, a2[n]) for n, _ in arrays])
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_float32_arrays_round_trip_bit_exact_in_fewer_bytes(tmp_path):
-    rng = np.random.default_rng(10)
-    bits = rng.integers(0, 2 ** 32, size=20000, dtype=np.uint64).astype(np.uint32)
-    patterns = bits.view(np.float32)
-    patterns = patterns[np.isfinite(patterns)]
-    weights = rng.normal(size=(40, 30)).astype(np.float32)
-    arrays = [("bits", patterns), ("w", weights)]
-    path32, path64 = tmp_path / "f32.txt", tmp_path / "f64.txt"
-    nn.save_arrays(path32, {}, arrays)
-    nn.save_arrays(path64, {}, [(n, a.astype(np.float64)) for n, a in arrays])
-    for path in (path32, path64):
-        _, loaded = nn.load_arrays(path)
-        for name, arr in arrays:
-            back = loaded[name].astype(np.float32)
-            assert back.shape == arr.shape
-            assert back.tobytes() == arr.tobytes(), (path.name, name)
-    assert path32.stat().st_size < 0.7 * path64.stat().st_size

@@ -214,7 +214,8 @@ def test_partition_file_round_trip(tmp_path):
 
 @pytest.mark.parametrize("case", ["region without label", "missing param",
                                   "bad param value", "bad centroid",
-                                  "unknown record"])
+                                  "unknown record", "label of no region",
+                                  "negative label"])
 def test_load_partition_names_file_and_line_or_key(tmp_path, case):
     net = generate_grid_network(3, 3, 100.0, 2)
     rec = fake_record(np.random.default_rng(6).uniform(5, 25, size=(60, net.n_links)))
@@ -237,6 +238,11 @@ def test_load_partition_names_file_and_line_or_key(tmp_path, case):
     elif case == "bad centroid":
         lines[centroid] += " y"
         expected = f"{path}:{centroid + 1}: could not convert string to float: 'y'"
+    elif case in ("label of no region", "negative label"):
+        # MFD-P would leave such a link at 0 km/h
+        label = 7 if case == "label of no region" else -1
+        lines[region] = f"REGION 5 {label}"
+        expected = f"{path}:{region + 1}: region label {label} is outside 0..2"
     else:
         lines.append("BOUNDARY 5")
         expected = f"{path}:{len(lines)}: unknown partition record 'BOUNDARY'"

@@ -168,6 +168,9 @@ def test_od_file_round_trip(tmp_path):
     ("OD 1 2 3.0 4", "too many values to unpack"),
     ("RAMP", "not enough values to unpack"),
     ("DEMAND 1 2 3.0", "unknown OD record 'DEMAND'"),
+    ("OD 1 2 nan", "OD rates must be finite and >= 0, got nan"),
+    ("OD 1 2 -3.0", "OD rates must be finite and >= 0, got -3.0"),
+    ("OD 1 2 inf", "OD rates must be finite and >= 0, got inf"),
 ])
 def test_load_od_names_file_and_line_of_a_bad_record(tmp_path, line, message):
     path = tmp_path / "od.txt"
