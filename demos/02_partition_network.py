@@ -44,5 +44,5 @@ for k in range(params.k):
           f"({(labels == k).sum()} links)")
 
 os.makedirs("demo_out", exist_ok=True)
-save_partition(part, "demo_out/partition.txt")
-print("\npartition written to demo_out/partition.txt")
+save_partition(part, "demo_out/partition.json")
+print("\npartition written to demo_out/partition.json")

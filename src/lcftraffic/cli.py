@@ -23,7 +23,8 @@ from .partition import (PartitionParams, load_partition, partition_network,
                         save_partition)
 from .scenarios import (DEMAND_LEVELS, Scenario, build_dataset, load_dataset,
                         load_od, random_base_od, save_dataset, save_od)
-from .simulate import SimConfig, SimulationError, save_record, simulate
+from .simulate import (SimConfig, SimulationError, check_od_pairs, save_record,
+                       simulate)
 from .evaluate import export_report
 
 
@@ -105,8 +106,6 @@ def build_parser() -> _Parser:
         ("--turn-smoothing", SimConfig.turn_smoothing, "turn-ratio smoothing weight"),
     ]
     train_opts = [
-        ("--model", "gat-gru-p", "estimator variant (dnn, dnn-gru, gat,"
-                                 " gat-gru, plus -p suffix)"),
         ("--lr", TrainConfig.lr, "initial learning rate"),
         ("--lr-step", TrainConfig.lr_step, "learning-rate decay step size"),
         ("--lr-gamma", TrainConfig.lr_gamma, "learning-rate decay factor"),
@@ -133,8 +132,9 @@ def build_parser() -> _Parser:
     ]
 
     def sub(name, help_text, specs):
+        # no abbreviations: evaluate would read --model as --models
         s = subs.add_parser(
-            name, help=help_text,
+            name, help=help_text, allow_abbrev=False,
             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         s.add_argument("--config", help="flat key = value option file; "
                                         "flags override it")
@@ -158,7 +158,7 @@ def build_parser() -> _Parser:
     network = ("--network", "", "network file (default <out>/network.txt)")
     dataset = ("--dataset-dir", "", "dataset directory (default <out>/dataset)")
     inputs = [dataset, network, ("--partition-file", "",
-                                 "partition file (default <out>/partition.txt)")]
+                                 "partition file (default <out>/partition.json)")]
     scoring = inputs + [
         ("--models", ",".join(harness.STANDARD_MODELS),
          "comma-separated model list"),
@@ -183,9 +183,11 @@ def build_parser() -> _Parser:
     ] + sim_opts)
     sub("partition", "cluster links into sub-regions", [
         dataset, network,
-        ("--partition-file", "", "output file (default <out>/partition.txt)"),
+        ("--partition-file", "", "output file (default <out>/partition.json)"),
     ] + part_opts)
-    sub("train", "train an estimator variant", inputs + train_opts)
+    sub("train", "train an estimator variant", inputs + [
+        ("--model", "gat-gru-p", "estimator variant (dnn, dnn-gru, gat,"
+                                 " gat-gru, plus -p suffix)")] + train_opts)
     sub("evaluate", "per-link speed metrics for the model suite",
         scoring + train_opts)
     sub("travel-time", "random-trip travel-time experiment",
@@ -218,9 +220,12 @@ def _require(path: str, what: str) -> str:
     return path
 
 
+def _net_path(o) -> str:
+    return _default(o.network, o.out, "network.txt")
+
+
 def _load_net(o):
-    return load_network(_require(_default(o.network, o.out, "network.txt"),
-                                 "network file"))
+    return load_network(_require(_net_path(o), "network file"))
 
 
 def _load_ds(o):
@@ -228,10 +233,29 @@ def _load_ds(o):
                                  "dataset directory"))
 
 
+def _load_od(o, net):
+    """The --od file, each of whose pairs must join two links of ``net``."""
+    path = _require(o.od, "OD file")
+    od = load_od(path)
+    try:
+        check_od_pairs(net, od.pairs)
+    except ValueError as exc:
+        raise ValidationError(f"{exc} (OD file {path}, network file "
+                              f"{_net_path(o)})") from None
+    return od
+
+
 def _load_stack(o):
     net, dataset = _load_net(o), _load_ds(o)
-    part = load_partition(_require(
-        _default(o.partition_file, o.out, "partition.txt"), "partition file"))
+    path = _require(_default(o.partition_file, o.out, "partition.json"),
+                    "partition file")
+    part = load_partition(path)
+    extra = sorted(set(part.labels) - set(net.link_ids()))
+    missing = sorted(set(net.link_ids()) - set(part.labels))
+    if extra or missing:
+        raise ValidationError(f"{path}: " + (
+            f"labels link {extra[0]}, which is not in {_net_path(o)}" if extra
+            else f"no label for link {missing[0]} of {_net_path(o)}"))
     return net, dataset, part
 
 
@@ -318,8 +342,10 @@ def cmd_gen_dataset(o) -> int:
     cfg = _sim_config(o)
     if o.demand not in DEMAND_LEVELS:
         raise ValidationError(f"--demand must be one of {sorted(DEMAND_LEVELS)}")
+    if o.bus_lanes < 0:
+        raise ValidationError(f"--bus-lanes must be >= 0, got {o.bus_lanes}")
     if o.od:
-        base = load_od(_require(o.od, "OD file"))
+        base = _load_od(o, net)
     else:
         base = random_base_od(net, o.od_pairs, o.od_rate, seed=o.seed)
     os.makedirs(o.out, exist_ok=True)
@@ -340,7 +366,7 @@ def cmd_simulate(o) -> int:
     net = _load_net(o)
     if not o.od:
         raise ValidationError("simulate needs --od")
-    od = load_od(_require(o.od, "OD file"))
+    od = _load_od(o, net)
     sc = Scenario(id=0, od=od, scale=o.scale, bus_links=(), seed=o.seed)
     record = simulate(net, sc, _sim_config(o))
     rec_dir = _default(o.record_dir, o.out, "record")
@@ -357,7 +383,7 @@ def cmd_partition(o) -> int:
     params = PartitionParams(k=o.clusters, alpha=o.alpha, beta=o.beta,
                              t_window=o.t_window, t_max=o.t_max, seed=o.seed)
     part = partition_network(net, record, params)
-    path = _default(o.partition_file, o.out, "partition.txt")
+    path = _default(o.partition_file, o.out, "partition.json")
     save_partition(part, path)
     log_line("partition written", path=path, k=o.clusters,
              sizes=",".join(str(s) for s in part.region_sizes()),

@@ -531,10 +531,17 @@ def load_model(path) -> LcfModel:
                 raise ValueError(f"unknown meta {unknown[0]!r}")
             config = {f.name: config[f.name] for f in fields(ModelConfig)}
             config["fc_hidden"] = tuple(config["fc_hidden"])
+            stats = {key: np.array(norm[key], dtype=float)
+                     for key in ("feat_lo", "feat_hi") + NORM_KEYS}
+            for key, value in stats.items():
+                want = ((N_FEATURES,), f"{N_FEATURES} finite numbers") \
+                    if key.startswith("feat") else ((), "a finite number")
+                if value.shape != want[0] or not np.isfinite(value).all():
+                    raise ValueError(f"meta {key!r} must be {want[1]}, "
+                                     f"got {norm[key]!r}")
             model = LcfModel(ModelConfig(**config), Normalization(
-                feat=MinMaxStats(lo=np.array(norm["feat_lo"], dtype=float),
-                                 hi=np.array(norm["feat_hi"], dtype=float)),
-                **{key: float(norm[key]) for key in NORM_KEYS}))
+                feat=MinMaxStats(lo=stats["feat_lo"], hi=stats["feat_hi"]),
+                **{key: float(stats[key]) for key in NORM_KEYS}))
             model.load_state(arrays)
         except KeyError as exc:
             raise ValueError(f"{path}: no meta {exc.args[0]!r}") from None

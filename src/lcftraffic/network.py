@@ -23,6 +23,7 @@ Each link is summarised by 10 attributes, in this fixed column order:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -63,6 +64,18 @@ class SignalPlan:
     offset_s: float
     green_a_s: float
 
+    def __post_init__(self):
+        # each check is written so that NaN fails it
+        if not 0 < self.cycle_s < math.inf:
+            raise NetworkError(f"junction {self.junction}: cycle must be finite "
+                               f"and > 0, got {self.cycle_s!r}")
+        if not abs(self.offset_s) < math.inf:
+            raise NetworkError(f"junction {self.junction}: offset must be "
+                               f"finite, got {self.offset_s!r}")
+        if not 0 <= self.green_a_s <= self.cycle_s:
+            raise NetworkError(f"junction {self.junction}: green {self.green_a_s!r}"
+                               f" is outside 0..cycle {self.cycle_s!r}")
+
 
 @dataclass(frozen=True)
 class Link:
@@ -76,9 +89,12 @@ class Link:
     is_boundary_in: bool = False
     is_boundary_out: bool = False
 
-    def validate(self) -> None:
-        if self.length_m <= 0:
-            raise NetworkError(f"link {self.id}: length must be > 0")
+    def __post_init__(self):
+        # each check is written so that NaN fails it
+        if not (0 < self.length_m < math.inf and 0 < self.vff_kmh < math.inf):
+            name = "length_m" if not 0 < self.length_m < math.inf else "vff_kmh"
+            raise NetworkError(f"link {self.id}: {name} must be finite and > 0, "
+                               f"got {getattr(self, name)!r}")
         if not 1 <= self.lanes_total <= MAX_LANES:
             raise NetworkError(
                 f"link {self.id}: lanes_total {self.lanes_total} outside 1..{MAX_LANES}"
@@ -87,14 +103,18 @@ class Link:
             raise NetworkError(
                 f"link {self.id}: lanes_dbl {self.lanes_dbl} must be < lanes_total"
             )
-        if self.vff_kmh <= 0:
-            raise NetworkError(f"link {self.id}: free-flow speed must be > 0")
         if self.from_junction == self.to_junction:
             raise NetworkError(f"link {self.id}: from and to junction are equal")
 
     @property
     def car_lanes(self) -> int:
         return self.lanes_total - self.lanes_dbl
+
+
+def _check_junction(j: int, x: float, y: float) -> None:
+    if not (abs(x) < math.inf and abs(y) < math.inf):  # NaN fails it too
+        raise NetworkError(f"junction {j}: coordinates must be finite, "
+                           f"got ({x!r}, {y!r})")
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -158,11 +178,13 @@ class RoadNetwork:
                  links: list[Link], signals: list[SignalPlan] | None = None):
         if not links:
             raise NetworkError("network must contain at least one link")
-        ids = [lk.id for lk in links]
-        if len(set(ids)) != len(ids):
-            raise NetworkError("duplicate link ids")
+        ids = sorted(lk.id for lk in links)
+        for a, b in zip(ids, ids[1:]):
+            if a == b:
+                raise NetworkError(f"link {a}: duplicate link id")
+        for j, (x, y) in junctions.items():
+            _check_junction(j, x, y)
         for lk in links:
-            lk.validate()
             for j in (lk.from_junction, lk.to_junction):
                 if j not in junctions:
                     raise NetworkError(f"link {lk.id}: unknown junction {j}")
@@ -172,6 +194,8 @@ class RoadNetwork:
         for plan in signals or []:
             if plan.junction not in junctions:
                 raise NetworkError(f"signal references unknown junction {plan.junction}")
+            if plan.junction in self.signals:
+                raise NetworkError(f"junction {plan.junction} has two signal plans")
             self.signals[plan.junction] = plan
 
         self._by_id = {lk.id: lk for lk in self.links}
@@ -218,20 +242,14 @@ class RoadNetwork:
         return ((x0 + x1) / 2.0, (y0 + y1) / 2.0)
 
     def with_bus_lanes(self, link_ids) -> "RoadNetwork":
-        """Copy of the network with lanes_dbl = 1 on the given links; the
-        network itself when there are none."""
+        """Copy of the network with lanes_dbl = 1 on the given links (which
+        ``Link`` refuses on a 1-lane link); the network itself when there
+        are none."""
         chosen = set(link_ids)
         if not chosen:
             return self
-        new_links = []
-        for lk in self.links:
-            if lk.id in chosen:
-                if lk.lanes_total < 2:
-                    raise NetworkError(
-                        f"link {lk.id}: cannot reserve a bus lane on a 1-lane link"
-                    )
-                lk = replace(lk, lanes_dbl=1)
-            new_links.append(lk)
+        new_links = [replace(lk, lanes_dbl=1) if lk.id in chosen else lk
+                     for lk in self.links]
         return RoadNetwork(self.junctions, new_links, list(self.signals.values()))
 
 
@@ -305,8 +323,10 @@ def generate_grid_network(rows: int, cols: int, link_length: float, lanes: int,
                     next_id += 1
     signals = []
     if with_signals:
-        green_a = round(cycle_s * green_split)
-        signals = [SignalPlan(j, float(cycle_s), 0.0, float(green_a))
+        # np.round, as round() would, takes halves to even; it passes NaN
+        # and inf on to SignalPlan's checks instead of raising
+        green_a = float(np.round(cycle_s * green_split))
+        signals = [SignalPlan(j, float(cycle_s), 0.0, green_a)
                    for j in sorted(junctions)]
     return RoadNetwork(junctions, links, signals)
 
@@ -358,31 +378,38 @@ def load_network(path) -> RoadNetwork:
             kind, args = parts[0], parts[1:]
             try:
                 if kind == "JUNCTION":
-                    jid, x, y = int(args[0]), float(args[1]), float(args[2])
-                    junctions[jid] = (x, y)
+                    j, x, y = args          # a wrong field count is a ValueError
+                    jid, xy = int(j), (float(x), float(y))
+                    if jid in junctions:
+                        raise ValueError(f"junction {jid} is defined twice")
+                    _check_junction(jid, *xy)
+                    junctions[jid] = xy
                 elif kind == "LINK":
-                    if len(args) not in (7, 9):
-                        raise ValueError("expected 7 or 9 fields")
+                    flags = args[7:]
+                    if len(args) not in (7, 9) or not set(flags) <= {"0", "1"}:
+                        raise ValueError("expected 7 fields, or 9 with boundary "
+                                         "flags of 0 or 1")
                     lk = Link(
                         id=int(args[0]), from_junction=int(args[1]),
                         to_junction=int(args[2]), length_m=float(args[3]),
                         lanes_total=int(args[4]), lanes_dbl=int(args[5]),
-                        vff_kmh=float(args[6]),
-                        is_boundary_in=bool(int(args[7])) if len(args) == 9 else False,
-                        is_boundary_out=bool(int(args[8])) if len(args) == 9 else False,
+                        vff_kmh=float(args[6]), is_boundary_in=flags[:1] == ["1"],
+                        is_boundary_out=flags[1:] == ["1"],
                     )
                     raw_links.append((lk, len(args) == 9))
                 elif kind == "SIGNAL":
-                    signals.append(SignalPlan(
-                        junction=int(args[0]), cycle_s=float(args[1]),
-                        offset_s=float(args[2]), green_a_s=float(args[3]),
-                    ))
+                    j, cycle, offset, green = args
+                    signals.append(SignalPlan(int(j), float(cycle), float(offset),
+                                              float(green)))
                 else:
                     raise ValueError(f"unknown record kind {kind!r}")
-            except (IndexError, ValueError) as exc:
+            except ValueError as exc:
                 raise NetworkError(f"{path}:{lineno}: {exc}") from exc
 
-    net = RoadNetwork(junctions, [lk for lk, _ in raw_links], signals)
+    try:
+        net = RoadNetwork(junctions, [lk for lk, _ in raw_links], signals)
+    except NetworkError as exc:
+        raise NetworkError(f"{path}: {exc}") from exc
     if all(explicit for _, explicit in raw_links):
         return net
     # infer boundary flags from topology for files that omit them

@@ -8,7 +8,10 @@ K = 4, alpha = 1, beta = 1.5, window half-width 2 around window index 40.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import json
+import math
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -27,6 +30,16 @@ class PartitionParams:
     t_window: int = 2
     t_max: int = 40
     seed: int = 0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value, lo = getattr(self, f.name), int(f.name == "k")
+            kind = numbers.Real if f.type == "float" else numbers.Integral
+            # a bool is Integral too; NaN fails the range check
+            if isinstance(value, bool) or not isinstance(value, kind) \
+                    or not lo <= value < math.inf:
+                raise ValueError(f"{f.name} must be a finite {f.type} >= {lo}, "
+                                 f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -149,55 +162,56 @@ def partition_network(net: RoadNetwork, record: SimRecord,
 
 
 # ---------------------------------------------------------------------------
-# partition file: parameter header + "REGION link_id label" lines
+# partition file: JSON {"params": {...}, "centroids": [[x, y, v], ...],
+# "labels": [[link_id, label], ...]}, labels sorted by link id
 # ---------------------------------------------------------------------------
 
 def save_partition(assignment: PartitionAssignment, path) -> None:
-    p = assignment.params
+    doc = {"params": asdict(assignment.params),
+           "centroids": assignment.centroids.tolist(),
+           "labels": sorted(assignment.labels.items())}
     with open(path, "w") as fh:
-        fh.write("# network partition\n")
-        for f in fields(p):
-            fh.write(f"PARAM {f.name} {getattr(p, f.name)!r}\n")
-        for c in assignment.centroids:
-            fh.write("CENTROID " + " ".join(repr(float(v)) for v in c) + "\n")
-        for link_id in sorted(assignment.labels):
-            fh.write(f"REGION {link_id} {assignment.labels[link_id]}\n")
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def _assignment_of(doc: dict) -> PartitionAssignment:
+    names = [f.name for f in fields(PartitionParams)]
+    unknown = sorted(set(doc) - {"params", "centroids", "labels"}) \
+        + sorted(set(doc["params"]) - set(names))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+    p = PartitionParams(**{name: doc["params"][name] for name in names})
+    try:
+        centroids = np.array(doc["centroids"], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"centroids: {exc}") from None
+    if centroids.shape != (p.k, 3) or not np.isfinite(centroids).all():
+        raise ValueError(f"centroids: expected k = {p.k} rows of 3 finite numbers")
+    labels: dict[int, int] = {}
+    for pair in doc["labels"]:
+        if type(pair) is not list or [type(v) for v in pair] != [int, int]:
+            raise ValueError(f"labels: {pair!r} is not a [link, label] pair")
+        link_id, label = pair
+        if link_id in labels:
+            raise ValueError(f"labels: link {link_id} is listed twice")
+        if not 0 <= label < p.k:
+            raise ValueError(f"labels: link {link_id} has region label {label}, "
+                             f"outside 0..{p.k - 1}")
+        labels[link_id] = label
+    return PartitionAssignment(labels=labels, centroids=centroids, params=p)
 
 
 def load_partition(path) -> PartitionAssignment:
-    params: dict[str, float] = {}
-    labels: dict[int, int] = {}
-    label_lines: list[tuple[int, int]] = []     # (line, label)
-    centroids: list[list[float]] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            kind, *args = line.split()
-            try:
-                if kind == "PARAM":
-                    key, value = args
-                    params[key] = float(value)
-                elif kind == "CENTROID":
-                    centroids.append([float(v) for v in args])
-                elif kind == "REGION":
-                    link_id, label = args
-                    labels[int(link_id)] = int(label)
-                    label_lines.append((lineno, int(label)))
-                else:
-                    raise ValueError(f"unknown partition record {kind!r}")
-            except ValueError as exc:  # a wrong field count too
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    """Read a ``save_partition`` file. Every key is required and no other is
+    taken; anything else, a text partition of earlier versions included, is
+    a ValueError naming the file and the key or link."""
     try:
-        # each parameter takes the type of its default
-        p = PartitionParams(**{f.name: type(f.default)(params[f.name])
-                               for f in fields(PartitionParams)})
+        with open(path) as fh:
+            return _assignment_of(json.load(fh))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}; rerun partition to rewrite it") from None
     except KeyError as exc:
-        raise ValueError(f"{path}: no PARAM {exc.args[0]!r}") from None
-    for lineno, label in label_lines:
-        if not 0 <= label < p.k:
-            raise ValueError(f"{path}:{lineno}: region label {label} is "
-                             f"outside 0..{p.k - 1}")
-    return PartitionAssignment(labels=labels, centroids=np.array(centroids),
-                               params=p)
+        raise ValueError(f"{path}: no key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:  # TypeError: a value of a wrong kind
+        raise ValueError(f"{path}: {exc}") from None

@@ -31,6 +31,11 @@ def _check_rate(rate: float) -> None:
         raise ValueError(f"OD rates must be finite and >= 0, got {rate!r}")
 
 
+def _check_ramp(ramp_fraction: float) -> None:
+    if not 0 <= ramp_fraction <= 1:  # NaN fails it too
+        raise ValueError(f"ramp fraction must be in [0, 1], got {ramp_fraction!r}")
+
+
 @dataclass(frozen=True)
 class ODMatrix:
     pairs: tuple[tuple[int, int], ...]   # (origin link id, destination link id)
@@ -42,6 +47,7 @@ class ODMatrix:
             raise ValueError("pairs and rates must align")
         for r in self.rates:
             _check_rate(r)
+        _check_ramp(self.ramp_fraction)
 
     def total(self) -> float:
         return float(sum(self.rates))
@@ -225,6 +231,7 @@ def load_od(path) -> ODMatrix:
             try:
                 if kind == "RAMP":
                     (ramp,) = map(float, args)
+                    _check_ramp(ramp)
                 elif kind == "OD":
                     origin, dest, rate = args
                     pairs.append((int(origin), int(dest)))

@@ -256,8 +256,10 @@ class SimState:
         self.cap_tol = self.cap + 1e-9
         self.len_m = idx.length_m
         self.vff_ms = idx.vff_kmh * 1000.0 / 3600.0
-        free_steps = np.ceil(self.len_m / self.vff_ms / cfg.step_s).astype(int)
-        self.max_delay = int(free_steps.max())
+        free_steps = np.ceil(self.len_m / self.vff_ms / cfg.step_s)
+        # a vehicle delayed past the run's last step never arrives, so a
+        # longer ring holds nothing: this bounds it on a very long link
+        self.max_delay = int(min(free_steps.max(), cfg.total_s // cfg.step_s))
         self.ring = self.max_delay + 1
 
         self.m = np.zeros((z, d))
@@ -457,6 +459,17 @@ def network_stats(speeds: np.ndarray, accumulation: np.ndarray,
             np.add.reduce(accumulation, -1))
 
 
+def check_od_pairs(net: RoadNetwork, pairs) -> None:
+    """A ValueError naming the first OD pair that leaves the network or
+    ends where it starts."""
+    known = set(net.link_ids())
+    for o, d in pairs:
+        bad = [f"link {i} is not in the network" for i in (o, d) if i not in known]
+        if bad or o == d:
+            raise ValueError(f"OD pair ({o}, {d}): "
+                             + (bad + ["origin == destination"])[0])
+
+
 def simulate(net: RoadNetwork, scenario, cfg: SimConfig | None = None) -> SimRecord:
     """Run a scenario (OD demand + bus-lane configuration) to a SimRecord."""
     cfg = cfg or SimConfig()
@@ -465,12 +478,7 @@ def simulate(net: RoadNetwork, scenario, cfg: SimConfig | None = None) -> SimRec
     od_pairs = list(od.pairs)
     rates = np.asarray(od.rates, dtype=float) * scenario.scale
     dest_ids = tuple(sorted({d for _, d in od_pairs}))
-    known = set(sim_net.link_ids())
-    for o, d in od_pairs:
-        bad = [f"link {i} is not in the network" for i in (o, d) if i not in known]
-        if bad or o == d:
-            raise ValueError(f"OD pair ({o}, {d}): "
-                             + (bad + ["origin == destination"])[0])
+    check_od_pairs(sim_net, od_pairs)
 
     state = SimState(sim_net, cfg, od_pairs, dest_ids)
     ratios = initial_turn_ratios(sim_net, dest_ids)
@@ -527,13 +535,19 @@ def simulate(net: RoadNetwork, scenario, cfg: SimConfig | None = None) -> SimRec
         raise SimulationError(f"vehicle balance violated by {balance:.3e} veh")
 
     mean_speed, production, total_acc = network_stats(speeds, acc)
-    return SimRecord(
+    record = SimRecord(
         link_ids=sim_net.link_ids(), window_s=cfg.window_s, step_s=cfg.step_s,
         speeds=speeds, accumulation=acc, outflow=outflow,
         mean_speed=mean_speed, production=production,
         total_accumulation=total_acc, completed=completed,
         balance_error=abs(balance),
     )
+    for name in ("speeds", "accumulation", "outflow", "mean_speed", "production",
+                 "total_accumulation", "completed"):
+        if not np.isfinite(getattr(record, name)).all():
+            raise SimulationError(f"record array {name!r} holds a value that "
+                                  "is not finite")
+    return record
 
 
 def network_mfd(record: SimRecord) -> np.ndarray:
@@ -547,53 +561,57 @@ def network_mfd(record: SimRecord) -> np.ndarray:
 # network columns, which are written for readers but never read back
 # ---------------------------------------------------------------------------
 
-def _f(x: float) -> str:
-    return repr(float(x))
-
-
 def save_record(record: SimRecord, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
+    # whole rows as Python floats (``tolist``), one window at a time so that
+    # no record-sized list is built; a float's repr reads back exactly
     with open(os.path.join(out_dir, "links.csv"), "w") as fh:
         fh.write("window,link_id,speed_kmh,accumulation,outflow\n")
         for w in range(record.n_windows):
-            for zi, link_id in enumerate(record.link_ids):
-                fh.write(f"{w},{link_id},{_f(record.speeds[w, zi])},"
-                         f"{_f(record.accumulation[w, zi])},"
-                         f"{_f(record.outflow[w, zi])}\n")
+            rows = zip(record.link_ids, record.speeds[w].tolist(),
+                       record.accumulation[w].tolist(), record.outflow[w].tolist())
+            fh.writelines(f"{w},{z},{v!r},{x!r},{u!r}\n" for z, v, x, u in rows)
+    rows = zip(range(record.n_windows), record.mean_speed.tolist(),
+               record.production.tolist(), record.total_accumulation.tolist())
     with open(os.path.join(out_dir, "network.csv"), "w") as fh:
         fh.write("window,mean_speed_kmh,production,accumulation\n")
-        for w in range(record.n_windows):
-            fh.write(f"{w},{_f(record.mean_speed[w])},{_f(record.production[w])},"
-                     f"{_f(record.total_accumulation[w])}\n")
+        fh.writelines(f"{w},{v!r},{p!r},{x!r}\n" for w, v, p, x in rows)
 
 
-def _read_columns(path: str, n_fields: int) -> list[list[str]]:
-    """The rows below a record CSV's header, split into ``n_fields`` string
-    columns; a row with another field count names the file and line."""
+# one links.csv row; numpy reads a decimal string to the nearest double, as
+# float() does, so every repr save_record writes reads back bit for bit
+_LINKS_ROW = np.dtype([("window", np.int64), ("link_id", np.int64),
+                       ("speed_kmh", float), ("accumulation", float),
+                       ("outflow", float)])
+
+
+def _read_links(path: str) -> np.ndarray:
+    """The rows below links.csv's header as a ``_LINKS_ROW`` array; a row
+    that numpy does not read is a ValueError naming the file and line."""
     with open(path) as fh:
-        fh.readline()
-        lines = fh.read().splitlines()
-    for i, line in enumerate(lines):
-        if line.count(",") != n_fields - 1:
-            raise ValueError(f"{path} line {i + 2}: expected {n_fields} fields, "
-                             f"got {line.count(',') + 1}")
-    cells = ",".join(lines).split(",") if lines else []
-    return [cells[k::n_fields] for k in range(n_fields)]
-
-
-def _parse_column(path: str, column: list[str], kind) -> np.ndarray:
-    # numpy parses decimal strings to the nearest double, as float() does,
-    # so every repr written by save_record reads back bit for bit
-    try:
-        return np.array(column, dtype=np.int64 if kind is int else np.float64)
-    except ValueError:
-        for i, v in enumerate(column):
+        lines = fh.read().splitlines()[1:]
+    if not lines:               # numpy warns on a file without rows
+        return np.empty(0, _LINKS_ROW)
+    error = None
+    if "" not in lines:         # numpy skips a blank line; the scan names it
+        try:
+            return np.loadtxt(lines, _LINKS_ROW, delimiter=",", comments=None,
+                              ndmin=1)
+        except ValueError as exc:
+            error = exc
+    # numpy's row number counts from 0 for a bad value and from 1 for a
+    # short row, so the line is found here
+    for i, line in enumerate(lines, start=2):
+        cells = line.split(",")
+        if len(cells) != 5:
+            raise ValueError(f"{path} line {i}: expected 5 fields, got {len(cells)}")
+        for k, v in enumerate(cells):
             try:
-                kind(v)
-            except ValueError:
-                raise ValueError(f"{path} line {i + 2}: cannot read {v!r} "
-                                 f"as {kind.__name__}") from None
-        raise
+                _LINKS_ROW[k].type(v)
+            except (ValueError, OverflowError):
+                raise ValueError(f"{path} line {i}: cannot read {v!r} as "
+                                 f"{'int' if k < 2 else 'float'}") from None
+    raise ValueError(f"{path}: {error}")
 
 
 def _first_mismatch(path: str, what: str, found: np.ndarray,
@@ -612,15 +630,14 @@ def load_record(out_dir, *, window_s: float, step_s: float) -> SimRecord:
     not window-major, each window listing window 0's link ids in order, is a
     ValueError naming the file and line."""
     path = os.path.join(out_dir, "links.csv")
-    w_col, id_col, *link_cols = _read_columns(path, 5)
-    windows = _parse_column(path, w_col, int)
-    ids = _parse_column(path, id_col, int)
+    table = _read_links(path)
+    windows, ids = table["window"], table["link_id"]
     rows = len(windows)
     n_z = rows if (windows == 0).all() else int(np.argmin(windows == 0))
     if n_z == 0:
         raise ValueError(f"{path} line 2: expected window 0, found "
                          f"{windows[0] if rows else 'no row'}")
-    link_ids = tuple(int(v) for v in ids[:n_z])
+    link_ids = tuple(ids[:n_z].tolist())
     if len(set(link_ids)) != n_z:
         dup = next(i for i, v in enumerate(link_ids) if v in link_ids[:i])
         raise ValueError(f"{path} line {dup + 2}: link id {link_ids[dup]} "
@@ -631,8 +648,15 @@ def load_record(out_dir, *, window_s: float, step_s: float) -> SimRecord:
     if rows != n_w * n_z:
         raise ValueError(f"{path} line {rows + 2}: {rows} rows, but {n_w} "
                          f"windows of {n_z} links need {n_w * n_z}")
-    speeds, acc, outflow = (_parse_column(path, c, float).reshape(n_w, n_z)
-                            for c in link_cols)
+    for name in _LINKS_ROW.names[2:]:
+        col = table[name]
+        bad = np.flatnonzero(~((col >= 0) & (col < np.inf)))  # NaN too
+        if bad.size:
+            raise ValueError(f"{path} line {bad[0] + 2}: {name} "
+                             f"{float(col[bad[0]])!r} is not finite and >= 0")
+    # contiguous copies, so that the record does not keep the table alive
+    speeds, acc, outflow = (np.ascontiguousarray(table[name]).reshape(n_w, n_z)
+                            for name in _LINKS_ROW.names[2:])
     mean_speed, production, total_acc = network_stats(speeds, acc)
     return SimRecord(
         link_ids=link_ids, window_s=window_s, step_s=step_s,

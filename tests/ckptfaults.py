@@ -8,7 +8,8 @@ import numpy as np
 FAULTS = ("empty file", "cut-off values", "text checkpoint", "npy file",
           "object array", "no meta entry", "bare meta", "missing meta",
           "unknown meta", "bad number", "missing parameter",
-          "extra parameter", "short values")
+          "extra parameter", "short values", "short statistic",
+          "statistic not finite")
 
 
 def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -67,6 +68,14 @@ def plant(path, fault: str) -> str:
         meta["norm"]["vmean_lo"] = "1.5x"
         meta_text = json.dumps(meta)
         expected = "could not convert string to float: '1.5x'"
+    elif fault == "short statistic":    # would broadcast over every feature
+        meta["norm"]["feat_lo"] = [0.0]
+        meta_text = json.dumps(meta)
+        expected = "meta 'feat_lo' must be 10 finite numbers, got [0.0]"
+    elif fault == "statistic not finite":
+        meta["norm"]["target_hi"] = float("nan")
+        meta_text = json.dumps(meta)
+        expected = "meta 'target_hi' must be a finite number, got nan"
     elif fault == "missing parameter":
         del arrays["fc.1.b"]
         expected = "array 'fc.1.b' is missing; expected shape (1, 1)"

@@ -346,7 +346,7 @@ def test_10_pipeline_determinism(tmp_path):
         assert cli_main(["report", "--out", out]) == 0
     compared = 0
     for rel in ("network.txt", "od.txt", "dataset/manifest.json",
-                "dataset/scenario_000/links.csv", "partition.txt",
+                "dataset/scenario_000/links.csv", "partition.json",
                 "models/gat-gru-p.ckpt", "reports/speed/report_table.csv",
                 "reports/speed/hist_MFD.csv", "reports/speed/hist_MFD.svg",
                 "reports/travel_time/report_table.csv",

@@ -70,7 +70,7 @@ def test_pipeline_determinism(tmp_path):
                    + TRAIN_SMALL) == 0
         assert run(["evaluate", "--out", out, "--models", "MFD,MFD-P,DNN",
                     "--seed", "9"] + TRAIN_SMALL) == 0
-    for rel in ("dataset/manifest.json", "partition.txt", "models/dnn.ckpt",
+    for rel in ("dataset/manifest.json", "partition.json", "models/dnn.ckpt",
                 "reports/speed/report_table.csv", "reports/speed/hist_MFD.csv"):
         a = (tmp_path / "a" / rel).read_bytes()
         b = (tmp_path / "b" / rel).read_bytes()
@@ -385,3 +385,50 @@ def test_od_pair_outside_the_network_or_looping_fails(tmp_path, capsys,
     assert f"error: {expected}" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "record"))
     assert not os.path.exists(os.path.join(out, "dataset"))
+
+
+@pytest.mark.parametrize("flag,value,expected", [
+    ("--link-length", "nan", "length_m must be finite and > 0, got nan"),
+    ("--link-length", "inf", "length_m must be finite and > 0, got inf"),
+    ("--vff", "nan", "vff_kmh must be finite and > 0, got nan"),
+    ("--cycle", "0", "cycle must be finite and > 0, got 0.0"),
+    ("--green-split", "2", "green 180.0 is outside 0..cycle 90.0")])
+def test_bad_network_option_exits_1_naming_the_value(tmp_path, capsys, flag,
+                                                      value, expected):
+    out = tmp_path / "run"
+    assert run(["gen-network", "--out", out, "--grid", "3x3", flag, value]) == 1
+    assert expected in capsys.readouterr().err
+    assert not (out / "network.txt").exists()
+
+
+def test_negative_bus_lane_count_names_the_option(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert run(["gen-network", "--out", out, "--grid", "3x3"]) == 0
+    capsys.readouterr()
+    assert run(["gen-dataset", "--out", out, "--scenarios", "10",
+                "--bus-lanes", "-3"] + SIM_SMALL) == 1
+    assert "error: --bus-lanes must be >= 0, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "travel-time"])
+def test_only_train_takes_model(small_pipeline, capsys, command):
+    """Scoring commands score --models; a --model they would ignore is refused."""
+    capsys.readouterr()
+    assert run([command, "--out", small_pipeline, "--models", "MFD",
+                "--model", "dnn"]) == 1
+    assert "unrecognized arguments: --model dnn" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(small_pipeline, "reports"))
+
+
+def test_partition_of_another_network_fails_evaluate(small_pipeline, tmp_path,
+                                                     capsys):
+    with open(os.path.join(small_pipeline, "partition.json")) as fh:
+        part = json.load(fh)
+    part["labels"][0][0] = 999
+    path = tmp_path / "partition.json"
+    path.write_text(json.dumps(part))
+    capsys.readouterr()
+    assert run(["evaluate", "--out", small_pipeline, "--models", "MFD-P",
+                "--partition-file", path]) == 1
+    assert f"error: {path}: labels link 999, which is not in " in \
+        capsys.readouterr().err

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from lcftraffic.network import (Link, NetworkError, RoadNetwork, build_link_graph,
-                                extract_features, fit_minmax,
+from lcftraffic.network import (Link, NetworkError, RoadNetwork, SignalPlan,
+                                build_link_graph, extract_features, fit_minmax,
                                 generate_grid_network, load_network,
                                 save_network)
 from netgen import random_network
@@ -49,6 +51,30 @@ def test_malformed_line_reports_line_number(tmp_path):
     path.write_text("JUNCTION 0 0 0\nLINK zero 0 1 100\n")
     with pytest.raises(NetworkError, match=":2"):
         load_network(path)
+
+
+@pytest.mark.parametrize("kind,field", [
+    ("JUNCTION", 2), ("JUNCTION", 3), ("LINK", 4), ("LINK", 7),
+    ("SIGNAL", 2), ("SIGNAL", 3), ("SIGNAL", 4)])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_field_not_finite_names_the_file_and_line(tmp_path, kind, field, value):
+    path = tmp_path / "net.txt"
+    save_network(generate_grid_network(3, 3, 100.0, 2), path)
+    lines = path.read_text().splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(kind))
+    parts = lines[i].split()
+    parts[field] = value
+    lines[i] = " ".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(NetworkError,
+                       match=f"{re.escape(str(path))}:{i + 1}: .*{value}"):
+        load_network(path)
+
+
+@pytest.mark.parametrize("green", [-1.0, 91.0, float("nan")])
+def test_signal_green_must_lie_within_the_cycle(green):
+    with pytest.raises(NetworkError, match="junction 3: green"):
+        SignalPlan(3, 90.0, 0.0, green)
 
 
 def test_grid_round_trip_is_byte_identical(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 
 import numpy as np
@@ -204,48 +205,65 @@ def test_partition_file_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     rec = fake_record(rng.uniform(5, 25, size=(60, net.n_links)))
     part = partition_network(net, rec, PartitionParams(k=3, t_max=20, seed=2))
-    path = tmp_path / "part.txt"
+    path = tmp_path / "part.json"
     save_partition(part, path)
     loaded = load_partition(path)
     assert loaded.labels == part.labels
     assert loaded.params == part.params
-    assert np.array_equal(loaded.centroids, part.centroids)
+    assert loaded.centroids.tobytes() == part.centroids.tobytes()
+    save_partition(loaded, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("k", 0), ("k", 2.0), ("alpha", float("nan")), ("beta", float("inf")),
+    ("t_max", -1), ("seed", True)])
+def test_partition_params_reject_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a finite "):
+        PartitionParams(**{field: value})
 
 
 @pytest.mark.parametrize("case", ["region without label", "missing param",
                                   "bad param value", "bad centroid",
                                   "unknown record", "label of no region",
-                                  "negative label"])
+                                  "negative label", "text partition",
+                                  "cut-off file"])
 def test_load_partition_names_file_and_line_or_key(tmp_path, case):
     net = generate_grid_network(3, 3, 100.0, 2)
     rec = fake_record(np.random.default_rng(6).uniform(5, 25, size=(60, net.n_links)))
-    path = tmp_path / "part.txt"
+    path = tmp_path / "part.json"
     save_partition(partition_network(net, rec, PartitionParams(k=3, t_max=20)),
                    path)
-    lines = path.read_text().splitlines()
-    region = next(i for i, ln in enumerate(lines) if ln.startswith("REGION 5 "))
-    centroid = next(i for i, ln in enumerate(lines) if ln.startswith("CENTROID"))
+    doc = json.loads(path.read_text())
+    region = next(i for i, (link_id, _) in enumerate(doc["labels"]) if link_id == 5)
+    text = None
     if case == "region without label":
-        lines[region] = "REGION 5"
-        expected = f"{path}:{region + 1}: not enough values to unpack"
+        doc["labels"][region] = [5]
+        expected = f"{path}: labels: [5] is not a [link, label] pair"
     elif case == "missing param":
-        lines.remove("PARAM k 3")
-        expected = f"{path}: no PARAM 'k'"
+        del doc["params"]["k"]
+        expected = f"{path}: no key 'k'"
     elif case == "bad param value":
-        i = lines.index("PARAM alpha 1.0")
-        lines[i] = "PARAM alpha one"
-        expected = f"{path}:{i + 1}: could not convert string to float: 'one'"
+        doc["params"]["alpha"] = "one"
+        expected = f"{path}: alpha must be a finite float >= 0, got 'one'"
     elif case == "bad centroid":
-        lines[centroid] += " y"
-        expected = f"{path}:{centroid + 1}: could not convert string to float: 'y'"
+        doc["centroids"][1][2] = "y"
+        expected = f"{path}: centroids: could not convert string to float: 'y'"
     elif case in ("label of no region", "negative label"):
         # MFD-P would leave such a link at 0 km/h
         label = 7 if case == "label of no region" else -1
-        lines[region] = f"REGION 5 {label}"
-        expected = f"{path}:{region + 1}: region label {label} is outside 0..2"
+        doc["labels"][region][1] = label
+        expected = f"{path}: labels: link 5 has region label {label}, outside 0..2"
+    elif case == "text partition":    # the format of earlier versions
+        text = "# network partition\nPARAM k 3\nREGION 5 1\n"
+        expected = (f"{path}: Expecting value: line 1 column 1 (char 0); "
+                    "rerun partition to rewrite it")
+    elif case == "cut-off file":
+        text = path.read_text()[:40]
+        expected = f"{path}: Expecting"
     else:
-        lines.append("BOUNDARY 5")
-        expected = f"{path}:{len(lines)}: unknown partition record 'BOUNDARY'"
-    path.write_text("\n".join(lines) + "\n")
+        doc["boundary"] = [5]
+        expected = f"{path}: unknown key 'boundary'"
+    path.write_text(json.dumps(doc) if text is None else text)
     with pytest.raises(ValueError, match=re.escape(expected)):
         load_partition(path)

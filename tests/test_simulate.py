@@ -1,5 +1,6 @@
 import hashlib
 import heapq
+import importlib
 
 import numpy as np
 import pytest
@@ -291,6 +292,20 @@ def test_conservation_check_fails_on_nan(monkeypatch):
     net = chain_network()
     monkeypatch.setattr(SimState, "in_network", lambda state: float("nan"))
     with pytest.raises(SimulationError, match="balance violated by nan veh"):
+        simulate(net, make_scenario(net, [(0, 2)], [100.0]), short_cfg())
+
+
+def test_record_array_not_finite_fails_simulate(monkeypatch):
+    sim = importlib.import_module("lcftraffic.simulate")
+
+    def planted(speeds, acc):
+        mean_speed, production, total = network_stats(speeds, acc)
+        production[-1] = np.nan
+        return mean_speed, production, total
+
+    net = chain_network()
+    monkeypatch.setattr(sim, "network_stats", planted)
+    with pytest.raises(SimulationError, match="record array 'production'"):
         simulate(net, make_scenario(net, [(0, 2)], [100.0]), short_cfg())
 
 
@@ -827,7 +842,8 @@ def _set_field(row: str, k: int, value: str) -> str:
 # each case edits the rows below the header
 @pytest.mark.parametrize("case", [
     "truncated", "partial line", "foreign link id", "rows swapped",
-    "window out of order", "bad number", "no rows"])
+    "window out of order", "bad number", "no rows", "blank line",
+    "value not finite", "negative value"])
 def test_load_record_names_file_and_line_of_a_broken_layout(tmp_path, case):
     net = generate_grid_network(3, 3, 100.0, 2)
     ids = net.link_ids()
@@ -852,6 +868,13 @@ def test_load_record_names_file_and_line_of_a_broken_layout(tmp_path, case):
         expected = "links.csv line 32: window 2, expected 1"
     elif case == "no rows":
         links, expected = [], "links.csv line 2: expected window 0, found no row"
+    elif case == "blank line":    # which numpy alone would skip
+        links[40] = ""
+        expected = "links.csv line 42: expected 5 fields, got 1"
+    elif case in ("value not finite", "negative value"):
+        value = "nan" if case == "value not finite" else "-1.0"
+        links[8] = _set_field(links[8], 4, value)
+        expected = f"links.csv line 10: outflow {value} is not finite and >= 0"
     else:
         links[5] = _set_field(links[5], 3, "1.5x")
         expected = "links.csv line 7: cannot read '1.5x' as float"
