@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from itertools import zip_longest
 
 from . import harness
 from .model import (ModelConfig, TrainConfig, config_from_name, load_model,
@@ -21,8 +22,9 @@ from .model import (ModelConfig, TrainConfig, config_from_name, load_model,
 from .network import generate_grid_network, load_network, save_network
 from .partition import (PartitionParams, load_partition, partition_network,
                         save_partition)
-from .scenarios import (DEMAND_LEVELS, Scenario, build_dataset, load_dataset,
-                        load_od, random_base_od, save_dataset, save_od)
+from .scenarios import (DEMAND_LEVELS, Scenario, build_dataset,
+                        bus_lane_candidates, load_dataset, load_od,
+                        random_base_od, save_dataset, save_od)
 from .simulate import (SimConfig, SimulationError, check_od_pairs, save_record,
                        simulate)
 from .evaluate import export_report
@@ -228,9 +230,19 @@ def _load_net(o):
     return load_network(_require(_net_path(o), "network file"))
 
 
-def _load_ds(o):
-    return load_dataset(_require(_default(o.dataset_dir, o.out, "dataset"),
-                                 "dataset directory"))
+def _load_ds(o, net):
+    """The dataset, whose records must hold ``net``'s links in its order."""
+    path = _require(_default(o.dataset_dir, o.out, "dataset"), "dataset directory")
+    dataset = load_dataset(path)
+    first = next(iter(dataset.records.values()), None)
+    if first is not None and first.link_ids != net.link_ids():
+        i, found, wanted = next((i, a, b) for i, (a, b) in enumerate(
+            zip_longest(first.link_ids, net.link_ids())) if a != b)
+        found, wanted = ("no link" if v is None else f"link {v}" for v in (found, wanted))
+        raise ValidationError(f"dataset {path} does not match network file "
+                              f"{_net_path(o)}: at position {i} its records hold "
+                              f"{found} and the network {wanted}")
+    return dataset
 
 
 def _load_od(o, net):
@@ -246,7 +258,8 @@ def _load_od(o, net):
 
 
 def _load_stack(o):
-    net, dataset = _load_net(o), _load_ds(o)
+    net = _load_net(o)
+    dataset = _load_ds(o, net)
     path = _require(_default(o.partition_file, o.out, "partition.json"),
                     "partition file")
     part = load_partition(path)
@@ -344,6 +357,10 @@ def cmd_gen_dataset(o) -> int:
         raise ValidationError(f"--demand must be one of {sorted(DEMAND_LEVELS)}")
     if o.bus_lanes < 0:
         raise ValidationError(f"--bus-lanes must be >= 0, got {o.bus_lanes}")
+    pool = len(bus_lane_candidates(net))
+    if o.bus_lanes > pool:
+        raise ValidationError(f"--bus-lanes {o.bus_lanes} exceeds the network's "
+                              f"{pool} bus-lane candidates")
     if o.od:
         base = _load_od(o, net)
     else:
@@ -377,7 +394,8 @@ def cmd_simulate(o) -> int:
 
 
 def cmd_partition(o) -> int:
-    net, dataset = _load_net(o), _load_ds(o)
+    net = _load_net(o)
+    dataset = _load_ds(o, net)
     first_train = dataset.splits["train"][0]
     record = dataset.records[first_train]
     params = PartitionParams(k=o.clusters, alpha=o.alpha, beta=o.beta,

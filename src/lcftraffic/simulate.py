@@ -42,12 +42,17 @@ out go in pair order), ``np.add.at`` for injections (OD-pair order), and
 every formula left to right as written, e.g. a step's demand
 ``(rates / 3600 * step_s) * factor``.
 
-A drained step, whose demand, backlog, waiting queues and pending
-maturations are all exactly zero and whose moving queues are >= 0, returns
-zero outflow and completed trips and the start-of-step accumulation, checks
-storage and leaves every queue as it is. The full step gives the same bits:
-every flow it would add is an exact 0.0, and x + 0.0, x - 0.0, max(x, 0.0)
-are x for x >= 0 (-0.0 may turn 0.0, which no recorded sum tells apart).
+A drained step, one without demand whose backlog, waiting queues and
+pending maturations all lie in [0, ``RESIDUE_VEH``] and whose moving queues
+are >= 0 (``SimState.drained``), returns zero outflow and completed trips and
+the start-of-step accumulation, checks storage and moves nothing: float
+residues of a drained queue stay frozen in place and counted in the network,
+so conservation stays exact. A frozen link holds at most D*(ring+1)*
+RESIDUE_VEH veh, far below ``EMPTY_VEH``, so it still reads empty and runs at
+v_ff. With RESIDUE_VEH = 0.0 a step is drained only when a full step would
+move nothing at all. Once a step past warmup_s + peak_s, where demand is
+zero for the rest of the run, is drained, no vehicle moves again, so
+``simulate`` stops refreshing the turn ratios.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ from .network import Link, RoadNetwork, link_travel_times
 log = logging.getLogger(__name__)
 
 TURN_RATIO_TOL = 1e-9    # check_turn_ratios: below 0 and off a sum of 1
+RESIDUE_VEH = 1e-12      # SimState.drained: a queue entry this small is float noise
 
 
 class SimulationError(RuntimeError):
@@ -311,6 +317,12 @@ class SimState:
     def in_network(self) -> float:
         return float(self.m.sum() + self.w.sum())
 
+    def drained(self) -> bool:
+        """Every waiting, pending and backlog entry lies in [0, RESIDUE_VEH]
+        and no moving queue is negative; NaN fails every comparison."""
+        return all(a.max(initial=0.0) <= RESIDUE_VEH and a.min(initial=0.0) >= 0.0
+                   for a in (self.w, self.pend, self.backlog)) and self.m.min() >= 0
+
     def _delays(self, w_sum: np.ndarray) -> np.ndarray:
         """Steps a vehicle entering now spends moving: the free-flow time of
         the stretch upstream of the queue end, the queue end located by the
@@ -330,9 +342,8 @@ class SimState:
         k = self.step_no
         m, w, pend = self.m, self.w, self.pend
         acc_start = np.add.reduce(m, 1) + np.add.reduce(w, 1)
-        if not ((demand_step is not None and np.any(demand_step))
-                or self.backlog.any() or w.any() or pend.any()) and m.min() >= 0:
-            # drained: a full step would move nothing (module docstring)
+        if not (demand_step is not None and np.any(demand_step)) and self.drained():
+            # nothing above float noise to move: residues stay frozen
             if not (acc_start <= self.cap_tol).all():
                 raise SimulationError("storage capacity exceeded")
             self.step_no += 1
@@ -504,7 +515,9 @@ def simulate(net: RoadNetwork, scenario, cfg: SimConfig | None = None) -> SimRec
 
     for k in range(n_steps):
         t_s = k * cfg.step_s
-        if k > 0 and k % turn_every == 0:
+        # once drained past the peak nothing moves again, so skip rerouting
+        if k > 0 and k % turn_every == 0 and not (
+                t_s >= cfg.warmup_s + cfg.peak_s and state.drained()):
             ratios = update_turn_ratios(sim_net, last_speeds, ratios, dest_ids,
                                         cfg)
         if t_s < cfg.warmup_s:

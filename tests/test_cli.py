@@ -410,6 +410,38 @@ def test_negative_bus_lane_count_names_the_option(tmp_path, capsys):
     assert "error: --bus-lanes must be >= 0, got -3" in capsys.readouterr().err
 
 
+def test_bus_lane_count_above_the_pool_names_the_option(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert run(["gen-network", "--out", out, "--grid", "3x3"]) == 0
+    capsys.readouterr()
+    assert run(["gen-dataset", "--out", out, "--scenarios", "10",
+                "--bus-lanes", "1000"] + SIM_SMALL) == 1
+    assert ("error: --bus-lanes 1000 exceeds the network's 24 bus-lane "
+            "candidates") in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "dataset"))
+
+
+@pytest.mark.parametrize("command", ["partition", "evaluate"])
+@pytest.mark.parametrize("network,expected", [
+    ("4x4", "at position 24 its records hold no link and the network link 24"),
+    ("renamed", "at position 5 its records hold link 5 and the network link ")],
+    ids=["4x4", "renamed"])
+def test_dataset_of_another_network_names_both_and_the_link(
+        small_pipeline, tmp_path, capsys, command, network, expected):
+    path = tmp_path / "network.txt"
+    if network == "4x4":
+        assert run(["gen-network", "--out", tmp_path, "--grid", "4x4"]) == 0
+    else:
+        text = open(os.path.join(small_pipeline, "network.txt")).read()
+        path.write_text(text.replace("\nLINK 5 ", "\nLINK 99 "))
+    capsys.readouterr()
+    args = [command, "--out", small_pipeline, "--network", path]
+    assert run(args + (["--models", "MFD"] if command == "evaluate" else [])) == 1
+    dataset = os.path.join(small_pipeline, "dataset")
+    assert (f"error: dataset {dataset} does not match network file {path}: "
+            + expected) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["evaluate", "travel-time"])
 def test_only_train_takes_model(small_pipeline, capsys, command):
     """Scoring commands score --models; a --model they would ignore is refused."""

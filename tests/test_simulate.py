@@ -9,7 +9,7 @@ from lcftraffic.baselines import EMPTY_VEH
 from lcftraffic.network import (Link, RoadNetwork, SignalPlan,
                                 generate_grid_network, link_travel_times)
 from lcftraffic.scenarios import ODMatrix, Scenario, random_base_od
-from lcftraffic.simulate import (SimConfig, SimRecord, SimState,
+from lcftraffic.simulate import (RESIDUE_VEH, SimConfig, SimRecord, SimState,
                                  SimulationError, _window_stats,
                                  check_turn_ratios, initial_turn_ratios,
                                  network_mfd, network_stats,
@@ -286,6 +286,50 @@ def test_queue_checks_fail_on_nan(where, expected):
         getattr(state, where)[1, 0] = np.nan
     with pytest.raises(SimulationError, match=expected):
         state.step(demand, ratios)
+
+
+def plant(state, where, amount):
+    """``amount`` veh on link 0 of a ``drained_chain_state``: waiting, due
+    to mature at step 0 (pending, and so moving too) or backlogged."""
+    if where == "pend":
+        state.m[0, 0] += amount
+        state.pend[0, 0, 0] = amount
+    else:
+        getattr(state, where)[0] = amount
+
+
+@pytest.mark.parametrize("where", ["w", "pend", "backlog"])
+@pytest.mark.parametrize("amount,frozen", [(RESIDUE_VEH / 2, True),
+                                           (2 * RESIDUE_VEH, False)])
+def test_residue_at_most_the_bound_stays_frozen(where, amount, frozen):
+    state, ratios = drained_chain_state()
+    plant(state, where, amount)
+    assert state.drained() == frozen
+    before = queue_bytes(state)
+    out = state.step(np.zeros(1), ratios)
+    assert (queue_bytes(state) == before) == frozen
+    if where == "backlog":
+        assert state.injected_total == (0.0 if frozen else amount)
+    else:
+        assert out["outflow"][0] == (0.0 if frozen else amount)
+        assert state.m[1, 0] == (0.0 if frozen else amount)
+
+
+@pytest.mark.parametrize("where", ["w", "pend", "backlog"])
+@pytest.mark.parametrize("value,expected", [
+    (np.nan, "queue went negative|storage capacity exceeded"),
+    (-1.0, "moving queue went negative"), (-RESIDUE_VEH / 2, None)])
+def test_nan_or_negative_entry_is_never_frozen(where, value, expected):
+    state, ratios = drained_chain_state()
+    plant(state, where, value)
+    assert not state.drained()
+    if expected is None:      # within the queue checks' -1e-9 tolerance
+        state.step(np.zeros(1), ratios)
+        assert state.step_no == 1
+        return
+    with pytest.raises(SimulationError, match=expected):
+        for _ in range(2):
+            state.step(np.zeros(1), ratios)
 
 
 def test_conservation_check_fails_on_nan(monkeypatch):
@@ -894,12 +938,8 @@ def record_digest(rec, out_dir) -> str:
     return digest.hexdigest()
 
 
-def test_golden_record_is_bit_identical(tmp_path):
-    """A congested 2-h run with bus lanes and a repeated OD pair; the digest
-    covers the saved record, completed trips and the balance error. It was
-    last retaken when empty links began to run at v_ff and the network
-    columns became ``network_stats`` of the link columns; a rewrite of the
-    engine must leave every bit as it is."""
+def grid_run() -> SimRecord:
+    """A congested 2-h run with bus lanes and a repeated OD pair."""
     net = generate_grid_network(5, 5, 100.0, 3, vff_kmh=25.0,
                                 length_jitter=0.3, jitter_seed=11)
     ids = net.link_ids()
@@ -907,52 +947,138 @@ def test_golden_record_is_bit_identical(tmp_path):
                          (ids[55], ids[18]), (ids[33], ids[70]), (ids[0], ids[40])),
                   rates=(500.0, 400.0, 450.0, 400.0, 350.0, 150.0))
     sc = Scenario(id=0, od=od, scale=0.5, bus_links=(ids[12], ids[44]), seed=0)
-    rec = simulate(net, sc, SimConfig(warmup_s=900.0, peak_s=5400.0, total_s=7200.0))
-    assert record_digest(rec, tmp_path) == \
-        "bb095faad45c7a1793c099dc8191d08bf0e8261142657556a88e48268dc24b28"
+    return simulate(net, sc, SimConfig(warmup_s=900.0, peak_s=5400.0, total_s=7200.0))
 
 
-def test_golden_record_on_a_random_network_is_bit_identical(tmp_path, caplog):
+def random_network_run() -> SimRecord:
     """A congested 1-h run on a 15-link ``netgen`` network with out-degrees
     0 to 4, two dead ends (links 1 and 2) and destinations that some links
-    cannot reach, so the uniform fallback split is used; the digest covers
-    what ``test_golden_record_is_bit_identical`` covers."""
+    cannot reach, so the uniform fallback split is used."""
     net = random_network(np.random.default_rng(10))
     assert net.n_links == 15
     out_degree = np.bincount(net.index.pair_up, minlength=net.n_links)
     assert sorted(set(out_degree.tolist())) == [0, 1, 2, 3, 4]
     od = ODMatrix(pairs=((8, 13), (7, 3), (7, 9), (3, 14)), rates=(900.0,) * 4)
     sc = Scenario(id=0, od=od, scale=1.0, bus_links=(), seed=0)
-    rec = simulate(net, sc, SimConfig(warmup_s=600.0, peak_s=2400.0,
-                                      total_s=3600.0))
+    return simulate(net, sc, SimConfig(warmup_s=600.0, peak_s=2400.0,
+                                       total_s=3600.0))
+
+
+def reference_run() -> SimRecord:
+    """Acceptance criterion 1's run: 5x5 grid, 10 OD pairs at 250 veh/h,
+    the reference 6-h schedule."""
+    net = generate_grid_network(5, 5, 100.0, 3, vff_kmh=25.0,
+                                length_jitter=0.3, jitter_seed=11)
+    sc = Scenario(id=0, od=random_base_od(net, 10, 250.0, seed=1), scale=1.0,
+                  bus_links=(), seed=1)
+    return simulate(net, sc, SimConfig())
+
+
+def test_golden_record_is_bit_identical(tmp_path):
+    """``grid_run``; the digest covers the saved record, completed trips and
+    the balance error. It was last retaken when residues of at most
+    ``RESIDUE_VEH`` began to stay frozen in drained steps; a rewrite of the
+    engine must leave every bit as it is."""
+    assert record_digest(grid_run(), tmp_path) == \
+        "38f3de945211c07b88203d9e83ed9c618c0bf58027e1af9faed785146cac66fc"
+
+
+def test_golden_record_on_a_random_network_is_bit_identical(tmp_path, caplog):
+    """``random_network_run``; the digest covers what
+    ``test_golden_record_is_bit_identical`` covers."""
+    rec = random_network_run()
     assert "falling back to a uniform split" in caplog.text
     assert (rec.speeds == 1.0).mean() > 0.2
     assert record_digest(rec, tmp_path) == \
         "a7033f4b6172ea59418df9f2c74c96220e58d79d90df9781b8774a9aa870a153"
 
 
-def test_golden_reference_schedule_with_a_drained_tail(tmp_path, monkeypatch):
-    """Acceptance criterion 1's run (5x5 grid, 10 OD pairs at 250 veh/h, the
-    reference 6-h schedule): after the queues drain, more than a quarter of
-    its steps start with no waiting, pending or backlogged vehicle and no
-    demand, steps that ``SimState.step`` skips with the bits a full step
-    gives. The digest was retaken with the grid one's."""
-    net = generate_grid_network(5, 5, 100.0, 3, vff_kmh=25.0,
-                                length_jitter=0.3, jitter_seed=11)
-    sc = Scenario(id=0, od=random_base_od(net, 10, 250.0, seed=1), scale=1.0,
-                  bus_links=(), seed=1)
+@pytest.mark.parametrize("run,digest", [
+    (grid_run, "bb095faad45c7a1793c099dc8191d08bf0e8261142657556a88e48268dc24b28"),
+    (random_network_run,
+     "a7033f4b6172ea59418df9f2c74c96220e58d79d90df9781b8774a9aa870a153"),
+    (reference_run,
+     "86e4241a64787a5be5c716d9432ea54b57ca71214eb0aca842263fe514009594")],
+    ids=["grid", "random_network", "reference"])
+def test_exact_zero_residue_bound_gives_the_earlier_golden_records(
+        tmp_path, monkeypatch, run, digest):
+    """With ``RESIDUE_VEH`` = 0.0 a step is drained only when every queue
+    entry is exactly zero, and the three golden runs give the digests they
+    had before residues froze: the residue bound is the only change."""
+    sim = importlib.import_module("lcftraffic.simulate")
+    monkeypatch.setattr(sim, "RESIDUE_VEH", 0.0)
+    assert record_digest(run(), tmp_path) == digest
+
+
+def drained_at_each_step(monkeypatch) -> list[bool]:
+    """Patches ``SimState.step`` to append, at each step's entry, whether
+    the step is drained (no demand and ``SimState.drained``)."""
     drained = []
     step = SimState.step
 
     def counted(state, demand_step, ratios):
-        drained.append(not (np.any(demand_step) or state.backlog.any()
-                            or state.w.any() or state.pend.any())
-                       and state.m.min() >= 0)
+        drained.append(not np.any(demand_step) and state.drained())
         return step(state, demand_step, ratios)
 
     monkeypatch.setattr(SimState, "step", counted)
-    rec = simulate(net, sc, SimConfig())
+    return drained
+
+
+def test_golden_reference_schedule_with_a_drained_tail(tmp_path, monkeypatch):
+    """``reference_run``: after the queues drain, more than three fifths of
+    its steps are drained, steps that ``SimState.step`` skips with their
+    residues frozen. The digest was retaken with the grid one's."""
+    drained = drained_at_each_step(monkeypatch)
+    rec = reference_run()
     assert len(drained) == 4320
-    assert sum(drained) >= 4320 // 4
+    assert sum(drained) >= 4320 * 3 // 5
     assert record_digest(rec, tmp_path) == \
-        "86e4241a64787a5be5c716d9432ea54b57ca71214eb0aca842263fe514009594"
+        "5dcb0c5b28acad9499c9a085f369c12ae6b5463d9a8397c0684635e9fd0d7fef"
+
+
+def test_no_rerouting_once_drained_past_the_peak(monkeypatch):
+    """Every turn-ratio refresh due before the first drained step past
+    warmup_s + peak_s runs, and none after it: from there on no vehicle
+    moves, so the ratios are never read again."""
+    sim = importlib.import_module("lcftraffic.simulate")
+    drained = drained_at_each_step(monkeypatch)
+    refreshed_at = []
+    update = sim.update_turn_ratios
+
+    def counted(*args):
+        refreshed_at.append(len(drained))
+        return update(*args)
+
+    monkeypatch.setattr(sim, "update_turn_ratios", counted)
+    reference_run()
+    cfg = SimConfig()
+    turn_every = int(cfg.turn_update_s / cfg.step_s)
+    peak_end = int((cfg.warmup_s + cfg.peak_s) / cfg.step_s)
+    first = drained.index(True, peak_end)
+    assert all(drained[first:])
+    assert refreshed_at == list(range(turn_every, first, turn_every))
+
+
+def test_rerouting_runs_to_the_peak_end_while_demand_lasts(monkeypatch):
+    """Demand of 5e-14 veh per step keeps every queue entry within
+    ``RESIDUE_VEH``, so the network is drained at every refresh; the ratios
+    are still refreshed while demand lasts, up to warmup_s + peak_s."""
+    sim = importlib.import_module("lcftraffic.simulate")
+    drained, refreshed_at = [], []
+    step, update = SimState.step, sim.update_turn_ratios
+
+    def counted_step(state, demand_step, ratios):
+        drained.append(state.drained())
+        return step(state, demand_step, ratios)
+
+    def counted_update(*args):
+        refreshed_at.append(len(drained))
+        return update(*args)
+
+    monkeypatch.setattr(SimState, "step", counted_step)
+    monkeypatch.setattr(sim, "update_turn_ratios", counted_update)
+    net = chain_network()
+    cfg = short_cfg(turn_update_s=20.0)     # a refresh every 4 steps
+    simulate(net, make_scenario(net, [(0, 2)], [3.6e-11]), cfg)
+    assert all(drained)
+    assert refreshed_at == list(range(4, 60, 4))    # 60 steps: 300 s
