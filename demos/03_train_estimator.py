@@ -39,10 +39,9 @@ print(f"trained {model.config.name} ({model.parameter_count()} parameters) "
       f"in {time.time() - t0:.0f}s; "
       f"best val loss {min(h['val_loss'] for h in history):.4f}")
 
-lr_model = fit_lr_estimator(net, dataset)
 reports, _ = evaluate_speed_split(
     net, dataset, part, ["MFD", "MFD-P", "LR", "GAT-GRU-P"],
-    {"GAT-GRU-P": model}, lr_model)
+    {"LR": fit_lr_estimator(net, dataset), "GAT-GRU-P": model})
 print("\n model       MAE km/h   RMSE km/h   err mean")
 for rep in reports:
     print(f" {rep.model:10s} {rep.mae:8.3f} {rep.rmse:10.3f} {rep.err_mean:10.3f}")

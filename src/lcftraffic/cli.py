@@ -368,7 +368,6 @@ def cmd_gen_dataset(o) -> int:
     os.makedirs(o.out, exist_ok=True)
     save_od(base, os.path.join(o.out, "od.txt"))
     ds = build_dataset(net, base, n=o.scenarios, master_seed=o.seed, cfg=cfg,
-                       scale=DEMAND_LEVELS[o.demand],
                        bus_lane_count=o.bus_lanes or None,
                        demand_level=o.demand)
     ds_dir = _default(o.dataset_dir, o.out, "dataset")
@@ -437,9 +436,10 @@ def _evaluate(o, section: str, evaluate_split, **kwargs):
                               f"{', '.join(dataset.splits)}, got {o.split!r}")
     names = _parse_models(o)
     models = _obtain_models(o, net, dataset, part, names)
-    lr_model = harness.fit_lr_estimator(net, dataset) if "LR" in names else None
+    if "LR" in names:
+        models["LR"] = harness.fit_lr_estimator(net, dataset)
     reports, samples = evaluate_split(
-        net, dataset, part, names, models, lr_model, split=o.split,
+        net, dataset, part, names, models, split=o.split,
         scenario_class=o.scenario_class, **kwargs)
     export_report(reports, os.path.join(o.out, "reports", section), samples)
     return reports

@@ -1,10 +1,11 @@
 """Glue between datasets, estimators and the metric protocols.
 
 A *predictor* maps one scenario of a dataset to a (windows x links) speed
-field. Anything exposing ``predict_windows(net, partition, mean_speeds)``
-plugs in directly (the learned estimators, the linear model, and any
-external regressor wrapped to that surface); the MFD baselines read the
-record itself.
+field. The MFD baselines read the record itself; every other model is an
+entry of the models dict that the protocols take, keyed by its upper-case
+name, and exposes ``predict_windows(net, partition, mean_speeds)``: the
+learned estimators, the linear model under "LR", and any external
+regressor wrapped to that surface.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 from .baselines import LinearModel, fit_lr, region_mean_speeds
 from .evaluate import (MetricReport, generate_trips, metrics,
                        travel_time_experiment)
-from .model import (LcfModel, Normalization, fit_normalization, pad_history,
-                    split_features)
+from .model import Normalization, fit_normalization, pad_history, split_features
 from .network import RoadNetwork, extract_features
 from .scenarios import Dataset
 
@@ -80,11 +80,11 @@ def fit_lr_estimator(net: RoadNetwork, dataset: Dataset) -> LrSpeedEstimator:
 # predictors
 # ---------------------------------------------------------------------------
 
-def make_predictor(name: str, partition, nn_models: dict[str, LcfModel],
-                   lr_model: LrSpeedEstimator | None = None):
+def make_predictor(name: str, partition, models: dict):
     """Predictor callable (net_sc, record) -> (windows, links) speeds. MFD
     gives every link the window's network mean speed; MFD-P gives each link
-    its sub-region's accumulation-weighted mean speed."""
+    its sub-region's accumulation-weighted mean speed; any other name is
+    looked up in ``models``."""
     key = name.upper()
     if key == "TRUTH":
         return lambda net_sc, rec: rec.speeds.copy()
@@ -97,12 +97,7 @@ def make_predictor(name: str, partition, nn_models: dict[str, LcfModel],
         return lambda net_sc, rec: region_mean_speeds(
             rec.speeds, rec.accumulation,
             np.array([partition[lid] for lid in rec.link_ids]), partition.params.k)
-    if key == "LR":
-        if lr_model is None:
-            raise ValueError("no linear model fitted")
-        return lambda net_sc, rec: lr_model.predict_windows(
-            net_sc, partition, rec.mean_speed)
-    model = nn_models.get(key)
+    model = models.get(key)
     if model is None:
         raise ValueError(f"no trained model available for {name!r}")
     return lambda net_sc, rec: model.predict_windows(net_sc, partition,
@@ -120,8 +115,8 @@ def _scenario_networks(net: RoadNetwork, scenarios) -> dict[int, RoadNetwork]:
 
 
 def evaluate_speed_split(net: RoadNetwork, dataset: Dataset, partition,
-                         model_names, nn_models, lr_model=None,
-                         split: str = "test", scenario_class: str = "",
+                         model_names, models, split: str = "test",
+                         scenario_class: str = "",
                          ) -> tuple[list[MetricReport], dict[str, np.ndarray]]:
     """Pooled speed-error metrics per model over every (scenario, window,
     link) sample of the split."""
@@ -130,7 +125,7 @@ def evaluate_speed_split(net: RoadNetwork, dataset: Dataset, partition,
     nets = _scenario_networks(net, scenarios)
     reports, samples = [], {}
     for name in model_names:
-        fn = make_predictor(name, partition, nn_models, lr_model)
+        fn = make_predictor(name, partition, models)
         preds, truths = [], []
         for sc in scenarios:
             rec = dataset.records[sc.id]
@@ -144,8 +139,8 @@ def evaluate_speed_split(net: RoadNetwork, dataset: Dataset, partition,
 
 
 def evaluate_travel_time_split(net: RoadNetwork, dataset: Dataset, partition,
-                               model_names, nn_models, lr_model=None,
-                               n_trips: int = 1000, seed: int = 0,
+                               model_names, models, n_trips: int = 1000,
+                               seed: int = 0,
                                split: str = "test", scenario_class: str = "",
                                warmup_windows: int | None = None,
                                ) -> tuple[list[MetricReport], dict[str, np.ndarray]]:
@@ -174,7 +169,7 @@ def evaluate_travel_time_split(net: RoadNetwork, dataset: Dataset, partition,
                                           horizon=(lo, rec.n_windows - 1))
     reports, samples = [], {}
     for name in model_names:
-        fn = make_predictor(name, partition, nn_models, lr_model)
+        fn = make_predictor(name, partition, models)
         errs = []
         excluded = overran = 0
         for sc in scenarios:

@@ -6,9 +6,10 @@ matmul, broadcasting add/mul, concat, relu, leaky_relu, sigmoid, tanh,
 row-wise softmax, transpose, an MSE loss, and two fused dense layers:
 ``dense`` (x @ W + b, optional relu) and ``pair_dense`` (the same layer
 applied to every (row of a, row of b) concatenation without building it).
-Each op records a backward closure; ``backward`` walks the tape in reverse
-topological order. Everything is deliberately single-threaded and
-deterministic.
+Each op records one backward closure, which maps the output gradient to a
+tuple of gradients, one per parent in order; ``backward`` walks the tape in
+reverse topological order and hands each parent that requires a gradient
+its entry. Everything is deliberately single-threaded and deterministic.
 
 Precision: every op, ``backward`` and ``AdamW`` keep their inputs' dtype, so
 one code path runs in float32 or in float64. A Tensor keeps float32 and
@@ -19,7 +20,7 @@ the dtype of the array they meet (``scale``), since a float64 numpy scalar
 would upcast a float32 array.
 
 Inference mode: inside ``with no_grad():`` every op returns a Tensor with
-no parents, no backward closures and ``requires_grad=False``, so nothing is
+no parents, no backward closure and ``requires_grad=False``, so nothing is
 kept for a backward pass and each intermediate array is freed as soon as
 the next op has used it. The mode is per thread, and the previous mode
 comes back on exit, also when the block raises.
@@ -55,21 +56,21 @@ _FLOAT_TYPES = (np.float32, np.float64)
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad: bool = False, parents=(), vjps=()):
+    def __init__(self, data, requires_grad: bool = False, parents=(), vjp=None):
         data = np.asarray(data)
         if data.dtype.type not in _FLOAT_TYPES:
             data = data.astype(np.float64)
         self.data = data
         self.grad: np.ndarray | None = None
         if not _grad_mode.enabled:
-            # an op's output under no_grad: drop the closures (and the
-            # arrays they hold) instead of linking them into a tape
-            parents, vjps = (), ()
+            # an op's output under no_grad: drop the closure (and the
+            # arrays it holds) instead of linking it into a tape
+            parents, vjp = (), None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents
-        self._vjps = vjps
+        self._vjp = vjp
 
     @property
     def shape(self):
@@ -110,8 +111,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"add: shapes {a.data.shape} and {b.data.shape} "
                          "are not broadcast-compatible") from None
     return Tensor(out_data, parents=(a, b),
-                  vjps=(lambda g: _unbroadcast(g, a.data.shape),
-                        lambda g: _unbroadcast(g, b.data.shape)))
+                  vjp=lambda g: (_unbroadcast(g, a.data.shape),
+                                 _unbroadcast(g, b.data.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -121,8 +122,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"mul: shapes {a.data.shape} and {b.data.shape} "
                          "are not broadcast-compatible") from None
     return Tensor(out_data, parents=(a, b),
-                  vjps=(lambda g: _unbroadcast(g * b.data, a.data.shape),
-                        lambda g: _unbroadcast(g * a.data, b.data.shape)))
+                  vjp=lambda g: (_unbroadcast(g * b.data, a.data.shape),
+                                 _unbroadcast(g * a.data, b.data.shape)))
 
 
 def scale(a: Tensor, k: float) -> Tensor:
@@ -136,7 +137,7 @@ def astype(a: Tensor, dtype) -> Tensor:
     if source == dtype:
         return a
     return Tensor(a.data.astype(dtype), parents=(a,),
-                  vjps=(lambda g: g.astype(source),))
+                  vjp=lambda g: (g.astype(source),))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -144,50 +145,41 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul: shapes {a.data.shape} and {b.data.shape} "
                          "do not align")
     return Tensor(a.data @ b.data, parents=(a, b),
-                  vjps=(lambda g: g @ b.data.T,
-                        lambda g: a.data.T @ g))
+                  vjp=lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def transpose(a: Tensor) -> Tensor:
-    return Tensor(a.data.T, parents=(a,), vjps=(lambda g: g.T,))
+    return Tensor(a.data.T, parents=(a,), vjp=lambda g: (g.T,))
 
 
 def concat(tensors, axis: int = 1) -> Tensor:
-    tensors = list(tensors)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-
-    def make_vjp(k):
-        sl = [slice(None)] * out.ndim
-        sl[axis] = slice(offsets[k], offsets[k + 1])
-        sl = tuple(sl)
-        return lambda g: g[sl]
-
-    return Tensor(out, parents=tuple(tensors),
-                  vjps=tuple(make_vjp(k) for k in range(len(tensors))))
+    tensors = tuple(tensors)
+    cuts = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
+                  parents=tensors,
+                  vjp=lambda g: tuple(np.split(g, cuts, axis=axis)))
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     return Tensor(np.where(mask, a.data, 0.0), parents=(a,),
-                  vjps=(lambda g: g * mask,))
+                  vjp=lambda g: (g * mask,))
 
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     mask = a.data > 0
     return Tensor(np.where(mask, a.data, slope * a.data), parents=(a,),
-                  vjps=(lambda g: np.where(mask, g, slope * g),))
+                  vjp=lambda g: (np.where(mask, g, slope * g),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     y = 1.0 / (1.0 + np.exp(-a.data))
-    return Tensor(y, parents=(a,), vjps=(lambda g: g * y * (1.0 - y),))
+    return Tensor(y, parents=(a,), vjp=lambda g: (g * y * (1.0 - y),))
 
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
-    return Tensor(y, parents=(a,), vjps=(lambda g: g * (1.0 - y * y),))
+    return Tensor(y, parents=(a,), vjp=lambda g: (g * (1.0 - y * y),))
 
 
 def softmax_rowwise(a: Tensor) -> Tensor:
@@ -197,22 +189,9 @@ def softmax_rowwise(a: Tensor) -> Tensor:
 
     def vjp(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        return y * (g - dot)
+        return (y * (g - dot),)
 
-    return Tensor(y, parents=(a,), vjps=(vjp,))
-
-
-def _once(transform):
-    """Memoize an output-gradient transform that several vjps of one node
-    share; ``backward`` hands each of them the same array."""
-    last = [None, None]
-
-    def cached(g):
-        if last[0] is not g:
-            last[0], last[1] = g, transform(g)
-        return last[1]
-
-    return cached
+    return Tensor(y, parents=(a,), vjp=vjp)
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -225,11 +204,13 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     out += b.data
     if relu:
         np.maximum(out, 0.0, out=out)
-    masked = _once(lambda g: np.where(out > 0.0, g, 0.0) if relu else g)
-    return Tensor(out, parents=(x, w, b),
-                  vjps=(lambda g: masked(g) @ w.data.T,
-                        lambda g: x.data.T @ masked(g),
-                        lambda g: masked(g).sum(axis=0, keepdims=True)))
+
+    def vjp(g):
+        if relu:
+            g = np.where(out > 0.0, g, 0.0)
+        return g @ w.data.T, x.data.T @ g, g.sum(axis=0, keepdims=True)
+
+    return Tensor(out, parents=(x, w, b), vjp=vjp)
 
 
 def pair_dense(inner: Tensor, outer: Tensor, w: Tensor, b: Tensor,
@@ -256,19 +237,16 @@ def pair_dense(inner: Tensor, outer: Tensor, w: Tensor, b: Tensor,
     if relu:
         np.maximum(out, 0.0, out=out)
 
-    def side_sums(g):
+    def vjp(g):
         g = g.reshape(m, n, k)
         if relu:
             g = np.where(out > 0.0, g, 0.0)
-        return g.sum(axis=0), g.sum(axis=1)
+        g_in, g_out = g.sum(axis=0), g.sum(axis=1)
+        return (g_in @ w.data[:h].T, g_out @ w.data[h:].T,
+                np.vstack([inner.data.T @ g_in, outer.data.T @ g_out]),
+                g_in.sum(axis=0, keepdims=True))
 
-    sums = _once(side_sums)
-    return Tensor(out.reshape(m * n, k), parents=(inner, outer, w, b),
-                  vjps=(lambda g: sums(g)[0] @ w.data[:h].T,
-                        lambda g: sums(g)[1] @ w.data[h:].T,
-                        lambda g: np.vstack([inner.data.T @ sums(g)[0],
-                                             outer.data.T @ sums(g)[1]]),
-                        lambda g: sums(g)[0].sum(axis=0, keepdims=True)))
+    return Tensor(out.reshape(m * n, k), parents=(inner, outer, w, b), vjp=vjp)
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -278,8 +256,7 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     diff = pred.data - target.data
     n = pred.data.size
     return Tensor(np.mean(diff * diff), parents=(pred, target),
-                  vjps=(lambda g: g * 2.0 * diff / n,
-                        lambda g: g * -2.0 * diff / n))
+                  vjp=lambda g: (g * 2.0 * diff / n, g * -2.0 * diff / n))
 
 
 def backward(root: Tensor) -> None:
@@ -301,16 +278,15 @@ def backward(root: Tensor) -> None:
                 stack.append((p, False))
     root.grad = np.ones_like(root.data)
     for node in reversed(topo):
-        if node.grad is None:
+        if node.grad is None or node._vjp is None:  # a leaf has no closure
             continue
-        for parent, vjp in zip(node._parents, node._vjps):
+        for parent, g in zip(node._parents, node._vjp(node.grad)):
             if not parent.requires_grad:
                 continue
-            g = vjp(node.grad)
-            # a vjp may hand back an array another tensor also holds (add
-            # returns g itself to both parents), so a stored gradient is
-            # never written in place: the first is kept as is, later ones
-            # are summed into a new array
+            # a closure may hand back an array another tensor also holds
+            # (add returns g itself to both parents), so a stored gradient
+            # is never written in place: the first is kept as is, later
+            # ones are summed into a new array
             parent.grad = g if parent.grad is None else parent.grad + g
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -144,8 +145,14 @@ def split_sizes(n: int) -> tuple[int, int, int]:
 
 
 def make_scenarios(net: RoadNetwork, base_od: ODMatrix, n: int, master_seed: int,
-                   scale: float = 1.0, bus_lane_count: int | None = None,
-                   ) -> list[Scenario]:
+                   bus_lane_count: int | None = None,
+                   demand_level: str = "medium") -> list[Scenario]:
+    """n randomized scenarios, each scaling its demand by
+    ``DEMAND_LEVELS[demand_level]``."""
+    if demand_level not in DEMAND_LEVELS:
+        raise ValueError(f"unknown demand level {demand_level!r}; "
+                         f"one of {sorted(DEMAND_LEVELS)}")
+    scale = DEMAND_LEVELS[demand_level]
     candidates = bus_lane_candidates(net)
     if bus_lane_count is None:
         bus_lane_count = min(len(candidates), max(1, net.n_links // 8))
@@ -175,15 +182,16 @@ def assign_splits(n: int, master_seed: int) -> dict[str, list[int]]:
 
 
 def build_dataset(net: RoadNetwork, base_od: ODMatrix, n: int, master_seed: int,
-                  cfg: SimConfig | None = None, scale: float = 1.0,
+                  cfg: SimConfig | None = None,
                   bus_lane_count: int | None = None,
                   demand_level: str = "medium") -> Dataset:
     """Simulate n randomized scenarios and split them 7:1:2."""
     if n < 10:
         raise ValueError("need at least 10 scenarios for a 7:1:2 split")
     cfg = cfg or SimConfig()
-    scenarios = make_scenarios(net, base_od, n, master_seed, scale=scale,
-                               bus_lane_count=bus_lane_count)
+    scenarios = make_scenarios(net, base_od, n, master_seed,
+                               bus_lane_count=bus_lane_count,
+                               demand_level=demand_level)
     records: dict[int, SimRecord] = {}
     failed: dict[int, SimulationError] = {}
     for sc in scenarios:
@@ -278,31 +286,65 @@ def save_dataset(ds: Dataset, out_dir) -> None:
         save_record(ds.records[sc.id], os.path.join(out_dir, f"scenario_{sc.id:03d}"))
 
 
+_MANIFEST_KEYS = ("master_seed", "demand_level", "window_s", "step_s", "splits",
+                  "scenarios")
+_SCENARIO_KEYS = ("id", "seed", "scale", "bus_links", "factors", "od_pairs",
+                  "od_rates", "ramp_fraction", "record_dir")
+
+
+def _require_keys(obj, keys, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} has no {key!r}")
+    return obj
+
+
+def _check_splits(splits: dict[str, list[int]], scenario_ids: list[int]) -> None:
+    """Each scenario id is held once and listed in exactly one split."""
+    held = Counter(scenario_ids)
+    listed = Counter(i for ids in splits.values() for i in ids)
+    for i in sorted(held | listed):
+        if held[i] != 1 or listed[i] != 1:
+            names = [name for name, ids in splits.items() if i in ids]
+            raise ValueError(f"'scenarios' hold id {i} {held[i]} times and "
+                             f"'splits' list it in {', '.join(names) or 'none'}; "
+                             "each id is held once and in one split")
+
+
 def load_dataset(out_dir) -> Dataset:
-    """Read a dataset saved by ``save_dataset``; the records take the
-    manifest's ``window_s`` and ``step_s``, which it must hold."""
+    """Read a dataset saved by ``save_dataset``. Every key read is required,
+    the splits list each scenario id exactly once, and ``window_s`` and
+    ``step_s`` must pass ``SimConfig``'s checks; the records take them.
+    A manifest that breaks any of these is a ValueError naming its path."""
     path = os.path.join(out_dir, "manifest.json")
-    with open(path) as fh:
-        manifest = json.load(fh)
-    for key in ("window_s", "step_s"):
-        if key not in manifest:
-            raise ValueError(f"{path}: manifest has no {key!r}")
-    window_s = float(manifest["window_s"])
-    step_s = float(manifest["step_s"])
-    scenarios = []
-    records = {}
-    for sd in manifest["scenarios"]:
-        od = ODMatrix(pairs=tuple((int(o), int(d)) for o, d in sd["od_pairs"]),
-                      rates=tuple(float(r) for r in sd["od_rates"]),
-                      ramp_fraction=float(sd["ramp_fraction"]))
-        sc = Scenario(id=int(sd["id"]), od=od, scale=float(sd["scale"]),
-                      bus_links=tuple(int(b) for b in sd["bus_links"]),
-                      seed=int(sd["seed"]),
-                      factors=tuple(float(f) for f in sd["factors"]))
-        scenarios.append(sc)
-        records[sc.id] = load_record(os.path.join(out_dir, sd["record_dir"]),
-                                     window_s=window_s, step_s=step_s)
-    return Dataset(scenarios=scenarios,
-                   splits={k: [int(i) for i in v] for k, v in manifest["splits"].items()},
-                   records=records, master_seed=int(manifest["master_seed"]),
-                   demand_level=manifest.get("demand_level", "medium"))
+    try:  # json.JSONDecodeError is a ValueError
+        with open(path) as fh:
+            manifest = _require_keys(json.load(fh), _MANIFEST_KEYS, "manifest")
+        cfg = SimConfig(window_s=float(manifest["window_s"]),
+                        step_s=float(manifest["step_s"]))
+        splits = _require_keys(manifest["splits"], SPLIT_NAMES, "'splits'")
+        splits = {name: [int(i) for i in ids] for name, ids in splits.items()}
+        scenarios, record_dirs = [], {}
+        for n, sd in enumerate(manifest["scenarios"]):
+            _require_keys(sd, _SCENARIO_KEYS, f"scenario {n}")
+            od = ODMatrix(pairs=tuple((int(o), int(d)) for o, d in sd["od_pairs"]),
+                          rates=tuple(float(r) for r in sd["od_rates"]),
+                          ramp_fraction=float(sd["ramp_fraction"]))
+            sc = Scenario(id=int(sd["id"]), od=od, scale=float(sd["scale"]),
+                          bus_links=tuple(int(b) for b in sd["bus_links"]),
+                          seed=int(sd["seed"]),
+                          factors=tuple(float(f) for f in sd["factors"]))
+            scenarios.append(sc)
+            record_dirs[sc.id] = str(sd["record_dir"])
+        _check_splits(splits, [sc.id for sc in scenarios])
+        master_seed = int(manifest["master_seed"])
+        demand_level = str(manifest["demand_level"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    records = {i: load_record(os.path.join(out_dir, rel), window_s=cfg.window_s,
+                              step_s=cfg.step_s)
+               for i, rel in record_dirs.items()}
+    return Dataset(scenarios=scenarios, splits=splits, records=records,
+                   master_seed=master_seed, demand_level=demand_level)

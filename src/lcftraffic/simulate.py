@@ -60,7 +60,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -92,7 +92,10 @@ class SimConfig:
     turn_smoothing: float = 0.5
 
     def __post_init__(self):
-        # "not x > 0" rather than "x <= 0", so that NaN is rejected too
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         for name in ("step_s", "window_s", "saturation_flow", "vehicle_length",
                      "turn_update_s", "v_min_kmh"):
             value = getattr(self, name)
@@ -329,7 +332,10 @@ class SimState:
         waiting occupancy fraction (``w_sum`` is the waiting queue per link)."""
         frac = np.minimum(np.maximum(w_sum / self.cap, 0.0), 1.0)
         steps = np.ceil((1.0 - frac) * self.len_m / self.vff_ms / self.cfg.step_s)
-        return np.minimum(np.maximum(steps, 1.0), self.max_delay).astype(int)
+        # fmax/fmin clamp a NaN (a NaN queue, which the transfer step then
+        # rejects) to 1 step instead of casting it; finite steps are the
+        # same as with maximum/minimum
+        return np.fmin(np.fmax(steps, 1.0), self.max_delay).astype(int)
 
     def step(self, demand_step: np.ndarray, ratios: np.ndarray) -> dict[str, np.ndarray]:
         """Advance one time step; returns per-link outflow, start-of-step

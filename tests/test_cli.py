@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 
@@ -204,6 +205,73 @@ def test_manifest_without_window_fails(tmp_path, capsys):
     assert run(["train", "--out", out] + TRAIN_SMALL) == 1
     err = capsys.readouterr().err
     assert str(manifest) in err and "'window_s'" in err
+
+
+MANIFEST_PROBES = {
+    "no-scenarios": (lambda m: m.pop("scenarios"), "evaluate",
+                     "manifest has no 'scenarios'"),
+    "no-od-rates": (lambda m: m["scenarios"][0].pop("od_rates"), "evaluate",
+                    "scenario 0 has no 'od_rates'"),
+    "unknown-test-id": (lambda m: m["splits"]["test"].append(99), "evaluate",
+                        "'scenarios' hold id 99 0 times and 'splits' list it "
+                        "in test;"),
+    "train-id-in-test": (
+        lambda m: m["splits"]["test"].append(m["splits"]["train"][0]),
+        "evaluate", "1 times and 'splits' list it in test, train;"),
+    "id-in-no-split": (lambda m: m["splits"]["train"].pop(), "evaluate",
+                       "1 times and 'splits' list it in none;"),
+    "id-held-twice": (lambda m: m["scenarios"].append(m["scenarios"][0]),
+                      "evaluate", "2 times and 'splits' list it in "),
+    "negative-window": (lambda m: m.update(window_s=-180.0), "travel-time",
+                        "window_s must be > 0, got -180.0"),
+    "nan-window": (lambda m: m.update(window_s=math.nan), "travel-time",
+                   "window_s must be finite, got nan"),
+    "not-json": (None, "evaluate", "Expecting value"),
+}
+
+
+@pytest.mark.parametrize("probe", MANIFEST_PROBES)
+def test_bad_manifest_exits_1_naming_the_file_and_key(small_pipeline, tmp_path,
+                                                      capsys, probe):
+    edit, command, expected = MANIFEST_PROBES[probe]
+    dataset = tmp_path / "dataset"
+    shutil.copytree(os.path.join(small_pipeline, "dataset"), dataset)
+    manifest = dataset / "manifest.json"
+    data = json.loads(manifest.read_text())
+    if edit is None:
+        manifest.write_text("not json\n")
+    else:
+        edit(data)
+        manifest.write_text(json.dumps(data))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run([command, "--out", out, "--dataset-dir", dataset,
+                "--network", os.path.join(small_pipeline, "network.txt"),
+                "--partition-file", os.path.join(small_pipeline, "partition.json"),
+                "--models", "MFD"]
+               + (["--trips", "5"] if command == "travel-time" else [])) == 1
+    err = capsys.readouterr().err
+    assert f"error: {manifest}: " in err and expected in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,field", [
+    ("--step", "step_s"), ("--window", "window_s"), ("--warmup", "warmup_s"),
+    ("--peak", "peak_s"), ("--total", "total_s"),
+    ("--saturation-flow", "saturation_flow"),
+    ("--vehicle-length", "vehicle_length"),
+    ("--congestion-threshold", "congestion_threshold"),
+    ("--v-min", "v_min_kmh"), ("--turn-update", "turn_update_s"),
+    ("--turn-smoothing", "turn_smoothing")])
+def test_non_finite_simulation_option_exits_1_naming_it(tmp_path, capsys,
+                                                        flag, field):
+    out = str(tmp_path / "run")
+    assert run(["gen-network", "--out", out, "--grid", "3x3"]) == 0
+    capsys.readouterr()
+    assert run(["gen-dataset", "--out", out, "--scenarios", "10"]
+               + SIM_SMALL + [flag, "inf"]) == 1
+    assert f"error: {field} must be finite, got inf" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "dataset"))
 
 
 def test_gen_dataset_rejects_zero_step(tmp_path, capsys):

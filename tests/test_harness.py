@@ -5,7 +5,8 @@ import pytest
 
 from lcftraffic.baselines import fit_lr
 from lcftraffic.harness import (evaluate_speed_split,
-                                evaluate_travel_time_split, fit_lr_estimator)
+                                evaluate_travel_time_split, fit_lr_estimator,
+                                make_predictor)
 from lcftraffic.model import (LcfModel, ModelConfig, fit_normalization,
                               pad_history, split_features)
 from lcftraffic.network import (RoadNetwork, extract_features,
@@ -71,6 +72,17 @@ def test_lr_estimator_matches_hand_reference_to_the_bit(corpus):
         assert got.tobytes() == reference(sub, vmean).tobytes()
 
 
+def test_lr_is_one_more_entry_of_the_models_dict(corpus):
+    net, dataset = corpus
+    est = fit_lr_estimator(net, dataset)
+    rec = dataset.records[dataset.splits["test"][0]]
+    got = make_predictor("LR", None, {"LR": est})(net, rec)
+    assert got.tobytes() == est.predict_windows(net, None,
+                                                rec.mean_speed).tobytes()
+    with pytest.raises(ValueError, match="no trained model available for 'LR'"):
+        make_predictor("LR", None, {})
+
+
 def test_lr_estimator_clips_to_zero_and_free_flow(corpus):
     net, dataset = corpus
     est = fit_lr_estimator(net, dataset)
@@ -95,9 +107,10 @@ def test_evaluations_build_each_scenario_network_once(corpus, monkeypatch):
     models = ["MFD", "LR", "DNN"]
     runs = {
         "speed": lambda names: evaluate_speed_split(
-            net, dataset, None, names, {"DNN": dnn}, lr),
+            net, dataset, None, names, {"DNN": dnn, "LR": lr}),
         "travel_time": lambda names: evaluate_travel_time_split(
-            net, dataset, None, names, {"DNN": dnn}, lr, n_trips=40, seed=3),
+            net, dataset, None, names, {"DNN": dnn, "LR": lr}, n_trips=40,
+            seed=3),
     }
     built = []
     init = RoadNetwork.__init__

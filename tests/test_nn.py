@@ -231,6 +231,60 @@ def test_astype_casts_the_gradient_back():
 
 
 # ---------------------------------------------------------------------------
+# tape contract
+# ---------------------------------------------------------------------------
+
+def every_op(dtype):
+    """One output of every op, on parameters of ``dtype``."""
+    rng = np.random.default_rng(15)
+
+    def param(*shape):
+        return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+
+    a, b, row, c = param(5, 4), param(5, 4), param(1, 4), param(4, 3)
+    w43, w63, b13, outer2 = param(4, 3), param(6, 3), param(1, 3), param(3, 2)
+    other = np.float64 if dtype == np.float32 else np.float32
+    return {
+        "matmul": nn.matmul(a, c),
+        "add": nn.add(a, row),
+        "mul": nn.mul(a, b),
+        "scale": nn.scale(a, 0.5),
+        "concat": nn.concat([a, b, row], axis=0),
+        "relu": nn.relu(a),
+        "leaky_relu": nn.leaky_relu(a, 0.2),
+        "sigmoid": nn.sigmoid(a),
+        "tanh": nn.tanh(a),
+        "softmax_rowwise": nn.softmax_rowwise(a),
+        "transpose": nn.transpose(a),
+        "dense": nn.dense(a, w43, b13),
+        "dense_relu": nn.dense(a, w43, b13, relu=True),
+        "pair_dense": nn.pair_dense(a, outer2, w63, b13),
+        "pair_dense_relu": nn.pair_dense(a, outer2, w63, b13, relu=True),
+        "astype": nn.astype(a, other),
+        "mse_loss": nn.mse_loss(a, b),
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_each_op_returns_one_gradient_per_parent(dtype):
+    rng = np.random.default_rng(16)
+    for name, out in every_op(dtype).items():
+        g = np.asarray(rng.normal(size=out.shape), dtype=out.data.dtype)
+        grads = out._vjp(g)
+        assert isinstance(grads, tuple), name
+        assert len(grads) == len(out._parents) > 0, name
+        for parent, grad in zip(out._parents, grads):
+            assert grad.shape == parent.data.shape, name
+            assert grad.dtype == parent.data.dtype, name
+
+
+def test_backward_from_a_leaf_seeds_only_its_gradient():
+    x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    backward(x)
+    assert np.array_equal(x.grad, np.ones((1, 2)))
+
+
+# ---------------------------------------------------------------------------
 # inference mode
 # ---------------------------------------------------------------------------
 
@@ -243,13 +297,21 @@ def test_no_grad_ops_leave_no_tape():
         loss = nn.mse_loss(out, nn.constant(np.zeros((3, 4))))
         leaf = Tensor(np.ones(2), requires_grad=True)
     for t in (out, loss):
-        assert t._parents == () and t._vjps == ()
+        assert t._parents == () and t._vjp is None
         assert not t.requires_grad
     assert np.array_equal(out.data, taped.data)
     assert leaf.requires_grad
     # the tape records again after the block
     after = nn.dense(x, w, b)
     assert after.requires_grad and len(after._parents) == 3
+
+
+def test_no_grad_keeps_no_closure_for_any_op():
+    with nn.no_grad():
+        outputs = every_op(np.float64)
+    for name, out in outputs.items():
+        assert out._vjp is None and out._parents == (), name
+        assert not out.requires_grad, name
 
 
 def test_no_grad_restores_the_mode_after_an_exception():

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from lcftraffic.network import generate_grid_network
-from lcftraffic.scenarios import (Dataset, ODMatrix, Scenario, build_dataset,
-                                  bus_lane_candidates, load_dataset, load_od,
+from lcftraffic.scenarios import (DEMAND_LEVELS, Dataset, ODMatrix, Scenario,
+                                  build_dataset, bus_lane_candidates,
+                                  load_dataset, load_od, make_scenarios,
                                   perturb_od, random_base_od,
                                   sample_bus_lane_config, save_dataset, save_od,
                                   split_sizes)
@@ -118,6 +119,17 @@ def test_build_dataset_rejects_small_n():
     base = random_base_od(net, 2, 100.0, seed=0)
     with pytest.raises(ValueError):
         build_dataset(net, base, n=5, master_seed=0, cfg=quick_cfg())
+
+
+def test_demand_level_sets_every_scenario_scale():
+    net = generate_grid_network(3, 3, 100.0, 2)
+    base = random_base_od(net, 2, 100.0, seed=0)
+    for level, scale in DEMAND_LEVELS.items():
+        scenarios = make_scenarios(net, base, 3, 0, demand_level=level)
+        assert {sc.scale for sc in scenarios} == {scale}
+    with pytest.raises(ValueError, match="unknown demand level 'extreme'"):
+        build_dataset(net, base, n=10, master_seed=0, cfg=quick_cfg(),
+                      demand_level="extreme")
 
 
 def test_dataset_manifest_reproducible(tmp_path):

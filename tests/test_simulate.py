@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import heapq
 import importlib
@@ -18,6 +19,10 @@ from lcftraffic.simulate import (RESIDUE_VEH, SimConfig, SimRecord, SimState,
                                  simulate, storage_capacity,
                                  update_turn_ratios, save_record, load_record)
 from netgen import random_network
+
+# a NaN or overflow the engine lets through shows up as a RuntimeWarning
+# before any check of its own fires
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def chain_network(n_links=3, length=200.0, vff=36.0, lanes=2, red_at=None):
@@ -57,7 +62,7 @@ def test_sim_config_invariants():
     ("step_s", float("nan")), ("window_s", 0.0), ("window_s", -180.0),
     ("v_min_kmh", 0.0), ("v_min_kmh", -1.0), ("warmup_s", -1.0),
     ("peak_s", -60.0), ("total_s", float("nan")),
-])
+] + [(f.name, float("inf")) for f in dataclasses.fields(SimConfig)])
 def test_sim_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError) as err:
         SimConfig(**{field: value})
