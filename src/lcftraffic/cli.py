@@ -17,6 +17,7 @@ import sys
 from itertools import zip_longest
 
 from . import harness
+from .config import check_value
 from .model import (ModelConfig, TrainConfig, config_from_name, load_model,
                     save_model, train)
 from .network import generate_grid_network, load_network, save_network
@@ -86,52 +87,57 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]):
     return parser.parse_args(argv[:1] + flags + argv[1:])
 
 
+# (flag, config class, field, help): the option sets the field, whose default
+# is the option's; the default's type parses the value
+SIM_OPTS = [
+    ("--step", SimConfig, "step_s", "simulation step seconds"),
+    ("--window", SimConfig, "window_s", "aggregation window seconds"),
+    ("--warmup", SimConfig, "warmup_s", "warm-up seconds"),
+    ("--peak", SimConfig, "peak_s", "constant peak-demand seconds"),
+    ("--total", SimConfig, "total_s", "total simulated seconds"),
+    ("--saturation-flow", SimConfig, "saturation_flow", "saturation flow veh/s/lane"),
+    ("--vehicle-length", SimConfig, "vehicle_length", "storage spacing m/veh"),
+    ("--congestion-threshold", SimConfig, "congestion_threshold",
+     "occupancy fraction that blocks inflow"),
+    ("--v-min", SimConfig, "v_min_kmh", "speed floor km/h"),
+    ("--turn-update", SimConfig, "turn_update_s", "turn-ratio refresh seconds"),
+    ("--turn-smoothing", SimConfig, "turn_smoothing", "turn-ratio smoothing weight"),
+]
+TRAIN_OPTS = [
+    ("--lr", TrainConfig, "lr", "initial learning rate"),
+    ("--lr-step", TrainConfig, "lr_step", "learning-rate decay step size"),
+    ("--lr-gamma", TrainConfig, "lr_gamma", "learning-rate decay factor"),
+    ("--weight-decay", TrainConfig, "weight_decay", "decoupled weight decay"),
+    ("--epochs", TrainConfig, "epochs", "training epochs"),
+    ("--heads", ModelConfig, "heads", "attention heads"),
+    ("--hidden", ModelConfig, "hidden_dim", "spatial/temporal embedding width"),
+    ("--fc-dims", ModelConfig, "fc_hidden", "hidden widths of the estimation head"),
+    ("--history", ModelConfig, "history_len",
+     "mean-speed history length fed to the GRU, front-padded with -1.0"
+     " before the first window"),
+    ("--output-type", ModelConfig, "output_type", "output format: Ratio, Diff or Speed"),
+    ("--stride", TrainConfig, "window_stride", "window subsampling stride for training"),
+]
+PART_OPTS = [
+    ("--clusters", PartitionParams, "k", "number of sub-regions (K)"),
+    ("--alpha", PartitionParams, "alpha", "location weight in the clustering space"),
+    ("--beta", PartitionParams, "beta", "peak-speed weight in the clustering space"),
+    ("--t-window", PartitionParams, "t_window",
+     "half-width (windows) of the peak interval"),
+    ("--t-max", PartitionParams, "t_max", "window index of maximum production"),
+]
+
+
+def _fields(o, cls) -> dict:
+    """The ``cls`` fields that the option tables set, from the options."""
+    return {field: getattr(o, flag[2:].replace("-", "_"))
+            for flag, c, field, _ in SIM_OPTS + TRAIN_OPTS + PART_OPTS if c is cls}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="lcftraffic",
                      description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
-
-    # (flag, default, help); the default's type parses the value
-    sim_opts = [
-        ("--step", SimConfig.step_s, "simulation step seconds"),
-        ("--window", SimConfig.window_s, "aggregation window seconds"),
-        ("--warmup", SimConfig.warmup_s, "warm-up seconds"),
-        ("--peak", SimConfig.peak_s, "constant peak-demand seconds"),
-        ("--total", SimConfig.total_s, "total simulated seconds"),
-        ("--saturation-flow", SimConfig.saturation_flow,
-         "saturation flow veh/s/lane"),
-        ("--vehicle-length", SimConfig.vehicle_length, "storage spacing m/veh"),
-        ("--congestion-threshold", SimConfig.congestion_threshold,
-         "occupancy fraction that blocks inflow"),
-        ("--v-min", SimConfig.v_min_kmh, "speed floor km/h"),
-        ("--turn-update", SimConfig.turn_update_s, "turn-ratio refresh seconds"),
-        ("--turn-smoothing", SimConfig.turn_smoothing, "turn-ratio smoothing weight"),
-    ]
-    train_opts = [
-        ("--lr", TrainConfig.lr, "initial learning rate"),
-        ("--lr-step", TrainConfig.lr_step, "learning-rate decay step size"),
-        ("--lr-gamma", TrainConfig.lr_gamma, "learning-rate decay factor"),
-        ("--weight-decay", TrainConfig.weight_decay, "decoupled weight decay"),
-        ("--epochs", TrainConfig.epochs, "training epochs"),
-        ("--heads", ModelConfig.heads, "attention heads"),
-        ("--hidden", ModelConfig.hidden_dim, "spatial/temporal embedding width"),
-        ("--fc-dims", ModelConfig.fc_hidden, "hidden widths of the estimation head"),
-        ("--history", ModelConfig.history_len,
-         "mean-speed history length fed to the GRU, front-padded with -1.0"
-         " before the first window"),
-        ("--output-type", ModelConfig.output_type,
-         "output format: Ratio, Diff or Speed"),
-        ("--stride", TrainConfig.window_stride,
-         "window subsampling stride for training"),
-    ]
-    part_opts = [
-        ("--clusters", PartitionParams.k, "number of sub-regions (K)"),
-        ("--alpha", PartitionParams.alpha, "location weight in the clustering space"),
-        ("--beta", PartitionParams.beta, "peak-speed weight in the clustering space"),
-        ("--t-window", PartitionParams.t_window,
-         "half-width (windows) of the peak interval"),
-        ("--t-max", PartitionParams.t_max, "window index of maximum production"),
-    ]
 
     def sub(name, help_text, specs):
         # no abbreviations: evaluate would read --model as --models
@@ -140,8 +146,9 @@ def build_parser() -> _Parser:
             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         s.add_argument("--config", help="flat key = value option file; "
                                         "flags override it")
-        for flag, default, help_opt in [("--out", "out", "output directory"),
-                                        ("--seed", 0, "master seed")] + specs:
+        for row in [("--out", "out", "output directory")] + specs:
+            flag, default, help_opt = row if len(row) == 3 else \
+                (row[0], getattr(row[1], row[2]), row[3])
             typ = {bool: _bool, tuple: _int_list}.get(type(default),
                                                       type(default))
             s.add_argument(flag, type=typ, default=default, help=help_opt)
@@ -157,10 +164,11 @@ def build_parser() -> _Parser:
         ("--length-jitter", 0.0, "street length variation fraction"),
         ("--jitter-seed", 0, "seed for the length variation"),
     ])
+    seed = ("--seed", 0, "master seed")
     network = ("--network", "", "network file (default <out>/network.txt)")
     dataset = ("--dataset-dir", "", "dataset directory (default <out>/dataset)")
-    inputs = [dataset, network, ("--partition-file", "",
-                                 "partition file (default <out>/partition.json)")]
+    inputs = [seed, dataset, network,
+              ("--partition-file", "", "partition file (default <out>/partition.json)")]
     scoring = inputs + [
         ("--models", ",".join(harness.STANDARD_MODELS),
          "comma-separated model list"),
@@ -168,7 +176,7 @@ def build_parser() -> _Parser:
         ("--scenario-class", "", "label for the report rows"),
     ]
     sub("gen-dataset", "simulate a randomized scenario corpus", [
-        network,
+        seed, network,
         ("--od", "", "base OD file; generated when omitted"),
         ("--od-pairs", 10, "synthesized OD pair count"),
         ("--od-rate", 300.0, "synthesized per-pair demand veh/h"),
@@ -176,41 +184,33 @@ def build_parser() -> _Parser:
         ("--demand", "medium", "demand level: low, medium or high"),
         ("--bus-lanes", 0, "bus-lane links per scenario (0 = auto)"),
         dataset,
-    ] + sim_opts)
+    ] + SIM_OPTS)
     sub("simulate", "run one scenario to a record", [
         network,
         ("--od", "", "OD file (required)"),
         ("--scale", 1.0, "demand scale factor"),
         ("--record-dir", "", "record directory (default <out>/record)"),
-    ] + sim_opts)
+    ] + SIM_OPTS)
     sub("partition", "cluster links into sub-regions", [
-        dataset, network,
+        seed, dataset, network,
         ("--partition-file", "", "output file (default <out>/partition.json)"),
-    ] + part_opts)
+    ] + PART_OPTS)
     sub("train", "train an estimator variant", inputs + [
         ("--model", "gat-gru-p", "estimator variant (dnn, dnn-gru, gat,"
-                                 " gat-gru, plus -p suffix)")] + train_opts)
+                                 " gat-gru, plus -p suffix)")] + TRAIN_OPTS)
     sub("evaluate", "per-link speed metrics for the model suite",
-        scoring + train_opts)
+        scoring + TRAIN_OPTS)
     sub("travel-time", "random-trip travel-time experiment",
-        scoring + [("--trips", 1000, "number of random trips")] + train_opts)
-    sub("report", "merge emitted metric tables", [])
+        scoring + [("--trips", 1000, "number of random trips")] + TRAIN_OPTS)
+    # report reads no seed; its --seed stays while the benchmark's toy-train
+    # workload passes one
+    sub("report", "merge emitted metric tables", [seed])
     return parser
 
 
 # ---------------------------------------------------------------------------
 # command helpers
 # ---------------------------------------------------------------------------
-
-def _sim_config(o) -> SimConfig:
-    return SimConfig(step_s=o.step, window_s=o.window, warmup_s=o.warmup,
-                     peak_s=o.peak, total_s=o.total,
-                     saturation_flow=o.saturation_flow,
-                     vehicle_length=o.vehicle_length,
-                     congestion_threshold=o.congestion_threshold,
-                     v_min_kmh=o.v_min, turn_update_s=o.turn_update,
-                     turn_smoothing=o.turn_smoothing)
-
 
 def _default(path: str, out: str, name: str) -> str:
     return path if path else os.path.join(out, name)
@@ -276,18 +276,22 @@ def _checkpoint_path(o, name: str) -> str:
     return os.path.join(o.out, "models", f"{name}.ckpt")
 
 
+def _is_estimator(name: str) -> bool:
+    try:
+        return config_from_name(name) is not None
+    except ValueError:
+        return False
+
+
 def _model_config(o, name: str):
-    return config_from_name(name, heads=o.heads, hidden_dim=o.hidden,
-                            fc_hidden=o.fc_dims, history_len=o.history,
-                            output_type=o.output_type, seed=o.seed)
+    return config_from_name(name, **_fields(o, ModelConfig), seed=o.seed)
 
 
 def _train_and_save(o, net, dataset, part, name: str):
     """Train variant ``name`` (lower case) with the command's options and
     write its checkpoint and loss history under <out>/models/."""
-    model, history = train(net, dataset, part, _model_config(o, name), TrainConfig(
-        lr=o.lr, lr_step=o.lr_step, lr_gamma=o.lr_gamma,
-        weight_decay=o.weight_decay, epochs=o.epochs, window_stride=o.stride))
+    model, history = train(net, dataset, part, _model_config(o, name),
+                           TrainConfig(**_fields(o, TrainConfig)))
     os.makedirs(os.path.join(o.out, "models"), exist_ok=True)
     save_model(model, _checkpoint_path(o, name))
     _write_history(history, os.path.join(o.out, "models", f"{name}_history.csv"))
@@ -299,7 +303,7 @@ def _obtain_models(o, net, dataset, part, names) -> dict:
     a checkpoint whose model differs from the command's options is an error."""
     models = {}
     for key in names:
-        if key not in harness.NN_MODEL_NAMES:
+        if not _is_estimator(key):
             continue
         path = _checkpoint_path(o, key.lower())
         if os.path.exists(path):
@@ -352,11 +356,9 @@ def cmd_gen_network(o) -> int:
 
 def cmd_gen_dataset(o) -> int:
     net = _load_net(o)
-    cfg = _sim_config(o)
-    if o.demand not in DEMAND_LEVELS:
-        raise ValidationError(f"--demand must be one of {sorted(DEMAND_LEVELS)}")
-    if o.bus_lanes < 0:
-        raise ValidationError(f"--bus-lanes must be >= 0, got {o.bus_lanes}")
+    cfg = SimConfig(**_fields(o, SimConfig))
+    check_value("--demand", o.demand, "str", one_of=tuple(DEMAND_LEVELS))
+    check_value("--bus-lanes", o.bus_lanes, "int", ge=0)
     pool = len(bus_lane_candidates(net))
     if o.bus_lanes > pool:
         raise ValidationError(f"--bus-lanes {o.bus_lanes} exceeds the network's "
@@ -383,8 +385,8 @@ def cmd_simulate(o) -> int:
     if not o.od:
         raise ValidationError("simulate needs --od")
     od = _load_od(o, net)
-    sc = Scenario(id=0, od=od, scale=o.scale, bus_links=(), seed=o.seed)
-    record = simulate(net, sc, _sim_config(o))
+    sc = Scenario(id=0, od=od, scale=o.scale, bus_links=(), seed=0)
+    record = simulate(net, sc, SimConfig(**_fields(o, SimConfig)))
     rec_dir = _default(o.record_dir, o.out, "record")
     save_record(record, rec_dir)
     log_line("record written", dir=rec_dir, windows=record.n_windows,
@@ -397,9 +399,8 @@ def cmd_partition(o) -> int:
     dataset = _load_ds(o, net)
     first_train = dataset.splits["train"][0]
     record = dataset.records[first_train]
-    params = PartitionParams(k=o.clusters, alpha=o.alpha, beta=o.beta,
-                             t_window=o.t_window, t_max=o.t_max, seed=o.seed)
-    part = partition_network(net, record, params)
+    part = partition_network(net, record, PartitionParams(
+        **_fields(o, PartitionParams), seed=o.seed))
     path = _default(o.partition_file, o.out, "partition.json")
     save_partition(part, path)
     log_line("partition written", path=path, k=o.clusters,
@@ -422,7 +423,7 @@ def _parse_models(o) -> list[str]:
     names = [m.strip().upper() for m in o.models.split(",") if m.strip()]
     for name in names:
         if name not in ("TRUTH",) + harness.STANDARD_MODELS \
-                and name not in harness.NN_MODEL_NAMES:
+                and not _is_estimator(name):
             raise ValidationError(f"unknown model {name!r}")
     return names
 
@@ -431,9 +432,7 @@ def _evaluate(o, section: str, evaluate_split, **kwargs):
     """Score the --models list on --split with ``evaluate_split`` (a
     harness protocol) and write the report under <out>/reports/<section>."""
     net, dataset, part = _load_stack(o)
-    if o.split not in dataset.splits:
-        raise ValidationError(f"--split must be one of "
-                              f"{', '.join(dataset.splits)}, got {o.split!r}")
+    check_value("--split", o.split, "str", one_of=tuple(dataset.splits))
     names = _parse_models(o)
     models = _obtain_models(o, net, dataset, part, names)
     if "LR" in names:
@@ -453,8 +452,7 @@ def cmd_evaluate(o) -> int:
 
 
 def cmd_travel_time(o) -> int:
-    if o.trips < 1:
-        raise ValidationError(f"--trips must be >= 1, got {o.trips}")
+    check_value("--trips", o.trips, "int", ge=1)
     for rep in _evaluate(o, "travel_time", harness.evaluate_travel_time_split,
                          n_trips=o.trips, seed=o.seed):
         log_line("trip-time metrics", model=rep.model, split=o.split,

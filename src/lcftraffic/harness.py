@@ -26,8 +26,6 @@ log = logging.getLogger(__name__)
 
 STANDARD_MODELS = ("MFD", "MFD-P", "LR", "DNN", "DNN-GRU", "GAT", "GAT-GRU",
                    "GAT-GRU-P")
-NN_MODEL_NAMES = ("DNN", "DNN-GRU", "GAT", "GAT-GRU", "DNN-P", "DNN-GRU-P",
-                  "GAT-P", "GAT-GRU-P")
 # mean-speed windows the linear model sees, as the estimators by default
 LR_HISTORY_LEN = 5
 # floor (km/h) on estimated speeds before trips are routed and timed on them

@@ -22,11 +22,12 @@ from __future__ import annotations
 import json
 import logging
 import zipfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import nn
+from .config import bounded, check, from_json, require_keys
 from .network import (MinMaxStats, N_FEATURES, RoadNetwork, build_link_graph,
                       extract_features, fit_minmax, minmax_scale,
                       minmax_unscale)
@@ -40,6 +41,7 @@ LEAKY_SLOPE = 0.2    # negative slope of the attention scores' leaky ReLU
 # never splits a window, so it holds one window when a window alone is larger
 PREDICT_BLOCK_ROWS = 8192
 DTYPES = ("float32", "float64")
+OUTPUT_TYPES = ("Ratio", "Diff", "Speed")
 
 
 @dataclass(frozen=True)
@@ -47,24 +49,16 @@ class ModelConfig:
     use_gat: bool = True
     use_gru: bool = True
     use_partition: bool = True
-    heads: int = 2
-    hidden_dim: int = 128
-    fc_hidden: tuple[int, ...] = (384, 256, 128, 64, 32)
-    history_len: int = 5
-    output_type: str = "Speed"
-    seed: int = 0
-    dtype: str = "float32"
+    heads: int = bounded(2, ge=1)
+    hidden_dim: int = bounded(128, ge=1)
+    fc_hidden: tuple[int, ...] = bounded((384, 256, 128, 64, 32), ge=1)
+    # the history ends with the current window, which the no-GRU head reads
+    history_len: int = bounded(5, ge=1)
+    output_type: str = bounded("Speed", one_of=OUTPUT_TYPES)
+    seed: int = bounded(0, ge=0)
+    dtype: str = bounded("float32", one_of=DTYPES)
 
-    def __post_init__(self):
-        if self.dtype not in DTYPES:
-            raise ValueError(f"dtype must be one of {', '.join(DTYPES)}, "
-                             f"got {self.dtype!r}")
-        # the history ends with the current window, which the no-GRU head reads
-        for name in ("heads", "hidden_dim", "history_len"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if not all(width >= 1 for width in self.fc_hidden):
-            raise ValueError(f"fc_hidden widths must be >= 1, got {self.fc_hidden!r}")
+    __post_init__ = check
 
     @property
     def fc_input_dim(self) -> int:
@@ -362,20 +356,14 @@ class LcfModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lr: float = 0.002
-    lr_step: int = 80
-    lr_gamma: float = 0.85
-    weight_decay: float = 0.01
-    epochs: int = 400
-    window_stride: int = 1
+    lr: float = bounded(0.002, gt=0)
+    lr_step: int = bounded(80, gt=0)
+    lr_gamma: float = bounded(0.85, gt=0)
+    weight_decay: float = bounded(0.01, ge=0)
+    epochs: int = bounded(400, gt=0)
+    window_stride: int = bounded(1, gt=0)
 
-    def __post_init__(self):
-        # "not x > 0" rather than "x <= 0", so that NaN is rejected too
-        for name in ("lr", "lr_step", "lr_gamma", "epochs", "window_stride"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        if not self.weight_decay >= 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay!r}")
+    __post_init__ = check
 
 
 @dataclass
@@ -524,27 +512,22 @@ def load_model(path) -> LcfModel:
                 arrays = dict(archive)
             if "meta" not in arrays:
                 raise ValueError("no 'meta' entry")
-            meta = json.loads(arrays.pop("meta").item())
-            config, norm = meta["config"], meta["norm"]
-            unknown = sorted(set(config) - {f.name for f in fields(ModelConfig)})
-            if unknown:
-                raise ValueError(f"unknown meta {unknown[0]!r}")
-            config = {f.name: config[f.name] for f in fields(ModelConfig)}
-            config["fc_hidden"] = tuple(config["fc_hidden"])
-            stats = {key: np.array(norm[key], dtype=float)
-                     for key in ("feat_lo", "feat_hi") + NORM_KEYS}
+            meta = require_keys(json.loads(arrays.pop("meta").item()),
+                                ("config", "norm"), "meta")
+            config = from_json(ModelConfig, meta["config"], "meta.config")
+            norm = require_keys(meta["norm"], ("feat_lo", "feat_hi") + NORM_KEYS,
+                                "meta.norm")
+            stats = {key: np.array(value, dtype=float) for key, value in norm.items()}
             for key, value in stats.items():
                 want = ((N_FEATURES,), f"{N_FEATURES} finite numbers") \
                     if key.startswith("feat") else ((), "a finite number")
                 if value.shape != want[0] or not np.isfinite(value).all():
                     raise ValueError(f"meta {key!r} must be {want[1]}, "
                                      f"got {norm[key]!r}")
-            model = LcfModel(ModelConfig(**config), Normalization(
+            model = LcfModel(config, Normalization(
                 feat=MinMaxStats(lo=stats["feat_lo"], hi=stats["feat_hi"]),
                 **{key: float(stats[key]) for key in NORM_KEYS}))
             model.load_state(arrays)
-        except KeyError as exc:
-            raise ValueError(f"{path}: no meta {exc.args[0]!r}") from None
         except (ValueError, TypeError, zipfile.BadZipFile) as exc:
             raise ValueError(f"{path}: {exc}") from None
     return model

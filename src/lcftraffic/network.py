@@ -493,9 +493,6 @@ class MinMaxStats:
     def apply(self, matrix: np.ndarray) -> np.ndarray:
         return minmax_scale(matrix, self.lo, self.hi)
 
-    def invert(self, matrix: np.ndarray) -> np.ndarray:
-        return minmax_unscale(matrix, self.lo, self.hi)
-
 
 def fit_minmax(matrix: np.ndarray) -> MinMaxStats:
     if matrix.ndim != 2 or matrix.shape[0] < 1:

@@ -9,12 +9,11 @@ K = 4, alpha = 1, beta = 1.5, window half-width 2 around window index 40.
 from __future__ import annotations
 
 import json
-import math
-import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .config import bounded, check, from_json, require_keys
 from .network import RoadNetwork, fit_minmax
 from .simulate import SimRecord
 
@@ -24,22 +23,14 @@ KMEANS_N_INIT = 10       # k-means++ starts per kmeans call
 
 @dataclass(frozen=True)
 class PartitionParams:
-    k: int = 4
-    alpha: float = 1.0
-    beta: float = 1.5
-    t_window: int = 2
-    t_max: int = 40
-    seed: int = 0
+    k: int = bounded(4, ge=1)
+    alpha: float = bounded(1.0, ge=0)
+    beta: float = bounded(1.5, ge=0)
+    t_window: int = bounded(2, ge=0)
+    t_max: int = bounded(40, ge=0)
+    seed: int = bounded(0, ge=0)
 
-    def __post_init__(self):
-        for f in fields(self):
-            value, lo = getattr(self, f.name), int(f.name == "k")
-            kind = numbers.Real if f.type == "float" else numbers.Integral
-            # a bool is Integral too; NaN fails the range check
-            if isinstance(value, bool) or not isinstance(value, kind) \
-                    or not lo <= value < math.inf:
-                raise ValueError(f"{f.name} must be a finite {f.type} >= {lo}, "
-                                 f"got {value!r}")
+    __post_init__ = check
 
 
 @dataclass(frozen=True)
@@ -176,12 +167,8 @@ def save_partition(assignment: PartitionAssignment, path) -> None:
 
 
 def _assignment_of(doc: dict) -> PartitionAssignment:
-    names = [f.name for f in fields(PartitionParams)]
-    unknown = sorted(set(doc) - {"params", "centroids", "labels"}) \
-        + sorted(set(doc["params"]) - set(names))
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r}")
-    p = PartitionParams(**{name: doc["params"][name] for name in names})
+    require_keys(doc, ("params", "centroids", "labels"), "partition")
+    p = from_json(PartitionParams, doc["params"], "partition.params")
     try:
         centroids = np.array(doc["centroids"], dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -211,7 +198,5 @@ def load_partition(path) -> PartitionAssignment:
             return _assignment_of(json.load(fh))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: {exc}; rerun partition to rewrite it") from None
-    except KeyError as exc:
-        raise ValueError(f"{path}: no key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:  # TypeError: a value of a wrong kind
         raise ValueError(f"{path}: {exc}") from None

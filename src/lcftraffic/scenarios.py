@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import read_json
 from .network import RoadNetwork
 from .simulate import (SimConfig, SimRecord, SimulationError, load_record,
                        save_record, simulate)
@@ -286,24 +287,20 @@ def save_dataset(ds: Dataset, out_dir) -> None:
         save_record(ds.records[sc.id], os.path.join(out_dir, f"scenario_{sc.id:03d}"))
 
 
-_MANIFEST_KEYS = ("master_seed", "demand_level", "window_s", "step_s", "splits",
-                  "scenarios")
-_SCENARIO_KEYS = ("id", "seed", "scale", "bus_links", "factors", "od_pairs",
-                  "od_rates", "ramp_fraction", "record_dir")
+_MANIFEST_KINDS = {"master_seed": "int", "demand_level": "str",
+                   "window_s": "float", "step_s": "float", "splits": "dict",
+                   "scenarios": "tuple[dict, ...]"}
+_SCENARIO_KINDS = {"id": "int", "seed": "int", "scale": "float", "split": "str",
+                   "bus_links": "tuple[int, ...]", "factors": "tuple[float, ...]",
+                   "od_pairs": "tuple[tuple[int, int], ...]", "record_dir": "str",
+                   "od_rates": "tuple[float, ...]", "ramp_fraction": "float"}
 
 
-def _require_keys(obj, keys, what: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} is not a JSON object")
-    for key in keys:
-        if key not in obj:
-            raise ValueError(f"{what} has no {key!r}")
-    return obj
-
-
-def _check_splits(splits: dict[str, list[int]], scenario_ids: list[int]) -> None:
-    """Each scenario id is held once and listed in exactly one split."""
-    held = Counter(scenario_ids)
+def _check_splits(splits: dict[str, list[int]],
+                  named: list[tuple[int, str]]) -> None:
+    """Each scenario id is held once and listed in exactly one split, the
+    one its entry names."""
+    held = Counter(i for i, _ in named)
     listed = Counter(i for ids in splits.values() for i in ids)
     for i in sorted(held | listed):
         if held[i] != 1 or listed[i] != 1:
@@ -311,40 +308,44 @@ def _check_splits(splits: dict[str, list[int]], scenario_ids: list[int]) -> None
             raise ValueError(f"'scenarios' hold id {i} {held[i]} times and "
                              f"'splits' list it in {', '.join(names) or 'none'}; "
                              "each id is held once and in one split")
+    for i, name in named:
+        if i not in splits.get(name, ()):
+            raise ValueError(f"scenario {i} names split {name!r}, which does "
+                             "not list it")
+
+
+def _scenario_of(split, record_dir, od_pairs, od_rates, ramp_fraction,
+                 **fields) -> tuple[Scenario, str, str]:
+    od = ODMatrix(pairs=od_pairs, rates=od_rates, ramp_fraction=ramp_fraction)
+    return Scenario(od=od, **fields), split, record_dir
 
 
 def load_dataset(out_dir) -> Dataset:
-    """Read a dataset saved by ``save_dataset``. Every key read is required,
-    the splits list each scenario id exactly once, and ``window_s`` and
-    ``step_s`` must pass ``SimConfig``'s checks; the records take them.
-    A manifest that breaks any of these is a ValueError naming its path."""
+    """Read a dataset saved by ``save_dataset``. Each object holds exactly
+    the keys written, each value of its kind (none is coerced), the splits
+    list each scenario id once, in the split its entry names, and
+    ``window_s`` and ``step_s`` must pass ``SimConfig``'s checks; the records
+    take them. A manifest that breaks any of these is a ValueError naming its
+    path and the key."""
     path = os.path.join(out_dir, "manifest.json")
     try:  # json.JSONDecodeError is a ValueError
         with open(path) as fh:
-            manifest = _require_keys(json.load(fh), _MANIFEST_KEYS, "manifest")
-        cfg = SimConfig(window_s=float(manifest["window_s"]),
-                        step_s=float(manifest["step_s"]))
-        splits = _require_keys(manifest["splits"], SPLIT_NAMES, "'splits'")
-        splits = {name: [int(i) for i in ids] for name, ids in splits.items()}
-        scenarios, record_dirs = [], {}
-        for n, sd in enumerate(manifest["scenarios"]):
-            _require_keys(sd, _SCENARIO_KEYS, f"scenario {n}")
-            od = ODMatrix(pairs=tuple((int(o), int(d)) for o, d in sd["od_pairs"]),
-                          rates=tuple(float(r) for r in sd["od_rates"]),
-                          ramp_fraction=float(sd["ramp_fraction"]))
-            sc = Scenario(id=int(sd["id"]), od=od, scale=float(sd["scale"]),
-                          bus_links=tuple(int(b) for b in sd["bus_links"]),
-                          seed=int(sd["seed"]),
-                          factors=tuple(float(f) for f in sd["factors"]))
-            scenarios.append(sc)
-            record_dirs[sc.id] = str(sd["record_dir"])
-        _check_splits(splits, [sc.id for sc in scenarios])
-        master_seed = int(manifest["master_seed"])
-        demand_level = str(manifest["demand_level"])
-    except (TypeError, ValueError) as exc:
+            manifest = read_json(json.load(fh), _MANIFEST_KINDS, "manifest")
+        cfg = SimConfig(window_s=manifest["window_s"], step_s=manifest["step_s"])
+        splits = read_json(manifest["splits"],
+                           dict.fromkeys(SPLIT_NAMES, "tuple[int, ...]"),
+                           "manifest.splits")
+        splits = {name: list(ids) for name, ids in splits.items()}
+        entries = [read_json(sd, _SCENARIO_KINDS, f"manifest.scenarios[{n}]",
+                             _scenario_of)
+                   for n, sd in enumerate(manifest["scenarios"])]
+        _check_splits(splits, [(sc.id, split) for sc, split, _ in entries])
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    records = {i: load_record(os.path.join(out_dir, rel), window_s=cfg.window_s,
-                              step_s=cfg.step_s)
-               for i, rel in record_dirs.items()}
-    return Dataset(scenarios=scenarios, splits=splits, records=records,
-                   master_seed=master_seed, demand_level=demand_level)
+    records = {sc.id: load_record(os.path.join(out_dir, rel),
+                                  window_s=cfg.window_s, step_s=cfg.step_s)
+               for sc, _, rel in entries}
+    return Dataset(scenarios=[sc for sc, _, _ in entries], splits=splits,
+                   records=records,
+                   master_seed=manifest["master_seed"],
+                   demand_level=manifest["demand_level"])

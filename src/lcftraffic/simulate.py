@@ -60,11 +60,12 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import EMPTY_VEH, region_mean_speeds
+from .config import bounded, check
 from .network import Link, RoadNetwork, link_travel_times
 
 log = logging.getLogger(__name__)
@@ -79,43 +80,27 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    step_s: float = 5.0
-    window_s: float = 180.0
-    warmup_s: float = 900.0
-    peak_s: float = 6300.0
+    step_s: float = bounded(5.0, gt=0)
+    window_s: float = bounded(180.0, gt=0)
+    warmup_s: float = bounded(900.0, ge=0)
+    peak_s: float = bounded(6300.0, ge=0)
     total_s: float = 21600.0
-    saturation_flow: float = 0.5        # veh/s per usable lane
-    vehicle_length: float = 7.0         # m of storage per vehicle
-    congestion_threshold: float = 0.95  # fraction of storage that blocks inflow
-    v_min_kmh: float = 1.0
-    turn_update_s: float = 180.0
-    turn_smoothing: float = 0.5
+    saturation_flow: float = bounded(0.5, gt=0)       # veh/s per usable lane
+    vehicle_length: float = bounded(7.0, gt=0)        # m of storage per vehicle
+    # fraction of storage that blocks inflow
+    congestion_threshold: float = bounded(0.95, gt=0, le=1)
+    v_min_kmh: float = bounded(1.0, gt=0)
+    turn_update_s: float = bounded(180.0, gt=0)
+    turn_smoothing: float = bounded(0.5, ge=0, le=1)
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-        for name in ("step_s", "window_s", "saturation_flow", "vehicle_length",
-                     "turn_update_s", "v_min_kmh"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be > 0, got {value!r}")
-        for name in ("warmup_s", "peak_s"):
-            value = getattr(self, name)
-            if not value >= 0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
-        if not 0.0 <= self.turn_smoothing <= 1.0:
-            raise ValueError(
-                f"turn_smoothing must be in [0, 1], got {self.turn_smoothing!r}")
+        check(self)
         if self.window_s % self.step_s != 0:
             raise ValueError("window_s must be an integer multiple of step_s")
         if not self.total_s >= self.warmup_s + self.peak_s:
             raise ValueError(f"total_s must cover warmup_s + peak_s "
                              f"({self.warmup_s + self.peak_s!r}), "
                              f"got {self.total_s!r}")
-        if not 0 < self.congestion_threshold <= 1:
-            raise ValueError("congestion_threshold must be in (0, 1]")
 
     @property
     def steps_per_window(self) -> int:

@@ -7,7 +7,8 @@ import numpy as np
 
 FAULTS = ("empty file", "cut-off values", "text checkpoint", "npy file",
           "object array", "no meta entry", "bare meta", "missing meta",
-          "unknown meta", "bad number", "missing parameter",
+          "unknown meta", "bool as text", "unknown output type",
+          "bad number", "missing parameter",
           "extra parameter", "short values", "short statistic",
           "statistic not finite")
 
@@ -59,11 +60,20 @@ def plant(path, fault: str) -> str:
     elif fault == "missing meta":
         del meta["config"]["heads"]
         meta_text = json.dumps(meta)
-        expected = "no meta 'heads'"
+        expected = "meta.config: no key 'heads'"
     elif fault == "unknown meta":    # a field the config no longer has
         meta["config"]["leaky_slope"] = 0.2
         meta_text = json.dumps(meta)
-        expected = "unknown meta 'leaky_slope'"
+        expected = "meta.config: unknown key 'leaky_slope'"
+    elif fault == "bool as text":
+        meta["config"]["use_gru"] = "no"
+        meta_text = json.dumps(meta)
+        expected = "meta.config: use_gru must be a bool, got 'no'"
+    elif fault == "unknown output type":
+        meta["config"]["output_type"] = "Bogus"
+        meta_text = json.dumps(meta)
+        expected = ("meta.config: output_type must be one of Ratio, Diff, "
+                    "Speed, got 'Bogus'")
     elif fault == "bad number":
         meta["norm"]["vmean_lo"] = "1.5x"
         meta_text = json.dumps(meta)

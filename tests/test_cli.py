@@ -23,8 +23,7 @@ def run(args):
 
 
 def build_pipeline(out, seed=5, scenarios=10):
-    assert run(["gen-network", "--out", out, "--grid", "3x3", "--lanes", "2",
-                "--seed", seed]) == 0
+    assert run(["gen-network", "--out", out, "--grid", "3x3", "--lanes", "2"]) == 0
     assert run(["gen-dataset", "--out", out, "--scenarios", scenarios,
                 "--od-pairs", "4", "--od-rate", "400", "--seed", seed]
                + SIM_SMALL) == 0
@@ -209,9 +208,9 @@ def test_manifest_without_window_fails(tmp_path, capsys):
 
 MANIFEST_PROBES = {
     "no-scenarios": (lambda m: m.pop("scenarios"), "evaluate",
-                     "manifest has no 'scenarios'"),
+                     "manifest: no key 'scenarios'"),
     "no-od-rates": (lambda m: m["scenarios"][0].pop("od_rates"), "evaluate",
-                    "scenario 0 has no 'od_rates'"),
+                    "manifest.scenarios[0]: no key 'od_rates'"),
     "unknown-test-id": (lambda m: m["splits"]["test"].append(99), "evaluate",
                         "'scenarios' hold id 99 0 times and 'splits' list it "
                         "in test;"),
@@ -227,6 +226,28 @@ MANIFEST_PROBES = {
     "nan-window": (lambda m: m.update(window_s=math.nan), "travel-time",
                    "window_s must be finite, got nan"),
     "not-json": (None, "evaluate", "Expecting value"),
+    # a value of the wrong kind is refused, never coerced
+    "train-not-a-list": (lambda m: m["splits"].update(train=5), "evaluate",
+                         "manifest.splits: train must be a tuple[int, ...], "
+                         "got 5"),
+    "three-id-od-pair": (lambda m: m["scenarios"][0]["od_pairs"][0].append(0),
+                         "evaluate", "manifest.scenarios[0]: od_pairs[0] must "
+                         "be a tuple[int, int], got ("),
+    "bus-links-text": (lambda m: m["scenarios"][0].update(bus_links="12"),
+                       "evaluate", "manifest.scenarios[0]: bus_links must be a "
+                       "tuple[int, ...], got '12'"),
+    "fractional-id": (lambda m: m["scenarios"][0].update(id=0.5), "evaluate",
+                      "manifest.scenarios[0]: id must be an int, got 0.5"),
+    "window-text": (lambda m: m.update(window_s="180"), "travel-time",
+                    "manifest: window_s must be a float, got '180'"),
+    "fractional-seed": (lambda m: m.update(master_seed=1.9), "evaluate",
+                        "manifest: master_seed must be an int, got 1.9"),
+    "numeric-demand": (lambda m: m.update(demand_level=5), "evaluate",
+                       "manifest: demand_level must be a str, got 5"),
+    "unknown-key": (lambda m: m.update(extra=1), "evaluate",
+                    "manifest: unknown key 'extra'"),
+    "wrong-split": (lambda m: m["scenarios"][0].update(split="none"), "evaluate",
+                    "scenario 0 names split 'none', which does not list it"),
 }
 
 

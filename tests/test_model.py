@@ -20,6 +20,7 @@ from lcftraffic.scenarios import build_dataset, random_base_od
 from lcftraffic.simulate import SimConfig
 
 from ckptfaults import FAULTS, plant, read_checkpoint, write_checkpoint
+from gradcheck import grad_check
 
 
 def tiny_config(**kw):
@@ -296,7 +297,7 @@ def test_config_rejects_an_empty_history(history_len):
 @pytest.mark.parametrize("field,value,expected", [
     ("heads", 0, "heads must be >= 1, got 0"),
     ("hidden_dim", 0, "hidden_dim must be >= 1, got 0"),
-    ("fc_hidden", (8, 0), r"fc_hidden widths must be >= 1, got \(8, 0\)"),
+    ("fc_hidden", (8, 0), r"fc_hidden\[1\] must be >= 1, got 0"),
 ])
 def test_config_rejects_empty_layers(field, value, expected):
     with pytest.raises(ValueError, match=expected):
@@ -307,7 +308,7 @@ def test_config_rejects_empty_layers(field, value, expected):
     ("epochs", 0, "epochs must be > 0, got 0"),
     ("window_stride", 0, "window_stride must be > 0, got 0"),
     ("lr", -1.0, r"lr must be > 0, got -1\.0"),
-    ("lr", math.nan, "lr must be > 0, got nan"),
+    ("lr", math.nan, "lr must be finite, got nan"),
     ("lr_step", 0, "lr_step must be > 0, got 0"),
     ("lr_gamma", 0.0, r"lr_gamma must be > 0, got 0\.0"),
     ("weight_decay", -0.1, r"weight_decay must be >= 0, got -0\.1"),
@@ -372,7 +373,7 @@ def test_end_to_end_gradcheck_small():
     def closure():
         return nn.mse_loss(model.forward(feats, adj, hist), target)
 
-    err = nn.grad_check(closure, model.parameters(), eps=1e-6)
+    err = grad_check(closure, model.parameters(), eps=1e-6)
     assert err < 1e-4
 
 

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from lcftraffic import nn
-from lcftraffic.nn import AdamW, Tensor, backward, grad_check, steplr
+from lcftraffic.nn import AdamW, Tensor, backward, steplr
+
+from gradcheck import grad_check
 
 
 def fd_gradient(closure, p: Tensor, eps: float = 1e-6) -> np.ndarray:

@@ -215,11 +215,14 @@ def test_partition_file_round_trip(tmp_path):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
-@pytest.mark.parametrize("field,value", [
-    ("k", 0), ("k", 2.0), ("alpha", float("nan")), ("beta", float("inf")),
-    ("t_max", -1), ("seed", True)])
-def test_partition_params_reject_out_of_range_values(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be a finite "):
+@pytest.mark.parametrize("field,value,rule", [
+    ("k", 0, ">= 1"), ("k", 2.0, "an int"), ("alpha", float("nan"), "finite"),
+    ("beta", float("inf"), "finite"), ("t_max", -1, ">= 0"),
+    ("seed", True, "an int")],
+    ids=["k-0", "k-2.0", "alpha-nan", "beta-inf", "t_max--1", "seed-True"])
+def test_partition_params_reject_out_of_range_values(field, value, rule):
+    expected = f"{field} must be {rule}, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(expected)):
         PartitionParams(**{field: value})
 
 
@@ -242,10 +245,10 @@ def test_load_partition_names_file_and_line_or_key(tmp_path, case):
         expected = f"{path}: labels: [5] is not a [link, label] pair"
     elif case == "missing param":
         del doc["params"]["k"]
-        expected = f"{path}: no key 'k'"
+        expected = f"{path}: partition.params: no key 'k'"
     elif case == "bad param value":
         doc["params"]["alpha"] = "one"
-        expected = f"{path}: alpha must be a finite float >= 0, got 'one'"
+        expected = f"{path}: partition.params: alpha must be a float, got 'one'"
     elif case == "bad centroid":
         doc["centroids"][1][2] = "y"
         expected = f"{path}: centroids: could not convert string to float: 'y'"
@@ -263,7 +266,7 @@ def test_load_partition_names_file_and_line_or_key(tmp_path, case):
         expected = f"{path}: Expecting"
     else:
         doc["boundary"] = [5]
-        expected = f"{path}: unknown key 'boundary'"
+        expected = f"{path}: partition: unknown key 'boundary'"
     path.write_text(json.dumps(doc) if text is None else text)
     with pytest.raises(ValueError, match=re.escape(expected)):
         load_partition(path)
