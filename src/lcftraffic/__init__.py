@@ -9,8 +9,8 @@ partition. Baselines and a travel-time evaluation harness round out the
 toolkit.
 """
 
-from .network import (FEATURE_NAMES, Link, MinMaxStats, NetworkError,
-                      RoadNetwork, SignalPlan, build_link_graph,
+from .network import (FEATURE_NAMES, Link, LinkGraph, MinMaxStats,
+                      NetworkError, RoadNetwork, SignalPlan, build_link_graph,
                       extract_features, fit_minmax, generate_grid_network,
                       load_network, save_network)
 from .simulate import (SimConfig, SimRecord, SimulationError, SimState,

@@ -10,10 +10,14 @@ plain dense projection and/or drop the recurrent branch, which yields the
 DNN / DNN-GRU / GAT baseline family; a partition assignment fills the
 sub-region feature column for the "-P" variants.
 
+The attention runs on the link graph's edge list (``network.LinkGraph``):
+scores, softmax and weighted sums live on the edges, so its memory grows
+with the edges, and no (links x links) array is built.
+
 Precision: the model runs in ``ModelConfig.dtype``, float32 by default. The
-attention heads' parameters and arithmetic stay float64, so their softmax
-rows sum to 1 within float64 rounding, and ``spatial_embed`` casts its output
-to the model dtype. Normalization statistics, decoding and everything
+attention heads' parameters and arithmetic stay float64, so each link's
+coefficients sum to 1 within float64 rounding, and ``spatial_embed`` casts
+its output to the model dtype. Normalization statistics, decoding and everything
 downstream of a prediction stay float64.
 """
 
@@ -28,9 +32,9 @@ import numpy as np
 
 from . import nn
 from .config import bounded, check, from_json, require_keys
-from .network import (MinMaxStats, N_FEATURES, RoadNetwork, build_link_graph,
-                      extract_features, fit_minmax, minmax_scale,
-                      minmax_unscale)
+from .network import (LinkGraph, MinMaxStats, N_FEATURES, RoadNetwork,
+                      build_link_graph, extract_features, fit_minmax,
+                      minmax_scale, minmax_unscale)
 from .nn import Tensor
 
 log = logging.getLogger(__name__)
@@ -39,7 +43,7 @@ PAD_VALUE = -1.0
 LEAKY_SLOPE = 0.2    # negative slope of the attention scores' leaky ReLU
 # (window, link) rows the head takes per call in predict_windows; a block
 # never splits a window, so it holds one window when a window alone is larger
-PREDICT_BLOCK_ROWS = 8192
+PREDICT_BLOCK_ROWS = 2048
 DTYPES = ("float32", "float64")
 OUTPUT_TYPES = ("Ratio", "Diff", "Speed")
 
@@ -144,7 +148,11 @@ def pad_history(vmean_norm: np.ndarray, history_len: int) -> np.ndarray:
 class LcfModel:
     """Parameter container plus forward pass."""
 
-    def __init__(self, config: ModelConfig, norm: Normalization | None = None):
+    def __init__(self, config: ModelConfig, norm: Normalization | None = None,
+                 state: dict[str, np.ndarray] | None = None):
+        """Parameters from ``state`` when given (names and shapes must
+        match; each array is cast to its parameter's dtype), else a Glorot
+        draw seeded by ``config.seed``."""
         self.config = config
         self.norm = norm
         self.dtype = np.dtype(config.dtype)
@@ -153,11 +161,17 @@ class LcfModel:
         self.params: dict[str, Tensor] = {}  # in creation order
 
         def make(name: str, shape, zero=False, dtype=self.dtype):
-            # drawn in float64, so both dtypes start from the same draws
-            data = np.zeros(shape) if zero else nn.glorot(rng, shape)
-            t = Tensor(data.astype(dtype), requires_grad=True)
-            self.params[name] = t
-            return t
+            if state is None:
+                # drawn in float64, so both dtypes start from the same draws
+                data = np.zeros(shape) if zero else nn.glorot(rng, shape)
+            elif name not in state:
+                raise ValueError(f"array {name!r} is missing; expected shape {shape}")
+            elif state[name].shape != shape:
+                raise ValueError(f"array {name!r} has shape {state[name].shape}, "
+                                 f"expected {shape}")
+            else:
+                data = state[name]
+            self.params[name] = Tensor(data.astype(dtype), requires_grad=True)
 
         if config.use_gat:
             # the attention heads stay float64 (module docstring)
@@ -176,6 +190,9 @@ class LcfModel:
         for i in range(len(dims) - 1):
             make(f"fc.{i}.W", (dims[i], dims[i + 1]))
             make(f"fc.{i}.b", (1, dims[i + 1]), zero=True)
+        extra = sorted(set(state or ()) - set(self.params))
+        if extra:
+            raise ValueError(f"unexpected array {extra[0]!r} for {config.name}")
 
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
@@ -184,54 +201,53 @@ class LcfModel:
         return sum(p.data.size for p in self.parameters())
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Replace every parameter, cast to its dtype; the names and shapes
-        must match."""
-        extra = sorted(set(arrays) - set(self.params))
-        if extra:
-            raise ValueError(f"unexpected array {extra[0]!r} for {self.config.name}")
+        """Replace every parameter's data, checked and cast as ``state`` is
+        in the constructor."""
+        loaded = LcfModel(self.config, state=arrays).params
         for n, p in self.params.items():
-            expected = p.data.shape
-            if n not in arrays:
-                raise ValueError(f"array {n!r} is missing; expected shape {expected}")
-            if arrays[n].shape != expected:
-                raise ValueError(f"array {n!r} has shape {arrays[n].shape}, "
-                                 f"expected {expected}")
-            p.data = arrays[n].astype(p.data.dtype)
+            p.data = loaded[n].data
 
     # forward pieces -------------------------------------------------------
 
-    def _attention(self, feats: Tensor, adj_mask: np.ndarray,
+    def _attention(self, feats: Tensor, graph: LinkGraph,
                    head: int) -> tuple[Tensor, Tensor]:
         """One GAT head: the projected features (feats @ W) and the
-        attention coefficients, a row-wise softmax over each link's
-        neighbourhood in the link graph."""
+        attention coefficient of every edge, (E, 1), a softmax over each
+        link's edges of leaky_relu(a_src . Wh[src] + a_dst . Wh[dst])."""
         wh = nn.matmul(feats, self.params[f"gat.h{head}.W"])
         s_src = nn.matmul(wh, self.params[f"gat.h{head}.a_src"])
         s_dst = nn.matmul(wh, self.params[f"gat.h{head}.a_dst"])
-        scores = nn.leaky_relu(nn.add(s_src, nn.transpose(s_dst)), LEAKY_SLOPE)
-        neg = nn.constant(np.where(adj_mask, 0.0, -1e30))
-        return wh, nn.softmax_rowwise(nn.add(scores, neg))
+        scores = nn.leaky_relu(nn.add(nn.gather(s_src, graph.src),
+                                      nn.gather(s_dst, graph.dst)), LEAKY_SLOPE)
+        return wh, nn.segment_softmax(scores, graph.seg_start)
 
-    def spatial_embed(self, feats: Tensor, adj_mask: np.ndarray) -> Tensor:
+    def spatial_embed(self, feats: Tensor, graph: LinkGraph) -> Tensor:
+        """Each link's relu(sum over its edges of att * Wh[dst]), averaged
+        over the heads; without attention, a relu dense layer."""
         cfg = self.config
         if not cfg.use_gat:
             return nn.dense(feats, self.params["dnn.W"], self.params["dnn.b"],
                             relu=True)
         heads = []
         for k in range(cfg.heads):
-            wh, att = self._attention(feats, adj_mask, k)
-            heads.append(nn.relu(nn.matmul(att, wh)))
+            wh, att = self._attention(feats, graph, k)
+            heads.append(nn.relu(nn.segment_sum(
+                nn.mul(att, nn.gather(wh, graph.dst)), graph.seg_start)))
         out = heads[0]
         for extra in heads[1:]:
             out = nn.add(out, extra)
         return nn.astype(nn.scale(out, 1.0 / cfg.heads), self.dtype)
 
-    def attention_matrix(self, feats_norm: np.ndarray, adj_mask: np.ndarray,
+    def attention_matrix(self, feats_norm: np.ndarray, graph: LinkGraph,
                          head: int = 0) -> np.ndarray:
         """Attention coefficients of one head, as spatial_embed computes
-        them (diagnostics and tests)."""
+        them, as a dense (links x links) matrix that is zero off the edges:
+        for diagnostics and tests on small networks."""
         with nn.no_grad():
-            return self._attention(nn.constant(feats_norm), adj_mask, head)[1].data
+            att = self._attention(nn.constant(feats_norm), graph, head)[1].data
+        dense = np.zeros((graph.n_links, graph.n_links))
+        dense[graph.src, graph.dst] = att[:, 0]
+        return dense
 
     def temporal_embed(self, hist_norm: np.ndarray) -> Tensor:
         """GRU over (B, history_len) normalized mean-speed sequences, run in
@@ -277,14 +293,14 @@ class LcfModel:
                          relu=i < n_layers - 1)
         return x
 
-    def _embed(self, feats_norm: np.ndarray, adj_mask: np.ndarray,
+    def _embed(self, feats_norm: np.ndarray, graph: LinkGraph,
                hist_norm: np.ndarray) -> tuple[Tensor, Tensor]:
         """The head's inputs: spatial (n_links, hidden) and temporal rows,
         one per window (the GRU state, or the history's last column, the
         window's normalized mean speed). The inputs are cast to the model
         dtype, a no-op for a ``SampleBatch``."""
         spatial = self.spatial_embed(
-            nn.constant(np.asarray(feats_norm, dtype=self.dtype)), adj_mask)
+            nn.constant(np.asarray(feats_norm, dtype=self.dtype)), graph)
         if self.config.use_gru:
             temporal = self.temporal_embed(hist_norm)
         else:
@@ -292,11 +308,11 @@ class LcfModel:
                 np.asarray(hist_norm[:, -1:], dtype=self.dtype))
         return spatial, temporal
 
-    def forward(self, feats_norm: np.ndarray, adj_mask: np.ndarray,
+    def forward(self, feats_norm: np.ndarray, graph: LinkGraph,
                 hist_norm: np.ndarray) -> Tensor:
         """Raw normalized outputs, shape (batch * n_links, 1), window-major;
         ``hist_norm`` holds one ``pad_history`` row per window."""
-        spatial, temporal = self._embed(feats_norm, adj_mask, hist_norm)
+        spatial, temporal = self._embed(feats_norm, graph, hist_norm)
         return self.fuse(spatial, temporal, hist_norm.shape[0])
 
     # prediction -----------------------------------------------------------
@@ -312,14 +328,15 @@ class LcfModel:
         (window, link) rows unless one window alone has more links, and
         each block is decoded into the output before the next one starts.
         Peak memory is therefore bounded by one block's head activations,
-        a layer's input and output at once (8,192 x (384 + 256) x 4 B in
-        float32, about 21 MB, at the default widths), not by windows x
-        links. Blocks of two or more windows give the same bits as one head
-        call over all windows; a one-window block can differ in the last
-        bits, since a one-row matrix product takes another BLAS path. The
-        head's output is decoded in float64. Balancing leaves no
+        a layer's input and output at once (2,048 x (384 + 256) x 4 B in
+        float32, about 5 MB, at the default widths), not by windows x
+        links; the attention's is bounded by the link graph's edges.
+        Blocks of two or more windows give the same bits as one head call
+        over all windows; a one-window block can differ in the last bits,
+        since a one-row matrix product takes another BLAS path. The head's
+        output is decoded in float64. Balancing leaves no
         lone-window block (unless the call has one window) while a block
-        fits three or more windows, i.e. up to 2,730 links.
+        fits three or more windows, i.e. up to 682 links.
         """
         if self.norm is None:
             raise ValueError("model has no normalization statistics; train first")
@@ -330,7 +347,7 @@ class LcfModel:
         windows = list(windows)
         feats = extract_features(net, partition if cfg.use_partition else None)
         feats_norm = self.norm.feat.apply(feats)
-        adj = build_link_graph(net)
+        graph = build_link_graph(net)
         hist = pad_history(self.norm.norm_vmean(vmean_kmh), cfg.history_len)[windows]
         vff = net.index.vff_kmh
         v_now = vmean_kmh[windows, None]
@@ -339,7 +356,7 @@ class LcfModel:
         n_blocks = -(-len(windows) // per_block)
         out = np.empty((len(windows), n_links))
         with nn.no_grad():
-            spatial, temporal = self._embed(feats_norm, adj, hist)
+            spatial, temporal = self._embed(feats_norm, graph, hist)
             for block in np.array_split(np.arange(len(windows)), n_blocks):
                 b = slice(block[0], block[-1] + 1)
                 raw = self.fuse(spatial, nn.constant(temporal.data[b]),
@@ -368,11 +385,11 @@ class TrainConfig:
 
 @dataclass
 class SampleBatch:
-    """All training windows of one scenario share features and adjacency;
-    the arrays are in the model dtype."""
+    """All training windows of one scenario share features and the link
+    graph; the arrays are in the model dtype."""
 
     feats_norm: np.ndarray
-    adj: np.ndarray
+    adj: LinkGraph          # the link graph's edge list
     hist: np.ndarray        # (B, history_len)
     targets: np.ndarray     # (B * n_links, 1) normalized
 
@@ -392,7 +409,7 @@ def build_batches(net: RoadNetwork, dataset, split: str, feats: list[np.ndarray]
     ``feats`` are the scenarios' ``split_features``."""
     dtype = np.dtype(model_cfg.dtype)
     batches = []
-    adj = build_link_graph(net)
+    graph = build_link_graph(net)
     for sc, sc_feats in zip(dataset.split_scenarios(split), feats):
         record = dataset.records[sc.id]
         windows = np.arange(0, record.n_windows, stride)
@@ -402,7 +419,7 @@ def build_batches(net: RoadNetwork, dataset, split: str, feats: list[np.ndarray]
             record.speeds[windows], record.mean_speed[windows, None],
             model_cfg.output_type)).reshape(-1, 1)
         batches.append(SampleBatch(norm.feat.apply(sc_feats).astype(dtype),
-                                   adj, hist.astype(dtype),
+                                   graph, hist.astype(dtype),
                                    targets.astype(dtype)))
     return batches
 
@@ -526,8 +543,7 @@ def load_model(path) -> LcfModel:
                                      f"got {norm[key]!r}")
             model = LcfModel(config, Normalization(
                 feat=MinMaxStats(lo=stats["feat_lo"], hi=stats["feat_hi"]),
-                **{key: float(stats[key]) for key in NORM_KEYS}))
-            model.load_state(arrays)
+                **{key: float(stats[key]) for key in NORM_KEYS}), state=arrays)
         except (ValueError, TypeError, zipfile.BadZipFile) as exc:
             raise ValueError(f"{path}: {exc}") from None
     return model

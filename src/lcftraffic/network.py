@@ -5,7 +5,8 @@ A road network is a directed graph of links joined at junctions. For the
 attention model the network is re-expressed as a *link graph* in which every
 link becomes a node and an edge (i, j) exists whenever link j is directly
 downstream of link i; every node also carries a self-loop so that a link
-attends to itself.
+attends to itself. The graph is held as an edge list (``LinkGraph``), so its
+size grows with the edges, never with the square of the link count.
 
 Each link is summarised by 10 attributes, in this fixed column order:
 
@@ -253,13 +254,41 @@ class RoadNetwork:
         return RoadNetwork(self.junctions, new_links, list(self.signals.values()))
 
 
-def build_link_graph(net: RoadNetwork) -> np.ndarray:
-    """(N, N) bool links-as-nodes mask by link index: [i, j] is set when
-    link j is directly downstream of link i, and on the diagonal."""
+@dataclass(frozen=True, eq=False)
+class LinkGraph:
+    """The links-as-nodes graph as an edge list by link index: edge (i, j)
+    lets link i attend to link j. The edges are sorted by (src, dst), so the
+    edges of link i are the segment ``seg_start[i]`` up to the next link's
+    start (or the end); each segment holds the link's self-loop, so none is
+    empty. The arrays are read-only."""
+
+    src: np.ndarray        # (E,) attending link of each edge
+    dst: np.ndarray        # (E,) link it attends to
+    seg_start: np.ndarray  # (N,) first edge of each link
+
+    @classmethod
+    def of_pairs(cls, n_links: int, src, dst) -> "LinkGraph":
+        """Every link's self-loop plus the given (src, dst) pairs, each edge
+        kept once."""
+        src, dst = (np.asarray(x, dtype=np.int64) for x in (src, dst))
+        loops = np.arange(n_links, dtype=np.int64)
+        key = np.unique(np.concatenate([src * n_links + dst,
+                                        loops * (n_links + 1)]))
+        src, dst = np.divmod(key, n_links)
+        return cls(src=_frozen(src, np.intp), dst=_frozen(dst, np.intp),
+                   seg_start=_frozen(np.searchsorted(src, np.arange(n_links)),
+                                     np.intp))
+
+    @property
+    def n_links(self) -> int:
+        return len(self.seg_start)
+
+
+def build_link_graph(net: RoadNetwork) -> LinkGraph:
+    """The network's link graph: link j is an edge of link i when it is
+    directly downstream of it (a connectivity pair), plus the self-loops."""
     idx = net.index
-    adj = np.eye(net.n_links, dtype=bool)
-    adj[idx.pair_up, idx.pair_dn] = True
-    return adj
+    return LinkGraph.of_pairs(net.n_links, idx.pair_up, idx.pair_dn)
 
 
 def link_travel_times(length_m, speeds_kmh):

@@ -2,10 +2,13 @@
 arrays.
 
 Only the handful of operations the estimator needs are implemented:
-matmul, broadcasting add/mul, concat, relu, leaky_relu, sigmoid, tanh,
-row-wise softmax, transpose, an MSE loss, and two fused dense layers:
-``dense`` (x @ W + b, optional relu) and ``pair_dense`` (the same layer
-applied to every (row of a, row of b) concatenation without building it).
+matmul, broadcasting add/mul, concat, relu, leaky_relu, sigmoid, tanh, an
+MSE loss, two fused dense layers, ``dense`` (x @ W + b, optional relu) and
+``pair_dense`` (the same layer applied to every (row of a, row of b)
+concatenation without building it), and the three edge-list ops of graph
+attention: ``gather`` (rows by index; its backward scatter-adds),
+``segment_softmax`` and ``segment_sum`` (over contiguous, non-empty row
+segments).
 Each op records one backward closure, which maps the output gradient to a
 tuple of gradients, one per parent in order; ``backward`` walks the tape in
 reverse topological order and hands each parent that requires a gradient
@@ -148,10 +151,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                   vjp=lambda g: (g @ b.data.T, a.data.T @ g))
 
 
-def transpose(a: Tensor) -> Tensor:
-    return Tensor(a.data.T, parents=(a,), vjp=lambda g: (g.T,))
-
-
 def concat(tensors, axis: int = 1) -> Tensor:
     tensors = tuple(tensors)
     cuts = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
@@ -182,16 +181,48 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor(y, parents=(a,), vjp=lambda g: (g * (1.0 - y * y),))
 
 
-def softmax_rowwise(a: Tensor) -> Tensor:
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+def gather(a: Tensor, index: np.ndarray) -> Tensor:
+    """Rows ``a[index]``; the backward scatter-adds each row's gradient into
+    the row it was read from."""
 
     def vjp(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
+        grad = np.zeros_like(a.data)
+        np.add.at(grad, index, g)
+        return (grad,)
+
+    return Tensor(a.data[index], parents=(a,), vjp=vjp)
+
+
+def _segment_sizes(starts: np.ndarray, n_rows: int) -> np.ndarray:
+    """Row count of each segment; a segment runs from its start to the next
+    one's (the last to ``n_rows``)."""
+    sizes = np.diff(np.append(starts, n_rows))
+    if len(starts) == 0 or starts[0] != 0 or not (sizes > 0).all():
+        raise ValueError(f"segments of {n_rows} rows must start at row 0 and "
+                         f"be non-empty, got starts {np.asarray(starts)}")
+    return sizes
+
+
+def segment_softmax(a: Tensor, starts: np.ndarray) -> Tensor:
+    """Softmax down the rows of each segment (see ``_segment_sizes``), each
+    column on its own."""
+    sizes = _segment_sizes(starts, a.data.shape[0])
+    peak = np.maximum.reduceat(a.data, starts, axis=0)
+    e = np.exp(a.data - np.repeat(peak, sizes, axis=0))
+    y = e / np.repeat(np.add.reduceat(e, starts, axis=0), sizes, axis=0)
+
+    def vjp(g):
+        dot = np.add.reduceat(g * y, starts, axis=0)
+        return (y * (g - np.repeat(dot, sizes, axis=0)),)
 
     return Tensor(y, parents=(a,), vjp=vjp)
+
+
+def segment_sum(a: Tensor, starts: np.ndarray) -> Tensor:
+    """One row per segment (see ``_segment_sizes``): the sum of its rows."""
+    sizes = _segment_sizes(starts, a.data.shape[0])
+    return Tensor(np.add.reduceat(a.data, starts, axis=0), parents=(a,),
+                  vjp=lambda g: (np.repeat(g, sizes, axis=0),))
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -207,7 +238,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
 
     def vjp(g):
         if relu:
-            g = np.where(out > 0.0, g, 0.0)
+            g = g * (out > 0.0)
         return g @ w.data.T, x.data.T @ g, g.sum(axis=0, keepdims=True)
 
     return Tensor(out, parents=(x, w, b), vjp=vjp)
@@ -240,7 +271,7 @@ def pair_dense(inner: Tensor, outer: Tensor, w: Tensor, b: Tensor,
     def vjp(g):
         g = g.reshape(m, n, k)
         if relu:
-            g = np.where(out > 0.0, g, 0.0)
+            g = g * (out > 0.0)
         g_in, g_out = g.sum(axis=0), g.sum(axis=1)
         return (g_in @ w.data[:h].T, g_out @ w.data[h:].T,
                 np.vstack([inner.data.T @ g_in, outer.data.T @ g_out]),

@@ -128,6 +128,14 @@ def scatter_sum(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat, weights=values.ravel(), minlength=n * d).reshape(n, d)
 
 
+def _capped_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``np.minimum(1.0, num / np.maximum(den, 1e-300))`` to the bit, taken
+    as ``min(num, d) / d``: where ``num >= d`` that is exactly 1, so a large
+    free storage over a tiny flow cannot overflow to inf."""
+    den = np.maximum(den, 1e-300)
+    return np.minimum(num, den) / den
+
+
 def shortest_time_to_dest(net: RoadNetwork, tau: np.ndarray,
                           dest_indices: np.ndarray) -> np.ndarray:
     """(links, destinations) travel times from entering each link to
@@ -374,7 +382,7 @@ class SimState:
         # cap - occ is > 0 wherever the gate is kept
         occ = np.add.reduce(m, 1) + w_sum
         inflow_des = scatter_sum(self.pair_dn, np.add.reduce(q1, 1), z)
-        gate = np.minimum(1.0, (self.cap - occ) / np.maximum(inflow_des, 1e-300))
+        gate = _capped_ratio(self.cap - occ, inflow_des)
         gate[occ >= self.block_at] = 0.0
         q = q1 * gate[self.dn_col]
 
@@ -400,7 +408,7 @@ class SimState:
             room = np.maximum(
                 self.cap - (np.add.reduce(m, 1) + np.add.reduce(w, 1)), 0.0)
             want = scatter_sum(self.od_origin, backlog, z)
-            frac = np.minimum(1.0, room / np.maximum(want, 1e-300))
+            frac = _capped_ratio(room, want)
             inject = backlog * frac[self.od_origin]
             np.add.at(m, (self.od_origin, self.od_col), inject)
             np.add.at(pend, (slots[self.od_origin], self.od_origin, self.od_col),

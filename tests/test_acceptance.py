@@ -24,6 +24,7 @@ from lcftraffic.partition import PartitionParams, kmeans, partition_network
 from lcftraffic.scenarios import ODMatrix, Scenario, build_dataset, random_base_od
 from lcftraffic.simulate import SimConfig, _window_stats, simulate
 
+from dense_gat import graph_of
 from gradcheck import grad_check
 
 
@@ -141,7 +142,10 @@ def test_04_gradient_fidelity():
         "leaky_relu": lambda p: nn.leaky_relu(p, 0.2),
         "sigmoid": nn.sigmoid,
         "tanh": nn.tanh,
-        "softmax_rowwise": nn.softmax_rowwise,
+        # edge-list attention: rows 0 and 2 read twice, row 3 never
+        "gather": lambda p: nn.gather(p, np.array([0, 2, 2, 4, 1, 0])),
+        "segment_softmax": lambda p: nn.segment_softmax(p, np.array([0, 2])),
+        "segment_sum": lambda p: nn.segment_sum(p, np.array([0, 1, 3])),
     }
     worst_primitive = 0.0
     for name, fn in primitives.items():
@@ -153,14 +157,13 @@ def test_04_gradient_fidelity():
     model = LcfModel(ModelConfig(heads=2, hidden_dim=3, fc_hidden=(6,), seed=4,
                                  dtype="float64"))
     n = 4
-    adj = rng.random((n, n)) < 0.5
-    np.fill_diagonal(adj, True)
+    graph = graph_of(rng.random((n, n)) < 0.5)
     feats = rng.uniform(0, 1, size=(n, 10))
     hist = rng.uniform(0, 1, size=(2, 5))
     target = nn.constant(rng.uniform(0, 1, size=(2 * n, 1)))
 
     def closure():
-        return nn.mse_loss(model.forward(feats, adj, hist), target)
+        return nn.mse_loss(model.forward(feats, graph, hist), target)
 
     err_model = grad_check(closure, model.parameters(), eps=1e-6)
     elapsed = time.perf_counter() - t0
@@ -176,17 +179,20 @@ def test_04_gradient_fidelity():
 
 def test_05_attention_rows_sum_to_one():
     net = generate_grid_network(3, 3, 100.0, 2)
-    adj = build_link_graph(net)
+    graph = build_link_graph(net)
     feats = extract_features(net, None)
     feats = feats / np.maximum(feats.max(axis=0), 1.0)
     worst = 0.0
     for seed in range(1000):
         model = LcfModel(ModelConfig(heads=1, hidden_dim=4, fc_hidden=(4,),
                                      seed=seed))
-        att = model.attention_matrix(feats, adj)
-        worst = max(worst, float(np.abs(att.sum(axis=1) - 1.0).max()))
+        # each link's coefficients, one per edge, summed over its segment
+        edge_att = model.attention_matrix(feats, graph)[graph.src, graph.dst]
+        sums = np.add.reduceat(edge_att, graph.seg_start)
+        worst = max(worst, float(np.abs(sums - 1.0).max()))
     assert worst < 1e-12
-    announce(5, f"1000 random draws, worst row-sum deviation {worst:.2e}")
+    announce(5, f"1000 random draws, worst row-sum deviation {worst:.2e} "
+                f"over {len(graph.src)} edges")
 
 
 # ---------------------------------------------------------------------------

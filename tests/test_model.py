@@ -12,7 +12,7 @@ from lcftraffic import nn
 from lcftraffic.model import (LcfModel, ModelConfig, Normalization, TrainConfig,
                               config_from_name, decode_output, encode_targets,
                               load_model, pad_history, save_model, train)
-from lcftraffic.network import (MinMaxStats, build_link_graph,
+from lcftraffic.network import (MinMaxStats, RoadNetwork, build_link_graph,
                                 extract_features, fit_minmax,
                                 generate_grid_network)
 from lcftraffic.partition import PartitionParams, partition_network
@@ -20,6 +20,7 @@ from lcftraffic.scenarios import build_dataset, random_base_od
 from lcftraffic.simulate import SimConfig
 
 from ckptfaults import FAULTS, plant, read_checkpoint, write_checkpoint
+from dense_gat import dense_spatial_embed, graph_of, mask_of
 from gradcheck import grad_check
 
 
@@ -64,7 +65,7 @@ def test_gat_two_node_hand_values():
     feats[0, 0] = 1.0
     feats[1, 1] = 1.0
     adj = np.ones((2, 2), dtype=bool)
-    out = model.spatial_embed(nn.constant(feats), adj).data
+    out = model.spatial_embed(nn.constant(feats), graph_of(adj)).data
     frozen = np.array([[2.7615941559557644, 3.7615941559557644],
                        [2.7615941559557644, 3.7615941559557644]])
     assert np.max(np.abs(out - frozen)) < 1e-12
@@ -80,10 +81,10 @@ def test_gat_single_node_self_loop():
     feats = np.zeros((1, 10))
     feats[0, :3] = [0.5, 1.0, -2.0]
     adj = np.ones((1, 1), dtype=bool)
-    att = model.attention_matrix(feats, adj)
+    att = model.attention_matrix(feats, graph_of(adj))
     assert att[0, 0] == 1.0
     wh = feats @ model.params["gat.h0.W"].data
-    out = model.spatial_embed(nn.constant(feats), adj).data
+    out = model.spatial_embed(nn.constant(feats), graph_of(adj)).data
     assert np.allclose(out, np.maximum(wh, 0.0))
 
 
@@ -95,7 +96,7 @@ def test_gat_matches_oracle_on_random_graphs():
         adj = rng.random((n, n)) < 0.4
         np.fill_diagonal(adj, True)
         feats = rng.normal(size=(n, 10))
-        out = model.spatial_embed(nn.constant(feats), adj).data
+        out = model.spatial_embed(nn.constant(feats), graph_of(adj)).data
         oracle = gat_oracle(feats, adj, model.params["gat.h0.W"].data,
                             model.params["gat.h0.a_src"].data,
                             model.params["gat.h0.a_dst"].data)
@@ -104,15 +105,15 @@ def test_gat_matches_oracle_on_random_graphs():
 
 def test_attention_rows_sum_to_one_for_random_parameters():
     net = generate_grid_network(3, 3, 100.0, 2)
-    adj = build_link_graph(net)
+    graph = build_link_graph(net)
     feats = extract_features(net, None)
     feats = feats / np.maximum(feats.max(axis=0), 1.0)
     for seed in range(50):
         model = LcfModel(tiny_config(hidden_dim=4, seed=seed))
-        att = model.attention_matrix(feats, adj)
-        sums = att.sum(axis=1)
+        att = model.attention_matrix(feats, graph)
+        sums = np.add.reduceat(att[graph.src, graph.dst], graph.seg_start)
         assert np.max(np.abs(sums - 1.0)) < 1e-12
-        assert np.all(att[~adj] == 0.0)
+        assert np.all(att[~mask_of(graph)] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +353,9 @@ def test_forward_is_permutation_equivariant():
     np.fill_diagonal(adj, True)
     feats = rng.normal(size=(n, 10))
     hist = rng.uniform(0, 1, size=(2, 5))
-    out = model.forward(feats, adj, hist).data.reshape(2, n)
+    out = model.forward(feats, graph_of(adj), hist).data.reshape(2, n)
     perm = rng.permutation(n)
-    out_p = model.forward(feats[perm], adj[np.ix_(perm, perm)],
+    out_p = model.forward(feats[perm], graph_of(adj[np.ix_(perm, perm)]),
                           hist).data.reshape(2, n)
     assert np.max(np.abs(out_p - out[:, perm])) < 1e-12
 
@@ -371,7 +372,7 @@ def test_end_to_end_gradcheck_small():
     target = nn.constant(rng.uniform(0, 1, size=(2 * n, 1)))
 
     def closure():
-        return nn.mse_loss(model.forward(feats, adj, hist), target)
+        return nn.mse_loss(model.forward(feats, graph_of(adj), hist), target)
 
     err = grad_check(closure, model.parameters(), eps=1e-6)
     assert err < 1e-4
@@ -558,9 +559,9 @@ def test_predict_blocks_equal_one_head_call_to_the_bit(monkeypatch, use_gru):
         assert out.tobytes() == ref.tobytes()
 
 
-def test_predict_peak_memory_is_bounded_by_one_block():
-    net = generate_grid_network(10, 10, 100.0, 3)
-    assert net.n_links == 360
+def predict_peak_bytes(rows: int) -> int:
+    """tracemalloc peak of a 120-window predict on a rows x rows grid."""
+    net = generate_grid_network(rows, rows, 100.0, 3)
     vmean = np.random.default_rng(9).uniform(2.0, 25.0, size=120)
     model = untrained_predictor(net)
     tracemalloc.start()
@@ -569,23 +570,77 @@ def test_predict_peak_memory_is_bounded_by_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.shape == (120, 360)
-    # one head call over all 43,200 rows peaked at about 320 MB
-    assert peak < 64e6
+    assert out.shape == (120, net.n_links)
+    return peak
+
+
+def test_predict_peak_memory_is_bounded_by_one_block():
+    # 360 links: one head call over all 43,200 rows peaked at about 320 MB,
+    # 8,192-row blocks with dense attention at 19.3 MB; 2,048-row blocks
+    # with edge-list attention at 6.5 MB
+    assert predict_peak_bytes(10) < 8e6
+
+
+def test_predict_peak_memory_grows_with_the_link_graph_edges():
+    # 1,520 links: the dense (links x links) attention peaked at 138 MB, the
+    # edge-list attention with one-window blocks at 17.1 MB
+    assert predict_peak_bytes(20) < 24e6
 
 
 def test_attention_matrix_is_the_attention_spatial_embed_uses():
     rng = np.random.default_rng(14)
     model = LcfModel(tiny_config(hidden_dim=3, heads=2, seed=5,
                                  dtype="float64"))
-    adj = rng.random((6, 6)) < 0.4
-    np.fill_diagonal(adj, True)
+    graph = graph_of(rng.random((6, 6)) < 0.4)
     feats = rng.normal(size=(6, 10))
-    heads = [np.maximum(model.attention_matrix(feats, adj, head=k)
-                        @ (feats @ model.params[f"gat.h{k}.W"].data), 0.0)
-             for k in range(2)]
-    out = model.spatial_embed(nn.constant(feats), adj).data
+    heads = []
+    for k in range(2):
+        att = model.attention_matrix(feats, graph, head=k)
+        wh = feats @ model.params[f"gat.h{k}.W"].data
+        edge_terms = att[graph.src, graph.dst][:, None] * wh[graph.dst]
+        heads.append(np.maximum(np.add.reduceat(edge_terms, graph.seg_start),
+                                0.0))
+    out = model.spatial_embed(nn.constant(feats), graph).data
     assert np.array_equal(out, (heads[0] + heads[1]) * 0.5)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_predictions_equal_the_dense_attention_oracle(monkeypatch, heads):
+    net = generate_grid_network(6, 6, 100.0, 3, length_jitter=0.3,
+                                jitter_seed=4)
+    vmean = np.random.default_rng(10).uniform(2.0, 25.0, size=12)
+    model = untrained_predictor(net, heads=heads, dtype="float64")
+    out = model.predict_windows(net, None, vmean)
+
+    def dense_embed(self, feats, graph):
+        return nn.constant(dense_spatial_embed(self, feats.data, graph))
+
+    monkeypatch.setattr(LcfModel, "spatial_embed", dense_embed)
+    oracle = model.predict_windows(net, None, vmean)
+    assert (oracle > 0).mean() > 0.9
+    assert (np.abs(out - oracle) <= 1e-12 * oracle).all()
+
+
+def relabelled(net, perm):
+    """The network with link id i renamed perm[i], which reorders the link
+    indexes."""
+    links = [replace(lk, id=int(perm[lk.id])) for lk in net.links]
+    return RoadNetwork(net.junctions, links, list(net.signals.values()))
+
+
+def test_relabelling_the_links_permutes_the_predictions():
+    net = generate_grid_network(5, 5, 100.0, 3, length_jitter=0.3,
+                                jitter_seed=2)
+    assert net.link_ids() == tuple(range(net.n_links))
+    perm = np.random.default_rng(3).permutation(net.n_links)
+    other = relabelled(net, perm)
+    vmean = np.random.default_rng(11).uniform(2.0, 25.0, size=9)
+    out = untrained_predictor(net, dtype="float64").predict_windows(
+        net, None, vmean)
+    out_other = untrained_predictor(other, dtype="float64").predict_windows(
+        other, None, vmean)
+    cols = [other.link_index(int(perm[i])) for i in range(net.n_links)]
+    assert np.max(np.abs(out_other[:, cols] - out)) < 1e-12 * np.abs(out).max()
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +660,11 @@ def test_float32_model_keeps_attention_in_float64():
         expected = np.float64 if name.startswith("gat.") else np.float32
         assert p.data.dtype == expected, name
     rng = np.random.default_rng(6)
-    adj = rng.random((5, 5)) < 0.5
-    np.fill_diagonal(adj, True)
+    graph = graph_of(rng.random((5, 5)) < 0.5)
     feats = rng.uniform(0, 1, size=(5, 10))
-    assert model.attention_matrix(feats, adj).dtype == np.float64
-    assert model.spatial_embed(nn.constant(feats), adj).data.dtype == np.float32
-    out = model.forward(feats, adj, rng.uniform(0, 1, size=(3, 5)))
+    assert model.attention_matrix(feats, graph).dtype == np.float64
+    assert model.spatial_embed(nn.constant(feats), graph).data.dtype == np.float32
+    out = model.forward(feats, graph, rng.uniform(0, 1, size=(3, 5)))
     assert out.data.dtype == np.float32
     with pytest.raises(ValueError, match="float16"):
         ModelConfig(dtype="float16")
@@ -634,7 +688,7 @@ def test_float32_gradients_agree_with_float64_on_the_criterion_4_toy():
         target = rng.uniform(0, 1, size=(2 * n, 1))
         for m in (m32, m64):
             nn.zero_grads(m.parameters())
-            nn.backward(nn.mse_loss(m.forward(feats, adj, hist),
+            nn.backward(nn.mse_loss(m.forward(feats, graph_of(adj), hist),
                                     nn.constant(target.astype(m.dtype))))
         for name, p in m32.params.items():
             assert p.grad.dtype == p.data.dtype, name
@@ -658,6 +712,26 @@ def test_checkpoint_round_trip_is_bit_equal(tmp_path, dtype):
     for name, p in model.params.items():
         assert loaded.params[name].data.dtype == p.data.dtype, name
         assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
+
+
+def test_load_model_draws_no_initialization(tmp_path, monkeypatch):
+    model = LcfModel(tiny_config(heads=2), toy_normalization())
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    meta, arrays = read_checkpoint(path)
+    arrays["fc.0.W"] = arrays["fc.0.W"].astype(np.float64)    # cast back
+
+    def no_draw(*args):
+        raise AssertionError("load_model drew an initialization")
+
+    monkeypatch.setattr(nn, "glorot", no_draw)
+    write_checkpoint(path, json.dumps(meta), arrays)
+    loaded = load_model(path)
+    assert list(loaded.params) == list(model.params)
+    for name, p in model.params.items():
+        assert loaded.params[name].data.dtype == p.data.dtype, name
+        assert np.array_equal(loaded.params[name].data, p.data), name
+        assert loaded.params[name].requires_grad, name
 
 
 def test_training_batches_and_parameters_stay_in_the_model_dtype():

@@ -19,6 +19,10 @@ import pytest
 
 from lcftraffic.cli import main
 
+# an overflow or NaN a mutated value lets into the engine shows up as a
+# RuntimeWarning before any check of its own fires
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SIM_TINY = ["--step", "5", "--window", "60", "--warmup", "60", "--peak", "120",
             "--total", "240"]
 HUGE = 10 ** 20

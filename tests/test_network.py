@@ -3,8 +3,9 @@ import re
 import numpy as np
 import pytest
 
-from lcftraffic.network import (Link, NetworkError, RoadNetwork, SignalPlan,
-                                build_link_graph, extract_features, fit_minmax,
+from lcftraffic.network import (Link, LinkGraph, NetworkError, RoadNetwork,
+                                SignalPlan, build_link_graph,
+                                extract_features, fit_minmax,
                                 generate_grid_network, load_network,
                                 minmax_unscale, save_network)
 from netgen import random_network
@@ -135,36 +136,42 @@ def test_grid_rejects_single_row():
         generate_grid_network(1, 5, 100.0, 2)
 
 
+def edges(graph: LinkGraph) -> list[tuple[int, int]]:
+    return list(zip(graph.src.tolist(), graph.dst.tolist()))
+
+
 def test_link_graph_single_link():
     junctions = {0: (0.0, 0.0), 1: (1.0, 0.0)}
     net = RoadNetwork(junctions, [Link(0, 0, 1, 50.0, 1, 0, 25.0)])
-    adj = build_link_graph(net)
-    assert adj.shape == (1, 1)
-    assert adj[0, 0]
+    graph = build_link_graph(net)
+    assert edges(graph) == [(0, 0)]
+    assert graph.seg_start.tolist() == [0]
+    assert graph.n_links == 1
 
 
 def test_link_graph_chain():
-    net = two_link_chain()
-    adj = build_link_graph(net)
-    expected = np.array([[True, True], [False, True]])
-    assert np.array_equal(adj, expected)
+    graph = build_link_graph(two_link_chain())
+    assert edges(graph) == [(0, 0), (0, 1), (1, 1)]
+    assert graph.seg_start.tolist() == [0, 2]
 
 
 def test_link_graph_matches_junction_scan_oracle():
     net = generate_grid_network(5, 5, 100.0, 3)
-    adj = build_link_graph(net)
+    graph = build_link_graph(net)
     # oracle: pairwise scan over links sharing exactly one junction
     # head-to-tail (a reverse twin shares both, so it is no movement)
-    n = net.n_links
-    expect = np.zeros((n, n), dtype=bool)
+    expect = []
     for i, a in enumerate(net.links):
         for j, b in enumerate(net.links):
             shared_one = a.to_junction == b.from_junction and not (
                 b.to_junction == a.from_junction
                 and b.from_junction == a.to_junction)
             if i == j or shared_one:
-                expect[i, j] = True
-    assert np.array_equal(adj, expect)
+                expect.append((i, j))
+    assert edges(graph) == expect    # the scan's order is (src, dst)
+    starts = [next(e for e, (i, _) in enumerate(expect) if i == link)
+              for link in range(net.n_links)]
+    assert graph.seg_start.tolist() == starts
 
 
 def test_connectivity_pairs_share_exactly_one_junction():
@@ -176,10 +183,13 @@ def test_connectivity_pairs_share_exactly_one_junction():
         assert len(shared) == 1
 
 
-def test_double_edge_reversal_is_identity():
-    net = generate_grid_network(4, 4, 100.0, 2)
-    adj = build_link_graph(net)
-    assert np.array_equal(adj.T.T, adj)
+def test_link_graph_keeps_each_edge_once_and_is_read_only():
+    # pairs given twice, out of order and with self-loops of their own
+    graph = LinkGraph.of_pairs(4, [3, 0, 2, 0, 1, 3], [0, 2, 2, 2, 1, 0])
+    assert edges(graph) == [(0, 0), (0, 2), (1, 1), (2, 2), (3, 0), (3, 3)]
+    assert graph.seg_start.tolist() == [0, 2, 3, 4]
+    for arr in (graph.src, graph.dst, graph.seg_start):
+        assert not arr.flags.writeable
 
 
 def test_extract_features_direct_mapping():

@@ -41,10 +41,14 @@ def rand_param(rng, shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
 
 
+ROWS = np.array([0, 2, 2, 4, 1, 0, 2])    # gather over 5 rows; row 3 unread
+STARTS = np.array([0, 1, 3])              # segments of 1, 2 and 2 of 5 rows
+
+
 @pytest.mark.parametrize("op_name", [
     "matmul", "add", "add_broadcast", "mul", "mul_broadcast", "concat",
-    "relu", "leaky_relu", "sigmoid", "tanh", "softmax", "transpose",
-    "dense", "dense_relu", "repeat", "tile",
+    "relu", "leaky_relu", "sigmoid", "tanh", "dense", "dense_relu", "repeat",
+    "tile", "gather", "segment_softmax", "segment_sum",
 ])
 def test_primitive_gradients_match_finite_differences(op_name):
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))
@@ -55,7 +59,6 @@ def test_primitive_gradients_match_finite_differences(op_name):
     target = nn.constant(rng.normal(size=(5, 4)))
     t53 = nn.constant(rng.normal(size=(5, 3)))
     t58 = nn.constant(rng.normal(size=(5, 8)))
-    t45 = nn.constant(rng.normal(size=(4, 5)))
     w43 = rand_param(rng, (4, 3))
     w53 = rand_param(rng, (5, 3))
     w63 = rand_param(rng, (6, 3))
@@ -63,6 +66,8 @@ def test_primitive_gradients_match_finite_differences(op_name):
     outer2 = rand_param(rng, (3, 2))
     outer1 = rand_param(rng, (3, 1))
     t153 = nn.constant(rng.normal(size=(15, 3)))
+    t74 = nn.constant(rng.normal(size=(7, 4)))
+    t34 = nn.constant(rng.normal(size=(3, 4)))
 
     builders = {
         "matmul": (lambda: nn.mse_loss(nn.matmul(a, c), t53), [a, c]),
@@ -75,8 +80,6 @@ def test_primitive_gradients_match_finite_differences(op_name):
         "leaky_relu": (lambda: nn.mse_loss(nn.leaky_relu(a, 0.2), target), [a]),
         "sigmoid": (lambda: nn.mse_loss(nn.sigmoid(a), target), [a]),
         "tanh": (lambda: nn.mse_loss(nn.tanh(a), target), [a]),
-        "softmax": (lambda: nn.mse_loss(nn.softmax_rowwise(a), target), [a]),
-        "transpose": (lambda: nn.mse_loss(nn.transpose(a), t45), [a]),
         "dense": (lambda: nn.mse_loss(nn.dense(a, w43, b13), t53),
                   [a, w43, b13]),
         "dense_relu": (lambda: nn.mse_loss(nn.dense(a, w43, b13, relu=True),
@@ -89,6 +92,12 @@ def test_primitive_gradients_match_finite_differences(op_name):
                    [a, outer2, w63, b13]),
         "tile": (lambda: nn.mse_loss(nn.pair_dense(a, outer1, w53, b13), t153),
                  [a, outer1, w53, b13]),
+        # rows read twice and a row never read, as in the link graph
+        "gather": (lambda: nn.mse_loss(nn.gather(a, ROWS), t74), [a]),
+        "segment_softmax": (lambda: nn.mse_loss(nn.segment_softmax(a, STARTS),
+                                                target), [a]),
+        "segment_sum": (lambda: nn.mse_loss(nn.segment_sum(a, STARTS), t34),
+                        [a]),
     }
     make_loss, params = builders[op_name]
     check_op(make_loss, params)
@@ -99,15 +108,34 @@ def test_leaky_relu_definition():
     assert out.data.tolist() == [-0.2, 2.0]
 
 
-def test_softmax_forced_values():
-    out = nn.softmax_rowwise(nn.constant(np.array([[0.0, math.log(2.0)]])))
-    assert np.allclose(out.data, [[1 / 3, 2 / 3]], atol=1e-15)
+def test_segment_softmax_forced_values():
+    scores = nn.constant(np.array([[5.0], [0.0], [math.log(2.0)]]))
+    out = nn.segment_softmax(scores, np.array([0, 1]))
+    assert np.allclose(out.data, [[1.0], [1 / 3], [2 / 3]], atol=1e-15)
 
 
-def test_softmax_rows_sum_to_one():
+def test_segment_softmax_segments_sum_to_one():
     rng = np.random.default_rng(11)
-    out = nn.softmax_rowwise(nn.constant(rng.normal(size=(30, 7)) * 10))
-    assert np.abs(out.data.sum(axis=1) - 1.0).max() < 1e-12
+    starts = np.r_[0, np.cumsum(rng.integers(1, 9, size=29))]
+    scores = rng.normal(size=(starts[-1] + 4, 3)) * 10
+    out = nn.segment_softmax(nn.constant(scores), starts).data
+    assert np.abs(np.add.reduceat(out, starts) - 1.0).max() < 1e-12
+
+
+def test_gather_and_segment_sum_values():
+    a = nn.constant(np.arange(6.0).reshape(3, 2))
+    assert nn.gather(a, np.array([2, 0, 2])).data.tolist() == \
+        [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]]
+    assert nn.segment_sum(a, np.array([0, 1])).data.tolist() == \
+        [[0.0, 1.0], [6.0, 8.0]]
+
+
+@pytest.mark.parametrize("starts", [[], [1, 2], [0, 2, 2], [0, 3]])
+def test_segment_ops_reject_empty_or_uncovered_segments(starts):
+    a = nn.constant(np.zeros((3, 2)))
+    for op in (nn.segment_softmax, nn.segment_sum):
+        with pytest.raises(ValueError, match="start at row 0 and be non-empty"):
+            op(a, np.array(starts, dtype=int))
 
 
 def test_shape_mismatch_names_both_shapes():
@@ -197,8 +225,9 @@ def test_float32_ops_backward_and_adamw_stay_float32():
         "leaky_relu": lambda: nn.leaky_relu(a, 0.2),
         "sigmoid": lambda: nn.sigmoid(a),
         "tanh": lambda: nn.tanh(a),
-        "softmax": lambda: nn.softmax_rowwise(a),
-        "transpose": lambda: nn.transpose(a),
+        "gather": lambda: nn.gather(a, ROWS),
+        "segment_softmax": lambda: nn.segment_softmax(a, STARTS),
+        "segment_sum": lambda: nn.segment_sum(a, STARTS),
         "dense": lambda: nn.dense(a, w43, b13, relu=True),
         "pair_dense": lambda: nn.pair_dense(a, outer2, w63, b13, relu=True),
         "astype": lambda: nn.astype(nn.astype(a, np.float64), np.float32),
@@ -256,8 +285,9 @@ def every_op(dtype):
         "leaky_relu": nn.leaky_relu(a, 0.2),
         "sigmoid": nn.sigmoid(a),
         "tanh": nn.tanh(a),
-        "softmax_rowwise": nn.softmax_rowwise(a),
-        "transpose": nn.transpose(a),
+        "gather": nn.gather(a, ROWS),
+        "segment_softmax": nn.segment_softmax(a, STARTS),
+        "segment_sum": nn.segment_sum(a, STARTS),
         "dense": nn.dense(a, w43, b13),
         "dense_relu": nn.dense(a, w43, b13, relu=True),
         "pair_dense": nn.pair_dense(a, outer2, w63, b13),
