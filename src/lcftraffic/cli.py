@@ -25,7 +25,7 @@ from .partition import (PartitionParams, load_partition, partition_network,
                         save_partition)
 from .scenarios import (DEMAND_LEVELS, Scenario, build_dataset,
                         bus_lane_candidates, load_dataset, load_od,
-                        random_base_od, save_dataset, save_od)
+                        random_base_od, record_dir, save_dataset, save_od)
 from .simulate import (SimConfig, SimulationError, check_od_pairs, save_record,
                        simulate)
 from .evaluate import export_report
@@ -231,17 +231,21 @@ def _load_net(o):
 
 
 def _load_ds(o, net):
-    """The dataset, whose records must hold ``net``'s links in its order."""
+    """The dataset, each of whose records must hold ``net``'s links in its
+    order."""
     path = _require(_default(o.dataset_dir, o.out, "dataset"), "dataset directory")
     dataset = load_dataset(path)
-    first = next(iter(dataset.records.values()), None)
-    if first is not None and first.link_ids != net.link_ids():
+    ids = net.link_ids()
+    for sid, record in dataset.records.items():
+        if record.link_ids == ids:
+            continue
         i, found, wanted = next((i, a, b) for i, (a, b) in enumerate(
-            zip_longest(first.link_ids, net.link_ids())) if a != b)
+            zip_longest(record.link_ids, ids)) if a != b)
         found, wanted = ("no link" if v is None else f"link {v}" for v in (found, wanted))
-        raise ValidationError(f"dataset {path} does not match network file "
-                              f"{_net_path(o)}: at position {i} its records hold "
-                              f"{found} and the network {wanted}")
+        raise ValidationError(
+            f"dataset {path} does not match network file {_net_path(o)}: at "
+            f"position {i} {os.path.join(record_dir(path, sid), 'links.csv')} "
+            f"holds {found} and the network {wanted}")
     return dataset
 
 

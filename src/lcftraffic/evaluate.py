@@ -30,7 +30,6 @@ class MetricReport:
     err_mean: float
     err_std: float
     count: int
-    unit: str = "km/h"
 
     def as_rows(self) -> list[tuple[str, str, str, float]]:
         return [(self.model, self.scenario_class, metric, value)
@@ -41,7 +40,7 @@ class MetricReport:
 
 
 def metrics(pred: np.ndarray, truth: np.ndarray, model: str = "",
-            scenario_class: str = "", unit: str = "km/h") -> MetricReport:
+            scenario_class: str = "") -> MetricReport:
     """MAE / MSE / RMSE and the error mean and population std of
     e = pred - truth."""
     pred = np.asarray(pred, dtype=float).ravel()
@@ -54,7 +53,7 @@ def metrics(pred: np.ndarray, truth: np.ndarray, model: str = "",
         model=model, scenario_class=scenario_class,
         mae=float(np.mean(np.abs(e))), mse=mse, rmse=math.sqrt(mse),
         err_mean=float(np.mean(e)), err_std=float(np.std(e)),
-        count=pred.size, unit=unit,
+        count=pred.size,
     )
 
 
@@ -180,7 +179,7 @@ def travel_time_experiment(net: RoadNetwork, estimated: np.ndarray,
     if not est_times:
         raise ValueError("no routable trips")
     report = metrics(np.array(est_times), np.array(true_times), model=model,
-                     scenario_class=scenario_class, unit="s")
+                     scenario_class=scenario_class)
     return TravelTimeResult(report=report, n_no_path=no_path,
                             errors=np.array(est_times) - np.array(true_times),
                             n_overrun=overrun)

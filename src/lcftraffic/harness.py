@@ -185,6 +185,6 @@ def evaluate_travel_time_split(net: RoadNetwork, dataset: Dataset, partition,
                      "overran the horizon", name, excluded, overran)
         err = np.concatenate(errs)
         reports.append(metrics(err, np.zeros_like(err), model=name,
-                               scenario_class=label, unit="s"))
+                               scenario_class=label))
         samples[name] = err
     return reports, samples

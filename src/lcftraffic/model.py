@@ -200,13 +200,6 @@ class LcfModel:
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
 
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Replace every parameter's data, checked and cast as ``state`` is
-        in the constructor."""
-        loaded = LcfModel(self.config, state=arrays).params
-        for n, p in self.params.items():
-            p.data = loaded[n].data
-
     # forward pieces -------------------------------------------------------
 
     def _attention(self, feats: Tensor, graph: LinkGraph,
@@ -484,6 +477,7 @@ def train(net: RoadNetwork, dataset, partition, model_cfg: ModelConfig,
             nn.backward(loss)
             opt.step()
             epoch_loss += loss.item()
+            del loss    # and its tape, before the next step builds one
         with nn.no_grad():
             val_loss = float(np.mean([_batch_loss(model, b).item()
                                       for b in val_batches]))
@@ -494,8 +488,7 @@ def train(net: RoadNetwork, dataset, partition, model_cfg: ModelConfig,
             best_val = val_loss
             best_state = {n: t.data.copy() for n, t in model.params.items()}
 
-    model.load_state(best_state)
-    return model, history
+    return LcfModel(model_cfg, norm, state=best_state), history
 
 
 # ---------------------------------------------------------------------------

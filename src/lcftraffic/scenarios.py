@@ -117,7 +117,6 @@ class Scenario:
     scale: float
     bus_links: tuple[int, ...]
     seed: int
-    factors: tuple[float, ...] = ()
 
     def __post_init__(self):
         # "not > 0" rather than "<= 0", so that NaN is rejected too
@@ -162,13 +161,11 @@ def make_scenarios(net: RoadNetwork, base_od: ODMatrix, n: int, master_seed: int
     for i, ss in enumerate(seeds):
         rng = np.random.default_rng(ss)
         sc_seed = int(rng.integers(0, 2**31 - 1))
-        factors = rng.uniform(0.8, 1.2, size=len(base_od.pairs))
-        od = perturb_od(base_od, factors)
+        od = perturb_od(base_od, rng.uniform(0.8, 1.2, size=len(base_od.pairs)))
         bus = sample_bus_lane_config(net, candidates, bus_lane_count,
                                      int(rng.integers(0, 2**31 - 1)))
         out.append(Scenario(id=i, od=od, scale=scale, bus_links=bus,
-                            seed=sc_seed,
-                            factors=tuple(float(f) for f in factors)))
+                            seed=sc_seed))
     return out
 
 
@@ -253,24 +250,25 @@ def load_od(path) -> ODMatrix:
     return ODMatrix(pairs=tuple(pairs), rates=tuple(rates), ramp_fraction=ramp)
 
 
-def _scenario_dict(sc: Scenario, split: str) -> dict:
+def record_dir(out_dir, scenario_id: int) -> str:
+    """The directory of a scenario's record in a saved dataset."""
+    return os.path.join(out_dir, f"scenario_{scenario_id:03d}")
+
+
+def _scenario_dict(sc: Scenario) -> dict:
     return {
         "id": sc.id,
         "seed": sc.seed,
         "scale": sc.scale,
-        "split": split,
         "bus_links": list(sc.bus_links),
-        "factors": list(sc.factors),
         "od_pairs": [list(p) for p in sc.od.pairs],
         "od_rates": list(sc.od.rates),
         "ramp_fraction": sc.od.ramp_fraction,
-        "record_dir": f"scenario_{sc.id:03d}",
     }
 
 
 def save_dataset(ds: Dataset, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    split_of = {i: name for name, ids in ds.splits.items() for i in ids}
     any_record = next(iter(ds.records.values()))
     manifest = {
         "master_seed": ds.master_seed,
@@ -278,29 +276,27 @@ def save_dataset(ds: Dataset, out_dir) -> None:
         "window_s": any_record.window_s,
         "step_s": any_record.step_s,
         "splits": {k: list(v) for k, v in ds.splits.items()},
-        "scenarios": [_scenario_dict(sc, split_of[sc.id]) for sc in ds.scenarios],
+        "scenarios": [_scenario_dict(sc) for sc in ds.scenarios],
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for sc in ds.scenarios:
-        save_record(ds.records[sc.id], os.path.join(out_dir, f"scenario_{sc.id:03d}"))
+        save_record(ds.records[sc.id], record_dir(out_dir, sc.id))
 
 
 _MANIFEST_KINDS = {"master_seed": "int", "demand_level": "str",
                    "window_s": "float", "step_s": "float", "splits": "dict",
                    "scenarios": "tuple[dict, ...]"}
-_SCENARIO_KINDS = {"id": "int", "seed": "int", "scale": "float", "split": "str",
-                   "bus_links": "tuple[int, ...]", "factors": "tuple[float, ...]",
-                   "od_pairs": "tuple[tuple[int, int], ...]", "record_dir": "str",
+_SCENARIO_KINDS = {"id": "int", "seed": "int", "scale": "float",
+                   "bus_links": "tuple[int, ...]",
+                   "od_pairs": "tuple[tuple[int, int], ...]",
                    "od_rates": "tuple[float, ...]", "ramp_fraction": "float"}
 
 
-def _check_splits(splits: dict[str, list[int]],
-                  named: list[tuple[int, str]]) -> None:
-    """Each scenario id is held once and listed in exactly one split, the
-    one its entry names."""
-    held = Counter(i for i, _ in named)
+def _check_splits(splits: dict[str, list[int]], scenario_ids: list[int]) -> None:
+    """Each scenario id is held once and listed in exactly one split."""
+    held = Counter(scenario_ids)
     listed = Counter(i for ids in splits.values() for i in ids)
     for i in sorted(held | listed):
         if held[i] != 1 or listed[i] != 1:
@@ -308,25 +304,19 @@ def _check_splits(splits: dict[str, list[int]],
             raise ValueError(f"'scenarios' hold id {i} {held[i]} times and "
                              f"'splits' list it in {', '.join(names) or 'none'}; "
                              "each id is held once and in one split")
-    for i, name in named:
-        if i not in splits.get(name, ()):
-            raise ValueError(f"scenario {i} names split {name!r}, which does "
-                             "not list it")
 
 
-def _scenario_of(split, record_dir, od_pairs, od_rates, ramp_fraction,
-                 **fields) -> tuple[Scenario, str, str]:
+def _scenario_of(od_pairs, od_rates, ramp_fraction, **fields) -> Scenario:
     od = ODMatrix(pairs=od_pairs, rates=od_rates, ramp_fraction=ramp_fraction)
-    return Scenario(od=od, **fields), split, record_dir
+    return Scenario(od=od, **fields)
 
 
 def load_dataset(out_dir) -> Dataset:
     """Read a dataset saved by ``save_dataset``. Each object holds exactly
     the keys written, each value of its kind (none is coerced), the splits
-    list each scenario id once, in the split its entry names, and
-    ``window_s`` and ``step_s`` must pass ``SimConfig``'s checks; the records
-    take them. A manifest that breaks any of these is a ValueError naming its
-    path and the key."""
+    list each scenario id once, and ``window_s`` and ``step_s`` must pass
+    ``SimConfig``'s checks; the records take them. A manifest that breaks
+    any of these is a ValueError naming its path and the key."""
     path = os.path.join(out_dir, "manifest.json")
     try:  # json.JSONDecodeError is a ValueError
         with open(path) as fh:
@@ -336,16 +326,15 @@ def load_dataset(out_dir) -> Dataset:
                            dict.fromkeys(SPLIT_NAMES, "tuple[int, ...]"),
                            "manifest.splits")
         splits = {name: list(ids) for name, ids in splits.items()}
-        entries = [read_json(sd, _SCENARIO_KINDS, f"manifest.scenarios[{n}]",
-                             _scenario_of)
-                   for n, sd in enumerate(manifest["scenarios"])]
-        _check_splits(splits, [(sc.id, split) for sc, split, _ in entries])
+        scenarios = [read_json(sd, _SCENARIO_KINDS, f"manifest.scenarios[{n}]",
+                               _scenario_of)
+                     for n, sd in enumerate(manifest["scenarios"])]
+        _check_splits(splits, [sc.id for sc in scenarios])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    records = {sc.id: load_record(os.path.join(out_dir, rel),
+    records = {sc.id: load_record(record_dir(out_dir, sc.id),
                                   window_s=cfg.window_s, step_s=cfg.step_s)
-               for sc, _, rel in entries}
-    return Dataset(scenarios=[sc for sc, _, _ in entries], splits=splits,
-                   records=records,
+               for sc in scenarios}
+    return Dataset(scenarios=scenarios, splits=splits, records=records,
                    master_seed=manifest["master_seed"],
                    demand_level=manifest["demand_level"])

@@ -244,7 +244,6 @@ class SimState:
 
     def __init__(self, net: RoadNetwork, cfg: SimConfig,
                  od_pairs: list[tuple[int, int]], dest_ids: tuple[int, ...]):
-        self.net = net
         self.cfg = cfg
         idx = net.index
         z = net.n_links
@@ -532,8 +531,6 @@ def simulate(net: RoadNetwork, scenario, cfg: SimConfig | None = None) -> SimRec
         window_completed += float(out["completed"].sum())
         if (k + 1) % spw == 0:
             wi = k // spw
-            if wi >= n_windows:
-                break
             last_speeds = speeds[wi] = _window_stats(len_km, vff, cfg, sum_u, sum_x)
             acc[wi] = sum_x / spw
             outflow[wi] = sum_u

@@ -106,3 +106,39 @@ def test_every_np_load_refuses_pickles():
                 assert isinstance(flag, ast.Constant) and flag.value is False, \
                     f"{name}:{node.lineno}: np.load without allow_pickle=False"
     assert calls
+
+
+def test_large_grid_workload_runs_on_the_package(tmp_path, monkeypatch):
+    """perfbench's large-grid set-up and one traced unit (seed 3) pass every
+    output check and cross every boundary the workload names, and the traced
+    ``save_record`` hook counts the bytes of that run's record. A change
+    that breaks what the benchmark calls then fails here."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    workloads = importlib.import_module("workloads")
+    records = []
+
+    class KeepRecords(workloads.Tracer):
+        def wrap(self, name, fn, hook=None):
+            if name == "simulate.simulate":
+                def keep(tracer, args, kwargs, record, inner=hook):
+                    inner(tracer, args, kwargs, record)
+                    records.append(record)
+                return super().wrap(name, fn, keep)
+            return super().wrap(name, fn, hook)
+
+    workload = workloads.WORKLOADS["large-grid"]
+    work = str(tmp_path / "work")
+    ledger, tracer = workloads.Ledger(), KeepRecords()
+    workload.setup(work, 3, ledger)
+    workloads.run_units(workload, work, 3, 0.0, ledger, tracer)
+    layers = workloads.per_layer(tracer)
+    assert ledger.failures == [] and ledger.attempted > 3000
+    assert [s for s in workload.spans if not layers.get(f"{s}.calls")] == []
+
+    (record,) = records
+    saver = workloads.Tracer()
+    out = tmp_path / "record"
+    with workloads.traced(saver):
+        workloads.sim.save_record(record, str(out))
+    assert saver.counters["simulate.save_record.bytes"] == \
+        sum(f.stat().st_size for f in out.iterdir())

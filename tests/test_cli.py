@@ -246,8 +246,15 @@ MANIFEST_PROBES = {
                        "manifest: demand_level must be a str, got 5"),
     "unknown-key": (lambda m: m.update(extra=1), "evaluate",
                     "manifest: unknown key 'extra'"),
-    "wrong-split": (lambda m: m["scenarios"][0].update(split="none"), "evaluate",
-                    "scenario 0 names split 'none', which does not list it"),
+    # keys that datasets written by earlier versions held: such a dataset
+    # is refused and must be regenerated
+    "old-split": (lambda m: m["scenarios"][1].update(split="train"), "evaluate",
+                  "manifest.scenarios[1]: unknown key 'split'"),
+    "old-record-dir": (lambda m: m["scenarios"][1].update(
+        record_dir="scenario_001"), "evaluate",
+        "manifest.scenarios[1]: unknown key 'record_dir'"),
+    "old-factors": (lambda m: m["scenarios"][1].update(factors=[1.0] * 4),
+                    "evaluate", "manifest.scenarios[1]: unknown key 'factors'"),
 }
 
 
@@ -512,8 +519,8 @@ def test_bus_lane_count_above_the_pool_names_the_option(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["partition", "evaluate"])
 @pytest.mark.parametrize("network,expected", [
-    ("4x4", "at position 24 its records hold no link and the network link 24"),
-    ("renamed", "at position 5 its records hold link 5 and the network link ")],
+    ("4x4", "at position 24 {record} holds no link and the network link 24"),
+    ("renamed", "at position 5 {record} holds link 5 and the network link ")],
     ids=["4x4", "renamed"])
 def test_dataset_of_another_network_names_both_and_the_link(
         small_pipeline, tmp_path, capsys, command, network, expected):
@@ -527,8 +534,41 @@ def test_dataset_of_another_network_names_both_and_the_link(
     args = [command, "--out", small_pipeline, "--network", path]
     assert run(args + (["--models", "MFD"] if command == "evaluate" else [])) == 1
     dataset = os.path.join(small_pipeline, "dataset")
+    record = os.path.join(dataset, "scenario_000", "links.csv")
     assert (f"error: dataset {dataset} does not match network file {path}: "
-            + expected) in capsys.readouterr().err
+            + expected.format(record=record)) in capsys.readouterr().err
+
+
+def _swap_links_0_and_1(lines):
+    swap = {"0": "1", "1": "0"}
+    rows = [line.split(",", 2) for line in lines]
+    return [f"{w},{swap.get(z, z)},{rest}" for w, z, rest in rows]
+
+
+@pytest.mark.parametrize("edit,expected", [
+    (_swap_links_0_and_1, "at position 0 {record} holds link 1 and the "
+                          "network link 0"),
+    (lambda lines: [line for line in lines if line.split(",")[1] != "5"],
+     "at position 5 {record} holds link 6 and the network link 5")],
+    ids=["swapped", "removed"])
+def test_record_of_another_network_exits_1_naming_its_file(
+        small_pipeline, tmp_path, capsys, edit, expected):
+    """Every record is checked against the network, not only the first."""
+    dataset = tmp_path / "dataset"
+    shutil.copytree(os.path.join(small_pipeline, "dataset"), dataset)
+    record = dataset / "scenario_001" / "links.csv"
+    header, *rows = record.read_text().splitlines()
+    record.write_text("\n".join([header] + edit(rows)) + "\n")
+    network = os.path.join(small_pipeline, "network.txt")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(["train", "--out", out, "--dataset-dir", dataset,
+                "--network", network, "--partition-file",
+                os.path.join(small_pipeline, "partition.json")]
+               + TRAIN_SMALL) == 1
+    assert (f"error: dataset {dataset} does not match network file {network}: "
+            + expected.format(record=record)) in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "travel-time"])

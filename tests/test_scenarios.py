@@ -143,17 +143,41 @@ def test_dataset_manifest_reproducible(tmp_path):
         (d2 / "scenario_000/links.csv").read_bytes()
 
 
+RECORD_ARRAYS = ("speeds", "accumulation", "outflow", "mean_speed",
+                 "production", "total_accumulation")
+
+
 def test_dataset_round_trip(tmp_path):
+    """Every scenario reads back equal, and every array the record files
+    hold bit-equal (``completed`` and ``balance_error`` are not saved)."""
     _, ds = build_toy_dataset(10, seed=4)
     save_dataset(ds, tmp_path / "ds")
     loaded = load_dataset(tmp_path / "ds")
+    assert loaded.scenarios == ds.scenarios
     assert loaded.splits == ds.splits
-    assert loaded.master_seed == ds.master_seed
-    assert len(loaded.scenarios) == len(ds.scenarios)
-    sc0, lc0 = ds.scenarios[0], loaded.scenarios[0]
-    assert sc0.od.pairs == lc0.od.pairs
-    assert sc0.bus_links == lc0.bus_links
-    assert np.allclose(ds.records[0].speeds, loaded.records[0].speeds)
+    assert (loaded.master_seed, loaded.demand_level) == \
+        (ds.master_seed, ds.demand_level)
+    assert list(loaded.records) == list(ds.records)
+    for i, rec in ds.records.items():
+        back = loaded.records[i]
+        assert (back.link_ids, back.window_s, back.step_s) == \
+            (rec.link_ids, rec.window_s, rec.step_s)
+        for name in RECORD_ARRAYS:
+            a, b = getattr(rec, name), getattr(back, name)
+            assert (a.dtype, a.shape, a.tobytes()) == \
+                (b.dtype, b.shape, b.tobytes()), (i, name)
+
+
+def test_manifest_holds_each_fact_once(tmp_path):
+    """A scenario entry holds what builds its Scenario and no more: the
+    split is in ``splits`` and the record directory follows from the id."""
+    _, ds = build_toy_dataset(10, seed=4)
+    save_dataset(ds, tmp_path / "ds")
+    manifest = json.loads((tmp_path / "ds/manifest.json").read_text())
+    for entry in manifest["scenarios"]:
+        assert sorted(entry) == ["bus_links", "id", "od_pairs", "od_rates",
+                                 "ramp_fraction", "scale", "seed"]
+        assert (tmp_path / f"ds/scenario_{entry['id']:03d}/links.csv").exists()
 
 
 def test_scenarios_vary_but_share_od_pairs():

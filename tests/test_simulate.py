@@ -674,6 +674,23 @@ def test_reference_schedule_has_120_windows():
     assert SimConfig().n_windows == 120
 
 
+def test_the_steps_close_exactly_the_records_windows():
+    """simulate closes window k // spw after step k when (k + 1) % spw == 0,
+    for k < n_steps: n_steps // spw closes, which must be n_windows, so no
+    close falls past the record and none of its windows stays unwritten."""
+    rng = np.random.default_rng(12)
+    for _ in range(500):
+        step_s = float(rng.choice([0.25, 0.5, 1.0, 2.0, 2.5, 3.0, 5.0, 7.0]))
+        window_s = step_s * int(rng.integers(1, 60))
+        total_s = float(rng.uniform(window_s, 40 * window_s))
+        if rng.random() < 0.5:
+            total_s = window_s * int(rng.integers(1, 40))
+        cfg = SimConfig(step_s=step_s, window_s=window_s, warmup_s=0.0,
+                        peak_s=0.0, total_s=total_s)
+        assert int(cfg.total_s // cfg.step_s) // cfg.steps_per_window \
+            == cfg.n_windows, cfg
+
+
 def test_simulation_is_deterministic():
     net = generate_grid_network(3, 3, 100.0, 2)
     ids = net.link_ids()
