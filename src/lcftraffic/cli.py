@@ -400,6 +400,10 @@ def cmd_simulate(o) -> int:
 
 def cmd_partition(o) -> int:
     net = _load_net(o)
+    if o.clusters > net.n_links:
+        raise ValidationError(f"--clusters {o.clusters} exceeds the "
+                              f"{net.n_links} links of network file "
+                              f"{_net_path(o)}: each sub-region needs a link")
     dataset = _load_ds(o, net)
     first_train = dataset.splits["train"][0]
     record = dataset.records[first_train]

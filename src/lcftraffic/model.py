@@ -193,6 +193,7 @@ class LcfModel:
         extra = sorted(set(state or ()) - set(self.params))
         if extra:
             raise ValueError(f"unexpected array {extra[0]!r} for {config.name}")
+        self._head = nn.HeadBuffers()
 
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
@@ -268,8 +269,14 @@ class LcfModel:
         return h
 
     def fuse(self, spatial: Tensor, temporal: Tensor, batch: int) -> Tensor:
-        """Head over every (window, link) pair, window-major: the first
-        layer sees [spatial[link], temporal[window]] without building it."""
+        """Head over every (window, link) pair, window-major, as one tape
+        node (``nn.pair_head``): the first layer sees [spatial[link],
+        temporal[window]] without building it. Its hidden activations and
+        gradients live in buffers the model holds and reuses while the
+        batch shape holds; a backward whose forward a later call has
+        overwritten raises RuntimeError. Off the tape it claims no buffers,
+        so prediction memory stays bounded by one block (see
+        ``predict_windows``)."""
         cfg = self.config
         width = cfg.fc_input_dim - cfg.hidden_dim
         if spatial.data.ndim != 2 or spatial.data.shape[1] != cfg.hidden_dim \
@@ -278,13 +285,9 @@ class LcfModel:
                 f"fuse: spatial {spatial.data.shape} and temporal "
                 f"{temporal.data.shape} do not fit the head, which expects "
                 f"(n_links, {cfg.hidden_dim}) and ({batch}, {width})")
-        n_layers = len(cfg.fc_hidden) + 1
-        x = nn.pair_dense(spatial, temporal, self.params["fc.0.W"],
-                          self.params["fc.0.b"], relu=n_layers > 1)
-        for i in range(1, n_layers):
-            x = nn.dense(x, self.params[f"fc.{i}.W"], self.params[f"fc.{i}.b"],
-                         relu=i < n_layers - 1)
-        return x
+        layers = [(self.params[f"fc.{i}.W"], self.params[f"fc.{i}.b"])
+                  for i in range(len(cfg.fc_hidden) + 1)]
+        return nn.pair_head(spatial, temporal, layers, self._head)
 
     def _embed(self, feats_norm: np.ndarray, graph: LinkGraph,
                hist_norm: np.ndarray) -> tuple[Tensor, Tensor]:
@@ -320,10 +323,12 @@ class LcfModel:
         blocks of whole windows, each at most ``PREDICT_BLOCK_ROWS``
         (window, link) rows unless one window alone has more links, and
         each block is decoded into the output before the next one starts.
-        Peak memory is therefore bounded by one block's head activations,
-        a layer's input and output at once (2,048 x (384 + 256) x 4 B in
-        float32, about 5 MB, at the default widths), not by windows x
-        links; the attention's is bounded by the link graph's edges.
+        The head is one op (``fuse``), which off the tape claims no buffers
+        and frees each layer's input once its output is built, so peak
+        memory is bounded by one block's head activations, a layer's input
+        and output at once (2,048 x (384 + 256) x 4 B in float32, about
+        5 MB, at the default widths), not by windows x links; the
+        attention's is bounded by the link graph's edges.
         Blocks of two or more windows give the same bits as one head call
         over all windows; a one-window block can differ in the last bits,
         since a one-row matrix product takes another BLAS path. The head's

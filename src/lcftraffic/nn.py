@@ -3,16 +3,19 @@ arrays.
 
 Only the handful of operations the estimator needs are implemented:
 matmul, broadcasting add/mul, concat, relu, leaky_relu, sigmoid, tanh, an
-MSE loss, two fused dense layers, ``dense`` (x @ W + b, optional relu) and
-``pair_dense`` (the same layer applied to every (row of a, row of b)
-concatenation without building it), and the three edge-list ops of graph
-attention: ``gather`` (rows by index; its backward scatter-adds),
-``segment_softmax`` and ``segment_sum`` (over contiguous, non-empty row
-segments).
+MSE loss, the fused dense layer ``dense`` (x @ W + b, optional relu), the
+estimator head ``pair_head`` (a dense chain over every (row of a, row of b)
+concatenation, without building it, as one tape node on reused buffers:
+``HeadBuffers``), and the three edge-list ops of graph attention:
+``gather`` (rows by index; its backward scatter-adds), ``segment_softmax``
+and ``segment_sum`` (over contiguous, non-empty row segments).
 Each op records one backward closure, which maps the output gradient to a
 tuple of gradients, one per parent in order; ``backward`` walks the tape in
 reverse topological order and hands each parent that requires a gradient
-its entry. Everything is deliberately single-threaded and deterministic.
+its entry. A gradient ``backward`` stores is never written in place; only
+``pair_head`` writes in place, into the gradients between its own layers,
+which no other closure reads. Everything is deliberately single-threaded
+and deterministic.
 
 Precision: every op, ``backward`` and ``AdamW`` keep their inputs' dtype, so
 one code path runs in float32 or in float64. A Tensor keeps float32 and
@@ -244,40 +247,109 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     return Tensor(out, parents=(x, w, b), vjp=vjp)
 
 
-def pair_dense(inner: Tensor, outer: Tensor, w: Tensor, b: Tensor,
-               relu: bool = False) -> Tensor:
-    """``dense`` over every concatenated pair of rows, outer-major: row
-    o * n_inner + i is [inner[i], outer[o]] @ w + b (then relu when asked).
+class HeadBuffers:
+    """What ``pair_head`` keeps between calls: the hidden layers'
+    activations and the gradients between them, one array per layer, and
+    one relu mask, built for one call shape (rows, hidden widths, dtype)
+    and reused while it holds. ``generation`` counts the calls."""
+
+    def __init__(self):
+        self.generation = 0
+        self.shape = None
+        self.acts = self.grads = self.mask = None
+
+    def activations(self, rows: int, widths: list[int], dtype,
+                    claim: bool) -> list[np.ndarray] | None:
+        """The activation buffers of this call shape. When they are not
+        built yet, ``claim`` builds them with the gradient and mask
+        buffers; otherwise None (the call allocates as it goes)."""
+        shape = (rows, tuple(widths), np.dtype(dtype))
+        if shape != self.shape:
+            if not claim:
+                return None
+            self.shape = shape
+            self.acts = [np.empty((rows, k), dtype) for k in widths]
+            self.grads = [np.empty((rows, k), dtype) for k in widths]
+            self.mask = np.empty(rows * max(widths), dtype=bool)
+        return self.acts
+
+
+def pair_head(inner: Tensor, outer: Tensor, layers, buffers: HeadBuffers) -> Tensor:
+    """A dense chain over every concatenated pair of rows, outer-major, as
+    one tape node. ``layers`` holds (w, b) pairs; the first is the pair
+    layer, row o * n_inner + i of which is [inner[i], outer[o]] @ w + b,
+    and each later one is x @ w + b; every layer but the last is followed
+    by a relu.
 
     The pairs are never built: inner @ w[:h] and outer @ w[h:] are computed
     once per row and broadcast-added, and the backward sums the gradient
-    over each side before its matmul.
+    over each side before its matmul. The hidden layers' activations and
+    gradients live in ``buffers`` and are overwritten by the next call of
+    the same shape; the taped output itself is a new array. Since only
+    this op's closure reads those gradients, it masks them in place. Each
+    call advances ``buffers.generation``, and a backward whose forward is
+    no longer the latest raises RuntimeError. Under ``no_grad`` the op
+    claims no buffers: it reuses activation buffers already built for its
+    shape, and otherwise allocates each layer's output as it goes, so only
+    a layer's input and output are alive at once.
     """
-    if inner.data.ndim != 2 or outer.data.ndim != 2 or w.data.ndim != 2 \
-            or inner.data.shape[1] + outer.data.shape[1] != w.data.shape[0] \
-            or b.data.shape != (1, w.data.shape[1]):
-        raise ValueError(f"pair_dense: shapes {inner.data.shape}, "
-                         f"{outer.data.shape}, {w.data.shape} and "
-                         f"{b.data.shape} do not align")
+    layers = list(layers)
+    shapes = [t.data.shape for pair in layers for t in pair]
+    fan_in = [inner.data.shape[-1] + outer.data.shape[-1]] \
+        + [w.data.shape[-1] for w, _ in layers[:-1]]
+    if inner.data.ndim != 2 or outer.data.ndim != 2 or not layers \
+            or any(len(w) != 2 or w[0] != k or b != (1, w[1])
+                   for k, w, b in zip(fan_in, shapes[::2], shapes[1::2])):
+        raise ValueError(f"pair_head: shapes {inner.data.shape}, "
+                         f"{outer.data.shape} and {', '.join(map(str, shapes))}"
+                         " do not align")
     n, h = inner.data.shape
-    m, k = outer.data.shape[0], w.data.shape[1]
+    m = outer.data.shape[0]
+    rows, last = m * n, len(layers) - 1
+    widths = [w.data.shape[1] for w, _ in layers]
+    buffers.generation += 1
+    generation = buffers.generation
+    acts = buffers.activations(rows, widths[:-1], inner.data.dtype,
+                               claim=_grad_mode.enabled) if last else None
+
+    w, b = layers[0]
     part_in = inner.data @ w.data[:h]
     part_in += b.data
     part_out = outer.data @ w.data[h:]
-    out = np.add(part_out[:, None, :], part_in[None, :, :])
-    if relu:
-        np.maximum(out, 0.0, out=out)
+    out = None if acts is None else acts[0].reshape(m, n, widths[0])
+    x = np.add(part_out[:, None, :], part_in[None, :, :], out=out)
+    x = x.reshape(rows, widths[0])
+    del part_in, part_out
+    for i, (w, b) in enumerate(layers):
+        if i:
+            x = np.matmul(x, w.data, out=None if acts is None or i == last
+                          else acts[i])
+            x += b.data
+        if i < last:
+            np.maximum(x, 0.0, out=x)
 
     def vjp(g):
-        g = g.reshape(m, n, k)
-        if relu:
-            g = g * (out > 0.0)
+        if buffers.generation != generation:
+            raise RuntimeError(
+                "pair_head: a later call overwrote this call's activations;"
+                " run each backward before the next forward")
+        param_grads = []
+        for i in range(last, 0, -1):
+            w, x = layers[i][0].data, buffers.acts[i - 1]
+            param_grads[:0] = [x.T @ g, g.sum(axis=0, keepdims=True)]
+            g = np.matmul(g, w.T, out=buffers.grads[i - 1])
+            mask = buffers.mask[:g.size].reshape(g.shape)
+            np.greater(x, 0.0, out=mask)
+            np.multiply(g, mask, out=g)
+        w = layers[0][0].data
+        g = g.reshape(m, n, widths[0])
         g_in, g_out = g.sum(axis=0), g.sum(axis=1)
-        return (g_in @ w.data[:h].T, g_out @ w.data[h:].T,
+        return (g_in @ w[:h].T, g_out @ w[h:].T,
                 np.vstack([inner.data.T @ g_in, outer.data.T @ g_out]),
-                g_in.sum(axis=0, keepdims=True))
+                g_in.sum(axis=0, keepdims=True), *param_grads)
 
-    return Tensor(out.reshape(m * n, k), parents=(inner, outer, w, b), vjp=vjp)
+    return Tensor(x, parents=(inner, outer) + tuple(t for pair in layers
+                                                     for t in pair), vjp=vjp)
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:

@@ -130,7 +130,8 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> tuple[np.ndarray, np.nd
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or len(points) < k:
-        raise ValueError("need at least k points")
+        raise ValueError(f"k-means needs a 2-D array of at least k = {k} "
+                         f"points, got shape {points.shape}")
     best = None
     for child in np.random.SeedSequence(seed).spawn(KMEANS_N_INIT):
         labels, centroids = _lloyd(points, k, np.random.default_rng(child))

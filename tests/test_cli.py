@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lcftraffic.cli import build_parser, main
+from lcftraffic.network import load_network
 from lcftraffic.simulate import load_record
 
 from ckptfaults import FAULTS, plant, read_checkpoint, write_checkpoint
@@ -593,3 +594,15 @@ def test_partition_of_another_network_fails_evaluate(small_pipeline, tmp_path,
                 "--partition-file", path]) == 1
     assert f"error: {path}: labels link 999, which is not in " in \
         capsys.readouterr().err
+
+
+def test_more_clusters_than_links_names_the_option_and_link_count(
+        small_pipeline, tmp_path, capsys):
+    n_links = load_network(os.path.join(small_pipeline, "network.txt")).n_links
+    path = tmp_path / "partition.json"
+    capsys.readouterr()
+    assert run(["partition", "--out", small_pipeline, "--clusters", 200,
+                "--partition-file", path]) == 1
+    assert f"error: --clusters 200 exceeds the {n_links} links of network" \
+        in capsys.readouterr().err
+    assert not path.exists()

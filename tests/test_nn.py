@@ -7,6 +7,7 @@ import pytest
 from lcftraffic import nn
 from lcftraffic.nn import AdamW, Tensor, backward, steplr
 
+from dense_head import dense_head
 from gradcheck import grad_check
 
 
@@ -47,8 +48,9 @@ STARTS = np.array([0, 1, 3])              # segments of 1, 2 and 2 of 5 rows
 
 @pytest.mark.parametrize("op_name", [
     "matmul", "add", "add_broadcast", "mul", "mul_broadcast", "concat",
-    "relu", "leaky_relu", "sigmoid", "tanh", "dense", "dense_relu", "repeat",
-    "tile", "gather", "segment_softmax", "segment_sum",
+    "relu", "leaky_relu", "sigmoid", "tanh", "dense", "dense_relu",
+    "pair_head", "pair_head_one_layer", "gather", "segment_softmax",
+    "segment_sum",
 ])
 def test_primitive_gradients_match_finite_differences(op_name):
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))
@@ -68,6 +70,8 @@ def test_primitive_gradients_match_finite_differences(op_name):
     t153 = nn.constant(rng.normal(size=(15, 3)))
     t74 = nn.constant(rng.normal(size=(7, 4)))
     t34 = nn.constant(rng.normal(size=(3, 4)))
+    w33 = rand_param(rng, (3, 3))
+    b13b = rand_param(rng, (1, 3))
 
     builders = {
         "matmul": (lambda: nn.mse_loss(nn.matmul(a, c), t53), [a, c]),
@@ -84,14 +88,16 @@ def test_primitive_gradients_match_finite_differences(op_name):
                   [a, w43, b13]),
         "dense_relu": (lambda: nn.mse_loss(nn.dense(a, w43, b13, relu=True),
                                            t53), [a, w43, b13]),
-        # pair_dense repeats each outer row over the inner rows and tiles
-        # the inner rows over the outer ones; relu on, then off with a
-        # width-1 outer input as in the head without the recurrent branch
-        "repeat": (lambda: nn.mse_loss(nn.pair_dense(a, outer2, w63, b13,
-                                                     relu=True), t153),
-                   [a, outer2, w63, b13]),
-        "tile": (lambda: nn.mse_loss(nn.pair_dense(a, outer1, w53, b13), t153),
-                 [a, outer1, w53, b13]),
+        # the pair layer repeats each outer row over the inner rows and
+        # tiles the inner rows over the outer ones: a relu pair layer and a
+        # dense layer, then the pair layer alone (no relu) with a width-1
+        # outer input, as in the shortest head without the recurrent branch
+        "pair_head": (lambda: nn.mse_loss(nn.pair_head(
+            a, outer2, [(w63, b13), (w33, b13b)], nn.HeadBuffers()), t153),
+            [a, outer2, w63, b13, w33, b13b]),
+        "pair_head_one_layer": (lambda: nn.mse_loss(nn.pair_head(
+            a, outer1, [(w53, b13)], nn.HeadBuffers()), t153),
+            [a, outer1, w53, b13]),
         # rows read twice and a row never read, as in the link graph
         "gather": (lambda: nn.mse_loss(nn.gather(a, ROWS), t74), [a]),
         "segment_softmax": (lambda: nn.mse_loss(nn.segment_softmax(a, STARTS),
@@ -187,9 +193,16 @@ def test_dense_rejects_misaligned_shapes():
         nn.dense(x, nn.constant(np.zeros((4, 5))), nn.constant(np.zeros((1, 5))))
     with pytest.raises(ValueError, match=r"\(5,\)"):
         nn.dense(x, nn.constant(np.zeros((3, 5))), nn.constant(np.zeros(5)))
+    w52, b12 = nn.constant(np.zeros((5, 2))), nn.constant(np.zeros((1, 2)))
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(1, 1\).*\(5, 2\)"):
-        nn.pair_dense(x, nn.constant(np.zeros((1, 1))),
-                      nn.constant(np.zeros((5, 2))), nn.constant(np.zeros((1, 2))))
+        nn.pair_head(x, nn.constant(np.zeros((1, 1))), [(w52, b12)],
+                     nn.HeadBuffers())
+    # a later layer whose fan-in is not the previous layer's width
+    with pytest.raises(ValueError, match=r"\(5, 2\), \(1, 2\), \(3, 1\)"):
+        nn.pair_head(x, nn.constant(np.zeros((1, 2))),
+                     [(w52, b12), (nn.constant(np.zeros((3, 1))),
+                                   nn.constant(np.zeros((1, 1))))],
+                     nn.HeadBuffers())
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +227,8 @@ def test_float32_ops_backward_and_adamw_stay_float32():
 
     a, b, row, c = f32(5, 4), f32(5, 4), f32(1, 4), f32(4, 3)
     w43, w63, b13, outer2 = f32(4, 3), f32(6, 3), f32(1, 3), f32(3, 2)
-    params = [a, b, row, c, w43, w63, b13, outer2]
+    w33, b13b = f32(3, 3), f32(1, 3)
+    params = [a, b, row, c, w43, w63, b13, outer2, w33, b13b]
     outputs = {
         "matmul": lambda: nn.matmul(a, c),
         "add": lambda: nn.add(a, row),
@@ -229,7 +243,8 @@ def test_float32_ops_backward_and_adamw_stay_float32():
         "segment_softmax": lambda: nn.segment_softmax(a, STARTS),
         "segment_sum": lambda: nn.segment_sum(a, STARTS),
         "dense": lambda: nn.dense(a, w43, b13, relu=True),
-        "pair_dense": lambda: nn.pair_dense(a, outer2, w63, b13, relu=True),
+        "pair_head": lambda: nn.pair_head(a, outer2, [(w63, b13), (w33, b13b)],
+                                          nn.HeadBuffers()),
         "astype": lambda: nn.astype(nn.astype(a, np.float64), np.float32),
     }
     for name, build in outputs.items():
@@ -274,6 +289,7 @@ def every_op(dtype):
 
     a, b, row, c = param(5, 4), param(5, 4), param(1, 4), param(4, 3)
     w43, w63, b13, outer2 = param(4, 3), param(6, 3), param(1, 3), param(3, 2)
+    w33, b13b = param(3, 3), param(1, 3)
     other = np.float64 if dtype == np.float32 else np.float32
     return {
         "matmul": nn.matmul(a, c),
@@ -290,8 +306,10 @@ def every_op(dtype):
         "segment_sum": nn.segment_sum(a, STARTS),
         "dense": nn.dense(a, w43, b13),
         "dense_relu": nn.dense(a, w43, b13, relu=True),
-        "pair_dense": nn.pair_dense(a, outer2, w63, b13),
-        "pair_dense_relu": nn.pair_dense(a, outer2, w63, b13, relu=True),
+        "pair_head": nn.pair_head(a, outer2, [(w63, b13), (w33, b13b)],
+                                  nn.HeadBuffers()),
+        "pair_head_one_layer": nn.pair_head(a, outer2, [(w63, b13)],
+                                            nn.HeadBuffers()),
         "astype": nn.astype(a, other),
         "mse_loss": nn.mse_loss(a, b),
     }
@@ -357,6 +375,126 @@ def test_no_grad_restores_the_mode_after_an_exception():
             pass
         assert not nn.matmul(x, x).requires_grad
     assert nn.matmul(x, x).requires_grad
+
+
+# ---------------------------------------------------------------------------
+# the estimator head as one tape node
+# ---------------------------------------------------------------------------
+
+def head_inputs(rng, dtype, n, m, h, width, widths):
+    """Inner (n, h) and outer (m, width) rows and a chain of (w, b) layers
+    of the given output widths, all requiring a gradient."""
+    def param(*shape):
+        return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+
+    fan_in = [h + width] + list(widths[:-1])
+    layers = [(param(i, o), param(1, o)) for i, o in zip(fan_in, widths)]
+    return param(n, h), param(m, width), layers
+
+
+def head_gradients(out, target, inner, outer, layers):
+    """Every parent's gradient of the MSE of ``out`` against ``target``."""
+    params = [inner, outer] + [t for pair in layers for t in pair]
+    nn.zero_grads(params)
+    backward(nn.mse_loss(out, target))
+    return [p.grad for p in params]
+
+
+# (inner rows, outer rows, inner width, outer width, layer widths): the head
+# with the recurrent branch (outer width h), without it (width 1), the
+# shortest head ModelConfig accepts (fc_hidden=(): the pair layer alone),
+# and one outer row
+HEAD_CASES = {
+    "gru": (7, 4, 5, 5, (9, 6, 3, 1)),
+    "no_gru": (7, 4, 5, 1, (9, 6, 3, 1)),
+    "shortest": (6, 3, 4, 4, (1,)),
+    "shortest_no_gru": (6, 3, 4, 1, (1,)),
+    "one_outer_row": (5, 1, 3, 3, (4, 1)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(HEAD_CASES))
+def test_pair_head_equals_the_dense_oracle_to_the_bit(dtype, case):
+    rng = np.random.default_rng(zlib.crc32(case.encode()))
+    n, m, h, width, widths = HEAD_CASES[case]
+    buffers = nn.HeadBuffers()
+    # the second round runs on buffers the first one built
+    for _ in range(2):
+        inner, outer, layers = head_inputs(rng, dtype, n, m, h, width, widths)
+        target = nn.constant(rng.normal(size=(n * m, widths[-1])).astype(dtype))
+        ref = dense_head(inner, outer, layers)
+        want = head_gradients(ref, target, inner, outer, layers)
+        out = nn.pair_head(inner, outer, layers, buffers)
+        assert out.data.dtype == dtype
+        assert np.array_equal(out.data, ref.data)
+        got = head_gradients(out, target, inner, outer, layers)
+        for a, b in zip(got, want):
+            assert a.dtype == dtype and np.array_equal(a, b)
+        with nn.no_grad():
+            assert np.array_equal(
+                nn.pair_head(inner, outer, layers, buffers).data, ref.data)
+            assert np.array_equal(nn.pair_head(inner, outer, layers,
+                                               nn.HeadBuffers()).data, ref.data)
+
+
+def test_pair_head_random_shapes_equal_the_oracle_to_the_bit():
+    rng = np.random.default_rng(21)
+    for dtype in (np.float32, np.float64) * 4:
+        n, m, h = rng.integers(1, 9, size=3)
+        width = h if rng.random() < 0.5 else 1
+        widths = tuple(rng.integers(1, 12, size=rng.integers(0, 4))) + (1,)
+        inner, outer, layers = head_inputs(rng, dtype, n, m, h, width, widths)
+        target = nn.constant(rng.normal(size=(n * m, 1)).astype(dtype))
+        ref = dense_head(inner, outer, layers)
+        want = head_gradients(ref, target, inner, outer, layers)
+        out = nn.pair_head(inner, outer, layers, nn.HeadBuffers())
+        got = head_gradients(out, target, inner, outer, layers)
+        assert np.array_equal(out.data, ref.data)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_pair_head_gradients_match_finite_differences():
+    rng = np.random.default_rng(22)
+    inner, outer, layers = head_inputs(rng, np.float64, 4, 3, 3, 2, (5, 4, 2))
+    target = nn.constant(rng.normal(size=(12, 2)))
+    buffers = nn.HeadBuffers()
+    params = [inner, outer] + [t for pair in layers for t in pair]
+    err = grad_check(lambda: nn.mse_loss(
+        nn.pair_head(inner, outer, layers, buffers), target), params)
+    assert err < 1e-6
+
+
+def test_pair_head_backward_after_a_later_call_raises():
+    rng = np.random.default_rng(23)
+    inner, outer, layers = head_inputs(rng, np.float64, 4, 3, 3, 3, (5, 2))
+    target = nn.constant(np.zeros((12, 2)))
+    buffers = nn.HeadBuffers()
+    first = nn.mse_loss(nn.pair_head(inner, outer, layers, buffers), target)
+    second = nn.mse_loss(nn.pair_head(inner, outer, layers, buffers), target)
+    with pytest.raises(RuntimeError, match="overwrote"):
+        backward(first)
+    backward(second)
+    assert inner.grad is not None
+    # an inference call overwrites the buffers as well
+    loss = nn.mse_loss(nn.pair_head(inner, outer, layers, buffers), target)
+    with nn.no_grad():
+        nn.pair_head(inner, outer, layers, buffers)
+    with pytest.raises(RuntimeError, match="overwrote"):
+        backward(loss)
+
+
+def test_pair_head_claims_no_buffers_off_the_tape():
+    rng = np.random.default_rng(24)
+    inner, outer, layers = head_inputs(rng, np.float32, 4, 3, 3, 3, (5, 2))
+    buffers = nn.HeadBuffers()
+    with nn.no_grad():
+        nn.pair_head(inner, outer, layers, buffers)
+    assert buffers.shape is None and buffers.acts is None
+    assert buffers.grads is None and buffers.mask is None
+    nn.pair_head(inner, outer, layers, buffers)
+    assert [a.shape for a in buffers.acts] == [(12, 5)]
+    assert [g.shape for g in buffers.grads] == [(12, 5)]
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,8 @@ def test_kmeans_beats_or_matches_exhaustive_two_partition():
 
 
 def test_kmeans_rejects_too_few_points():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"at least k = 3 points, got shape \(2, 2\)"):
         kmeans(np.zeros((2, 2)), 3, seed=0)
 
 
