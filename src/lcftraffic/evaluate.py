@@ -10,14 +10,13 @@ therefore scores exactly zero error.
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import RoadNetwork, link_travel_times
+from .network import RoadNetwork, dijkstra, link_travel_times
 
 
 @dataclass(frozen=True)
@@ -91,38 +90,21 @@ def generate_trips(net: RoadNetwork, n: int, seed: int,
 def shortest_path(net: RoadNetwork, speeds_kmh: np.ndarray, origin: int,
                   destination: int) -> list[int] | None:
     """Minimum-travel-time link path (inclusive of both endpoints) on the
-    static speed field; None when unreachable. Equal-cost relaxations keep
-    the predecessor with the smaller link id, so results are deterministic.
-    """
+    static speed field; None when unreachable. A forward ``dijkstra`` runs
+    until the destination is final; back from it, each link's predecessor
+    is the smallest-id upstream link u with dist[u] + tau[z] == dist[z]
+    exactly (``up_of`` lists ids in order), so ties resolve deterministically."""
     if np.any(speeds_kmh <= 0):
         raise ValueError("speeds must be positive")
     idx = net.index
     tau = link_travel_times(idx.length_m, speeds_kmh).tolist()
-    src = net.link_index(origin)
-    dst = net.link_index(destination)
-    dist = [math.inf] * net.n_links
-    pred = [-1] * net.n_links
-    dist[src] = tau[src]
-    heap = [(dist[src], src)]
-    # link indices follow link ids, so the smaller index is the smaller id;
-    # an unset predecessor (-1) never wins a tie
-    while heap:
-        d, z = heapq.heappop(heap)
-        if d > dist[z]:
-            continue
-        if z == dst:
-            break
-        for nxt in idx.down_of[z]:
-            cand = d + tau[nxt]
-            if cand < dist[nxt] or (cand == dist[nxt] and z < pred[nxt]):
-                dist[nxt] = cand
-                pred[nxt] = z
-                heapq.heappush(heap, (cand, nxt))
+    src, dst = net.link_index(origin), net.link_index(destination)
+    dist = dijkstra(idx.down_of, tau, src, stop=dst)
     if math.isinf(dist[dst]):
         return None
     path = [dst]
-    while path[-1] != src:
-        path.append(pred[path[-1]])
+    while (z := path[-1]) != src:
+        path.append(next(u for u in idx.up_of[z] if dist[u] + tau[z] == dist[z]))
     return [net.links[z].id for z in reversed(path)]
 
 
@@ -147,6 +129,10 @@ def path_travel_time(net: RoadNetwork, path: list[int],
             overran = True
         clock += link_travel_times(length_m, speeds_by_window[w, z])
     return clock - depart_window * window_s, overran
+
+
+class NoRoutableTrips(ValueError):
+    """None of a travel-time experiment's trips has a path."""
 
 
 @dataclass
@@ -177,7 +163,7 @@ def travel_time_experiment(net: RoadNetwork, estimated: np.ndarray,
         est_times.append(t_est)
         true_times.append(t_true)
     if not est_times:
-        raise ValueError("no routable trips")
+        raise NoRoutableTrips(f"none of {len(trips)} trips routes")
     report = metrics(np.array(est_times), np.array(true_times), model=model,
                      scenario_class=scenario_class)
     return TravelTimeResult(report=report, n_no_path=no_path,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import LinearModel, fit_lr, region_mean_speeds
-from .evaluate import (MetricReport, generate_trips, metrics,
+from .evaluate import (MetricReport, NoRoutableTrips, generate_trips, metrics,
                        travel_time_experiment)
 from .model import Normalization, fit_normalization, pad_history, split_features
 from .network import RoadNetwork, extract_features
@@ -145,7 +145,8 @@ def evaluate_travel_time_split(net: RoadNetwork, dataset: Dataset, partition,
     """Trip-time metrics per model: n_trips spread over the split's
     scenarios, the first ``n_trips % S`` of its S scenarios taking one more
     than the rest; a scenario given none is skipped. Each trip is routed
-    on the model's estimated field at departure."""
+    on the model's estimated field at departure. Trips without a path are
+    excluded; a ValueError is raised only when no trip of the split routes."""
     label = scenario_class or f"{split}-{dataset.demand_level}"
     scenarios = dataset.split_scenarios(split)
     if not scenarios:
@@ -174,12 +175,19 @@ def evaluate_travel_time_split(net: RoadNetwork, dataset: Dataset, partition,
             rec = dataset.records[sc.id]
             sub = nets[sc.id]
             pred = np.maximum(fn(sub, rec), TRIP_SPEED_FLOOR_KMH)
-            result = travel_time_experiment(sub, pred, rec.speeds,
-                                            trip_sets[sc.id], rec.window_s,
-                                            model=name, scenario_class=label)
+            try:
+                result = travel_time_experiment(sub, pred, rec.speeds,
+                                                trip_sets[sc.id], rec.window_s,
+                                                model=name, scenario_class=label)
+            except NoRoutableTrips:
+                excluded += len(trip_sets[sc.id])
+                continue
             errs.append(result.errors)
             excluded += result.n_no_path
             overran += result.n_overrun
+        if not errs:
+            raise ValueError(f"travel-time {name}: none of the {excluded} "
+                             f"trips of split {split!r} routes")
         if excluded or overran:
             log.info("travel-time %s: %d no-path trips excluded, %d trips "
                      "overran the horizon", name, excluded, overran)

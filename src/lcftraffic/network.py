@@ -24,6 +24,7 @@ Each link is summarised by 10 attributes, in this fixed column order:
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -141,6 +142,7 @@ class NetworkIndex:
     seg_size: np.ndarray      # (S,) its number of pairs
     seg_of_pair: np.ndarray   # (P,) segment of each pair
     down_of: tuple[tuple[int, ...], ...]  # per link, its downstream links
+    up_of: tuple[tuple[int, ...], ...]    # per link, its upstream links
     length_m: np.ndarray      # (Z,)
     vff_kmh: np.ndarray       # (Z,)
 
@@ -152,15 +154,16 @@ class NetworkIndex:
             np.flatnonzero(np.r_[True, pair_up[1:] != pair_up[:-1]])
             if len(pair_up) else [], int)
         seg_size = _frozen(np.diff(np.r_[seg_start, len(pair_up)]), int)
-        down_of: list[list[int]] = [[] for _ in net.links]
+        down_of, up_of = ([[] for _ in net.links] for _ in range(2))
         for u, v in zip(pair_up.tolist(), pair_dn.tolist()):
             down_of[u].append(v)
+            up_of[v].append(u)
         return cls(
             pair_up=pair_up, pair_dn=pair_dn, seg_start=seg_start,
             seg_link=_frozen(pair_up[seg_start], int),
             seg_size=seg_size,
             seg_of_pair=_frozen(np.repeat(np.arange(len(seg_start)), seg_size), int),
-            down_of=tuple(tuple(d) for d in down_of),
+            down_of=tuple(map(tuple, down_of)), up_of=tuple(map(tuple, up_of)),
             length_m=_frozen([lk.length_m for lk in net.links], float),
             vff_kmh=_frozen([lk.vff_kmh for lk in net.links], float),
         )
@@ -296,6 +299,30 @@ def link_travel_times(length_m, speeds_kmh):
     arrays, such as ``net.index.length_m`` by link index, or one link's
     numbers, so that a walk link by link runs the same formula."""
     return length_m / (speeds_kmh * 1000.0 / 3600.0)
+
+
+def dijkstra(adjacent, tau, source: int, stop: int | None = None) -> list[float]:
+    """Per link index, the least time from entering link ``source`` to
+    finishing the link along ``adjacent`` (``down_of``: forward from an
+    origin; ``up_of``: backward from a destination), summed from the source
+    outward as ``d + tau[v]`` over ``tau``, the links' crossing times as a
+    list; inf where unreached. With ``stop`` the search ends once that link
+    is final, and links farther out hold upper bounds."""
+    dist = [math.inf] * len(tau)
+    dist[source] = tau[source]
+    heap = [(dist[source], source)]
+    while heap:
+        d, z = heapq.heappop(heap)
+        if d > dist[z]:
+            continue
+        if z == stop:
+            break
+        for v in adjacent[z]:
+            cand = d + tau[v]
+            if cand < dist[v]:
+                dist[v] = cand
+                heapq.heappush(heap, (cand, v))
+    return dist
 
 
 def generate_grid_network(rows: int, cols: int, link_length: float, lanes: int,
@@ -443,14 +470,11 @@ def load_network(path) -> RoadNetwork:
         return net
     # infer boundary flags from topology for files that omit them
     idx = net.index
-    n_up = np.bincount(idx.pair_dn, minlength=net.n_links)
-    n_down = np.bincount(idx.pair_up, minlength=net.n_links)
     inferred = []
     for lk, explicit in raw_links:
         i = net.link_index(lk.id)
         inferred.append(lk if explicit else replace(
-            lk, is_boundary_in=bool(n_up[i] == 0),
-            is_boundary_out=bool(n_down[i] == 0)))
+            lk, is_boundary_in=not idx.up_of[i], is_boundary_out=not idx.down_of[i]))
     return RoadNetwork(junctions, inferred, signals)
 
 

@@ -16,9 +16,9 @@ stop line). Each time step:
 
 Turn ratios are all-or-nothing per destination along current-travel-time
 shortest paths, recomputed at a fixed interval and exponentially smoothed,
-so drivers reroute as congestion builds. Each refresh is one
-all-destinations solve over the network's cached index (``RoadNetwork.index``),
-not one shortest-path search per destination.
+so drivers reroute as congestion builds. Each refresh runs one backward
+``network.dijkstra`` per destination over the network's cached index
+(``RoadNetwork.index``): the same search that routes the evaluation trips.
 
 Per aggregation window, summing over its steps, link z's speed (km/h) is
 
@@ -66,7 +66,7 @@ import numpy as np
 
 from .baselines import EMPTY_VEH, region_mean_speeds
 from .config import bounded, check
-from .network import Link, RoadNetwork, link_travel_times
+from .network import Link, RoadNetwork, dijkstra, link_travel_times
 
 log = logging.getLogger(__name__)
 
@@ -140,28 +140,11 @@ def shortest_time_to_dest(net: RoadNetwork, tau: np.ndarray,
                           dest_indices: np.ndarray) -> np.ndarray:
     """(links, destinations) travel times from entering each link to
     finishing on each destination link, following downstream connectivity;
-    inf where a destination cannot be reached.
-
-    One label-correcting loop serves all destinations: a link's time is its
-    own tau plus the least time among its downstream links, iterated to the
-    fixed point. Each path's time is summed from the destination backwards,
-    and rounding is monotone, so the result equals a per-destination
-    Dijkstra on the reversed link graph to the bit.
-    """
-    idx = net.index
-    dest_indices = np.asarray(dest_indices, dtype=int)
-    dist = np.full((net.n_links, len(dest_indices)), np.inf)
-    dist[dest_indices, np.arange(len(dest_indices))] = tau[dest_indices]
-    if len(idx.pair_up) == 0:
-        return dist
-    tau_seg = tau[idx.seg_link][:, None]
-    while True:
-        cand = np.minimum.reduceat(dist[idx.pair_dn], idx.seg_start, axis=0) + tau_seg
-        current = dist[idx.seg_link]
-        better = cand < current
-        if not better.any():
-            return dist
-        dist[idx.seg_link] = np.where(better, cand, current)
+    inf where a destination cannot be reached. One backward ``dijkstra`` per
+    destination, over the upstream links, sums each path from its end."""
+    up_of, tau = net.index.up_of, tau.tolist()
+    cols = [dijkstra(up_of, tau, int(d)) for d in dest_indices]
+    return np.array(cols, dtype=float).reshape(len(cols), net.n_links).T
 
 
 def check_turn_ratios(net: RoadNetwork, ratios: np.ndarray) -> None:
@@ -202,8 +185,6 @@ def _target_ratios(net: RoadNetwork, speeds_kmh: np.ndarray,
     toward a destination that cannot be reached."""
     idx = net.index
     n_pairs = len(idx.pair_up)
-    if n_pairs == 0:
-        return np.zeros((0, len(dest_ids)))
     dest_index = np.array([net.link_index(d) for d in dest_ids], dtype=int)
     dist = shortest_time_to_dest(net, link_travel_times(idx.length_m, speeds_kmh),
                                  dest_index)
@@ -374,7 +355,7 @@ class SimState:
         q_des[red] = 0.0
 
         out_des = scatter_sum(self.pair_up, np.add.reduce(q_des, 1), z)
-        factor_up = np.minimum(1.0, self.sat / np.maximum(out_des, 1e-300))
+        factor_up = _capped_ratio(self.sat, out_des)
         q1 = q_des * factor_up[self.up_col]
 
         # occ >= block_at (<= cap) zeroes the gate, so the free space

@@ -9,6 +9,7 @@ from lcftraffic.evaluate import (Trip, export_report, generate_trips, histogram,
                                  travel_time_experiment)
 from lcftraffic.network import Link, RoadNetwork, generate_grid_network
 from netgen import random_network
+from routing_oracle import oracle_shortest_path
 
 
 def test_metrics_hand_case():
@@ -140,6 +141,33 @@ def test_shortest_path_disconnected_returns_none():
     links = [Link(0, 0, 1, 100.0, 2, 0, 25.0), Link(1, 2, 3, 100.0, 2, 0, 25.0)]
     net = RoadNetwork(junctions, links)
     assert shortest_path(net, np.array([25.0, 25.0]), 0, 1) is None
+
+
+def test_shortest_path_equals_the_oracle_on_uniform_lattices():
+    # one speed and one length everywhere: every route of k links costs the
+    # same k additions of one tau, so a pair apart in both rows and columns
+    # has several exactly equal-cost routes and the tie rule picks the path
+    for rows, cols in ((2, 2), (3, 4), (5, 5)):
+        net = generate_grid_network(rows, cols, 200.0, 2, with_signals=False)
+        speeds = np.full(net.n_links, 25.0)
+        for o, d in itertools.permutations(net.link_ids(), 2):
+            path = shortest_path(net, speeds, o, d)
+            assert path == oracle_shortest_path(net, speeds, o, d)
+
+
+def test_shortest_path_equals_the_oracle_on_random_networks():
+    rng = np.random.default_rng(23)
+    unreachable = 0
+    for trial in range(60):
+        net = random_network(rng)
+        if net is None:
+            continue
+        speeds = rng.choice([10.0, 25.0], size=net.n_links)
+        for o, d in itertools.permutations(net.link_ids(), 2):
+            path = shortest_path(net, speeds, o, d)
+            assert path == oracle_shortest_path(net, speeds, o, d)
+            unreachable += path is None
+    assert unreachable > 0
 
 
 # ---------------------------------------------------------------------------

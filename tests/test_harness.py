@@ -9,9 +9,9 @@ from lcftraffic.harness import (evaluate_speed_split,
                                 make_predictor)
 from lcftraffic.model import (LcfModel, ModelConfig, fit_normalization,
                               pad_history, split_features)
-from lcftraffic.network import (RoadNetwork, extract_features,
+from lcftraffic.network import (Link, RoadNetwork, extract_features,
                                 generate_grid_network)
-from lcftraffic.scenarios import build_dataset, random_base_od
+from lcftraffic.scenarios import ODMatrix, build_dataset, random_base_od
 from lcftraffic.simulate import SimConfig
 
 
@@ -141,3 +141,42 @@ def test_travel_time_split_logs_horizon_overruns(corpus, caplog):
     found = re.search(r"travel-time MFD: 0 no-path trips excluded, (\d+) trips "
                       r"overran the horizon", caplog.text)
     assert found and int(found.group(1)) > 0
+
+
+@pytest.fixture(scope="module")
+def two_grids():
+    """Two 3 x 3 grids with no link between them, demand on the first: a
+    trip from one grid to the other has no path."""
+    a = generate_grid_network(3, 3, 100.0, 2, with_signals=False)
+    n_j, n_l = len(a.junctions), a.n_links
+    junctions = dict(a.junctions)
+    junctions.update({j + n_j: (x + 1000.0, y) for j, (x, y) in a.junctions.items()})
+    links = list(a.links) + [
+        Link(lk.id + n_l, lk.from_junction + n_j, lk.to_junction + n_j,
+             lk.length_m, lk.lanes_total, lk.lanes_dbl, lk.vff_kmh,
+             lk.is_boundary_in, lk.is_boundary_out) for lk in a.links]
+    net = RoadNetwork(junctions, links)
+    od = ODMatrix(pairs=((0, 23), (1, 22)), rates=(300.0, 300.0))
+    cfg = SimConfig(step_s=5.0, window_s=60.0, warmup_s=120.0, peak_s=240.0,
+                    total_s=600.0)
+    return net, build_dataset(net, od, n=10, master_seed=8, cfg=cfg)
+
+
+def test_travel_time_split_excludes_a_scenario_whose_trips_all_fail(two_grids, caplog):
+    net, dataset = two_grids
+    # at seed 0 each of the two test scenarios gets one trip: the first
+    # crosses between the grids, the second stays in one
+    with caplog.at_level("INFO", logger="lcftraffic.harness"):
+        reports, samples = evaluate_travel_time_split(
+            net, dataset, None, ["MFD"], {}, n_trips=2, seed=0)
+    assert reports[0].count == 1 and len(samples["MFD"]) == 1
+    assert "travel-time MFD: 1 no-path trips excluded" in caplog.text
+
+
+def test_travel_time_split_fails_when_none_of_its_trips_routes(two_grids):
+    net, dataset = two_grids
+    # at seed 4 both trips cross between the grids
+    with pytest.raises(ValueError, match=r"travel-time MFD: none of the 2 "
+                                         r"trips of split 'test' routes"):
+        evaluate_travel_time_split(net, dataset, None, ["MFD"], {}, n_trips=2,
+                                   seed=4)

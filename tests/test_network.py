@@ -183,6 +183,20 @@ def test_connectivity_pairs_share_exactly_one_junction():
         assert len(shared) == 1
 
 
+def test_adjacency_lists_hold_each_pair_once_in_id_order():
+    # shortest_path's tie rule reads up_of in ascending link-id order
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        net = random_network(rng)
+        if net is None:
+            continue
+        idx, ids = net.index, net.link_ids()
+        down = [(ids[u], ids[v]) for u, vs in enumerate(idx.down_of) for v in vs]
+        up = [(ids[u], ids[v]) for v, us in enumerate(idx.up_of) for u in us]
+        assert down == list(net.connectivity)
+        assert up == sorted(net.connectivity, key=lambda p: (p[1], p[0]))
+
+
 def test_link_graph_keeps_each_edge_once_and_is_read_only():
     # pairs given twice, out of order and with self-loops of their own
     graph = LinkGraph.of_pairs(4, [3, 0, 2, 0, 1, 3], [0, 2, 2, 2, 1, 0])

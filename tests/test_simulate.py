@@ -535,6 +535,19 @@ def test_all_destination_times_match_per_destination_dijkstra():
         assert got.tobytes() == want.tobytes()
 
 
+def test_a_network_without_connectivity_pairs_simulates():
+    # two links that share no junction: no pair to route over, so every
+    # ratio array has no rows and no trip reaches its destination
+    junctions = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (5.0, 5.0), 3: (6.0, 5.0)}
+    net = RoadNetwork(junctions, [Link(0, 0, 1, 100.0, 2, 0, 25.0),
+                                  Link(1, 2, 3, 100.0, 2, 0, 25.0)])
+    assert initial_turn_ratios(net, (1,)).shape == (0, 1)
+    sc = Scenario(id=0, od=ODMatrix(pairs=((0, 1),), rates=(300.0,)), scale=1.0,
+                  bus_links=(), seed=0)
+    rec = simulate(net, sc, short_cfg())
+    assert rec.completed.sum() == 0.0 and rec.accumulation[:, 0].max() > 0.0
+
+
 def test_turn_ratios_sum_to_one_on_random_networks():
     cfg = short_cfg(turn_smoothing=0.5)
     unreachable = 0
