@@ -245,28 +245,12 @@ class LcfModel:
 
     def temporal_embed(self, hist_norm: np.ndarray) -> Tensor:
         """GRU over (B, history_len) normalized mean-speed sequences, run in
-        the model dtype."""
-        cfg = self.config
-        if hist_norm.shape[1] != cfg.history_len:
-            raise ValueError(
-                f"history length {hist_norm.shape[1]} != {cfg.history_len}")
-        hist_norm = np.asarray(hist_norm, dtype=self.dtype)
-        b = hist_norm.shape[0]
-        h = nn.constant(np.zeros((b, cfg.hidden_dim), self.dtype))
-        one = nn.constant(self.dtype.type(1.0))
-        for t in range(cfg.history_len):
-            x_t = nn.constant(hist_norm[:, t:t + 1])
-            cat = nn.concat([h, x_t], axis=1)
-            z = nn.sigmoid(nn.dense(cat, self.params["gru.Wz"],
-                                    self.params["gru.bz"]))
-            r = nn.sigmoid(nn.dense(cat, self.params["gru.Wr"],
-                                    self.params["gru.br"]))
-            cat_r = nn.concat([nn.mul(r, h), x_t], axis=1)
-            h_cand = nn.tanh(nn.dense(cat_r, self.params["gru.Wc"],
-                                      self.params["gru.bc"]))
-            keep = nn.add(one, nn.scale(z, -1.0))
-            h = nn.add(nn.mul(keep, h), nn.mul(z, h_cand))
-        return h
+        the model dtype as one tape node (``nn.gru``)."""
+        if hist_norm.shape[1] != self.config.history_len:
+            raise ValueError(f"history length {hist_norm.shape[1]} != "
+                             f"{self.config.history_len}")
+        return nn.gru(hist_norm, *(self.params[f"gru.{name}"] for name in
+                                   ("Wz", "bz", "Wr", "br", "Wc", "bc")))
 
     def fuse(self, spatial: Tensor, temporal: Tensor, batch: int) -> Tensor:
         """Head over every (window, link) pair, window-major, as one tape

@@ -4,18 +4,22 @@ arrays.
 Only the handful of operations the estimator needs are implemented:
 matmul, broadcasting add/mul, concat, relu, leaky_relu, sigmoid, tanh, an
 MSE loss, the fused dense layer ``dense`` (x @ W + b, optional relu), the
+recurrent encoder ``gru`` (a whole GRU recurrence as one tape node), the
 estimator head ``pair_head`` (a dense chain over every (row of a, row of b)
 concatenation, without building it, as one tape node on reused buffers:
 ``HeadBuffers``), and the three edge-list ops of graph attention:
-``gather`` (rows by index; its backward scatter-adds), ``segment_softmax``
-and ``segment_sum`` (over contiguous, non-empty row segments).
+``gather`` (rows by index; its backward scatter-adds with ``scatter_sum``),
+``segment_softmax`` and ``segment_sum`` (over contiguous, non-empty row
+segments). concat, sigmoid and tanh serve the tests' oracles now that the
+GRU is one op.
 Each op records one backward closure, which maps the output gradient to a
 tuple of gradients, one per parent in order; ``backward`` walks the tape in
 reverse topological order and hands each parent that requires a gradient
 its entry. A gradient ``backward`` stores is never written in place; only
-``pair_head`` writes in place, into the gradients between its own layers,
-which no other closure reads. Everything is deliberately single-threaded
-and deterministic.
+``pair_head`` writes in place, and only into its own ``HeadBuffers``: its
+backward writes each layer's input gradient over that layer's input
+activation, which nothing else reads, so one backward spends the call.
+Everything is deliberately single-threaded and deterministic.
 
 Precision: every op, ``backward`` and ``AdamW`` keep their inputs' dtype, so
 one code path runs in float32 or in float64. A Tensor keeps float32 and
@@ -184,16 +188,27 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor(y, parents=(a,), vjp=lambda g: (g * (1.0 - y * y),))
 
 
+def scatter_sum(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """``np.add.at(np.zeros((n,) + values.shape[1:]), index, values)`` for
+    1-D or 2-D ``values``, by ``np.bincount``: each row is summed from zero
+    in index order, as ``np.add.at`` sums it, so float64 input gives the
+    same bits. The sums are float64 whatever the input: float32 input is
+    summed in float64."""
+    if values.ndim == 1:
+        return np.bincount(index, weights=values, minlength=n)
+    d = values.shape[1]
+    flat = (index[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=n * d).reshape(n, d)
+
+
 def gather(a: Tensor, index: np.ndarray) -> Tensor:
-    """Rows ``a[index]``; the backward scatter-adds each row's gradient into
-    the row it was read from."""
-
-    def vjp(g):
-        grad = np.zeros_like(a.data)
-        np.add.at(grad, index, g)
-        return (grad,)
-
-    return Tensor(a.data[index], parents=(a,), vjp=vjp)
+    """Rows ``a[index]`` of a 1-D or 2-D ``a``; the backward scatter-adds
+    each row's gradient into the row it was read from (``scatter_sum``,
+    cast back to ``a``'s dtype)."""
+    n = a.data.shape[0]
+    return Tensor(a.data[index], parents=(a,),
+                  vjp=lambda g: (scatter_sum(index, g, n).astype(
+                      a.data.dtype, copy=False),))
 
 
 def _segment_sizes(starts: np.ndarray, n_rows: int) -> np.ndarray:
@@ -247,29 +262,101 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     return Tensor(out, parents=(x, w, b), vjp=vjp)
 
 
+def gru(hist: np.ndarray, wz: Tensor, bz: Tensor, wr: Tensor, br: Tensor,
+        wc: Tensor, bc: Tensor) -> Tensor:
+    """The final state of a GRU run over the columns of ``hist`` (B, T),
+    from a zero state, as one tape node. With h the state and x_t the
+    column, each step is
+
+        cat = [h, x_t]
+        z = sigmoid(cat @ wz + bz), r = sigmoid(cat @ wr + br)
+        c = tanh([r * h, x_t] @ wc + bc)
+        h = (1 - z) * h + z * c
+
+    with each w of shape (H + 1, H) and each b (1, H); ``hist`` is cast to
+    the weights' dtype. The forward and backward use the products, the
+    elementwise order and the gradient summation order of the same
+    recurrence built from ``concat``, ``dense``, ``sigmoid``, ``tanh``,
+    ``mul`` and ``add``, so they give its bits. Under ``no_grad`` no step's
+    arrays are kept."""
+    params = (wz, bz, wr, br, wc, bc)
+    size = wz.data.shape[-1]
+    hist = np.asarray(hist)
+    if hist.ndim != 2 or hist.shape[1] < 1 or any(
+            p.data.shape != shape
+            for p, shape in zip(params, [(size + 1, size), (1, size)] * 3)):
+        raise ValueError(f"gru: shapes {hist.shape} and "
+                         f"{', '.join(str(p.data.shape) for p in params)} "
+                         "do not align")
+    hist = hist.astype(wz.data.dtype, copy=False)
+    wz, bz, wr, br, wc, bc = (p.data for p in params)
+    h = np.zeros((hist.shape[0], size), wz.dtype)
+    steps = []
+    for t in range(hist.shape[1]):
+        x_t = hist[:, t:t + 1]
+        cat = np.concatenate([h, x_t], axis=1)
+        z = cat @ wz
+        z += bz
+        z = 1.0 / (1.0 + np.exp(-z))
+        r = cat @ wr
+        r += br
+        r = 1.0 / (1.0 + np.exp(-r))
+        cat_r = np.concatenate([r * h, x_t], axis=1)
+        c = cat_r @ wc
+        c += bc
+        c = np.tanh(c)
+        if _grad_mode.enabled:
+            steps.append((h, cat, z, r, cat_r, c))
+        h = (1.0 - z) * h + z * c
+
+    def vjp(g):
+        # step by step from the last; each parameter's gradient sums the
+        # steps' terms from the last step down, a state's gradient its
+        # terms through (1 - z) * h, r * h and [h, x_t] in that order
+        sums = None
+        for t in range(len(steps) - 1, -1, -1):
+            h, cat, z, r, cat_r, c = steps[t]
+            g_z = (g * c - g * h) * z * (1.0 - z)
+            g_c = g * z * (1.0 - c * c)
+            g_rh = (g_c @ wc.T)[:, :size]
+            g_r = g_rh * h * r * (1.0 - r)
+            terms = (cat.T @ g_z, g_z.sum(axis=0, keepdims=True),
+                     cat.T @ g_r, g_r.sum(axis=0, keepdims=True),
+                     cat_r.T @ g_c, g_c.sum(axis=0, keepdims=True))
+            sums = terms if sums is None else tuple(
+                s + term for s, term in zip(sums, terms))
+            if t:
+                g_cat = g_z @ wz.T + g_r @ wr.T
+                g = g * (1.0 - z) + g_rh * r + g_cat[:, :size]
+        return sums
+
+    return Tensor(h, parents=params, vjp=vjp)
+
+
 class HeadBuffers:
     """What ``pair_head`` keeps between calls: the hidden layers'
-    activations and the gradients between them, one array per layer, and
-    one relu mask, built for one call shape (rows, hidden widths, dtype)
-    and reused while it holds. ``generation`` counts the calls."""
+    activations, one array per layer, and one relu mask, built for one call
+    shape (rows, hidden widths, dtype) and reused while it holds. A backward
+    writes the gradients between the layers over these activations, so one
+    training step holds the head's activations and nothing beside them.
+    ``generation`` counts the calls."""
 
     def __init__(self):
         self.generation = 0
         self.shape = None
-        self.acts = self.grads = self.mask = None
+        self.acts = self.mask = None
 
     def activations(self, rows: int, widths: list[int], dtype,
                     claim: bool) -> list[np.ndarray] | None:
         """The activation buffers of this call shape. When they are not
-        built yet, ``claim`` builds them with the gradient and mask
-        buffers; otherwise None (the call allocates as it goes)."""
+        built yet, ``claim`` builds them with the mask buffer; otherwise
+        None (the call allocates as it goes)."""
         shape = (rows, tuple(widths), np.dtype(dtype))
         if shape != self.shape:
             if not claim:
                 return None
             self.shape = shape
             self.acts = [np.empty((rows, k), dtype) for k in widths]
-            self.grads = [np.empty((rows, k), dtype) for k in widths]
             self.mask = np.empty(rows * max(widths), dtype=bool)
         return self.acts
 
@@ -283,15 +370,18 @@ def pair_head(inner: Tensor, outer: Tensor, layers, buffers: HeadBuffers) -> Ten
 
     The pairs are never built: inner @ w[:h] and outer @ w[h:] are computed
     once per row and broadcast-added, and the backward sums the gradient
-    over each side before its matmul. The hidden layers' activations and
-    gradients live in ``buffers`` and are overwritten by the next call of
-    the same shape; the taped output itself is a new array. Since only
-    this op's closure reads those gradients, it masks them in place. Each
-    call advances ``buffers.generation``, and a backward whose forward is
-    no longer the latest raises RuntimeError. Under ``no_grad`` the op
-    claims no buffers: it reuses activation buffers already built for its
-    shape, and otherwise allocates each layer's output as it goes, so only
-    a layer's input and output are alive at once.
+    over each side before its matmul. The hidden layers' activations live
+    in ``buffers`` and are overwritten by the next call of the same shape;
+    the taped output itself is a new array. The backward runs from the last
+    layer down: from each layer's input activation x it takes the weight
+    gradient x.T @ g and the relu mask, then writes the input gradient
+    g @ w.T over x and masks it there. That spends the call's buffers, so a
+    second backward through the same call raises RuntimeError, and so does
+    a backward whose forward is no longer the latest (each call advances
+    ``buffers.generation``). Under ``no_grad`` the op claims no buffers: it
+    reuses activation buffers already built for its shape, and otherwise
+    allocates each layer's output as it goes, so only a layer's input and
+    output are alive at once.
     """
     layers = list(layers)
     shapes = [t.data.shape for pair in layers for t in pair]
@@ -327,19 +417,26 @@ def pair_head(inner: Tensor, outer: Tensor, layers, buffers: HeadBuffers) -> Ten
             x += b.data
         if i < last:
             np.maximum(x, 0.0, out=x)
+    spent = False
 
     def vjp(g):
+        nonlocal spent
         if buffers.generation != generation:
             raise RuntimeError(
                 "pair_head: a later call overwrote this call's activations;"
                 " run each backward before the next forward")
+        if spent:
+            raise RuntimeError(
+                "pair_head: this call's backward has already run and spent"
+                " its activations")
+        spent = True
         param_grads = []
         for i in range(last, 0, -1):
-            w, x = layers[i][0].data, buffers.acts[i - 1]
+            w, x = layers[i][0].data, acts[i - 1]
             param_grads[:0] = [x.T @ g, g.sum(axis=0, keepdims=True)]
-            g = np.matmul(g, w.T, out=buffers.grads[i - 1])
-            mask = buffers.mask[:g.size].reshape(g.shape)
+            mask = buffers.mask[:x.size].reshape(x.shape)
             np.greater(x, 0.0, out=mask)
+            g = np.matmul(g, w.T, out=x)
             np.multiply(g, mask, out=g)
         w = layers[0][0].data
         g = g.reshape(m, n, widths[0])

@@ -67,6 +67,7 @@ import numpy as np
 from .baselines import EMPTY_VEH, region_mean_speeds
 from .config import bounded, check
 from .network import Link, RoadNetwork, dijkstra, link_travel_times
+from .nn import scatter_sum
 
 log = logging.getLogger(__name__)
 
@@ -117,17 +118,6 @@ def storage_capacity(link: Link, cfg: SimConfig) -> float:
     return float(max(cap, 1))
 
 
-def scatter_sum(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """``np.add.at(np.zeros((n,) + values.shape[1:]), index, values)`` by
-    ``np.bincount``: each row is summed from zero in index order, as
-    ``np.add.at`` sums it, so the result is the same to the bit."""
-    if values.ndim == 1:
-        return np.bincount(index, weights=values, minlength=n)
-    d = values.shape[1]
-    flat = (index[:, None] * d + np.arange(d)).ravel()
-    return np.bincount(flat, weights=values.ravel(), minlength=n * d).reshape(n, d)
-
-
 def _capped_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """``np.minimum(1.0, num / np.maximum(den, 1e-300))`` to the bit, taken
     as ``min(num, d) / d``: where ``num >= d`` that is exactly 1, so a large
@@ -167,7 +157,7 @@ def update_turn_ratios(net: RoadNetwork, speeds_kmh: np.ndarray,
     """All-or-nothing split toward the fastest downstream continuation per
     destination, blended with the previous ratios by cfg.turn_smoothing."""
     idx = net.index
-    target = _target_ratios(net, speeds_kmh, dest_ids)
+    target = _target_ratios(net, speeds_kmh, dest_ids)[0]
     s = cfg.turn_smoothing
     mixed = (1.0 - s) * prev + s * target
     denom = scatter_sum(idx.pair_up, mixed, net.n_links)[idx.pair_up]
@@ -177,12 +167,14 @@ def update_turn_ratios(net: RoadNetwork, speeds_kmh: np.ndarray,
 
 
 def _target_ratios(net: RoadNetwork, speeds_kmh: np.ndarray,
-                   dest_ids: tuple[int, ...]) -> np.ndarray:
+                   dest_ids: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(pairs, destinations) all-or-nothing split: from each link, every
     vehicle takes the pair whose downstream link is fastest to the
     destination, the lowest link id on ties. The split is uniform on the
     destination link itself, where trips end and it is irrelevant, and
-    toward a destination that cannot be reached."""
+    toward a destination that cannot be reached. Also returns which
+    (pair segment, destination) cannot reach it; every link time is finite,
+    so that set is the same at every speed field."""
     idx = net.index
     n_pairs = len(idx.pair_up)
     dest_index = np.array([net.link_index(d) for d in dest_ids], dtype=int)
@@ -196,20 +188,25 @@ def _target_ratios(net: RoadNetwork, speeds_kmh: np.ndarray,
     best_pair = np.minimum.reduceat(rows, idx.seg_start, axis=0)
     at_dest = idx.seg_link[:, None] == dest_index[None, :]
     unreachable = np.isinf(seg_best) & ~at_dest
-    for col, seg in zip(*np.nonzero(unreachable.T)):
-        log.warning("destination link %s unreachable from link %s; "
-                    "falling back to a uniform split", dest_ids[col],
-                    net.links[idx.seg_link[seg]].id)
     uniform = at_dest | unreachable
     target = np.where(uniform[idx.seg_of_pair],
                       (1.0 / idx.seg_size)[idx.seg_of_pair][:, None], 0.0)
     seg, col = np.nonzero(~uniform)
     target[best_pair[seg, col], col] = 1.0
-    return target
+    return target, unreachable
 
 
 def initial_turn_ratios(net: RoadNetwork, dest_ids: tuple[int, ...]) -> np.ndarray:
-    ratios = _target_ratios(net, net.index.vff_kmh, dest_ids)
+    """The free-flow split; logs one warning per destination that some
+    links cannot reach, once per run, since later refreshes find the same
+    links."""
+    ratios, unreachable = _target_ratios(net, net.index.vff_kmh, dest_ids)
+    for col, dest in enumerate(dest_ids):
+        links = net.index.seg_link[unreachable[:, col]]
+        if len(links):
+            log.warning("destination link %s unreachable from %d links (%s); "
+                        "falling back to a uniform split", dest, len(links),
+                        ", ".join(str(net.links[z].id) for z in links))
     check_turn_ratios(net, ratios)
     return ratios
 

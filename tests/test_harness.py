@@ -12,7 +12,7 @@ from lcftraffic.model import (LcfModel, ModelConfig, fit_normalization,
 from lcftraffic.network import (Link, RoadNetwork, extract_features,
                                 generate_grid_network)
 from lcftraffic.scenarios import ODMatrix, build_dataset, random_base_od
-from lcftraffic.simulate import SimConfig
+from lcftraffic.simulate import SimConfig, simulate
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +143,10 @@ def test_travel_time_split_logs_horizon_overruns(corpus, caplog):
     assert found and int(found.group(1)) > 0
 
 
+TWO_GRIDS_CFG = SimConfig(step_s=5.0, window_s=60.0, warmup_s=120.0,
+                          peak_s=240.0, total_s=600.0)
+
+
 @pytest.fixture(scope="module")
 def two_grids():
     """Two 3 x 3 grids with no link between them, demand on the first: a
@@ -157,9 +161,7 @@ def two_grids():
              lk.is_boundary_in, lk.is_boundary_out) for lk in a.links]
     net = RoadNetwork(junctions, links)
     od = ODMatrix(pairs=((0, 23), (1, 22)), rates=(300.0, 300.0))
-    cfg = SimConfig(step_s=5.0, window_s=60.0, warmup_s=120.0, peak_s=240.0,
-                    total_s=600.0)
-    return net, build_dataset(net, od, n=10, master_seed=8, cfg=cfg)
+    return net, build_dataset(net, od, n=10, master_seed=8, cfg=TWO_GRIDS_CFG)
 
 
 def test_travel_time_split_excludes_a_scenario_whose_trips_all_fail(two_grids, caplog):
@@ -180,3 +182,18 @@ def test_travel_time_split_fails_when_none_of_its_trips_routes(two_grids):
                                          r"trips of split 'test' routes"):
         evaluate_travel_time_split(net, dataset, None, ["MFD"], {}, n_trips=2,
                                    seed=4)
+
+
+def test_unreachable_destinations_are_logged_once_per_run(two_grids, caplog):
+    """No link of the second grid reaches either destination. Link times are
+    finite, so every turn-ratio refresh finds the same links, and one line
+    per destination, at the run's first solve, says all there is."""
+    net, dataset = two_grids
+    with caplog.at_level("WARNING", logger="lcftraffic.simulate"):
+        simulate(net, dataset.scenarios[0], TWO_GRIDS_CFG)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "lcftraffic.simulate"]
+    second = ", ".join(str(i) for i in range(24, 48))
+    assert lines == [f"destination link {d} unreachable from 24 links "
+                     f"({second}); falling back to a uniform split"
+                     for d in (22, 23)]

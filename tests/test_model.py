@@ -503,11 +503,41 @@ def test_steps_after_the_first_reuse_the_head_buffers(monkeypatch):
     finally:
         tracemalloc.stop()
     (n_rows,) = rows
-    # 240 rows: the first step allocated 5.7 MB here and later ones 4.0 MB;
-    # every step allocated 5.6-5.7 MB when the head's arrays were built
-    # afresh per step
+    # 240 rows: the first step allocated 4.3 MB here and later ones 3.5 MB
+    # (5.7 and 4.0 MB while a second array per layer held the gradients
+    # between the layers); every step allocated 5.6-5.7 MB when the head's
+    # arrays were built afresh per step
     assert len(steps) > 3
     assert min(steps[0] - s for s in steps[1:3]) >= n_rows * 864 * 4
+
+
+def test_a_training_step_holds_only_the_head_activations():
+    """After a training step's backward the model's head buffers hold the
+    hidden activations, which the backward overwrote with the gradients
+    between the layers, and the relu mask: rows x 864 hidden units x 4 B
+    plus rows x 384 B at the default widths in float32, and no other array
+    (a second array per layer held those gradients before)."""
+    net, ds, part = toy_training_setup(seed=31)
+    config = ModelConfig()
+    feats = model_module.split_features(net, ds, "train", part)
+    norm = model_module.fit_normalization(ds, feats, config.output_type)
+    batch = model_module.build_batches(net, ds, "train", feats, config, norm)[0]
+    model = LcfModel(config, norm)
+    loss = model_module._batch_loss(model, batch)
+    nn.backward(loss)
+    nn.AdamW(model.parameters()).step()
+    rows = len(batch.targets)
+    held = [a for value in vars(model._head).values()
+            for a in (value if isinstance(value, list) else [value])
+            if isinstance(a, np.ndarray)]
+    assert sum(a.nbytes for a in held) == rows * 864 * 4 + rows * 384
+
+
+def test_temporal_embed_is_one_tape_node():
+    model = LcfModel(tiny_config(hidden_dim=3))
+    out = model.temporal_embed(np.zeros((2, 5)))
+    assert out._parents == tuple(model.params[f"gru.{name}"] for name in
+                                 ("Wz", "bz", "Wr", "br", "Wc", "bc"))
 
 
 def test_a_backward_after_a_later_forward_raises():

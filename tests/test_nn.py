@@ -1,4 +1,6 @@
+import contextlib
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -9,6 +11,7 @@ from lcftraffic.nn import AdamW, Tensor, backward, steplr
 
 from dense_head import dense_head
 from gradcheck import grad_check
+from gru_oracle import taped_gru
 
 
 def fd_gradient(closure, p: Tensor, eps: float = 1e-6) -> np.ndarray:
@@ -49,7 +52,7 @@ STARTS = np.array([0, 1, 3])              # segments of 1, 2 and 2 of 5 rows
 @pytest.mark.parametrize("op_name", [
     "matmul", "add", "add_broadcast", "mul", "mul_broadcast", "concat",
     "relu", "leaky_relu", "sigmoid", "tanh", "dense", "dense_relu",
-    "pair_head", "pair_head_one_layer", "gather", "segment_softmax",
+    "pair_head", "pair_head_one_layer", "gru", "gather", "segment_softmax",
     "segment_sum",
 ])
 def test_primitive_gradients_match_finite_differences(op_name):
@@ -72,6 +75,9 @@ def test_primitive_gradients_match_finite_differences(op_name):
     t34 = nn.constant(rng.normal(size=(3, 4)))
     w33 = rand_param(rng, (3, 3))
     b13b = rand_param(rng, (1, 3))
+    gru_params = [rand_param(rng, s) for s in [(3, 2), (1, 2)] * 3]
+    hist53 = rng.normal(size=(5, 3))
+    t52 = nn.constant(rng.normal(size=(5, 2)))
 
     builders = {
         "matmul": (lambda: nn.mse_loss(nn.matmul(a, c), t53), [a, c]),
@@ -98,6 +104,9 @@ def test_primitive_gradients_match_finite_differences(op_name):
         "pair_head_one_layer": (lambda: nn.mse_loss(nn.pair_head(
             a, outer1, [(w53, b13)], nn.HeadBuffers()), t153),
             [a, outer1, w53, b13]),
+        # three steps over five rows, a state of width 2
+        "gru": (lambda: nn.mse_loss(nn.gru(hist53, *gru_params), t52),
+                gru_params),
         # rows read twice and a row never read, as in the link graph
         "gather": (lambda: nn.mse_loss(nn.gather(a, ROWS), t74), [a]),
         "segment_softmax": (lambda: nn.mse_loss(nn.segment_softmax(a, STARTS),
@@ -134,6 +143,23 @@ def test_gather_and_segment_sum_values():
         [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]]
     assert nn.segment_sum(a, np.array([0, 1])).data.tolist() == \
         [[0.0, 1.0], [6.0, 8.0]]
+
+
+def test_gather_backward_is_the_scatter_add_of_add_at():
+    """Equal to ``np.add.at`` to the bit in float64; float32 gradients are
+    summed in float64 and rounded once."""
+    rng = np.random.default_rng(12)
+    g = rng.normal(size=(len(ROWS), 3)) * 10.0 ** rng.integers(-6, 6, (len(ROWS), 1))
+    want = np.zeros((5, 3))
+    np.add.at(want, ROWS, g)
+    a = Tensor(np.zeros((5, 3)), requires_grad=True)
+    assert nn.gather(a, ROWS)._vjp(g)[0].tobytes() == want.tobytes()
+    a32 = Tensor(np.zeros((5, 3), np.float32), requires_grad=True)
+    got = nn.gather(a32, ROWS)._vjp(g.astype(np.float32))[0]
+    want = np.zeros((5, 3))
+    np.add.at(want, ROWS, g.astype(np.float32).astype(np.float64))
+    assert got.dtype == np.float32
+    assert np.array_equal(got, want.astype(np.float32))
 
 
 @pytest.mark.parametrize("starts", [[], [1, 2], [0, 2, 2], [0, 3]])
@@ -228,7 +254,8 @@ def test_float32_ops_backward_and_adamw_stay_float32():
     a, b, row, c = f32(5, 4), f32(5, 4), f32(1, 4), f32(4, 3)
     w43, w63, b13, outer2 = f32(4, 3), f32(6, 3), f32(1, 3), f32(3, 2)
     w33, b13b = f32(3, 3), f32(1, 3)
-    params = [a, b, row, c, w43, w63, b13, outer2, w33, b13b]
+    gru_params = [f32(*s) for s in [(4, 3), (1, 3)] * 3]
+    params = [a, b, row, c, w43, w63, b13, outer2, w33, b13b] + gru_params
     outputs = {
         "matmul": lambda: nn.matmul(a, c),
         "add": lambda: nn.add(a, row),
@@ -245,6 +272,8 @@ def test_float32_ops_backward_and_adamw_stay_float32():
         "dense": lambda: nn.dense(a, w43, b13, relu=True),
         "pair_head": lambda: nn.pair_head(a, outer2, [(w63, b13), (w33, b13b)],
                                           nn.HeadBuffers()),
+        # a float64 history is cast to the weights' dtype
+        "gru": lambda: nn.gru(rng.normal(size=(5, 2)), *gru_params),
         "astype": lambda: nn.astype(nn.astype(a, np.float64), np.float32),
     }
     for name, build in outputs.items():
@@ -290,6 +319,7 @@ def every_op(dtype):
     a, b, row, c = param(5, 4), param(5, 4), param(1, 4), param(4, 3)
     w43, w63, b13, outer2 = param(4, 3), param(6, 3), param(1, 3), param(3, 2)
     w33, b13b = param(3, 3), param(1, 3)
+    gru_params = [param(*s) for s in [(4, 3), (1, 3)] * 3]
     other = np.float64 if dtype == np.float32 else np.float32
     return {
         "matmul": nn.matmul(a, c),
@@ -310,6 +340,7 @@ def every_op(dtype):
                                   nn.HeadBuffers()),
         "pair_head_one_layer": nn.pair_head(a, outer2, [(w63, b13)],
                                             nn.HeadBuffers()),
+        "gru": nn.gru(rng.normal(size=(5, 2)), *gru_params),
         "astype": nn.astype(a, other),
         "mse_loss": nn.mse_loss(a, b),
     }
@@ -491,10 +522,95 @@ def test_pair_head_claims_no_buffers_off_the_tape():
     with nn.no_grad():
         nn.pair_head(inner, outer, layers, buffers)
     assert buffers.shape is None and buffers.acts is None
-    assert buffers.grads is None and buffers.mask is None
+    assert buffers.mask is None
     nn.pair_head(inner, outer, layers, buffers)
     assert [a.shape for a in buffers.acts] == [(12, 5)]
-    assert [g.shape for g in buffers.grads] == [(12, 5)]
+
+
+def test_a_second_backward_through_one_pair_head_call_raises():
+    rng = np.random.default_rng(25)
+    inner, outer, layers = head_inputs(rng, np.float64, 4, 3, 3, 3, (5, 4, 2))
+    buffers = nn.HeadBuffers()
+    out = nn.pair_head(inner, outer, layers, buffers)
+    g = rng.normal(size=out.shape)
+    out._vjp(g)
+    spent = [a.copy() for a in buffers.acts]
+    with pytest.raises(RuntimeError, match="already run"):
+        out._vjp(g)
+    assert all(np.array_equal(a, b) for a, b in zip(buffers.acts, spent))
+    loss = nn.mse_loss(nn.pair_head(inner, outer, layers, nn.HeadBuffers()),
+                       nn.constant(np.zeros((12, 2))))
+    backward(loss)
+    with pytest.raises(RuntimeError, match="already run"):
+        backward(loss)
+
+
+# ---------------------------------------------------------------------------
+# the GRU as one tape node
+# ---------------------------------------------------------------------------
+
+def gru_inputs(rng, dtype, batch, steps, size):
+    """A (batch, steps) float64 history and the six GRU parameters, in
+    ``nn.gru``'s order, of the given dtype and state width."""
+    params = [Tensor((rng.normal(size=s) * 0.5).astype(dtype), requires_grad=True)
+              for s in [(size + 1, size), (1, size)] * 3]
+    return rng.normal(size=(batch, steps)), params
+
+
+# (batch, steps, state width): one row, one step, both, the model's shape
+# (40 windows, history 5, hidden 128) and a few small ones
+GRU_SHAPES = [(1, 1, 1), (1, 5, 3), (7, 1, 4), (3, 4, 2), (13, 6, 9),
+              (40, 5, 128)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", GRU_SHAPES, ids=str)
+def test_gru_equals_the_taped_oracle_to_the_bit(dtype, shape):
+    rng = np.random.default_rng(zlib.crc32(str(shape).encode()))
+    hist, params = gru_inputs(rng, dtype, *shape)
+    target = nn.constant(rng.normal(size=(shape[0], shape[2])).astype(dtype))
+    results = []
+    for op in (taped_gru, nn.gru):
+        nn.zero_grads(params)
+        out = op(hist, *params)
+        backward(nn.mse_loss(out, target))
+        results.append([out.data] + [p.grad for p in params])
+    for got, want in zip(*reversed(results)):
+        assert got.dtype == want.dtype == dtype
+        # the same bits, the signs of zeros included
+        assert got.tobytes() == want.tobytes()
+    with nn.no_grad():
+        assert nn.gru(hist, *params).data.tobytes() == results[1][0].tobytes()
+
+
+def test_gru_keeps_no_step_arrays_off_the_tape():
+    """Off the tape only a step's arrays are alive at once; taped, every
+    step's six arrays are kept for the backward."""
+    rng = np.random.default_rng(27)
+    hist, params = gru_inputs(rng, np.float64, 2000, 20, 16)
+    state_bytes = 2000 * 16 * 8
+    peaks = []
+    for mode in (nn.no_grad, contextlib.nullcontext):
+        tracemalloc.start()
+        try:
+            with mode():
+                out = nn.gru(hist, *params)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del out
+    assert peaks[0] < 16 * state_bytes < 20 * 6 * state_bytes < peaks[1]
+
+
+def test_gru_rejects_misaligned_shapes():
+    rng = np.random.default_rng(28)
+    hist, params = gru_inputs(rng, np.float64, 2, 3, 4)
+    with pytest.raises(ValueError, match=r"\(2, 0\)"):
+        nn.gru(hist[:, :0], *params)
+    params[4] = nn.constant(np.zeros((4, 4)))
+    with pytest.raises(ValueError, match=r"\(5, 4\), \(1, 4\), \(5, 4\), "
+                                         r"\(1, 4\), \(4, 4\), \(1, 4\)"):
+        nn.gru(hist, *params)
 
 
 # ---------------------------------------------------------------------------

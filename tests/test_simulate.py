@@ -9,12 +9,12 @@ import pytest
 from lcftraffic.baselines import EMPTY_VEH
 from lcftraffic.network import (Link, RoadNetwork, SignalPlan,
                                 generate_grid_network, link_travel_times)
+from lcftraffic.nn import scatter_sum
 from lcftraffic.scenarios import ODMatrix, Scenario, random_base_od
 from lcftraffic.simulate import (RESIDUE_VEH, SimConfig, SimRecord, SimState,
                                  SimulationError, _window_stats,
                                  check_turn_ratios, initial_turn_ratios,
                                  network_mfd, network_stats,
-                                 scatter_sum,
                                  shortest_time_to_dest,
                                  simulate, storage_capacity,
                                  update_turn_ratios, save_record, load_record)
