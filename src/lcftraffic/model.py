@@ -12,12 +12,15 @@ sub-region feature column for the "-P" variants.
 
 The attention runs on the link graph's edge list (``network.LinkGraph``):
 scores, softmax and weighted sums live on the edges, so its memory grows
-with the edges, and no (links x links) array is built.
+with the edges, and no (links x links) array is built. Each head's
+projection feats @ W is a tape node, and the rest of the layer, all heads
+and their mean, is one more (``nn.gat``).
 
 Precision: the model runs in ``ModelConfig.dtype``, float32 by default. The
-attention heads' parameters and arithmetic stay float64, so each link's
-coefficients sum to 1 within float64 rounding, and ``spatial_embed`` casts
-its output to the model dtype. Normalization statistics, decoding and everything
+attention heads' parameters stay float64, so each projection and the
+layer's arithmetic are float64 and each link's coefficients sum to 1
+within float64 rounding; ``nn.gat`` casts its output to the model dtype
+inside its tape node. Normalization statistics, decoding and everything
 downstream of a prediction stay float64.
 """
 
@@ -203,42 +206,37 @@ class LcfModel:
 
     # forward pieces -------------------------------------------------------
 
-    def _attention(self, feats: Tensor, graph: LinkGraph,
-                   head: int) -> tuple[Tensor, Tensor]:
-        """One GAT head: the projected features (feats @ W) and the
-        attention coefficient of every edge, (E, 1), a softmax over each
-        link's edges of leaky_relu(a_src . Wh[src] + a_dst . Wh[dst])."""
-        wh = nn.matmul(feats, self.params[f"gat.h{head}.W"])
-        s_src = nn.matmul(wh, self.params[f"gat.h{head}.a_src"])
-        s_dst = nn.matmul(wh, self.params[f"gat.h{head}.a_dst"])
-        scores = nn.leaky_relu(nn.add(nn.gather(s_src, graph.src),
-                                      nn.gather(s_dst, graph.dst)), LEAKY_SLOPE)
-        return wh, nn.segment_softmax(scores, graph.seg_start)
-
     def spatial_embed(self, feats: Tensor, graph: LinkGraph) -> Tensor:
         """Each link's relu(sum over its edges of att * Wh[dst]), averaged
-        over the heads; without attention, a relu dense layer."""
+        over the heads (``nn.gat``, one tape node after each head's
+        projection feats @ W); without attention, a relu dense layer."""
         cfg = self.config
         if not cfg.use_gat:
             return nn.dense(feats, self.params["dnn.W"], self.params["dnn.b"],
                             relu=True)
-        heads = []
-        for k in range(cfg.heads):
-            wh, att = self._attention(feats, graph, k)
-            heads.append(nn.relu(nn.segment_sum(
-                nn.mul(att, nn.gather(wh, graph.dst)), graph.seg_start)))
-        out = heads[0]
-        for extra in heads[1:]:
-            out = nn.add(out, extra)
-        return nn.astype(nn.scale(out, 1.0 / cfg.heads), self.dtype)
+        heads = range(cfg.heads)
+        whs = [nn.matmul(feats, self.params[f"gat.h{k}.W"]) for k in heads]
+        return nn.gat(whs, [self.params[f"gat.h{k}.a_src"] for k in heads],
+                      [self.params[f"gat.h{k}.a_dst"] for k in heads],
+                      graph, LEAKY_SLOPE, self.dtype)
 
     def attention_matrix(self, feats_norm: np.ndarray, graph: LinkGraph,
                          head: int = 0) -> np.ndarray:
         """Attention coefficients of one head, as spatial_embed computes
-        them, as a dense (links x links) matrix that is zero off the edges:
-        for diagnostics and tests on small networks."""
-        with nn.no_grad():
-            att = self._attention(nn.constant(feats_norm), graph, head)[1].data
+        them (``nn.attention_coefficients`` on the features in the model
+        dtype), as a dense (links x links) matrix that is zero off the
+        edges: for diagnostics and tests on small networks."""
+        cfg = self.config
+        if not cfg.use_gat:
+            raise ValueError(f"attention_matrix: the {cfg.name} model has no "
+                             "attention")
+        if not 0 <= head < cfg.heads:
+            raise ValueError(f"attention_matrix: head {head} is not one of the "
+                             f"model's {cfg.heads} heads (0 to {cfg.heads - 1})")
+        w, a_src, a_dst = (self.params[f"gat.h{head}.{name}"].data
+                           for name in ("W", "a_src", "a_dst"))
+        wh = np.asarray(feats_norm, dtype=self.dtype) @ w
+        att, _ = nn.attention_coefficients(wh, a_src, a_dst, graph, LEAKY_SLOPE)
         dense = np.zeros((graph.n_links, graph.n_links))
         dense[graph.src, graph.dst] = att[:, 0]
         return dense

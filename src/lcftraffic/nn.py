@@ -1,17 +1,15 @@
 """Minimal reverse-mode differentiation core on float32 or float64 numpy
 arrays.
 
-Only the handful of operations the estimator needs are implemented:
-matmul, broadcasting add/mul, concat, relu, leaky_relu, sigmoid, tanh, an
-MSE loss, the fused dense layer ``dense`` (x @ W + b, optional relu), the
-recurrent encoder ``gru`` (a whole GRU recurrence as one tape node), the
-estimator head ``pair_head`` (a dense chain over every (row of a, row of b)
-concatenation, without building it, as one tape node on reused buffers:
-``HeadBuffers``), and the three edge-list ops of graph attention:
-``gather`` (rows by index; its backward scatter-adds with ``scatter_sum``),
-``segment_softmax`` and ``segment_sum`` (over contiguous, non-empty row
-segments). concat, sigmoid and tanh serve the tests' oracles now that the
-GRU is one op.
+Only the operations the estimator runs are implemented: matmul, an MSE
+loss, the fused dense layer ``dense`` (x @ W + b, optional relu), the graph
+attention ``gat`` (every head's edge scores, softmax, weighted sum and
+relu, and the mean over the heads, as one tape node; its coefficient rule
+is ``attention_coefficients``), the recurrent encoder ``gru`` (a whole GRU
+recurrence as one tape node) and the estimator head ``pair_head`` (a dense
+chain over every (row of a, row of b) concatenation, without building it,
+as one tape node on reused buffers: ``HeadBuffers``). ``scatter_sum`` is the
+package's one scatter-add.
 Each op records one backward closure, which maps the output gradient to a
 tuple of gradients, one per parent in order; ``backward`` walks the tape in
 reverse topological order and hands each parent that requires a gradient
@@ -21,13 +19,13 @@ backward writes each layer's input gradient over that layer's input
 activation, which nothing else reads, so one backward spends the call.
 Everything is deliberately single-threaded and deterministic.
 
-Precision: every op, ``backward`` and ``AdamW`` keep their inputs' dtype, so
-one code path runs in float32 or in float64. A Tensor keeps float32 and
-float64 data as given and casts anything else (Python numbers, integer
-arrays) to float64; ``astype`` is the one op that changes precision, and its
-backward casts the gradient back. Constants made from a Python scalar take
-the dtype of the array they meet (``scale``), since a float64 numpy scalar
-would upcast a float32 array.
+Precision: ``backward``, ``AdamW`` and every op but ``gat`` keep their
+inputs' dtype, so one code path runs in float32 or in float64. ``gat``
+casts its output to the dtype it is given, and its backward casts the
+gradient back. A Tensor keeps float32 and float64 data as given and casts
+anything else (Python numbers, integer arrays) to float64. Constants made
+from a Python scalar take the dtype of the array they meet, since a float64
+numpy scalar would upcast a float32 array.
 
 Inference mode: inside ``with no_grad():`` every op returns a Tensor with
 no parents, no backward closure and ``requires_grad=False``, so nothing is
@@ -104,88 +102,12 @@ def glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce a broadcasted gradient back to the parent's shape."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and grad.shape[ax] != 1:
-            grad = grad.sum(axis=ax, keepdims=True)
-    return grad
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out_data = a.data + b.data
-    except ValueError:
-        raise ValueError(f"add: shapes {a.data.shape} and {b.data.shape} "
-                         "are not broadcast-compatible") from None
-    return Tensor(out_data, parents=(a, b),
-                  vjp=lambda g: (_unbroadcast(g, a.data.shape),
-                                 _unbroadcast(g, b.data.shape)))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out_data = a.data * b.data
-    except ValueError:
-        raise ValueError(f"mul: shapes {a.data.shape} and {b.data.shape} "
-                         "are not broadcast-compatible") from None
-    return Tensor(out_data, parents=(a, b),
-                  vjp=lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                                 _unbroadcast(g * a.data, b.data.shape)))
-
-
-def scale(a: Tensor, k: float) -> Tensor:
-    return mul(a, constant(a.data.dtype.type(k)))
-
-
-def astype(a: Tensor, dtype) -> Tensor:
-    """``a`` in ``dtype``; the gradient is cast back to ``a``'s dtype. Returns
-    ``a`` itself when it already has that dtype."""
-    source = a.data.dtype
-    if source == dtype:
-        return a
-    return Tensor(a.data.astype(dtype), parents=(a,),
-                  vjp=lambda g: (g.astype(source),))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: shapes {a.data.shape} and {b.data.shape} "
                          "do not align")
     return Tensor(a.data @ b.data, parents=(a, b),
                   vjp=lambda g: (g @ b.data.T, a.data.T @ g))
-
-
-def concat(tensors, axis: int = 1) -> Tensor:
-    tensors = tuple(tensors)
-    cuts = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-    return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                  parents=tensors,
-                  vjp=lambda g: tuple(np.split(g, cuts, axis=axis)))
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return Tensor(np.where(mask, a.data, 0.0), parents=(a,),
-                  vjp=lambda g: (g * mask,))
-
-
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    mask = a.data > 0
-    return Tensor(np.where(mask, a.data, slope * a.data), parents=(a,),
-                  vjp=lambda g: (np.where(mask, g, slope * g),))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    y = 1.0 / (1.0 + np.exp(-a.data))
-    return Tensor(y, parents=(a,), vjp=lambda g: (g * y * (1.0 - y),))
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    return Tensor(y, parents=(a,), vjp=lambda g: (g * (1.0 - y * y),))
 
 
 def scatter_sum(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -201,46 +123,79 @@ def scatter_sum(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat, weights=values.ravel(), minlength=n * d).reshape(n, d)
 
 
-def gather(a: Tensor, index: np.ndarray) -> Tensor:
-    """Rows ``a[index]`` of a 1-D or 2-D ``a``; the backward scatter-adds
-    each row's gradient into the row it was read from (``scatter_sum``,
-    cast back to ``a``'s dtype)."""
-    n = a.data.shape[0]
-    return Tensor(a.data[index], parents=(a,),
-                  vjp=lambda g: (scatter_sum(index, g, n).astype(
-                      a.data.dtype, copy=False),))
+def attention_coefficients(wh: np.ndarray, a_src: np.ndarray, a_dst: np.ndarray,
+                           graph, slope: float) -> tuple[np.ndarray, np.ndarray]:
+    """The attention coefficient of every edge of ``graph`` (a
+    ``network.LinkGraph``), (E, 1): a softmax over each link's edges of
+    leaky_relu(wh[src] @ a_src + wh[dst] @ a_dst) of negative slope
+    ``slope``; and which edges scored above zero (the leaky relu's mask)."""
+    starts = graph.seg_start
+    sizes = np.diff(starts, append=len(graph.src))
+    scores = (wh @ a_src)[graph.src] + (wh @ a_dst)[graph.dst]
+    positive = scores > 0
+    scores = np.where(positive, scores, slope * scores)
+    peak = np.maximum.reduceat(scores, starts, axis=0)
+    e = np.exp(scores - np.repeat(peak, sizes, axis=0))
+    att = e / np.repeat(np.add.reduceat(e, starts, axis=0), sizes, axis=0)
+    return att, positive
 
 
-def _segment_sizes(starts: np.ndarray, n_rows: int) -> np.ndarray:
-    """Row count of each segment; a segment runs from its start to the next
-    one's (the last to ``n_rows``)."""
-    sizes = np.diff(np.append(starts, n_rows))
-    if len(starts) == 0 or starts[0] != 0 or not (sizes > 0).all():
-        raise ValueError(f"segments of {n_rows} rows must start at row 0 and "
-                         f"be non-empty, got starts {np.asarray(starts)}")
-    return sizes
-
-
-def segment_softmax(a: Tensor, starts: np.ndarray) -> Tensor:
-    """Softmax down the rows of each segment (see ``_segment_sizes``), each
-    column on its own."""
-    sizes = _segment_sizes(starts, a.data.shape[0])
-    peak = np.maximum.reduceat(a.data, starts, axis=0)
-    e = np.exp(a.data - np.repeat(peak, sizes, axis=0))
-    y = e / np.repeat(np.add.reduceat(e, starts, axis=0), sizes, axis=0)
+def gat(whs: list[Tensor], a_srcs: list[Tensor], a_dsts: list[Tensor], graph,
+        slope: float, dtype) -> Tensor:
+    """Graph attention over the edges of ``graph`` (a ``network.LinkGraph``)
+    as one tape node: head k gives each link relu(sum over its edges of
+    att * whs[k][dst]), att the ``attention_coefficients`` of a_srcs[k] and
+    a_dsts[k], and the op returns the mean over the heads cast to ``dtype``;
+    the heads run, and their gradients come back, in the inputs' dtype. It
+    keeps the products, elementwise order and gradient summation order of
+    the layer built from small taped ops, so it gives its bits (each head's
+    wh gradient sums via a_src + via a_dst, then via the weighted sum). A
+    head weights its gathered rows in place; under ``no_grad`` none is kept."""
+    parents = (*whs, *a_srcs, *a_dsts)
+    n, k = graph.n_links, len(whs)
+    h = whs[0].data.shape[-1] if whs else 0
+    if not k or len(a_srcs) != k or len(a_dsts) != k or any(
+            p.data.shape != shape
+            for p, shape in zip(parents, [(n, h)] * k + [(h, 1)] * (2 * k))):
+        raise ValueError(f"gat: shapes "
+                         f"{', '.join(str(p.data.shape) for p in parents)} "
+                         f"do not align with {n} links")
+    dst, starts = graph.dst, graph.seg_start
+    sizes = np.diff(starts, append=len(dst))
+    work = whs[0].data.dtype
+    mean = work.type(1.0 / k)
+    kept, out = [], None
+    for wh, a_src, a_dst in zip(whs, a_srcs, a_dsts):
+        att, positive = attention_coefficients(wh.data, a_src.data, a_dst.data,
+                                               graph, slope)
+        head = wh.data[dst]
+        head *= att
+        head = np.add.reduceat(head, starts, axis=0)
+        mask = head > 0
+        head[~mask] = 0.0
+        out = head if out is None else np.add(out, head, out=out)
+        if _grad_mode.enabled:
+            kept.append((att, positive, mask))
+    out *= mean
 
     def vjp(g):
-        dot = np.add.reduceat(g * y, starts, axis=0)
-        return (y * (g - np.repeat(dot, sizes, axis=0)),)
+        g = g.astype(work, copy=False) * mean
+        grads = []
+        for wh, a_src, a_dst, (att, positive, mask) in zip(whs, a_srcs, a_dsts,
+                                                           kept):
+            g_edge = np.repeat(g * mask, sizes, axis=0)
+            g_att = (g_edge * wh.data[dst]).sum(axis=1, keepdims=True)
+            dot = np.add.reduceat(g_att * att, starts, axis=0)
+            g_score = att * (g_att - np.repeat(dot, sizes, axis=0))
+            g_score = np.where(positive, g_score, slope * g_score)
+            g_src = scatter_sum(graph.src, g_score, n).astype(work, copy=False)
+            g_dst = scatter_sum(dst, g_score, n).astype(work, copy=False)
+            g_sum = scatter_sum(dst, g_edge * att, n).astype(work, copy=False)
+            grads.append((g_src @ a_src.data.T + g_dst @ a_dst.data.T + g_sum,
+                          wh.data.T @ g_src, wh.data.T @ g_dst))
+        return tuple(grad for part in zip(*grads) for grad in part)
 
-    return Tensor(y, parents=(a,), vjp=vjp)
-
-
-def segment_sum(a: Tensor, starts: np.ndarray) -> Tensor:
-    """One row per segment (see ``_segment_sizes``): the sum of its rows."""
-    sizes = _segment_sizes(starts, a.data.shape[0])
-    return Tensor(np.add.reduceat(a.data, starts, axis=0), parents=(a,),
-                  vjp=lambda g: (np.repeat(g, sizes, axis=0),))
+    return Tensor(out.astype(dtype, copy=False), parents=parents, vjp=vjp)
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
@@ -276,8 +231,8 @@ def gru(hist: np.ndarray, wz: Tensor, bz: Tensor, wr: Tensor, br: Tensor,
     with each w of shape (H + 1, H) and each b (1, H); ``hist`` is cast to
     the weights' dtype. The forward and backward use the products, the
     elementwise order and the gradient summation order of the same
-    recurrence built from ``concat``, ``dense``, ``sigmoid``, ``tanh``,
-    ``mul`` and ``add``, so they give its bits. Under ``no_grad`` no step's
+    recurrence built from small taped ops (concat, dense, sigmoid, tanh,
+    mul, add), so they give its bits. Under ``no_grad`` no step's
     arrays are kept."""
     params = (wz, bz, wr, br, wc, bc)
     size = wz.data.shape[-1]
@@ -484,9 +439,9 @@ def backward(root: Tensor) -> None:
             if not parent.requires_grad:
                 continue
             # a closure may hand back an array another tensor also holds
-            # (add returns g itself to both parents), so a stored gradient
-            # is never written in place: the first is kept as is, later
-            # ones are summed into a new array
+            # (an elementwise add returns g itself to both parents), so a
+            # stored gradient is never written in place: the first is kept
+            # as is, later ones are summed into a new array
             parent.grad = g if parent.grad is None else parent.grad + g
 
 

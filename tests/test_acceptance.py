@@ -26,6 +26,7 @@ from lcftraffic.simulate import SimConfig, _window_stats, simulate
 
 from dense_gat import graph_of
 from gradcheck import grad_check
+from taped_ops import add, concat, mul, sigmoid, tanh
 
 
 def announce(number: int, text: str) -> None:
@@ -126,30 +127,37 @@ def test_04_gradient_fidelity():
     t0 = time.perf_counter()
     rng = np.random.default_rng(4)
 
-    def primitive_error(name, fn, shape=(5, 4)):
-        p = nn.Tensor(rng.normal(size=shape), requires_grad=True)
-        target = nn.constant(rng.normal(size=fn(p).data.shape))
-        return grad_check(lambda: nn.mse_loss(fn(p), target), [p], eps=1e-6)
+    def param(*shape):
+        return nn.Tensor(rng.normal(size=shape), requires_grad=True)
 
-    w = nn.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    other = nn.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    def primitive_error(fn, params):
+        target = nn.constant(rng.normal(size=fn().data.shape))
+        return grad_check(lambda: nn.mse_loss(fn(), target), params, eps=1e-6)
+
+    p, other, w = param(5, 4), param(5, 4), param(4, 3)
+    # two attention heads on a random 5-link graph
+    attention = [param(5, 4), param(5, 4)] + [param(4, 1) for _ in range(4)]
+    graph5 = graph_of(rng.random((5, 5)) < 0.5)
+    gru_params = [param(*s) for s in [(4, 3), (1, 3)] * 3]
+    hist = rng.normal(size=(5, 3))
+    outer = param(3, 2)
+    layers = [(param(6, 3), param(1, 3)), (param(3, 2), param(1, 2))]
     primitives = {
-        "matmul": lambda p: nn.matmul(p, w),
-        "add": lambda p: nn.add(p, other),
-        "mul": lambda p: nn.mul(p, other),
-        "concat": lambda p: nn.concat([p, other], axis=1),
-        "relu": nn.relu,
-        "leaky_relu": lambda p: nn.leaky_relu(p, 0.2),
-        "sigmoid": nn.sigmoid,
-        "tanh": nn.tanh,
-        # edge-list attention: rows 0 and 2 read twice, row 3 never
-        "gather": lambda p: nn.gather(p, np.array([0, 2, 2, 4, 1, 0])),
-        "segment_softmax": lambda p: nn.segment_softmax(p, np.array([0, 2])),
-        "segment_sum": lambda p: nn.segment_sum(p, np.array([0, 1, 3])),
+        "matmul": (lambda: nn.matmul(p, w), [p, w]),
+        "add": (lambda: add(p, other), [p, other]),
+        "mul": (lambda: mul(p, other), [p, other]),
+        "concat": (lambda: concat([p, other], axis=1), [p, other]),
+        "sigmoid": (lambda: sigmoid(p), [p]),
+        "tanh": (lambda: tanh(p), [p]),
+        "gat": (lambda: nn.gat(attention[:2], attention[2:4], attention[4:],
+                               graph5, 0.2, np.float64), attention),
+        "gru": (lambda: nn.gru(hist, *gru_params), gru_params),
+        "pair_head": (lambda: nn.pair_head(p, outer, layers, nn.HeadBuffers()),
+                      [p, outer] + [t for pair in layers for t in pair]),
     }
     worst_primitive = 0.0
-    for name, fn in primitives.items():
-        err = primitive_error(name, fn)
+    for name, (fn, params) in primitives.items():
+        err = primitive_error(fn, params)
         assert err < 1e-6, f"{name}: {err}"
         worst_primitive = max(worst_primitive, err)
 

@@ -142,3 +142,27 @@ def test_large_grid_workload_runs_on_the_package(tmp_path, monkeypatch):
         workloads.sim.save_record(record, str(out))
     assert saver.counters["simulate.save_record.bytes"] == \
         sum(f.stat().st_size for f in out.iterdir())
+
+
+def test_every_public_nn_name_has_a_caller_in_the_package():
+    """The autograd core holds only what the package runs: every public
+    function and class of ``lcftraffic.nn`` is named, as ``nn.<name>`` or
+    by a ``from .nn import``, in another module of ``src/lcftraffic``. An op
+    only the tests use belongs under ``tests/``."""
+    src = os.path.join(ROOT, "src", "lcftraffic")
+    tree = ast.parse(open(os.path.join(src, "nn.py")).read())
+    public = {node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    named = set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "nn.py":
+            continue
+        for node in ast.walk(ast.parse(open(os.path.join(src, name)).read())):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) and node.value.id == "nn":
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "nn":
+                named.update(alias.name for alias in node.names)
+    assert sorted(public - named) == []
+    assert {"gru", "pair_head", "scatter_sum", "Tensor"} <= public

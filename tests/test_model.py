@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -114,6 +115,46 @@ def test_attention_rows_sum_to_one_for_random_parameters():
         sums = np.add.reduceat(att[graph.src, graph.dst], graph.seg_start)
         assert np.max(np.abs(sums - 1.0)) < 1e-12
         assert np.all(att[~mask_of(graph)] == 0.0)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 3])
+def test_float32_spatial_embed_is_the_dense_oracle_rounded(heads):
+    """The mean over 1 to 3 heads on a random graph, computed in float64
+    and cast to the float32 model dtype once."""
+    rng = np.random.default_rng(40 + heads)
+    model = LcfModel(tiny_config(heads=heads, hidden_dim=5, seed=heads))
+    graph = graph_of(rng.random((9, 9)) < 0.3)
+    feats = rng.uniform(0, 1, size=(9, 10)).astype(np.float32)
+    out = model.spatial_embed(nn.constant(feats), graph).data
+    want = dense_spatial_embed(model, feats.astype(np.float64), graph)
+    assert out.dtype == np.float32 and (want > 0).mean() > 0.3
+    assert np.allclose(out, want, rtol=1e-6, atol=0.0)
+
+
+def test_attention_matrix_rejects_a_head_the_model_lacks():
+    feats = np.zeros((2, 10))
+    graph = graph_of(np.ones((2, 2), dtype=bool))
+    model = LcfModel(tiny_config(heads=2))
+    for head in (2, -1):
+        with pytest.raises(ValueError, match=rf"head {head} .* 2 heads"):
+            model.attention_matrix(feats, graph, head=head)
+    with pytest.raises(ValueError, match="dnn-gru-p model has no attention"):
+        LcfModel(tiny_config(use_gat=False)).attention_matrix(feats, graph)
+
+
+@pytest.mark.parametrize("heads", [1, 3])
+def test_spatial_embed_is_one_attention_node_after_the_projections(heads):
+    """Each head's projection feats @ W is a tape node, and the rest of the
+    layer, every head and the mean, is one ``nn.gat`` node above them."""
+    model = LcfModel(tiny_config(heads=heads))
+    feats = nn.constant(np.zeros((3, 10), np.float32))
+    out = model.spatial_embed(feats, graph_of(np.eye(3, dtype=bool)))
+    whs = out._parents[:heads]
+    assert out._parents[heads:] == tuple(
+        model.params[f"gat.h{k}.{name}"] for name in ("a_src", "a_dst")
+        for k in range(heads))
+    for k, wh in enumerate(whs):
+        assert wh._parents == (feats, model.params[f"gat.h{k}.W"])
 
 
 # ---------------------------------------------------------------------------
@@ -477,38 +518,31 @@ def test_training_holds_one_tape_at_a_time(monkeypatch):
 
 
 def test_steps_after_the_first_reuse_the_head_buffers(monkeypatch):
-    """The head's hidden activations live in buffers the model keeps while
-    the batch shape holds, so every training step after the first, which
-    builds them, allocates at least one head's activations less: rows x
-    864 hidden units x 4 B at the default widths in float32."""
+    """The head's hidden activations and relu mask live in buffers the model
+    builds at the first training step and keeps while the batch shape
+    holds: every later call, training step or validation, runs on the same
+    arrays, and each call advances the buffers' generation once."""
     net, ds, part = toy_training_setup(seed=31)
-    starts, steps, rows = [], [], set()
+    seen = []
     inner = model_module._batch_loss
 
     def batch_loss(model, batch):
-        current, peak = tracemalloc.get_traced_memory()
-        if starts:
-            steps.append(peak - starts[-1])
-        tracemalloc.reset_peak()
-        starts.append(current)
-        rows.add(len(batch.targets))
-        return inner(model, batch)
+        head = model._head
+        generation = head.generation
+        loss = inner(model, batch)
+        assert head.generation == generation + 1
+        seen.append((head, list(head.acts), head.mask))
+        return loss
 
     monkeypatch.setattr(model_module, "_batch_loss", batch_loss)
     config = ModelConfig()
-    assert sum(config.fc_hidden) == 864 and config.dtype == "float32"
-    tracemalloc.start()
-    try:
-        train(net, ds, part, config, TrainConfig(epochs=1))
-    finally:
-        tracemalloc.stop()
-    (n_rows,) = rows
-    # 240 rows: the first step allocated 4.3 MB here and later ones 3.5 MB
-    # (5.7 and 4.0 MB while a second array per layer held the gradients
-    # between the layers); every step allocated 5.6-5.7 MB when the head's
-    # arrays were built afresh per step
-    assert len(steps) > 3
-    assert min(steps[0] - s for s in steps[1:3]) >= n_rows * 864 * 4
+    train(net, ds, part, config, TrainConfig(epochs=1))
+    assert len(seen) > 3
+    head, acts, mask = seen[0]
+    assert [a.shape[1] for a in acts] == list(config.fc_hidden)
+    for later_head, later_acts, later_mask in seen[1:]:
+        assert later_head is head and later_mask is mask
+        assert all(a is b for a, b in zip(later_acts, acts, strict=True))
 
 
 def test_a_training_step_holds_only_the_head_activations():
@@ -579,6 +613,28 @@ def test_checkpoint_round_trip_and_predictions(tmp_path):
     assert np.array_equal(a, b)
     vff = np.array([lk.vff_kmh for lk in sub.links])
     assert np.all(a >= 0.0) and np.all(a <= vff[None, :] + 1e-12)
+
+
+# SHA-256 of the trained parameters' bytes, in creation order, after the two
+# epochs below; taken when the attention was built from small taped ops
+# (gathers, leaky relu, segment softmax and sum, relu, add, scale, cast),
+# whose bits ``nn.gat`` keeps
+TRAINED_DIGESTS = {
+    "float32": "cedb66539134dee1c90c00e33eb0f20dd5879244102235d7c8f4c8dc3b3946cc",
+    "float64": "95821b4d1da657530d41d5b4ba75e746a400177f4039787de5a1d248f147409b",
+}
+
+
+@pytest.mark.parametrize("dtype", sorted(TRAINED_DIGESTS))
+def test_two_epochs_give_the_golden_parameter_bits(dtype):
+    net, ds, part = toy_training_setup()
+    model, _ = train(net, ds, part,
+                     ModelConfig(heads=2, hidden_dim=8, fc_hidden=(16, 8),
+                                 seed=3, dtype=dtype), TrainConfig(epochs=2))
+    digest = hashlib.sha256()
+    for p in model.parameters():
+        digest.update(p.data.tobytes())
+    assert digest.hexdigest() == TRAINED_DIGESTS[dtype]
 
 
 def test_load_model_checks_array_names_and_shapes(tmp_path):
@@ -703,7 +759,8 @@ def test_predict_peak_memory_is_bounded_by_one_block():
 
 def test_predict_peak_memory_grows_with_the_link_graph_edges():
     # 1,520 links: the dense (links x links) attention peaked at 138 MB, the
-    # edge-list attention with one-window blocks at 17.1 MB
+    # edge-list attention with one-window blocks at 17.1 MB, and at 14.4 MB
+    # since the attention weights its gathered rows in place
     assert predict_peak_bytes(20) < 24e6
 
 
@@ -783,6 +840,10 @@ def test_float32_model_keeps_attention_in_float64():
     graph = graph_of(rng.random((5, 5)) < 0.5)
     feats = rng.uniform(0, 1, size=(5, 10))
     assert model.attention_matrix(feats, graph).dtype == np.float64
+    # the coefficients of the float32 features the forward reads
+    assert np.array_equal(model.attention_matrix(feats, graph),
+                          model.attention_matrix(feats.astype(np.float32),
+                                                 graph))
     assert model.spatial_embed(nn.constant(feats), graph).data.dtype == np.float32
     out = model.forward(feats, graph, rng.uniform(0, 1, size=(3, 5)))
     assert out.data.dtype == np.float32

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from lcftraffic import nn
+from lcftraffic.network import LinkGraph
 from lcftraffic.nn import AdamW, Tensor, backward, steplr
 
 from dense_head import dense_head
 from gradcheck import grad_check
 from gru_oracle import taped_gru
+from taped_ops import add, concat, mul, scale, sigmoid, tanh
 
 
 def fd_gradient(closure, p: Tensor, eps: float = 1e-6) -> np.ndarray:
@@ -45,15 +47,23 @@ def rand_param(rng, shape):
     return Tensor(rng.normal(size=shape), requires_grad=True)
 
 
-ROWS = np.array([0, 2, 2, 4, 1, 0, 2])    # gather over 5 rows; row 3 unread
-STARTS = np.array([0, 1, 3])              # segments of 1, 2 and 2 of 5 rows
+# five links: one with its self-loop alone, one with three more edges, one
+# attended by three others and one by none but itself
+GRAPH = LinkGraph.of_pairs(5, [0, 0, 0, 2, 3, 4], [1, 2, 4, 0, 2, 2])
+
+
+def gat_inputs(param, heads=2, h=4, n=5):
+    """Each head's projected features (n, h), a_src and a_dst (h, 1), from
+    ``param(*shape)``."""
+    return ([param(n, h) for _ in range(heads)],
+            [param(h, 1) for _ in range(heads)],
+            [param(h, 1) for _ in range(heads)])
 
 
 @pytest.mark.parametrize("op_name", [
     "matmul", "add", "add_broadcast", "mul", "mul_broadcast", "concat",
-    "relu", "leaky_relu", "sigmoid", "tanh", "dense", "dense_relu",
-    "pair_head", "pair_head_one_layer", "gru", "gather", "segment_softmax",
-    "segment_sum",
+    "sigmoid", "tanh", "dense", "dense_relu", "pair_head",
+    "pair_head_one_layer", "gru", "gat", "gat_one_head",
 ])
 def test_primitive_gradients_match_finite_differences(op_name):
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))
@@ -71,25 +81,23 @@ def test_primitive_gradients_match_finite_differences(op_name):
     outer2 = rand_param(rng, (3, 2))
     outer1 = rand_param(rng, (3, 1))
     t153 = nn.constant(rng.normal(size=(15, 3)))
-    t74 = nn.constant(rng.normal(size=(7, 4)))
-    t34 = nn.constant(rng.normal(size=(3, 4)))
     w33 = rand_param(rng, (3, 3))
     b13b = rand_param(rng, (1, 3))
     gru_params = [rand_param(rng, s) for s in [(3, 2), (1, 2)] * 3]
     hist53 = rng.normal(size=(5, 3))
     t52 = nn.constant(rng.normal(size=(5, 2)))
+    whs, a_srcs, a_dsts = gat_inputs(lambda *shape: rand_param(rng, shape))
+    gat_params = whs + a_srcs + a_dsts
 
     builders = {
         "matmul": (lambda: nn.mse_loss(nn.matmul(a, c), t53), [a, c]),
-        "add": (lambda: nn.mse_loss(nn.add(a, b), target), [a, b]),
-        "add_broadcast": (lambda: nn.mse_loss(nn.add(a, row), target), [a, row]),
-        "mul": (lambda: nn.mse_loss(nn.mul(a, b), target), [a, b]),
-        "mul_broadcast": (lambda: nn.mse_loss(nn.mul(a, row), target), [a, row]),
-        "concat": (lambda: nn.mse_loss(nn.concat([a, b], axis=1), t58), [a, b]),
-        "relu": (lambda: nn.mse_loss(nn.relu(a), target), [a]),
-        "leaky_relu": (lambda: nn.mse_loss(nn.leaky_relu(a, 0.2), target), [a]),
-        "sigmoid": (lambda: nn.mse_loss(nn.sigmoid(a), target), [a]),
-        "tanh": (lambda: nn.mse_loss(nn.tanh(a), target), [a]),
+        "add": (lambda: nn.mse_loss(add(a, b), target), [a, b]),
+        "add_broadcast": (lambda: nn.mse_loss(add(a, row), target), [a, row]),
+        "mul": (lambda: nn.mse_loss(mul(a, b), target), [a, b]),
+        "mul_broadcast": (lambda: nn.mse_loss(mul(a, row), target), [a, row]),
+        "concat": (lambda: nn.mse_loss(concat([a, b], axis=1), t58), [a, b]),
+        "sigmoid": (lambda: nn.mse_loss(sigmoid(a), target), [a]),
+        "tanh": (lambda: nn.mse_loss(tanh(a), target), [a]),
         "dense": (lambda: nn.mse_loss(nn.dense(a, w43, b13), t53),
                   [a, w43, b13]),
         "dense_relu": (lambda: nn.mse_loss(nn.dense(a, w43, b13, relu=True),
@@ -107,67 +115,46 @@ def test_primitive_gradients_match_finite_differences(op_name):
         # three steps over five rows, a state of width 2
         "gru": (lambda: nn.mse_loss(nn.gru(hist53, *gru_params), t52),
                 gru_params),
-        # rows read twice and a row never read, as in the link graph
-        "gather": (lambda: nn.mse_loss(nn.gather(a, ROWS), t74), [a]),
-        "segment_softmax": (lambda: nn.mse_loss(nn.segment_softmax(a, STARTS),
-                                                target), [a]),
-        "segment_sum": (lambda: nn.mse_loss(nn.segment_sum(a, STARTS), t34),
-                        [a]),
+        "gat": (lambda: nn.mse_loss(nn.gat(whs, a_srcs, a_dsts, GRAPH, 0.2,
+                                           np.float64), target), gat_params),
+        "gat_one_head": (lambda: nn.mse_loss(nn.gat(
+            whs[:1], a_srcs[:1], a_dsts[:1], GRAPH, 0.2, np.float64), target),
+            [whs[0], a_srcs[0], a_dsts[0]]),
     }
     make_loss, params = builders[op_name]
     check_op(make_loss, params)
 
 
-def test_leaky_relu_definition():
-    out = nn.leaky_relu(nn.constant(np.array([-1.0, 2.0])), 0.2)
-    assert out.data.tolist() == [-0.2, 2.0]
+def test_attention_coefficients_forced_values():
+    # edge scores wh[dst]: 5 on link 0's self-loop, 0 and log 2 on link 1's
+    # two edges, log 2 on link 2's self-loop
+    graph = LinkGraph.of_pairs(3, [1], [2])
+    wh = np.array([[5.0], [0.0], [math.log(2.0)]])
+    att, positive = nn.attention_coefficients(wh, np.zeros((1, 1)),
+                                              np.ones((1, 1)), graph, 0.2)
+    assert np.allclose(att, [[1.0], [1 / 3], [2 / 3], [1.0]], atol=1e-15)
+    assert positive[:, 0].tolist() == [True, False, True, True]
+    # a negative score enters the softmax times the slope
+    att, positive = nn.attention_coefficients(-wh, np.zeros((1, 1)),
+                                              np.ones((1, 1)), graph, 0.5)
+    assert not positive.any()
+    assert np.allclose(att[1:3, 0], [2 ** 0.5 / (1 + 2 ** 0.5),
+                                     1 / (1 + 2 ** 0.5)], atol=1e-15)
 
 
-def test_segment_softmax_forced_values():
-    scores = nn.constant(np.array([[5.0], [0.0], [math.log(2.0)]]))
-    out = nn.segment_softmax(scores, np.array([0, 1]))
-    assert np.allclose(out.data, [[1.0], [1 / 3], [2 / 3]], atol=1e-15)
-
-
-def test_segment_softmax_segments_sum_to_one():
-    rng = np.random.default_rng(11)
-    starts = np.r_[0, np.cumsum(rng.integers(1, 9, size=29))]
-    scores = rng.normal(size=(starts[-1] + 4, 3)) * 10
-    out = nn.segment_softmax(nn.constant(scores), starts).data
-    assert np.abs(np.add.reduceat(out, starts) - 1.0).max() < 1e-12
-
-
-def test_gather_and_segment_sum_values():
-    a = nn.constant(np.arange(6.0).reshape(3, 2))
-    assert nn.gather(a, np.array([2, 0, 2])).data.tolist() == \
-        [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]]
-    assert nn.segment_sum(a, np.array([0, 1])).data.tolist() == \
-        [[0.0, 1.0], [6.0, 8.0]]
-
-
-def test_gather_backward_is_the_scatter_add_of_add_at():
-    """Equal to ``np.add.at`` to the bit in float64; float32 gradients are
-    summed in float64 and rounded once."""
+def test_scatter_sum_is_the_scatter_add_of_add_at():
+    """Equal to ``np.add.at`` to the bit for float64 rows; float32 rows are
+    summed in float64."""
     rng = np.random.default_rng(12)
-    g = rng.normal(size=(len(ROWS), 3)) * 10.0 ** rng.integers(-6, 6, (len(ROWS), 1))
+    rows = np.array([0, 2, 2, 4, 1, 0, 2])    # row 3 never written
+    g = rng.normal(size=(len(rows), 3)) * 10.0 ** rng.integers(-6, 6, (len(rows), 1))
     want = np.zeros((5, 3))
-    np.add.at(want, ROWS, g)
-    a = Tensor(np.zeros((5, 3)), requires_grad=True)
-    assert nn.gather(a, ROWS)._vjp(g)[0].tobytes() == want.tobytes()
-    a32 = Tensor(np.zeros((5, 3), np.float32), requires_grad=True)
-    got = nn.gather(a32, ROWS)._vjp(g.astype(np.float32))[0]
+    np.add.at(want, rows, g)
+    assert nn.scatter_sum(rows, g, 5).tobytes() == want.tobytes()
     want = np.zeros((5, 3))
-    np.add.at(want, ROWS, g.astype(np.float32).astype(np.float64))
-    assert got.dtype == np.float32
-    assert np.array_equal(got, want.astype(np.float32))
-
-
-@pytest.mark.parametrize("starts", [[], [1, 2], [0, 2, 2], [0, 3]])
-def test_segment_ops_reject_empty_or_uncovered_segments(starts):
-    a = nn.constant(np.zeros((3, 2)))
-    for op in (nn.segment_softmax, nn.segment_sum):
-        with pytest.raises(ValueError, match="start at row 0 and be non-empty"):
-            op(a, np.array(starts, dtype=int))
+    np.add.at(want, rows, g.astype(np.float32).astype(np.float64))
+    got = nn.scatter_sum(rows, g.astype(np.float32), 5)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 def test_shape_mismatch_names_both_shapes():
@@ -176,7 +163,7 @@ def test_shape_mismatch_names_both_shapes():
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
         nn.matmul(a, b)
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
-        nn.add(a, b)
+        add(a, b)
 
 
 def test_mse_loss_values_and_gradient():
@@ -197,7 +184,7 @@ def test_mse_loss_values_and_gradient():
 
 def test_reused_tensor_accumulates_gradient():
     x = Tensor(np.array([[1.5]]), requires_grad=True)
-    y = nn.add(nn.mul(x, x), x)  # x^2 + x, d/dx = 2x + 1
+    y = add(mul(x, x), x)  # x^2 + x, d/dx = 2x + 1
     backward(y)
     assert np.allclose(x.grad, 2 * 1.5 + 1)
 
@@ -207,7 +194,7 @@ def test_gradient_shared_by_two_parents_is_not_overwritten():
     # not leak into b's gradient
     a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
     b = Tensor(np.array([[3.0, 4.0]]), requires_grad=True)
-    backward(nn.mse_loss(nn.add(nn.add(a, b), a), nn.constant(np.zeros((1, 2)))))
+    backward(nn.mse_loss(add(add(a, b), a), nn.constant(np.zeros((1, 2)))))
     g = 2.0 * (2.0 * a.data + b.data) / 2.0
     assert np.array_equal(b.grad, g)
     assert np.array_equal(a.grad, 2.0 * g)
@@ -229,6 +216,54 @@ def test_dense_rejects_misaligned_shapes():
                      [(w52, b12), (nn.constant(np.zeros((3, 1))),
                                    nn.constant(np.zeros((1, 1))))],
                      nn.HeadBuffers())
+
+
+def test_gat_keeps_no_head_arrays_off_the_tape():
+    """Off the tape the op keeps only its output, and each head weights its
+    gathered (edges x h) rows in place, so one such array is alive at a
+    time; taped, every head keeps its coefficients and masks."""
+    rng = np.random.default_rng(29)
+    n, h, heads = 2000, 16, 3
+    graph = LinkGraph.of_pairs(n, *rng.integers(0, n, size=(2, 8 * n)))
+    n_edges = len(graph.src)
+    whs, a_srcs, a_dsts = gat_inputs(
+        lambda *shape: Tensor(rng.normal(size=shape), requires_grad=True),
+        heads=heads, h=h, n=n)
+    kept, peaks = [], []
+    for mode in (nn.no_grad, contextlib.nullcontext):
+        tracemalloc.start()
+        try:
+            with mode():
+                out = nn.gat(whs, a_srcs, a_dsts, graph, 0.2, np.float32)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept.append(current)
+        peaks.append(peak)
+        del out
+    out_bytes = n * h * 4
+    assert kept[0] < 1.1 * out_bytes
+    assert kept[1] > out_bytes + heads * n_edges * 8
+    assert peaks[0] < 1.5 * n_edges * h * 8
+
+
+def test_gat_rejects_misaligned_shapes():
+    def const(*shape):
+        return nn.constant(np.zeros(shape))
+
+    whs, a_srcs, a_dsts = gat_inputs(const)
+    # projected features of 4 links on a 5-link graph
+    with pytest.raises(ValueError, match=r"\(4, 4\), \(5, 4\).*5 links"):
+        nn.gat([const(4, 4)] + whs[1:], a_srcs, a_dsts, GRAPH, 0.2, np.float64)
+    # an a_dst of the wrong width
+    with pytest.raises(ValueError, match=r"\(4, 1\), \(3, 1\) do not"):
+        nn.gat(whs, a_srcs, a_dsts[:1] + [const(3, 1)], GRAPH, 0.2,
+               np.float64)
+    # one a_src for two heads, and no head at all
+    with pytest.raises(ValueError, match="do not align"):
+        nn.gat(whs, a_srcs[:1], a_dsts, GRAPH, 0.2, np.float64)
+    with pytest.raises(ValueError, match="do not align"):
+        nn.gat([], [], [], GRAPH, 0.2, np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -255,26 +290,23 @@ def test_float32_ops_backward_and_adamw_stay_float32():
     w43, w63, b13, outer2 = f32(4, 3), f32(6, 3), f32(1, 3), f32(3, 2)
     w33, b13b = f32(3, 3), f32(1, 3)
     gru_params = [f32(*s) for s in [(4, 3), (1, 3)] * 3]
-    params = [a, b, row, c, w43, w63, b13, outer2, w33, b13b] + gru_params
+    whs, a_srcs, a_dsts = gat_inputs(f32)
+    params = [a, b, row, c, w43, w63, b13, outer2, w33, b13b] + gru_params \
+        + whs + a_srcs + a_dsts
     outputs = {
         "matmul": lambda: nn.matmul(a, c),
-        "add": lambda: nn.add(a, row),
-        "mul": lambda: nn.mul(a, b),
-        "scale": lambda: nn.scale(a, 0.5),
-        "concat": lambda: nn.concat([a, b], axis=1),
-        "relu": lambda: nn.relu(a),
-        "leaky_relu": lambda: nn.leaky_relu(a, 0.2),
-        "sigmoid": lambda: nn.sigmoid(a),
-        "tanh": lambda: nn.tanh(a),
-        "gather": lambda: nn.gather(a, ROWS),
-        "segment_softmax": lambda: nn.segment_softmax(a, STARTS),
-        "segment_sum": lambda: nn.segment_sum(a, STARTS),
+        "add": lambda: add(a, row),
+        "mul": lambda: mul(a, b),
+        "scale": lambda: scale(a, 0.5),
+        "concat": lambda: concat([a, b], axis=1),
+        "sigmoid": lambda: sigmoid(a),
+        "tanh": lambda: tanh(a),
+        "gat": lambda: nn.gat(whs, a_srcs, a_dsts, GRAPH, 0.2, np.float32),
         "dense": lambda: nn.dense(a, w43, b13, relu=True),
         "pair_head": lambda: nn.pair_head(a, outer2, [(w63, b13), (w33, b13b)],
                                           nn.HeadBuffers()),
         # a float64 history is cast to the weights' dtype
         "gru": lambda: nn.gru(rng.normal(size=(5, 2)), *gru_params),
-        "astype": lambda: nn.astype(nn.astype(a, np.float64), np.float32),
     }
     for name, build in outputs.items():
         nn.zero_grads(params)
@@ -291,18 +323,6 @@ def test_float32_ops_backward_and_adamw_stay_float32():
     opt.step()
     assert all(p.data.dtype == np.float32 for p in params)
     assert all(m.dtype == np.float32 for m in opt._m + opt._v)
-
-
-def test_astype_casts_the_gradient_back():
-    x = Tensor(np.array([[0.1, -0.3]]), requires_grad=True)
-    same = nn.astype(x, np.float64)
-    assert same is x
-    y = nn.astype(x, np.float32)
-    assert y.data.dtype == np.float32
-    assert np.array_equal(y.data, x.data.astype(np.float32))
-    backward(nn.mse_loss(y, nn.constant(np.zeros((1, 2), np.float32))))
-    assert x.grad.dtype == np.float64
-    assert np.array_equal(x.grad, y.data.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +343,15 @@ def every_op(dtype):
     other = np.float64 if dtype == np.float32 else np.float32
     return {
         "matmul": nn.matmul(a, c),
-        "add": nn.add(a, row),
-        "mul": nn.mul(a, b),
-        "scale": nn.scale(a, 0.5),
-        "concat": nn.concat([a, b, row], axis=0),
-        "relu": nn.relu(a),
-        "leaky_relu": nn.leaky_relu(a, 0.2),
-        "sigmoid": nn.sigmoid(a),
-        "tanh": nn.tanh(a),
-        "gather": nn.gather(a, ROWS),
-        "segment_softmax": nn.segment_softmax(a, STARTS),
-        "segment_sum": nn.segment_sum(a, STARTS),
+        "add": add(a, row),
+        "mul": mul(a, b),
+        "scale": scale(a, 0.5),
+        "concat": concat([a, b, row], axis=0),
+        "sigmoid": sigmoid(a),
+        "tanh": tanh(a),
+        "gat": nn.gat(*gat_inputs(param), GRAPH, 0.2, dtype),
+        # the output cast to the other dtype, the gradients cast back
+        "gat_cast": nn.gat(*gat_inputs(param, heads=1), GRAPH, 0.2, other),
         "dense": nn.dense(a, w43, b13),
         "dense_relu": nn.dense(a, w43, b13, relu=True),
         "pair_head": nn.pair_head(a, outer2, [(w63, b13), (w33, b13b)],
@@ -341,7 +359,6 @@ def every_op(dtype):
         "pair_head_one_layer": nn.pair_head(a, outer2, [(w63, b13)],
                                             nn.HeadBuffers()),
         "gru": nn.gru(rng.normal(size=(5, 2)), *gru_params),
-        "astype": nn.astype(a, other),
         "mse_loss": nn.mse_loss(a, b),
     }
 
@@ -371,11 +388,17 @@ def test_backward_from_a_leaf_seeds_only_its_gradient():
 
 def test_no_grad_ops_leave_no_tape():
     rng = np.random.default_rng(4)
-    x, w, b = (rand_param(rng, s) for s in ((3, 2), (2, 4), (1, 4)))
-    taped = nn.relu(nn.dense(x, w, b))
+    x, w, b = (rand_param(rng, s) for s in ((5, 2), (2, 4), (1, 4)))
+    _, a_src, a_dst = gat_inputs(lambda *shape: rand_param(rng, shape), heads=1)
+
+    def attend():
+        return nn.gat([nn.dense(x, w, b)], a_src, a_dst, GRAPH, 0.2,
+                      np.float64)
+
+    taped = attend()
     with nn.no_grad():
-        out = nn.relu(nn.dense(x, w, b))
-        loss = nn.mse_loss(out, nn.constant(np.zeros((3, 4))))
+        out = attend()
+        loss = nn.mse_loss(out, nn.constant(np.zeros((5, 4))))
         leaf = Tensor(np.ones(2), requires_grad=True)
     for t in (out, loss):
         assert t._parents == () and t._vjp is None
@@ -666,7 +689,7 @@ def test_grad_check_linear_layer():
     y = nn.constant(rng.normal(size=(6, 3)))
 
     def closure():
-        return nn.mse_loss(nn.add(nn.matmul(x, w), b), y)
+        return nn.mse_loss(add(nn.matmul(x, w), b), y)
 
     assert grad_check(closure, [w, b], eps=1e-6) < 1e-6
 
