@@ -36,23 +36,27 @@ Records are reproducible to the bit because each sum has one fixed order,
 which any rewrite of the step must keep: row sums over destinations
 (``np.add.reduce(x, 1)``), ``scatter_sum``'s bincounts (each bin from zero
 in index order: pairs in pair order, a link's ended trips before its
-transfers out), the waiting queues' per-rank passes over the pair segments
-(pass r subtracts the r-th pair of every link, so each link's transfers
-out go in pair order), ``np.add.at`` for injections (OD-pair order), and
-every formula left to right as written, e.g. a step's demand
-``(rates / 3600 * step_s) * factor``.
+transfers out), the waiting queues' rank rows (the r-th pair of each link
+is scattered into rank r's rows of a zeroed buffer, and the ranks' rows are
+subtracted whole in rank order, so each link's transfers out go in pair
+order; x - 0.0 == x where a link has no r-th pair), ``np.add.at`` for
+injections (OD-pair order), and every formula left to right as written,
+e.g. a step's demand ``(rates / 3600 * step_s) * factor``.
 
-A drained step, one without demand whose backlog, waiting queues and
-pending maturations all lie in [0, ``RESIDUE_VEH``] and whose moving queues
-are >= 0 (``SimState.drained``), returns zero outflow and completed trips and
-the start-of-step accumulation, checks storage and moves nothing: float
-residues of a drained queue stay frozen in place and counted in the network,
-so conservation stays exact. A frozen link holds at most D*(ring+1)*
-RESIDUE_VEH veh, far below ``EMPTY_VEH``, so it still reads empty and runs at
-v_ff. With RESIDUE_VEH = 0.0 a step is drained only when a full step would
-move nothing at all. Once a step past warmup_s + peak_s, where demand is
-zero for the rest of the run, is drained, no vehicle moves again, so
-``simulate`` stops refreshing the turn ratios.
+Past warmup_s + peak_s demand is zero for the rest of the run. At the first
+step there whose backlog, waiting queues and pending maturations all lie in
+[0, ``RESIDUE_VEH``] and whose moving queues are >= 0 (``SimState.drained``),
+no vehicle would move again, so ``simulate`` stops stepping, and refreshing
+the turn ratios. It checks storage once, then records what the steps left
+would have added, each step the same accumulation and no outflow or
+completed trip: it finishes the current window with one add of that
+accumulation per step left, and copies into every later window one built
+from zero with ``steps_per_window`` adds. Float residues of a drained queue
+stay frozen in place and counted in the network, so conservation stays
+exact. A frozen link holds at most D*(ring+1)*RESIDUE_VEH veh, far below
+``EMPTY_VEH``, so it still reads empty and runs at v_ff. With RESIDUE_VEH =
+0.0 a run stops only where a full step would move nothing at all.
+``SimState.step`` always takes the full step.
 """
 
 from __future__ import annotations
@@ -261,12 +265,11 @@ class SimState:
         # transfers per connectivity pair: scatter keys and signal gating
         self.pair_up, self.pair_dn = idx.pair_up, idx.pair_dn
         self.up_col, self.dn_col = self.pair_up[:, None], self.pair_dn[:, None]
-        # pass r: the r-th pair of every segment, so each link's pairs are
-        # applied in pair order with the links of one pass unique
-        self.up_passes = tuple(
-            (rows, self.pair_up[rows]) for rows in
-            (idx.seg_start[idx.seg_size > r] + r
-             for r in range(idx.seg_size.max(initial=0))))
+        # transfers out by rank (``transfer_out``): the r-th pair of a
+        # link's segment goes to row r * z + that link of a zeroed buffer
+        rank = np.arange(len(self.pair_up)) - idx.seg_start[idx.seg_of_pair]
+        self.rank_rows = rank * z + self.pair_up
+        self.by_rank = np.zeros((idx.seg_size.max(initial=0), z, d))
         # scatter_sum's (link, destination) bincount index of pair_dn
         self.dn_flat = (self.dn_col * d + self.dest_cols).ravel()
         self.out_rows = np.concatenate([self.links, self.pair_up])
@@ -290,11 +293,28 @@ class SimState:
     def in_network(self) -> float:
         return float(self.m.sum() + self.w.sum())
 
+    def accumulation(self) -> np.ndarray:
+        """Vehicles per link, moving plus waiting, summed over destinations."""
+        return np.add.reduce(self.m, 1) + np.add.reduce(self.w, 1)
+
+    def check_storage(self, acc: np.ndarray) -> None:
+        if not (acc <= self.cap_tol).all():
+            raise SimulationError("storage capacity exceeded")
+
     def drained(self) -> bool:
         """Every waiting, pending and backlog entry lies in [0, RESIDUE_VEH]
         and no moving queue is negative; NaN fails every comparison."""
         return all(a.max(initial=0.0) <= RESIDUE_VEH and a.min(initial=0.0) >= 0.0
                    for a in (self.w, self.pend, self.backlog)) and self.m.min() >= 0
+
+    def transfer_out(self, q: np.ndarray) -> None:
+        """Subtract each pair's (pairs, destinations) transfers ``q`` from
+        its upstream link's waiting queue, each link's pairs in pair order:
+        ``q`` goes to its rank rows, and each rank's rows are subtracted
+        whole (a link without an r-th pair subtracts 0.0, x - 0.0 == x)."""
+        self.by_rank.reshape(-1, q.shape[1])[self.rank_rows] = q
+        for rank in self.by_rank:
+            self.w -= rank
 
     def _delays(self, w_sum: np.ndarray) -> np.ndarray:
         """Steps a vehicle entering now spends moving: the free-flow time of
@@ -317,14 +337,7 @@ class SimState:
         z, d = self.m.shape
         k = self.step_no
         m, w, pend = self.m, self.w, self.pend
-        acc_start = np.add.reduce(m, 1) + np.add.reduce(w, 1)
-        if not (demand_step is not None and np.any(demand_step)) and self.drained():
-            # nothing above float noise to move: residues stay frozen
-            if not (acc_start <= self.cap_tol).all():
-                raise SimulationError("storage capacity exceeded")
-            self.step_no += 1
-            return {"outflow": np.zeros(z), "accumulation": acc_start,
-                    "completed": np.zeros(z)}
+        acc_start = self.accumulation()
 
         # 1. moving -> waiting maturation; destination arrivals leave
         slot = k % self.ring
@@ -364,16 +377,17 @@ class SimState:
         q = q1 * gate[self.dn_col]
 
         # 3. apply transfers
-        for rows, links in self.up_passes:
-            w[links] -= q[rows]
+        self.transfer_out(q)
         if not w.min() >= -1e-9:
             raise SimulationError("waiting queue went negative")
         np.maximum(w, 0.0, out=w)
         # scatter_sum(self.pair_dn, q, z), its flat index built once
         inflow_zd = np.bincount(self.dn_flat, q.ravel(), z * d).reshape(z, d)
         m += inflow_zd
-        slots = (k + delays) % self.ring
-        pend[slots, self.links] += inflow_zd
+        # each link's row of the pending ring, (slot, link) as one flat row
+        pend_rows = pend.reshape(-1, d)
+        due = (k + delays) % self.ring * z + self.links
+        pend_rows[due] += inflow_zd
         # outflow: trips ended on the link, then its transfers out in pair order
         u_step = scatter_sum(self.out_rows,
                              np.concatenate([completed, np.add.reduce(q, 1)]), z)
@@ -382,19 +396,16 @@ class SimState:
         if demand_step is not None and len(demand_step):
             backlog = self.backlog
             backlog += demand_step
-            room = np.maximum(
-                self.cap - (np.add.reduce(m, 1) + np.add.reduce(w, 1)), 0.0)
+            room = np.maximum(self.cap - self.accumulation(), 0.0)
             want = scatter_sum(self.od_origin, backlog, z)
             frac = _capped_ratio(room, want)
             inject = backlog * frac[self.od_origin]
             np.add.at(m, (self.od_origin, self.od_col), inject)
-            np.add.at(pend, (slots[self.od_origin], self.od_origin, self.od_col),
-                      inject)
+            np.add.at(pend_rows, (due[self.od_origin], self.od_col), inject)
             backlog -= inject
             self.injected_total += float(inject.sum())
 
-        if not (np.add.reduce(m, 1) + np.add.reduce(w, 1) <= self.cap_tol).all():
-            raise SimulationError("storage capacity exceeded")
+        self.check_storage(self.accumulation())
         self.step_no += 1
         return {"outflow": u_step, "accumulation": acc_start, "completed": completed}
 
@@ -488,17 +499,27 @@ def simulate(net: RoadNetwork, scenario, cfg: SimConfig | None = None) -> SimRec
     turn_every = max(1, int(round(cfg.turn_update_s / cfg.step_s)))
     ramp_s = max(cfg.warmup_s * od.ramp_fraction, cfg.step_s)
     base = rates / 3600.0 * cfg.step_s   # a step's demand is base * factor
+    peak_end = cfg.warmup_s + cfg.peak_s
 
+    def close(wi):
+        speeds[wi] = _window_stats(len_km, vff, cfg, sum_u, sum_x)
+        acc[wi] = sum_x / spw
+        outflow[wi] = sum_u
+        completed[wi] = window_completed
+        return speeds[wi]
+
+    stop = n_steps
     for k in range(n_steps):
         t_s = k * cfg.step_s
-        # once drained past the peak nothing moves again, so skip rerouting
-        if k > 0 and k % turn_every == 0 and not (
-                t_s >= cfg.warmup_s + cfg.peak_s and state.drained()):
+        if t_s >= peak_end and state.drained():
+            stop = k
+            break
+        if k > 0 and k % turn_every == 0:
             ratios = update_turn_ratios(sim_net, last_speeds, ratios, dest_ids,
                                         cfg)
         if t_s < cfg.warmup_s:
             factor = min(t_s / ramp_s, 1.0)
-        elif t_s < cfg.warmup_s + cfg.peak_s:
+        elif t_s < peak_end:
             factor = 1.0
         else:
             factor = 0.0
@@ -508,14 +529,29 @@ def simulate(net: RoadNetwork, scenario, cfg: SimConfig | None = None) -> SimRec
         sum_x += out["accumulation"]
         window_completed += float(out["completed"].sum())
         if (k + 1) % spw == 0:
-            wi = k // spw
-            last_speeds = speeds[wi] = _window_stats(len_km, vff, cfg, sum_u, sum_x)
-            acc[wi] = sum_x / spw
-            outflow[wi] = sum_u
-            completed[wi] = window_completed
+            last_speeds = close(k // spw)
             sum_u[:] = 0.0
             sum_x[:] = 0.0
             window_completed = 0.0
+
+    # stopped drained past the peak, with no demand left: no vehicle moves
+    # again, so every step left would add the same accumulation and nothing
+    # else to a window of the record
+    wi = stop // spw
+    if wi < n_windows:
+        frozen = state.accumulation()
+        state.check_storage(frozen)
+        for _ in range(stop % spw, spw):
+            sum_x += frozen
+        close(wi)
+        # every later window: built from zero as a stepped one would be;
+        # its outflow and completed trips stay 0
+        sum_u[:] = 0.0
+        sum_x[:] = 0.0
+        for _ in range(spw):
+            sum_x += frozen
+        speeds[wi + 1:] = _window_stats(len_km, vff, cfg, sum_u, sum_x)
+        acc[wi + 1:] = sum_x / spw
 
     balance = state.injected_total - (state.in_network() + state.completed_total)
     if not abs(balance) <= 1e-6:

@@ -19,6 +19,7 @@ from lcftraffic.simulate import (RESIDUE_VEH, SimConfig, SimRecord, SimState,
                                  simulate, storage_capacity,
                                  update_turn_ratios, save_record, load_record)
 from netgen import random_network
+from sim_replay import replay
 
 # a NaN or overflow the engine lets through shows up as a RuntimeWarning
 # before any check of its own fires
@@ -233,52 +234,6 @@ def queue_bytes(state):
     return [a.tobytes() for a in (state.m, state.w, state.pend, state.backlog)]
 
 
-def test_drained_step_moves_nothing_and_reports_start_accumulation():
-    state, ratios = drained_chain_state()
-    before = queue_bytes(state)
-    start = state.m.sum(axis=1) + state.w.sum(axis=1)
-    for k in range(3):
-        out = state.step(np.zeros(1), ratios)
-        assert not out["outflow"].any() and not out["completed"].any()
-        assert out["accumulation"].tobytes() == start.tobytes()
-        assert queue_bytes(state) == before
-        assert state.step_no == k + 1
-    assert state.injected_total == 0.0 and state.completed_total == 0.0
-
-
-@pytest.mark.parametrize("where", ["w", "pend", "backlog", "demand"])
-def test_one_vehicle_anywhere_moves_on_the_next_step(where):
-    state, ratios = drained_chain_state()
-    demand = np.zeros(1)
-    if where == "w":
-        state.w[0, 0] = 1.0
-    elif where == "pend":
-        state.m[0, 0] += 1.0
-        state.pend[0, 0, 0] = 1.0     # matures at step 0, then transfers
-    elif where == "backlog":
-        state.backlog[0] = 1.0
-    else:
-        demand[0] = 1.0
-    m0 = state.m[0, 0]
-    out = state.step(demand, ratios)
-    if where in ("w", "pend"):
-        assert out["outflow"][0] == 1.0
-        assert state.w[0, 0] == 0.0 and state.m[1, 0] == 1.0
-        assert state.m[0, 0] == m0 - (where == "pend")
-    else:
-        assert state.injected_total == 1.0 and state.backlog[0] == 0.0
-        assert state.m[0, 0] == m0 + 1.0
-
-
-@pytest.mark.parametrize("m,expected", [(-1.0, "moving queue went negative"),
-                                        (1e6, "storage capacity exceeded")])
-def test_drained_step_keeps_the_queue_checks(m, expected):
-    state, ratios = drained_chain_state()
-    state.m[1, 0] = m
-    with pytest.raises(SimulationError, match=expected):
-        state.step(np.zeros(1), ratios)
-
-
 @pytest.mark.parametrize("where,expected", [
     ("m", "moving queue went negative"), ("w", "waiting queue went negative"),
     ("demand", "storage capacity exceeded")])
@@ -293,48 +248,140 @@ def test_queue_checks_fail_on_nan(where, expected):
         state.step(demand, ratios)
 
 
-def plant(state, where, amount):
-    """``amount`` veh on link 0 of a ``drained_chain_state``: waiting, due
-    to mature at step 0 (pending, and so moving too) or backlogged."""
-    if where == "pend":
-        state.m[0, 0] += amount
-        state.pend[0, 0, 0] = amount
+PEAK_END_STEP = 60      # short_cfg: warmup_s + peak_s = 300 s of 5-s steps
+
+
+def planted_run(monkeypatch, plant):
+    """``simulate`` on the three-link chain of ``drained_chain_state`` with
+    no demand (OD 0 -> 2 at 0 veh/h) and ``short_cfg``; ``plant(state)``
+    writes into the state after the step that ends at warmup_s + peak_s,
+    where ``simulate`` first reads ``SimState.drained``. Returns the record,
+    the state, the steps taken and the queue bytes right after the plant."""
+    runs, planted = [], []
+    step = SimState.step
+
+    def planting(state, demand_step, ratios):
+        out = step(state, demand_step, ratios)
+        runs.append(state)
+        if state.step_no == PEAK_END_STEP:
+            plant(state)
+            planted.append(queue_bytes(state))
+        return out
+
+    monkeypatch.setattr(SimState, "step", planting)
+    net = chain_network()
+    rec = simulate(net, make_scenario(net, [(0, 2)], [0.0]), short_cfg())
+    return rec, runs[-1], len(runs), planted[0]
+
+
+def plant_at(where, amount):
+    """A ``planted_run`` plant: the moving-queue residues of
+    ``drained_chain_state``, and ``amount`` veh on link 0 toward the
+    destination, waiting, due to mature at the next step (pending, and so
+    moving too) or backlogged. A vehicle planted in the network counts as
+    injected."""
+    def plant(state):
+        state.m[:, 0] += [3e-17, 0.0, 1e-300]
+        if where == "pend":
+            state.m[0, 0] += amount
+            state.pend[state.step_no % state.ring, 0, 0] = amount
+        else:
+            getattr(state, where)[0] = amount
+        if where != "backlog":
+            state.injected_total += amount
+    return plant
+
+
+def test_a_drained_run_stops_with_its_residues_frozen(monkeypatch):
+    """At the first drained step past the peak ``simulate`` stops: no step
+    runs again, the residues stay where they are, and every window left
+    holds the accumulation at the stop, no outflow and no completed trip."""
+    rec, state, steps, planted = planted_run(monkeypatch, plant_at("w", 0.0))
+    assert state.drained()
+    assert steps == PEAK_END_STEP and queue_bytes(state) == planted
+    spw = short_cfg().steps_per_window
+    frozen = np.zeros(3)
+    for _ in range(spw):
+        frozen += state.accumulation()
+    assert frozen.tolist() == [4 * 3e-17, 0.0, 4 * 1e-300]
+    tail = slice(PEAK_END_STEP // spw, None)
+    assert rec.accumulation[tail].tobytes() == \
+        np.tile(frozen / spw, (rec.n_windows - tail.start, 1)).tobytes()
+    assert not rec.outflow[tail].any() and not rec.completed[tail].any()
+    assert np.all(rec.speeds[tail] == 36.0)
+    assert state.injected_total == 0.0 and state.completed_total == 0.0
+
+
+@pytest.mark.parametrize("where", ["w", "pend", "backlog"])
+def test_one_vehicle_anywhere_keeps_the_run_stepping(monkeypatch, where):
+    """One vehicle waiting, pending or backlogged on link 0 at the peak end
+    moves on the next step and reaches the destination; the run stops once
+    it has. (Demand, the fourth place, keeps a run stepping up to the peak
+    end: ``test_rerouting_runs_to_the_peak_end_while_demand_lasts``.)"""
+    rec, state, steps, _ = planted_run(monkeypatch, plant_at(where, 1.0))
+    window = PEAK_END_STEP // short_cfg().steps_per_window
+    assert PEAK_END_STEP < steps < 80
+    assert rec.completed.sum() == 1.0 and state.completed_total == 1.0
+    assert state.injected_total == 1.0 and state.drained()
+    if where == "backlog":       # injected now, out of link 0 four steps on
+        assert rec.outflow[window, 0] == 0.0 and rec.outflow[window + 1, 0] == 1.0
     else:
-        getattr(state, where)[0] = amount
+        assert rec.outflow[window, 0] == 1.0
+
+
+@pytest.mark.parametrize("m,expected", [(-1.0, "moving queue went negative"),
+                                        (1e6, "storage capacity exceeded")])
+def test_a_drained_run_keeps_the_queue_checks(monkeypatch, m, expected):
+    """A negative moving queue is not drained, so the next step raises; an
+    overfull one is drained, and the stop's storage check raises."""
+    def plant(state):
+        state.m[1, 0] = m
+    with pytest.raises(SimulationError, match=expected):
+        planted_run(monkeypatch, plant)
 
 
 @pytest.mark.parametrize("where", ["w", "pend", "backlog"])
 @pytest.mark.parametrize("amount,frozen", [(RESIDUE_VEH / 2, True),
                                            (2 * RESIDUE_VEH, False)])
-def test_residue_at_most_the_bound_stays_frozen(where, amount, frozen):
-    state, ratios = drained_chain_state()
-    plant(state, where, amount)
-    assert state.drained() == frozen
-    before = queue_bytes(state)
-    out = state.step(np.zeros(1), ratios)
-    assert (queue_bytes(state) == before) == frozen
+def test_residue_at_most_the_bound_stays_frozen(monkeypatch, where, amount,
+                                                frozen):
+    drained = []
+
+    def plant(state):
+        plant_at(where, amount)(state)
+        drained.append(state.drained())
+
+    rec, state, steps, planted = planted_run(monkeypatch, plant)
+    assert drained == [frozen]
+    assert (steps == PEAK_END_STEP) == frozen
+    assert (queue_bytes(state) == planted) == frozen
+    window = PEAK_END_STEP // short_cfg().steps_per_window
     if where == "backlog":
         assert state.injected_total == (0.0 if frozen else amount)
     else:
-        assert out["outflow"][0] == (0.0 if frozen else amount)
-        assert state.m[1, 0] == (0.0 if frozen else amount)
+        assert rec.outflow[window, 0] == (0.0 if frozen else amount)
+    assert state.completed_total == (0.0 if frozen else amount)
 
 
 @pytest.mark.parametrize("where", ["w", "pend", "backlog"])
 @pytest.mark.parametrize("value,expected", [
     (np.nan, "queue went negative|storage capacity exceeded"),
     (-1.0, "moving queue went negative"), (-RESIDUE_VEH / 2, None)])
-def test_nan_or_negative_entry_is_never_frozen(where, value, expected):
-    state, ratios = drained_chain_state()
-    plant(state, where, value)
-    assert not state.drained()
+def test_nan_or_negative_entry_is_never_frozen(monkeypatch, where, value,
+                                               expected):
+    drained = []
+
+    def plant(state):
+        plant_at(where, value)(state)
+        drained.append(state.drained())
+
     if expected is None:      # within the queue checks' -1e-9 tolerance
-        state.step(np.zeros(1), ratios)
-        assert state.step_no == 1
+        steps = planted_run(monkeypatch, plant)[2]
+        assert drained == [False] and steps > PEAK_END_STEP
         return
     with pytest.raises(SimulationError, match=expected):
-        for _ in range(2):
-            state.step(np.zeros(1), ratios)
+        planted_run(monkeypatch, plant)
+    assert drained == [False]
 
 
 def test_conservation_check_fails_on_nan(monkeypatch):
@@ -592,36 +639,59 @@ def test_scatters_equal_add_at_bit_for_bit():
             assert scatter_sum(index, values, n).tobytes() == want.tobytes()
 
 
-def test_up_passes_apply_each_links_pairs_in_pair_order():
+def rank_passes(net):
+    """The per-rank passes that applied the transfers before the rank
+    buffer, kept as its oracle: pass r holds the r-th pair of every segment,
+    so each link's pairs are applied in pair order with the links of one
+    pass unique."""
+    idx = net.index
+    return [(rows, idx.pair_up[rows]) for rows in
+            (idx.seg_start[idx.seg_size > r] + r
+             for r in range(idx.seg_size.max(initial=0)))]
+
+
+def test_rank_rows_apply_each_links_pairs_in_pair_order():
     rng = np.random.default_rng(29)
-    checked = most_passes = 0
+    checked = most_ranks = moved = 0
     while checked < 40:
         net = random_network(rng)
         if net is None:
             continue
         checked += 1
         ids = net.link_ids()
-        state = SimState(net, SimConfig(), [(ids[0], ids[1])], (ids[1],))
-        up = net.index.pair_up
-        most_passes = max(most_passes, len(state.up_passes))
-        covered = np.concatenate([r for r, _ in state.up_passes] + [np.zeros(0, int)])
-        assert np.array_equal(np.sort(covered), np.arange(len(up)))
-        for pass_rows, links in state.up_passes:
-            assert np.array_equal(links, up[pass_rows])
-            assert len(set(links.tolist())) == len(links)
-        # each link's rows, read pass by pass, come in pair order
-        for u in set(up.tolist()):
-            mine = [int(i) for rows, links in state.up_passes for i in rows[links == u]]
-            assert mine == np.flatnonzero(up == u).tolist()
-        d = 3
+        z, up = net.n_links, net.index.pair_up
+        od = [(ids[0], ids[-1]), (ids[-1], ids[0]), (ids[1], ids[-1])]
+        state = SimState(net, short_cfg(), od, (ids[0], ids[-1]))
+        d = len(state.dest_ids)
+        most_ranks = max(most_ranks, len(state.by_rank))
+        # each pair lands once, in its rank's row of its upstream link
+        rows = state.rank_rows
+        assert len(set(rows.tolist())) == len(rows)
+        assert np.array_equal(rows % z, up)
+        for r, (pass_rows, _) in enumerate(rank_passes(net)):
+            assert np.array_equal(np.flatnonzero(rows // z == r), pass_rows)
+        # rows without a pair stay 0.0 across steps
+        empty = np.ones(state.by_rank.shape[:2], bool).ravel()
+        empty[rows] = False
+        ratios = initial_turn_ratios(net, state.dest_ids)
+        for _ in range(40):
+            state.step(np.full(3, 0.3), ratios)
+            assert not state.by_rank.reshape(-1, d)[empty].view(np.int64).any()
+        moved += bool(state.by_rank.any())
+        # bit for bit the per-rank passes and np.add.at, -0.0 and NaN kept
         q = rng.standard_normal((len(up), d)) * 10.0 ** rng.integers(-6, 6, (len(up), 1))
-        w = rng.standard_normal((net.n_links, d))
-        want = w.copy()
+        q[rng.random(q.shape) < 0.2] = 0.0
+        w = rng.standard_normal((z, d))
+        w[rng.random(w.shape) < 0.2] = -0.0
+        w[0, 0] = np.nan
+        want, passes = w.copy(), w.copy()
         np.add.at(want, up, -q)
-        for pass_rows, links in state.up_passes:
-            w[links] -= q[pass_rows]
-        assert w.tobytes() == want.tobytes()
-    assert most_passes >= 3
+        for pass_rows, links in rank_passes(net):
+            passes[links] -= q[pass_rows]
+        state.w = w
+        state.transfer_out(q)
+        assert state.w.tobytes() == passes.tobytes() == want.tobytes()
+    assert most_ranks >= 3 and moved >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -962,6 +1032,95 @@ def test_load_record_names_file_and_line_of_a_broken_layout(tmp_path, case):
         load_record(tmp_path, window_s=20.0, step_s=5.0)
 
 
+RECORD_ARRAYS = ("speeds", "accumulation", "outflow", "mean_speed",
+                 "production", "total_accumulation", "completed")
+
+
+def stopped_run(monkeypatch, net, sc, cfg) -> tuple[SimRecord, int]:
+    """``simulate``'s record and the steps it took."""
+    steps = []
+    step = SimState.step
+
+    def counted(state, demand_step, ratios):
+        steps.append(state.step_no)
+        return step(state, demand_step, ratios)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SimState, "step", counted)
+        rec = simulate(net, sc, cfg)
+    return rec, len(steps)
+
+
+def assert_replayed(rec, net, sc, cfg):
+    want = replay(net, sc, cfg)
+    for name in RECORD_ARRAYS:
+        assert getattr(rec, name).tobytes() == getattr(want, name).tobytes(), name
+    # the same value; a run without demand, whose every step the replay
+    # freezes, holds it as a Python float and not a numpy one
+    assert float(rec.balance_error).hex() == float(want.balance_error).hex()
+
+
+def small_grid_scenario(rate, window_s, total_s, warmup_s=300.0, peak_s=600.0):
+    """A 3x3 signalled grid with a bus lane on link 5, two OD pairs at
+    ``rate`` veh/h, rerouting every 60 s."""
+    net = generate_grid_network(3, 3, 100.0, 2, vff_kmh=25.0,
+                                length_jitter=0.3, jitter_seed=5)
+    ids = net.link_ids()
+    od = ODMatrix(pairs=((ids[0], ids[17]), (ids[9], ids[4])), rates=(rate, rate))
+    sc = Scenario(id=0, od=od, scale=1.0, bus_links=(ids[5],), seed=0)
+    cfg = SimConfig(step_s=5.0, window_s=window_s, warmup_s=warmup_s,
+                    peak_s=peak_s, total_s=total_s, turn_update_s=60.0)
+    return net, sc, cfg
+
+
+@pytest.mark.parametrize("case,rate,window_s,total_s,warmup_s,peak_s,stop", [
+    ("mid-window", 600.0, 30.0, 7200.0, 300.0, 600.0, 670),
+    ("window boundary", 600.0, 20.0, 7200.0, 300.0, 600.0, 760),
+    ("past the last window", 100.0, 60.0, 1850.0, 300.0, 600.0, 364),
+    ("never", 600.0, 20.0, 900.0, 300.0, 600.0, 180),
+    ("at k = 0", 600.0, 20.0, 600.0, 0.0, 0.0, 0),
+    ("no demand", 0.0, 20.0, 1200.0, 300.0, 600.0, 180)])
+def test_stopped_grid_runs_equal_their_replay(monkeypatch, case, rate,
+                                              window_s, total_s, warmup_s,
+                                              peak_s, stop):
+    """On a grid with signals and a bus lane, ``simulate``'s record is the
+    replay's byte for byte wherever the run stops: inside a window, on a
+    window boundary, in the steps past the last window, never (total_s =
+    warmup_s + peak_s) and at the first step (peak_s = 0); without demand
+    every step up to the peak end is a full step, and a frozen one in the
+    replay."""
+    net, sc, cfg = small_grid_scenario(rate, window_s, total_s, warmup_s, peak_s)
+    rec, steps = stopped_run(monkeypatch, net, sc, cfg)
+    spw, n_steps = cfg.steps_per_window, int(cfg.total_s // cfg.step_s)
+    assert steps == stop
+    assert {"mid-window": 0 < stop % spw and stop < cfg.n_windows * spw,
+            "window boundary": stop % spw == 0 and 0 < stop < n_steps,
+            "past the last window": cfg.n_windows * spw < stop < n_steps,
+            "never": stop == n_steps,
+            "at k = 0": stop == 0,
+            "no demand": stop * cfg.step_s == warmup_s + peak_s}[case]
+    assert_replayed(rec, net, sc, cfg)
+
+
+def test_stopped_random_network_runs_equal_their_replay(monkeypatch):
+    """On the ``netgen`` networks of 20 seeds, with random OD pairs, windows
+    and peaks, ``simulate``'s record is the replay's byte for byte."""
+    stops = set()
+    for seed in range(20):
+        rng, net = next(random_networks(seed, 1))
+        ids = net.link_ids()
+        od = [tuple(ids[i] for i in rng.choice(len(ids), 2, replace=False))
+              for _ in range(3)]
+        sc = make_scenario(net, od, rng.uniform(100.0, 1500.0, 3))
+        cfg = SimConfig(step_s=5.0, window_s=5.0 * int(rng.integers(1, 8)),
+                        warmup_s=200.0, peak_s=float(rng.choice([0.0, 300.0])),
+                        total_s=2400.0, turn_update_s=60.0)
+        rec, steps = stopped_run(monkeypatch, net, sc, cfg)
+        stops.add(steps < int(cfg.total_s // cfg.step_s))
+        assert_replayed(rec, net, sc, cfg)
+    assert stops == {True, False}
+
+
 def record_digest(rec, out_dir) -> str:
     """SHA-256 of a record's saved files, completed trips and balance error."""
     save_record(rec, out_dir)
@@ -1047,36 +1206,42 @@ def test_exact_zero_residue_bound_gives_the_earlier_golden_records(
 
 def drained_at_each_step(monkeypatch) -> list[bool]:
     """Patches ``SimState.step`` to append, at each step's entry, whether
-    the step is drained (no demand and ``SimState.drained``)."""
-    drained = []
+    the state is drained (``SimState.drained``), and to keep the state it
+    steps; returns both lists."""
+    drained, states = [], []
     step = SimState.step
 
     def counted(state, demand_step, ratios):
-        drained.append(not np.any(demand_step) and state.drained())
+        drained.append(state.drained())
+        states[:] = [state]
         return step(state, demand_step, ratios)
 
     monkeypatch.setattr(SimState, "step", counted)
-    return drained
+    return drained, states
 
 
 def test_golden_reference_schedule_with_a_drained_tail(tmp_path, monkeypatch):
-    """``reference_run``: after the queues drain, more than three fifths of
-    its steps are drained, steps that ``SimState.step`` skips with their
-    residues frozen. The digest was retaken with the grid one's."""
-    drained = drained_at_each_step(monkeypatch)
+    """``reference_run``: ``SimState.step`` runs exactly up to the first
+    drained step past warmup_s + peak_s, at most two fifths of the 4,320
+    steps; the digest is the one of stepping every step with the drained
+    ones frozen."""
+    drained, states = drained_at_each_step(monkeypatch)
     rec = reference_run()
-    assert len(drained) == 4320
-    assert sum(drained) >= 4320 * 3 // 5
+    cfg = SimConfig()
+    peak_end = int((cfg.warmup_s + cfg.peak_s) / cfg.step_s)
+    assert peak_end < len(drained) <= 4320 * 2 // 5
+    assert not any(drained[peak_end:]) and states[0].drained()
+    assert states[0].step_no == len(drained)
     assert record_digest(rec, tmp_path) == \
         "5dcb0c5b28acad9499c9a085f369c12ae6b5463d9a8397c0684635e9fd0d7fef"
 
 
 def test_no_rerouting_once_drained_past_the_peak(monkeypatch):
     """Every turn-ratio refresh due before the first drained step past
-    warmup_s + peak_s runs, and none after it: from there on no vehicle
-    moves, so the ratios are never read again."""
+    warmup_s + peak_s runs, and neither a refresh nor a step after it: from
+    there on no vehicle moves, so the ratios are never read again."""
     sim = importlib.import_module("lcftraffic.simulate")
-    drained = drained_at_each_step(monkeypatch)
+    drained, states = drained_at_each_step(monkeypatch)
     refreshed_at = []
     update = sim.update_turn_ratios
 
@@ -1089,15 +1254,17 @@ def test_no_rerouting_once_drained_past_the_peak(monkeypatch):
     cfg = SimConfig()
     turn_every = int(cfg.turn_update_s / cfg.step_s)
     peak_end = int((cfg.warmup_s + cfg.peak_s) / cfg.step_s)
-    first = drained.index(True, peak_end)
-    assert all(drained[first:])
+    first = len(drained)
+    assert first > peak_end and not any(drained[peak_end:])
+    assert states[0].drained()
     assert refreshed_at == list(range(turn_every, first, turn_every))
 
 
 def test_rerouting_runs_to_the_peak_end_while_demand_lasts(monkeypatch):
     """Demand of 5e-14 veh per step keeps every queue entry within
-    ``RESIDUE_VEH``, so the network is drained at every refresh; the ratios
-    are still refreshed while demand lasts, up to warmup_s + peak_s."""
+    ``RESIDUE_VEH``, so the network is drained at every step; the run still
+    steps and refreshes the ratios while demand lasts, up to warmup_s +
+    peak_s, and stops there."""
     sim = importlib.import_module("lcftraffic.simulate")
     drained, refreshed_at = [], []
     step, update = SimState.step, sim.update_turn_ratios
@@ -1115,5 +1282,5 @@ def test_rerouting_runs_to_the_peak_end_while_demand_lasts(monkeypatch):
     net = chain_network()
     cfg = short_cfg(turn_update_s=20.0)     # a refresh every 4 steps
     simulate(net, make_scenario(net, [(0, 2)], [3.6e-11]), cfg)
-    assert all(drained)
-    assert refreshed_at == list(range(4, 60, 4))    # 60 steps: 300 s
+    assert all(drained) and len(drained) == 60   # 60 steps: 300 s
+    assert refreshed_at == list(range(4, 60, 4))
