@@ -363,6 +363,10 @@ def cmd_gen_dataset(o) -> int:
     cfg = SimConfig(**_fields(o, SimConfig))
     check_value("--demand", o.demand, "str", one_of=tuple(DEMAND_LEVELS))
     check_value("--bus-lanes", o.bus_lanes, "int", ge=0)
+    check_value("--scenarios", o.scenarios, "int", ge=10)
+    if not o.od:
+        check_value("--od-pairs", o.od_pairs, "int", ge=1)
+        check_value("--od-rate", o.od_rate, "float", gt=0)
     pool = len(bus_lane_candidates(net))
     if o.bus_lanes > pool:
         raise ValidationError(f"--bus-lanes {o.bus_lanes} exceeds the network's "

@@ -56,7 +56,10 @@ def peak_window_speed(record: SimRecord, link_index: int, t_max: int,
     lo = max(t_max - t_window, 0)
     hi = min(t_max + t_window, record.n_windows - 1)
     if lo > hi or hi < 0 or lo >= record.n_windows:
-        raise ValueError("window range does not intersect the record")
+        raise ValueError(f"windows t_max - t_window .. t_max + t_window = "
+                         f"{t_max - t_window} .. {t_max + t_window} (t_max "
+                         f"{t_max}, t_window {t_window}) miss the record's "
+                         f"{record.n_windows} windows")
     return float(record.speeds[lo:hi + 1, link_index].mean())
 
 

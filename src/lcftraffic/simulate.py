@@ -46,17 +46,14 @@ e.g. a step's demand ``(rates / 3600 * step_s) * factor``.
 Past warmup_s + peak_s demand is zero for the rest of the run. At the first
 step there whose backlog, waiting queues and pending maturations all lie in
 [0, ``RESIDUE_VEH``] and whose moving queues are >= 0 (``SimState.drained``),
-no vehicle would move again, so ``simulate`` stops stepping, and refreshing
-the turn ratios. It checks storage once, then records what the steps left
-would have added, each step the same accumulation and no outflow or
-completed trip: it finishes the current window with one add of that
-accumulation per step left, and copies into every later window one built
-from zero with ``steps_per_window`` adds. Float residues of a drained queue
-stay frozen in place and counted in the network, so conservation stays
-exact. A frozen link holds at most D*(ring+1)*RESIDUE_VEH veh, far below
-``EMPTY_VEH``, so it still reads empty and runs at v_ff. With RESIDUE_VEH =
-0.0 a run stops only where a full step would move nothing at all.
-``SimState.step`` always takes the full step.
+no vehicle would move again, so ``simulate`` stops stepping and refreshing
+the turn ratios there and checks storage once: from there on each step adds
+the frozen accumulation to its window and nothing else. Float residues of a
+drained queue stay frozen in place and counted in the network, so
+conservation stays exact. A frozen link holds at most D*(ring+1)*RESIDUE_VEH
+veh, far below ``EMPTY_VEH``, so it still reads empty and runs at v_ff. With
+RESIDUE_VEH = 0.0 a run stops only where a full step would move nothing at
+all. ``SimState.step`` always takes the full step.
 """
 
 from __future__ import annotations
@@ -259,7 +256,7 @@ class SimState:
         self.od_col = np.array([dest_col[dd] for _, dd in od_pairs], dtype=int)
         self.backlog = np.zeros(len(od_pairs))
         self.injected_total = 0.0
-        self.completed_total = 0.0
+        self.completed_total = np.float64(0.0)
         self.step_no = 0
 
         # transfers per connectivity pair: scatter keys and signal gating
@@ -393,17 +390,16 @@ class SimState:
                              np.concatenate([completed, np.add.reduce(q, 1)]), z)
 
         # 4. demand injection, capped by the space left at each origin
-        if demand_step is not None and len(demand_step):
-            backlog = self.backlog
-            backlog += demand_step
-            room = np.maximum(self.cap - self.accumulation(), 0.0)
-            want = scatter_sum(self.od_origin, backlog, z)
-            frac = _capped_ratio(room, want)
-            inject = backlog * frac[self.od_origin]
-            np.add.at(m, (self.od_origin, self.od_col), inject)
-            np.add.at(pend_rows, (due[self.od_origin], self.od_col), inject)
-            backlog -= inject
-            self.injected_total += float(inject.sum())
+        backlog = self.backlog
+        backlog += demand_step
+        room = np.maximum(self.cap - self.accumulation(), 0.0)
+        want = scatter_sum(self.od_origin, backlog, z)
+        frac = _capped_ratio(room, want)
+        inject = backlog * frac[self.od_origin]
+        np.add.at(m, (self.od_origin, self.od_col), inject)
+        np.add.at(pend_rows, (due[self.od_origin], self.od_col), inject)
+        backlog -= inject
+        self.injected_total += float(inject.sum())
 
         self.check_storage(self.accumulation())
         self.step_no += 1
@@ -501,57 +497,39 @@ def simulate(net: RoadNetwork, scenario, cfg: SimConfig | None = None) -> SimRec
     base = rates / 3600.0 * cfg.step_s   # a step's demand is base * factor
     peak_end = cfg.warmup_s + cfg.peak_s
 
-    def close(wi):
-        speeds[wi] = _window_stats(len_km, vff, cfg, sum_u, sum_x)
-        acc[wi] = sum_x / spw
-        outflow[wi] = sum_u
-        completed[wi] = window_completed
-        return speeds[wi]
-
-    stop = n_steps
+    frozen = None
     for k in range(n_steps):
         t_s = k * cfg.step_s
-        if t_s >= peak_end and state.drained():
-            stop = k
-            break
-        if k > 0 and k % turn_every == 0:
-            ratios = update_turn_ratios(sim_net, last_speeds, ratios, dest_ids,
-                                        cfg)
-        if t_s < cfg.warmup_s:
-            factor = min(t_s / ramp_s, 1.0)
-        elif t_s < peak_end:
-            factor = 1.0
+        if frozen is None and t_s >= peak_end and state.drained():
+            # no demand is left and no vehicle moves again: every step from
+            # here adds this accumulation and nothing else to its window
+            frozen = state.accumulation()
+            state.check_storage(frozen)
+        if frozen is not None:
+            sum_x += frozen
         else:
-            factor = 0.0
-        out = state.step(base * factor, ratios)
-
-        sum_u += out["outflow"]
-        sum_x += out["accumulation"]
-        window_completed += float(out["completed"].sum())
+            if k > 0 and k % turn_every == 0:
+                ratios = update_turn_ratios(sim_net, last_speeds, ratios,
+                                            dest_ids, cfg)
+            if t_s < cfg.warmup_s:
+                factor = min(t_s / ramp_s, 1.0)
+            elif t_s < peak_end:
+                factor = 1.0
+            else:
+                factor = 0.0
+            out = state.step(base * factor, ratios)
+            sum_u += out["outflow"]
+            sum_x += out["accumulation"]
+            window_completed += float(out["completed"].sum())
         if (k + 1) % spw == 0:
-            last_speeds = close(k // spw)
+            wi = k // spw
+            last_speeds = speeds[wi] = _window_stats(len_km, vff, cfg, sum_u, sum_x)
+            acc[wi] = sum_x / spw
+            outflow[wi] = sum_u
+            completed[wi] = window_completed
             sum_u[:] = 0.0
             sum_x[:] = 0.0
             window_completed = 0.0
-
-    # stopped drained past the peak, with no demand left: no vehicle moves
-    # again, so every step left would add the same accumulation and nothing
-    # else to a window of the record
-    wi = stop // spw
-    if wi < n_windows:
-        frozen = state.accumulation()
-        state.check_storage(frozen)
-        for _ in range(stop % spw, spw):
-            sum_x += frozen
-        close(wi)
-        # every later window: built from zero as a stepped one would be;
-        # its outflow and completed trips stay 0
-        sum_u[:] = 0.0
-        sum_x[:] = 0.0
-        for _ in range(spw):
-            sum_x += frozen
-        speeds[wi + 1:] = _window_stats(len_km, vff, cfg, sum_u, sum_x)
-        acc[wi + 1:] = sum_x / spw
 
     balance = state.injected_total - (state.in_network() + state.completed_total)
     if not abs(balance) <= 1e-6:

@@ -1,10 +1,12 @@
-"""``simulate`` as it ran before it stopped at the drain, kept as an oracle:
-every step of the schedule is stepped and aggregated into its window. A
-step without demand on a drained state (``SimState.drained``) moves
-nothing, so it counts the step and returns the start-of-step accumulation
-and no outflow or completed trip without calling ``SimState.step``; every
-other step calls it. Turn ratios are refreshed as ``simulate`` refreshes
-them, except at a drained step past warmup_s + peak_s."""
+"""An oracle for ``simulate``'s drained stop: the same schedule, each step
+decided on its own. A step without demand on a drained state
+(``SimState.drained``), before the peak end too, moves nothing, so it
+counts the step and returns the start-of-step accumulation and no outflow
+or completed trip without calling ``SimState.step``; every other step calls
+it. Turn ratios are refreshed as ``simulate`` refreshes them, except at a
+drained step past warmup_s + peak_s. Where ``simulate`` stops once, at the
+first drained step past the peak, and adds the frozen accumulation from
+there on, the replay checks the state again at every step."""
 
 import numpy as np
 

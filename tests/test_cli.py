@@ -370,8 +370,7 @@ def test_gen_dataset_rejects_a_nan_od_rate(tmp_path, capsys):
     capsys.readouterr()
     assert run(["gen-dataset", "--out", out, "--scenarios", "10",
                 "--od-rate", "nan"] + SIM_SMALL) == 1
-    assert "error: OD rates must be finite and >= 0, got nan" in \
-        capsys.readouterr().err
+    assert "error: --od-rate must be finite, got nan" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "dataset"))
 
 
@@ -507,6 +506,21 @@ def test_negative_bus_lane_count_names_the_option(tmp_path, capsys):
     assert "error: --bus-lanes must be >= 0, got -3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value,expected", [
+    ("--scenarios", "5", "--scenarios must be >= 10, got 5"),
+    ("--od-pairs", "-1", "--od-pairs must be >= 1, got -1"),
+    ("--od-pairs", "0", "--od-pairs must be >= 1, got 0"),
+    ("--od-rate", "0", "--od-rate must be > 0, got 0.0")])
+def test_bad_dataset_counts_name_the_option_and_value(tmp_path, capsys, flag,
+                                                      value, expected):
+    out = str(tmp_path / "run")
+    assert run(["gen-network", "--out", out, "--grid", "3x3"]) == 0
+    capsys.readouterr()
+    assert run(["gen-dataset", "--out", out, flag, value] + SIM_SMALL) == 1
+    assert f"error: {expected}" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "od.txt"))
+
+
 def test_bus_lane_count_above_the_pool_names_the_option(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert run(["gen-network", "--out", out, "--grid", "3x3"]) == 0
@@ -604,5 +618,17 @@ def test_more_clusters_than_links_names_the_option_and_link_count(
     assert run(["partition", "--out", small_pipeline, "--clusters", 200,
                 "--partition-file", path]) == 1
     assert f"error: --clusters 200 exceeds the {n_links} links of network" \
+        in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_peak_window_past_the_record_names_the_values(small_pipeline,
+                                                      tmp_path, capsys):
+    path = tmp_path / "partition.json"
+    capsys.readouterr()
+    assert run(["partition", "--out", small_pipeline, "--t-max", 100,
+                "--partition-file", path]) == 1
+    assert ("error: windows t_max - t_window .. t_max + t_window = 98 .. 102 "
+            "(t_max 100, t_window 2) miss the record's 10 windows") \
         in capsys.readouterr().err
     assert not path.exists()
