@@ -373,13 +373,19 @@ def cmd_gen_dataset(o) -> int:
                               f"{pool} bus-lane candidates")
     if o.od:
         base = _load_od(o, net)
+        if base.total() <= 0:
+            raise ValidationError(f"--od {o.od}: the OD rates sum to "
+                                  f"{base.total()!r}; gen-dataset needs a "
+                                  "total > 0 to perturb")
     else:
         base = random_base_od(net, o.od_pairs, o.od_rate, seed=o.seed)
-    os.makedirs(o.out, exist_ok=True)
-    save_od(base, os.path.join(o.out, "od.txt"))
     ds = build_dataset(net, base, n=o.scenarios, master_seed=o.seed, cfg=cfg,
                        bus_lane_count=o.bus_lanes or None,
                        demand_level=o.demand)
+    # written once the dataset is built, so a failure leaves no OD file; the
+    # --od file may be this same path, which was read above
+    os.makedirs(o.out, exist_ok=True)
+    save_od(base, os.path.join(o.out, "od.txt"))
     ds_dir = _default(o.dataset_dir, o.out, "dataset")
     save_dataset(ds, ds_dir)
     log_line("dataset written", dir=ds_dir, scenarios=len(ds.scenarios),

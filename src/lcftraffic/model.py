@@ -44,9 +44,10 @@ log = logging.getLogger(__name__)
 
 PAD_VALUE = -1.0
 LEAKY_SLOPE = 0.2    # negative slope of the attention scores' leaky ReLU
-# (window, link) rows the head takes per call in predict_windows; a block
-# never splits a window, so it holds one window when a window alone is larger
-PREDICT_BLOCK_ROWS = 2048
+# (window, link) rows the head takes per call in predict_windows, which
+# bound its peak memory; a block never splits a window, so it holds one
+# window when a window alone is larger
+PREDICT_BLOCK_ROWS = 1024
 DTYPES = ("float32", "float64")
 OUTPUT_TYPES = ("Ratio", "Diff", "Speed")
 
@@ -250,7 +251,8 @@ class LcfModel:
         return nn.gru(hist_norm, *(self.params[f"gru.{name}"] for name in
                                    ("Wz", "bz", "Wr", "br", "Wc", "bc")))
 
-    def fuse(self, spatial: Tensor, temporal: Tensor, batch: int) -> Tensor:
+    def fuse(self, spatial: Tensor, temporal: Tensor, batch: int,
+             halves=None) -> Tensor:
         """Head over every (window, link) pair, window-major, as one tape
         node (``nn.pair_head``): the first layer sees [spatial[link],
         temporal[window]] without building it. Its hidden activations and
@@ -258,7 +260,9 @@ class LcfModel:
         batch shape holds; a backward whose forward a later call has
         overwritten raises RuntimeError. Off the tape it claims no buffers,
         so prediction memory stays bounded by one block (see
-        ``predict_windows``)."""
+        ``predict_windows``). ``halves``, when given, are the first layer's
+        ``nn.pair_halves`` of ``spatial`` and ``temporal``, computed by the
+        caller."""
         cfg = self.config
         width = cfg.fc_input_dim - cfg.hidden_dim
         if spatial.data.ndim != 2 or spatial.data.shape[1] != cfg.hidden_dim \
@@ -269,7 +273,7 @@ class LcfModel:
                 f"(n_links, {cfg.hidden_dim}) and ({batch}, {width})")
         layers = [(self.params[f"fc.{i}.W"], self.params[f"fc.{i}.b"])
                   for i in range(len(cfg.fc_hidden) + 1)]
-        return nn.pair_head(spatial, temporal, layers, self._head)
+        return nn.pair_head(spatial, temporal, layers, self._head, halves)
 
     def _embed(self, feats_norm: np.ndarray, graph: LinkGraph,
                hist_norm: np.ndarray) -> tuple[Tensor, Tensor]:
@@ -300,23 +304,22 @@ class LcfModel:
         """Decoded per-link speeds (km/h), shape (len(windows), n_links), for
         the given windows of a mean-speed series (all of them by default).
 
-        Runs off the tape (``nn.no_grad``). The spatial embedding and the
-        GRU run once over all windows; the head then runs over balanced
-        blocks of whole windows, each at most ``PREDICT_BLOCK_ROWS``
-        (window, link) rows unless one window alone has more links, and
-        each block is decoded into the output before the next one starts.
-        The head is one op (``fuse``), which off the tape claims no buffers
-        and frees each layer's input once its output is built, so peak
-        memory is bounded by one block's head activations, a layer's input
-        and output at once (2,048 x (384 + 256) x 4 B in float32, about
-        5 MB, at the default widths), not by windows x links; the
-        attention's is bounded by the link graph's edges.
-        Blocks of two or more windows give the same bits as one head call
-        over all windows; a one-window block can differ in the last bits,
-        since a one-row matrix product takes another BLAS path. The head's
-        output is decoded in float64. Balancing leaves no
-        lone-window block (unless the call has one window) while a block
-        fits three or more windows, i.e. up to 682 links.
+        Runs off the tape (``nn.no_grad``). The spatial embedding, the GRU
+        and the head's first-layer products (``nn.pair_halves``: spatial
+        @ W_s + b per link, temporal @ W_t per window) run once over all
+        windows; the head then runs over blocks of whole windows, each at
+        most ``PREDICT_BLOCK_ROWS`` (window, link) rows unless one window
+        alone has more links, and each block is decoded into the output
+        before the next one starts. The head is one op (``fuse``), which
+        off the tape claims no buffers and frees each layer's input once
+        its output is built, so peak memory is bounded by one block's head
+        activations, a layer's input and output at once (1,024 x (384 +
+        256) x 4 B in float32, about 2.6 MB, at the default widths), not by
+        windows x links; the attention's is bounded by the link graph's
+        edges. Every block size, one window a block included, gives the
+        same bits as one head call over all windows, since each block only
+        slices the per-window products. The head's output is decoded in
+        float64.
         """
         if self.norm is None:
             raise ValueError("model has no normalization statistics; train first")
@@ -333,15 +336,18 @@ class LcfModel:
         v_now = vmean_kmh[windows, None]
         n_links = net.n_links
         per_block = max(1, PREDICT_BLOCK_ROWS // n_links)
-        n_blocks = -(-len(windows) // per_block)
         out = np.empty((len(windows), n_links))
         with nn.no_grad():
             spatial, temporal = self._embed(feats_norm, graph, hist)
-            for block in np.array_split(np.arange(len(windows)), n_blocks):
-                b = slice(block[0], block[-1] + 1)
-                raw = self.fuse(spatial, nn.constant(temporal.data[b]),
-                                len(block)).data.reshape(len(block), n_links)
-                raw = raw.astype(np.float64)
+            part_in, part_out = nn.pair_halves(
+                spatial.data, temporal.data,
+                self.params["fc.0.W"].data, self.params["fc.0.b"].data)
+            for start in range(0, len(windows), per_block):
+                b = slice(start, start + per_block)
+                block = temporal.data[b]
+                raw = self.fuse(spatial, nn.constant(block), len(block),
+                                (part_in, part_out[b])).data
+                raw = raw.reshape(len(block), n_links).astype(np.float64)
                 out[b] = decode_output(self.norm.denorm_target(raw), v_now[b],
                                        cfg.output_type, vff)
         return out

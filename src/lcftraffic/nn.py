@@ -8,8 +8,9 @@ relu, and the mean over the heads, as one tape node; its coefficient rule
 is ``attention_coefficients``), the recurrent encoder ``gru`` (a whole GRU
 recurrence as one tape node) and the estimator head ``pair_head`` (a dense
 chain over every (row of a, row of b) concatenation, without building it,
-as one tape node on reused buffers: ``HeadBuffers``). ``scatter_sum`` is the
-package's one scatter-add.
+as one tape node on reused buffers: ``HeadBuffers``; its first layer's
+products are ``pair_halves``). ``scatter_sum`` is the package's one
+scatter-add.
 Each op records one backward closure, which maps the output gradient to a
 tuple of gradients, one per parent in order; ``backward`` walks the tape in
 reverse topological order and hands each parent that requires a gradient
@@ -316,27 +317,44 @@ class HeadBuffers:
         return self.acts
 
 
-def pair_head(inner: Tensor, outer: Tensor, layers, buffers: HeadBuffers) -> Tensor:
+def pair_halves(inner: np.ndarray, outer: np.ndarray, w: np.ndarray,
+                b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair layer's two products, part_in = inner @ w[:h] + b and
+    part_out = outer @ w[h:], h being inner's width: row o * n_inner + i
+    of the layer, before its relu, is part_in[i] + part_out[o]. A row of a
+    product depends on its own input row only, so the halves of many outer
+    rows can be computed once and sliced."""
+    h = inner.shape[1]
+    part_in = inner @ w[:h]
+    part_in += b
+    return part_in, outer @ w[h:]
+
+
+def pair_head(inner: Tensor, outer: Tensor, layers, buffers: HeadBuffers,
+              halves=None) -> Tensor:
     """A dense chain over every concatenated pair of rows, outer-major, as
     one tape node. ``layers`` holds (w, b) pairs; the first is the pair
     layer, row o * n_inner + i of which is [inner[i], outer[o]] @ w + b,
     and each later one is x @ w + b; every layer but the last is followed
     by a relu.
 
-    The pairs are never built: inner @ w[:h] and outer @ w[h:] are computed
-    once per row and broadcast-added, and the backward sums the gradient
-    over each side before its matmul. The hidden layers' activations live
-    in ``buffers`` and are overwritten by the next call of the same shape;
-    the taped output itself is a new array. The backward runs from the last
-    layer down: from each layer's input activation x it takes the weight
-    gradient x.T @ g and the relu mask, then writes the input gradient
-    g @ w.T over x and masks it there. That spends the call's buffers, so a
-    second backward through the same call raises RuntimeError, and so does
-    a backward whose forward is no longer the latest (each call advances
-    ``buffers.generation``). Under ``no_grad`` the op claims no buffers: it
-    reuses activation buffers already built for its shape, and otherwise
-    allocates each layer's output as it goes, so only a layer's input and
-    output are alive at once.
+    The pairs are never built: the layer's ``pair_halves`` are computed once
+    per row and broadcast-added, and the backward sums the gradient over
+    each side before its matmul. A caller that holds the halves already,
+    e.g. one that computed them once for more outer rows and passes the
+    slice of this call's rows, gives them as ``halves``; they must be the
+    halves of ``inner`` and ``outer``, which the backward reads. The hidden
+    layers' activations live in ``buffers`` and are overwritten by the next
+    call of the same shape; the taped output itself is a new array. The
+    backward runs from the last layer down: from each layer's input
+    activation x it takes the weight gradient x.T @ g and the relu mask,
+    then writes the input gradient g @ w.T over x and masks it there. That
+    spends the call's buffers, so a second backward through the same call
+    raises RuntimeError, and so does a backward whose forward is no longer
+    the latest (each call advances ``buffers.generation``). Under
+    ``no_grad`` the op claims no buffers: it reuses activation buffers
+    already built for its shape, and otherwise allocates each layer's output
+    as it goes, so only a layer's input and output are alive at once.
     """
     layers = list(layers)
     shapes = [t.data.shape for pair in layers for t in pair]
@@ -352,19 +370,22 @@ def pair_head(inner: Tensor, outer: Tensor, layers, buffers: HeadBuffers) -> Ten
     m = outer.data.shape[0]
     rows, last = m * n, len(layers) - 1
     widths = [w.data.shape[1] for w, _ in layers]
+    if halves is None:
+        halves = pair_halves(inner.data, outer.data, *(t.data for t in layers[0]))
+    part_in, part_out = halves
+    if part_in.shape != (n, widths[0]) or part_out.shape != (m, widths[0]):
+        raise ValueError(f"pair_head: halves {part_in.shape} and "
+                         f"{part_out.shape} do not fit ({n}, {widths[0]}) and "
+                         f"({m}, {widths[0]})")
     buffers.generation += 1
     generation = buffers.generation
     acts = buffers.activations(rows, widths[:-1], inner.data.dtype,
                                claim=_grad_mode.enabled) if last else None
 
-    w, b = layers[0]
-    part_in = inner.data @ w.data[:h]
-    part_in += b.data
-    part_out = outer.data @ w.data[h:]
     out = None if acts is None else acts[0].reshape(m, n, widths[0])
     x = np.add(part_out[:, None, :], part_in[None, :, :], out=out)
     x = x.reshape(rows, widths[0])
-    del part_in, part_out
+    del halves, part_in, part_out
     for i, (w, b) in enumerate(layers):
         if i:
             x = np.matmul(x, w.data, out=None if acts is None or i == last

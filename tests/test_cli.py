@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from lcftraffic import cli as cli_module
 from lcftraffic.cli import build_parser, main
 from lcftraffic.network import load_network
 from lcftraffic.simulate import load_record
@@ -372,6 +373,44 @@ def test_gen_dataset_rejects_a_nan_od_rate(tmp_path, capsys):
                 "--od-rate", "nan"] + SIM_SMALL) == 1
     assert "error: --od-rate must be finite, got nan" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "dataset"))
+
+
+def test_gen_dataset_od_file_of_zero_total_names_the_option_and_file(
+        tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert run(["gen-network", "--out", out, "--grid", "3x3"]) == 0
+    od_path = tmp_path / "od.txt"
+    od_path.write_text("OD 0 9 0.0\n")
+    capsys.readouterr()
+    assert run(["gen-dataset", "--out", out, "--scenarios", "10",
+                "--od", od_path] + SIM_SMALL) == 1
+    assert (f"error: --od {od_path}: the OD rates sum to 0.0; gen-dataset "
+            "needs a total > 0 to perturb") in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "od.txt"))
+    assert not os.path.exists(os.path.join(out, "dataset"))
+
+
+def test_gen_dataset_writes_its_od_file_only_after_the_build(
+        tmp_path, monkeypatch):
+    out = str(tmp_path / "run")
+    assert run(["gen-network", "--out", out, "--grid", "3x3"]) == 0
+
+    def failing_build(*args, **kwargs):
+        raise RuntimeError("build failed")
+
+    monkeypatch.setattr(cli_module, "build_dataset", failing_build)
+    assert run(["gen-dataset", "--out", out, "--scenarios", "10"]
+               + SIM_SMALL) == 2
+    assert not os.path.exists(os.path.join(out, "od.txt"))
+    monkeypatch.undo()
+    # the OD file may be read from the path it is written to
+    assert run(["gen-dataset", "--out", out, "--scenarios", "10"]
+               + SIM_SMALL) == 0
+    od_path = os.path.join(out, "od.txt")
+    before = open(od_path).read()
+    assert run(["gen-dataset", "--out", out, "--scenarios", "10",
+                "--od", od_path] + SIM_SMALL) == 0
+    assert open(od_path).read() == before
 
 
 def test_bad_od_rate_in_a_file_names_the_file_and_line(tmp_path, capsys):

@@ -216,6 +216,12 @@ def test_dense_rejects_misaligned_shapes():
                      [(w52, b12), (nn.constant(np.zeros((3, 1))),
                                    nn.constant(np.zeros((1, 1))))],
                      nn.HeadBuffers())
+    # halves of other outer rows than the call's
+    outer = np.zeros((2, 2))
+    part_in, part_out = nn.pair_halves(x.data, outer, w52.data, b12.data)
+    with pytest.raises(ValueError, match=r"halves \(2, 2\) and \(1, 2\)"):
+        nn.pair_head(x, nn.constant(outer), [(w52, b12)], nn.HeadBuffers(),
+                     (part_in, part_out[:1]))
 
 
 def test_gat_keeps_no_head_arrays_off_the_tape():
@@ -548,6 +554,22 @@ def test_pair_head_claims_no_buffers_off_the_tape():
     assert buffers.mask is None
     nn.pair_head(inner, outer, layers, buffers)
     assert [a.shape for a in buffers.acts] == [(12, 5)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pair_head_on_sliced_halves_equals_one_call_to_the_bit(dtype):
+    """Halves computed once for every outer row and sliced give each slice
+    the rows of one call over all outer rows, a one-row slice included."""
+    rng = np.random.default_rng(26)
+    inner, outer, layers = head_inputs(rng, dtype, 30, 7, 16, 16, (24, 8, 1))
+    halves = nn.pair_halves(inner.data, outer.data,
+                            *(t.data for t in layers[0]))
+    ref = nn.pair_head(inner, outer, layers, nn.HeadBuffers()).data
+    for lo, hi in ((0, 7), (0, 1), (3, 4), (1, 3), (2, 7)):
+        with nn.no_grad():
+            out = nn.pair_head(inner, nn.constant(outer.data[lo:hi]), layers,
+                               nn.HeadBuffers(), (halves[0], halves[1][lo:hi]))
+        assert np.array_equal(out.data, ref[lo * 30:hi * 30])
 
 
 def test_a_second_backward_through_one_pair_head_call_raises():
