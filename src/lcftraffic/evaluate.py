@@ -41,18 +41,23 @@ class MetricReport:
 def metrics(pred: np.ndarray, truth: np.ndarray, model: str = "",
             scenario_class: str = "") -> MetricReport:
     """MAE / MSE / RMSE and the error mean and population std of
-    e = pred - truth."""
+    e = pred - truth. Each mean is ``np.add.reduce(x) / n``, the sum and
+    division ``np.mean`` and ``np.std`` run, so the values equal theirs to
+    the bit without their Python wrappers."""
     pred = np.asarray(pred, dtype=float).ravel()
     truth = np.asarray(truth, dtype=float).ravel()
     if pred.shape != truth.shape or pred.size == 0:
         raise ValueError("pred and truth must be equally sized and non-empty")
     e = pred - truth
-    mse = float(np.mean(e * e))
+    n = e.size
+    mean = np.add.reduce(e) / n
+    dev = e - mean
+    mse = float(np.add.reduce(e * e) / n)
     return MetricReport(
         model=model, scenario_class=scenario_class,
-        mae=float(np.mean(np.abs(e))), mse=mse, rmse=math.sqrt(mse),
-        err_mean=float(np.mean(e)), err_std=float(np.std(e)),
-        count=pred.size,
+        mae=float(np.add.reduce(np.abs(e)) / n), mse=mse, rmse=math.sqrt(mse),
+        err_mean=float(mean), err_std=math.sqrt(np.add.reduce(dev * dev) / n),
+        count=n,
     )
 
 
@@ -93,13 +98,34 @@ def shortest_path(net: RoadNetwork, speeds_kmh: np.ndarray, origin: int,
     static speed field; None when unreachable. A forward ``dijkstra`` runs
     until the destination is final; back from it, each link's predecessor
     is the smallest-id upstream link u with dist[u] + tau[z] == dist[z]
-    exactly (``up_of`` lists ids in order), so ties resolve deterministically."""
-    if np.any(speeds_kmh <= 0):
-        raise ValueError("speeds must be positive")
+    exactly (``up_of`` lists ids in order), so ties resolve deterministically.
+
+    The search is goal-directed: its bound on link v is
+    ``r * |end(v) - end(dst)|``, the straight line from v's end junction to
+    the destination's, at ``r``, the least seconds per chord metre over the
+    links with a chord, times (1 - 1e-9). A link v continues one that ends
+    where v starts, so the bound is consistent (tau[v] >= r * chord(v) by
+    the choice of r, even on a link shorter than its chord), and the slack
+    makes every such inequality strict: each u with dist[u] + tau[z] ==
+    dist[z], for z on the path, is final before the destination, with the
+    label the unbounded search gives it, and the tie rule picks the same u.
+    With all junctions at one point the bound is 0.
+
+    A speed that is not finite and > 0 is a ValueError naming the link."""
+    lo, hi = speeds_kmh.min(), speeds_kmh.max()
+    if not (lo > 0 and hi < math.inf):      # NaN fails it too
+        bad = int(np.argmin((speeds_kmh > 0) & (speeds_kmh < math.inf)))
+        raise ValueError(f"link {net.links[bad].id}: speed "
+                         f"{float(speeds_kmh[bad])!r} km/h is not finite and > 0")
     idx = net.index
-    tau = link_travel_times(idx.length_m, speeds_kmh).tolist()
+    tau = link_travel_times(idx.length_m, speeds_kmh)
     src, dst = net.link_index(origin), net.link_index(destination)
-    dist = dijkstra(idx.down_of, tau, src, stop=dst)
+    with np.errstate(divide="ignore"):      # a link without a chord: inf
+        r = (tau / idx.chord_m).min()
+    r = r * (1.0 - 1e-9) if r < math.inf else 0.0
+    lower = r * np.hypot(idx.end_x - idx.end_x[dst], idx.end_y - idx.end_y[dst])
+    tau = tau.tolist()
+    dist = dijkstra(idx.down_of, tau, src, stop=dst, lower=lower.tolist())
     if math.isinf(dist[dst]):
         return None
     path = [dst]
@@ -114,7 +140,8 @@ def path_travel_time(net: RoadNetwork, path: list[int],
     """Seconds to traverse the path, each link crossed at the speed of the
     window containing the clock at its entry. Returns (seconds, flag); the
     flag marks clock overruns past the record horizon, where the last
-    window's field is extrapolated."""
+    window's field is extrapolated. A speed read on the walk that is not
+    finite and > 0 is a ValueError naming the link and the window."""
     if not path:
         raise ValueError("path must be non-empty")
     n_windows = speeds_by_window.shape[0]
@@ -122,12 +149,16 @@ def path_travel_time(net: RoadNetwork, path: list[int],
     lengths = net.index.length_m[links].tolist()
     clock = depart_window * window_s
     overran = False
-    for z, length_m in zip(links, lengths):
+    for link_id, z, length_m in zip(path, links, lengths):
         w = int(clock // window_s)
         if w >= n_windows:
             w = n_windows - 1
             overran = True
-        clock += link_travel_times(length_m, speeds_by_window[w, z])
+        v = speeds_by_window.item(w, z)
+        if not 0 < v < math.inf:            # NaN fails it too
+            raise ValueError(f"link {link_id}: speed {v!r} km/h in window {w} "
+                             "is not finite and > 0")
+        clock += link_travel_times(length_m, v)
     return clock - depart_window * window_s, overran
 
 
@@ -152,8 +183,11 @@ def travel_time_experiment(net: RoadNetwork, estimated: np.ndarray,
     est_times, true_times = [], []
     no_path = overrun = 0
     for trip in trips:
-        path = shortest_path(net, estimated[trip.departure], trip.origin,
-                             trip.destination)
+        try:
+            path = shortest_path(net, estimated[trip.departure], trip.origin,
+                                 trip.destination)
+        except ValueError as exc:
+            raise ValueError(f"departure window {trip.departure}: {exc}") from None
         if path is None:
             no_path += 1
             continue

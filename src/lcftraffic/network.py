@@ -145,6 +145,9 @@ class NetworkIndex:
     up_of: tuple[tuple[int, ...], ...]    # per link, its upstream links
     length_m: np.ndarray      # (Z,)
     vff_kmh: np.ndarray       # (Z,)
+    end_x: np.ndarray         # (Z,) x of each link's end junction
+    end_y: np.ndarray         # (Z,) y of each link's end junction
+    chord_m: np.ndarray       # (Z,) straight line from its start junction to its end
 
     @classmethod
     def of(cls, net: "RoadNetwork") -> "NetworkIndex":
@@ -154,6 +157,9 @@ class NetworkIndex:
             np.flatnonzero(np.r_[True, pair_up[1:] != pair_up[:-1]])
             if len(pair_up) else [], int)
         seg_size = _frozen(np.diff(np.r_[seg_start, len(pair_up)]), int)
+        (x0, y0), (x1, y1) = (np.array([net.junctions[getattr(lk, end)]
+                                        for lk in net.links], dtype=float).T
+                              for end in ("from_junction", "to_junction"))
         down_of, up_of = ([[] for _ in net.links] for _ in range(2))
         for u, v in zip(pair_up.tolist(), pair_dn.tolist()):
             down_of[u].append(v)
@@ -166,6 +172,8 @@ class NetworkIndex:
             down_of=tuple(map(tuple, down_of)), up_of=tuple(map(tuple, up_of)),
             length_m=_frozen([lk.length_m for lk in net.links], float),
             vff_kmh=_frozen([lk.vff_kmh for lk in net.links], float),
+            end_x=_frozen(x1, float), end_y=_frozen(y1, float),
+            chord_m=_frozen(np.hypot(x1 - x0, y1 - y0), float),
         )
 
 
@@ -301,18 +309,44 @@ def link_travel_times(length_m, speeds_kmh):
     return length_m / (speeds_kmh * 1000.0 / 3600.0)
 
 
-def dijkstra(adjacent, tau, source: int, stop: int | None = None) -> list[float]:
+def dijkstra(adjacent, tau, source: int, stop: int | None = None,
+             lower=None) -> list[float]:
     """Per link index, the least time from entering link ``source`` to
     finishing the link along ``adjacent`` (``down_of``: forward from an
     origin; ``up_of``: backward from a destination), summed from the source
     outward as ``d + tau[v]`` over ``tau``, the links' crossing times as a
     list; inf where unreached. With ``stop`` the search ends once that link
-    is final, and links farther out hold upper bounds."""
+    is final, and links farther out hold upper bounds.
+
+    ``lower``, per link, a bound on the time left from finishing it to
+    finishing ``stop``, orders the heap by ``d + lower[v]`` (A*, Hart,
+    Nilsson & Raphael 1968) while every label stays ``d``; the stale check
+    compares ``d`` with ``dist[z]`` as without it. A consistent bound
+    (``lower[u] <= tau[v] + lower[v]`` for each step u -> v, 0 at ``stop``)
+    leaves the search exact and only skips links that cannot lie on a path
+    to ``stop``; ``evaluate.shortest_path`` builds one whose inequalities
+    are strict, so every label its path is rebuilt from equals this
+    search's label without it."""
     dist = [math.inf] * len(tau)
-    dist[source] = tau[source]
-    heap = [(dist[source], source)]
+    dist[source] = d = tau[source]
+    pop, push = heapq.heappop, heapq.heappush
+    if lower is None:
+        heap = [(d, source)]
+        while heap:
+            d, z = pop(heap)
+            if d > dist[z]:
+                continue
+            if z == stop:
+                break
+            for v in adjacent[z]:
+                cand = d + tau[v]
+                if cand < dist[v]:
+                    dist[v] = cand
+                    push(heap, (cand, v))
+        return dist
+    heap = [(d + lower[source], d, source)]
     while heap:
-        d, z = heapq.heappop(heap)
+        _, d, z = pop(heap)
         if d > dist[z]:
             continue
         if z == stop:
@@ -321,7 +355,7 @@ def dijkstra(adjacent, tau, source: int, stop: int | None = None) -> list[float]
             cand = d + tau[v]
             if cand < dist[v]:
                 dist[v] = cand
-                heapq.heappush(heap, (cand, v))
+                push(heap, (cand + lower[v], cand, v))
     return dist
 
 

@@ -54,6 +54,12 @@ conservation stays exact. A frozen link holds at most D*(ring+1)*RESIDUE_VEH
 veh, far below ``EMPTY_VEH``, so it still reads empty and runs at v_ff. With
 RESIDUE_VEH = 0.0 a run stops only where a full step would move nothing at
 all. ``SimState.step`` always takes the full step.
+
+Two per-step costs are paid less often without moving a bit. ``simulate``
+hands each step's end accumulation, the per-link sums its storage check
+reads, to the next step as its start accumulation, since nothing writes the
+queues in between (``SimState.acc_start``). Which pairs face red is
+computed for a window of steps at once, by the per-step formula.
 """
 
 from __future__ import annotations
@@ -219,7 +225,15 @@ def initial_turn_ratios(net: RoadNetwork, dest_ids: tuple[int, ...]) -> np.ndarr
 class SimState:
     """Mutable per-run state: queues, pending transfers, demand backlog.
     What ``step`` reads of the network is built here once; ``m`` and ``w``
-    are read afresh each step, so they may be written between steps."""
+    are read afresh each step, so they may be written between steps.
+
+    ``acc_start`` is the accumulation the next step starts from when set:
+    ``simulate`` hands over each step's ``end_accumulation``, the sums its
+    storage check read, since nothing writes the queues before the next
+    step. The step clears it, so a caller that writes ``m`` or ``w``
+    between steps, and does not hand it over, gets it computed afresh.
+    Which pairs face red is computed for a window of steps at a time, one
+    row per step, by the same elementwise formula as for one step."""
 
     def __init__(self, net: RoadNetwork, cfg: SimConfig,
                  od_pairs: list[tuple[int, int]], dest_ids: tuple[int, ...]):
@@ -258,6 +272,7 @@ class SimState:
         self.injected_total = 0.0
         self.completed_total = np.float64(0.0)
         self.step_no = 0
+        self.acc_start = None
 
         # transfers per connectivity pair: scatter keys and signal gating
         self.pair_up, self.pair_dn = idx.pair_up, idx.pair_dn
@@ -286,6 +301,9 @@ class SimState:
         self.sig_offset = np.array(off)
         self.sig_green_a = np.array(green_a)
         self.sig_group_a = np.array(group_a, dtype=bool)
+        self.red_from, self.red_rows = 0, np.zeros((0, len(self.pair_up)), bool)
+        # the transfers of a step, q_des -> q1 -> q, in place
+        self.q = np.zeros((len(self.pair_up), d))
 
     def in_network(self) -> float:
         return float(self.m.sum() + self.w.sum())
@@ -324,17 +342,31 @@ class SimState:
         # same as with maximum/minimum
         return np.fmin(np.fmax(steps, 1.0), self.max_delay).astype(int)
 
+    def _red(self, k: int) -> np.ndarray:
+        """Which pairs face a red signal at step k; the rows of a window of
+        ``steps_per_window`` steps from k are computed when k leaves the
+        rows at hand."""
+        if not 0 <= k - self.red_from < len(self.red_rows):
+            t_s = np.arange(k, k + self.cfg.steps_per_window)[:, None] * self.cfg.step_s
+            self.red_rows = ((((t_s - self.sig_offset) % self.sig_cycle)
+                              < self.sig_green_a) != self.sig_group_a) & self.sig_active
+            self.red_from = k
+        return self.red_rows[k - self.red_from]
+
     def step(self, demand_step: np.ndarray, ratios: np.ndarray) -> dict[str, np.ndarray]:
         """Advance one time step; returns per-link outflow, start-of-step
-        accumulation and completed-trip counts.
+        accumulation and completed-trip counts, the completed trips' sum
+        and the end-of-step accumulation that the storage check read.
 
         Accumulation is sampled at the step start so that the queue state
-        that produced this step's outflow is the one recorded with it.
+        that produced this step's outflow is the one recorded with it; it
+        is ``acc_start`` when handed over.
         """
         z, d = self.m.shape
         k = self.step_no
         m, w, pend = self.m, self.w, self.pend
-        acc_start = self.accumulation()
+        acc_start = self.accumulation() if self.acc_start is None else self.acc_start
+        self.acc_start = None
 
         # 1. moving -> waiting maturation; destination arrivals leave
         slot = k % self.ring
@@ -349,29 +381,31 @@ class SimState:
         completed[self.dest_index] = mature[ends]
         mature[ends] = 0.0
         w += mature
-        self.completed_total += completed.sum()
+        done = completed.sum()
+        self.completed_total += done
 
         w_sum = np.add.reduce(w, 1)
         delays = self._delays(w_sum)
 
         # 2. transfer flows across junctions. Where a gate's denominator is
         # 0, every flow it scales is 0 too, so its value there is moot.
-        red = ((((k * self.cfg.step_s - self.sig_offset) % self.sig_cycle)
-                < self.sig_green_a) != self.sig_group_a) & self.sig_active
-        q_des = w[self.pair_up] * ratios
-        q_des[red] = 0.0
+        # q holds q_des = w[pair_up] * ratios, then q1, then q
+        q = self.q
+        np.take(w, self.pair_up, axis=0, out=q, mode="clip")
+        q *= ratios
+        q[self._red(k)] = 0.0
 
-        out_des = scatter_sum(self.pair_up, np.add.reduce(q_des, 1), z)
+        out_des = scatter_sum(self.pair_up, np.add.reduce(q, 1), z)
         factor_up = _capped_ratio(self.sat, out_des)
-        q1 = q_des * factor_up[self.up_col]
+        q *= factor_up[self.up_col]
 
         # occ >= block_at (<= cap) zeroes the gate, so the free space
         # cap - occ is > 0 wherever the gate is kept
         occ = np.add.reduce(m, 1) + w_sum
-        inflow_des = scatter_sum(self.pair_dn, np.add.reduce(q1, 1), z)
+        inflow_des = scatter_sum(self.pair_dn, np.add.reduce(q, 1), z)
         gate = _capped_ratio(self.cap - occ, inflow_des)
         gate[occ >= self.block_at] = 0.0
-        q = q1 * gate[self.dn_col]
+        q *= gate[self.dn_col]
 
         # 3. apply transfers
         self.transfer_out(q)
@@ -401,9 +435,11 @@ class SimState:
         backlog -= inject
         self.injected_total += float(inject.sum())
 
-        self.check_storage(self.accumulation())
+        acc_end = self.accumulation()
+        self.check_storage(acc_end)
         self.step_no += 1
-        return {"outflow": u_step, "accumulation": acc_start, "completed": completed}
+        return {"outflow": u_step, "accumulation": acc_start, "completed": completed,
+                "completed_sum": done, "end_accumulation": acc_end}
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +501,10 @@ def check_od_pairs(net: RoadNetwork, pairs) -> None:
 
 
 def simulate(net: RoadNetwork, scenario, cfg: SimConfig | None = None) -> SimRecord:
-    """Run a scenario (OD demand + bus-lane configuration) to a SimRecord."""
+    """Run a scenario (OD demand + bus-lane configuration) to a SimRecord.
+    Each step hands its end accumulation to the next as ``acc_start``, and
+    the signal mask is built a window of steps at a time (module docstring);
+    the records are those of computing both per step."""
     cfg = cfg or SimConfig()
     sim_net = net.with_bus_lanes(scenario.bus_links)
     od = scenario.od
@@ -518,9 +557,10 @@ def simulate(net: RoadNetwork, scenario, cfg: SimConfig | None = None) -> SimRec
             else:
                 factor = 0.0
             out = state.step(base * factor, ratios)
+            state.acc_start = out["end_accumulation"]
             sum_u += out["outflow"]
             sum_x += out["accumulation"]
-            window_completed += float(out["completed"].sum())
+            window_completed += float(out["completed_sum"])
         if (k + 1) % spw == 0:
             wi = k // spw
             last_speeds = speeds[wi] = _window_stats(len_km, vff, cfg, sum_u, sum_x)

@@ -1,13 +1,16 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
+from lcftraffic import evaluate
 from lcftraffic.evaluate import (Trip, export_report, generate_trips, histogram,
                                  metrics, path_travel_time, shortest_path,
                                  travel_time_experiment)
-from lcftraffic.network import Link, RoadNetwork, generate_grid_network
+from lcftraffic.network import (Link, RoadNetwork, dijkstra,
+                                generate_grid_network)
 from netgen import random_network
 from routing_oracle import oracle_shortest_path
 
@@ -45,6 +48,20 @@ def test_metrics_permutation_invariant():
     b = metrics(pred[perm], truth[perm])
     assert a.mae == pytest.approx(b.mae, abs=1e-12)
     assert a.rmse == pytest.approx(b.rmse, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 128, 129, 1000])
+def test_metrics_equal_numpy_mean_and_std_to_the_bit(n):
+    # sizes on both sides of numpy's pairwise-summation blocks (8 and 128)
+    rng = np.random.default_rng(n)
+    for scale in (1e-3, 1.0, 1e6):
+        pred, truth = rng.normal(size=(2, n)) * scale + [[5.0], [4.0]]
+        e = pred - truth
+        rep = metrics(pred, truth)
+        assert (rep.mae, rep.mse, rep.rmse, rep.err_mean, rep.err_std) == (
+            float(np.mean(np.abs(e))), float(np.mean(e * e)),
+            math.sqrt(float(np.mean(e * e))), float(np.mean(e)),
+            float(np.std(e)))
 
 
 def test_metrics_rejects_empty_or_mismatched():
@@ -170,6 +187,87 @@ def test_shortest_path_equals_the_oracle_on_random_networks():
     assert unreachable > 0
 
 
+def assert_oracle_paths(net, speeds, pairs):
+    for o, d in pairs:
+        assert shortest_path(net, speeds, o, d) == \
+            oracle_shortest_path(net, speeds, o, d), (o, d)
+
+
+def test_shortest_path_equals_the_oracle_on_links_shorter_than_their_chords():
+    # a jittered street may be shorter than the straight line between its
+    # junctions, so the bound rests on the least seconds per chord metre
+    for seed in range(2):
+        net = generate_grid_network(5, 5, 100.0, 2, length_jitter=0.3,
+                                    jitter_seed=seed, with_signals=False)
+        assert np.any(net.index.length_m < net.index.chord_m)
+        rng = np.random.default_rng(seed)
+        for speeds in (np.full(net.n_links, 25.0),
+                       rng.uniform(2.0, 25.0, size=net.n_links)):
+            assert_oracle_paths(net, speeds,
+                                itertools.permutations(net.link_ids(), 2))
+
+
+def test_shortest_path_equals_the_oracle_with_one_link_50_times_faster():
+    # that link alone sets the seconds per chord metre: the weakest bound,
+    # on a uniform lattice full of equal-cost ties
+    net = generate_grid_network(5, 5, 100.0, 2, with_signals=False)
+    for fast in (0, 37, net.n_links - 1):
+        speeds = np.full(net.n_links, 25.0)
+        speeds[fast] = 1250.0
+        assert_oracle_paths(net, speeds, itertools.permutations(net.link_ids(), 2))
+
+
+def test_shortest_path_equals_the_oracle_with_every_junction_at_one_point():
+    grid = generate_grid_network(4, 4, 100.0, 2, length_jitter=0.3,
+                                 jitter_seed=2, with_signals=False)
+    net = RoadNetwork({j: (3.0, -1.0) for j in grid.junctions}, list(grid.links))
+    assert not net.index.chord_m.any()
+    speeds = np.random.default_rng(4).uniform(5.0, 25.0, size=net.n_links)
+    assert_oracle_paths(net, speeds, itertools.permutations(net.link_ids(), 2))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_shortest_path_equals_the_oracle_on_netgen_networks(seed):
+    rng = np.random.default_rng(seed)
+    net = None
+    while net is None:
+        net = random_network(rng)
+    speeds = rng.uniform(2.0, 25.0, size=net.n_links)
+    assert_oracle_paths(net, speeds, itertools.permutations(net.link_ids(), 2))
+
+
+def test_the_bounded_search_labels_fewer_links_on_a_10x10_grid(monkeypatch):
+    """Each trip's search, rerun without the bound, labels more links and
+    reaches the destination at the same time."""
+    labelled = []
+
+    def both(adjacent, tau, source, stop=None, lower=None):
+        dist = dijkstra(adjacent, tau, source, stop=stop, lower=lower)
+        plain = dijkstra(adjacent, tau, source, stop=stop)
+        assert lower is not None and dist[stop] == plain[stop]
+        labelled.append((sum(map(math.isfinite, dist)),
+                         sum(map(math.isfinite, plain))))
+        return dist
+
+    monkeypatch.setattr(evaluate, "dijkstra", both)
+    net = generate_grid_network(10, 10, 100.0, 3, length_jitter=0.3, jitter_seed=1)
+    speeds = np.random.default_rng(1).uniform(5.0, 25.0, size=(3, net.n_links))
+    for trip in generate_trips(net, 200, seed=2, horizon=(0, 2)):
+        shortest_path(net, speeds[trip.departure], trip.origin, trip.destination)
+    bounded, plain = np.array(labelled).sum(axis=0)
+    assert len(labelled) == 200 and bounded < 0.8 * plain
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -3.0])
+def test_shortest_path_rejects_a_speed_not_finite_and_positive(bad):
+    net = generate_grid_network(3, 3, 100.0, 2)
+    speeds = np.full(net.n_links, 25.0)
+    speeds[5] = bad
+    with pytest.raises(ValueError, match=re.escape(
+            f"link {net.links[5].id}: speed {bad!r} km/h is not finite and > 0")):
+        shortest_path(net, speeds, 0, 7)
+
+
 # ---------------------------------------------------------------------------
 # path travel time
 # ---------------------------------------------------------------------------
@@ -217,6 +315,28 @@ def test_path_time_flags_horizon_overrun():
     speeds = np.full((2, 2), 1.0)
     t, flag = path_travel_time(net, [0, 1], speeds, 1, window_s=60.0)
     assert flag
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_path_time_rejects_a_walked_speed_not_finite_and_positive(bad):
+    net = two_link_net(500.0)
+    speeds = np.full((3, 2), 30.0)      # 60 s a link: link 1 in window 1
+    speeds[0, 1] = speeds[1, 1] = bad   # the walk reads only the second
+    with pytest.raises(ValueError, match=re.escape(
+            f"link 1: speed {bad!r} km/h in window 1 is not finite and > 0")):
+        path_travel_time(net, [0, 1], speeds, 0, window_s=50.0)
+
+
+def test_a_speed_field_with_nan_at_departure_names_the_window_and_link():
+    net = generate_grid_network(3, 3, 100.0, 2)
+    speeds = np.full((6, net.n_links), 20.0)
+    estimated = speeds.copy()
+    estimated[4, 9] = math.nan
+    trips = [Trip(net.links[0].id, net.links[11].id, 2),
+             Trip(net.links[1].id, net.links[10].id, 4)]
+    with pytest.raises(ValueError, match=re.escape(
+            f"departure window 4: link {net.links[9].id}: speed nan km/h")):
+        travel_time_experiment(net, estimated, speeds, trips, 60.0)
 
 
 def test_path_time_equals_a_link_by_link_walk_to_the_bit():

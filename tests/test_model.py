@@ -627,6 +627,9 @@ TRAINED_DIGESTS = {
 
 @pytest.mark.parametrize("dtype", sorted(TRAINED_DIGESTS))
 def test_two_epochs_give_the_golden_parameter_bits(dtype):
+    """Two epochs of training give pinned parameter bits. The digests were
+    taken on OpenBLAS's AVX-512 (SkylakeX) sgemm kernel; another kernel sums
+    each product in another order, and its trained bits differ."""
     net, ds, part = toy_training_setup()
     model, _ = train(net, ds, part,
                      ModelConfig(heads=2, hidden_dim=8, fc_hidden=(16, 8),
@@ -701,6 +704,9 @@ def untrained_predictor(net, **kw):
 
 @pytest.mark.parametrize("use_gru", [True, False])
 def test_predict_blocks_equal_one_head_call_to_the_bit(monkeypatch, use_gru):
+    """Every block size gives the bits of one taped head call over all
+    windows. That holds on OpenBLAS's AVX-512 (SkylakeX) sgemm kernel; on
+    the AVX2 (Haswell) kernel a row's bits depend on the call's rows."""
     net = generate_grid_network(3, 3, 100.0, 2)
     n = net.n_links
     vmean = np.random.default_rng(8).uniform(2.0, 25.0, size=20)

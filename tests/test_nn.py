@@ -559,7 +559,9 @@ def test_pair_head_claims_no_buffers_off_the_tape():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_pair_head_on_sliced_halves_equals_one_call_to_the_bit(dtype):
     """Halves computed once for every outer row and sliced give each slice
-    the rows of one call over all outer rows, a one-row slice included."""
+    the rows of one call over all outer rows, a one-row slice included. That
+    holds on OpenBLAS's AVX-512 (SkylakeX) sgemm kernel; on the AVX2
+    (Haswell) kernel a row's float32 bits depend on the call's rows."""
     rng = np.random.default_rng(26)
     inner, outer, layers = head_inputs(rng, dtype, 30, 7, 16, 16, (24, 8, 1))
     halves = nn.pair_halves(inner.data, outer.data,

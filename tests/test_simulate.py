@@ -266,6 +266,8 @@ def planted_run(monkeypatch, plant):
         if state.step_no == PEAK_END_STEP:
             plant(state)
             planted.append(queue_bytes(state))
+            # simulate hands this to the next step as its start accumulation
+            out["end_accumulation"] = state.accumulation()
         return out
 
     monkeypatch.setattr(SimState, "step", planting)
@@ -327,6 +329,9 @@ def test_one_vehicle_anywhere_keeps_the_run_stepping(monkeypatch, where):
         assert rec.outflow[window, 0] == 0.0 and rec.outflow[window + 1, 0] == 1.0
     else:
         assert rec.outflow[window, 0] == 1.0
+        # the planted vehicle is on link 0 at the start of one of the
+        # window's four steps
+        assert rec.accumulation[window, 0] == 0.25
 
 
 @pytest.mark.parametrize("m,expected", [(-1.0, "moving queue went negative"),
@@ -403,6 +408,68 @@ def test_record_array_not_finite_fails_simulate(monkeypatch):
     monkeypatch.setattr(sim, "network_stats", planted)
     with pytest.raises(SimulationError, match="record array 'production'"):
         simulate(net, make_scenario(net, [(0, 2)], [100.0]), short_cfg())
+
+
+def signal_grid_run(n_steps, hand_over, write_between=None):
+    """``SimState.step`` on a signalled, jittered 4x4 grid under demand, each
+    step's end accumulation handed over to the next or not; returns every
+    step's output. ``write_between(state)`` runs between steps."""
+    net = generate_grid_network(4, 4, 100.0, 2, cycle_s=40.0, green_split=0.4,
+                                length_jitter=0.3, jitter_seed=5)
+    ids = net.link_ids()
+    od = [(ids[0], ids[30]), (ids[7], ids[12]), (ids[20], ids[3])]
+    dests = tuple(sorted({d for _, d in od}))
+    state = SimState(net, short_cfg(), od, dests)
+    ratios = initial_turn_ratios(net, dests)
+    outs = []
+    for _ in range(n_steps):
+        outs.append(state.step(np.full(3, 0.4), ratios))
+        if hand_over:
+            state.acc_start = outs[-1]["end_accumulation"]
+        if write_between:
+            write_between(state)
+    return outs
+
+
+def test_a_handed_over_accumulation_gives_the_bits_of_computing_it():
+    """The end accumulation a step hands over is the next step's start
+    accumulation to the bit, so every output matches a run that computes
+    it; a caller that writes the queues between steps, without handing it
+    over, gets the written queues in the next step's accumulation."""
+    handed, computed = signal_grid_run(60, True), signal_grid_run(60, False)
+    for k, (a, b) in enumerate(zip(handed, computed)):
+        for name in ("outflow", "accumulation", "completed", "end_accumulation"):
+            assert a[name].tobytes() == b[name].tobytes(), (k, name)
+        assert a["completed_sum"] == b["completed"].sum()
+    for k in range(1, 60):
+        assert handed[k]["accumulation"].tobytes() == \
+            handed[k - 1]["end_accumulation"].tobytes()
+
+    after_write = []
+
+    def add_waiting(state):
+        state.w[3, 0] += 0.25
+        after_write.append(state.accumulation())
+    written = signal_grid_run(2, False, add_waiting)
+    assert written[1]["accumulation"].tobytes() == after_write[0].tobytes()
+    assert written[1]["accumulation"][3] > written[0]["end_accumulation"][3]
+
+
+def test_red_rows_of_a_window_equal_the_one_step_formula():
+    """``SimState._red`` builds a window of rows at a time; each row equals
+    the formula for its step alone, also where a caller jumps ahead."""
+    net = generate_grid_network(3, 3, 100.0, 2, cycle_s=35.0, green_split=0.3)
+    plans = [dataclasses.replace(p, offset_s=7.5 * i)
+             for i, p in enumerate(net.signals.values())]
+    net = RoadNetwork(net.junctions, list(net.links), plans[:-1])
+    cfg = short_cfg()
+    state = SimState(net, cfg, [(net.link_ids()[0], net.link_ids()[5])],
+                     (net.link_ids()[5],))
+    for k in list(range(3 * cfg.steps_per_window)) + [77, 78, 12, 0]:
+        one = ((((k * cfg.step_s - state.sig_offset) % state.sig_cycle)
+                < state.sig_green_a) != state.sig_group_a) & state.sig_active
+        assert np.array_equal(state._red(k), one), k
+    assert len(state.red_rows) == cfg.steps_per_window
 
 
 def test_three_link_chain_hand_ledger():
