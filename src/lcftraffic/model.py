@@ -13,15 +13,23 @@ sub-region feature column for the "-P" variants.
 The attention runs on the link graph's edge list (``network.LinkGraph``):
 scores, softmax and weighted sums live on the edges, so its memory grows
 with the edges, and no (links x links) array is built. Each head's
-projection feats @ W is a tape node, and the rest of the layer, all heads
-and their mean, is one more (``nn.gat``).
+projection feats @ W is one ``nn.matmul``, and the rest of the layer, all
+heads and their mean, is one ``nn.gat``.
+
+Parameters are plain arrays keyed by name (``LcfModel.params``). A training
+step is one fixed chain of ``nn`` ops: the projections and the attention
+(or the dense layer), the GRU, the head and the loss. ``loss_and_grads``
+runs it forward, recording each op's backward (``nn.call``), then runs the
+backwards once in reverse (``nn.backward``), and returns each parameter's
+gradient by name. Validation and prediction run the same forwards with no
+chain, so they keep nothing for a backward.
 
 Precision: the model runs in ``ModelConfig.dtype``, float32 by default. The
 attention heads' parameters stay float64, so each projection and the
 layer's arithmetic are float64 and each link's coefficients sum to 1
-within float64 rounding; ``nn.gat`` casts its output to the model dtype
-inside its tape node. Normalization statistics, decoding and everything
-downstream of a prediction stay float64.
+within float64 rounding; ``nn.gat`` casts its output to the model dtype.
+Normalization statistics, decoding and everything downstream of a
+prediction stay float64.
 """
 
 from __future__ import annotations
@@ -38,7 +46,6 @@ from .config import bounded, check, from_json, require_keys
 from .network import (LinkGraph, MinMaxStats, N_FEATURES, RoadNetwork,
                       build_link_graph, extract_features, fit_minmax,
                       minmax_scale, minmax_unscale)
-from .nn import Tensor
 
 log = logging.getLogger(__name__)
 
@@ -150,19 +157,19 @@ def pad_history(vmean_norm: np.ndarray, history_len: int) -> np.ndarray:
 
 
 class LcfModel:
-    """Parameter container plus forward pass."""
+    """Parameters, forward pass and a training step's gradients."""
 
     def __init__(self, config: ModelConfig, norm: Normalization | None = None,
                  state: dict[str, np.ndarray] | None = None):
         """Parameters from ``state`` when given (names and shapes must
-        match; each array is cast to its parameter's dtype), else a Glorot
-        draw seeded by ``config.seed``."""
+        match and every value must be finite; each array is cast to its
+        parameter's dtype), else a Glorot draw seeded by ``config.seed``."""
         self.config = config
         self.norm = norm
         self.dtype = np.dtype(config.dtype)
         rng = np.random.default_rng(config.seed)
         h = config.hidden_dim
-        self.params: dict[str, Tensor] = {}  # in creation order
+        self.params: dict[str, np.ndarray] = {}  # in creation order
 
         def make(name: str, shape, zero=False, dtype=self.dtype):
             if state is None:
@@ -173,9 +180,12 @@ class LcfModel:
             elif state[name].shape != shape:
                 raise ValueError(f"array {name!r} has shape {state[name].shape}, "
                                  f"expected {shape}")
+            elif not np.isfinite(state[name]).all():
+                raise ValueError(f"array {name!r} holds a value that is not "
+                                 "finite")
             else:
                 data = state[name]
-            self.params[name] = Tensor(data.astype(dtype), requires_grad=True)
+            self.params[name] = data.astype(dtype)
 
         if config.use_gat:
             # the attention heads stay float64 (module docstring)
@@ -199,27 +209,31 @@ class LcfModel:
             raise ValueError(f"unexpected array {extra[0]!r} for {config.name}")
         self._head = nn.HeadBuffers()
 
-    def parameters(self) -> list[Tensor]:
-        return list(self.params.values())
-
     def parameter_count(self) -> int:
-        return sum(p.data.size for p in self.parameters())
+        return sum(p.size for p in self.params.values())
 
     # forward pieces -------------------------------------------------------
 
-    def spatial_embed(self, feats: Tensor, graph: LinkGraph) -> Tensor:
+    def spatial_embed(self, feats: np.ndarray, graph: LinkGraph,
+                      chain: list | None = None) -> np.ndarray:
         """Each link's relu(sum over its edges of att * Wh[dst]), averaged
-        over the heads (``nn.gat``, one tape node after each head's
-        projection feats @ W); without attention, a relu dense layer."""
-        cfg = self.config
+        over the heads (``nn.gat``, after each head's projection feats @ W
+        by ``nn.matmul``); without attention, a relu dense layer. Given a
+        ``chain``, each op's backward goes on it (``nn.call``)."""
+        cfg, p = self.config, self.params
         if not cfg.use_gat:
-            return nn.dense(feats, self.params["dnn.W"], self.params["dnn.b"],
-                            relu=True)
+            return nn.call(chain, "spatial", (None, "dnn.W", "dnn.b"), nn.dense,
+                           feats, p["dnn.W"], p["dnn.b"], relu=True)
         heads = range(cfg.heads)
-        whs = [nn.matmul(feats, self.params[f"gat.h{k}.W"]) for k in heads]
-        return nn.gat(whs, [self.params[f"gat.h{k}.a_src"] for k in heads],
-                      [self.params[f"gat.h{k}.a_dst"] for k in heads],
-                      graph, LEAKY_SLOPE, self.dtype)
+        whs = [nn.call(chain, f"wh{k}", (None, f"gat.h{k}.W"), nn.matmul,
+                       feats, p[f"gat.h{k}.W"]) for k in heads]
+        a_srcs, a_dsts = ([f"gat.h{k}.{name}" for k in heads]
+                          for name in ("a_src", "a_dst"))
+        return nn.call(chain, "spatial",
+                       [f"wh{k}" for k in heads] + a_srcs + a_dsts, nn.gat,
+                       whs, [p[name] for name in a_srcs],
+                       [p[name] for name in a_dsts], graph, LEAKY_SLOPE,
+                       self.dtype)
 
     def attention_matrix(self, feats_norm: np.ndarray, graph: LinkGraph,
                          head: int = 0) -> np.ndarray:
@@ -234,7 +248,7 @@ class LcfModel:
         if not 0 <= head < cfg.heads:
             raise ValueError(f"attention_matrix: head {head} is not one of the "
                              f"model's {cfg.heads} heads (0 to {cfg.heads - 1})")
-        w, a_src, a_dst = (self.params[f"gat.h{head}.{name}"].data
+        w, a_src, a_dst = (self.params[f"gat.h{head}.{name}"]
                            for name in ("W", "a_src", "a_dst"))
         wh = np.asarray(feats_norm, dtype=self.dtype) @ w
         att, _ = nn.attention_coefficients(wh, a_src, a_dst, graph, LEAKY_SLOPE)
@@ -242,60 +256,80 @@ class LcfModel:
         dense[graph.src, graph.dst] = att[:, 0]
         return dense
 
-    def temporal_embed(self, hist_norm: np.ndarray) -> Tensor:
+    def temporal_embed(self, hist_norm: np.ndarray,
+                       chain: list | None = None) -> np.ndarray:
         """GRU over (B, history_len) normalized mean-speed sequences, run in
-        the model dtype as one tape node (``nn.gru``)."""
+        the model dtype (``nn.gru``); given a ``chain``, its backward goes
+        on it."""
         if hist_norm.shape[1] != self.config.history_len:
             raise ValueError(f"history length {hist_norm.shape[1]} != "
                              f"{self.config.history_len}")
-        return nn.gru(hist_norm, *(self.params[f"gru.{name}"] for name in
-                                   ("Wz", "bz", "Wr", "br", "Wc", "bc")))
+        names = [f"gru.{name}" for name in ("Wz", "bz", "Wr", "br", "Wc", "bc")]
+        return nn.call(chain, "temporal", names, nn.gru, hist_norm,
+                       *(self.params[name] for name in names))
 
-    def fuse(self, spatial: Tensor, temporal: Tensor, batch: int,
-             halves=None) -> Tensor:
-        """Head over every (window, link) pair, window-major, as one tape
-        node (``nn.pair_head``): the first layer sees [spatial[link],
-        temporal[window]] without building it. Its hidden activations and
-        gradients live in buffers the model holds and reuses while the
-        batch shape holds; a backward whose forward a later call has
-        overwritten raises RuntimeError. Off the tape it claims no buffers,
-        so prediction memory stays bounded by one block (see
-        ``predict_windows``). ``halves``, when given, are the first layer's
-        ``nn.pair_halves`` of ``spatial`` and ``temporal``, computed by the
-        caller."""
+    def fuse(self, spatial: np.ndarray, temporal: np.ndarray, batch: int,
+             halves=None, chain: list | None = None) -> np.ndarray:
+        """Head over every (window, link) pair, window-major
+        (``nn.pair_head``): the first layer sees [spatial[link],
+        temporal[window]] without building it. Given a ``chain``, its
+        backward goes on it, and its hidden activations live in buffers the
+        model holds and reuses while the batch shape holds; with none it
+        claims no buffers, so prediction memory stays bounded by one block
+        (see ``predict_windows``). ``halves``, when given, are the first
+        layer's ``nn.pair_halves`` of ``spatial`` and ``temporal``, computed
+        by the caller."""
         cfg = self.config
         width = cfg.fc_input_dim - cfg.hidden_dim
-        if spatial.data.ndim != 2 or spatial.data.shape[1] != cfg.hidden_dim \
-                or temporal.data.shape != (batch, width):
+        if spatial.ndim != 2 or spatial.shape[1] != cfg.hidden_dim \
+                or temporal.shape != (batch, width):
             raise ValueError(
-                f"fuse: spatial {spatial.data.shape} and temporal "
-                f"{temporal.data.shape} do not fit the head, which expects "
+                f"fuse: spatial {spatial.shape} and temporal "
+                f"{temporal.shape} do not fit the head, which expects "
                 f"(n_links, {cfg.hidden_dim}) and ({batch}, {width})")
-        layers = [(self.params[f"fc.{i}.W"], self.params[f"fc.{i}.b"])
-                  for i in range(len(cfg.fc_hidden) + 1)]
-        return nn.pair_head(spatial, temporal, layers, self._head, halves)
+        names = [f"fc.{i}.{name}" for i in range(len(cfg.fc_hidden) + 1)
+                 for name in ("W", "b")]
+        layers = [(self.params[w], self.params[b])
+                  for w, b in zip(names[::2], names[1::2])]
+        # without the GRU, temporal is data: no one reads its gradient
+        ins = ["spatial", "temporal" if cfg.use_gru else None] + names
+        return nn.call(chain, "pred", ins, nn.pair_head, spatial, temporal,
+                       layers, self._head, halves)
 
     def _embed(self, feats_norm: np.ndarray, graph: LinkGraph,
-               hist_norm: np.ndarray) -> tuple[Tensor, Tensor]:
+               hist_norm: np.ndarray, chain: list | None = None,
+               ) -> tuple[np.ndarray, np.ndarray]:
         """The head's inputs: spatial (n_links, hidden) and temporal rows,
         one per window (the GRU state, or the history's last column, the
         window's normalized mean speed). The inputs are cast to the model
         dtype, a no-op for a ``SampleBatch``."""
         spatial = self.spatial_embed(
-            nn.constant(np.asarray(feats_norm, dtype=self.dtype)), graph)
+            np.asarray(feats_norm, dtype=self.dtype), graph, chain)
         if self.config.use_gru:
-            temporal = self.temporal_embed(hist_norm)
+            temporal = self.temporal_embed(hist_norm, chain)
         else:
-            temporal = nn.constant(
-                np.asarray(hist_norm[:, -1:], dtype=self.dtype))
+            temporal = np.asarray(hist_norm[:, -1:], dtype=self.dtype)
         return spatial, temporal
 
     def forward(self, feats_norm: np.ndarray, graph: LinkGraph,
-                hist_norm: np.ndarray) -> Tensor:
+                hist_norm: np.ndarray, chain: list | None = None) -> np.ndarray:
         """Raw normalized outputs, shape (batch * n_links, 1), window-major;
-        ``hist_norm`` holds one ``pad_history`` row per window."""
-        spatial, temporal = self._embed(feats_norm, graph, hist_norm)
-        return self.fuse(spatial, temporal, hist_norm.shape[0])
+        ``hist_norm`` holds one ``pad_history`` row per window. Given a
+        ``chain``, each op's backward goes on it, in call order."""
+        spatial, temporal = self._embed(feats_norm, graph, hist_norm, chain)
+        return self.fuse(spatial, temporal, hist_norm.shape[0], chain=chain)
+
+    def loss_and_grads(self, batch: SampleBatch,
+                       ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """A training step on ``batch``: the MSE of the forward against the
+        targets, and the gradient of every parameter, by name. The forward
+        records each op's backward on a chain, and ``nn.backward`` runs them
+        once in reverse, from d(loss)/d(loss) = 1 in the model dtype."""
+        chain = []
+        pred = self.forward(batch.feats_norm, batch.adj, batch.hist, chain)
+        loss = nn.call(chain, "loss", ("pred", None), nn.mse_loss, pred,
+                       batch.targets)
+        return loss, nn.backward(chain, np.ones_like(loss))
 
     # prediction -----------------------------------------------------------
 
@@ -304,14 +338,14 @@ class LcfModel:
         """Decoded per-link speeds (km/h), shape (len(windows), n_links), for
         the given windows of a mean-speed series (all of them by default).
 
-        Runs off the tape (``nn.no_grad``). The spatial embedding, the GRU
+        Records no backward. The spatial embedding, the GRU
         and the head's first-layer products (``nn.pair_halves``: spatial
         @ W_s + b per link, temporal @ W_t per window) run once over all
         windows; the head then runs over blocks of whole windows, each at
         most ``PREDICT_BLOCK_ROWS`` (window, link) rows unless one window
         alone has more links, and each block is decoded into the output
         before the next one starts. The head is one op (``fuse``), which
-        off the tape claims no buffers and frees each layer's input once
+        with no chain claims no buffers and frees each layer's input once
         its output is built, so peak memory is bounded by one block's head
         activations, a layer's input and output at once (1,024 x (384 +
         256) x 4 B in float32, about 2.6 MB, at the default widths), not by
@@ -337,19 +371,17 @@ class LcfModel:
         n_links = net.n_links
         per_block = max(1, PREDICT_BLOCK_ROWS // n_links)
         out = np.empty((len(windows), n_links))
-        with nn.no_grad():
-            spatial, temporal = self._embed(feats_norm, graph, hist)
-            part_in, part_out = nn.pair_halves(
-                spatial.data, temporal.data,
-                self.params["fc.0.W"].data, self.params["fc.0.b"].data)
-            for start in range(0, len(windows), per_block):
-                b = slice(start, start + per_block)
-                block = temporal.data[b]
-                raw = self.fuse(spatial, nn.constant(block), len(block),
-                                (part_in, part_out[b])).data
-                raw = raw.reshape(len(block), n_links).astype(np.float64)
-                out[b] = decode_output(self.norm.denorm_target(raw), v_now[b],
-                                       cfg.output_type, vff)
+        spatial, temporal = self._embed(feats_norm, graph, hist)
+        part_in, part_out = nn.pair_halves(spatial, temporal,
+                                           self.params["fc.0.W"],
+                                           self.params["fc.0.b"])
+        for start in range(0, len(windows), per_block):
+            b = slice(start, start + per_block)
+            block = temporal[b]
+            raw = self.fuse(spatial, block, len(block), (part_in, part_out[b]))
+            raw = raw.reshape(len(block), n_links).astype(np.float64)
+            out[b] = decode_output(self.norm.denorm_target(raw), v_now[b],
+                                   cfg.output_type, vff)
         return out
 
 
@@ -426,11 +458,6 @@ def fit_normalization(dataset, feats: list[np.ndarray],
     )
 
 
-def _batch_loss(model: LcfModel, batch: SampleBatch) -> Tensor:
-    pred = model.forward(batch.feats_norm, batch.adj, batch.hist)
-    return nn.mse_loss(pred, nn.constant(batch.targets))
-
-
 def train(net: RoadNetwork, dataset, partition, model_cfg: ModelConfig,
           train_cfg: TrainConfig | None = None,
           ) -> tuple[LcfModel, list[dict[str, float]]]:
@@ -450,36 +477,33 @@ def train(net: RoadNetwork, dataset, partition, model_cfg: ModelConfig,
     if not train_batches or not val_batches:
         raise ValueError("dataset must provide non-empty train and val splits")
 
-    params = model.parameters()
-    opt = nn.AdamW(params, lr=tc.lr, weight_decay=tc.weight_decay)
+    opt = nn.AdamW(model.params, lr=tc.lr, weight_decay=tc.weight_decay)
     rng = np.random.default_rng(model_cfg.seed)
     history: list[dict[str, float]] = []
     best_val = np.inf
-    best_state = {n: t.data.copy() for n, t in model.params.items()}
+    best_state = {n: p.copy() for n, p in model.params.items()}
 
     for epoch in range(tc.epochs):
         opt.lr = nn.steplr(tc.lr, tc.lr_step, tc.lr_gamma, epoch)
         order = rng.permutation(len(train_batches))
         epoch_loss = 0.0
         for bi in order:
-            nn.zero_grads(params)
-            loss = _batch_loss(model, train_batches[bi])
-            if not np.isfinite(loss.data):
+            loss, grads = model.loss_and_grads(train_batches[bi])
+            if not np.isfinite(loss):
                 raise RuntimeError(
-                    f"training diverged at epoch {epoch} (loss={loss.data})")
-            nn.backward(loss)
-            opt.step()
-            epoch_loss += loss.item()
-            del loss    # and its tape, before the next step builds one
-        with nn.no_grad():
-            val_loss = float(np.mean([_batch_loss(model, b).item()
-                                      for b in val_batches]))
+                    f"training diverged at epoch {epoch} (loss={loss})")
+            opt.step(grads)
+            epoch_loss += float(loss)
+            del grads    # before the next step's backward fills new ones
+        val_loss = float(np.mean([
+            float(nn.mse_loss(model.forward(b.feats_norm, b.adj, b.hist),
+                              b.targets)) for b in val_batches]))
         history.append({"epoch": epoch, "lr": opt.lr,
                         "train_loss": epoch_loss / len(order),
                         "val_loss": val_loss})
         if val_loss < best_val:
             best_val = val_loss
-            best_state = {n: t.data.copy() for n, t in model.params.items()}
+            best_state = {n: p.copy() for n, p in model.params.items()}
 
     return LcfModel(model_cfg, norm, state=best_state), history
 
@@ -499,7 +523,7 @@ def save_model(model: LcfModel, path) -> None:
         **{key: getattr(norm, key) for key in NORM_KEYS}}}
     with open(path, "wb") as fh:    # numpy appends ".npz" to a path
         np.savez(fh, meta=np.array(json.dumps(meta)),
-                 **{n: p.data for n, p in model.params.items()})
+                 **model.params)
 
 
 def load_model(path) -> LcfModel:

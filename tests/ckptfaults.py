@@ -10,7 +10,7 @@ FAULTS = ("empty file", "cut-off values", "text checkpoint", "npy file",
           "unknown meta", "bool as text", "unknown output type",
           "bad number", "missing parameter",
           "extra parameter", "short values", "short statistic",
-          "statistic not finite")
+          "statistic not finite", "parameter not finite")
 
 
 def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -92,6 +92,9 @@ def plant(path, fault: str) -> str:
     elif fault == "extra parameter":
         arrays["fc.9.b"] = arrays["fc.1.b"]
         expected = "unexpected array 'fc.9.b'"
+    elif fault == "parameter not finite":
+        arrays["fc.0.W"][0, 0] = np.nan
+        expected = "array 'fc.0.W' holds a value that is not finite"
     elif fault == "short values":
         w = arrays["fc.0.W"]
         arrays["fc.0.W"] = w.ravel()[:-1]

@@ -27,7 +27,7 @@ def dense_spatial_embed(model, feats: np.ndarray, graph: LinkGraph) -> np.ndarra
     mask = mask_of(graph)
     out = 0.0
     for k in range(model.config.heads):
-        w, a_src, a_dst = (model.params[f"gat.h{k}.{name}"].data
+        w, a_src, a_dst = (model.params[f"gat.h{k}.{name}"]
                            for name in ("W", "a_src", "a_dst"))
         wh = feats @ w
         scores = wh @ a_src + (wh @ a_dst).T

@@ -1,12 +1,11 @@
 """The estimator head as a chain of tape nodes, kept as an oracle for
-``nn.pair_head``: a factored pair layer (``pair_dense``) followed by
+``nn.pair_head``: a factored pair layer (``pair_dense``) followed by taped
 ``nn.dense`` layers, each node with its own closure and its own new arrays,
 relu on every layer but the last."""
 
 import numpy as np
 
-from lcftraffic import nn
-from lcftraffic.nn import Tensor
+from taped_ops import Tensor, dense
 
 
 def pair_dense(inner: Tensor, outer: Tensor, w: Tensor, b: Tensor,
@@ -42,5 +41,5 @@ def dense_head(inner: Tensor, outer: Tensor, layers) -> Tensor:
     (w, b), *rest = layers
     x = pair_dense(inner, outer, w, b, relu=bool(rest))
     for i, (w, b) in enumerate(rest):
-        x = nn.dense(x, w, b, relu=i < len(rest) - 1)
+        x = dense(x, w, b, relu=i < len(rest) - 1)
     return x

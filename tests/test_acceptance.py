@@ -17,16 +17,18 @@ from lcftraffic.cli import main as cli_main
 from lcftraffic.evaluate import shortest_path
 from lcftraffic.harness import (evaluate_speed_split,
                                 evaluate_travel_time_split)
-from lcftraffic.model import LcfModel, ModelConfig, TrainConfig, train
+from lcftraffic.model import (LcfModel, ModelConfig, SampleBatch,
+                              TrainConfig, train)
 from lcftraffic.network import (Link, RoadNetwork, build_link_graph,
                                 extract_features, generate_grid_network)
 from lcftraffic.partition import PartitionParams, kmeans, partition_network
 from lcftraffic.scenarios import ODMatrix, Scenario, build_dataset, random_base_od
 from lcftraffic.simulate import SimConfig, _window_stats, simulate
 
+import taped_ops as tape
 from dense_gat import graph_of
-from gradcheck import grad_check
-from taped_ops import add, concat, mul, sigmoid, tanh
+from gradcheck import fd_error, grad_check
+from taped_ops import Tensor, add, concat, constant, mul, sigmoid, tanh
 
 
 def announce(number: int, text: str) -> None:
@@ -128,11 +130,11 @@ def test_04_gradient_fidelity():
     rng = np.random.default_rng(4)
 
     def param(*shape):
-        return nn.Tensor(rng.normal(size=shape), requires_grad=True)
+        return Tensor(rng.normal(size=shape), requires_grad=True)
 
     def primitive_error(fn, params):
-        target = nn.constant(rng.normal(size=fn().data.shape))
-        return grad_check(lambda: nn.mse_loss(fn(), target), params, eps=1e-6)
+        target = constant(rng.normal(size=fn().data.shape))
+        return grad_check(lambda: tape.mse_loss(fn(), target), params, eps=1e-6)
 
     p, other, w = param(5, 4), param(5, 4), param(4, 3)
     # two attention heads on a random 5-link graph
@@ -143,16 +145,17 @@ def test_04_gradient_fidelity():
     outer = param(3, 2)
     layers = [(param(6, 3), param(1, 3)), (param(3, 2), param(1, 2))]
     primitives = {
-        "matmul": (lambda: nn.matmul(p, w), [p, w]),
+        "matmul": (lambda: tape.matmul(p, w), [p, w]),
         "add": (lambda: add(p, other), [p, other]),
         "mul": (lambda: mul(p, other), [p, other]),
         "concat": (lambda: concat([p, other], axis=1), [p, other]),
         "sigmoid": (lambda: sigmoid(p), [p]),
         "tanh": (lambda: tanh(p), [p]),
-        "gat": (lambda: nn.gat(attention[:2], attention[2:4], attention[4:],
-                               graph5, 0.2, np.float64), attention),
-        "gru": (lambda: nn.gru(hist, *gru_params), gru_params),
-        "pair_head": (lambda: nn.pair_head(p, outer, layers, nn.HeadBuffers()),
+        "gat": (lambda: tape.gat(attention[:2], attention[2:4], attention[4:],
+                                 graph5, 0.2, np.float64), attention),
+        "gru": (lambda: tape.gru(hist, *gru_params), gru_params),
+        "pair_head": (lambda: tape.pair_head(p, outer, layers,
+                                             nn.HeadBuffers()),
                       [p, outer] + [t for pair in layers for t in pair]),
     }
     worst_primitive = 0.0
@@ -168,12 +171,14 @@ def test_04_gradient_fidelity():
     graph = graph_of(rng.random((n, n)) < 0.5)
     feats = rng.uniform(0, 1, size=(n, 10))
     hist = rng.uniform(0, 1, size=(2, 5))
-    target = nn.constant(rng.uniform(0, 1, size=(2 * n, 1)))
+    target = rng.uniform(0, 1, size=(2 * n, 1))
+    _, grads = model.loss_and_grads(SampleBatch(feats, graph, hist, target))
 
-    def closure():
-        return nn.mse_loss(model.forward(feats, graph, hist), target)
+    def loss():
+        return float(nn.mse_loss(model.forward(feats, graph, hist), target))
 
-    err_model = grad_check(closure, model.parameters(), eps=1e-6)
+    err_model = fd_error(loss, model.params.values(),
+                         [grads[k] for k in model.params], eps=1e-6)
     elapsed = time.perf_counter() - t0
     assert err_model < 1e-4
     assert elapsed < 30.0

@@ -145,7 +145,7 @@ def test_large_grid_workload_runs_on_the_package(tmp_path, monkeypatch):
 
 
 def test_every_public_nn_name_has_a_caller_in_the_package():
-    """The autograd core holds only what the package runs: every public
+    """The differentiable ops hold only what the package runs: every public
     function and class of ``lcftraffic.nn`` is named, as ``nn.<name>`` or
     by a ``from .nn import``, in another module of ``src/lcftraffic``. An op
     only the tests use belongs under ``tests/``."""
@@ -165,4 +165,40 @@ def test_every_public_nn_name_has_a_caller_in_the_package():
             elif isinstance(node, ast.ImportFrom) and node.module == "nn":
                 named.update(alias.name for alias in node.names)
     assert sorted(public - named) == []
-    assert {"gru", "pair_head", "scatter_sum", "Tensor"} <= public
+    assert {"gru", "pair_head", "scatter_sum"} <= public
+
+
+def test_training_crosses_the_benchmark_boundaries(monkeypatch):
+    """A 1-epoch ``train`` on a small toy set-up, traced as perfbench traces
+    toy-train, crosses ``model.train`` and ``model.build_batches``, runs
+    ``nn.backward`` and ``nn.AdamW.step`` once per training step, and runs
+    ``nn.matmul`` once per attention head and each model piece once per
+    forward (every training step and every validation batch)."""
+    from lcftraffic import model
+    from lcftraffic.network import generate_grid_network
+    from lcftraffic.partition import PartitionParams, partition_network
+    from lcftraffic.scenarios import build_dataset, random_base_od
+    from lcftraffic.simulate import SimConfig
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    tracer = importlib.import_module("tracer")
+    net = generate_grid_network(3, 3, 100.0, 2)
+    ds = build_dataset(net, random_base_od(net, 4, 400.0, seed=77), n=10,
+                       master_seed=77,
+                       cfg=SimConfig(step_s=5.0, window_s=60.0, warmup_s=120.0,
+                                     peak_s=240.0, total_s=600.0))
+    part = partition_network(net, ds.records[ds.splits["train"][0]],
+                             PartitionParams(k=3, t_max=5, t_window=2))
+    spans = tracer.Tracer()
+    with tracer.traced(spans):    # model.train is bound inside the block
+        model.train(net, ds, part, model.ModelConfig(heads=2, hidden_dim=8,
+                                                     fc_hidden=(16, 8)),
+                    model.TrainConfig(epochs=1))
+    calls = {name: st["calls"]
+             for name, st in tracer.summarize(spans.spans).items()}
+    steps = len(ds.splits["train"])
+    forwards = steps + len(ds.splits["val"])
+    assert calls["model.train"] == 1 and calls["model.build_batches"] == 2
+    assert calls["nn.backward"] == calls["nn.AdamW.step"] == steps
+    assert calls["nn.matmul"] == 2 * forwards
+    for piece in ("spatial_embed", "temporal_embed", "fuse"):
+        assert calls[f"model.LcfModel.{piece}"] == forwards, piece

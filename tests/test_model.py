@@ -20,9 +20,11 @@ from lcftraffic.partition import PartitionParams, partition_network
 from lcftraffic.scenarios import build_dataset, random_base_od
 from lcftraffic.simulate import SimConfig
 
+import taped_ops as tape
 from ckptfaults import FAULTS, plant, read_checkpoint, write_checkpoint
 from dense_gat import dense_spatial_embed, graph_of, mask_of
-from gradcheck import grad_check
+from gradcheck import fd_error
+from taped_ops import Tensor, backward, constant
 
 
 def tiny_config(**kw):
@@ -59,33 +61,33 @@ def test_gat_two_node_hand_values():
     w = np.zeros((10, 2))
     w[0] = [1.0, 2.0]
     w[1] = [3.0, 4.0]
-    model.params["gat.h0.W"].data = w
-    model.params["gat.h0.a_src"].data = np.array([[1.0], [-1.0]])
-    model.params["gat.h0.a_dst"].data = np.array([[0.5], [0.5]])
+    model.params["gat.h0.W"] = w
+    model.params["gat.h0.a_src"] = np.array([[1.0], [-1.0]])
+    model.params["gat.h0.a_dst"] = np.array([[0.5], [0.5]])
     feats = np.zeros((2, 10))
     feats[0, 0] = 1.0
     feats[1, 1] = 1.0
     adj = np.ones((2, 2), dtype=bool)
-    out = model.spatial_embed(nn.constant(feats), graph_of(adj)).data
+    out = model.spatial_embed(feats, graph_of(adj))
     frozen = np.array([[2.7615941559557644, 3.7615941559557644],
                        [2.7615941559557644, 3.7615941559557644]])
     assert np.max(np.abs(out - frozen)) < 1e-12
-    oracle = gat_oracle(feats, adj, w, model.params["gat.h0.a_src"].data,
-                        model.params["gat.h0.a_dst"].data)
+    oracle = gat_oracle(feats, adj, w, model.params["gat.h0.a_src"],
+                        model.params["gat.h0.a_dst"])
     assert np.max(np.abs(out - oracle)) < 1e-12
 
 
 def test_gat_single_node_self_loop():
     model = LcfModel(tiny_config())
-    model.params["gat.h0.a_src"].data[:] = 0.0
-    model.params["gat.h0.a_dst"].data[:] = 0.0
+    model.params["gat.h0.a_src"][:] = 0.0
+    model.params["gat.h0.a_dst"][:] = 0.0
     feats = np.zeros((1, 10))
     feats[0, :3] = [0.5, 1.0, -2.0]
     adj = np.ones((1, 1), dtype=bool)
     att = model.attention_matrix(feats, graph_of(adj))
     assert att[0, 0] == 1.0
-    wh = feats @ model.params["gat.h0.W"].data
-    out = model.spatial_embed(nn.constant(feats), graph_of(adj)).data
+    wh = feats @ model.params["gat.h0.W"]
+    out = model.spatial_embed(feats, graph_of(adj))
     assert np.allclose(out, np.maximum(wh, 0.0))
 
 
@@ -97,10 +99,10 @@ def test_gat_matches_oracle_on_random_graphs():
         adj = rng.random((n, n)) < 0.4
         np.fill_diagonal(adj, True)
         feats = rng.normal(size=(n, 10))
-        out = model.spatial_embed(nn.constant(feats), graph_of(adj)).data
-        oracle = gat_oracle(feats, adj, model.params["gat.h0.W"].data,
-                            model.params["gat.h0.a_src"].data,
-                            model.params["gat.h0.a_dst"].data)
+        out = model.spatial_embed(feats, graph_of(adj))
+        oracle = gat_oracle(feats, adj, model.params["gat.h0.W"],
+                            model.params["gat.h0.a_src"],
+                            model.params["gat.h0.a_dst"])
         assert np.max(np.abs(out - oracle)) < 1e-10
 
 
@@ -125,7 +127,7 @@ def test_float32_spatial_embed_is_the_dense_oracle_rounded(heads):
     model = LcfModel(tiny_config(heads=heads, hidden_dim=5, seed=heads))
     graph = graph_of(rng.random((9, 9)) < 0.3)
     feats = rng.uniform(0, 1, size=(9, 10)).astype(np.float32)
-    out = model.spatial_embed(nn.constant(feats), graph).data
+    out = model.spatial_embed(feats, graph)
     want = dense_spatial_embed(model, feats.astype(np.float64), graph)
     assert out.dtype == np.float32 and (want > 0).mean() > 0.3
     assert np.allclose(out, want, rtol=1e-6, atol=0.0)
@@ -143,18 +145,19 @@ def test_attention_matrix_rejects_a_head_the_model_lacks():
 
 
 @pytest.mark.parametrize("heads", [1, 3])
-def test_spatial_embed_is_one_attention_node_after_the_projections(heads):
-    """Each head's projection feats @ W is a tape node, and the rest of the
-    layer, every head and the mean, is one ``nn.gat`` node above them."""
+def test_spatial_embed_is_one_attention_op_after_the_projections(heads):
+    """Each head's projection feats @ W is one op on the chain, and the rest
+    of the layer, every head and the mean, is one ``nn.gat`` after them,
+    reading the projections and each head's a_src and a_dst."""
     model = LcfModel(tiny_config(heads=heads))
-    feats = nn.constant(np.zeros((3, 10), np.float32))
-    out = model.spatial_embed(feats, graph_of(np.eye(3, dtype=bool)))
-    whs = out._parents[:heads]
-    assert out._parents[heads:] == tuple(
-        model.params[f"gat.h{k}.{name}"] for name in ("a_src", "a_dst")
-        for k in range(heads))
-    for k, wh in enumerate(whs):
-        assert wh._parents == (feats, model.params[f"gat.h{k}.W"])
+    chain = []
+    model.spatial_embed(np.zeros((3, 10), np.float32),
+                        graph_of(np.eye(3, dtype=bool)), chain)
+    whs = [f"wh{k}" for k in range(heads)]
+    assert [(out, list(ins)) for _, out, ins in chain] == [
+        (wh, [None, f"gat.h{k}.W"]) for k, wh in enumerate(whs)] + [
+        ("spatial", whs + [f"gat.h{k}.{name}" for name in ("a_src", "a_dst")
+                           for k in range(heads)])]
 
 
 # ---------------------------------------------------------------------------
@@ -164,22 +167,22 @@ def test_spatial_embed_is_one_attention_node_after_the_projections(heads):
 def test_gru_zero_weights_fixed_point():
     model = LcfModel(tiny_config(hidden_dim=3))
     for name in ("gru.Wz", "gru.Wr", "gru.Wc", "gru.bz", "gru.br", "gru.bc"):
-        model.params[name].data[:] = 0.0
+        model.params[name][:] = 0.0
     hist = np.array([[0.3, -1.0, 0.8, 0.1, 0.9]])
-    out = model.temporal_embed(hist).data
+    out = model.temporal_embed(hist)
     assert np.all(out == 0.0)
 
 
 def test_gru_hand_recurrence_one_dim():
     model = LcfModel(tiny_config(hidden_dim=1, dtype="float64"))
-    model.params["gru.Wz"].data = np.array([[0.5], [1.0]])
-    model.params["gru.bz"].data = np.array([[0.1]])
-    model.params["gru.Wr"].data = np.array([[-0.3], [0.8]])
-    model.params["gru.br"].data = np.array([[-0.2]])
-    model.params["gru.Wc"].data = np.array([[0.7], [1.2]])
-    model.params["gru.bc"].data = np.array([[0.05]])
+    model.params["gru.Wz"] = np.array([[0.5], [1.0]])
+    model.params["gru.bz"] = np.array([[0.1]])
+    model.params["gru.Wr"] = np.array([[-0.3], [0.8]])
+    model.params["gru.br"] = np.array([[-0.2]])
+    model.params["gru.Wc"] = np.array([[0.7], [1.2]])
+    model.params["gru.bc"] = np.array([[0.05]])
     hist = np.array([[0.1, 0.2, 0.3, 0.4, 0.5]])
-    out = model.temporal_embed(hist).data
+    out = model.temporal_embed(hist)
     # frozen value from the explicit gate-by-gate recurrence
     assert abs(out[0, 0] - 0.6287698233981815) < 1e-15
 
@@ -196,14 +199,14 @@ def test_gru_hand_recurrence_one_dim():
 def test_gru_saturated_update_gate_tracks_candidate():
     rng = np.random.default_rng(4)
     model = LcfModel(tiny_config(hidden_dim=3, seed=4, dtype="float64"))
-    model.params["gru.bz"].data[:] = 50.0  # update gate pinned at 1
+    model.params["gru.bz"][:] = 50.0  # update gate pinned at 1
     hist = rng.uniform(0, 1, size=(2, 5))
-    out = model.temporal_embed(hist).data
+    out = model.temporal_embed(hist)
     # oracle: with z == 1 the state is exactly the candidate each step
-    wr = model.params["gru.Wr"].data
-    br = model.params["gru.br"].data
-    wc = model.params["gru.Wc"].data
-    bc = model.params["gru.bc"].data
+    wr = model.params["gru.Wr"]
+    br = model.params["gru.br"]
+    wc = model.params["gru.Wc"]
+    bc = model.params["gru.bc"]
     h = np.zeros((2, 3))
     for t in range(5):
         x = hist[:, t:t + 1]
@@ -230,25 +233,25 @@ def test_pad_history_sentinel():
 
 def test_default_layer_widths():
     model = LcfModel(ModelConfig())
-    dims = [model.params[f"fc.{i}.W"].data.shape for i in range(6)]
+    dims = [model.params[f"fc.{i}.W"].shape for i in range(6)]
     assert dims == [(256, 384), (384, 256), (256, 128), (128, 64), (64, 32),
                     (32, 1)]
-    assert model.params["gru.Wz"].data.shape == (129, 128)
-    assert model.params["gat.h0.W"].data.shape == (10, 128)
-    assert model.params["gat.h0.a_src"].data.shape == (128, 1)
+    assert model.params["gru.Wz"].shape == (129, 128)
+    assert model.params["gat.h0.W"].shape == (10, 128)
+    assert model.params["gat.h0.a_src"].shape == (128, 1)
 
 
 def test_zero_fc_weights_output_final_bias():
     model = LcfModel(tiny_config())
     for i in range(2):
-        model.params[f"fc.{i}.W"].data[:] = 0.0
-        model.params[f"fc.{i}.b"].data[:] = 0.0
-    model.params["fc.1.b"].data[:] = 3.25
-    spatial = nn.constant(np.random.default_rng(0).normal(size=(4, 2)))
-    temporal = nn.constant(np.zeros((2, 2)))
+        model.params[f"fc.{i}.W"][:] = 0.0
+        model.params[f"fc.{i}.b"][:] = 0.0
+    model.params["fc.1.b"][:] = 3.25
+    spatial = np.random.default_rng(0).normal(size=(4, 2))
+    temporal = np.zeros((2, 2))
     out = model.fuse(spatial, temporal, batch=2)
-    assert out.data.shape == (8, 1)
-    assert np.all(out.data == 3.25)
+    assert out.shape == (8, 1)
+    assert np.all(out == 3.25)
 
 
 def test_fuse_matches_independent_matrix_chain():
@@ -256,11 +259,11 @@ def test_fuse_matches_independent_matrix_chain():
     model = LcfModel(tiny_config(hidden_dim=2, fc_hidden=(3,), seed=3))
     spatial = rng.normal(size=(3, 2))
     temporal = rng.normal(size=(2, 2))
-    out = model.fuse(nn.constant(spatial), nn.constant(temporal), batch=2).data
-    w0 = model.params["fc.0.W"].data
-    b0 = model.params["fc.0.b"].data
-    w1 = model.params["fc.1.W"].data
-    b1 = model.params["fc.1.b"].data
+    out = model.fuse(spatial, temporal, batch=2)
+    w0 = model.params["fc.0.W"]
+    b0 = model.params["fc.0.b"]
+    w1 = model.params["fc.1.W"]
+    b1 = model.params["fc.1.b"]
     rows = []
     for b in range(2):
         for i in range(3):
@@ -277,11 +280,11 @@ def test_fuse_without_gru_matches_independent_matrix_chain():
                                  use_gru=False))
     spatial = rng.normal(size=(3, 2))
     vmean = rng.uniform(0, 1, size=(2, 1))
-    out = model.fuse(nn.constant(spatial), nn.constant(vmean), batch=2).data
-    w0 = model.params["fc.0.W"].data
-    b0 = model.params["fc.0.b"].data
-    w1 = model.params["fc.1.W"].data
-    b1 = model.params["fc.1.b"].data
+    out = model.fuse(spatial, vmean, batch=2)
+    w0 = model.params["fc.0.W"]
+    b0 = model.params["fc.0.b"]
+    w1 = model.params["fc.1.W"]
+    b1 = model.params["fc.1.b"]
     assert w0.shape == (3, 3)
     rows = []
     for b in range(2):
@@ -295,9 +298,9 @@ def test_fuse_without_gru_matches_independent_matrix_chain():
 def test_fuse_rejects_width_mismatch():
     model = LcfModel(tiny_config())
     with pytest.raises(ValueError, match=r"\(2, 5\).*\(1, 2\)"):
-        model.fuse(nn.constant(np.zeros((2, 5))), nn.constant(np.zeros((1, 2))), 1)
+        model.fuse(np.zeros((2, 5)), np.zeros((1, 2)), 1)
     with pytest.raises(ValueError, match=r"\(2, 2\).*\(1, 3\)"):
-        model.fuse(nn.constant(np.zeros((2, 2))), nn.constant(np.zeros((1, 3))), 1)
+        model.fuse(np.zeros((2, 2)), np.zeros((1, 3)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +397,10 @@ def test_forward_is_permutation_equivariant():
     np.fill_diagonal(adj, True)
     feats = rng.normal(size=(n, 10))
     hist = rng.uniform(0, 1, size=(2, 5))
-    out = model.forward(feats, graph_of(adj), hist).data.reshape(2, n)
+    out = model.forward(feats, graph_of(adj), hist).reshape(2, n)
     perm = rng.permutation(n)
     out_p = model.forward(feats[perm], graph_of(adj[np.ix_(perm, perm)]),
-                          hist).data.reshape(2, n)
+                          hist).reshape(2, n)
     assert np.max(np.abs(out_p - out[:, perm])) < 1e-12
 
 
@@ -410,12 +413,15 @@ def test_end_to_end_gradcheck_small():
     np.fill_diagonal(adj, True)
     feats = rng.uniform(0, 1, size=(n, 10))
     hist = rng.uniform(0, 1, size=(2, 5))
-    target = nn.constant(rng.uniform(0, 1, size=(2 * n, 1)))
+    target = rng.uniform(0, 1, size=(2 * n, 1))
+    batch = model_module.SampleBatch(feats, graph_of(adj), hist, target)
+    _, grads = model.loss_and_grads(batch)
 
-    def closure():
-        return nn.mse_loss(model.forward(feats, graph_of(adj), hist), target)
+    def loss():
+        return float(nn.mse_loss(model.forward(feats, graph_of(adj), hist),
+                                 target))
 
-    err = grad_check(closure, model.parameters(), eps=1e-6)
+    err = fd_error(loss, model.params.values(), [grads[k] for k in model.params])
     assert err < 1e-4
 
 
@@ -473,8 +479,8 @@ def test_training_reduces_loss_and_is_deterministic(tmp_path):
 
     model2, history2 = train(net, ds, part, mc, tc)
     for name in model.params:
-        assert np.array_equal(model.params[name].data,
-                              model2.params[name].data)
+        assert np.array_equal(model.params[name],
+                              model2.params[name])
     assert history == history2
 
     p1, p2 = tmp_path / "m1.ckpt", tmp_path / "m2.ckpt"
@@ -483,58 +489,56 @@ def test_training_reduces_loss_and_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_training_holds_one_tape_at_a_time(monkeypatch):
-    """Once the first training step has started, the tracemalloc peak stays
-    below the first step's own peak plus half its tape: the step before's
-    tape is released before the next forward, never held beside it."""
+def test_a_training_step_leaves_only_the_head_buffers(monkeypatch):
+    """What a training step leaves for the next one is the head's buffers,
+    rows x 864 x 4 B of activations and rows x 384 B of mask at the default
+    widths in float32: its chain of backwards and its gradients are freed
+    before the next step starts."""
     net, ds, part = toy_training_setup(seed=31)
-    seen = {}
-    inner = model_module._batch_loss
+    held, chains, rows = [], [], set()
+    step, walk = LcfModel.loss_and_grads, nn.backward
 
-    def batch_loss(model, batch):
-        current, peak = tracemalloc.get_traced_memory()
-        if "start" not in seen:
-            tracemalloc.reset_peak()
-            seen["start"] = current
-        elif "step" not in seen:
-            seen["step"] = peak - seen["start"]
-        loss = inner(model, batch)
-        seen.setdefault("tape", tracemalloc.get_traced_memory()[0] - current)
-        return loss
+    def loss_and_grads(model, batch):
+        held.append(tracemalloc.get_traced_memory()[0])
+        rows.add(len(batch.targets))
+        return step(model, batch)
 
-    monkeypatch.setattr(model_module, "_batch_loss", batch_loss)
+    def backward(chain, seed):
+        # what the forward keeps for the backward
+        chains.append(tracemalloc.get_traced_memory()[0] - held[-1])
+        return walk(chain, seed)
+
+    monkeypatch.setattr(LcfModel, "loss_and_grads", loss_and_grads)
+    monkeypatch.setattr(nn, "backward", backward)
     tracemalloc.start()
     try:
-        train(net, ds, part, ModelConfig(hidden_dim=32, fc_hidden=(64,)),
-              TrainConfig(epochs=2))
-        peak = tracemalloc.get_traced_memory()[1] - seen["start"]
+        train(net, ds, part, ModelConfig(), TrainConfig(epochs=2))
     finally:
         tracemalloc.stop()
-    # the forward's tape, 0.18 MB here (0.52 MB for the whole first step);
-    # the peak read 0.52 MB with the tape released and 0.84 MB while the
-    # last step's loss, and with it its tape, lived through the next step
-    assert seen["tape"] > 1e5
-    assert peak < seen["step"] + seen["tape"] / 2
+    (n,) = rows
+    # a later step's chain read 0.24 MB; each step began with 8-20 KB held
+    # beyond the buffers, and with 0.25 MB or about 1 MB when the step
+    # before's chain or gradients were kept alive
+    assert chains[1] > 1e5
+    assert max(held[1:]) - held[0] - (n * 864 * 4 + n * 384) < chains[1] / 2
 
 
 def test_steps_after_the_first_reuse_the_head_buffers(monkeypatch):
     """The head's hidden activations and relu mask live in buffers the model
     builds at the first training step and keeps while the batch shape
-    holds: every later call, training step or validation, runs on the same
-    arrays, and each call advances the buffers' generation once."""
+    holds: every later forward, training step or validation, runs on the
+    same arrays."""
     net, ds, part = toy_training_setup(seed=31)
     seen = []
-    inner = model_module._batch_loss
+    forward = LcfModel.forward
 
-    def batch_loss(model, batch):
+    def watched(model, *args, **kwargs):
+        out = forward(model, *args, **kwargs)
         head = model._head
-        generation = head.generation
-        loss = inner(model, batch)
-        assert head.generation == generation + 1
         seen.append((head, list(head.acts), head.mask))
-        return loss
+        return out
 
-    monkeypatch.setattr(model_module, "_batch_loss", batch_loss)
+    monkeypatch.setattr(LcfModel, "forward", watched)
     config = ModelConfig()
     train(net, ds, part, config, TrainConfig(epochs=1))
     assert len(seen) > 3
@@ -557,9 +561,8 @@ def test_a_training_step_holds_only_the_head_activations():
     norm = model_module.fit_normalization(ds, feats, config.output_type)
     batch = model_module.build_batches(net, ds, "train", feats, config, norm)[0]
     model = LcfModel(config, norm)
-    loss = model_module._batch_loss(model, batch)
-    nn.backward(loss)
-    nn.AdamW(model.parameters()).step()
+    _, grads = model.loss_and_grads(batch)
+    nn.AdamW(model.params).step(grads)
     rows = len(batch.targets)
     held = [a for value in vars(model._head).values()
             for a in (value if isinstance(value, list) else [value])
@@ -567,33 +570,68 @@ def test_a_training_step_holds_only_the_head_activations():
     assert sum(a.nbytes for a in held) == rows * 864 * 4 + rows * 384
 
 
-def test_temporal_embed_is_one_tape_node():
+def test_temporal_embed_is_one_op_on_the_chain():
     model = LcfModel(tiny_config(hidden_dim=3))
-    out = model.temporal_embed(np.zeros((2, 5)))
-    assert out._parents == tuple(model.params[f"gru.{name}"] for name in
-                                 ("Wz", "bz", "Wr", "br", "Wc", "bc"))
+    chain = []
+    model.temporal_embed(np.zeros((2, 5)), chain)
+    assert [(out, list(ins)) for _, out, ins in chain] == [
+        ("temporal", [f"gru.{name}" for name in
+                      ("Wz", "bz", "Wr", "br", "Wc", "bc")])]
 
 
-def test_a_backward_after_a_later_forward_raises():
-    rng = np.random.default_rng(15)
-    model = LcfModel(tiny_config(hidden_dim=3, fc_hidden=(5, 4), seed=2))
-    graph = graph_of(rng.random((6, 6)) < 0.4)
-    feats = rng.normal(size=(6, 10))
-    hist = rng.uniform(0, 1, size=(4, 5))
-    target = nn.constant(np.zeros((24, 1), np.float32))
+def taped_step(model, batch):
+    """What ``model.loss_and_grads(batch)`` returns, from the same ``nn``
+    ops on the test tape, whose backward sorts the graph and sums the
+    gradients of a tensor read twice."""
+    cfg = model.config
+    p = {name: Tensor(a, requires_grad=True) for name, a in model.params.items()}
+    feats = constant(batch.feats_norm)
+    heads = range(cfg.heads)
+    if cfg.use_gat:
+        spatial = tape.gat([tape.matmul(feats, p[f"gat.h{k}.W"]) for k in heads],
+                           [p[f"gat.h{k}.a_src"] for k in heads],
+                           [p[f"gat.h{k}.a_dst"] for k in heads], batch.adj,
+                           model_module.LEAKY_SLOPE, model.dtype)
+    else:
+        spatial = tape.dense(feats, p["dnn.W"], p["dnn.b"], relu=True)
+    if cfg.use_gru:
+        temporal = tape.gru(batch.hist, *(p[f"gru.{name}"] for name in
+                                          ("Wz", "bz", "Wr", "br", "Wc", "bc")))
+    else:
+        temporal = constant(batch.hist[:, -1:])
+    layers = [(p[f"fc.{i}.W"], p[f"fc.{i}.b"])
+              for i in range(len(cfg.fc_hidden) + 1)]
+    loss = tape.mse_loss(tape.pair_head(spatial, temporal, layers,
+                                        nn.HeadBuffers()),
+                         constant(batch.targets))
+    backward(loss)
+    return loss.data, {name: t.grad for name, t in p.items()}
 
-    def loss():
-        return nn.mse_loss(model.forward(feats, graph, hist), target)
 
-    first, second = loss(), loss()
-    with pytest.raises(RuntimeError, match="overwrote"):
-        nn.backward(first)
-    nn.backward(second)
-    third = loss()
-    with nn.no_grad():
-        model.forward(feats, graph, hist)
-    with pytest.raises(RuntimeError, match="overwrote"):
-        nn.backward(third)
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("use_gru", [True, False])
+@pytest.mark.parametrize("use_gat", [True, False])
+def test_loss_and_grads_equal_the_taped_step_to_the_bit(use_gat, use_gru,
+                                                        dtype):
+    """The chain, walked once in a fixed order, gives the loss and every
+    parameter's gradient of the tape's sorted walk, bit for bit."""
+    net = generate_grid_network(4, 4, 100.0, 2, length_jitter=0.3,
+                                jitter_seed=5)
+    rng = np.random.default_rng(12)
+    model = LcfModel(ModelConfig(use_gat=use_gat, use_gru=use_gru, heads=2,
+                                 hidden_dim=8, fc_hidden=(16, 8), seed=9,
+                                 dtype=dtype))
+    batch = model_module.SampleBatch(
+        rng.uniform(0, 1, size=(net.n_links, 10)).astype(dtype),
+        build_link_graph(net), rng.uniform(0, 1, size=(6, 5)).astype(dtype),
+        rng.uniform(0, 1, size=(6 * net.n_links, 1)).astype(dtype))
+    want_loss, want = taped_step(model, batch)
+    loss, grads = model.loss_and_grads(batch)
+    assert np.asarray(loss).tobytes() == want_loss.tobytes()
+    assert set(grads) == set(model.params)
+    for name, g in want.items():
+        assert grads[name].dtype == g.dtype, name
+        assert grads[name].tobytes() == g.tobytes(), name
 
 
 def test_checkpoint_round_trip_and_predictions(tmp_path):
@@ -635,8 +673,8 @@ def test_two_epochs_give_the_golden_parameter_bits(dtype):
                      ModelConfig(heads=2, hidden_dim=8, fc_hidden=(16, 8),
                                  seed=3, dtype=dtype), TrainConfig(epochs=2))
     digest = hashlib.sha256()
-    for p in model.parameters():
-        digest.update(p.data.tobytes())
+    for p in model.params.values():
+        digest.update(p.tobytes())
     assert digest.hexdigest() == TRAINED_DIGESTS[dtype]
 
 
@@ -692,7 +730,7 @@ def test_predict_uses_padded_history_at_t0():
 
 
 # ---------------------------------------------------------------------------
-# prediction off the tape, over window blocks
+# prediction with no chain, over window blocks
 # ---------------------------------------------------------------------------
 
 def untrained_predictor(net, **kw):
@@ -704,19 +742,19 @@ def untrained_predictor(net, **kw):
 
 @pytest.mark.parametrize("use_gru", [True, False])
 def test_predict_blocks_equal_one_head_call_to_the_bit(monkeypatch, use_gru):
-    """Every block size gives the bits of one taped head call over all
+    """Every block size gives the bits of one head call over all
     windows. That holds on OpenBLAS's AVX-512 (SkylakeX) sgemm kernel; on
     the AVX2 (Haswell) kernel a row's bits depend on the call's rows."""
     net = generate_grid_network(3, 3, 100.0, 2)
     n = net.n_links
     vmean = np.random.default_rng(8).uniform(2.0, 25.0, size=20)
     model = untrained_predictor(net, use_gru=use_gru)
-    # reference: the taped forward over all windows, decoded window by window
+    # reference: the forward over all windows, decoded window by window
     # in float64, as predict_windows decodes
     vn = model.norm.norm_vmean(vmean)
     hist = pad_history(vn, 5)
     raw = model.forward(model.norm.feat.apply(extract_features(net, None)),
-                        build_link_graph(net), hist).data.astype(np.float64)
+                        build_link_graph(net), hist).astype(np.float64)
     vff = np.array([lk.vff_kmh for lk in net.links])
     ref = np.stack([decode_output(model.norm.denorm_target(r), vmean[t],
                                   "Speed", vff)
@@ -785,11 +823,11 @@ def test_attention_matrix_is_the_attention_spatial_embed_uses():
     heads = []
     for k in range(2):
         att = model.attention_matrix(feats, graph, head=k)
-        wh = feats @ model.params[f"gat.h{k}.W"].data
+        wh = feats @ model.params[f"gat.h{k}.W"]
         edge_terms = att[graph.src, graph.dst][:, None] * wh[graph.dst]
         heads.append(np.maximum(np.add.reduceat(edge_terms, graph.seg_start),
                                 0.0))
-    out = model.spatial_embed(nn.constant(feats), graph).data
+    out = model.spatial_embed(feats, graph)
     assert np.array_equal(out, (heads[0] + heads[1]) * 0.5)
 
 
@@ -801,8 +839,8 @@ def test_predictions_equal_the_dense_attention_oracle(monkeypatch, heads):
     model = untrained_predictor(net, heads=heads, dtype="float64")
     out = model.predict_windows(net, None, vmean)
 
-    def dense_embed(self, feats, graph):
-        return nn.constant(dense_spatial_embed(self, feats.data, graph))
+    def dense_embed(self, feats, graph, chain=None):
+        return dense_spatial_embed(self, feats, graph)
 
     monkeypatch.setattr(LcfModel, "spatial_embed", dense_embed)
     oracle = model.predict_windows(net, None, vmean)
@@ -847,7 +885,7 @@ def test_float32_model_keeps_attention_in_float64():
     assert model.config.dtype == "float32"
     for name, p in model.params.items():
         expected = np.float64 if name.startswith("gat.") else np.float32
-        assert p.data.dtype == expected, name
+        assert p.dtype == expected, name
     rng = np.random.default_rng(6)
     graph = graph_of(rng.random((5, 5)) < 0.5)
     feats = rng.uniform(0, 1, size=(5, 10))
@@ -856,9 +894,9 @@ def test_float32_model_keeps_attention_in_float64():
     assert np.array_equal(model.attention_matrix(feats, graph),
                           model.attention_matrix(feats.astype(np.float32),
                                                  graph))
-    assert model.spatial_embed(nn.constant(feats), graph).data.dtype == np.float32
+    assert model.spatial_embed(feats, graph).dtype == np.float32
     out = model.forward(feats, graph, rng.uniform(0, 1, size=(3, 5)))
-    assert out.data.dtype == np.float32
+    assert out.dtype == np.float32
     with pytest.raises(ValueError, match="float16"):
         ModelConfig(dtype="float16")
 
@@ -872,22 +910,20 @@ def test_float32_gradients_agree_with_float64_on_the_criterion_4_toy():
         cfg = ModelConfig(heads=2, hidden_dim=3, fc_hidden=(6,), seed=seed)
         m32 = LcfModel(cfg)
         m64 = LcfModel(replace(cfg, dtype="float64"),
-                       state={n: p.data for n, p in m32.params.items()})
+                       state=m32.params)
         n = 4
         adj = rng.random((n, n)) < 0.5
         np.fill_diagonal(adj, True)
         feats = rng.uniform(0, 1, size=(n, 10))
         hist = rng.uniform(0, 1, size=(2, 5))
         target = rng.uniform(0, 1, size=(2 * n, 1))
-        for m in (m32, m64):
-            nn.zero_grads(m.parameters())
-            nn.backward(nn.mse_loss(m.forward(feats, graph_of(adj), hist),
-                                    nn.constant(target.astype(m.dtype))))
+        g32, g64 = (m.loss_and_grads(model_module.SampleBatch(
+            feats, graph_of(adj), hist, target.astype(m.dtype)))[1]
+            for m in (m32, m64))
         for name, p in m32.params.items():
-            assert p.grad.dtype == p.data.dtype, name
-        gap = max(np.abs(m32.params[k].grad - m64.params[k].grad).max()
-                  for k in m32.params)
-        largest = max(np.abs(p.grad).max() for p in m64.params.values())
+            assert g32[name].dtype == p.dtype, name
+        gap = max(np.abs(g32[k] - g64[k]).max() for k in m32.params)
+        largest = max(np.abs(g).max() for g in g64.values())
         assert gap < 1e-5 * largest, seed
 
 
@@ -895,16 +931,16 @@ def test_float32_gradients_agree_with_float64_on_the_criterion_4_toy():
 def test_checkpoint_round_trip_is_bit_equal(tmp_path, dtype):
     model = LcfModel(tiny_config(heads=2, hidden_dim=3, dtype=dtype),
                      toy_normalization())
-    for p in model.parameters():    # random bits past the init's range
-        p.data = np.random.default_rng(p.data.size).normal(
-            size=p.data.shape).astype(p.data.dtype) * 1e3
+    for name, p in model.params.items():    # random bits past the init's range
+        model.params[name] = np.random.default_rng(p.size).normal(
+            size=p.shape).astype(p.dtype) * 1e3
     path = tmp_path / "model.ckpt"
     save_model(model, path)
     loaded = load_model(path)
     assert loaded.config == model.config
     for name, p in model.params.items():
-        assert loaded.params[name].data.dtype == p.data.dtype, name
-        assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
+        assert loaded.params[name].dtype == p.dtype, name
+        assert loaded.params[name].tobytes() == p.tobytes(), name
 
 
 def test_load_model_draws_no_initialization(tmp_path, monkeypatch):
@@ -922,9 +958,8 @@ def test_load_model_draws_no_initialization(tmp_path, monkeypatch):
     loaded = load_model(path)
     assert list(loaded.params) == list(model.params)
     for name, p in model.params.items():
-        assert loaded.params[name].data.dtype == p.data.dtype, name
-        assert np.array_equal(loaded.params[name].data, p.data), name
-        assert loaded.params[name].requires_grad, name
+        assert loaded.params[name].dtype == p.dtype, name
+        assert np.array_equal(loaded.params[name], p), name
 
 
 def test_training_batches_and_parameters_stay_in_the_model_dtype():
@@ -935,7 +970,7 @@ def test_training_batches_and_parameters_stay_in_the_model_dtype():
     assert np.isfinite(history[0]["train_loss"])
     for name, p in model.params.items():
         expected = np.float64 if name.startswith("gat.") else np.float32
-        assert p.data.dtype == expected, name
+        assert p.dtype == expected, name
     feats = model_module.split_features(net, ds, "val", part)
     for batch in model_module.build_batches(net, ds, "val", feats, mc,
                                             model.norm):

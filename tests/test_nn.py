@@ -1,4 +1,3 @@
-import contextlib
 import math
 import tracemalloc
 import zlib
@@ -6,14 +5,16 @@ import zlib
 import numpy as np
 import pytest
 
+import taped_ops as tape
 from lcftraffic import nn
 from lcftraffic.network import LinkGraph
-from lcftraffic.nn import AdamW, Tensor, backward, steplr
+from lcftraffic.nn import AdamW, steplr
 
 from dense_head import dense_head
 from gradcheck import grad_check
 from gru_oracle import taped_gru
-from taped_ops import add, concat, mul, scale, sigmoid, tanh
+from taped_ops import (Tensor, add, backward, concat, constant, mul, scale,
+                       sigmoid, tanh, zero_grads)
 
 
 def fd_gradient(closure, p: Tensor, eps: float = 1e-6) -> np.ndarray:
@@ -33,7 +34,7 @@ def fd_gradient(closure, p: Tensor, eps: float = 1e-6) -> np.ndarray:
 
 
 def check_op(make_loss, params, tol=1e-6):
-    nn.zero_grads(params)
+    zero_grads(params)
     loss = make_loss()
     backward(loss)
     for p in params:
@@ -71,53 +72,53 @@ def test_primitive_gradients_match_finite_differences(op_name):
     b = rand_param(rng, (5, 4))
     c = rand_param(rng, (4, 3))
     row = rand_param(rng, (1, 4))
-    target = nn.constant(rng.normal(size=(5, 4)))
-    t53 = nn.constant(rng.normal(size=(5, 3)))
-    t58 = nn.constant(rng.normal(size=(5, 8)))
+    target = constant(rng.normal(size=(5, 4)))
+    t53 = constant(rng.normal(size=(5, 3)))
+    t58 = constant(rng.normal(size=(5, 8)))
     w43 = rand_param(rng, (4, 3))
     w53 = rand_param(rng, (5, 3))
     w63 = rand_param(rng, (6, 3))
     b13 = rand_param(rng, (1, 3))
     outer2 = rand_param(rng, (3, 2))
     outer1 = rand_param(rng, (3, 1))
-    t153 = nn.constant(rng.normal(size=(15, 3)))
+    t153 = constant(rng.normal(size=(15, 3)))
     w33 = rand_param(rng, (3, 3))
     b13b = rand_param(rng, (1, 3))
     gru_params = [rand_param(rng, s) for s in [(3, 2), (1, 2)] * 3]
     hist53 = rng.normal(size=(5, 3))
-    t52 = nn.constant(rng.normal(size=(5, 2)))
+    t52 = constant(rng.normal(size=(5, 2)))
     whs, a_srcs, a_dsts = gat_inputs(lambda *shape: rand_param(rng, shape))
     gat_params = whs + a_srcs + a_dsts
 
     builders = {
-        "matmul": (lambda: nn.mse_loss(nn.matmul(a, c), t53), [a, c]),
-        "add": (lambda: nn.mse_loss(add(a, b), target), [a, b]),
-        "add_broadcast": (lambda: nn.mse_loss(add(a, row), target), [a, row]),
-        "mul": (lambda: nn.mse_loss(mul(a, b), target), [a, b]),
-        "mul_broadcast": (lambda: nn.mse_loss(mul(a, row), target), [a, row]),
-        "concat": (lambda: nn.mse_loss(concat([a, b], axis=1), t58), [a, b]),
-        "sigmoid": (lambda: nn.mse_loss(sigmoid(a), target), [a]),
-        "tanh": (lambda: nn.mse_loss(tanh(a), target), [a]),
-        "dense": (lambda: nn.mse_loss(nn.dense(a, w43, b13), t53),
+        "matmul": (lambda: tape.mse_loss(tape.matmul(a, c), t53), [a, c]),
+        "add": (lambda: tape.mse_loss(add(a, b), target), [a, b]),
+        "add_broadcast": (lambda: tape.mse_loss(add(a, row), target), [a, row]),
+        "mul": (lambda: tape.mse_loss(mul(a, b), target), [a, b]),
+        "mul_broadcast": (lambda: tape.mse_loss(mul(a, row), target), [a, row]),
+        "concat": (lambda: tape.mse_loss(concat([a, b], axis=1), t58), [a, b]),
+        "sigmoid": (lambda: tape.mse_loss(sigmoid(a), target), [a]),
+        "tanh": (lambda: tape.mse_loss(tanh(a), target), [a]),
+        "dense": (lambda: tape.mse_loss(tape.dense(a, w43, b13), t53),
                   [a, w43, b13]),
-        "dense_relu": (lambda: nn.mse_loss(nn.dense(a, w43, b13, relu=True),
-                                           t53), [a, w43, b13]),
+        "dense_relu": (lambda: tape.mse_loss(
+            tape.dense(a, w43, b13, relu=True), t53), [a, w43, b13]),
         # the pair layer repeats each outer row over the inner rows and
         # tiles the inner rows over the outer ones: a relu pair layer and a
         # dense layer, then the pair layer alone (no relu) with a width-1
         # outer input, as in the shortest head without the recurrent branch
-        "pair_head": (lambda: nn.mse_loss(nn.pair_head(
+        "pair_head": (lambda: tape.mse_loss(tape.pair_head(
             a, outer2, [(w63, b13), (w33, b13b)], nn.HeadBuffers()), t153),
             [a, outer2, w63, b13, w33, b13b]),
-        "pair_head_one_layer": (lambda: nn.mse_loss(nn.pair_head(
+        "pair_head_one_layer": (lambda: tape.mse_loss(tape.pair_head(
             a, outer1, [(w53, b13)], nn.HeadBuffers()), t153),
             [a, outer1, w53, b13]),
         # three steps over five rows, a state of width 2
-        "gru": (lambda: nn.mse_loss(nn.gru(hist53, *gru_params), t52),
+        "gru": (lambda: tape.mse_loss(tape.gru(hist53, *gru_params), t52),
                 gru_params),
-        "gat": (lambda: nn.mse_loss(nn.gat(whs, a_srcs, a_dsts, GRAPH, 0.2,
-                                           np.float64), target), gat_params),
-        "gat_one_head": (lambda: nn.mse_loss(nn.gat(
+        "gat": (lambda: tape.mse_loss(tape.gat(
+            whs, a_srcs, a_dsts, GRAPH, 0.2, np.float64), target), gat_params),
+        "gat_one_head": (lambda: tape.mse_loss(tape.gat(
             whs[:1], a_srcs[:1], a_dsts[:1], GRAPH, 0.2, np.float64), target),
             [whs[0], a_srcs[0], a_dsts[0]]),
     }
@@ -158,26 +159,26 @@ def test_scatter_sum_is_the_scatter_add_of_add_at():
 
 
 def test_shape_mismatch_names_both_shapes():
-    a = nn.constant(np.zeros((2, 3)))
-    b = nn.constant(np.zeros((4, 5)))
+    a, b = np.zeros((2, 3)), np.zeros((4, 5))
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
         nn.matmul(a, b)
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
-        add(a, b)
+        add(constant(a), constant(b))
 
 
 def test_mse_loss_values_and_gradient():
     pred = Tensor(np.array([0.0, 2.0]), requires_grad=True)
-    target = nn.constant(np.array([0.0, 0.0]))
-    loss = nn.mse_loss(pred, target)
+    target = constant(np.array([0.0, 0.0]))
+    loss = tape.mse_loss(pred, target)
     assert loss.item() == 2.0
     backward(loss)
     assert np.allclose(pred.grad, 2 * (pred.data - target.data) / 2)
 
-    assert nn.mse_loss(nn.constant([1.0, 2.0]), nn.constant([1.0, 2.0])).item() == 0.0
+    assert tape.mse_loss(constant([1.0, 2.0]),
+                         constant([1.0, 2.0])).item() == 0.0
 
     def closure():
-        return nn.mse_loss(pred, target)
+        return tape.mse_loss(pred, target)
 
     assert grad_check(closure, [pred], eps=1e-6) < 1e-8
 
@@ -194,53 +195,49 @@ def test_gradient_shared_by_two_parents_is_not_overwritten():
     # not leak into b's gradient
     a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
     b = Tensor(np.array([[3.0, 4.0]]), requires_grad=True)
-    backward(nn.mse_loss(add(add(a, b), a), nn.constant(np.zeros((1, 2)))))
+    backward(tape.mse_loss(add(add(a, b), a), constant(np.zeros((1, 2)))))
     g = 2.0 * (2.0 * a.data + b.data) / 2.0
     assert np.array_equal(b.grad, g)
     assert np.array_equal(a.grad, 2.0 * g)
 
 
 def test_dense_rejects_misaligned_shapes():
-    x = nn.constant(np.zeros((2, 3)))
+    x = np.zeros((2, 3))
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
-        nn.dense(x, nn.constant(np.zeros((4, 5))), nn.constant(np.zeros((1, 5))))
+        nn.dense(x, np.zeros((4, 5)), np.zeros((1, 5)))
     with pytest.raises(ValueError, match=r"\(5,\)"):
-        nn.dense(x, nn.constant(np.zeros((3, 5))), nn.constant(np.zeros(5)))
-    w52, b12 = nn.constant(np.zeros((5, 2))), nn.constant(np.zeros((1, 2)))
+        nn.dense(x, np.zeros((3, 5)), np.zeros(5))
+    w52, b12 = np.zeros((5, 2)), np.zeros((1, 2))
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(1, 1\).*\(5, 2\)"):
-        nn.pair_head(x, nn.constant(np.zeros((1, 1))), [(w52, b12)],
-                     nn.HeadBuffers())
+        nn.pair_head(x, np.zeros((1, 1)), [(w52, b12)], nn.HeadBuffers())
     # a later layer whose fan-in is not the previous layer's width
     with pytest.raises(ValueError, match=r"\(5, 2\), \(1, 2\), \(3, 1\)"):
-        nn.pair_head(x, nn.constant(np.zeros((1, 2))),
-                     [(w52, b12), (nn.constant(np.zeros((3, 1))),
-                                   nn.constant(np.zeros((1, 1))))],
+        nn.pair_head(x, np.zeros((1, 2)),
+                     [(w52, b12), (np.zeros((3, 1)), np.zeros((1, 1)))],
                      nn.HeadBuffers())
     # halves of other outer rows than the call's
     outer = np.zeros((2, 2))
-    part_in, part_out = nn.pair_halves(x.data, outer, w52.data, b12.data)
+    part_in, part_out = nn.pair_halves(x, outer, w52, b12)
     with pytest.raises(ValueError, match=r"halves \(2, 2\) and \(1, 2\)"):
-        nn.pair_head(x, nn.constant(outer), [(w52, b12)], nn.HeadBuffers(),
+        nn.pair_head(x, outer, [(w52, b12)], nn.HeadBuffers(),
                      (part_in, part_out[:1]))
 
 
-def test_gat_keeps_no_head_arrays_off_the_tape():
-    """Off the tape the op keeps only its output, and each head weights its
-    gathered (edges x h) rows in place, so one such array is alive at a
-    time; taped, every head keeps its coefficients and masks."""
+def test_gat_keeps_no_head_arrays_without_grad():
+    """Without ``grad`` the op keeps only its output, and each head weights
+    its gathered (edges x h) rows in place, so one such array is alive at a
+    time; with it, every head keeps its coefficients and masks."""
     rng = np.random.default_rng(29)
     n, h, heads = 2000, 16, 3
     graph = LinkGraph.of_pairs(n, *rng.integers(0, n, size=(2, 8 * n)))
     n_edges = len(graph.src)
-    whs, a_srcs, a_dsts = gat_inputs(
-        lambda *shape: Tensor(rng.normal(size=shape), requires_grad=True),
-        heads=heads, h=h, n=n)
+    whs, a_srcs, a_dsts = gat_inputs(lambda *shape: rng.normal(size=shape),
+                                     heads=heads, h=h, n=n)
     kept, peaks = [], []
-    for mode in (nn.no_grad, contextlib.nullcontext):
+    for grad in (False, True):
         tracemalloc.start()
         try:
-            with mode():
-                out = nn.gat(whs, a_srcs, a_dsts, graph, 0.2, np.float32)
+            out = nn.gat(whs, a_srcs, a_dsts, graph, 0.2, np.float32, grad=grad)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -255,7 +252,7 @@ def test_gat_keeps_no_head_arrays_off_the_tape():
 
 def test_gat_rejects_misaligned_shapes():
     def const(*shape):
-        return nn.constant(np.zeros(shape))
+        return np.zeros(shape)
 
     whs, a_srcs, a_dsts = gat_inputs(const)
     # projected features of 4 links on a 5-link graph
@@ -300,39 +297,38 @@ def test_float32_ops_backward_and_adamw_stay_float32():
     params = [a, b, row, c, w43, w63, b13, outer2, w33, b13b] + gru_params \
         + whs + a_srcs + a_dsts
     outputs = {
-        "matmul": lambda: nn.matmul(a, c),
+        "matmul": lambda: tape.matmul(a, c),
         "add": lambda: add(a, row),
         "mul": lambda: mul(a, b),
         "scale": lambda: scale(a, 0.5),
         "concat": lambda: concat([a, b], axis=1),
         "sigmoid": lambda: sigmoid(a),
         "tanh": lambda: tanh(a),
-        "gat": lambda: nn.gat(whs, a_srcs, a_dsts, GRAPH, 0.2, np.float32),
-        "dense": lambda: nn.dense(a, w43, b13, relu=True),
-        "pair_head": lambda: nn.pair_head(a, outer2, [(w63, b13), (w33, b13b)],
-                                          nn.HeadBuffers()),
+        "gat": lambda: tape.gat(whs, a_srcs, a_dsts, GRAPH, 0.2, np.float32),
+        "dense": lambda: tape.dense(a, w43, b13, relu=True),
+        "pair_head": lambda: tape.pair_head(
+            a, outer2, [(w63, b13), (w33, b13b)], nn.HeadBuffers()),
         # a float64 history is cast to the weights' dtype
-        "gru": lambda: nn.gru(rng.normal(size=(5, 2)), *gru_params),
+        "gru": lambda: tape.gru(rng.normal(size=(5, 2)), *gru_params),
     }
     for name, build in outputs.items():
-        nn.zero_grads(params)
+        zero_grads(params)
         out = build()
-        loss = nn.mse_loss(out, nn.constant(np.ones(out.shape, np.float32)))
+        loss = tape.mse_loss(out, constant(np.ones(out.shape, np.float32)))
         assert out.data.dtype == loss.data.dtype == np.float32, name
         backward(loss)
         reached = [p for p in params if p.grad is not None]
         assert reached, name
         assert all(p.grad.dtype == np.float32 for p in reached), name
-    opt = AdamW(params, lr=0.01)
-    for p in params:
-        p.grad = np.ones_like(p.data)
-    opt.step()
+    opt = AdamW({str(i): p.data for i, p in enumerate(params)}, lr=0.01)
+    opt.step({name: np.ones_like(p) for name, p in opt.params.items()})
     assert all(p.data.dtype == np.float32 for p in params)
-    assert all(m.dtype == np.float32 for m in opt._m + opt._v)
+    assert all(m.dtype == np.float32
+               for m in [*opt._m.values(), *opt._v.values()])
 
 
 # ---------------------------------------------------------------------------
-# tape contract
+# the backward contract, on the test tape
 # ---------------------------------------------------------------------------
 
 def every_op(dtype):
@@ -348,24 +344,24 @@ def every_op(dtype):
     gru_params = [param(*s) for s in [(4, 3), (1, 3)] * 3]
     other = np.float64 if dtype == np.float32 else np.float32
     return {
-        "matmul": nn.matmul(a, c),
+        "matmul": tape.matmul(a, c),
         "add": add(a, row),
         "mul": mul(a, b),
         "scale": scale(a, 0.5),
         "concat": concat([a, b, row], axis=0),
         "sigmoid": sigmoid(a),
         "tanh": tanh(a),
-        "gat": nn.gat(*gat_inputs(param), GRAPH, 0.2, dtype),
+        "gat": tape.gat(*gat_inputs(param), GRAPH, 0.2, dtype),
         # the output cast to the other dtype, the gradients cast back
-        "gat_cast": nn.gat(*gat_inputs(param, heads=1), GRAPH, 0.2, other),
-        "dense": nn.dense(a, w43, b13),
-        "dense_relu": nn.dense(a, w43, b13, relu=True),
-        "pair_head": nn.pair_head(a, outer2, [(w63, b13), (w33, b13b)],
-                                  nn.HeadBuffers()),
-        "pair_head_one_layer": nn.pair_head(a, outer2, [(w63, b13)],
-                                            nn.HeadBuffers()),
-        "gru": nn.gru(rng.normal(size=(5, 2)), *gru_params),
-        "mse_loss": nn.mse_loss(a, b),
+        "gat_cast": tape.gat(*gat_inputs(param, heads=1), GRAPH, 0.2, other),
+        "dense": tape.dense(a, w43, b13),
+        "dense_relu": tape.dense(a, w43, b13, relu=True),
+        "pair_head": tape.pair_head(a, outer2, [(w63, b13), (w33, b13b)],
+                                    nn.HeadBuffers()),
+        "pair_head_one_layer": tape.pair_head(a, outer2, [(w63, b13)],
+                                              nn.HeadBuffers()),
+        "gru": tape.gru(rng.normal(size=(5, 2)), *gru_params),
+        "mse_loss": tape.mse_loss(a, b),
     }
 
 
@@ -389,57 +385,45 @@ def test_backward_from_a_leaf_seeds_only_its_gradient():
 
 
 # ---------------------------------------------------------------------------
-# inference mode
+# inference: ops without grad
 # ---------------------------------------------------------------------------
 
-def test_no_grad_ops_leave_no_tape():
-    rng = np.random.default_rng(4)
-    x, w, b = (rand_param(rng, s) for s in ((5, 2), (2, 4), (1, 4)))
-    _, a_src, a_dst = gat_inputs(lambda *shape: rand_param(rng, shape), heads=1)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_each_op_without_grad_returns_its_output_alone(dtype):
+    """Without ``grad`` an op returns its output and no backward, with the
+    bits of the output it returns beside its backward."""
+    rng = np.random.default_rng(18)
 
-    def attend():
-        return nn.gat([nn.dense(x, w, b)], a_src, a_dst, GRAPH, 0.2,
-                      np.float64)
+    def param(*shape):
+        return rng.normal(size=shape).astype(dtype)
 
-    taped = attend()
-    with nn.no_grad():
-        out = attend()
-        loss = nn.mse_loss(out, nn.constant(np.zeros((5, 4))))
-        leaf = Tensor(np.ones(2), requires_grad=True)
-    for t in (out, loss):
-        assert t._parents == () and t._vjp is None
-        assert not t.requires_grad
-    assert np.array_equal(out.data, taped.data)
-    assert leaf.requires_grad
-    # the tape records again after the block
-    after = nn.dense(x, w, b)
-    assert after.requires_grad and len(after._parents) == 3
-
-
-def test_no_grad_keeps_no_closure_for_any_op():
-    with nn.no_grad():
-        outputs = every_op(np.float64)
-    for name, out in outputs.items():
-        assert out._vjp is None and out._parents == (), name
-        assert not out.requires_grad, name
-
-
-def test_no_grad_restores_the_mode_after_an_exception():
-    x = Tensor(np.ones((2, 2)), requires_grad=True)
-    with pytest.raises(ValueError):
-        with nn.no_grad():
-            nn.matmul(x, nn.constant(np.ones((3, 3))))
-    assert nn.matmul(x, x).requires_grad
-    with nn.no_grad():
-        with nn.no_grad():
-            pass
-        assert not nn.matmul(x, x).requires_grad
-    assert nn.matmul(x, x).requires_grad
+    a, b, c, w63, b13, w33, b13b, outer2 = (param(*shape) for shape in (
+        (5, 4), (5, 4), (4, 3), (6, 3), (1, 3), (3, 3), (1, 3), (3, 2)))
+    gru_params = [param(*shape) for shape in [(4, 3), (1, 3)] * 3]
+    calls = {
+        "matmul": (nn.matmul, (a, c), {}),
+        "dense": (nn.dense, (a, c, b13), {"relu": True}),
+        "gat": (nn.gat, (*gat_inputs(param), GRAPH, 0.2, dtype), {}),
+        "gru": (nn.gru, (rng.normal(size=(5, 2)), *gru_params), {}),
+        "pair_head": (nn.pair_head, (a, outer2, [(w63, b13), (w33, b13b)],
+                                     nn.HeadBuffers()), {}),
+        "mse_loss": (nn.mse_loss, (a, b), {}),
+    }
+    for name, (op, args, kwargs) in calls.items():
+        out = op(*args, **kwargs)
+        with_grad, back = op(*args, grad=True, **kwargs)
+        assert callable(back), name
+        assert out.dtype == dtype and out.tobytes() == with_grad.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
-# the estimator head as one tape node
+# the estimator head as one op
 # ---------------------------------------------------------------------------
+
+def arrays(layers):
+    """The arrays of a head's (w, b) Tensor pairs."""
+    return [(w.data, b.data) for w, b in layers]
+
 
 def head_inputs(rng, dtype, n, m, h, width, widths):
     """Inner (n, h) and outer (m, width) rows and a chain of (w, b) layers
@@ -455,8 +439,8 @@ def head_inputs(rng, dtype, n, m, h, width, widths):
 def head_gradients(out, target, inner, outer, layers):
     """Every parent's gradient of the MSE of ``out`` against ``target``."""
     params = [inner, outer] + [t for pair in layers for t in pair]
-    nn.zero_grads(params)
-    backward(nn.mse_loss(out, target))
+    zero_grads(params)
+    backward(tape.mse_loss(out, target))
     return [p.grad for p in params]
 
 
@@ -482,20 +466,19 @@ def test_pair_head_equals_the_dense_oracle_to_the_bit(dtype, case):
     # the second round runs on buffers the first one built
     for _ in range(2):
         inner, outer, layers = head_inputs(rng, dtype, n, m, h, width, widths)
-        target = nn.constant(rng.normal(size=(n * m, widths[-1])).astype(dtype))
+        target = constant(rng.normal(size=(n * m, widths[-1])).astype(dtype))
         ref = dense_head(inner, outer, layers)
         want = head_gradients(ref, target, inner, outer, layers)
-        out = nn.pair_head(inner, outer, layers, buffers)
+        out = tape.pair_head(inner, outer, layers, buffers)
         assert out.data.dtype == dtype
         assert np.array_equal(out.data, ref.data)
         got = head_gradients(out, target, inner, outer, layers)
         for a, b in zip(got, want):
             assert a.dtype == dtype and np.array_equal(a, b)
-        with nn.no_grad():
-            assert np.array_equal(
-                nn.pair_head(inner, outer, layers, buffers).data, ref.data)
-            assert np.array_equal(nn.pair_head(inner, outer, layers,
-                                               nn.HeadBuffers()).data, ref.data)
+        for without_grad in (buffers, nn.HeadBuffers()):
+            assert np.array_equal(nn.pair_head(inner.data, outer.data,
+                                               arrays(layers), without_grad),
+                                  ref.data)
 
 
 def test_pair_head_random_shapes_equal_the_oracle_to_the_bit():
@@ -505,10 +488,10 @@ def test_pair_head_random_shapes_equal_the_oracle_to_the_bit():
         width = h if rng.random() < 0.5 else 1
         widths = tuple(rng.integers(1, 12, size=rng.integers(0, 4))) + (1,)
         inner, outer, layers = head_inputs(rng, dtype, n, m, h, width, widths)
-        target = nn.constant(rng.normal(size=(n * m, 1)).astype(dtype))
+        target = constant(rng.normal(size=(n * m, 1)).astype(dtype))
         ref = dense_head(inner, outer, layers)
         want = head_gradients(ref, target, inner, outer, layers)
-        out = nn.pair_head(inner, outer, layers, nn.HeadBuffers())
+        out = tape.pair_head(inner, outer, layers, nn.HeadBuffers())
         got = head_gradients(out, target, inner, outer, layers)
         assert np.array_equal(out.data, ref.data)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -517,42 +500,22 @@ def test_pair_head_random_shapes_equal_the_oracle_to_the_bit():
 def test_pair_head_gradients_match_finite_differences():
     rng = np.random.default_rng(22)
     inner, outer, layers = head_inputs(rng, np.float64, 4, 3, 3, 2, (5, 4, 2))
-    target = nn.constant(rng.normal(size=(12, 2)))
+    target = constant(rng.normal(size=(12, 2)))
     buffers = nn.HeadBuffers()
     params = [inner, outer] + [t for pair in layers for t in pair]
-    err = grad_check(lambda: nn.mse_loss(
-        nn.pair_head(inner, outer, layers, buffers), target), params)
+    err = grad_check(lambda: tape.mse_loss(
+        tape.pair_head(inner, outer, layers, buffers), target), params)
     assert err < 1e-6
 
 
-def test_pair_head_backward_after_a_later_call_raises():
-    rng = np.random.default_rng(23)
-    inner, outer, layers = head_inputs(rng, np.float64, 4, 3, 3, 3, (5, 2))
-    target = nn.constant(np.zeros((12, 2)))
-    buffers = nn.HeadBuffers()
-    first = nn.mse_loss(nn.pair_head(inner, outer, layers, buffers), target)
-    second = nn.mse_loss(nn.pair_head(inner, outer, layers, buffers), target)
-    with pytest.raises(RuntimeError, match="overwrote"):
-        backward(first)
-    backward(second)
-    assert inner.grad is not None
-    # an inference call overwrites the buffers as well
-    loss = nn.mse_loss(nn.pair_head(inner, outer, layers, buffers), target)
-    with nn.no_grad():
-        nn.pair_head(inner, outer, layers, buffers)
-    with pytest.raises(RuntimeError, match="overwrote"):
-        backward(loss)
-
-
-def test_pair_head_claims_no_buffers_off_the_tape():
+def test_pair_head_claims_no_buffers_without_grad():
     rng = np.random.default_rng(24)
     inner, outer, layers = head_inputs(rng, np.float32, 4, 3, 3, 3, (5, 2))
     buffers = nn.HeadBuffers()
-    with nn.no_grad():
-        nn.pair_head(inner, outer, layers, buffers)
+    nn.pair_head(inner.data, outer.data, arrays(layers), buffers)
     assert buffers.shape is None and buffers.acts is None
     assert buffers.mask is None
-    nn.pair_head(inner, outer, layers, buffers)
+    tape.pair_head(inner, outer, layers, buffers)
     assert [a.shape for a in buffers.acts] == [(12, 5)]
 
 
@@ -564,36 +527,17 @@ def test_pair_head_on_sliced_halves_equals_one_call_to_the_bit(dtype):
     (Haswell) kernel a row's float32 bits depend on the call's rows."""
     rng = np.random.default_rng(26)
     inner, outer, layers = head_inputs(rng, dtype, 30, 7, 16, 16, (24, 8, 1))
-    halves = nn.pair_halves(inner.data, outer.data,
-                            *(t.data for t in layers[0]))
-    ref = nn.pair_head(inner, outer, layers, nn.HeadBuffers()).data
+    inner, outer, layers = inner.data, outer.data, arrays(layers)
+    halves = nn.pair_halves(inner, outer, *layers[0])
+    ref, _ = nn.pair_head(inner, outer, layers, nn.HeadBuffers(), grad=True)
     for lo, hi in ((0, 7), (0, 1), (3, 4), (1, 3), (2, 7)):
-        with nn.no_grad():
-            out = nn.pair_head(inner, nn.constant(outer.data[lo:hi]), layers,
-                               nn.HeadBuffers(), (halves[0], halves[1][lo:hi]))
-        assert np.array_equal(out.data, ref[lo * 30:hi * 30])
-
-
-def test_a_second_backward_through_one_pair_head_call_raises():
-    rng = np.random.default_rng(25)
-    inner, outer, layers = head_inputs(rng, np.float64, 4, 3, 3, 3, (5, 4, 2))
-    buffers = nn.HeadBuffers()
-    out = nn.pair_head(inner, outer, layers, buffers)
-    g = rng.normal(size=out.shape)
-    out._vjp(g)
-    spent = [a.copy() for a in buffers.acts]
-    with pytest.raises(RuntimeError, match="already run"):
-        out._vjp(g)
-    assert all(np.array_equal(a, b) for a, b in zip(buffers.acts, spent))
-    loss = nn.mse_loss(nn.pair_head(inner, outer, layers, nn.HeadBuffers()),
-                       nn.constant(np.zeros((12, 2))))
-    backward(loss)
-    with pytest.raises(RuntimeError, match="already run"):
-        backward(loss)
+        out = nn.pair_head(inner, outer[lo:hi], layers, nn.HeadBuffers(),
+                           (halves[0], halves[1][lo:hi]))
+        assert np.array_equal(out, ref[lo * 30:hi * 30])
 
 
 # ---------------------------------------------------------------------------
-# the GRU as one tape node
+# the GRU as one op
 # ---------------------------------------------------------------------------
 
 def gru_inputs(rng, dtype, batch, steps, size):
@@ -615,33 +559,33 @@ GRU_SHAPES = [(1, 1, 1), (1, 5, 3), (7, 1, 4), (3, 4, 2), (13, 6, 9),
 def test_gru_equals_the_taped_oracle_to_the_bit(dtype, shape):
     rng = np.random.default_rng(zlib.crc32(str(shape).encode()))
     hist, params = gru_inputs(rng, dtype, *shape)
-    target = nn.constant(rng.normal(size=(shape[0], shape[2])).astype(dtype))
+    target = constant(rng.normal(size=(shape[0], shape[2])).astype(dtype))
     results = []
-    for op in (taped_gru, nn.gru):
-        nn.zero_grads(params)
+    for op in (taped_gru, tape.gru):
+        zero_grads(params)
         out = op(hist, *params)
-        backward(nn.mse_loss(out, target))
+        backward(tape.mse_loss(out, target))
         results.append([out.data] + [p.grad for p in params])
     for got, want in zip(*reversed(results)):
         assert got.dtype == want.dtype == dtype
         # the same bits, the signs of zeros included
         assert got.tobytes() == want.tobytes()
-    with nn.no_grad():
-        assert nn.gru(hist, *params).data.tobytes() == results[1][0].tobytes()
+    assert nn.gru(hist, *(p.data for p in params)).tobytes() \
+        == results[1][0].tobytes()
 
 
-def test_gru_keeps_no_step_arrays_off_the_tape():
-    """Off the tape only a step's arrays are alive at once; taped, every
-    step's six arrays are kept for the backward."""
+def test_gru_keeps_no_step_arrays_without_grad():
+    """Without ``grad`` only a step's arrays are alive at once; with it,
+    every step's six arrays are kept for the backward."""
     rng = np.random.default_rng(27)
     hist, params = gru_inputs(rng, np.float64, 2000, 20, 16)
+    params = [p.data for p in params]
     state_bytes = 2000 * 16 * 8
     peaks = []
-    for mode in (nn.no_grad, contextlib.nullcontext):
+    for grad in (False, True):
         tracemalloc.start()
         try:
-            with mode():
-                out = nn.gru(hist, *params)
+            out = nn.gru(hist, *params, grad=grad)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -652,9 +596,10 @@ def test_gru_keeps_no_step_arrays_off_the_tape():
 def test_gru_rejects_misaligned_shapes():
     rng = np.random.default_rng(28)
     hist, params = gru_inputs(rng, np.float64, 2, 3, 4)
+    params = [p.data for p in params]
     with pytest.raises(ValueError, match=r"\(2, 0\)"):
         nn.gru(hist[:, :0], *params)
-    params[4] = nn.constant(np.zeros((4, 4)))
+    params[4] = np.zeros((4, 4))
     with pytest.raises(ValueError, match=r"\(5, 4\), \(1, 4\), \(5, 4\), "
                                          r"\(1, 4\), \(4, 4\), \(1, 4\)"):
         nn.gru(hist, *params)
@@ -665,34 +610,29 @@ def test_gru_rejects_misaligned_shapes():
 # ---------------------------------------------------------------------------
 
 def test_adamw_first_step_closed_form():
-    p = Tensor(np.array([1.0]), requires_grad=True)
-    p.grad = np.array([0.5])
-    opt = AdamW([p], lr=0.002, weight_decay=0.01)
-    opt.step()
+    p = np.array([1.0])
+    opt = AdamW({"p": p}, lr=0.002, weight_decay=0.01)
+    opt.step({"p": np.array([0.5])})
     # decoupled decay then bias-corrected update: 1 - lr*wd - lr*(g/|g|)
     expected = 1.0 - 0.002 * 0.01 * 1.0 - 0.002 * (0.5 / (0.5 + 1e-8))
-    assert abs(p.data[0] - expected) < 1e-12
-    assert abs(p.data[0] - 0.99798) < 1e-5
+    assert abs(p[0] - expected) < 1e-12
+    assert abs(p[0] - 0.99798) < 1e-5
 
 
 def test_adamw_zero_grad_zero_decay_is_fixed_point():
-    p = Tensor(np.array([3.0]), requires_grad=True)
-    p.grad = np.array([0.0])
-    opt = AdamW([p], lr=0.002, weight_decay=0.0)
+    p = np.array([3.0])
+    opt = AdamW({"p": p}, lr=0.002, weight_decay=0.0)
     for _ in range(5):
-        opt.step()
-    assert p.data[0] == 3.0
+        opt.step({"p": np.array([0.0])})
+    assert p[0] == 3.0
 
 
 def test_adamw_identical_histories_update_identically():
-    p1 = Tensor(np.array([2.0]), requires_grad=True)
-    p2 = Tensor(np.array([2.0]), requires_grad=True)
-    opt = AdamW([p1, p2], lr=0.01)
+    p1, p2 = np.array([2.0]), np.array([2.0])
+    opt = AdamW({"p1": p1, "p2": p2}, lr=0.01)
     for g in (0.3, -0.2, 0.7):
-        p1.grad = np.array([g])
-        p2.grad = np.array([g])
-        opt.step()
-    assert p1.data[0] == p2.data[0]
+        opt.step({"p1": np.array([g]), "p2": np.array([g])})
+    assert p1[0] == p2[0]
 
 
 def test_steplr_schedule():
@@ -709,11 +649,11 @@ def test_grad_check_linear_layer():
     rng = np.random.default_rng(5)
     w = rand_param(rng, (4, 3))
     b = rand_param(rng, (1, 3))
-    x = nn.constant(rng.normal(size=(6, 4)))
-    y = nn.constant(rng.normal(size=(6, 3)))
+    x = constant(rng.normal(size=(6, 4)))
+    y = constant(rng.normal(size=(6, 3)))
 
     def closure():
-        return nn.mse_loss(add(nn.matmul(x, w), b), y)
+        return tape.mse_loss(add(tape.matmul(x, w), b), y)
 
     assert grad_check(closure, [w, b], eps=1e-6) < 1e-6
 
@@ -722,6 +662,6 @@ def test_grad_check_constant_closure():
     p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
 
     def closure():
-        return nn.mse_loss(nn.constant([0.0]), nn.constant([0.0]))
+        return tape.mse_loss(constant([0.0]), constant([0.0]))
 
     assert grad_check(closure, [p], eps=1e-6) == 0.0
