@@ -57,17 +57,21 @@ class LinearModel:
         return features @ self.weights + self.bias
 
 
-def fit_lr(features: np.ndarray, targets: np.ndarray) -> LinearModel:
+def fit_lr(design: np.ndarray, targets: np.ndarray) -> LinearModel:
     """Ordinary least squares via normal equations, with the ``LR_RIDGE``
-    term for conditioning. The bias column is appended internally."""
-    x = np.asarray(features, dtype=float)
+    term for conditioning. ``design`` holds one row per sample, its
+    features then a last column of ones, the bias's; a caller writes its
+    rows into it in place, so the fit holds one copy of them."""
+    x = np.asarray(design, dtype=float)
     y = np.asarray(targets, dtype=float)
-    if x.shape[0] < x.shape[1]:
+    if x.ndim != 2 or x.shape[1] < 2 or np.any(x[:, -1] != 1.0):
+        raise ValueError("the design matrix needs a feature column and a "
+                         "last column of ones")
+    if x.shape[0] < x.shape[1] - 1:
         raise ValueError("need at least as many samples as features")
-    xb = np.column_stack([x, np.ones(len(x))])
-    gram = xb.T @ xb + LR_RIDGE * np.eye(xb.shape[1])
+    gram = x.T @ x + LR_RIDGE * np.eye(x.shape[1])
     try:
-        coef = np.linalg.solve(gram, xb.T @ y)
+        coef = np.linalg.solve(gram, x.T @ y)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"normal equations are singular: {exc}") from exc
     if not np.all(np.isfinite(coef)):

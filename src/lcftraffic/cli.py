@@ -330,10 +330,11 @@ def _obtain_models(o, net, dataset, part, names) -> dict:
 
 def _write_history(history, path) -> None:
     with open(path, "w") as fh:
-        fh.write("epoch,lr,train_loss,val_loss\n")
+        fh.write("epoch,lr,train_loss,val_loss,grad_norm\n")
         for row in history:
             fh.write(f"{int(row['epoch'])},{row['lr']!r},"
-                     f"{row['train_loss']!r},{row['val_loss']!r}\n")
+                     f"{row['train_loss']!r},{row['val_loss']!r},"
+                     f"{row['grad_norm']!r}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .baselines import LinearModel, fit_lr, region_mean_speeds
 from .evaluate import (MetricReport, NoRoutableTrips, generate_trips, metrics,
                        travel_time_experiment)
 from .model import Normalization, fit_normalization, pad_history, split_features
-from .network import RoadNetwork, extract_features
+from .network import N_FEATURES, RoadNetwork, extract_features
 from .scenarios import Dataset
 
 log = logging.getLogger(__name__)
@@ -32,17 +32,18 @@ LR_HISTORY_LEN = 5
 TRIP_SPEED_FLOOR_KMH = 1.0
 
 
-def _lr_rows(norm: Normalization, feats: np.ndarray,
-             vmean_kmh: np.ndarray) -> np.ndarray:
-    """(windows, links, 10 + LR_HISTORY_LEN) inputs of the linear model:
-    each link's normalized attributes, then the window's padded normalized
-    mean-speed history."""
+def _lr_rows(norm: Normalization, feats: np.ndarray, vmean_kmh: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """(windows, links, N_FEATURES + LR_HISTORY_LEN) inputs of the linear
+    model: each link's normalized attributes, then the window's padded
+    normalized mean-speed history; written into ``out`` when given."""
     feats_norm = norm.feat.apply(feats)
     hist = pad_history(norm.norm_vmean(vmean_kmh), LR_HISTORY_LEN)
     shape = (len(hist), len(feats_norm))
     return np.concatenate([
         np.broadcast_to(feats_norm, shape + feats_norm.shape[1:]),
-        np.broadcast_to(hist[:, None, :], shape + hist.shape[1:])], axis=2)
+        np.broadcast_to(hist[:, None, :], shape + hist.shape[1:])], axis=2,
+        out=out)
 
 
 @dataclass
@@ -62,16 +63,25 @@ class LrSpeedEstimator:
 
 
 def fit_lr_estimator(net: RoadNetwork, dataset: Dataset) -> LrSpeedEstimator:
-    """Least squares over every (window, link) of the training split."""
+    """Least squares over every (window, link) of the training split. Every
+    row's inputs, and the ones column of the bias, are written in place into
+    one design matrix, which ``fit_lr`` solves on."""
     feats = split_features(net, dataset, "train")
     norm = fit_normalization(dataset, feats, "Speed")
-    xs, ys = [], []
-    for sc, sc_feats in zip(dataset.split_scenarios("train"), feats):
-        rec = dataset.records[sc.id]
-        rows = _lr_rows(norm, sc_feats, rec.mean_speed)
-        xs.append(rows.reshape(-1, rows.shape[2]))
-        ys.append(rec.speeds.ravel())
-    return LrSpeedEstimator(fit_lr(np.vstack(xs), np.concatenate(ys)), norm)
+    records = [dataset.records[sc.id]
+               for sc in dataset.split_scenarios("train")]
+    n_rows = sum(rec.speeds.size for rec in records)
+    design = np.empty((n_rows, N_FEATURES + LR_HISTORY_LEN + 1))
+    design[:, -1] = 1.0
+    targets = np.empty(n_rows)
+    start = 0
+    for rec, sc_feats in zip(records, feats):
+        stop = start + rec.speeds.size
+        rows = design[start:stop].reshape(*rec.speeds.shape, -1)
+        _lr_rows(norm, sc_feats, rec.mean_speed, out=rows[..., :-1])
+        targets[start:stop] = rec.speeds.ravel()
+        start = stop
+    return LrSpeedEstimator(fit_lr(design, targets), norm)
 
 
 # ---------------------------------------------------------------------------

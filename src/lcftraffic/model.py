@@ -18,11 +18,16 @@ heads and their mean, is one ``nn.gat``.
 
 Parameters are plain arrays keyed by name (``LcfModel.params``). A training
 step is one fixed chain of ``nn`` ops: the projections and the attention
-(or the dense layer), the GRU, the head and the loss. ``loss_and_grads``
-runs it forward, recording each op's backward (``nn.call``), then runs the
-backwards once in reverse (``nn.backward``), and returns each parameter's
-gradient by name. Validation and prediction run the same forwards with no
-chain, so they keep nothing for a backward.
+(or the dense layer), the GRU and the head's first-layer products
+(``nn.pair_halves``). ``loss_and_grads`` runs it forward, recording each
+op's backward (``nn.call``); runs the rest of the head and the loss over
+``window_blocks``, each block's backward before the next block's forward;
+then runs the chain's backwards once in reverse (``nn.backward``) from the
+halves' gradients summed over the blocks, and returns each parameter's
+gradient by name. ``window_blocks`` is the one block rule, at most
+``PREDICT_BLOCK_ROWS`` (window, link) rows a block, so a step holds one
+block's head activations. Validation and prediction run the same forwards
+over the same blocks with no chain, so they keep nothing for a backward.
 
 Precision: the model runs in ``ModelConfig.dtype``, float32 by default. The
 attention heads' parameters stay float64, so each projection and the
@@ -51,9 +56,9 @@ log = logging.getLogger(__name__)
 
 PAD_VALUE = -1.0
 LEAKY_SLOPE = 0.2    # negative slope of the attention scores' leaky ReLU
-# (window, link) rows the head takes per call in predict_windows, which
-# bound its peak memory; a block never splits a window, so it holds one
-# window when a window alone is larger
+# (window, link) rows the head takes per call in training, validation and
+# prediction (window_blocks), which bound its peak memory; a block never
+# splits a window, so it holds one window when a window alone is larger
 PREDICT_BLOCK_ROWS = 1024
 DTYPES = ("float32", "float64")
 OUTPUT_TYPES = ("Ratio", "Diff", "Speed")
@@ -270,15 +275,16 @@ class LcfModel:
 
     def fuse(self, spatial: np.ndarray, temporal: np.ndarray, batch: int,
              halves=None, chain: list | None = None) -> np.ndarray:
-        """Head over every (window, link) pair, window-major
-        (``nn.pair_head``): the first layer sees [spatial[link],
-        temporal[window]] without building it. Given a ``chain``, its
-        backward goes on it, and its hidden activations live in buffers the
-        model holds and reuses while the batch shape holds; with none it
-        claims no buffers, so prediction memory stays bounded by one block
-        (see ``predict_windows``). ``halves``, when given, are the first
-        layer's ``nn.pair_halves`` of ``spatial`` and ``temporal``, computed
-        by the caller."""
+        """Head over every (window, link) pair, window-major: its first
+        layer is ``nn.pair_halves`` of [spatial[link], temporal[window]],
+        which builds no pair, and ``nn.pair_head`` runs the rest. Training,
+        validation and prediction compute the halves once and pass, for
+        each block of ``window_blocks``, the slice of its ``batch``
+        windows as ``halves``; without them the head runs over all windows
+        in one call. Given a ``chain``, the head's backward goes on it,
+        taking its inputs' names "part_in" and "part_out", and its hidden
+        activations live in buffers the model holds for the largest block;
+        with none it claims no buffers."""
         cfg = self.config
         width = cfg.fc_input_dim - cfg.hidden_dim
         if spatial.ndim != 2 or spatial.shape[1] != cfg.hidden_dim \
@@ -287,14 +293,31 @@ class LcfModel:
                 f"fuse: spatial {spatial.shape} and temporal "
                 f"{temporal.shape} do not fit the head, which expects "
                 f"(n_links, {cfg.hidden_dim}) and ({batch}, {width})")
-        names = [f"fc.{i}.{name}" for i in range(len(cfg.fc_hidden) + 1)
+        if halves is None:
+            halves = self._halves(spatial, temporal)
+        k = self.params["fc.0.W"].shape[1]
+        if halves[0].shape != (len(spatial), k) \
+                or halves[1].shape != (batch, k):
+            raise ValueError(f"fuse: halves {halves[0].shape} and "
+                             f"{halves[1].shape} do not fit "
+                             f"({len(spatial)}, {k}) and ({batch}, {k})")
+        names = [f"fc.{i}.{name}" for i in range(1, len(cfg.fc_hidden) + 1)
                  for name in ("W", "b")]
         layers = [(self.params[w], self.params[b])
                   for w, b in zip(names[::2], names[1::2])]
+        return nn.call(chain, "pred", ["part_in", "part_out"] + names,
+                       nn.pair_head, *halves, layers, self._head)
+
+    def _halves(self, spatial: np.ndarray, temporal: np.ndarray,
+                chain: list | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The head's first-layer products (``nn.pair_halves``): spatial @
+        W_s + b per link and temporal @ W_t per window; given a ``chain``,
+        their backward goes on it as "halves"."""
         # without the GRU, temporal is data: no one reads its gradient
-        ins = ["spatial", "temporal" if cfg.use_gru else None] + names
-        return nn.call(chain, "pred", ins, nn.pair_head, spatial, temporal,
-                       layers, self._head, halves)
+        ins = ["spatial", "temporal" if self.config.use_gru else None,
+               "fc.0.W", "fc.0.b"]
+        return nn.call(chain, "halves", ins, nn.pair_halves, spatial, temporal,
+                       self.params["fc.0.W"], self.params["fc.0.b"])
 
     def _embed(self, feats_norm: np.ndarray, graph: LinkGraph,
                hist_norm: np.ndarray, chain: list | None = None,
@@ -312,24 +335,66 @@ class LcfModel:
         return spatial, temporal
 
     def forward(self, feats_norm: np.ndarray, graph: LinkGraph,
-                hist_norm: np.ndarray, chain: list | None = None) -> np.ndarray:
-        """Raw normalized outputs, shape (batch * n_links, 1), window-major;
-        ``hist_norm`` holds one ``pad_history`` row per window. Given a
-        ``chain``, each op's backward goes on it, in call order."""
-        spatial, temporal = self._embed(feats_norm, graph, hist_norm, chain)
-        return self.fuse(spatial, temporal, hist_norm.shape[0], chain=chain)
+                hist_norm: np.ndarray) -> np.ndarray:
+        """Raw normalized outputs, shape (batch * n_links, 1), window-major,
+        from one head call over all windows; ``hist_norm`` holds one
+        ``pad_history`` row per window. Records no backward."""
+        spatial, temporal = self._embed(feats_norm, graph, hist_norm)
+        return self.fuse(spatial, temporal, hist_norm.shape[0])
+
+    def batch_loss(self, batch: SampleBatch) -> np.ndarray:
+        """The MSE of ``batch``, summed over the head's ``window_blocks`` as
+        ``loss_and_grads`` sums it, with no chain: a validation loss."""
+        spatial, temporal = self._embed(batch.feats_norm, batch.adj, batch.hist)
+        part_in, part_out = self._halves(spatial, temporal)
+        n, loss = len(spatial), None
+        for w in window_blocks(len(temporal), n):
+            pred = self.fuse(spatial, temporal[w], w.stop - w.start,
+                             (part_in, part_out[w]))
+            share = nn.mse_loss(pred, batch.targets[w.start * n:w.stop * n],
+                                len(batch.targets))
+            loss = share if loss is None else loss + share
+        return loss
 
     def loss_and_grads(self, batch: SampleBatch,
                        ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """A training step on ``batch``: the MSE of the forward against the
-        targets, and the gradient of every parameter, by name. The forward
-        records each op's backward on a chain, and ``nn.backward`` runs them
-        once in reverse, from d(loss)/d(loss) = 1 in the model dtype."""
+        targets, and the gradient of every parameter, by name.
+
+        The attention, the GRU and ``nn.pair_halves`` run once, recording
+        their backwards on a chain. The head then runs over
+        ``window_blocks``, as prediction runs it, and each block runs its
+        forward (``fuse``), its share of the MSE and its backward before
+        the next block starts, so the step holds one block's head
+        activations. The head's gradients and part_in's are summed over
+        the blocks in block order; part_out's are written per block into
+        its windows' rows. One ``nn.backward`` then walks the chain from
+        the two halves' gradients. A batch of one block gives the bits of
+        one head call; with more, the sums equal it within rounding."""
         chain = []
-        pred = self.forward(batch.feats_norm, batch.adj, batch.hist, chain)
-        loss = nn.call(chain, "loss", ("pred", None), nn.mse_loss, pred,
-                       batch.targets)
-        return loss, nn.backward(chain, np.ones_like(loss))
+        spatial, temporal = self._embed(batch.feats_norm, batch.adj,
+                                        batch.hist, chain)
+        part_in, part_out = self._halves(spatial, temporal, chain)
+        n, one = len(spatial), np.ones((), self.dtype)
+        loss, grads, g_out = None, {}, np.empty_like(part_out)
+        for w in window_blocks(len(temporal), n):
+            head = []
+            pred = self.fuse(spatial, temporal[w], w.stop - w.start,
+                             (part_in, part_out[w]), head)
+            share, loss_back = nn.mse_loss(
+                pred, batch.targets[w.start * n:w.stop * n],
+                len(batch.targets), grad=True)
+            loss = share if loss is None else loss + share
+            [(head_back, _, names)] = head
+            for name, g in zip(names, head_back(loss_back(one)[0])):
+                if name == "part_out":
+                    g_out[w] = g
+                elif name in grads:
+                    grads[name] += g
+                else:
+                    grads[name] = g
+        grads.update(nn.backward(chain, (grads.pop("part_in"), g_out)))
+        return loss, grads
 
     # prediction -----------------------------------------------------------
 
@@ -338,22 +403,22 @@ class LcfModel:
         """Decoded per-link speeds (km/h), shape (len(windows), n_links), for
         the given windows of a mean-speed series (all of them by default).
 
-        Records no backward. The spatial embedding, the GRU
-        and the head's first-layer products (``nn.pair_halves``: spatial
-        @ W_s + b per link, temporal @ W_t per window) run once over all
-        windows; the head then runs over blocks of whole windows, each at
-        most ``PREDICT_BLOCK_ROWS`` (window, link) rows unless one window
-        alone has more links, and each block is decoded into the output
-        before the next one starts. The head is one op (``fuse``), which
-        with no chain claims no buffers and frees each layer's input once
-        its output is built, so peak memory is bounded by one block's head
+        Records no backward. The spatial embedding, the GRU and the head's
+        first-layer products (``nn.pair_halves``) run once over all
+        windows; the head then runs over ``window_blocks``, the one block
+        rule that training and validation also run: blocks of whole
+        windows, each at most ``PREDICT_BLOCK_ROWS`` (window, link) rows
+        unless one window alone has more links. Each block is decoded into
+        the output before the next one starts. The head (``fuse``), with no
+        chain, claims no buffers and frees each layer's input once its
+        output is built, so peak memory is bounded by one block's head
         activations, a layer's input and output at once (1,024 x (384 +
         256) x 4 B in float32, about 2.6 MB, at the default widths), not by
         windows x links; the attention's is bounded by the link graph's
-        edges. Every block size, one window a block included, gives the
-        same bits as one head call over all windows, since each block only
-        slices the per-window products. The head's output is decoded in
-        float64.
+        edges. On OpenBLAS's AVX-512 (SkylakeX) sgemm kernel every block
+        size, one window a block included, gives the same bits as one head
+        call over all windows, since each block only slices the per-window
+        products. The head's output is decoded in float64.
         """
         if self.norm is None:
             raise ValueError("model has no normalization statistics; train first")
@@ -369,20 +434,26 @@ class LcfModel:
         vff = net.index.vff_kmh
         v_now = vmean_kmh[windows, None]
         n_links = net.n_links
-        per_block = max(1, PREDICT_BLOCK_ROWS // n_links)
         out = np.empty((len(windows), n_links))
         spatial, temporal = self._embed(feats_norm, graph, hist)
-        part_in, part_out = nn.pair_halves(spatial, temporal,
-                                           self.params["fc.0.W"],
-                                           self.params["fc.0.b"])
-        for start in range(0, len(windows), per_block):
-            b = slice(start, start + per_block)
+        part_in, part_out = self._halves(spatial, temporal)
+        for b in window_blocks(len(windows), n_links):
             block = temporal[b]
             raw = self.fuse(spatial, block, len(block), (part_in, part_out[b]))
             raw = raw.reshape(len(block), n_links).astype(np.float64)
             out[b] = decode_output(self.norm.denorm_target(raw), v_now[b],
                                    cfg.output_type, vff)
         return out
+
+
+def window_blocks(n_windows: int, n_links: int) -> list[slice]:
+    """The head's one block rule, for training, validation and prediction:
+    consecutive slices of the windows, each ``PREDICT_BLOCK_ROWS //
+    n_links`` windows (at least one) but the last, which holds the rest.
+    A block never splits a window."""
+    per_block = max(1, PREDICT_BLOCK_ROWS // n_links)
+    return [slice(start, min(start + per_block, n_windows))
+            for start in range(0, n_windows, per_block)]
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +533,9 @@ def train(net: RoadNetwork, dataset, partition, model_cfg: ModelConfig,
           train_cfg: TrainConfig | None = None,
           ) -> tuple[LcfModel, list[dict[str, float]]]:
     """Minimize MSE on normalized targets with AdamW + staircase LR decay;
-    returns the best-validation checkpoint and the loss history.
+    returns the best-validation checkpoint and the history, one row per
+    epoch: its learning rate, mean training loss, validation loss and the
+    mean over its steps of the gradients' global L2 norm.
     ``model_cfg.seed`` seeds both the initialization and the batch order."""
     tc = train_cfg or TrainConfig()
     part = partition if model_cfg.use_partition else None
@@ -486,7 +559,7 @@ def train(net: RoadNetwork, dataset, partition, model_cfg: ModelConfig,
     for epoch in range(tc.epochs):
         opt.lr = nn.steplr(tc.lr, tc.lr_step, tc.lr_gamma, epoch)
         order = rng.permutation(len(train_batches))
-        epoch_loss = 0.0
+        epoch_loss = epoch_norm = 0.0
         for bi in order:
             loss, grads = model.loss_and_grads(train_batches[bi])
             if not np.isfinite(loss):
@@ -494,13 +567,17 @@ def train(net: RoadNetwork, dataset, partition, model_cfg: ModelConfig,
                     f"training diverged at epoch {epoch} (loss={loss})")
             opt.step(grads)
             epoch_loss += float(loss)
+            # the global L2 norm, summed in float64 in parameter order
+            epoch_norm += float(np.sqrt(sum(
+                np.sum(np.square(grads[name], dtype=np.float64))
+                for name in model.params)))
             del grads    # before the next step's backward fills new ones
-        val_loss = float(np.mean([
-            float(nn.mse_loss(model.forward(b.feats_norm, b.adj, b.hist),
-                              b.targets)) for b in val_batches]))
+        val_loss = float(np.mean([float(model.batch_loss(b))
+                                  for b in val_batches]))
         history.append({"epoch": epoch, "lr": opt.lr,
                         "train_loss": epoch_loss / len(order),
-                        "val_loss": val_loss})
+                        "val_loss": val_loss,
+                        "grad_norm": epoch_norm / len(order)})
         if val_loss < best_val:
             best_val = val_loss
             best_state = {n: p.copy() for n, p in model.params.items()}

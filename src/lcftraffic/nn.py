@@ -6,10 +6,11 @@ loss, the fused dense layer ``dense`` (x @ W + b, optional relu), the graph
 attention ``gat`` (every head's edge scores, softmax, weighted sum and
 relu, and the mean over the heads; its coefficient rule is
 ``attention_coefficients``), the recurrent encoder ``gru`` (a whole GRU
-recurrence) and the estimator head ``pair_head`` (a dense chain over every
-(row of a, row of b) concatenation, without building it, on reused
-buffers: ``HeadBuffers``; its first layer's products are ``pair_halves``).
-``scatter_sum`` is the package's one scatter-add.
+recurrence), and the estimator head in two ops: ``pair_halves``, the pair
+layer's products of each (row of a, row of b) concatenation without
+building it, and ``pair_head``, the dense chain over every pair of those
+halves, on reused buffers (``HeadBuffers``). ``scatter_sum`` is the
+package's one scatter-add.
 
 Each op is a forward on plain arrays. Called with ``grad=True`` it returns
 ``(out, back)``: ``back`` maps the gradient of ``out`` to a tuple of
@@ -22,8 +23,13 @@ reverse. A backward never writes a gradient it is given in place; only
 ``pair_head`` writes in place, and only into its own ``HeadBuffers``: its
 backward writes each layer's input gradient over that layer's input
 activation, which nothing else reads, so it runs once, before the next
-call on the same buffers. Everything is deliberately single-threaded and
-deterministic.
+call on the same buffers.
+
+One block rule bounds the head's memory: a caller runs the head over
+blocks of at most ``model.PREDICT_BLOCK_ROWS`` rows (``model.window_blocks``)
+by slicing the halves, and in training runs each block's backward before
+the next block's forward, so ``HeadBuffers`` hold one block. Everything is
+deliberately single-threaded and deterministic.
 
 Precision: ``backward``, ``AdamW`` and every op but ``gat`` keep their
 inputs' dtype, so one code path runs in float32 or in float64. ``gat``
@@ -267,10 +273,13 @@ def gru(hist: np.ndarray, wz: np.ndarray, bz: np.ndarray, wr: np.ndarray,
 
 class HeadBuffers:
     """What ``pair_head`` keeps between calls: the hidden layers'
-    activations, one array per layer, and one relu mask, built for one call
-    shape (rows, hidden widths, dtype) and reused while it holds. A backward
-    writes the gradients between the layers over these activations, so one
-    training step holds the head's activations and nothing beside them."""
+    activations, one array per layer, and one relu mask, built for the
+    largest block of rows a training step runs (``model.window_blocks``
+    cuts a batch into blocks of whole windows, all as large as the first
+    but the last) and reused while its widths and dtype hold. A call of
+    fewer rows runs on views of their first rows. A backward writes the
+    gradients between the layers over these activations, so one training
+    step holds one block's head activations and nothing beside them."""
 
     def __init__(self):
         self.shape = None
@@ -278,87 +287,96 @@ class HeadBuffers:
 
     def activations(self, rows: int, widths: list[int], dtype,
                     claim: bool) -> list[np.ndarray] | None:
-        """The activation buffers of this call shape. When they are not
-        built yet, ``claim`` builds them with the mask buffer; otherwise
-        None (the call allocates as it goes)."""
-        shape = (rows, tuple(widths), np.dtype(dtype))
-        if shape != self.shape:
+        """Views of the first ``rows`` rows of the activation buffers of
+        these widths and dtype. When none are built for at least ``rows``
+        rows, ``claim`` builds them, with the mask buffer, for ``rows`` rows;
+        otherwise None (the call allocates as it goes)."""
+        kind = (tuple(widths), np.dtype(dtype))
+        if self.shape is None or self.shape[1:] != kind \
+                or self.shape[0] < rows:
             if not claim:
                 return None
-            self.shape = shape
+            self.shape = (rows, *kind)
             self.acts = [np.empty((rows, k), dtype) for k in widths]
             self.mask = np.empty(rows * max(widths), dtype=bool)
-        return self.acts
+        return [a[:rows] for a in self.acts]
 
 
 def pair_halves(inner: np.ndarray, outer: np.ndarray, w: np.ndarray,
-                b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                b: np.ndarray, grad: bool = False):
     """The pair layer's two products, part_in = inner @ w[:h] + b and
     part_out = outer @ w[h:], h being inner's width: row o * n_inner + i
-    of the layer, before its relu, is part_in[i] + part_out[o]. A row of a
-    product depends on its own input row only, so the halves of many outer
-    rows can be computed once and sliced."""
-    h = inner.shape[1]
+    of the layer, before its relu, is [inner[i], outer[o]] @ w + b =
+    part_in[i] + part_out[o]. A row of a product depends on its own input
+    row only, so the halves of many outer rows can be computed once and
+    sliced. The backward takes the gradients of both halves as one pair."""
+    h = inner.shape[-1]
+    if inner.ndim != 2 or outer.ndim != 2 or w.ndim != 2 \
+            or w.shape[0] != h + outer.shape[-1] or b.shape != (1, w.shape[1]):
+        raise ValueError(f"pair_halves: shapes {inner.shape}, {outer.shape}, "
+                         f"{w.shape} and {b.shape} do not align")
     part_in = inner @ w[:h]
     part_in += b
-    return part_in, outer @ w[h:]
+    part_out = outer @ w[h:]
+    if not grad:
+        return part_in, part_out
+
+    def vjp(g):
+        g_in, g_out = g
+        return (g_in @ w[:h].T, g_out @ w[h:].T,
+                np.vstack([inner.T @ g_in, outer.T @ g_out]),
+                g_in.sum(axis=0, keepdims=True))
+
+    return (part_in, part_out), vjp
 
 
-def pair_head(inner: np.ndarray, outer: np.ndarray, layers,
-              buffers: HeadBuffers, halves=None, grad: bool = False):
-    """A dense chain over every concatenated pair of rows, outer-major.
-    ``layers`` holds (w, b) pairs; the first is the pair layer, row
-    o * n_inner + i of which is [inner[i], outer[o]] @ w + b, and each later
-    one is x @ w + b; every layer but the last is followed by a relu.
+def pair_head(part_in: np.ndarray, part_out: np.ndarray, layers,
+              buffers: HeadBuffers, grad: bool = False):
+    """The estimator head on the pair layer's ``pair_halves``, outer-major:
+    row o * n + i of the pair layer is part_in[i] + part_out[o], n being
+    ``len(part_in)``, and each (w, b) of ``layers`` then gives x @ w + b;
+    every layer but the last is followed by a relu. The pairs are never
+    built: the halves are broadcast-added, and the backward sums the pair
+    layer's gradient over each side, giving the gradients of part_in and
+    part_out, then those of ``layers``' parameters.
 
-    The pairs are never built: the layer's ``pair_halves`` are computed once
-    per row and broadcast-added, and the backward sums the gradient over
-    each side before its matmul. A caller that holds the halves already,
-    e.g. one that computed them once for more outer rows and passes the
-    slice of this call's rows, gives them as ``halves``; they must be the
-    halves of ``inner`` and ``outer``. With ``grad``, the hidden layers'
-    activations live in ``buffers``, which the next call of the same shape
-    overwrites; the output itself is a new array. The backward runs from
-    the last layer down: from each layer's input activation x it takes the
-    weight gradient x.T @ g and the relu mask, then writes the input
-    gradient g @ w.T over x and masks it there, so it runs once, before the
-    next call on ``buffers``. Without ``grad`` the op claims no buffers: it
-    reuses activation buffers already built for its shape, and otherwise
-    allocates each layer's output as it goes, so only a layer's input and
-    output are alive at once.
+    A caller runs a batch through the head in blocks of outer rows by
+    slicing ``part_out`` (``model.window_blocks``); a row's output depends
+    on its own two halves only. With ``grad``, the hidden layers'
+    activations live in ``buffers``, which the next call overwrites; the
+    output itself is a new array. The backward runs from the last layer
+    down: from each layer's input activation x it takes the weight
+    gradient x.T @ g and the relu mask, then writes the input gradient
+    g @ w.T over x and masks it there, so it runs once, before the next
+    call on ``buffers``. Without ``grad`` the op claims no buffers: it
+    reuses activation buffers already built for at least its rows, and
+    otherwise allocates each layer's output as it goes, so only a layer's
+    input and output are alive at once.
     """
     layers = list(layers)
     shapes = [t.shape for pair in layers for t in pair]
-    fan_in = [inner.shape[-1] + outer.shape[-1]] \
-        + [w.shape[-1] for w, _ in layers[:-1]]
-    if inner.ndim != 2 or outer.ndim != 2 or not layers \
-            or any(len(w) != 2 or w[0] != k or b != (1, w[1])
-                   for k, w, b in zip(fan_in, shapes[::2], shapes[1::2])):
-        raise ValueError(f"pair_head: shapes {inner.shape}, {outer.shape} and "
-                         f"{', '.join(map(str, shapes))} do not align")
-    n, h = inner.shape
-    m = outer.shape[0]
-    rows, last = m * n, len(layers) - 1
-    widths = [w.shape[1] for w, _ in layers]
-    if halves is None:
-        halves = pair_halves(inner, outer, *layers[0])
-    part_in, part_out = halves
-    if part_in.shape != (n, widths[0]) or part_out.shape != (m, widths[0]):
-        raise ValueError(f"pair_head: halves {part_in.shape} and "
-                         f"{part_out.shape} do not fit ({n}, {widths[0]}) and "
-                         f"({m}, {widths[0]})")
-    acts = buffers.activations(rows, widths[:-1], inner.dtype,
+    k = part_in.shape[-1]
+    fan_in = [k] + [w.shape[-1] for w, _ in layers[:-1]]
+    if part_in.ndim != 2 or part_out.ndim != 2 or part_out.shape[1] != k \
+            or any(len(w) != 2 or w[0] != f or b != (1, w[1])
+                   for f, w, b in zip(fan_in, shapes[::2], shapes[1::2])):
+        raise ValueError(f"pair_head: shapes {part_in.shape}, {part_out.shape}"
+                         f" and {', '.join(map(str, shapes))} do not align")
+    n, m = len(part_in), len(part_out)
+    rows, last = m * n, len(layers)
+    widths = [k] + [w.shape[1] for w, _ in layers]
+    acts = buffers.activations(rows, widths[:-1], part_in.dtype,
                                claim=grad) if last else None
 
-    out = None if acts is None else acts[0].reshape(m, n, widths[0])
+    out = None if acts is None else acts[0].reshape(m, n, k)
     x = np.add(part_out[:, None, :], part_in[None, :, :], out=out)
-    x = x.reshape(rows, widths[0])
-    del halves, part_in, part_out
-    for i, (w, b) in enumerate(layers):
-        if i:
-            x = np.matmul(x, w, out=None if acts is None or i == last
-                          else acts[i])
-            x += b
+    x = x.reshape(rows, k)
+    if last:
+        np.maximum(x, 0.0, out=x)
+    for i, (w, b) in enumerate(layers, 1):
+        x = np.matmul(x, w, out=None if acts is None or i == last
+                      else acts[i])
+        x += b
         if i < last:
             np.maximum(x, 0.0, out=x)
     if not grad:
@@ -367,30 +385,29 @@ def pair_head(inner: np.ndarray, outer: np.ndarray, layers,
     def vjp(g):
         param_grads = []
         for i in range(last, 0, -1):
-            w, x = layers[i][0], acts[i - 1]
+            w, x = layers[i - 1][0], acts[i - 1]
             param_grads[:0] = [x.T @ g, g.sum(axis=0, keepdims=True)]
             mask = buffers.mask[:x.size].reshape(x.shape)
             np.greater(x, 0.0, out=mask)
             g = np.matmul(g, w.T, out=x)
             np.multiply(g, mask, out=g)
-        w = layers[0][0]
-        g = g.reshape(m, n, widths[0])
-        g_in, g_out = g.sum(axis=0), g.sum(axis=1)
-        return (g_in @ w[:h].T, g_out @ w[h:].T,
-                np.vstack([inner.T @ g_in, outer.T @ g_out]),
-                g_in.sum(axis=0, keepdims=True), *param_grads)
+        g = g.reshape(m, n, k)
+        return (g.sum(axis=0), g.sum(axis=1), *param_grads)
 
     return x, vjp
 
 
-def mse_loss(pred: np.ndarray, target: np.ndarray, grad: bool = False):
-    """The mean of (pred - target)^2, a numpy scalar in the inputs' dtype."""
+def mse_loss(pred: np.ndarray, target: np.ndarray, total: int | None = None,
+             grad: bool = False):
+    """The sum of (pred - target)^2 over ``total``, a numpy scalar in the
+    inputs' dtype: their mean when ``total`` is ``pred.size``, the default,
+    and a block's share of a batch's mean when it is the batch's size."""
     if pred.shape != target.shape:
         raise ValueError(f"mse_loss: shapes {pred.shape} and {target.shape} "
                          "differ")
     diff = pred - target
-    n = pred.size
-    loss = np.mean(diff * diff)
+    n = pred.size if total is None else total
+    loss = np.sum(diff * diff) / n
     if not grad:
         return loss
     return loss, lambda g: (g * 2.0 * diff / n, g * -2.0 * diff / n)

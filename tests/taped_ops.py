@@ -100,9 +100,26 @@ def taped(op):
     return run
 
 
-matmul, dense, gat, gru, pair_head, mse_loss = (
-    taped(op) for op in (nn.matmul, nn.dense, nn.gat, nn.gru, nn.pair_head,
-                         nn.mse_loss))
+matmul, dense, gat, gru, mse_loss = (
+    taped(op) for op in (nn.matmul, nn.dense, nn.gat, nn.gru, nn.mse_loss))
+
+
+def pair_head(inner: Tensor, outer: Tensor, layers, buffers) -> Tensor:
+    """The estimator head on Tensors, ``nn.pair_halves`` of the first layer
+    then ``nn.pair_head`` over the rest, as one node: its parents are inner,
+    outer and every layer's w and b, and its closure runs the head's
+    backward, then the halves' backward on the two halves' gradients."""
+    parents: list[Tensor] = []
+    inner, outer, (first, *rest) = _unwrap((inner, outer, list(layers)),
+                                           parents)
+    halves, halves_back = nn.pair_halves(inner, outer, *first, grad=True)
+    out, head_back = nn.pair_head(*halves, rest, buffers, grad=True)
+
+    def vjp(g):
+        g_in, g_out, *rest_grads = head_back(g)
+        return (*halves_back((g_in, g_out)), *rest_grads)
+
+    return Tensor(out, parents=tuple(parents), vjp=vjp)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

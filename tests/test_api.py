@@ -171,9 +171,11 @@ def test_every_public_nn_name_has_a_caller_in_the_package():
 def test_training_crosses_the_benchmark_boundaries(monkeypatch):
     """A 1-epoch ``train`` on a small toy set-up, traced as perfbench traces
     toy-train, crosses ``model.train`` and ``model.build_batches``, runs
-    ``nn.backward`` and ``nn.AdamW.step`` once per training step, and runs
-    ``nn.matmul`` once per attention head and each model piece once per
-    forward (every training step and every validation batch)."""
+    ``nn.backward`` and ``nn.AdamW.step`` once per training step, runs
+    ``nn.matmul`` once per attention head and the embeddings once per
+    forward (every training step and every validation batch), and runs the
+    head (``fuse``) once per block: here 3 blocks of 4, 4 and 2 of a
+    batch's 10 windows of 24 links."""
     from lcftraffic import model
     from lcftraffic.network import generate_grid_network
     from lcftraffic.partition import PartitionParams, partition_network
@@ -188,6 +190,7 @@ def test_training_crosses_the_benchmark_boundaries(monkeypatch):
                                      peak_s=240.0, total_s=600.0))
     part = partition_network(net, ds.records[ds.splits["train"][0]],
                              PartitionParams(k=3, t_max=5, t_window=2))
+    monkeypatch.setattr(model, "PREDICT_BLOCK_ROWS", 4 * net.n_links)
     spans = tracer.Tracer()
     with tracer.traced(spans):    # model.train is bound inside the block
         model.train(net, ds, part, model.ModelConfig(heads=2, hidden_dim=8,
@@ -200,5 +203,6 @@ def test_training_crosses_the_benchmark_boundaries(monkeypatch):
     assert calls["model.train"] == 1 and calls["model.build_batches"] == 2
     assert calls["nn.backward"] == calls["nn.AdamW.step"] == steps
     assert calls["nn.matmul"] == 2 * forwards
-    for piece in ("spatial_embed", "temporal_embed", "fuse"):
+    for piece in ("spatial_embed", "temporal_embed"):
         assert calls[f"model.LcfModel.{piece}"] == forwards, piece
+    assert calls["model.LcfModel.fuse"] == 3 * forwards

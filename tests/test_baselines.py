@@ -138,10 +138,15 @@ def test_region_arithmetic_means_never_worse_than_global_mean():
         assert sse_regional <= sse_global * (1 + 1e-12) + 1e-12
 
 
+def with_ones(x):
+    """``x`` with the ones column of the bias appended: fit_lr's design."""
+    return np.column_stack([x, np.ones(len(x))])
+
+
 def test_fit_lr_exact_line():
     x = np.array([[1.0], [2.0]])
     y = np.array([2.0, 4.0])
-    model = fit_lr(x, y)
+    model = fit_lr(with_ones(x), y)
     assert model.weights[0] == pytest.approx(2.0, abs=1e-6)
     assert model.bias == pytest.approx(0.0, abs=1e-6)
 
@@ -151,7 +156,7 @@ def test_fit_lr_zero_residual_on_linear_target():
     x = rng.normal(size=(50, 4))
     w = np.array([1.5, -2.0, 0.3, 4.0])
     y = x @ w + 7.0
-    model = fit_lr(x, y)
+    model = fit_lr(with_ones(x), y)
     assert np.max(np.abs(model.predict(x) - y)) < 1e-6
 
 
@@ -161,11 +166,18 @@ def test_fit_lr_matches_hand_solved_system():
     y = np.array([1.0, 2.0, 2.5])
     xb = np.column_stack([x, np.ones(3)])
     hand = np.linalg.solve(xb.T @ xb + 1e-8 * np.eye(3), xb.T @ y)
-    model = fit_lr(x, y)
+    model = fit_lr(xb, y)
     assert np.allclose(model.weights, hand[:2], atol=1e-12)
     assert model.bias == pytest.approx(hand[2], abs=1e-12)
 
 
 def test_fit_lr_needs_enough_samples():
-    with pytest.raises(ValueError):
-        fit_lr(np.zeros((2, 5)), np.zeros(2))
+    with pytest.raises(ValueError, match="as many samples as features"):
+        fit_lr(with_ones(np.zeros((2, 5))), np.zeros(2))
+
+
+def test_fit_lr_needs_the_ones_column_last():
+    x = np.random.default_rng(2).normal(size=(6, 2))
+    for design in (x, np.column_stack([np.ones(6), x]), np.ones(6)):
+        with pytest.raises(ValueError, match="last column of ones"):
+            fit_lr(design, np.zeros(6))

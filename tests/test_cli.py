@@ -72,7 +72,11 @@ def test_pipeline_determinism(tmp_path):
                    + TRAIN_SMALL) == 0
         assert run(["evaluate", "--out", out, "--models", "MFD,MFD-P,DNN",
                     "--seed", "9"] + TRAIN_SMALL) == 0
+    history = (tmp_path / "a/models/dnn_history.csv").read_text().splitlines()
+    assert history[0] == "epoch,lr,train_loss,val_loss,grad_norm"
+    assert all(float(row.split(",")[4]) > 0 for row in history[1:])
     for rel in ("dataset/manifest.json", "partition.json", "models/dnn.ckpt",
+                "models/dnn_history.csv",
                 "reports/speed/report_table.csv", "reports/speed/hist_MFD.csv"):
         a = (tmp_path / "a" / rel).read_bytes()
         b = (tmp_path / "b" / rel).read_bytes()

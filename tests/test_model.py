@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -301,6 +302,11 @@ def test_fuse_rejects_width_mismatch():
         model.fuse(np.zeros((2, 5)), np.zeros((1, 2)), 1)
     with pytest.raises(ValueError, match=r"\(2, 2\).*\(1, 3\)"):
         model.fuse(np.zeros((2, 2)), np.zeros((1, 3)), 1)
+    # halves of other windows than the call's
+    spatial, temporal = np.zeros((2, 2)), np.zeros((2, 2))
+    part_in, part_out = model._halves(spatial, temporal)
+    with pytest.raises(ValueError, match=r"halves \(2, 4\) and \(2, 4\)"):
+        model.fuse(spatial, temporal[:1], 1, (part_in, part_out))
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +474,29 @@ def test_batches_and_normalization_equal_a_per_window_loop(output_type):
         assert batch.targets.ravel().tobytes() == targets.tobytes()
 
 
+def test_history_holds_the_mean_gradient_norm_of_each_epoch(monkeypatch):
+    """Each history row's ``grad_norm`` is the mean over the epoch's steps of
+    the global L2 norm of the step's gradients."""
+    net, ds, part = toy_training_setup(seed=31)
+    norms = []
+    step = LcfModel.loss_and_grads
+
+    def loss_and_grads(model, batch):
+        loss, grads = step(model, batch)
+        norms.append(math.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2))
+                                   for g in grads.values())))
+        return loss, grads
+
+    monkeypatch.setattr(LcfModel, "loss_and_grads", loss_and_grads)
+    _, history = train(net, ds, part, tiny_config(), TrainConfig(epochs=2))
+    steps = len(ds.splits["train"])
+    assert len(norms) == 2 * steps
+    for epoch, row in enumerate(history):
+        want = np.mean(norms[epoch * steps:(epoch + 1) * steps])
+        assert row["grad_norm"] == pytest.approx(want, rel=1e-12)
+    assert history[0]["grad_norm"] > 0
+
+
 def test_training_reduces_loss_and_is_deterministic(tmp_path):
     net, ds, part = toy_training_setup()
     mc = ModelConfig(hidden_dim=8, fc_hidden=(16, 8), heads=2,
@@ -489,18 +518,25 @@ def test_training_reduces_loss_and_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# (window, link) rows of a block in the training-memory tests: 4 of the toy
+# set-up's 10 windows of 24 links, so each batch runs as blocks of 4, 4 and
+# 2 windows
+TOY_BLOCK_ROWS = 96
+
+
 def test_a_training_step_leaves_only_the_head_buffers(monkeypatch):
     """What a training step leaves for the next one is the head's buffers,
-    rows x 864 x 4 B of activations and rows x 384 B of mask at the default
-    widths in float32: its chain of backwards and its gradients are freed
-    before the next step starts."""
+    block rows x 864 x 4 B of activations and block rows x 384 B of mask at
+    the default widths in float32: its chain of backwards and its gradients
+    are freed before the next step starts."""
     net, ds, part = toy_training_setup(seed=31)
-    held, chains, rows = [], [], set()
+    monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS", TOY_BLOCK_ROWS)
+    held, chains = [], []
     step, walk = LcfModel.loss_and_grads, nn.backward
 
     def loss_and_grads(model, batch):
+        gc.collect()    # no garbage of the set-up's lazy imports
         held.append(tracemalloc.get_traced_memory()[0])
-        rows.add(len(batch.targets))
         return step(model, batch)
 
     def backward(chain, seed):
@@ -515,47 +551,50 @@ def test_a_training_step_leaves_only_the_head_buffers(monkeypatch):
         train(net, ds, part, ModelConfig(), TrainConfig(epochs=2))
     finally:
         tracemalloc.stop()
-    (n,) = rows
-    # a later step's chain read 0.24 MB; each step began with 8-20 KB held
-    # beyond the buffers, and with 0.25 MB or about 1 MB when the step
-    # before's chain or gradients were kept alive
+    n = TOY_BLOCK_ROWS
+    # a later step's chain and head gradients read 0.92 MB; each step began
+    # with 5-7 KB held beyond the buffers
     assert chains[1] > 1e5
-    assert max(held[1:]) - held[0] - (n * 864 * 4 + n * 384) < chains[1] / 2
+    assert max(held[1:]) - held[0] - (n * 864 * 4 + n * 384) < 50e3
 
 
 def test_steps_after_the_first_reuse_the_head_buffers(monkeypatch):
     """The head's hidden activations and relu mask live in buffers the model
-    builds at the first training step and keeps while the batch shape
-    holds: every later forward, training step or validation, runs on the
-    same arrays."""
+    builds for the first block of the first training step and keeps while
+    they fit: every later block, the shorter last block of a batch, every
+    training step and validation included, runs on the same arrays."""
     net, ds, part = toy_training_setup(seed=31)
+    monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS", TOY_BLOCK_ROWS)
     seen = []
-    forward = LcfModel.forward
+    fuse = LcfModel.fuse
 
     def watched(model, *args, **kwargs):
-        out = forward(model, *args, **kwargs)
+        out = fuse(model, *args, **kwargs)
         head = model._head
-        seen.append((head, list(head.acts), head.mask))
+        seen.append((args[2], head, list(head.acts), head.mask))
         return out
 
-    monkeypatch.setattr(LcfModel, "forward", watched)
+    monkeypatch.setattr(LcfModel, "fuse", watched)
     config = ModelConfig()
     train(net, ds, part, config, TrainConfig(epochs=1))
-    assert len(seen) > 3
-    head, acts, mask = seen[0]
-    assert [a.shape[1] for a in acts] == list(config.fc_hidden)
-    for later_head, later_acts, later_mask in seen[1:]:
+    assert {windows for windows, *_ in seen} == {4, 2}
+    _, head, acts, mask = seen[0]
+    assert [a.shape for a in acts] == [(TOY_BLOCK_ROWS, k)
+                                       for k in config.fc_hidden]
+    for _, later_head, later_acts, later_mask in seen[1:]:
         assert later_head is head and later_mask is mask
         assert all(a is b for a, b in zip(later_acts, acts, strict=True))
 
 
-def test_a_training_step_holds_only_the_head_activations():
+def test_a_training_step_holds_only_the_head_activations(monkeypatch):
     """After a training step's backward the model's head buffers hold the
-    hidden activations, which the backward overwrote with the gradients
-    between the layers, and the relu mask: rows x 864 hidden units x 4 B
-    plus rows x 384 B at the default widths in float32, and no other array
-    (a second array per layer held those gradients before)."""
+    hidden activations of one block, which the backward overwrote with the
+    gradients between the layers, and the relu mask: block rows x 864
+    hidden units x 4 B plus block rows x 384 B at the default widths in
+    float32, and no other array (a second array per layer held those
+    gradients before, and one block held every row of the batch)."""
     net, ds, part = toy_training_setup(seed=31)
+    monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS", TOY_BLOCK_ROWS)
     config = ModelConfig()
     feats = model_module.split_features(net, ds, "train", part)
     norm = model_module.fit_normalization(ds, feats, config.output_type)
@@ -563,7 +602,7 @@ def test_a_training_step_holds_only_the_head_activations():
     model = LcfModel(config, norm)
     _, grads = model.loss_and_grads(batch)
     nn.AdamW(model.params).step(grads)
-    rows = len(batch.targets)
+    rows = TOY_BLOCK_ROWS
     held = [a for value in vars(model._head).values()
             for a in (value if isinstance(value, list) else [value])
             if isinstance(a, np.ndarray)]
@@ -608,6 +647,16 @@ def taped_step(model, batch):
     return loss.data, {name: t.grad for name, t in p.items()}
 
 
+def random_batch(net, windows, dtype, seed):
+    """A ``SampleBatch`` of random normalized inputs and targets on ``net``."""
+    rng = np.random.default_rng(seed)
+    return model_module.SampleBatch(
+        rng.uniform(0, 1, size=(net.n_links, 10)).astype(dtype),
+        build_link_graph(net),
+        rng.uniform(0, 1, size=(windows, 5)).astype(dtype),
+        rng.uniform(0, 1, size=(windows * net.n_links, 1)).astype(dtype))
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("use_gru", [True, False])
 @pytest.mark.parametrize("use_gat", [True, False])
@@ -617,14 +666,10 @@ def test_loss_and_grads_equal_the_taped_step_to_the_bit(use_gat, use_gru,
     parameter's gradient of the tape's sorted walk, bit for bit."""
     net = generate_grid_network(4, 4, 100.0, 2, length_jitter=0.3,
                                 jitter_seed=5)
-    rng = np.random.default_rng(12)
     model = LcfModel(ModelConfig(use_gat=use_gat, use_gru=use_gru, heads=2,
                                  hidden_dim=8, fc_hidden=(16, 8), seed=9,
                                  dtype=dtype))
-    batch = model_module.SampleBatch(
-        rng.uniform(0, 1, size=(net.n_links, 10)).astype(dtype),
-        build_link_graph(net), rng.uniform(0, 1, size=(6, 5)).astype(dtype),
-        rng.uniform(0, 1, size=(6 * net.n_links, 1)).astype(dtype))
+    batch = random_batch(net, 6, dtype, seed=12)
     want_loss, want = taped_step(model, batch)
     loss, grads = model.loss_and_grads(batch)
     assert np.asarray(loss).tobytes() == want_loss.tobytes()
@@ -632,6 +677,73 @@ def test_loss_and_grads_equal_the_taped_step_to_the_bit(use_gat, use_gru,
     for name, g in want.items():
         assert grads[name].dtype == g.dtype, name
         assert grads[name].tobytes() == g.tobytes(), name
+
+
+@pytest.mark.parametrize("use_gru", [True, False])
+def test_a_step_over_blocks_equals_the_unsplit_step(monkeypatch, use_gru):
+    """In float64, a training step whose head runs over 3 to 7 blocks (a
+    short last block and one-window blocks included) gives the loss and
+    every parameter's gradient of the step that runs all windows as one
+    block, within 1e-12 relative to each array's largest value."""
+    net = generate_grid_network(4, 4, 100.0, 2, length_jitter=0.3,
+                                jitter_seed=5)
+    n = net.n_links
+    model = LcfModel(ModelConfig(use_gru=use_gru, heads=2, hidden_dim=8,
+                                 fc_hidden=(16, 8), seed=9, dtype="float64"))
+    batch = random_batch(net, 7, "float64", seed=13)
+    blocks = []
+    fuse = LcfModel.fuse
+
+    def counting_fuse(self, spatial, temporal, batch, halves=None, chain=None):
+        blocks.append(batch)
+        return fuse(self, spatial, temporal, batch, halves, chain)
+
+    monkeypatch.setattr(LcfModel, "fuse", counting_fuse)
+    monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS", 7 * n)
+    want_loss, want = model.loss_and_grads(batch)
+    assert blocks == [7]
+    for per_block, sizes in ((3, [3, 3, 1]), (2, [2, 2, 2, 1]), (1, [1] * 7)):
+        monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS",
+                            per_block * n + n - 1)
+        blocks.clear()
+        loss, grads = model.loss_and_grads(batch)
+        assert blocks == sizes
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert set(grads) == set(want)
+        for name, g in want.items():
+            assert grads[name].shape == g.shape, name
+            assert np.max(np.abs(grads[name] - g)) \
+                <= 1e-12 * np.max(np.abs(g)), name
+
+
+def step_peak_bytes(windows: int) -> int:
+    """tracemalloc peak of one float32 training step of the default
+    GAT-GRU-P estimator on ``windows`` windows of a 10 x 10 grid (360
+    links). An untraced step runs first, so the peak holds no one-time
+    lazy import and the head buffers are built."""
+    net = generate_grid_network(10, 10, 100.0, 3)
+    model = LcfModel(ModelConfig())
+    model.loss_and_grads(random_batch(net, 2, "float32", seed=1))
+    batch = random_batch(net, windows, "float32", seed=2)
+    tracemalloc.start()
+    try:
+        model.loss_and_grads(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_training_step_peak_memory_is_bounded_by_one_block():
+    """A training step's peak grows with the head's block and the link
+    graph, not with windows x links. On 360 links, with 720-row blocks (2
+    windows), 10 and 60 windows peaked at 9.1 and 10.1 MB: about 19 KB a
+    window, the GRU's kept steps and the pair layer's halves. The head's
+    activations of every row (about 4.3 KB a row, 1.5 MB a window) made
+    that 21.8 and 91.9 MB when one block held the whole batch."""
+    small, large = step_peak_bytes(10), step_peak_bytes(60)
+    assert (large - small) / 50 < 40e3
+    assert large < 12e6
 
 
 def test_checkpoint_round_trip_and_predictions(tmp_path):

@@ -208,19 +208,20 @@ def test_dense_rejects_misaligned_shapes():
     with pytest.raises(ValueError, match=r"\(5,\)"):
         nn.dense(x, np.zeros((3, 5)), np.zeros(5))
     w52, b12 = np.zeros((5, 2)), np.zeros((1, 2))
-    with pytest.raises(ValueError, match=r"\(2, 3\).*\(1, 1\).*\(5, 2\)"):
-        nn.pair_head(x, np.zeros((1, 1)), [(w52, b12)], nn.HeadBuffers())
-    # a later layer whose fan-in is not the previous layer's width
-    with pytest.raises(ValueError, match=r"\(5, 2\), \(1, 2\), \(3, 1\)"):
-        nn.pair_head(x, np.zeros((1, 2)),
-                     [(w52, b12), (np.zeros((3, 1)), np.zeros((1, 1)))],
-                     nn.HeadBuffers())
-    # halves of other outer rows than the call's
-    outer = np.zeros((2, 2))
-    part_in, part_out = nn.pair_halves(x, outer, w52, b12)
-    with pytest.raises(ValueError, match=r"halves \(2, 2\) and \(1, 2\)"):
-        nn.pair_head(x, outer, [(w52, b12)], nn.HeadBuffers(),
-                     (part_in, part_out[:1]))
+    with pytest.raises(ValueError,
+                       match=r"pair_halves.*\(2, 3\).*\(1, 1\).*\(5, 2\)"):
+        nn.pair_halves(x, np.zeros((1, 1)), w52, b12)
+    part_in, part_out = nn.pair_halves(x, np.zeros((1, 2)), w52, b12)
+    # a layer whose fan-in is not the halves' or the previous layer's width
+    for layers in ([(np.zeros((3, 1)), np.zeros((1, 1)))],
+                   [(np.zeros((2, 4)), np.zeros((1, 4))),
+                    (np.zeros((3, 1)), np.zeros((1, 1)))]):
+        with pytest.raises(ValueError, match=r"pair_head.*\(3, 1\), \(1, 1\)"):
+            nn.pair_head(part_in, part_out, layers, nn.HeadBuffers())
+    # halves of two widths
+    with pytest.raises(ValueError,
+                       match=r"pair_head: shapes \(2, 2\), \(1, 1\)"):
+        nn.pair_head(part_in, part_out[:, :1], [], nn.HeadBuffers())
 
 
 def test_gat_keeps_no_head_arrays_without_grad():
@@ -405,7 +406,8 @@ def test_each_op_without_grad_returns_its_output_alone(dtype):
         "dense": (nn.dense, (a, c, b13), {"relu": True}),
         "gat": (nn.gat, (*gat_inputs(param), GRAPH, 0.2, dtype), {}),
         "gru": (nn.gru, (rng.normal(size=(5, 2)), *gru_params), {}),
-        "pair_head": (nn.pair_head, (a, outer2, [(w63, b13), (w33, b13b)],
+        "pair_halves": (nn.pair_halves, (a, outer2, w63, b13), {}),
+        "pair_head": (nn.pair_head, (c, outer2 @ w63[4:], [(w33, b13b)],
                                      nn.HeadBuffers()), {}),
         "mse_loss": (nn.mse_loss, (a, b), {}),
     }
@@ -413,7 +415,12 @@ def test_each_op_without_grad_returns_its_output_alone(dtype):
         out = op(*args, **kwargs)
         with_grad, back = op(*args, grad=True, **kwargs)
         assert callable(back), name
-        assert out.dtype == dtype and out.tobytes() == with_grad.tobytes(), name
+        # pair_halves returns its two halves
+        pairs = zip(out, with_grad) if isinstance(out, tuple) \
+            else [(out, with_grad)]
+        for alone, kept in pairs:
+            assert alone.dtype == dtype \
+                and alone.tobytes() == kept.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +430,15 @@ def test_each_op_without_grad_returns_its_output_alone(dtype):
 def arrays(layers):
     """The arrays of a head's (w, b) Tensor pairs."""
     return [(w.data, b.data) for w, b in layers]
+
+
+def head(inner, outer, layers, buffers, halves=None):
+    """The head over every (inner row, outer row) pair on arrays: the first
+    layer's ``nn.pair_halves`` (or the given ``halves``), then
+    ``nn.pair_head`` over the later layers, without grad."""
+    if halves is None:
+        halves = nn.pair_halves(inner, outer, *layers[0])
+    return nn.pair_head(*halves, layers[1:], buffers)
 
 
 def head_inputs(rng, dtype, n, m, h, width, widths):
@@ -476,9 +492,8 @@ def test_pair_head_equals_the_dense_oracle_to_the_bit(dtype, case):
         for a, b in zip(got, want):
             assert a.dtype == dtype and np.array_equal(a, b)
         for without_grad in (buffers, nn.HeadBuffers()):
-            assert np.array_equal(nn.pair_head(inner.data, outer.data,
-                                               arrays(layers), without_grad),
-                                  ref.data)
+            assert np.array_equal(head(inner.data, outer.data,
+                                       arrays(layers), without_grad), ref.data)
 
 
 def test_pair_head_random_shapes_equal_the_oracle_to_the_bit():
@@ -512,7 +527,7 @@ def test_pair_head_claims_no_buffers_without_grad():
     rng = np.random.default_rng(24)
     inner, outer, layers = head_inputs(rng, np.float32, 4, 3, 3, 3, (5, 2))
     buffers = nn.HeadBuffers()
-    nn.pair_head(inner.data, outer.data, arrays(layers), buffers)
+    head(inner.data, outer.data, arrays(layers), buffers)
     assert buffers.shape is None and buffers.acts is None
     assert buffers.mask is None
     tape.pair_head(inner, outer, layers, buffers)
@@ -529,10 +544,10 @@ def test_pair_head_on_sliced_halves_equals_one_call_to_the_bit(dtype):
     inner, outer, layers = head_inputs(rng, dtype, 30, 7, 16, 16, (24, 8, 1))
     inner, outer, layers = inner.data, outer.data, arrays(layers)
     halves = nn.pair_halves(inner, outer, *layers[0])
-    ref, _ = nn.pair_head(inner, outer, layers, nn.HeadBuffers(), grad=True)
+    ref, _ = nn.pair_head(*halves, layers[1:], nn.HeadBuffers(), grad=True)
     for lo, hi in ((0, 7), (0, 1), (3, 4), (1, 3), (2, 7)):
-        out = nn.pair_head(inner, outer[lo:hi], layers, nn.HeadBuffers(),
-                           (halves[0], halves[1][lo:hi]))
+        out = head(inner, outer[lo:hi], layers, nn.HeadBuffers(),
+                   (halves[0], halves[1][lo:hi]))
         assert np.array_equal(out, ref[lo * 30:hi * 30])
 
 
