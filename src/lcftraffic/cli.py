@@ -134,7 +134,10 @@ def _fields(o, cls) -> dict:
             for flag, c, field, _ in SIM_OPTS + TRAIN_OPTS + PART_OPTS if c is cls}
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every command; with ``command``, the other commands
+    are listed by name but take no options: adding them all takes argparse
+    about 2 ms, more than most commands' own work on a small network."""
     parser = _Parser(prog="lcftraffic",
                      description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
@@ -144,6 +147,8 @@ def build_parser() -> _Parser:
         s = subs.add_parser(
             name, help=help_text, allow_abbrev=False,
             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        if command not in (None, name):
+            return
         s.add_argument("--config", help="flat key = value option file; "
                                         "flags override it")
         for row in [("--out", "out", "output directory")] + specs:
@@ -515,9 +520,10 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
-        args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
+        args = _parse(parser, argv)
         return COMMANDS[args.command](args)
     # ValidationError and NetworkError are ValueErrors
     except (FileNotFoundError, ValueError) as exc:

@@ -5,18 +5,24 @@ bounded(5.0, gt=0)``, and runs ``check`` as its ``__post_init__``. A value
 is checked for its kind (bool, int, float, str, dict, ``tuple[<kind>, ...]``
 or the pair ``tuple[<kind>, <kind>]``; a bool is no number, an int no
 float), then finiteness, then bounds: ``{field} must be {rule}, got {value!r}``.
+
+The network, OD, partition and manifest files are JSON: ``load_json``
+reads one and ``read_json`` or ``from_json`` checks it, naming the key path.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 import operator
 from dataclasses import field, fields
 
-_KINDS = {"bool": (bool, "a bool"), "int": (numbers.Integral, "an int"),
-          "float": (numbers.Real, "a float"), "str": (str, "a str"),
-          "dict": (dict, "a JSON object")}
+# kind: (the types JSON gives it, the type any other value must be, rule)
+_KINDS = {"bool": ((bool,), bool, "a bool"),
+          "int": ((int,), numbers.Integral, "an int"),
+          "float": ((float, int), numbers.Real, "a float"),
+          "str": ((str,), str, "a str"), "dict": ((dict,), dict, "a JSON object")}
 _SYMBOLS = {"gt": ">", "ge": ">=", "le": "<="}
 
 
@@ -34,13 +40,15 @@ def check_value(name: str, value, kind: str, one_of=None, **bounds) -> None:
         for i, v in enumerate(value):
             check_value(f"{name}[{i}]", v, item, one_of, **bounds)
         return
-    typ, rule = _KINDS[kind]
-    if isinstance(value, typ) and (kind == "bool" or not isinstance(value, bool)):
+    exact, typ, rule = _KINDS[kind]
+    if type(value) in exact or isinstance(value, typ) and (
+            kind == "bool" or not isinstance(value, bool)):
         if kind == "float" and not -math.inf < value < math.inf:
             rule = "finite"
         elif one_of is not None and value not in one_of:
             rule = "one of " + ", ".join(one_of)
-        elif not all(getattr(operator, op)(value, b) for op, b in bounds.items()):
+        elif bounds and not all(getattr(operator, op)(value, b)
+                                for op, b in bounds.items()):
             rule = " and ".join(f"{_SYMBOLS[op]} {b}" for op, b in bounds.items())
         else:
             return
@@ -54,6 +62,8 @@ def check(config) -> None:
 
 def require_keys(doc, keys, where: str) -> dict:
     """``doc``, a JSON object that holds every one of ``keys`` and no other."""
+    if type(doc) is dict and doc.keys() == set(keys):
+        return doc
     if not isinstance(doc, dict):
         raise ValueError(f"{where} must be a JSON object, got {doc!r}")
     faults = [f"no key {k!r}" for k in keys if k not in doc] \
@@ -61,6 +71,18 @@ def require_keys(doc, keys, where: str) -> dict:
     if faults:
         raise ValueError(f"{where}: {faults[0]}")
     return doc
+
+
+def load_json(path, command: str):
+    """The JSON document in file ``path``. A file that is no JSON, such as
+    a text format of earlier versions, is a ValueError naming the file and
+    ``command``, the one that writes it."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: not a JSON file ({exc}); regenerate it "
+                         f"with lcftraffic {command}") from None
 
 
 def _tuples(value):

@@ -11,7 +11,7 @@ regressor wrapped to that surface.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -202,7 +202,8 @@ def evaluate_travel_time_split(net: RoadNetwork, dataset: Dataset, partition,
             log.info("travel-time %s: %d no-path trips excluded, %d trips "
                      "overran the horizon", name, excluded, overran)
         err = np.concatenate(errs)
-        reports.append(metrics(err, np.zeros_like(err), model=name,
-                               scenario_class=label))
+        reports.append(replace(
+            metrics(err, np.zeros_like(err), model=name, scenario_class=label),
+            trip_counts=(("NoPath", excluded), ("Overrun", overran))))
         samples[name] = err
     return reports, samples

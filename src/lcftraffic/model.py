@@ -605,13 +605,14 @@ def save_model(model: LcfModel, path) -> None:
 
 def load_model(path) -> LcfModel:
     """Read a ``save_model`` archive; anything else, a text checkpoint of
-    earlier versions included, is a ValueError naming the file."""
+    earlier versions or a cut-off archive included, is a ValueError naming
+    the file and asking for it to be regenerated."""
     with open(path, "rb") as fh:
-        if fh.read(4) != b"PK\x03\x04":    # how every zip archive starts
-            raise ValueError(f"{path}: not a checkpoint archive (text checkpoints"
-                             f" of earlier versions are not read); retrain the model")
-        fh.seek(0)
         try:
+            if fh.read(4) != b"PK\x03\x04":    # how every zip archive starts
+                raise ValueError("not a checkpoint archive (text checkpoints of "
+                                 "earlier versions are not read)")
+            fh.seek(0)
             with np.load(fh, allow_pickle=False) as archive:
                 arrays = dict(archive)
             if "meta" not in arrays:
@@ -632,5 +633,6 @@ def load_model(path) -> LcfModel:
                 feat=MinMaxStats(lo=stats["feat_lo"], hi=stats["feat_hi"]),
                 **{key: float(stats[key]) for key in NORM_KEYS}), state=arrays)
         except (ValueError, TypeError, zipfile.BadZipFile) as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise ValueError(f"{path}: {exc}; regenerate it with lcftraffic "
+                             "train") from None
     return model

@@ -20,16 +20,23 @@ Each link is summarised by 10 attributes, in this fixed column order:
     7  n_up_dbl           (upstream links with a dedicated bus lane)
     8  n_down_dbl         (downstream links with a dedicated bus lane)
     9  sub_region         (partition label, 0 when no partition is used)
+
+A network file is one JSON object: ``junctions`` ({"id", "x", "y"}),
+``links`` (the ``Link`` fields, both boundary flags included) and
+``signals`` (the ``SignalPlan`` fields), read by ``config.read_json``.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
+
+from .config import load_json, read_json
 
 FEATURE_NAMES = (
     "length_m",
@@ -113,12 +120,6 @@ class Link:
         return self.lanes_total - self.lanes_dbl
 
 
-def _check_junction(j: int, x: float, y: float) -> None:
-    if not (abs(x) < math.inf and abs(y) < math.inf):  # NaN fails it too
-        raise NetworkError(f"junction {j}: coordinates must be finite, "
-                           f"got ({x!r}, {y!r})")
-
-
 def _frozen(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -195,7 +196,9 @@ class RoadNetwork:
             if a == b:
                 raise NetworkError(f"link {a}: duplicate link id")
         for j, (x, y) in junctions.items():
-            _check_junction(j, x, y)
+            if not (abs(x) < math.inf and abs(y) < math.inf):  # NaN fails it too
+                raise NetworkError(f"junction {j}: coordinates must be finite, "
+                                   f"got ({x!r}, {y!r})")
         for lk in links:
             for j in (lk.from_junction, lk.to_junction):
                 if j not in junctions:
@@ -213,21 +216,14 @@ class RoadNetwork:
         self._by_id = {lk.id: lk for lk in self.links}
         self._index = {lk.id: i for i, lk in enumerate(self.links)}
 
-        out_of: dict[int, list[int]] = {j: [] for j in junctions}
+        out_of: dict[int, list[Link]] = {j: [] for j in junctions}
         for lk in self.links:
-            out_of[lk.from_junction].append(lk.id)
-
-        pairs = []
-        for lk in self.links:
-            for down_id in out_of[lk.to_junction]:
-                down = self._by_id[down_id]
-                if down_id == lk.id:
-                    continue
-                if down.to_junction == lk.from_junction and \
-                        down.from_junction == lk.to_junction:
-                    continue  # reverse twin: shares both junctions
-                pairs.append((lk.id, down_id))
-        self.connectivity: tuple[tuple[int, int], ...] = tuple(sorted(pairs))
+            out_of[lk.from_junction].append(lk)
+        # a link never starts where it ends, so only its reverse twin is
+        # skipped; both loops run in id order, so the pairs come sorted
+        self.connectivity: tuple[tuple[int, int], ...] = tuple(
+            (lk.id, down.id) for lk in self.links for down in out_of[lk.to_junction]
+            if down.to_junction != lk.from_junction)
 
     @cached_property
     def index(self) -> NetworkIndex:
@@ -393,7 +389,11 @@ def generate_grid_network(rows: int, cols: int, link_length: float, lanes: int,
         jid(r, c): (c * link_length, r * link_length)
         for r in range(rows) for c in range(cols)
     }
-    rng = np.random.default_rng(jitter_seed)
+    # one draw per street, in the street order below; a single call gives
+    # the values of one call per street
+    n_streets = rows * (cols - 1) + (rows - 1) * cols
+    draws = iter(np.random.default_rng(jitter_seed).uniform(-1.0, 1.0, n_streets)
+                 .tolist())
     links: list[Link] = []
     next_id = 0
     for r in range(rows):
@@ -402,7 +402,7 @@ def generate_grid_network(rows: int, cols: int, link_length: float, lanes: int,
                 if r2 >= rows or c2 >= cols:
                     continue
                 boundary = on_perimeter(r, c) and on_perimeter(r2, c2)
-                factor = 1.0 + length_jitter * float(rng.uniform(-1.0, 1.0))
+                factor = 1.0 + length_jitter * next(draws)
                 for fj, tj in ((jid(r, c), jid(r2, c2)), (jid(r2, c2), jid(r, c))):
                     links.append(Link(
                         id=next_id, from_junction=fj, to_junction=tj,
@@ -422,94 +422,46 @@ def generate_grid_network(rows: int, cols: int, link_length: float, lanes: int,
 
 
 # ---------------------------------------------------------------------------
-# network file format
-#
-# Line-oriented text, whitespace-delimited, '#' starts a comment:
-#   JUNCTION id x y
-#   LINK id from_junction to_junction length_m lanes dbl vff_kmh [bin bout]
-#   SIGNAL junction cycle_s offset_s green_a_s
-# The two trailing LINK flags mark boundary-in/boundary-out; when a file
-# omits them the flags are inferred: boundary-in = no upstream links,
-# boundary-out = no downstream links.
+# network file (module docstring)
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+_NETWORK_KINDS = dict.fromkeys(("junctions", "links", "signals"), "tuple[dict, ...]")
+_JUNCTION_KINDS = {"id": "int", "x": "float", "y": "float"}
+_LINK_KINDS = {f.name: f.type for f in fields(Link)}
+_SIGNAL_KINDS = {f.name: f.type for f in fields(SignalPlan)}
 
 
 def save_network(net: RoadNetwork, path) -> None:
-    lines = ["# road network"]
-    for j, (x, y) in sorted(net.junctions.items()):
-        lines.append(f"JUNCTION {j} {_fmt(x)} {_fmt(y)}")
-    for lk in net.links:
-        lines.append(
-            f"LINK {lk.id} {lk.from_junction} {lk.to_junction} {_fmt(lk.length_m)} "
-            f"{lk.lanes_total} {lk.lanes_dbl} {_fmt(lk.vff_kmh)} "
-            f"{int(lk.is_boundary_in)} {int(lk.is_boundary_out)}"
-        )
-    for j, plan in sorted(net.signals.items()):
-        lines.append(
-            f"SIGNAL {j} {_fmt(plan.cycle_s)} {_fmt(plan.offset_s)} {_fmt(plan.green_a_s)}"
-        )
+    # a Link's and a SignalPlan's __dict__ hold exactly their fields
+    doc = {"junctions": [{"id": j, "x": x, "y": y}
+                         for j, (x, y) in net.junctions.items()],
+           "links": [vars(lk) for lk in net.links],
+           "signals": [vars(plan) for plan in net.signals.values()]}
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(json.dumps(doc, allow_nan=False) + "\n")
+
+
+def _network_of(junctions, links, signals) -> RoadNetwork:
+    points: dict[int, tuple[float, float]] = {}
+    for i, doc in enumerate(junctions):
+        j = read_json(doc, _JUNCTION_KINDS, f"junctions[{i}]")
+        if j["id"] in points:
+            raise NetworkError(f"junctions[{i}]: junction {j['id']} is defined twice")
+        points[j["id"]] = (j["x"], j["y"])
+    return RoadNetwork(
+        points, [read_json(doc, _LINK_KINDS, f"links[{i}]", Link)
+                 for i, doc in enumerate(links)],
+        [read_json(doc, _SIGNAL_KINDS, f"signals[{i}]", SignalPlan)
+         for i, doc in enumerate(signals)])
 
 
 def load_network(path) -> RoadNetwork:
-    junctions: dict[int, tuple[float, float]] = {}
-    raw_links: list[tuple[Link, bool]] = []  # (link, flags_from_file)
-    signals: list[SignalPlan] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            kind, args = parts[0], parts[1:]
-            try:
-                if kind == "JUNCTION":
-                    j, x, y = args          # a wrong field count is a ValueError
-                    jid, xy = int(j), (float(x), float(y))
-                    if jid in junctions:
-                        raise ValueError(f"junction {jid} is defined twice")
-                    _check_junction(jid, *xy)
-                    junctions[jid] = xy
-                elif kind == "LINK":
-                    flags = args[7:]
-                    if len(args) not in (7, 9) or not set(flags) <= {"0", "1"}:
-                        raise ValueError("expected 7 fields, or 9 with boundary "
-                                         "flags of 0 or 1")
-                    lk = Link(
-                        id=int(args[0]), from_junction=int(args[1]),
-                        to_junction=int(args[2]), length_m=float(args[3]),
-                        lanes_total=int(args[4]), lanes_dbl=int(args[5]),
-                        vff_kmh=float(args[6]), is_boundary_in=flags[:1] == ["1"],
-                        is_boundary_out=flags[1:] == ["1"],
-                    )
-                    raw_links.append((lk, len(args) == 9))
-                elif kind == "SIGNAL":
-                    j, cycle, offset, green = args
-                    signals.append(SignalPlan(int(j), float(cycle), float(offset),
-                                              float(green)))
-                else:
-                    raise ValueError(f"unknown record kind {kind!r}")
-            except ValueError as exc:
-                raise NetworkError(f"{path}:{lineno}: {exc}") from exc
-
-    try:
-        net = RoadNetwork(junctions, [lk for lk, _ in raw_links], signals)
-    except NetworkError as exc:
-        raise NetworkError(f"{path}: {exc}") from exc
-    if all(explicit for _, explicit in raw_links):
-        return net
-    # infer boundary flags from topology for files that omit them
-    idx = net.index
-    inferred = []
-    for lk, explicit in raw_links:
-        i = net.link_index(lk.id)
-        inferred.append(lk if explicit else replace(
-            lk, is_boundary_in=not idx.up_of[i], is_boundary_out=not idx.down_of[i]))
-    return RoadNetwork(junctions, inferred, signals)
+    """Read a ``save_network`` file. Each object holds exactly the keys
+    written, each value of its kind, and the ``Link``, ``SignalPlan`` and
+    ``RoadNetwork`` checks run; anything else, a text network of earlier
+    versions included, is a ValueError naming the file and the key path."""
+    return read_json(load_json(path, "gen-network"), _NETWORK_KINDS, str(path),
+                     _network_of)
 
 
 # ---------------------------------------------------------------------------

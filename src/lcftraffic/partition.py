@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import bounded, check, from_json, require_keys
+from .config import bounded, check, from_json, load_json, read_json
 from .network import RoadNetwork, fit_minmax
 from .simulate import SimRecord
 
@@ -170,37 +170,29 @@ def save_partition(assignment: PartitionAssignment, path) -> None:
         fh.write("\n")
 
 
-def _assignment_of(doc: dict) -> PartitionAssignment:
-    require_keys(doc, ("params", "centroids", "labels"), "partition")
-    p = from_json(PartitionParams, doc["params"], "partition.params")
-    try:
-        centroids = np.array(doc["centroids"], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"centroids: {exc}") from None
-    if centroids.shape != (p.k, 3) or not np.isfinite(centroids).all():
-        raise ValueError(f"centroids: expected k = {p.k} rows of 3 finite numbers")
-    labels: dict[int, int] = {}
-    for pair in doc["labels"]:
-        if type(pair) is not list or [type(v) for v in pair] != [int, int]:
-            raise ValueError(f"labels: {pair!r} is not a [link, label] pair")
-        link_id, label = pair
-        if link_id in labels:
+_PARTITION_KINDS = {"params": "dict", "centroids": "tuple[tuple[float, ...], ...]",
+                    "labels": "tuple[tuple[int, int], ...]"}
+
+
+def _assignment_of(params, centroids, labels) -> PartitionAssignment:
+    p = from_json(PartitionParams, params, "params")
+    if len(centroids) != p.k or {len(row) for row in centroids} - {3}:
+        raise ValueError(f"centroids: expected k = {p.k} rows of 3 numbers")
+    by_link: dict[int, int] = {}
+    for link_id, label in labels:
+        if link_id in by_link:
             raise ValueError(f"labels: link {link_id} is listed twice")
         if not 0 <= label < p.k:
             raise ValueError(f"labels: link {link_id} has region label {label}, "
                              f"outside 0..{p.k - 1}")
-        labels[link_id] = label
-    return PartitionAssignment(labels=labels, centroids=centroids, params=p)
+        by_link[link_id] = label
+    return PartitionAssignment(labels=by_link, params=p,
+                               centroids=np.array(centroids, dtype=float))
 
 
 def load_partition(path) -> PartitionAssignment:
     """Read a ``save_partition`` file. Every key is required and no other is
     taken; anything else, a text partition of earlier versions included, is
     a ValueError naming the file and the key or link."""
-    try:
-        with open(path) as fh:
-            return _assignment_of(json.load(fh))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: {exc}; rerun partition to rewrite it") from None
-    except (TypeError, ValueError) as exc:  # TypeError: a value of a wrong kind
-        raise ValueError(f"{path}: {exc}") from None
+    return read_json(load_json(path, "partition"), _PARTITION_KINDS, str(path),
+                     _assignment_of)

@@ -2,7 +2,8 @@
 bus-lane configurations and train/val/test dataset assembly.
 
 All randomness flows from one master seed through numpy SeedSequence
-spawning, so a dataset manifest is reproducible byte-for-byte.
+spawning, so a dataset manifest is reproducible byte-for-byte. An OD file
+and a manifest are JSON, read through ``config.read_json``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import read_json
+from .config import from_json, load_json, read_json
 from .network import RoadNetwork
 from .simulate import (SimConfig, SimRecord, SimulationError, load_record,
                        save_record, simulate)
@@ -28,16 +29,6 @@ SPLIT_NAMES = ("train", "val", "test")
 DEMAND_LEVELS = {"low": 0.7, "medium": 1.0, "high": 1.3}
 
 
-def _check_rate(rate: float) -> None:
-    if not 0 <= rate < np.inf:  # NaN fails it too
-        raise ValueError(f"OD rates must be finite and >= 0, got {rate!r}")
-
-
-def _check_ramp(ramp_fraction: float) -> None:
-    if not 0 <= ramp_fraction <= 1:  # NaN fails it too
-        raise ValueError(f"ramp fraction must be in [0, 1], got {ramp_fraction!r}")
-
-
 @dataclass(frozen=True)
 class ODMatrix:
     pairs: tuple[tuple[int, int], ...]   # (origin link id, destination link id)
@@ -48,8 +39,11 @@ class ODMatrix:
         if len(self.pairs) != len(self.rates):
             raise ValueError("pairs and rates must align")
         for r in self.rates:
-            _check_rate(r)
-        _check_ramp(self.ramp_fraction)
+            if not 0 <= r < np.inf:  # NaN fails it too
+                raise ValueError(f"OD rates must be finite and >= 0, got {r!r}")
+        if not 0 <= self.ramp_fraction <= 1:  # NaN fails it too
+            raise ValueError(f"ramp fraction must be in [0, 1], "
+                             f"got {self.ramp_fraction!r}")
 
     def total(self) -> float:
         return float(sum(self.rates))
@@ -214,40 +208,18 @@ def build_dataset(net: RoadNetwork, base_od: ODMatrix, n: int, master_seed: int,
 # on-disk layout
 #   <dir>/manifest.json
 #   <dir>/scenario_<id>/links.csv, network.csv (derived, not read back)
-# OD matrices serialize as "OD origin dest veh_per_h" lines.
 # ---------------------------------------------------------------------------
 
 def save_od(od: ODMatrix, path) -> None:
     with open(path, "w") as fh:
-        fh.write("# od matrix\n")
-        fh.write(f"RAMP {repr(float(od.ramp_fraction))}\n")
-        for (o, d), r in zip(od.pairs, od.rates):
-            fh.write(f"OD {o} {d} {repr(float(r))}\n")
+        fh.write(json.dumps(vars(od), allow_nan=False) + "\n")
 
 
 def load_od(path) -> ODMatrix:
-    pairs, rates = [], []
-    ramp = 1.0
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            kind, *args = line.split()
-            try:
-                if kind == "RAMP":
-                    (ramp,) = map(float, args)
-                    _check_ramp(ramp)
-                elif kind == "OD":
-                    origin, dest, rate = args
-                    pairs.append((int(origin), int(dest)))
-                    rates.append(float(rate))
-                    _check_rate(rates[-1])
-                else:
-                    raise ValueError(f"unknown OD record {kind!r}")
-            except ValueError as exc:  # a wrong field count too
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return ODMatrix(pairs=tuple(pairs), rates=tuple(rates), ramp_fraction=ramp)
+    """Read a ``save_od`` file: the ``ODMatrix`` fields, each of its kind,
+    and the matrix's own checks; anything else, a text OD file of earlier
+    versions included, is a ValueError naming the file and the key."""
+    return from_json(ODMatrix, load_json(path, "gen-dataset"), str(path))
 
 
 def record_dir(out_dir, scenario_id: int) -> str:
@@ -318,9 +290,9 @@ def load_dataset(out_dir) -> Dataset:
     ``SimConfig``'s checks; the records take them. A manifest that breaks
     any of these is a ValueError naming its path and the key."""
     path = os.path.join(out_dir, "manifest.json")
-    try:  # json.JSONDecodeError is a ValueError
-        with open(path) as fh:
-            manifest = read_json(json.load(fh), _MANIFEST_KINDS, "manifest")
+    doc = load_json(path, "gen-dataset")
+    try:
+        manifest = read_json(doc, _MANIFEST_KINDS, "manifest")
         cfg = SimConfig(window_s=manifest["window_s"], step_s=manifest["step_s"])
         splits = read_json(manifest["splits"],
                            dict.fromkeys(SPLIT_NAMES, "tuple[int, ...]"),

@@ -42,7 +42,7 @@ def plant(path, fault: str) -> str:
         path.write_text("# checkpoint\nmeta dtype float32\nmeta heads 2\n"
                         "array fc.1.b 1,1\n0.0\n")
         return "not a checkpoint archive (text checkpoints of earlier " \
-               "versions are not read); retrain the model"
+               "versions are not read); regenerate it with lcftraffic train"
     if fault == "npy file":
         with open(path, "wb") as fh:
             np.save(fh, arrays["fc.0.W"])

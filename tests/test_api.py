@@ -6,6 +6,8 @@ import importlib
 import os
 import sys
 
+import pytest
+
 import lcftraffic
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -144,28 +146,42 @@ def test_large_grid_workload_runs_on_the_package(tmp_path, monkeypatch):
         sum(f.stat().st_size for f in out.iterdir())
 
 
-def test_every_public_nn_name_has_a_caller_in_the_package():
-    """The differentiable ops hold only what the package runs: every public
-    function and class of ``lcftraffic.nn`` is named, as ``nn.<name>`` or
-    by a ``from .nn import``, in another module of ``src/lcftraffic``. An op
-    only the tests use belongs under ``tests/``."""
-    src = os.path.join(ROOT, "src", "lcftraffic")
-    tree = ast.parse(open(os.path.join(src, "nn.py")).read())
-    public = {node.name for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")}
+def names_read(modules) -> set:
+    """Every name the given modules of src/lcftraffic read: ``x``,
+    ``mod.x`` or ``from .mod import x``."""
     named = set()
-    for name in sorted(os.listdir(src)):
-        if not name.endswith(".py") or name == "nn.py":
-            continue
-        for node in ast.walk(ast.parse(open(os.path.join(src, name)).read())):
-            if isinstance(node, ast.Attribute) \
-                    and isinstance(node.value, ast.Name) and node.value.id == "nn":
+    for name in modules:
+        path = os.path.join(ROOT, "src", "lcftraffic", f"{name}.py")
+        for node in ast.walk(ast.parse(open(path).read())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
-            elif isinstance(node, ast.ImportFrom) and node.module == "nn":
+            elif isinstance(node, ast.ImportFrom):
                 named.update(alias.name for alias in node.names)
-    assert sorted(public - named) == []
-    assert {"gru", "pair_head", "scatter_sum"} <= public
+    return named
+
+
+@pytest.mark.parametrize("module", ["nn", "network", "scenarios"])
+def test_every_name_has_a_caller_in_the_package(module):
+    """Each module holds only what the package runs. Every public function
+    and class of ``lcftraffic.nn`` is named in another module: an op only
+    the tests use belongs under ``tests/``. Every function and class of
+    ``network`` and ``scenarios``, private ones too, is named in the package
+    besides its definition, the package's re-exports not counted, so no
+    helper of a file format the package no longer reads is left behind."""
+    src = os.path.join(ROOT, "src", "lcftraffic")
+    others = [name[:-3] for name in sorted(os.listdir(src))
+              if name.endswith(".py") and name != "__init__.py"]
+    tree = ast.parse(open(os.path.join(src, f"{module}.py")).read())
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    if module == "nn":
+        defined = {name for name in defined if not name.startswith("_")}
+        others.remove("nn")
+        assert {"gru", "pair_head", "scatter_sum"} <= defined
+    assert sorted(defined - names_read(others)) == []
+    assert defined
 
 
 def test_training_crosses_the_benchmark_boundaries(monkeypatch):

@@ -24,6 +24,13 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def write_od(path, *entries, ramp_fraction=1.0) -> None:
+    """An OD file of (origin, destination, rate) entries."""
+    path.write_text(json.dumps({"pairs": [[o, d] for o, d, _ in entries],
+                                "rates": [r for _, _, r in entries],
+                                "ramp_fraction": ramp_fraction}))
+
+
 def build_pipeline(out, seed=5, scenarios=10):
     assert run(["gen-network", "--out", out, "--grid", "3x3", "--lanes", "2"]) == 0
     assert run(["gen-dataset", "--out", out, "--scenarios", scenarios,
@@ -38,7 +45,7 @@ def test_zero_demand_end_to_end(tmp_path):
     assert run(["gen-network", "--out", out, "--grid", "3x3",
                 "--vff", "25"]) == 0
     od_path = tmp_path / "od.txt"
-    od_path.write_text("OD 0 9 0.0\n")
+    write_od(od_path, (0, 9, 0.0))
     assert run(["simulate", "--out", out, "--od", od_path] + SIM_SMALL) == 0
     rec = load_record(os.path.join(out, "record"), window_s=60.0, step_s=5.0)
     assert np.all(rec.speeds == 25.0)
@@ -56,9 +63,15 @@ def test_full_pipeline_and_report_rows(tmp_path):
     assert run(["report", "--out", out]) == 0
 
     table = (tmp_path / "run/reports/speed/report_table.csv").read_text()
+    trips = (tmp_path / "run/reports/travel_time/report_table.csv").read_text()
     for model in ("MFD", "MFD-P", "LR", "DNN", "DNN-GRU", "GAT", "GAT-GRU",
                   "GAT-GRU-P"):
         assert f"\n{model},test-medium,MAE," in table
+        assert f"\n{model},test-medium,NoPath," not in table
+        # each model's trips excluded for want of a path, and those timed
+        # past the record's last window
+        for metric in ("Count", "NoPath", "Overrun"):
+            assert f"\n{model},test-medium,{metric}," in trips
     merged = (tmp_path / "run/reports/report_table.csv").read_text()
     assert merged.splitlines()[0] == "section,model,scenario_class,metric,value"
     assert "speed,MFD," in merged and "travel_time,MFD," in merged
@@ -360,7 +373,7 @@ def test_simulate_rejects_a_demand_scale_of_zero_or_below(tmp_path, capsys,
     out = str(tmp_path / "run")
     assert run(["gen-network", "--out", out, "--grid", "3x3"]) == 0
     od_path = tmp_path / "od.txt"
-    od_path.write_text("OD 0 9 100.0\n")
+    write_od(od_path, (0, 9, 100.0))
     capsys.readouterr()
     assert run(["simulate", "--out", out, "--od", od_path, "--scale", scale]
                + SIM_SMALL) == 1
@@ -384,7 +397,7 @@ def test_gen_dataset_od_file_of_zero_total_names_the_option_and_file(
     out = str(tmp_path / "run")
     assert run(["gen-network", "--out", out, "--grid", "3x3"]) == 0
     od_path = tmp_path / "od.txt"
-    od_path.write_text("OD 0 9 0.0\n")
+    write_od(od_path, (0, 9, 0.0))
     capsys.readouterr()
     assert run(["gen-dataset", "--out", out, "--scenarios", "10",
                 "--od", od_path] + SIM_SMALL) == 1
@@ -417,14 +430,14 @@ def test_gen_dataset_writes_its_od_file_only_after_the_build(
     assert open(od_path).read() == before
 
 
-def test_bad_od_rate_in_a_file_names_the_file_and_line(tmp_path, capsys):
+def test_bad_od_rate_in_a_file_names_the_file_and_key(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert run(["gen-network", "--out", out, "--grid", "3x3"]) == 0
     od_path = tmp_path / "od.txt"
-    od_path.write_text("OD 0 9 nan\n")
+    write_od(od_path, (0, 9, math.nan))
     capsys.readouterr()
     assert run(["simulate", "--out", out, "--od", od_path] + SIM_SMALL) == 1
-    assert f"error: {od_path}:1: OD rates must be finite and >= 0, got nan" \
+    assert f"error: {od_path}: rates[0] must be finite, got nan" \
         in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "record"))
 
@@ -433,10 +446,12 @@ def test_malformed_od_file_fails_simulate(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert run(["gen-network", "--out", out, "--grid", "3x3"]) == 0
     od_path = tmp_path / "od.txt"
-    od_path.write_text("OD 0 9 100.0\nOD 1 2\n")
+    od_path.write_text(json.dumps({"pairs": [[0, 9], [1, 2]], "rates": [100.0],
+                                   "ramp_fraction": 1.0}))
     capsys.readouterr()
     assert run(["simulate", "--out", out, "--od", od_path] + SIM_SMALL) == 1
-    assert f"error: {od_path}:2: " in capsys.readouterr().err
+    assert f"error: {od_path}: pairs and rates must align" in \
+        capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -489,6 +504,42 @@ def test_malformed_checkpoint_fails_evaluate(trained_dnn, capsys, case):
     assert not (out / "reports").exists()
 
 
+# each file the CLI reads back, in the formats of earlier versions where
+# there was one: a text network, OD file, partition and checkpoint
+OLD_TEXT = {
+    "network.txt": "JUNCTION 0 0 0\nJUNCTION 1 100 0\nLINK 0 0 1 100 2 0 25\n",
+    "od.txt": "# od matrix\nRAMP 1.0\nOD 0 9 100.0\n",
+    "partition.json": "# network partition\nPARAM k 3\nREGION 5 1\n",
+    "dataset/manifest.json": "master_seed = 4\n",
+    "models/dnn.ckpt": "# checkpoint\nmeta dtype float32\nmeta heads 2\n",
+}
+
+
+@pytest.mark.parametrize("how", ["old text", "cut in half"])
+@pytest.mark.parametrize("name", OLD_TEXT)
+def test_unreadable_input_exits_1_asking_to_regenerate(trained_dnn, tmp_path,
+                                                      capsys, name, how):
+    out = tmp_path / "run"
+    shutil.copytree(trained_dnn[0], out)
+    path = out / name
+    if how == "old text":
+        path.write_text(OLD_TEXT[name])
+    else:
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+    capsys.readouterr()
+    if name == "od.txt":
+        argv = ["simulate", "--out", out, "--od", path] + SIM_SMALL
+    else:
+        argv = ["evaluate", "--out", out, "--models", "MFD,DNN", "--seed", "4"] \
+            + TRAIN_SMALL
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err and "; regenerate it with lcftraffic " in err
+    assert "Traceback" not in err
+    assert not (out / "reports").exists() and not (out / "record").exists()
+
+
 def test_help_lists_reference_defaults(capsys):
     parser = build_parser()
     with pytest.raises(SystemExit):
@@ -515,7 +566,7 @@ def test_od_pair_outside_the_network_or_looping_fails(tmp_path, capsys,
     out = str(tmp_path / "run")
     assert run(["gen-network", "--out", out, "--grid", "3x3"]) == 0
     od_path = tmp_path / "od.txt"
-    od_path.write_text(f"OD 0 9 100.0\nOD {pair} 100.0\n")
+    write_od(od_path, (0, 9, 100.0), (*map(int, pair.split()), 100.0))
     capsys.readouterr()
     args = [command, "--out", out, "--od", od_path] + SIM_SMALL
     if command == "gen-dataset":
@@ -586,8 +637,10 @@ def test_dataset_of_another_network_names_both_and_the_link(
     if network == "4x4":
         assert run(["gen-network", "--out", tmp_path, "--grid", "4x4"]) == 0
     else:
-        text = open(os.path.join(small_pipeline, "network.txt")).read()
-        path.write_text(text.replace("\nLINK 5 ", "\nLINK 99 "))
+        with open(os.path.join(small_pipeline, "network.txt")) as fh:
+            doc = json.load(fh)
+        doc["links"][5]["id"] = 99
+        path.write_text(json.dumps(doc))
     capsys.readouterr()
     args = [command, "--out", small_pipeline, "--network", path]
     assert run(args + (["--models", "MFD"] if command == "evaluate" else [])) == 1

@@ -188,11 +188,16 @@ def test_travel_time_split_logs_horizon_overruns(corpus, caplog):
     net, dataset = corpus
     # every trip departs in the last 60-s window, so most walks run past it
     with caplog.at_level("INFO", logger="lcftraffic.harness"):
-        evaluate_travel_time_split(net, dataset, None, ["MFD"], {}, n_trips=20,
-                                   seed=1, warmup_windows=9)
+        reports, _ = evaluate_travel_time_split(net, dataset, None, ["MFD"], {},
+                                                n_trips=20, seed=1,
+                                                warmup_windows=9)
     found = re.search(r"travel-time MFD: 0 no-path trips excluded, (\d+) trips "
                       r"overran the horizon", caplog.text)
     assert found and int(found.group(1)) > 0
+    # the report rows hold the logged counts
+    assert reports[0].as_rows()[-2:] == [
+        ("MFD", "test-medium", "NoPath", 0.0),
+        ("MFD", "test-medium", "Overrun", float(found.group(1)))]
 
 
 TWO_GRIDS_CFG = SimConfig(step_s=5.0, window_s=60.0, warmup_s=120.0,
@@ -225,6 +230,7 @@ def test_travel_time_split_excludes_a_scenario_whose_trips_all_fail(two_grids, c
             net, dataset, None, ["MFD"], {}, n_trips=2, seed=0)
     assert reports[0].count == 1 and len(samples["MFD"]) == 1
     assert "travel-time MFD: 1 no-path trips excluded" in caplog.text
+    assert dict(reports[0].trip_counts)["NoPath"] == 1
 
 
 def test_travel_time_split_fails_when_none_of_its_trips_routes(two_grids):

@@ -1,12 +1,13 @@
 """Seeded mutations of the four files the CLI reads back: network.txt,
-od.txt, partition.json and a record's links.csv.
+od.txt and partition.json, which are JSON, and a record's links.csv.
 
-Every numeric field (in a text file, one line of each record kind; in the
-others, a seeded pick) becomes nan, inf, -1, 0 or a huge integer, and three
-seeded lines per file are cut short or get an extra token: 219 cases. The
-cheapest command that reads the file runs in-process. No case may raise or exit 2; nan and inf, a cut line
-and an extra token exit 1; every exit 1 names the file and the line or key;
-exit 0 only where the mutated value is one the field allows.
+Every numeric field (in a JSON file, every key of one seeded object or
+pair per section; in the CSV, a seeded pick) becomes nan, inf, -1, 0 or a
+huge integer, and each file is cut short or gets an extra token at three
+seeded spots: 219 cases. The cheapest command that reads the file runs
+in-process. No case may raise or exit 2; nan and inf, a cut file and an
+extra token exit 1; every exit 1 names the file and the line or key; exit 0
+only where the mutated value is one the field allows.
 """
 
 import json
@@ -81,83 +82,102 @@ def finite(v) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# what each field allows: (file, field) -> predicate(value, context)
+# what each field allows: (file, key path) -> predicate(value, context)
 # ---------------------------------------------------------------------------
 
-def network_rule(kind: str, col: int, ctx: dict):
-    """Fields of ``KIND args...``; col indexes args. References stay valid
-    only where they still name a distinct object."""
-    is_int = lambda v: isinstance(v, int)   # noqa: E731
-    if kind == "JUNCTION":
-        return (lambda v: v == ctx["old"]) if col == 0 else finite
-    if kind == "LINK":
+def is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def network_rule(section: str, key: str, ctx: dict):
+    """Keys of one object of ``section``; ``ctx["obj"]`` is that object
+    before the mutation. References stay valid only where they still name a
+    distinct object."""
+    obj = ctx["obj"]
+    if section == "junctions":
+        return (lambda v: v == obj["id"]) if key == "id" else finite
+    if section == "links":
         return {
-            0: lambda v: is_int(v) and (v == ctx["old"] or (
-                v not in ctx["link_ids"] and ctx["old"] not in ctx["od_links"])),
-            1: lambda v: is_int(v) and v in ctx["junctions"] and v != ctx["args"][1],
-            2: lambda v: is_int(v) and v in ctx["junctions"] and v != ctx["args"][0],
-            3: lambda v: finite(v) and v > 0,
-            4: lambda v: is_int(v) and max(1, ctx["args"][5] + 1) <= v <= 5,
-            5: lambda v: is_int(v) and 0 <= v < ctx["args"][4],
-            6: lambda v: finite(v) and v > 0,
-            7: lambda v: v in (0, 1) and is_int(v),
-            8: lambda v: v in (0, 1) and is_int(v),
-        }[col]
-    return {  # SIGNAL junction cycle offset green
-        0: lambda v: v == ctx["old"],
-        1: lambda v: finite(v) and v >= ctx["args"][3] and v > 0,
-        2: finite,
-        3: lambda v: finite(v) and 0 <= v <= ctx["args"][1],
-    }[col]
+            "id": lambda v: is_int(v) and (v == obj["id"] or (
+                v not in ctx["link_ids"] and obj["id"] not in ctx["od_links"])),
+            "from_junction": lambda v: is_int(v) and v in ctx["junctions"]
+            and v != obj["to_junction"],
+            "to_junction": lambda v: is_int(v) and v in ctx["junctions"]
+            and v != obj["from_junction"],
+            "length_m": lambda v: finite(v) and v > 0,
+            "lanes_total": lambda v: is_int(v)
+            and max(1, obj["lanes_dbl"] + 1) <= v <= 5,
+            "lanes_dbl": lambda v: is_int(v) and 0 <= v < obj["lanes_total"],
+            "vff_kmh": lambda v: finite(v) and v > 0,
+            "is_boundary_in": lambda v: isinstance(v, bool),
+            "is_boundary_out": lambda v: isinstance(v, bool),
+        }[key]
+    return {
+        "junction": lambda v: v == obj["junction"],
+        "cycle_s": lambda v: finite(v) and v >= obj["green_a_s"] and v > 0,
+        "offset_s": finite,
+        "green_a_s": lambda v: finite(v) and 0 <= v <= obj["cycle_s"],
+    }[key]
 
 
-def od_rule(kind: str, col: int, ctx: dict):
-    if kind == "RAMP":
+def od_rule(where: tuple, ctx: dict):
+    if where[0] == "ramp_fraction":
         return lambda v: finite(v) and 0 <= v <= 1
-    if col == 2:
+    if where[0] == "rates":
         return lambda v: finite(v) and v >= 0
-    other = ctx["args"][1 - col]
-    return lambda v: isinstance(v, int) and v in ctx["link_ids"] and v != other
+    _, i, end = where
+    other = ctx["od"]["pairs"][i][1 - end]
+    return lambda v: is_int(v) and v in ctx["link_ids"] and v != other
 
 
 # ---------------------------------------------------------------------------
 # cases
 # ---------------------------------------------------------------------------
 
-def text_cases(ws, name: str, rng: random.Random) -> list:
-    """For every (record kind, field) of a whitespace text file, one line
-    picked at random and each of VALUES in that field."""
-    lines = read(ws[name]).splitlines()
-    by_kind: dict[str, list[int]] = {}
-    for i, line in enumerate(lines):
-        if line.strip() and not line.startswith("#"):
-            by_kind.setdefault(line.split()[0], []).append(i)
-    cases = []
-    for kind, rows in sorted(by_kind.items()):
-        for col in range(len(lines[rows[0]].split()) - 1):
-            i = rng.choice(rows)
-            for value in VALUES:
-                cases.append((name, "field", (i, kind, col), value))
-    return cases
+def network_paths(doc: dict, rng: random.Random) -> list:
+    """For each section, every key of one object picked at random."""
+    paths = []
+    for section in ("junctions", "links", "signals"):
+        i = rng.randrange(len(doc[section]))
+        paths += [(section, i, key) for key in doc[section][i]]
+    return paths
 
 
-def structure_cases(ws, name: str, rng: random.Random) -> list:
-    lines = read(ws[name]).splitlines()
-    rows = [i for i, ln in enumerate(lines)
-            if re.search(r"\d", ln) and not ln.startswith("#")]
-    return [(name, how, (i,), None)
-            for how in ("cut line", "extra token")
-            for i in rng.sample(rows, 3)]
+def od_paths(doc: dict, rng: random.Random) -> list:
+    i = rng.randrange(len(doc["pairs"]))
+    return [("pairs", i, 0), ("pairs", i, 1),
+            ("rates", rng.randrange(len(doc["rates"]))), ("ramp_fraction",)]
 
 
-def json_cases(ws, rng: random.Random) -> list:
-    doc = json.loads(read(ws["partition.json"]))
+def partition_paths(doc: dict, rng: random.Random) -> list:
     paths = [("params", key) for key in doc["params"]]
     paths.append(("centroids", rng.randrange(len(doc["centroids"])), rng.randrange(3)))
     i = rng.randrange(len(doc["labels"]))
-    paths += [("labels", i, 0), ("labels", i, 1)]
-    return [("partition.json", "field", path, value)
-            for path in paths for value in VALUES]
+    return paths + [("labels", i, 0), ("labels", i, 1)]
+
+
+JSON_PATHS = {"network.txt": network_paths, "od.txt": od_paths,
+              "partition.json": partition_paths}
+
+
+def json_cases(ws, name: str, rng: random.Random) -> list:
+    paths = JSON_PATHS[name](json.loads(read(ws[name])), rng)
+    return [(name, "field", path, value) for path in paths for value in VALUES]
+
+
+def structure_cases(ws, name: str, rng: random.Random) -> list:
+    """Three seeded spots of the file cut short there or given an extra
+    token: whole lines of a file with one record a line, characters of the
+    network and OD files, which are one line of JSON."""
+    text = read(ws[name])
+    if name in ("network.txt", "od.txt"):
+        spots = rng.sample(range(1, len(text) - 1), 3)
+    else:
+        lines = text.splitlines()
+        spots = rng.sample([i for i, ln in enumerate(lines)
+                            if re.search(r"\d", ln) and not ln.startswith("#")], 3)
+    return [(name, how, (i,), None)
+            for how in ("cut line", "extra token") for i in spots]
 
 
 def csv_cases(ws, rng: random.Random) -> list:
@@ -168,8 +188,10 @@ def csv_cases(ws, rng: random.Random) -> list:
 
 def all_cases(ws) -> list:
     rng = random.Random(13)
-    cases = text_cases(ws, "network.txt", rng) + text_cases(ws, "od.txt", rng)
-    cases += json_cases(ws, rng) + csv_cases(ws, rng)
+    cases = []
+    for name in ("network.txt", "od.txt", "partition.json"):
+        cases += json_cases(ws, name, rng)
+    cases += csv_cases(ws, rng)
     for name in ("network.txt", "od.txt", "partition.json", "links.csv"):
         cases += structure_cases(ws, name, rng)
     return cases
@@ -180,15 +202,45 @@ def all_cases(ws) -> list:
 # ---------------------------------------------------------------------------
 
 def context(ws) -> dict:
-    net_lines = [ln.split() for ln in read(ws["network.txt"]).splitlines()
-                 if ln[:1].isupper()]
-    od_lines = [ln.split() for ln in read(ws["od.txt"]).splitlines()
-                if ln.startswith("OD")]
+    net = json.loads(read(ws["network.txt"]))
+    od = json.loads(read(ws["od.txt"]))
     return {
-        "junctions": {int(p[1]) for p in net_lines if p[0] == "JUNCTION"},
-        "link_ids": {int(p[1]) for p in net_lines if p[0] == "LINK"},
-        "od_links": {int(v) for p in od_lines for v in p[1:3]},
+        "junctions": {j["id"] for j in net["junctions"]},
+        "link_ids": {lk["id"] for lk in net["links"]},
+        "od_links": {v for pair in od["pairs"] for v in pair},
+        "od": od,
     }
+
+
+# keys an error may name instead of a line, per JSON file
+JSON_KEYS = {"network.txt": ("junctions[", "links[", "signals[", "link ",
+                             "junction ", "OD pair", "not a JSON file"),
+             "od.txt": ("pairs", "rates", "ramp_fraction", "ramp fraction",
+                        "OD pair", "not a JSON file"),
+             "partition.json": ("params", "centroids", "label",
+                                "not a JSON file")}
+
+
+def json_rule(name: str, doc: dict, where: tuple, old, ctx: dict):
+    """The predicate the value planted at ``where`` must meet for exit 0,
+    and the key words an error may name."""
+    if name == "network.txt":
+        section, i, key = where
+        return (network_rule(section, key, dict(ctx, obj=doc[section][i])),
+                (f"{section}[{i}]", f"{key} must") + JSON_KEYS[name])
+    if name == "od.txt":
+        return od_rule(where, ctx), JSON_KEYS[name]
+    last = where[-1]
+    if where[0] == "params":
+        kinds = (int, float) if isinstance(old, float) else (int,)
+        rule = (lambda v: v == old) if last == "k" else (
+            lambda v: type(v) in kinds and 0 <= v < math.inf)
+        return rule, (f"'{last}'", f"{last} must", f"{last} = ")
+    if where[0] == "centroids":
+        return finite, ("centroids",)
+    rule = (lambda v: v == old) if last == 0 else (
+        lambda v: isinstance(v, int) and 0 <= v < doc["params"]["k"])
+    return rule, ("label",)
 
 
 def plant(ws, case, ctx: dict):
@@ -198,17 +250,20 @@ def plant(ws, case, ctx: dict):
     name, how, where, value = case
     path = ws[name]
     before = read(path)
-    lines = before.splitlines()
-    rule, keys = None, ()
-    if how in ("cut line", "extra token"):
+    rule, keys = None, JSON_KEYS.get(name, ())
+    if how in ("cut line", "extra token") and name in ("network.txt", "od.txt"):
+        (i,) = where
+        text = before[:i] if how == "cut line" else before[:i] + " 7" + before[i:]
+    elif how in ("cut line", "extra token"):
+        lines = before.splitlines()
         (i,) = where
         if how == "cut line":
             lines[i] = lines[i][:len(lines[i]) // 2]
         else:
             lines[i] += "," + lines[i].split(",")[-1] if name == "links.csv" else " 7"
         # in JSON an extra number may still parse, into a list of a wrong shape
-        keys = ("params", "centroids", "label") if name == "partition.json" else ()
-    elif name == "partition.json":
+        text = "\n".join(lines) + "\n"
+    elif name in JSON_PATHS:
         doc = json.loads(before)
         *parent, last = where
         node = doc
@@ -216,36 +271,19 @@ def plant(ws, case, ctx: dict):
             node = node[key]
         old = node[last]
         node[last] = float(value) if value in ("nan", "inf") else int(value)
-        if where[0] == "params":
-            kinds = (int, float) if isinstance(old, float) else (int,)
-            rule = (lambda v: v == old) if last == "k" else (
-                lambda v: type(v) in kinds and 0 <= v < math.inf)
-            keys = (f"'{last}'", f"{last} must", f"{last} = ")
-        elif where[0] == "centroids":
-            rule, keys = finite, ("centroids",)
-        else:
-            rule = (lambda v: v == old) if last == 0 else (
-                lambda v: isinstance(v, int) and 0 <= v < doc["params"]["k"])
-            keys = ("label",)
-        lines = json.dumps(doc, indent=1).splitlines()
-    elif name == "links.csv":
+        rule, keys = json_rule(name, json.loads(before), where, old, ctx)
+        text = json.dumps(doc, indent=1) + "\n"
+    else:
+        lines = before.splitlines()
         i, col = where
         cells = lines[i].split(",")
         old = number(cells[col])
         cells[col] = value
         lines[i] = ",".join(cells)
         rule = (lambda v: v == old) if col < 2 else (lambda v: finite(v) and v >= 0)
-    else:
-        i, kind, col = where
-        parts = lines[i].split()
-        args = [number(a) for a in parts[1:]]
-        parts[col + 1] = value
-        lines[i] = " ".join(parts)
-        local = dict(ctx, args=args, old=args[col])
-        rule = (network_rule if name == "network.txt" else od_rule)(kind, col, local)
-        keys = ("link ", "junction ", "OD pair")
+        text = "\n".join(lines) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
     return before, rule, keys
 
 

@@ -1,4 +1,6 @@
+import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,55 +22,126 @@ def two_link_chain():
     return RoadNetwork(junctions, links)
 
 
+def chain_doc() -> dict:
+    """The JSON of ``two_link_chain`` as ``save_network`` writes it."""
+    link = {"from_junction": 0, "to_junction": 1, "length_m": 100.0,
+            "lanes_total": 2, "lanes_dbl": 0, "vff_kmh": 25.0,
+            "is_boundary_in": False, "is_boundary_out": False}
+    return {"junctions": [{"id": j, "x": 100.0 * j, "y": 0.0} for j in range(3)],
+            "links": [dict(link, id=0),
+                      dict(link, id=1, from_junction=1, to_junction=2)],
+            "signals": [{"junction": 1, "cycle_s": 90.0, "offset_s": 0.0,
+                         "green_a_s": 45.0}]}
+
+
+def write(path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def assert_same_network(a: RoadNetwork, b: RoadNetwork) -> None:
+    """Equal field by field, each value of the same type."""
+    assert a.junctions == b.junctions and a.links == b.links \
+        and a.signals == b.signals and a.connectivity == b.connectivity
+    for x, y in zip(a.links + tuple(a.signals.values()),
+                    b.links + tuple(b.signals.values())):
+        assert [type(v) for v in vars(x).values()] == \
+            [type(v) for v in vars(y).values()]
+
+
 def test_two_links_one_connectivity_pair(tmp_path):
-    path = tmp_path / "net.txt"
-    path.write_text(
-        "JUNCTION 0 0 0\nJUNCTION 1 100 0\nJUNCTION 2 200 0\n"
-        "LINK 0 0 1 100 2 0 25\nLINK 1 1 2 100 2 0 25\n"
-    )
-    net = load_network(path)
+    net = load_network(write(tmp_path / "net.txt", chain_doc()))
     assert net.connectivity == ((0, 1),)
-    # inferred boundary flags: no upstream -> boundary-in, no downstream -> out
-    assert net.link(0).is_boundary_in and not net.link(0).is_boundary_out
-    assert net.link(1).is_boundary_out and not net.link(1).is_boundary_in
+    assert_same_network(net, RoadNetwork(two_link_chain().junctions,
+                                         list(two_link_chain().links),
+                                         [SignalPlan(1, 90.0, 0.0, 45.0)]))
 
 
 def test_load_rejects_dbl_equal_lanes(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("JUNCTION 0 0 0\nJUNCTION 1 1 0\nLINK 0 0 1 100 2 2 25\n")
-    with pytest.raises(NetworkError):
+    doc = chain_doc()
+    doc["links"][1]["lanes_dbl"] = 2
+    path = write(tmp_path / "bad.txt", doc)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: links[1]: link 1: lanes_dbl 2 must be < lanes_total")):
         load_network(path)
 
 
 def test_load_rejects_dangling_junction(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("JUNCTION 0 0 0\nLINK 0 0 9 100 2 0 25\n")
-    with pytest.raises(NetworkError):
+    doc = chain_doc()
+    doc["links"][0]["to_junction"] = 9
+    path = write(tmp_path / "bad.txt", doc)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: link 0: unknown junction 9")):
         load_network(path)
 
 
-def test_malformed_line_reports_line_number(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("JUNCTION 0 0 0\nLINK zero 0 1 100\n")
-    with pytest.raises(NetworkError, match=":2"):
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d["links"][1].update(id="one"),
+     "links[1]: id must be an int, got 'one'"),
+    (lambda d: d["links"][0].update(lanes_total=2.0),
+     "links[0]: lanes_total must be an int, got 2.0"),
+    (lambda d: d["links"][0].update(is_boundary_in=1),
+     "links[0]: is_boundary_in must be a bool, got 1"),
+    (lambda d: d["junctions"][2].update(x="200"),
+     "junctions[2]: x must be a float, got '200'"),
+    (lambda d: d["signals"][0].update(junction=True),
+     "signals[0]: junction must be an int, got True"),
+    (lambda d: d["links"][0].pop("is_boundary_out"),
+     "links[0]: no key 'is_boundary_out'"),
+    (lambda d: d["links"][0].update(bus_lanes=0),
+     "links[0]: unknown key 'bus_lanes'"),
+    (lambda d: d.pop("signals"), "no key 'signals'"),
+    (lambda d: d.update(links={}), "links must be a tuple[dict, ...], got {}"),
+    (lambda d: d["links"].append([2, 0, 1]),
+     "links[2] must be a JSON object, got (2, 0, 1)"),
+    (lambda d: d["junctions"].append({"id": 1, "x": 5.0, "y": 5.0}),
+     "junctions[3]: junction 1 is defined twice"),
+    (lambda d: d["links"].append(dict(d["links"][0], from_junction=2,
+                                      to_junction=0)),
+     "link 0: duplicate link id"),
+    (lambda d: d["signals"].append(d["signals"][0]),
+     "junction 1 has two signal plans"),
+    (lambda d: d["signals"][0].update(green_a_s=91.0),
+     "signals[0]: junction 1: green 91.0 is outside 0..cycle 90.0"),
+], ids=["text-id", "float-lanes", "int-flag", "text-x", "bool-junction",
+        "no-flag", "unknown-key", "no-signals", "links-object", "link-list",
+        "junction-twice", "link-twice", "signal-twice", "green-past-cycle"])
+def test_bad_value_names_the_file_and_key(tmp_path, edit, message):
+    doc = chain_doc()
+    edit(doc)
+    path = write(tmp_path / "net.txt", doc)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
         load_network(path)
 
 
-@pytest.mark.parametrize("kind,field", [
-    ("JUNCTION", 2), ("JUNCTION", 3), ("LINK", 4), ("LINK", 7),
-    ("SIGNAL", 2), ("SIGNAL", 3), ("SIGNAL", 4)])
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_field_not_finite_names_the_file_and_line(tmp_path, kind, field, value):
+@pytest.mark.parametrize("section,key", [
+    ("junctions", "x"), ("junctions", "y"), ("links", "length_m"),
+    ("links", "vff_kmh"), ("signals", "cycle_s"), ("signals", "offset_s"),
+    ("signals", "green_a_s")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_field_not_finite_names_the_file_and_key(tmp_path, section, key, value):
+    doc = chain_doc()
+    doc[section][0][key] = value
+    path = write(tmp_path / "net.txt", doc)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: {section}[0]: {key} must be finite, got {value!r}")):
+        load_network(path)
+
+
+def test_writer_refuses_a_value_json_cannot_hold(tmp_path):
+    # Link refuses NaN, so only a junction built past the checks can hold one
+    net = two_link_chain()
+    net.junctions[2] = (float("nan"), 0.0)
+    with pytest.raises(ValueError, match="Out of range float values"):
+        save_network(net, tmp_path / "net.txt")
+
+
+def test_text_network_of_earlier_versions_asks_to_regenerate(tmp_path):
     path = tmp_path / "net.txt"
-    save_network(generate_grid_network(3, 3, 100.0, 2), path)
-    lines = path.read_text().splitlines()
-    i = next(i for i, ln in enumerate(lines) if ln.startswith(kind))
-    parts = lines[i].split()
-    parts[field] = value
-    lines[i] = " ".join(parts)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(NetworkError,
-                       match=f"{re.escape(str(path))}:{i + 1}: .*{value}"):
+    path.write_text("JUNCTION 0 0 0\nJUNCTION 1 100 0\nLINK 0 0 1 100 2 0 25\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: not a JSON file (Expecting value: line 1 column 1 "
+            "(char 0)); regenerate it with lcftraffic gen-network")):
         load_network(path)
 
 
@@ -86,36 +159,40 @@ def test_grid_round_trip_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_random_networks_without_flags_reload_with_inferred_flags(tmp_path):
-    # a LINK line without flags gets boundary-in = no upstream links and
-    # boundary-out = no downstream links; a line with flags keeps its own
+@pytest.mark.parametrize("rows,cols,signals", [(2, 2, True), (3, 4, True),
+                                               (5, 5, False)])
+def test_grid_round_trip_keeps_every_field(tmp_path, rows, cols, signals):
+    """Signals with offsets and uneven greens, bus lanes and jittered
+    lengths: ``load(save(x))`` equals ``x`` field by field."""
+    grid = generate_grid_network(rows, cols, 100.0, 3, cycle_s=75.0,
+                                 with_signals=signals, length_jitter=0.3,
+                                 jitter_seed=rows * cols)
+    plans = [SignalPlan(j, 75.0 + j, 7.5 * j - 20.0, 30.0 + j % 4)
+             for j in grid.signals]
+    net = RoadNetwork(grid.junctions, list(grid.links), plans)
+    net = net.with_bus_lanes(lk.id for lk in net.links if lk.id % 3 == 0)
+    assert any(lk.lanes_dbl for lk in net.links)
+    assert all(plan.offset_s for plan in net.signals.values())
+    save_network(net, tmp_path / "net.txt")
+    assert_same_network(load_network(tmp_path / "net.txt"), net)
+
+
+def test_random_networks_round_trip_field_by_field(tmp_path):
+    """Scattered junctions, dead ends and boundary flags set at random."""
     rng = np.random.default_rng(31)
-    path, again = tmp_path / "net.txt", tmp_path / "again.txt"
+    path = tmp_path / "net.txt"
     checked = 0
-    while checked < 40:
+    while checked < 24:
         net = random_network(rng)
         if net is None:
             continue
         checked += 1
+        net = RoadNetwork(net.junctions, [
+            replace(lk, is_boundary_in=bool(rng.random() < 0.5),
+                    is_boundary_out=bool(rng.random() < 0.5))
+            for lk in net.links])
         save_network(net, path)
-        lines = path.read_text().splitlines()
-        links = [ln for ln in lines if ln.startswith("LINK")]
-        rng.shuffle(links)  # file order is not link-id order
-        explicit = {int(ln.split()[1]) for ln in links[::3]}
-        links = [ln[:-4] + " 1 1" if int(ln.split()[1]) in explicit
-                 else ln[:-4] for ln in links]
-        path.write_text("\n".join(
-            [ln for ln in lines if not ln.startswith("LINK")] + links) + "\n")
-        loaded = load_network(path)
-        has_up = {b for _, b in net.connectivity}
-        has_down = {a for a, _ in net.connectivity}
-        for lk in loaded.links:
-            assert lk.is_boundary_in == (lk.id in explicit or lk.id not in has_up)
-            assert lk.is_boundary_out == (lk.id in explicit
-                                          or lk.id not in has_down)
-        save_network(loaded, path)
-        save_network(load_network(path), again)
-        assert path.read_bytes() == again.read_bytes()
+        assert_same_network(load_network(path), net)
 
 
 def test_grid_2x2_all_links_boundary():

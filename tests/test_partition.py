@@ -243,16 +243,16 @@ def test_load_partition_names_file_and_line_or_key(tmp_path, case):
     text = None
     if case == "region without label":
         doc["labels"][region] = [5]
-        expected = f"{path}: labels: [5] is not a [link, label] pair"
+        expected = f"{path}: labels[{region}] must be a tuple[int, int], got (5,)"
     elif case == "missing param":
         del doc["params"]["k"]
-        expected = f"{path}: partition.params: no key 'k'"
+        expected = f"{path}: params: no key 'k'"
     elif case == "bad param value":
         doc["params"]["alpha"] = "one"
-        expected = f"{path}: partition.params: alpha must be a float, got 'one'"
+        expected = f"{path}: params: alpha must be a float, got 'one'"
     elif case == "bad centroid":
         doc["centroids"][1][2] = "y"
-        expected = f"{path}: centroids: could not convert string to float: 'y'"
+        expected = f"{path}: centroids[1][2] must be a float, got 'y'"
     elif case in ("label of no region", "negative label"):
         # MFD-P would leave such a link at 0 km/h
         label = 7 if case == "label of no region" else -1
@@ -260,14 +260,14 @@ def test_load_partition_names_file_and_line_or_key(tmp_path, case):
         expected = f"{path}: labels: link 5 has region label {label}, outside 0..2"
     elif case == "text partition":    # the format of earlier versions
         text = "# network partition\nPARAM k 3\nREGION 5 1\n"
-        expected = (f"{path}: Expecting value: line 1 column 1 (char 0); "
-                    "rerun partition to rewrite it")
+        expected = (f"{path}: not a JSON file (Expecting value: line 1 column 1 "
+                    "(char 0)); regenerate it with lcftraffic partition")
     elif case == "cut-off file":
         text = path.read_text()[:40]
-        expected = f"{path}: Expecting"
+        expected = f"{path}: not a JSON file (Expecting"
     else:
         doc["boundary"] = [5]
-        expected = f"{path}: partition: unknown key 'boundary'"
+        expected = f"{path}: unknown key 'boundary'"
     path.write_text(json.dumps(doc) if text is None else text)
     with pytest.raises(ValueError, match=re.escape(expected)):
         load_partition(path)

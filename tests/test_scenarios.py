@@ -190,28 +190,70 @@ def test_scenarios_vary_but_share_od_pairs():
     assert len(bus) > 1
 
 
-def test_od_file_round_trip(tmp_path):
-    od = ODMatrix(pairs=((3, 17), (5, 2)), rates=(120.5, 88.25),
-                  ramp_fraction=0.75)
+@pytest.mark.parametrize("od", [
+    ODMatrix(pairs=((3, 17), (5, 2)), rates=(120.5, 88.25), ramp_fraction=0.75),
+    ODMatrix(pairs=(), rates=()),
+    ODMatrix(pairs=((0, 9),), rates=(0.0,), ramp_fraction=0.0),
+    ODMatrix(pairs=((1, 2), (2, 1)), rates=(1 / 3, 250), ramp_fraction=1),
+], ids=["two-pairs", "empty", "zero-rate", "int-values"])
+def test_od_file_round_trip(tmp_path, od):
     save_od(od, tmp_path / "od.txt")
     loaded = load_od(tmp_path / "od.txt")
     assert loaded == od
+    assert [type(v) for v in (*loaded.rates, loaded.ramp_fraction)] == \
+        [type(v) for v in (*od.rates, od.ramp_fraction)]
 
 
-@pytest.mark.parametrize("line,message", [
-    ("OD 1 2", "not enough values to unpack"),
-    ("OD 1 2 fast", "could not convert string to float: 'fast'"),
-    ("OD 1 2 3.0 4", "too many values to unpack"),
-    ("RAMP", "not enough values to unpack"),
-    ("DEMAND 1 2 3.0", "unknown OD record 'DEMAND'"),
-    ("OD 1 2 nan", "OD rates must be finite and >= 0, got nan"),
-    ("OD 1 2 -3.0", "OD rates must be finite and >= 0, got -3.0"),
-    ("OD 1 2 inf", "OD rates must be finite and >= 0, got inf"),
-])
-def test_load_od_names_file_and_line_of_a_bad_record(tmp_path, line, message):
+def test_od_files_of_random_demand_round_trip(tmp_path):
+    net = generate_grid_network(3, 3, 100.0, 2)
+    for seed in range(20):
+        base = random_base_od(net, 6, 300.0, seed=seed)
+        od = perturb_od(base, np.random.default_rng(seed).uniform(0.8, 1.2, 6))
+        save_od(od, tmp_path / "od.txt")
+        assert load_od(tmp_path / "od.txt") == od
+
+
+OD_DOC = {"pairs": [[3, 17], [5, 2]], "rates": [120.5, 88.25],
+          "ramp_fraction": 1.0}
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d["pairs"][1].pop(), "pairs[1] must be a tuple[int, int], got (5,)"),
+    (lambda d: d["pairs"][1].append(4),
+     "pairs[1] must be a tuple[int, int], got (5, 2, 4)"),
+    (lambda d: d["pairs"][0].__setitem__(1, 17.0),
+     "pairs[0][1] must be an int, got 17.0"),
+    (lambda d: d["rates"].__setitem__(1, "fast"),
+     "rates[1] must be a float, got 'fast'"),
+    (lambda d: d["rates"].__setitem__(1, float("nan")),
+     "rates[1] must be finite, got nan"),
+    (lambda d: d["rates"].__setitem__(1, float("inf")),
+     "rates[1] must be finite, got inf"),
+    (lambda d: d["rates"].__setitem__(1, -3.0),
+     "OD rates must be finite and >= 0, got -3.0"),
+    (lambda d: d["rates"].pop(), "pairs and rates must align"),
+    (lambda d: d.update(ramp_fraction=1.5),
+     "ramp fraction must be in [0, 1], got 1.5"),
+    (lambda d: d.pop("ramp_fraction"), "no key 'ramp_fraction'"),
+    (lambda d: d.update(demand=[]), "unknown key 'demand'"),
+], ids=["short-pair", "long-pair", "float-id", "text-rate", "nan-rate",
+        "inf-rate", "negative-rate", "short-rates", "ramp-above-1", "no-ramp",
+        "unknown-key"])
+def test_load_od_names_file_and_key_of_a_bad_value(tmp_path, edit, message):
+    doc = json.loads(json.dumps(OD_DOC))
+    edit(doc)
     path = tmp_path / "od.txt"
-    path.write_text(f"# od matrix\nRAMP 1.0\nOD 3 17 120.5\n{line}\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:4: {message}")):
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_od(path)
+
+
+def test_text_od_file_of_earlier_versions_asks_to_regenerate(tmp_path):
+    path = tmp_path / "od.txt"
+    path.write_text("# od matrix\nRAMP 1.0\nOD 3 17 120.5\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: not a JSON file (Expecting value: line 1 column 1 "
+            "(char 0)); regenerate it with lcftraffic gen-dataset")):
         load_od(path)
 
 
