@@ -134,10 +134,10 @@ def _fields(o, cls) -> dict:
             for flag, c, field, _ in SIM_OPTS + TRAIN_OPTS + PART_OPTS if c is cls}
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The parser of every command; with ``command``, the other commands
-    are listed by name but take no options: adding them all takes argparse
-    about 2 ms, more than most commands' own work on a small network."""
+def build_parser(command: str) -> _Parser:
+    """The parser of ``command``'s options; the other commands are listed
+    by name but take none: adding them all takes argparse about 2 ms, more
+    than most commands' own work on a small network."""
     parser = _Parser(prog="lcftraffic",
                      description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
@@ -147,7 +147,7 @@ def build_parser(command: str | None = None) -> _Parser:
         s = subs.add_parser(
             name, help=help_text, allow_abbrev=False,
             formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-        if command not in (None, name):
+        if command != name:
             return
         s.add_argument("--config", help="flat key = value option file; "
                                         "flags override it")
@@ -521,7 +521,7 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
+    parser = build_parser(argv[0] if argv else "")
     try:
         args = _parse(parser, argv)
         return COMMANDS[args.command](args)

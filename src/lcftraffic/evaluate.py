@@ -29,14 +29,13 @@ class MetricReport:
     err_mean: float
     err_std: float
     count: int
-    trip_counts: tuple[tuple[str, int], ...] = ()  # travel time: NoPath, Overrun
 
     def as_rows(self) -> list[tuple[str, str, str, float]]:
-        return [(self.model, self.scenario_class, metric, float(value))
+        return [(self.model, self.scenario_class, metric, value)
                 for metric, value in (
                     ("MAE", self.mae), ("MSE", self.mse), ("RMSE", self.rmse),
                     ("ErrMean", self.err_mean), ("ErrStd", self.err_std),
-                    ("Count", self.count)) + self.trip_counts]
+                    ("Count", float(self.count)))]
 
 
 def metrics(pred: np.ndarray, truth: np.ndarray, model: str = "",

@@ -11,7 +11,7 @@ regressor wrapped to that surface.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,6 +146,19 @@ def evaluate_speed_split(net: RoadNetwork, dataset: Dataset, partition,
     return reports, samples
 
 
+@dataclass(frozen=True)
+class TripReport(MetricReport):
+    """The trip-time metrics of the timed trips, then the trips without a
+    path and those that overran the record's horizon."""
+    no_path: int
+    overrun: int
+
+    def as_rows(self) -> list[tuple[str, str, str, float]]:
+        return super().as_rows() + [
+            (self.model, self.scenario_class, metric, float(n))
+            for metric, n in (("NoPath", self.no_path), ("Overrun", self.overrun))]
+
+
 def evaluate_travel_time_split(net: RoadNetwork, dataset: Dataset, partition,
                                model_names, models, n_trips: int = 1000,
                                seed: int = 0,
@@ -202,8 +215,9 @@ def evaluate_travel_time_split(net: RoadNetwork, dataset: Dataset, partition,
             log.info("travel-time %s: %d no-path trips excluded, %d trips "
                      "overran the horizon", name, excluded, overran)
         err = np.concatenate(errs)
-        reports.append(replace(
-            metrics(err, np.zeros_like(err), model=name, scenario_class=label),
-            trip_counts=(("NoPath", excluded), ("Overrun", overran))))
+        reports.append(TripReport(
+            **vars(metrics(err, np.zeros_like(err), model=name,
+                           scenario_class=label)),
+            no_path=excluded, overrun=overran))
         samples[name] = err
     return reports, samples

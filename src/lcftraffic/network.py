@@ -459,9 +459,12 @@ def load_network(path) -> RoadNetwork:
     """Read a ``save_network`` file. Each object holds exactly the keys
     written, each value of its kind, and the ``Link``, ``SignalPlan`` and
     ``RoadNetwork`` checks run; anything else, a text network of earlier
-    versions included, is a ValueError naming the file and the key path."""
-    return read_json(load_json(path, "gen-network"), _NETWORK_KINDS, str(path),
-                     _network_of)
+    versions included, is a NetworkError naming the file and the key path."""
+    try:
+        return read_json(load_json(path, "gen-network"), _NETWORK_KINDS,
+                         str(path), _network_of)
+    except ValueError as exc:
+        raise NetworkError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

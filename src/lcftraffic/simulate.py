@@ -456,18 +456,11 @@ class SimRecord:
     speeds: np.ndarray            # (W, Z) km/h
     accumulation: np.ndarray      # (W, Z) mean vehicles per window
     outflow: np.ndarray           # (W, Z) vehicles per window
+    mean_speed: np.ndarray        # (W,) km/h
+    production: np.ndarray        # (W,) veh*km/h
+    total_accumulation: np.ndarray  # (W,) vehicles
     completed: np.ndarray | None = None  # (W,) trips finished per window
     balance_error: float = 0.0    # |injected - in-network - completed| veh
-    # the network columns: given together (tests stub them) or derived by
-    # ``network_stats``
-    mean_speed: np.ndarray | None = None          # (W,) km/h
-    production: np.ndarray | None = None          # (W,) veh*km/h
-    total_accumulation: np.ndarray | None = None  # (W,) vehicles
-
-    def __post_init__(self):
-        if self.mean_speed is None:
-            self.mean_speed, self.production, self.total_accumulation = \
-                network_stats(self.speeds, self.accumulation)
 
     @property
     def n_windows(self) -> int:
@@ -582,9 +575,12 @@ def simulate(net: RoadNetwork, scenario, cfg: SimConfig | None = None) -> SimRec
     if not abs(balance) <= 1e-6:
         raise SimulationError(f"vehicle balance violated by {balance:.3e} veh")
 
+    mean_speed, production, total_acc = network_stats(speeds, acc)
     record = SimRecord(
         link_ids=sim_net.link_ids(), window_s=cfg.window_s, step_s=cfg.step_s,
-        speeds=speeds, accumulation=acc, outflow=outflow, completed=completed,
+        speeds=speeds, accumulation=acc, outflow=outflow,
+        mean_speed=mean_speed, production=production,
+        total_accumulation=total_acc, completed=completed,
         balance_error=abs(balance),
     )
     for name in ("speeds", "accumulation", "outflow", "mean_speed", "production",
@@ -670,8 +666,8 @@ def _first_mismatch(path: str, what: str, found: np.ndarray,
 
 def load_record(out_dir, *, window_s: float, step_s: float) -> SimRecord:
     """Read a record saved by ``save_record`` from links.csv alone, taking
-    the window and step lengths, which the file does not hold, from the
-    caller; the record derives its network columns. A layout that is
+    the network columns from ``network_stats`` and the window and step
+    lengths, which the file does not hold, from the caller. A layout that is
     not window-major, each window listing window 0's link ids in order, is a
     ValueError naming the file and line."""
     path = os.path.join(out_dir, "links.csv")
@@ -702,5 +698,10 @@ def load_record(out_dir, *, window_s: float, step_s: float) -> SimRecord:
     # contiguous copies, so that the record does not keep the table alive
     speeds, acc, outflow = (np.ascontiguousarray(table[name]).reshape(n_w, n_z)
                             for name in _LINKS_ROW.names[2:])
-    return SimRecord(link_ids=link_ids, window_s=window_s, step_s=step_s,
-                     speeds=speeds, accumulation=acc, outflow=outflow)
+    mean_speed, production, total_acc = network_stats(speeds, acc)
+    return SimRecord(
+        link_ids=link_ids, window_s=window_s, step_s=step_s,
+        speeds=speeds, accumulation=acc, outflow=outflow,
+        mean_speed=mean_speed, production=production,
+        total_accumulation=total_acc,
+    )

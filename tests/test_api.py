@@ -75,11 +75,10 @@ def test_cli_defaults_equal_the_config_defaults():
               (("train", "evaluate", "travel-time"), TrainConfig(), train),
               (("train", "evaluate", "travel-time"), ModelConfig(), model),
               (("partition",), PartitionParams(), part)]
-    parser = build_parser()
     flags = set()
     for commands, config, fields in checks:
         for command in commands:
-            defaults = vars(parser.parse_args([command]))
+            defaults = vars(build_parser(command).parse_args([command]))
             for dest, field in fields.items():
                 cli, lib = defaults[dest], getattr(config, field)
                 assert (cli, type(cli)) == (lib, type(lib)), (command, dest)

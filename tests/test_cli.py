@@ -541,15 +541,14 @@ def test_unreadable_input_exits_1_asking_to_regenerate(trained_dnn, tmp_path,
 
 
 def test_help_lists_reference_defaults(capsys):
-    parser = build_parser()
     with pytest.raises(SystemExit):
-        parser.parse_args(["train", "--help"])
+        build_parser("train").parse_args(["train", "--help"])
     text = " ".join(capsys.readouterr().out.split())
     for needle in ("0.002", "80", "0.85", "(default: 2)", "(default: 128)",
                    "(default: 5)", "-1.0"):
         assert needle in text
     with pytest.raises(SystemExit):
-        parser.parse_args(["partition", "--help"])
+        build_parser("partition").parse_args(["partition", "--help"])
     text = " ".join(capsys.readouterr().out.split())
     for needle in ("(default: 4)", "(default: 1.0)", "(default: 1.5)",
                    "(default: 2)", "(default: 40)"):

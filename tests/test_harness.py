@@ -230,7 +230,7 @@ def test_travel_time_split_excludes_a_scenario_whose_trips_all_fail(two_grids, c
             net, dataset, None, ["MFD"], {}, n_trips=2, seed=0)
     assert reports[0].count == 1 and len(samples["MFD"]) == 1
     assert "travel-time MFD: 1 no-path trips excluded" in caplog.text
-    assert dict(reports[0].trip_counts)["NoPath"] == 1
+    assert reports[0].no_path == 1
 
 
 def test_travel_time_split_fails_when_none_of_its_trips_routes(two_grids):

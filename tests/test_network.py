@@ -61,7 +61,7 @@ def test_load_rejects_dbl_equal_lanes(tmp_path):
     doc = chain_doc()
     doc["links"][1]["lanes_dbl"] = 2
     path = write(tmp_path / "bad.txt", doc)
-    with pytest.raises(ValueError, match=re.escape(
+    with pytest.raises(NetworkError, match=re.escape(
             f"{path}: links[1]: link 1: lanes_dbl 2 must be < lanes_total")):
         load_network(path)
 
@@ -70,7 +70,7 @@ def test_load_rejects_dangling_junction(tmp_path):
     doc = chain_doc()
     doc["links"][0]["to_junction"] = 9
     path = write(tmp_path / "bad.txt", doc)
-    with pytest.raises(ValueError, match=re.escape(
+    with pytest.raises(NetworkError, match=re.escape(
             f"{path}: link 0: unknown junction 9")):
         load_network(path)
 
@@ -110,7 +110,7 @@ def test_bad_value_names_the_file_and_key(tmp_path, edit, message):
     doc = chain_doc()
     edit(doc)
     path = write(tmp_path / "net.txt", doc)
-    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+    with pytest.raises(NetworkError, match=re.escape(f"{path}: {message}")):
         load_network(path)
 
 
@@ -123,7 +123,7 @@ def test_field_not_finite_names_the_file_and_key(tmp_path, section, key, value):
     doc = chain_doc()
     doc[section][0][key] = value
     path = write(tmp_path / "net.txt", doc)
-    with pytest.raises(ValueError, match=re.escape(
+    with pytest.raises(NetworkError, match=re.escape(
             f"{path}: {section}[0]: {key} must be finite, got {value!r}")):
         load_network(path)
 
@@ -139,7 +139,7 @@ def test_writer_refuses_a_value_json_cannot_hold(tmp_path):
 def test_text_network_of_earlier_versions_asks_to_regenerate(tmp_path):
     path = tmp_path / "net.txt"
     path.write_text("JUNCTION 0 0 0\nJUNCTION 1 100 0\nLINK 0 0 1 100 2 0 25\n")
-    with pytest.raises(ValueError, match=re.escape(
+    with pytest.raises(NetworkError, match=re.escape(
             f"{path}: not a JSON file (Expecting value: line 1 column 1 "
             "(char 0)); regenerate it with lcftraffic gen-network")):
         load_network(path)
