@@ -421,7 +421,7 @@ def cmd_partition(o) -> int:
                               f"{net.n_links} links of network file "
                               f"{_net_path(o)}: each sub-region needs a link")
     dataset = _load_ds(o, net)
-    first_train = dataset.splits["train"][0]
+    first_train = dataset.split_scenarios("train")[0].id
     record = dataset.records[first_train]
     part = partition_network(net, record, PartitionParams(
         **_fields(o, PartitionParams), seed=o.seed))

@@ -172,8 +172,6 @@ def evaluate_travel_time_split(net: RoadNetwork, dataset: Dataset, partition,
     excluded; a ValueError is raised only when no trip of the split routes."""
     label = scenario_class or f"{split}-{dataset.demand_level}"
     scenarios = dataset.split_scenarios(split)
-    if not scenarios:
-        raise ValueError(f"split {split!r} is empty")
     if n_trips < 1:
         raise ValueError(f"n_trips must be >= 1, got {n_trips}")
     n_sc = len(scenarios)

@@ -17,17 +17,19 @@ projection feats @ W is one ``nn.matmul``, and the rest of the layer, all
 heads and their mean, is one ``nn.gat``.
 
 Parameters are plain arrays keyed by name (``LcfModel.params``). A training
-step is one fixed chain of ``nn`` ops: the projections and the attention
-(or the dense layer), the GRU and the head's first-layer products
-(``nn.pair_halves``). ``loss_and_grads`` runs it forward, recording each
-op's backward (``nn.call``); runs the rest of the head and the loss over
-``window_blocks``, each block's backward before the next block's forward;
-then runs the chain's backwards once in reverse (``nn.backward``) from the
-halves' gradients summed over the blocks, and returns each parameter's
-gradient by name. ``window_blocks`` is the one block rule, at most
-``PREDICT_BLOCK_ROWS`` (window, link) rows a block, so a step holds one
-block's head activations. Validation and prediction run the same forwards
-over the same blocks with no chain, so they keep nothing for a backward.
+step is one fixed chain of ``nn`` ops, the one ``_embed`` runs: the
+projections and the attention (or the dense layer), the GRU and the head's
+first-layer products, its two halves (``nn.pair_halves``).
+``loss_and_grads`` runs it forward, recording each op's backward
+(``nn.call``); runs the rest of the head (``fuse``, on each block's slice
+of the per-window half) and the loss over ``window_blocks``, each block's
+backward before the next block's forward; then runs the chain's backwards
+once in reverse (``nn.backward``) from the halves' gradients summed over
+the blocks, and returns each parameter's gradient by name.
+``window_blocks`` is the one block rule, at most ``PREDICT_BLOCK_ROWS``
+(window, link) rows a block, so a step holds one block's head
+activations. Validation and prediction run the same forwards over the
+same blocks with no chain, so they keep nothing for a backward.
 
 Precision: the model runs in ``ModelConfig.dtype``, float32 by default. The
 attention heads' parameters stay float64, so each projection and the
@@ -47,7 +49,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .config import bounded, check, from_json, require_keys
+from .config import bounded, check, from_json, read_json, require_keys
 from .network import (LinkGraph, MinMaxStats, N_FEATURES, RoadNetwork,
                       build_link_graph, extract_features, fit_minmax,
                       minmax_scale, minmax_unscale)
@@ -273,84 +275,58 @@ class LcfModel:
         return nn.call(chain, "temporal", names, nn.gru, hist_norm,
                        *(self.params[name] for name in names))
 
-    def fuse(self, spatial: np.ndarray, temporal: np.ndarray, batch: int,
-             halves=None, chain: list | None = None) -> np.ndarray:
-        """Head over every (window, link) pair, window-major: its first
-        layer is ``nn.pair_halves`` of [spatial[link], temporal[window]],
-        which builds no pair, and ``nn.pair_head`` runs the rest. Training,
-        validation and prediction compute the halves once and pass, for
-        each block of ``window_blocks``, the slice of its ``batch``
-        windows as ``halves``; without them the head runs over all windows
-        in one call. Given a ``chain``, the head's backward goes on it,
-        taking its inputs' names "part_in" and "part_out", and its hidden
+    def fuse(self, part_in: np.ndarray, part_out: np.ndarray,
+             chain: list | None = None) -> np.ndarray:
+        """The head over every (window, link) pair of one block,
+        window-major: ``nn.pair_head`` on the pair layer's halves
+        (``_embed``), ``part_in`` per link and ``part_out`` per window of
+        the block. Given a ``chain``, the head's backward goes on it, taking
+        its inputs' names "part_in" and "part_out", and its hidden
         activations live in buffers the model holds for the largest block;
         with none it claims no buffers."""
-        cfg = self.config
-        width = cfg.fc_input_dim - cfg.hidden_dim
-        if spatial.ndim != 2 or spatial.shape[1] != cfg.hidden_dim \
-                or temporal.shape != (batch, width):
-            raise ValueError(
-                f"fuse: spatial {spatial.shape} and temporal "
-                f"{temporal.shape} do not fit the head, which expects "
-                f"(n_links, {cfg.hidden_dim}) and ({batch}, {width})")
-        if halves is None:
-            halves = self._halves(spatial, temporal)
-        k = self.params["fc.0.W"].shape[1]
-        if halves[0].shape != (len(spatial), k) \
-                or halves[1].shape != (batch, k):
-            raise ValueError(f"fuse: halves {halves[0].shape} and "
-                             f"{halves[1].shape} do not fit "
-                             f"({len(spatial)}, {k}) and ({batch}, {k})")
-        names = [f"fc.{i}.{name}" for i in range(1, len(cfg.fc_hidden) + 1)
+        names = [f"fc.{i}.{name}" for i in range(1, len(self.config.fc_hidden) + 1)
                  for name in ("W", "b")]
         layers = [(self.params[w], self.params[b])
                   for w, b in zip(names[::2], names[1::2])]
         return nn.call(chain, "pred", ["part_in", "part_out"] + names,
-                       nn.pair_head, *halves, layers, self._head)
-
-    def _halves(self, spatial: np.ndarray, temporal: np.ndarray,
-                chain: list | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The head's first-layer products (``nn.pair_halves``): spatial @
-        W_s + b per link and temporal @ W_t per window; given a ``chain``,
-        their backward goes on it as "halves"."""
-        # without the GRU, temporal is data: no one reads its gradient
-        ins = ["spatial", "temporal" if self.config.use_gru else None,
-               "fc.0.W", "fc.0.b"]
-        return nn.call(chain, "halves", ins, nn.pair_halves, spatial, temporal,
-                       self.params["fc.0.W"], self.params["fc.0.b"])
+                       nn.pair_head, part_in, part_out, layers, self._head)
 
     def _embed(self, feats_norm: np.ndarray, graph: LinkGraph,
                hist_norm: np.ndarray, chain: list | None = None,
                ) -> tuple[np.ndarray, np.ndarray]:
-        """The head's inputs: spatial (n_links, hidden) and temporal rows,
-        one per window (the GRU state, or the history's last column, the
-        window's normalized mean speed). The inputs are cast to the model
-        dtype, a no-op for a ``SampleBatch``."""
+        """The head's first-layer products (``nn.pair_halves``): part_in =
+        spatial @ W_s + b per link and part_out = temporal @ W_t per window,
+        temporal being the GRU state or, without the GRU, the history's
+        last column, the window's normalized mean speed. The inputs are
+        cast to the model dtype, a no-op for a ``SampleBatch``. Given a
+        ``chain``, the embeddings' and the halves' backwards go on it, the
+        halves' as "halves"."""
         spatial = self.spatial_embed(
             np.asarray(feats_norm, dtype=self.dtype), graph, chain)
         if self.config.use_gru:
             temporal = self.temporal_embed(hist_norm, chain)
         else:
             temporal = np.asarray(hist_norm[:, -1:], dtype=self.dtype)
-        return spatial, temporal
+        # without the GRU, temporal is data: no one reads its gradient
+        ins = ["spatial", "temporal" if self.config.use_gru else None,
+               "fc.0.W", "fc.0.b"]
+        return nn.call(chain, "halves", ins, nn.pair_halves, spatial, temporal,
+                       self.params["fc.0.W"], self.params["fc.0.b"])
 
     def forward(self, feats_norm: np.ndarray, graph: LinkGraph,
                 hist_norm: np.ndarray) -> np.ndarray:
         """Raw normalized outputs, shape (batch * n_links, 1), window-major,
         from one head call over all windows; ``hist_norm`` holds one
         ``pad_history`` row per window. Records no backward."""
-        spatial, temporal = self._embed(feats_norm, graph, hist_norm)
-        return self.fuse(spatial, temporal, hist_norm.shape[0])
+        return self.fuse(*self._embed(feats_norm, graph, hist_norm))
 
     def batch_loss(self, batch: SampleBatch) -> np.ndarray:
         """The MSE of ``batch``, summed over the head's ``window_blocks`` as
         ``loss_and_grads`` sums it, with no chain: a validation loss."""
-        spatial, temporal = self._embed(batch.feats_norm, batch.adj, batch.hist)
-        part_in, part_out = self._halves(spatial, temporal)
-        n, loss = len(spatial), None
-        for w in window_blocks(len(temporal), n):
-            pred = self.fuse(spatial, temporal[w], w.stop - w.start,
-                             (part_in, part_out[w]))
+        part_in, part_out = self._embed(batch.feats_norm, batch.adj, batch.hist)
+        n, loss = len(part_in), None
+        for w in window_blocks(len(part_out), n):
+            pred = self.fuse(part_in, part_out[w])
             share = nn.mse_loss(pred, batch.targets[w.start * n:w.stop * n],
                                 len(batch.targets))
             loss = share if loss is None else loss + share
@@ -372,15 +348,13 @@ class LcfModel:
         the two halves' gradients. A batch of one block gives the bits of
         one head call; with more, the sums equal it within rounding."""
         chain = []
-        spatial, temporal = self._embed(batch.feats_norm, batch.adj,
+        part_in, part_out = self._embed(batch.feats_norm, batch.adj,
                                         batch.hist, chain)
-        part_in, part_out = self._halves(spatial, temporal, chain)
-        n, one = len(spatial), np.ones((), self.dtype)
+        n, one = len(part_in), np.ones((), self.dtype)
         loss, grads, g_out = None, {}, np.empty_like(part_out)
-        for w in window_blocks(len(temporal), n):
+        for w in window_blocks(len(part_out), n):
             head = []
-            pred = self.fuse(spatial, temporal[w], w.stop - w.start,
-                             (part_in, part_out[w]), head)
+            pred = self.fuse(part_in, part_out[w], head)
             share, loss_back = nn.mse_loss(
                 pred, batch.targets[w.start * n:w.stop * n],
                 len(batch.targets), grad=True)
@@ -424,25 +398,17 @@ class LcfModel:
             raise ValueError("model has no normalization statistics; train first")
         cfg = self.config
         vmean_kmh = np.asarray(vmean_kmh, dtype=float)
-        if windows is None:
-            windows = range(len(vmean_kmh))
-        windows = list(windows)
+        windows = list(range(len(vmean_kmh)) if windows is None else windows)
         feats = extract_features(net, partition if cfg.use_partition else None)
-        feats_norm = self.norm.feat.apply(feats)
-        graph = build_link_graph(net)
         hist = pad_history(self.norm.norm_vmean(vmean_kmh), cfg.history_len)[windows]
-        vff = net.index.vff_kmh
-        v_now = vmean_kmh[windows, None]
-        n_links = net.n_links
+        part_in, part_out = self._embed(self.norm.feat.apply(feats),
+                                        build_link_graph(net), hist)
+        v_now, n_links = vmean_kmh[windows, None], net.n_links
         out = np.empty((len(windows), n_links))
-        spatial, temporal = self._embed(feats_norm, graph, hist)
-        part_in, part_out = self._halves(spatial, temporal)
         for b in window_blocks(len(windows), n_links):
-            block = temporal[b]
-            raw = self.fuse(spatial, block, len(block), (part_in, part_out[b]))
-            raw = raw.reshape(len(block), n_links).astype(np.float64)
-            out[b] = decode_output(self.norm.denorm_target(raw), v_now[b],
-                                   cfg.output_type, vff)
+            raw = self.fuse(part_in, part_out[b]).reshape(-1, n_links)
+            out[b] = decode_output(self.norm.denorm_target(raw.astype(np.float64)),
+                                   v_now[b], cfg.output_type, net.index.vff_kmh)
         return out
 
 
@@ -547,8 +513,6 @@ def train(net: RoadNetwork, dataset, partition, model_cfg: ModelConfig,
     val_batches = build_batches(net, dataset, "val",
                                 split_features(net, dataset, "val", part),
                                 model_cfg, norm, stride=tc.window_stride)
-    if not train_batches or not val_batches:
-        raise ValueError("dataset must provide non-empty train and val splits")
 
     opt = nn.AdamW(model.params, lr=tc.lr, weight_decay=tc.weight_decay)
     rng = np.random.default_rng(model_cfg.seed)
@@ -591,6 +555,9 @@ def train(net: RoadNetwork, dataset, partition, model_cfg: ModelConfig,
 # ---------------------------------------------------------------------------
 
 NORM_KEYS = ("vmean_lo", "vmean_hi", "target_lo", "target_hi")
+FEAT_KEYS = ("feat_lo", "feat_hi")
+NORM_KINDS = {**dict.fromkeys(FEAT_KEYS, "tuple[float, ...]"),
+              **dict.fromkeys(NORM_KEYS, "float")}
 
 
 def save_model(model: LcfModel, path) -> None:
@@ -620,18 +587,15 @@ def load_model(path) -> LcfModel:
             meta = require_keys(json.loads(arrays.pop("meta").item()),
                                 ("config", "norm"), "meta")
             config = from_json(ModelConfig, meta["config"], "meta.config")
-            norm = require_keys(meta["norm"], ("feat_lo", "feat_hi") + NORM_KEYS,
-                                "meta.norm")
-            stats = {key: np.array(value, dtype=float) for key, value in norm.items()}
-            for key, value in stats.items():
-                want = ((N_FEATURES,), f"{N_FEATURES} finite numbers") \
-                    if key.startswith("feat") else ((), "a finite number")
-                if value.shape != want[0] or not np.isfinite(value).all():
-                    raise ValueError(f"meta {key!r} must be {want[1]}, "
-                                     f"got {norm[key]!r}")
+            norm = read_json(meta["norm"], NORM_KINDS, "meta.norm")
+            feat = [np.array(norm[key], dtype=float) for key in FEAT_KEYS]
+            for key, value in zip(FEAT_KEYS, feat):
+                if len(value) != N_FEATURES:
+                    raise ValueError(f"meta.norm: {key} must hold {N_FEATURES} "
+                                     f"numbers, got {meta['norm'][key]!r}")
             model = LcfModel(config, Normalization(
-                feat=MinMaxStats(lo=stats["feat_lo"], hi=stats["feat_hi"]),
-                **{key: float(stats[key]) for key in NORM_KEYS}), state=arrays)
+                MinMaxStats(*feat), **{key: float(norm[key]) for key in NORM_KEYS}),
+                state=arrays)
         except (ValueError, TypeError, zipfile.BadZipFile) as exc:
             raise ValueError(f"{path}: {exc}; regenerate it with lcftraffic "
                              "train") from None

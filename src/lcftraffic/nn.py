@@ -279,7 +279,12 @@ class HeadBuffers:
     but the last) and reused while its widths and dtype hold. A call of
     fewer rows runs on views of their first rows. A backward writes the
     gradients between the layers over these activations, so one training
-    step holds one block's head activations and nothing beside them."""
+    step holds one block's head activations and nothing beside them.
+
+    Only a training step claims them. Validation runs on the buffers the
+    steps built: allocating its own would add a block's activations on top
+    of them and raise the training run's peak. Prediction allocates as it
+    goes, so a model that only predicts holds no buffers between calls."""
 
     def __init__(self):
         self.shape = None

@@ -127,7 +127,10 @@ class Dataset:
     demand_level: str = "medium"
 
     def split_scenarios(self, name: str) -> list[Scenario]:
+        """The split's scenarios in dataset order; refuses an empty split."""
         chosen = set(self.splits[name])
+        if not chosen:
+            raise ValueError(f"split {name!r} is empty")
         return [s for s in self.scenarios if s.id in chosen]
 
 

@@ -8,7 +8,8 @@ import numpy as np
 FAULTS = ("empty file", "cut-off values", "text checkpoint", "npy file",
           "object array", "no meta entry", "bare meta", "missing meta",
           "unknown meta", "bool as text", "unknown output type",
-          "bad number", "missing parameter",
+          "bad number", "number as text", "bool as number",
+          "statistics as text", "missing parameter",
           "extra parameter", "short values", "short statistic",
           "statistic not finite", "parameter not finite")
 
@@ -77,15 +78,27 @@ def plant(path, fault: str) -> str:
     elif fault == "bad number":
         meta["norm"]["vmean_lo"] = "1.5x"
         meta_text = json.dumps(meta)
-        expected = "could not convert string to float: '1.5x'"
+        expected = "meta.norm: vmean_lo must be a float, got '1.5x'"
+    elif fault == "number as text":    # a value of the wrong kind, never coerced
+        meta["norm"]["vmean_lo"] = "1.5"
+        meta_text = json.dumps(meta)
+        expected = "meta.norm: vmean_lo must be a float, got '1.5'"
+    elif fault == "bool as number":
+        meta["norm"]["vmean_hi"] = True
+        meta_text = json.dumps(meta)
+        expected = "meta.norm: vmean_hi must be a float, got True"
+    elif fault == "statistics as text":
+        meta["norm"]["feat_lo"] = [str(v) for v in meta["norm"]["feat_lo"]]
+        meta_text = json.dumps(meta)
+        expected = "meta.norm: feat_lo[0] must be a float, got '"
     elif fault == "short statistic":    # would broadcast over every feature
         meta["norm"]["feat_lo"] = [0.0]
         meta_text = json.dumps(meta)
-        expected = "meta 'feat_lo' must be 10 finite numbers, got [0.0]"
+        expected = "meta.norm: feat_lo must hold 10 numbers, got [0.0]"
     elif fault == "statistic not finite":
         meta["norm"]["target_hi"] = float("nan")
         meta_text = json.dumps(meta)
-        expected = "meta 'target_hi' must be a finite number, got nan"
+        expected = "meta.norm: target_hi must be finite, got nan"
     elif fault == "missing parameter":
         del arrays["fc.1.b"]
         expected = "array 'fc.1.b' is missing; expected shape (1, 1)"

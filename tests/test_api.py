@@ -145,12 +145,19 @@ def test_large_grid_workload_runs_on_the_package(tmp_path, monkeypatch):
         sum(f.stat().st_size for f in out.iterdir())
 
 
-def names_read(modules) -> set:
-    """Every name the given modules of src/lcftraffic read: ``x``,
-    ``mod.x`` or ``from .mod import x``."""
+SRC = os.path.join(ROOT, "src", "lcftraffic")
+MODULES = sorted(name[:-3] for name in os.listdir(SRC)
+                 if name.endswith(".py") and name != "__init__.py")
+DEMOS = sorted(os.path.join(ROOT, "demos", name)
+               for name in os.listdir(os.path.join(ROOT, "demos"))
+               if name.endswith(".py"))
+
+
+def names_read(paths) -> set:
+    """Every name the given Python files read: ``x``, ``mod.x`` or
+    ``from .mod import x``."""
     named = set()
-    for name in modules:
-        path = os.path.join(ROOT, "src", "lcftraffic", f"{name}.py")
+    for path in paths:
         for node in ast.walk(ast.parse(open(path).read())):
             if isinstance(node, ast.Name):
                 named.add(node.id)
@@ -161,25 +168,24 @@ def names_read(modules) -> set:
     return named
 
 
-@pytest.mark.parametrize("module", ["nn", "network", "scenarios"])
+@pytest.mark.parametrize("module", MODULES)
 def test_every_name_has_a_caller_in_the_package(module):
-    """Each module holds only what the package runs. Every public function
-    and class of ``lcftraffic.nn`` is named in another module: an op only
-    the tests use belongs under ``tests/``. Every function and class of
-    ``network`` and ``scenarios``, private ones too, is named in the package
+    """Each module holds only what the package runs. Every module-level
+    function and class, private ones too, is named in the package or a demo
     besides its definition, the package's re-exports not counted, so no
-    helper of a file format the package no longer reads is left behind."""
-    src = os.path.join(ROOT, "src", "lcftraffic")
-    others = [name[:-3] for name in sorted(os.listdir(src))
-              if name.endswith(".py") and name != "__init__.py"]
-    tree = ast.parse(open(os.path.join(src, f"{module}.py")).read())
+    helper that nothing runs is left behind. Every public one of
+    ``lcftraffic.nn`` is named outside ``nn``: an op only the tests use
+    belongs under ``tests/``."""
+    tree = ast.parse(open(os.path.join(SRC, f"{module}.py")).read())
     defined = {node.name for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    callers = [os.path.join(SRC, f"{name}.py") for name in MODULES] + DEMOS
+    assert sorted(defined - names_read(callers)) == []
     if module == "nn":
-        defined = {name for name in defined if not name.startswith("_")}
-        others.remove("nn")
-        assert {"gru", "pair_head", "scatter_sum"} <= defined
-    assert sorted(defined - names_read(others)) == []
+        public = {name for name in defined if not name.startswith("_")}
+        assert {"gru", "pair_head", "scatter_sum"} <= public
+        callers.remove(os.path.join(SRC, "nn.py"))
+        assert sorted(public - names_read(callers)) == []
     assert defined
 
 

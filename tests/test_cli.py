@@ -302,6 +302,35 @@ def test_bad_manifest_exits_1_naming_the_file_and_key(small_pipeline, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,split", [
+    ("partition", "train"), ("train", "train"), ("evaluate", "val")])
+def test_an_empty_split_exits_1_naming_it(small_pipeline, tmp_path, capsys,
+                                          command, split):
+    """A split emptied by hand in the manifest, its ids moved to another
+    split, is refused by name by each command that reads it."""
+    dataset = tmp_path / "dataset"
+    shutil.copytree(os.path.join(small_pipeline, "dataset"), dataset)
+    manifest = dataset / "manifest.json"
+    data = json.loads(manifest.read_text())
+    data["splits"]["test" if split == "train" else "train"] += \
+        data["splits"][split]
+    data["splits"][split] = []
+    manifest.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    partition = out / "partition.json" if command == "partition" \
+        else os.path.join(small_pipeline, "partition.json")
+    options = {"partition": ["--t-max", "5", "--clusters", "3"],
+               "train": ["--model", "dnn"] + TRAIN_SMALL,
+               "evaluate": ["--models", "MFD", "--split", split]}[command]
+    capsys.readouterr()
+    assert run([command, "--out", out, "--dataset-dir", dataset,
+                "--network", os.path.join(small_pipeline, "network.txt"),
+                "--partition-file", partition] + options) == 1
+    err = capsys.readouterr().err
+    assert f"error: split {split!r} is empty" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,field", [
     ("--step", "step_s"), ("--window", "window_s"), ("--warmup", "warmup_s"),
     ("--peak", "peak_s"), ("--total", "total_s"),

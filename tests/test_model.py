@@ -242,6 +242,13 @@ def test_default_layer_widths():
     assert model.params["gat.h0.a_src"].shape == (128, 1)
 
 
+def fuse_pairs(model, spatial, temporal):
+    """The head over every (window, link) pair of these embeddings: ``fuse``
+    on their ``nn.pair_halves``, as ``LcfModel.forward`` runs it."""
+    return model.fuse(*nn.pair_halves(spatial, temporal, model.params["fc.0.W"],
+                                      model.params["fc.0.b"]))
+
+
 def test_zero_fc_weights_output_final_bias():
     model = LcfModel(tiny_config())
     for i in range(2):
@@ -250,7 +257,7 @@ def test_zero_fc_weights_output_final_bias():
     model.params["fc.1.b"][:] = 3.25
     spatial = np.random.default_rng(0).normal(size=(4, 2))
     temporal = np.zeros((2, 2))
-    out = model.fuse(spatial, temporal, batch=2)
+    out = fuse_pairs(model, spatial, temporal)
     assert out.shape == (8, 1)
     assert np.all(out == 3.25)
 
@@ -260,7 +267,7 @@ def test_fuse_matches_independent_matrix_chain():
     model = LcfModel(tiny_config(hidden_dim=2, fc_hidden=(3,), seed=3))
     spatial = rng.normal(size=(3, 2))
     temporal = rng.normal(size=(2, 2))
-    out = model.fuse(spatial, temporal, batch=2)
+    out = fuse_pairs(model, spatial, temporal)
     w0 = model.params["fc.0.W"]
     b0 = model.params["fc.0.b"]
     w1 = model.params["fc.1.W"]
@@ -281,7 +288,7 @@ def test_fuse_without_gru_matches_independent_matrix_chain():
                                  use_gru=False))
     spatial = rng.normal(size=(3, 2))
     vmean = rng.uniform(0, 1, size=(2, 1))
-    out = model.fuse(spatial, vmean, batch=2)
+    out = fuse_pairs(model, spatial, vmean)
     w0 = model.params["fc.0.W"]
     b0 = model.params["fc.0.b"]
     w1 = model.params["fc.1.W"]
@@ -297,16 +304,12 @@ def test_fuse_without_gru_matches_independent_matrix_chain():
 
 
 def test_fuse_rejects_width_mismatch():
+    """Halves that do not fit each other, or the head's second layer."""
     model = LcfModel(tiny_config())
-    with pytest.raises(ValueError, match=r"\(2, 5\).*\(1, 2\)"):
-        model.fuse(np.zeros((2, 5)), np.zeros((1, 2)), 1)
-    with pytest.raises(ValueError, match=r"\(2, 2\).*\(1, 3\)"):
-        model.fuse(np.zeros((2, 2)), np.zeros((1, 3)), 1)
-    # halves of other windows than the call's
-    spatial, temporal = np.zeros((2, 2)), np.zeros((2, 2))
-    part_in, part_out = model._halves(spatial, temporal)
-    with pytest.raises(ValueError, match=r"halves \(2, 4\) and \(2, 4\)"):
-        model.fuse(spatial, temporal[:1], 1, (part_in, part_out))
+    with pytest.raises(ValueError, match=r"\(2, 4\), \(1, 3\)"):
+        model.fuse(np.zeros((2, 4)), np.zeros((1, 3)))
+    with pytest.raises(ValueError, match=r"\(2, 5\), \(1, 5\)"):
+        model.fuse(np.zeros((2, 5)), np.zeros((1, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +574,7 @@ def test_steps_after_the_first_reuse_the_head_buffers(monkeypatch):
     def watched(model, *args, **kwargs):
         out = fuse(model, *args, **kwargs)
         head = model._head
-        seen.append((args[2], head, list(head.acts), head.mask))
+        seen.append((len(args[1]), head, list(head.acts), head.mask))
         return out
 
     monkeypatch.setattr(LcfModel, "fuse", watched)
@@ -694,9 +697,9 @@ def test_a_step_over_blocks_equals_the_unsplit_step(monkeypatch, use_gru):
     blocks = []
     fuse = LcfModel.fuse
 
-    def counting_fuse(self, spatial, temporal, batch, halves=None, chain=None):
-        blocks.append(batch)
-        return fuse(self, spatial, temporal, batch, halves, chain)
+    def counting_fuse(self, part_in, part_out, chain=None):
+        blocks.append(len(part_out))
+        return fuse(self, part_in, part_out, chain)
 
     monkeypatch.setattr(LcfModel, "fuse", counting_fuse)
     monkeypatch.setattr(model_module, "PREDICT_BLOCK_ROWS", 7 * n)
@@ -875,9 +878,9 @@ def test_predict_blocks_equal_one_head_call_to_the_bit(monkeypatch, use_gru):
     calls = []
     fuse = LcfModel.fuse
 
-    def counting_fuse(self, spatial, temporal, batch, halves=None):
-        calls.append(batch)
-        return fuse(self, spatial, temporal, batch, halves)
+    def counting_fuse(self, part_in, part_out):
+        calls.append(len(part_out))
+        return fuse(self, part_in, part_out)
 
     monkeypatch.setattr(LcfModel, "fuse", counting_fuse)
     # 20 windows at 7, 3, 2 and 1 windows a block: 7+7+6, 3x6+2, 2x10, 1x20;
