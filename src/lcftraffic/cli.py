@@ -75,16 +75,20 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 def _parse(parser: argparse.ArgumentParser, argv: list[str]):
     """Parse ``argv``; a --config file's entries go in as ``--key=value``
-    flags right after the command, so explicit flags, parsed later, win."""
+    flags right after the command, so explicit flags, parsed later, win.
+    ``given`` holds the flags that were set, from the command line or the
+    file (abbreviations are off, so each is spelt in full)."""
     args = parser.parse_args(argv)
-    if args.config is None:
-        return args
-    entries = _load_config_file(args.config)
-    for key in entries:
-        if key in ("command", "config") or key not in vars(args):
-            raise ValidationError(f"unknown config key {key!r} for {args.command}")
-    flags = [f"--{key.replace('_', '-')}={value}" for key, value in entries.items()]
-    return parser.parse_args(argv[:1] + flags + argv[1:])
+    if args.config is not None:
+        entries = _load_config_file(args.config)
+        for key in entries:
+            if key in ("command", "config") or key not in vars(args):
+                raise ValidationError(f"unknown config key {key!r} for {args.command}")
+        argv = argv[:1] + [f"--{key.replace('_', '-')}={value}"
+                           for key, value in entries.items()] + argv[1:]
+        args = parser.parse_args(argv)
+    args.given = {a.split("=", 1)[0] for a in argv[1:] if a.startswith("--")}
+    return args
 
 
 # (flag, config class, field, help): the option sets the field, whose default
@@ -309,23 +313,26 @@ def _train_and_save(o, net, dataset, part, name: str):
 
 def _obtain_models(o, net, dataset, part, names) -> dict:
     """Load cached checkpoints, training (and caching) any missing variant;
-    a checkpoint whose model differs from the command's options is an error."""
+    a checkpoint whose model or training differs from the command's options
+    is an error."""
     models = {}
     for key in names:
         if not _is_estimator(key):
             continue
         path = _checkpoint_path(o, key.lower())
         if os.path.exists(path):
-            models[key] = load_model(path)
-            got = models[key].config
+            model = models[key] = load_model(path)
             # the seed is the training run's, and no option sets the dtype
-            want = dataclasses.replace(_model_config(o, key.lower()),
-                                       seed=got.seed, dtype=got.dtype)
-            for field, value in dataclasses.asdict(got).items():
-                if value != getattr(want, field):
-                    raise ValidationError(
-                        f"{path} holds {field} = {value!r}, but the options "
-                        f"give {getattr(want, field)!r}")
+            options = (dataclasses.replace(_model_config(o, key.lower()),
+                                           seed=model.config.seed,
+                                           dtype=model.config.dtype),
+                       TrainConfig(**_fields(o, TrainConfig)))
+            for got, want in zip((model.config, model.train_config), options):
+                for field, value in dataclasses.asdict(got).items():
+                    if value != getattr(want, field):
+                        raise ValidationError(
+                            f"{path} holds {field} = {value!r}, but the "
+                            f"options give {getattr(want, field)!r}")
             log_line("loaded checkpoint", model=key.lower(), path=path)
         else:
             log_line("training missing variant", model=key.lower())
@@ -370,7 +377,12 @@ def cmd_gen_dataset(o) -> int:
     check_value("--demand", o.demand, "str", one_of=tuple(DEMAND_LEVELS))
     check_value("--bus-lanes", o.bus_lanes, "int", ge=0)
     check_value("--scenarios", o.scenarios, "int", ge=10)
-    if not o.od:
+    if o.od:
+        for flag in ("--od-pairs", "--od-rate"):
+            if flag in o.given:
+                raise ValidationError(f"{flag} applies only to a synthesized "
+                                      f"base OD, not to --od {o.od}")
+    else:
         check_value("--od-pairs", o.od_pairs, "int", ge=1)
         check_value("--od-rate", o.od_rate, "float", gt=0)
     pool = len(bus_lane_candidates(net))

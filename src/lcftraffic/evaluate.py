@@ -168,18 +168,17 @@ class NoRoutableTrips(ValueError):
 
 @dataclass
 class TravelTimeResult:
-    report: MetricReport
     n_no_path: int
-    errors: np.ndarray
+    errors: np.ndarray  # estimated minus recorded seconds, per timed trip
     n_overrun: int  # timed trips whose walk ran past the horizon in either field
 
 
 def travel_time_experiment(net: RoadNetwork, estimated: np.ndarray,
                            recorded: np.ndarray, trips: list[Trip],
-                           window_s: float, model: str = "",
-                           scenario_class: str = "") -> TravelTimeResult:
+                           window_s: float, model: str = "") -> TravelTimeResult:
     """Route every trip on the estimated field at departure, then time the
-    chosen path under both fields; metrics are in seconds over the trips."""
+    chosen path under both fields; the errors it raises name ``model``."""
+    where = f"{model}: " if model else ""
     est_times, true_times = [], []
     no_path = overrun = 0
     for trip in trips:
@@ -187,7 +186,7 @@ def travel_time_experiment(net: RoadNetwork, estimated: np.ndarray,
             path = shortest_path(net, estimated[trip.departure], trip.origin,
                                  trip.destination)
         except ValueError as exc:
-            raise ValueError(f"departure window {trip.departure}: {exc}") from None
+            raise ValueError(f"{where}departure window {trip.departure}: {exc}") from None
         if path is None:
             no_path += 1
             continue
@@ -197,10 +196,8 @@ def travel_time_experiment(net: RoadNetwork, estimated: np.ndarray,
         est_times.append(t_est)
         true_times.append(t_true)
     if not est_times:
-        raise NoRoutableTrips(f"none of {len(trips)} trips routes")
-    report = metrics(np.array(est_times), np.array(true_times), model=model,
-                     scenario_class=scenario_class)
-    return TravelTimeResult(report=report, n_no_path=no_path,
+        raise NoRoutableTrips(f"{where}none of {len(trips)} trips routes")
+    return TravelTimeResult(n_no_path=no_path,
                             errors=np.array(est_times) - np.array(true_times),
                             n_overrun=overrun)
 

@@ -199,7 +199,7 @@ def evaluate_travel_time_split(net: RoadNetwork, dataset: Dataset, partition,
             try:
                 result = travel_time_experiment(sub, pred, rec.speeds,
                                                 trip_sets[sc.id], rec.window_s,
-                                                model=name, scenario_class=label)
+                                                model=name)
             except NoRoutableTrips:
                 excluded += len(trip_sets[sc.id])
                 continue

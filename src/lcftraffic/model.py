@@ -167,12 +167,17 @@ class LcfModel:
     """Parameters, forward pass and a training step's gradients."""
 
     def __init__(self, config: ModelConfig, norm: Normalization | None = None,
-                 state: dict[str, np.ndarray] | None = None):
+                 state: dict[str, np.ndarray] | None = None,
+                 train_config: TrainConfig | None = None):
         """Parameters from ``state`` when given (names and shapes must
         match and every value must be finite; each array is cast to its
-        parameter's dtype), else a Glorot draw seeded by ``config.seed``."""
+        parameter's dtype), else a Glorot draw seeded by ``config.seed``.
+        ``train_config`` is what the parameters were trained under, set by
+        ``train`` and ``load_model``; ``save_model`` refuses a model
+        without one."""
         self.config = config
         self.norm = norm
+        self.train_config = train_config
         self.dtype = np.dtype(config.dtype)
         rng = np.random.default_rng(config.seed)
         h = config.hidden_dim
@@ -546,12 +551,13 @@ def train(net: RoadNetwork, dataset, partition, model_cfg: ModelConfig,
             best_val = val_loss
             best_state = {n: p.copy() for n, p in model.params.items()}
 
-    return LcfModel(model_cfg, norm, state=best_state), history
+    return LcfModel(model_cfg, norm, state=best_state, train_config=tc), history
 
 
 # ---------------------------------------------------------------------------
 # checkpoints: an .npz archive of the parameters, each in its own dtype, and
-# a "meta" entry, the JSON of the ModelConfig and the normalization statistics
+# a "meta" entry, the JSON of the ModelConfig, the normalization statistics
+# and the TrainConfig
 # ---------------------------------------------------------------------------
 
 NORM_KEYS = ("vmean_lo", "vmean_hi", "target_lo", "target_hi")
@@ -561,10 +567,14 @@ NORM_KINDS = {**dict.fromkeys(FEAT_KEYS, "tuple[float, ...]"),
 
 
 def save_model(model: LcfModel, path) -> None:
+    if model.train_config is None:
+        raise ValueError("the model has no TrainConfig: only a trained model "
+                         "is saved")
     norm = model.norm
     meta = {"config": asdict(model.config), "norm": {
         "feat_lo": norm.feat.lo.tolist(), "feat_hi": norm.feat.hi.tolist(),
-        **{key: getattr(norm, key) for key in NORM_KEYS}}}
+        **{key: getattr(norm, key) for key in NORM_KEYS}},
+        "train": asdict(model.train_config)}
     with open(path, "wb") as fh:    # numpy appends ".npz" to a path
         np.savez(fh, meta=np.array(json.dumps(meta)),
                  **model.params)
@@ -585,8 +595,9 @@ def load_model(path) -> LcfModel:
             if "meta" not in arrays:
                 raise ValueError("no 'meta' entry")
             meta = require_keys(json.loads(arrays.pop("meta").item()),
-                                ("config", "norm"), "meta")
+                                ("config", "norm", "train"), "meta")
             config = from_json(ModelConfig, meta["config"], "meta.config")
+            train_config = from_json(TrainConfig, meta["train"], "meta.train")
             norm = read_json(meta["norm"], NORM_KINDS, "meta.norm")
             feat = [np.array(norm[key], dtype=float) for key in FEAT_KEYS]
             for key, value in zip(FEAT_KEYS, feat):
@@ -595,7 +606,7 @@ def load_model(path) -> LcfModel:
                                      f"numbers, got {meta['norm'][key]!r}")
             model = LcfModel(config, Normalization(
                 MinMaxStats(*feat), **{key: float(norm[key]) for key in NORM_KEYS}),
-                state=arrays)
+                state=arrays, train_config=train_config)
         except (ValueError, TypeError, zipfile.BadZipFile) as exc:
             raise ValueError(f"{path}: {exc}; regenerate it with lcftraffic "
                              "train") from None

@@ -316,30 +316,18 @@ def dijkstra(adjacent, tau, source: int, stop: int | None = None,
 
     ``lower``, per link, a bound on the time left from finishing it to
     finishing ``stop``, orders the heap by ``d + lower[v]`` (A*, Hart,
-    Nilsson & Raphael 1968) while every label stays ``d``; the stale check
-    compares ``d`` with ``dist[z]`` as without it. A consistent bound
-    (``lower[u] <= tau[v] + lower[v]`` for each step u -> v, 0 at ``stop``)
-    leaves the search exact and only skips links that cannot lie on a path
-    to ``stop``; ``evaluate.shortest_path`` builds one whose inequalities
-    are strict, so every label its path is rebuilt from equals this
-    search's label without it."""
+    Nilsson & Raphael 1968) while every label stays ``d``; with none
+    (rerouting passes none) it is 0 and the search is a plain Dijkstra. A
+    consistent bound (``lower[u] <= tau[v] + lower[v]`` for each step
+    u -> v, 0 at ``stop``) leaves the search exact and only skips links that
+    cannot lie on a path to ``stop``; ``evaluate.shortest_path`` builds one
+    whose inequalities are strict, so every label its path is rebuilt from
+    equals this search's label without it."""
+    if lower is None:
+        lower = [0.0] * len(tau)
     dist = [math.inf] * len(tau)
     dist[source] = d = tau[source]
     pop, push = heapq.heappop, heapq.heappush
-    if lower is None:
-        heap = [(d, source)]
-        while heap:
-            d, z = pop(heap)
-            if d > dist[z]:
-                continue
-            if z == stop:
-                break
-            for v in adjacent[z]:
-                cand = d + tau[v]
-                if cand < dist[v]:
-                    dist[v] = cand
-                    push(heap, (cand, v))
-        return dist
     heap = [(d + lower[source], d, source)]
     while heap:
         _, d, z = pop(heap)

@@ -11,7 +11,9 @@ FAULTS = ("empty file", "cut-off values", "text checkpoint", "npy file",
           "bad number", "number as text", "bool as number",
           "statistics as text", "missing parameter",
           "extra parameter", "short values", "short statistic",
-          "statistic not finite", "parameter not finite")
+          "statistic not finite", "parameter not finite",
+          "no train options", "unknown train option", "train option as text",
+          "train option out of range")
 
 
 def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -99,6 +101,22 @@ def plant(path, fault: str) -> str:
         meta["norm"]["target_hi"] = float("nan")
         meta_text = json.dumps(meta)
         expected = "meta.norm: target_hi must be finite, got nan"
+    elif fault == "no train options":    # a checkpoint of earlier versions
+        del meta["train"]
+        meta_text = json.dumps(meta)
+        expected = "meta: no key 'train'; regenerate it with lcftraffic train"
+    elif fault == "unknown train option":
+        meta["train"]["momentum"] = 0.9
+        meta_text = json.dumps(meta)
+        expected = "meta.train: unknown key 'momentum'"
+    elif fault == "train option as text":
+        meta["train"]["lr"] = "0.002"
+        meta_text = json.dumps(meta)
+        expected = "meta.train: lr must be a float, got '0.002'"
+    elif fault == "train option out of range":
+        meta["train"]["epochs"] = 0
+        meta_text = json.dumps(meta)
+        expected = "meta.train: epochs must be > 0, got 0"
     elif fault == "missing parameter":
         del arrays["fc.1.b"]
         expected = "array 'fc.1.b' is missing; expected shape (1, 1)"

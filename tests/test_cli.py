@@ -411,6 +411,29 @@ def test_simulate_rejects_a_demand_scale_of_zero_or_below(tmp_path, capsys,
     assert not os.path.exists(os.path.join(out, "record"))
 
 
+@pytest.mark.parametrize("given", [["--od-pairs", "3"], ["--od-rate", "1"],
+                                   ["--od-pairs", "10"], "config"])
+def test_gen_dataset_refuses_synthesized_od_options_with_an_od_file(
+        tmp_path, capsys, given):
+    """--od-pairs and --od-rate are refused beside --od however they are
+    given, even at their default values."""
+    out = str(tmp_path / "run")
+    assert run(["gen-network", "--out", out, "--grid", "3x3"]) == 0
+    od_path = tmp_path / "base_od.json"
+    write_od(od_path, (0, 9, 100.0))
+    if given == "config":
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text("od_rate = 1\n")
+        given = ["--config", cfg]
+    capsys.readouterr()
+    assert run(["gen-dataset", "--out", out, "--od", od_path, "--scenarios",
+                "10"] + given + SIM_SMALL) == 1
+    flag = "--od-pairs" if "--od-pairs" in given else "--od-rate"
+    assert (f"error: {flag} applies only to a synthesized base OD, not to "
+            f"--od {od_path}") in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "dataset"))
+
+
 def test_gen_dataset_rejects_a_nan_od_rate(tmp_path, capsys):
     out = str(tmp_path / "run")
     assert run(["gen-network", "--out", out, "--grid", "3x3"]) == 0
@@ -530,6 +553,25 @@ def test_malformed_checkpoint_fails_evaluate(trained_dnn, capsys, case):
     assert code == 1
     assert f"error: {ckpt}: {expected}" in err
     assert "Traceback" not in err
+    assert not (out / "reports").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "travel-time"])
+@pytest.mark.parametrize("options,expected", [
+    (["--epochs", "2"], "epochs = 1, but the options give 2"),
+    (["--epochs", "7", "--lr", "0.5"], "lr = 0.002, but the options give 0.5"),
+    (["--stride", "1"], "window_stride = 3, but the options give 1")])
+def test_checkpoint_trained_under_other_options_fails(trained_dnn, capsys,
+                                                      command, options, expected):
+    """The checkpoint was trained with TRAIN_SMALL; a command whose training
+    options differ names the first field that does, in TrainConfig order."""
+    out, pristine = trained_dnn
+    ckpt = out / "models/dnn.ckpt"
+    shutil.copyfile(pristine, ckpt)
+    capsys.readouterr()
+    assert run([command, "--out", out, "--models", "MFD,DNN", "--seed", "4"]
+               + TRAIN_SMALL + options) == 1
+    assert f"error: {ckpt} holds {expected}" in capsys.readouterr().err
     assert not (out / "reports").exists()
 
 

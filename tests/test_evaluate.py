@@ -339,6 +339,28 @@ def test_a_speed_field_with_nan_at_departure_names_the_window_and_link():
         travel_time_experiment(net, estimated, speeds, trips, 60.0)
 
 
+def test_experiment_errors_name_the_model():
+    net = generate_grid_network(3, 3, 100.0, 2)
+    speeds = np.full((6, net.n_links), 20.0)
+    estimated = speeds.copy()
+    estimated[2, 9] = math.nan
+    trips = [Trip(net.links[0].id, net.links[11].id, 2)]
+    with pytest.raises(ValueError, match=re.escape(
+            "GAT-GRU-P: departure window 2: link ")):
+        travel_time_experiment(net, estimated, speeds, trips, 60.0,
+                               model="GAT-GRU-P")
+    # two links with no junction in common: neither reaches the other
+    apart = RoadNetwork({0: (0.0, 0.0), 1: (100.0, 0.0), 2: (0.0, 500.0),
+                         3: (100.0, 500.0)},
+                        [Link(0, 0, 1, 100.0, 2, 0, 25.0),
+                         Link(1, 2, 3, 100.0, 2, 0, 25.0)])
+    with pytest.raises(evaluate.NoRoutableTrips,
+                       match="^MFD: none of 1 trips routes$"):
+        travel_time_experiment(apart, np.full((2, 2), 20.0),
+                               np.full((2, 2), 20.0), [Trip(0, 1, 0)], 60.0,
+                               model="MFD")
+
+
 def test_path_time_equals_a_link_by_link_walk_to_the_bit():
     # the scalar crossing-time formula, one link at a time
     def walk(net, path, speeds, depart, window_s):
@@ -369,8 +391,9 @@ def test_truth_as_prediction_is_exactly_zero():
     speeds = rng.uniform(5.0, 25.0, size=(20, net.n_links))
     trips = generate_trips(net, 40, seed=1, horizon=(2, 15))
     result = travel_time_experiment(net, speeds, speeds, trips, window_s=180.0)
-    assert result.report.mae == 0.0
-    assert result.report.rmse == 0.0
+    report = metrics(result.errors, np.zeros_like(result.errors))
+    assert report.mae == 0.0
+    assert report.rmse == 0.0
 
 
 def test_mfd_field_has_positive_error_on_heterogeneous_record():
@@ -380,7 +403,7 @@ def test_mfd_field_has_positive_error_on_heterogeneous_record():
     mfd = np.tile(truth.mean(axis=1, keepdims=True), (1, net.n_links))
     trips = generate_trips(net, 40, seed=2, horizon=(2, 15))
     result = travel_time_experiment(net, mfd, truth, trips, window_s=180.0)
-    assert result.report.mae > 0.0
+    assert metrics(result.errors, np.zeros_like(result.errors)).mae > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 import math
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -768,6 +768,21 @@ def test_checkpoint_round_trip_and_predictions(tmp_path):
     assert np.all(a >= 0.0) and np.all(a <= vff[None, :] + 1e-12)
 
 
+def test_checkpoint_holds_the_train_config(tmp_path):
+    """The TrainConfig that ``train`` ran under is saved and loaded with the
+    parameters; a model that was not trained has none, and is not saved."""
+    net, ds, part = toy_training_setup(seed=31)
+    tc = TrainConfig(lr=0.003, epochs=2, window_stride=3)
+    model, _ = train(net, ds, part, tiny_config(), tc)
+    assert model.train_config == tc
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    assert read_checkpoint(path)[0]["train"] == asdict(tc)
+    assert load_model(path).train_config == tc
+    with pytest.raises(ValueError, match="only a trained model is saved"):
+        save_model(LcfModel(tiny_config(), toy_normalization()), path)
+
+
 # SHA-256 of the trained parameters' bytes, in creation order, after the two
 # epochs below; taken when the attention was built from small taped ops
 # (gathers, leaky relu, segment softmax and sum, relu, add, scale, cast),
@@ -794,7 +809,8 @@ def test_two_epochs_give_the_golden_parameter_bits(dtype):
 
 
 def test_load_model_checks_array_names_and_shapes(tmp_path):
-    model = LcfModel(tiny_config(), toy_normalization())
+    model = LcfModel(tiny_config(), toy_normalization(),
+                     train_config=TrainConfig())
     path = tmp_path / "model.ckpt"
     save_model(model, path)
     meta, arrays = read_checkpoint(path)
@@ -817,7 +833,8 @@ def test_load_model_names_file_and_line_or_key(tmp_path, case):
     """Every fault is a ValueError that names the file and, where there is
     one, the meta key or array."""
     path = tmp_path / "model.ckpt"
-    save_model(LcfModel(tiny_config(), toy_normalization()), path)
+    save_model(LcfModel(tiny_config(), toy_normalization(),
+                        train_config=TrainConfig()), path)
     expected = plant(path, case)
     with pytest.raises(ValueError, match=re.escape(f"{path}: {expected}")):
         load_model(path)
@@ -1045,7 +1062,7 @@ def test_float32_gradients_agree_with_float64_on_the_criterion_4_toy():
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_checkpoint_round_trip_is_bit_equal(tmp_path, dtype):
     model = LcfModel(tiny_config(heads=2, hidden_dim=3, dtype=dtype),
-                     toy_normalization())
+                     toy_normalization(), train_config=TrainConfig())
     for name, p in model.params.items():    # random bits past the init's range
         model.params[name] = np.random.default_rng(p.size).normal(
             size=p.shape).astype(p.dtype) * 1e3
@@ -1059,7 +1076,8 @@ def test_checkpoint_round_trip_is_bit_equal(tmp_path, dtype):
 
 
 def test_load_model_draws_no_initialization(tmp_path, monkeypatch):
-    model = LcfModel(tiny_config(heads=2), toy_normalization())
+    model = LcfModel(tiny_config(heads=2), toy_normalization(),
+                     train_config=TrainConfig())
     path = tmp_path / "model.ckpt"
     save_model(model, path)
     meta, arrays = read_checkpoint(path)
